@@ -48,17 +48,21 @@ func BenchmarkBuildYbusCase57(b *testing.B)  { benchBuildYbus(b, "case57") }
 func BenchmarkBuildYbusCase118(b *testing.B) { benchBuildYbus(b, "case118") }
 func BenchmarkBuildYbusCase300(b *testing.B) { benchBuildYbus(b, "case300") }
 
+// benchNewtonSolve times the one-shot Newton from a flat start with Q-limit
+// enforcement — what serving call sites run. The case's stored profile is
+// already converged (zero iterations: classify + Ybus + pattern compile,
+// never a factorization), so a solve that took no iteration is a fatal.
 func benchNewtonSolve(b *testing.B, caseName string) {
 	n := cases.MustLoad(caseName)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := powerflow.Solve(n, powerflow.Options{})
+		res, err := powerflow.Solve(n, powerflow.Options{FlatStart: true, EnforceQLimits: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Converged {
-			b.Fatal("not converged")
+		if !res.Converged || res.Iterations == 0 {
+			b.Fatalf("converged=%v after %d iterations: the bench must run Newton", res.Converged, res.Iterations)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package gridmind_test holds the benchmark harness: one testing.B target
 // per paper table/figure (E1-E5 in DESIGN.md) plus the ablation benches
-// (A1-A4) for the design decisions the architecture section calls out.
+// (A2-A4; A1, sparse vs dense, was settled in PR 1 and its dense LU deleted)
+// for the design decisions the architecture section calls out.
 //
 // Figure/table benches run scaled-down configurations so -bench=. stays
 // tractable; cmd/gridmind-bench regenerates the full paper-scale tables.
@@ -15,12 +16,9 @@ import (
 	"gridmind/internal/contingency"
 	"gridmind/internal/experiments"
 	"gridmind/internal/llm"
-	"gridmind/internal/mat"
-	"gridmind/internal/model"
 	"gridmind/internal/opf"
 	"gridmind/internal/powerflow"
 	"gridmind/internal/sensitivity"
-	"gridmind/internal/sparse"
 )
 
 // --- E1: Figure 3 (left) — success rate by model ---
@@ -119,61 +117,6 @@ func BenchmarkN1SweepCase118(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := contingency.Analyze(n, base, contingency.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- A1: sparse vs dense linear solve on a power-system matrix ---
-
-// dcMatrix builds the DC susceptance matrix of the case (the archetypal
-// power-system sparsity pattern) in triplet form.
-func dcMatrix(n *model.Network) *sparse.COO {
-	nb := len(n.Buses)
-	coo := sparse.NewCOO(nb, nb)
-	for i := 0; i < nb; i++ {
-		coo.Add(i, i, 1) // shunt regularization keeps it nonsingular
-	}
-	for _, br := range n.Branches {
-		if !br.InService || br.X == 0 {
-			continue
-		}
-		bb := 1 / br.X
-		coo.Add(br.From, br.From, bb)
-		coo.Add(br.To, br.To, bb)
-		coo.Add(br.From, br.To, -bb)
-		coo.Add(br.To, br.From, -bb)
-	}
-	return coo
-}
-
-func BenchmarkAblationSparseVsDenseSparse(b *testing.B) {
-	n := cases.MustLoad("case300")
-	csc := dcMatrix(n).ToCSC()
-	rhs := make([]float64, len(n.Buses))
-	for i := range rhs {
-		rhs[i] = float64(i%7) - 3
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sparse.SolveCSC(csc, rhs, sparse.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSparseVsDenseDense(b *testing.B) {
-	n := cases.MustLoad("case300")
-	nb := len(n.Buses)
-	dense := mat.NewDense(nb, nb)
-	dcMatrix(n).Each(func(i, j int, v float64) { dense.Add(i, j, v) })
-	rhs := make([]float64, nb)
-	for i := range rhs {
-		rhs[i] = float64(i%7) - 3
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mat.SolveDense(dense, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -263,57 +263,10 @@ func (s *server) handleCases(w http.ResponseWriter, r *http.Request) {
 // exposition format: engine artifact hit/miss counters, per-deployment
 // gateway counters and breaker state, per-tool invocation counts and
 // latency histograms, per-agent interaction metrics, and session
-// lifecycle (live gauge, spill/restore counts). ?format=csv keeps the
-// legacy per-interaction CSV dump.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "csv" {
-		s.handleMetricsCSV(w)
-		return
-	}
+// lifecycle (live gauge, spill/restore counts).
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.TextContentType)
 	if err := s.met.WritePrometheus(w); err != nil {
 		writeErr(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// handleMetricsCSV is the pre-Prometheus /metrics body, kept verbatim
-// behind ?format=csv: the instrumentation CSV merged across the default
-// session and every live managed session, followed by comment-prefixed
-// gauge lines for the engine and gateway.
-func (s *server) handleMetricsCSV(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/csv")
-	fmt.Fprintln(w, "model,agent,latency_s,prompt_tokens,completion_tokens,tool_calls,validation_errors,factual_slips,recoveries,success")
-	writeRows := func(rows []gridmind.Interaction) {
-		for _, row := range rows {
-			fmt.Fprintf(w, "%s,%s,%.3f,%d,%d,%d,%d,%d,%d,%t\n",
-				row.Model, row.Agent, row.Latency.Seconds(),
-				row.PromptTokens, row.CompletionTokens, row.ToolCalls,
-				row.ValidationErrors, row.FactualSlips, row.Recoveries, row.Success)
-		}
-	}
-	writeRows(s.def.Metrics())
-	s.mgr.each(func(ms *managedSession) { writeRows(ms.gm.Metrics()) })
-
-	st := s.eng.Stats()
-	fmt.Fprintf(w, "# live_sessions %d\n", s.mgr.len())
-	fmt.Fprintf(w, "# engine_pristine_hits %d\n# engine_pristine_misses %d\n", st.PristineHits, st.PristineMisses)
-	fmt.Fprintf(w, "# engine_struct_hits %d\n# engine_struct_misses %d\n", st.StructHits, st.StructMisses)
-	fmt.Fprintf(w, "# engine_ybus_builds %d\n# engine_topology_builds %d\n# engine_ptdf_builds %d\n",
-		st.YbusBuilds, st.TopoBuilds, st.PTDFBuilds)
-	fmt.Fprintf(w, "# engine_opf_context_reuses %d\n# engine_opf_context_creates %d\n", st.OPFReuses, st.OPFCreates)
-	fmt.Fprintf(w, "# engine_sweep_pool_hits %d\n# engine_sweep_pool_new %d\n", st.SweepPoolHits, st.SweepPoolNew)
-	fmt.Fprintf(w, "# engine_base_pf_hits %d\n# engine_base_pf_solves %d\n", st.BasePFHits, st.BasePFSolves)
-
-	if s.gw != nil {
-		gs := s.gw.Stats()
-		fmt.Fprintf(w, "# gateway_requests %d\n# gateway_succeeded %d\n# gateway_failed %d\n",
-			gs.Requests, gs.Succeeded, gs.Failed)
-		fmt.Fprintf(w, "# gateway_retries %d\n# gateway_exhausted %d\n", gs.Retries, gs.Exhausted)
-		for _, d := range gs.Deployments {
-			fmt.Fprintf(w, "# gateway_deployment %s state=%s attempts=%d successes=%d failures=%d timeouts=%d probes=%d breaker_opens=%d breaker_closes=%d mean_latency_ms=%.1f\n",
-				d.Name, d.State, d.Attempts, d.Successes, d.Failures, d.Timeouts,
-				d.Probes, d.BreakerOpens, d.BreakerCloses,
-				float64(d.MeanLatency.Microseconds())/1000)
-		}
 	}
 }

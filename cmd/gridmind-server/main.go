@@ -13,7 +13,7 @@
 //	POST   /sessions/{id}                                         → touch a session, restoring it from spill if needed
 //	POST   /ask                   {"query": "...", "session_id"?} → coordinated reply
 //	GET    /cases                                                 → Table 2 inventory
-//	GET    /metrics                                               → Prometheus text exposition (?format=csv = legacy CSV)
+//	GET    /metrics                                               → Prometheus text exposition
 //	POST   /v1/chat/completions   chat-completions dialect        → simulated backend
 //
 // /ask without a session_id uses a shared default session (the original

@@ -216,7 +216,8 @@ func (m *sessionManager) restore(id string) (*managedSession, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		// A racing restore may have consumed the file between our table
-		// miss and this read; it installs before removing, so re-check.
+		// miss and this read; it installs in the same critical section
+		// that removes, so re-check.
 		m.mu.Lock()
 		s, ok := m.sessions[id]
 		m.mu.Unlock()
@@ -250,9 +251,13 @@ func (m *sessionManager) restore(id string) (*managedSession, error) {
 		ID: id, Model: env.Model, Created: env.Created,
 		gm: gm, lastUsed: m.now(), asks: env.Asks,
 	}
+	// Consume the file before the install becomes visible, still under the
+	// lock the janitor spills under: removed after unlocking, a janitor
+	// pass in between re-spills the session and the late Remove deletes
+	// the fresh file — the session is then in neither place (404).
+	os.Remove(path)
 	m.sessions[id] = s
 	m.mu.Unlock()
-	os.Remove(path)
 	m.restores.Inc()
 	m.restoreLat.ObserveDuration(time.Since(start))
 	return s, nil
@@ -392,18 +397,4 @@ func (m *sessionManager) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.sessions)
-}
-
-// each runs fn over every live session (used by /metrics to merge rows).
-func (m *sessionManager) each(fn func(*managedSession)) {
-	m.mu.Lock()
-	snapshot := make([]*managedSession, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		snapshot = append(snapshot, s)
-	}
-	m.mu.Unlock()
-	sort.Slice(snapshot, func(a, b int) bool { return snapshot[a].Created.Before(snapshot[b].Created) })
-	for _, s := range snapshot {
-		fn(s)
-	}
 }

@@ -273,27 +273,6 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 }
 
-// TestMetricsCSVLegacy: ?format=csv keeps the pre-Prometheus body — the
-// interaction CSV plus comment-prefixed engine gauges.
-func TestMetricsCSVLegacy(t *testing.T) {
-	_, ts := newTestServer(t, 8)
-	if resp, _ := postJSON(t, ts.URL+"/sessions", map[string]any{}); resp.StatusCode != http.StatusCreated {
-		t.Fatal("create failed")
-	}
-	status, ct, body := fetchMetrics(t, ts.URL+"/metrics?format=csv")
-	if status != http.StatusOK {
-		t.Fatalf("/metrics?format=csv status %d", status)
-	}
-	if !strings.HasPrefix(ct, "text/csv") {
-		t.Fatalf("legacy content type %q, want text/csv", ct)
-	}
-	for _, gauge := range []string{"# live_sessions 1", "# engine_ptdf_builds", "# engine_opf_context_reuses", "# engine_base_pf_hits"} {
-		if !strings.Contains(body, gauge) {
-			t.Fatalf("legacy /metrics missing %q in:\n%s", gauge, body)
-		}
-	}
-}
-
 func TestChatCompletionsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, 8)
 	body := `{"model":"gpt-o3","messages":[{"role":"user","content":"hello"}]}`

@@ -179,8 +179,8 @@ type Options struct {
 	PTDF *ptdf.Matrix
 	// Pool, when non-nil, recycles worker solve contexts (compiled Newton
 	// pattern + LU symbolic analysis) across calls. Callers must key pools
-	// by network state (case + diff hash): the pool drops contexts when
-	// the (network, base) pair changes. See SweepPool.
+	// by network state (case + diff hash): a context is reused only for
+	// the exact (network, base) pair it was built from. See SweepPool.
 	Pool *SweepPool
 	// Reorder shares the Jacobian fill-reducing ordering across the
 	// per-outage Newton solves: every outage network has the same bus set
@@ -281,11 +281,7 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 		go func() {
 			defer wg.Done()
 			var ctx *sweepContext
-			defer func() {
-				if ctx != nil && opts.Pool != nil {
-					opts.Pool.release(ctx)
-				}
-			}()
+			defer func() { opts.Pool.release(ctx) }()
 			for {
 				idx := int(atomic.AddInt64(&next, 1) - 1)
 				if idx >= len(branches) {
@@ -314,11 +310,7 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 				} else {
 					if ctx == nil {
 						prepOnce.Do(prep)
-						if opts.Pool != nil {
-							ctx = opts.Pool.acquire(n, base, topo, baseY)
-						} else {
-							ctx = newSweepContext(n, base, topo, baseY)
-						}
+						ctx = opts.Pool.acquire(n, base, topo, baseY)
 					}
 					r = ctx.analyze(k, opts)
 				}
@@ -363,12 +355,8 @@ func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *
 	if topo == nil {
 		topo = model.NewTopology(n)
 	}
-	if opts.Pool != nil {
-		ctx := opts.Pool.acquire(n, base, topo, opts.BaseYbus)
-		defer opts.Pool.release(ctx)
-		return ctx.analyze(k, opts)
-	}
-	ctx := newSweepContext(n, base, topo, opts.BaseYbus)
+	ctx := opts.Pool.acquire(n, base, topo, opts.BaseYbus)
+	defer opts.Pool.release(ctx)
 	return ctx.analyze(k, opts)
 }
 

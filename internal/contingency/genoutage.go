@@ -202,12 +202,9 @@ func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, 
 	if opts.ReferenceClone {
 		return analyzeGenOutageMaterialize(n, g, opts)
 	}
-	if opts.Pool != nil {
-		ctx := opts.Pool.acquireGen(n, opts.BaseYbus)
-		defer opts.Pool.releaseGen(ctx)
-		return ctx.analyzeGen(g, opts)
-	}
-	return newGenSweepContext(n, opts.BaseYbus).analyzeGen(g, opts)
+	ctx := opts.Pool.acquireGen(n, opts.BaseYbus)
+	defer opts.Pool.releaseGen(ctx)
+	return ctx.analyzeGen(g, opts)
 }
 
 // analyzeGenOutageMaterialize is the legacy implementation — view
@@ -251,13 +248,7 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 	opts.fill()
 	// Lazily built: reference-mode sweeps never pay for the solver context.
 	var ctx *genSweepContext
-	if opts.Pool != nil {
-		defer func() {
-			if ctx != nil {
-				opts.Pool.releaseGen(ctx)
-			}
-		}()
-	}
+	defer func() { opts.Pool.releaseGen(ctx) }()
 	var out []GenOutageResult
 	for g, gen := range n.Gens {
 		if !gen.InService {
@@ -269,11 +260,7 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 			r, err = analyzeGenOutageMaterialize(n, g, opts)
 		} else {
 			if ctx == nil {
-				if opts.Pool != nil {
-					ctx = opts.Pool.acquireGen(n, opts.BaseYbus)
-				} else {
-					ctx = newGenSweepContext(n, opts.BaseYbus)
-				}
+				ctx = opts.Pool.acquireGen(n, opts.BaseYbus)
 			}
 			r, err = ctx.analyzeGen(g, opts)
 		}

@@ -310,11 +310,7 @@ func AnalyzeN2(n *model.Network, base *powerflow.Result, n1 *ResultSet, opts N2O
 		go func() {
 			defer wg.Done()
 			var ctx *sweepContext
-			defer func() {
-				if ctx != nil && opts.Pool != nil {
-					opts.Pool.release(ctx)
-				}
-			}()
+			defer func() { opts.Pool.release(ctx) }()
 			for {
 				idx := int(atomic.AddInt64(&next, 1) - 1)
 				if idx >= len(pairs) {
@@ -343,11 +339,7 @@ func AnalyzeN2(n *model.Network, base *powerflow.Result, n1 *ResultSet, opts N2O
 				} else {
 					if ctx == nil {
 						prepOnce.Do(prep)
-						if opts.Pool != nil {
-							ctx = opts.Pool.acquire(n, base, topo, baseY)
-						} else {
-							ctx = newSweepContext(n, base, topo, baseY)
-						}
+						ctx = opts.Pool.acquire(n, base, topo, baseY)
 					}
 					r = ctx.analyzePair(p, opts.Options)
 				}

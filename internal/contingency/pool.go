@@ -1,10 +1,8 @@
 package contingency
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"gridmind/internal/model"
+	"gridmind/internal/pool"
 	"gridmind/internal/powerflow"
 )
 
@@ -17,21 +15,17 @@ import (
 //
 // A context is only valid for the exact (network, base power flow) pair it
 // was built from: the solver's classification embeds loads and dispatch,
-// not just topology. Free lists are therefore keyed by that pointer pair.
-// Callers key pools by session state (case + diff hash), so every pair a
-// pool sees is the SAME state replayed by a different session (zero-diff
-// sessions share the engine pristine and hence one pair); keeping a free
-// list per pair lets each session reuse its own contexts without evicting
-// the others'. The pair map is bounded — beyond the cap it resets, which
-// costs recompilation, never correctness. All methods are safe for
-// concurrent use.
+// not just topology. Free lists are therefore keyed by that pointer pair
+// (generator-outage contexts by the network alone; generator views never
+// read the base power flow). Callers key pools by session state (case +
+// diff hash), so every pair a pool sees is the SAME state replayed by a
+// different session (zero-diff sessions share the engine pristine and hence
+// one pair); a free list per pair lets each session reuse its own contexts
+// without evicting the others'. A nil *SweepPool is valid and builds a
+// throwaway context per acquire.
 type SweepPool struct {
-	mu   sync.Mutex
-	free map[poolKey][]*sweepContext
-
-	genFree map[*model.Network][]*genSweepContext
-
-	reuses, builds atomic.Int64
+	ctx *pool.Keyed[poolKey, *sweepContext]
+	gen *pool.Keyed[*model.Network, *genSweepContext]
 }
 
 // poolKey identifies the exact binding a sweep context is valid for.
@@ -40,82 +34,53 @@ type poolKey struct {
 	base *powerflow.Result
 }
 
-// maxPoolKeys bounds the per-pool binding map (distinct bindings are one
-// per session replica of the state; a runaway map means leaked sessions).
+// maxPoolKeys bounds each free-list's binding map (distinct bindings are
+// one per session replica of the state; a runaway map means leaked
+// sessions).
 const maxPoolKeys = 16
 
 // NewSweepPool returns an empty pool.
 func NewSweepPool() *SweepPool {
 	return &SweepPool{
-		free:    make(map[poolKey][]*sweepContext),
-		genFree: make(map[*model.Network][]*genSweepContext),
+		ctx: pool.NewKeyed[poolKey, *sweepContext](maxPoolKeys),
+		gen: pool.NewKeyed[*model.Network, *genSweepContext](maxPoolKeys),
 	}
 }
 
 // ContextReuses reports how many worker contexts were served from the pool.
-func (p *SweepPool) ContextReuses() int64 { return p.reuses.Load() }
+func (p *SweepPool) ContextReuses() int64 { return p.ctx.Reuses() + p.gen.Reuses() }
 
 // ContextBuilds reports how many worker contexts had to be built fresh
 // (each build compiles a Jacobian pattern and an LU symbolic analysis).
-func (p *SweepPool) ContextBuilds() int64 { return p.builds.Load() }
+func (p *SweepPool) ContextBuilds() int64 { return p.ctx.Builds() + p.gen.Builds() }
 
-// acquire returns a worker context for (n, base), recycling one bound to
-// the same pair and building one otherwise. topo and baseY feed a fresh
-// build exactly as newSweepContext takes them.
+// acquire returns a worker context for (n, base); topo and baseY feed a
+// fresh build exactly as newSweepContext takes them.
 func (p *SweepPool) acquire(n *model.Network, base *powerflow.Result, topo *model.Topology, baseY *model.Ybus) *sweepContext {
-	key := poolKey{n: n, base: base}
-	p.mu.Lock()
-	if list := p.free[key]; len(list) > 0 {
-		c := list[len(list)-1]
-		p.free[key] = list[:len(list)-1]
-		p.mu.Unlock()
-		p.reuses.Add(1)
-		return c
+	if p == nil {
+		return newSweepContext(n, base, topo, baseY)
 	}
-	p.mu.Unlock()
-	p.builds.Add(1)
-	return newSweepContext(n, base, topo, baseY)
+	return p.ctx.Get(poolKey{n, base}, func() *sweepContext { return newSweepContext(n, base, topo, baseY) })
 }
 
 // release returns a context to the free list of the pair it was built for.
 func (p *SweepPool) release(c *sweepContext) {
-	if c == nil {
-		return
+	if p != nil && c != nil {
+		p.ctx.Put(poolKey{c.n, c.base}, c)
 	}
-	key := poolKey{n: c.n, base: c.base}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.free[key]; !ok && len(p.free) >= maxPoolKeys {
-		p.free = make(map[poolKey][]*sweepContext)
-	}
-	p.free[key] = append(p.free[key], c)
 }
 
-// acquireGen is acquire for generator-outage contexts (bound to the
-// network only; generator views never read the base power flow).
+// acquireGen is acquire for generator-outage contexts.
 func (p *SweepPool) acquireGen(n *model.Network, baseY *model.Ybus) *genSweepContext {
-	p.mu.Lock()
-	if list := p.genFree[n]; len(list) > 0 {
-		c := list[len(list)-1]
-		p.genFree[n] = list[:len(list)-1]
-		p.mu.Unlock()
-		p.reuses.Add(1)
-		return c
+	if p == nil {
+		return newGenSweepContext(n, baseY)
 	}
-	p.mu.Unlock()
-	p.builds.Add(1)
-	return newGenSweepContext(n, baseY)
+	return p.gen.Get(n, func() *genSweepContext { return newGenSweepContext(n, baseY) })
 }
 
 // releaseGen returns a generator-outage context to its network's free list.
 func (p *SweepPool) releaseGen(c *genSweepContext) {
-	if c == nil {
-		return
+	if p != nil && c != nil {
+		p.gen.Put(c.n, c)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.genFree[c.n]; !ok && len(p.genFree) >= maxPoolKeys {
-		p.genFree = make(map[*model.Network][]*genSweepContext)
-	}
-	p.genFree[c.n] = append(p.genFree[c.n], c)
 }

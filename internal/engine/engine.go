@@ -27,6 +27,7 @@ import (
 	"gridmind/internal/model"
 	"gridmind/internal/obs"
 	"gridmind/internal/opf"
+	"gridmind/internal/pool"
 	"gridmind/internal/powerflow"
 	"gridmind/internal/ptdf"
 	"gridmind/internal/scenario"
@@ -38,7 +39,7 @@ type Engine struct {
 	mu       sync.Mutex
 	pristine map[string]*model.Network
 	structs  map[string]*Artifacts
-	opfFree  map[string][]*opf.Context
+	opfFree  *pool.Keyed[string, *opf.Context]
 	sweeps   map[string]*contingency.SweepPool
 	scn      map[string]*scenario.Pool
 	basePF   map[string]*basePFEntry
@@ -142,7 +143,7 @@ func NewWithMetrics(met *obs.Registry) *Engine {
 	return &Engine{
 		pristine:       make(map[string]*model.Network),
 		structs:        make(map[string]*Artifacts),
-		opfFree:        make(map[string][]*opf.Context),
+		opfFree:        pool.NewKeyed[string, *opf.Context](0),
 		sweeps:         make(map[string]*contingency.SweepPool),
 		scn:            make(map[string]*scenario.Pool),
 		basePF:         make(map[string]*basePFEntry),
@@ -363,28 +364,17 @@ func (a *Artifacts) Ordering() *powerflow.OrderingCache { return a.reorder }
 // changed between checkout and checkin) degrades to a recompile, never to
 // a wrong result.
 func (e *Engine) AcquireOPF(sig string) *opf.Context {
-	e.mu.Lock()
-	free := e.opfFree[sig]
-	if n := len(free); n > 0 {
-		c := free[n-1]
-		e.opfFree[sig] = free[:n-1]
-		e.mu.Unlock()
-		e.stats.opfReuses.Add(1)
-		return c
-	}
-	e.mu.Unlock()
-	e.stats.opfCreates.Add(1)
-	return opf.NewContext()
+	created := false
+	c := e.opfFree.Get(sig, func() *opf.Context { created = true; return opf.NewContext() })
+	tally(!created, e.stats.opfReuses, e.stats.opfCreates)
+	return c
 }
 
 // ReleaseOPF returns a context to the structure's pool.
 func (e *Engine) ReleaseOPF(sig string, c *opf.Context) {
-	if c == nil {
-		return
+	if c != nil {
+		e.opfFree.Put(sig, c)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.opfFree[sig] = append(e.opfFree[sig], c)
 }
 
 // basePFEntry memoizes one state's base power flow; the Once collapses
@@ -403,14 +393,7 @@ type basePFEntry struct {
 // that state. The memo is bounded like the sweep-pool map.
 func (e *Engine) BasePF(stateKey string, n *model.Network) (*powerflow.Result, error) {
 	e.mu.Lock()
-	ent, ok := e.basePF[stateKey]
-	if !ok {
-		if len(e.basePF) >= e.maxSweepStates {
-			e.basePF = make(map[string]*basePFEntry)
-		}
-		ent = &basePFEntry{}
-		e.basePF[stateKey] = ent
-	}
+	ent, _ := stateEntry(e.basePF, stateKey, e.maxSweepStates, func() *basePFEntry { return &basePFEntry{} })
 	e.mu.Unlock()
 	hit := true
 	ent.once.Do(func() {
@@ -427,28 +410,44 @@ func (e *Engine) BasePF(stateKey string, n *model.Network) (*powerflow.Result, e
 	return ent.res, ent.err
 }
 
+// stateEntry returns m[key], installing build() on first sight. State keys
+// hash session diff logs — unbounded under what-if traffic, with no cheap
+// recency order worth maintaining — so at limit entries the map is reset
+// wholesale before the install; a dropped entry only costs recomputation.
+// The caller holds e.mu.
+func stateEntry[V any](m map[string]V, key string, limit int, build func() V) (v V, hit bool) {
+	if v, ok := m[key]; ok {
+		return v, true
+	}
+	if len(m) >= limit {
+		clear(m)
+	}
+	v = build()
+	m[key] = v
+	return v, false
+}
+
+// tally bumps hit when ok and miss otherwise: the two-valued result label
+// of the engine's lookup counters.
+func tally(ok bool, hit, miss *obs.Counter) {
+	if ok {
+		hit.Add(1)
+	} else {
+		miss.Add(1)
+	}
+}
+
 // SweepPool returns the contingency worker-context pool for one session
 // STATE (case + diff hash — loads matter here, because a sweep context's
 // compiled classification embeds them). Sessions at the same state share
 // one pool, so repeated or concurrent sweeps reuse compiled Newton
 // patterns and LU symbolic analyses instead of rebuilding per call. The
-// state map is bounded: least-recently-installed pools are dropped beyond
-// the cap (dropping a pool only costs recompilation).
+// state map is bounded by a wholesale reset at the cap (see stateEntry).
 func (e *Engine) SweepPool(stateKey string) *contingency.SweepPool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if p, ok := e.sweeps[stateKey]; ok {
-		e.stats.sweepPoolHits.Add(1)
-		return p
-	}
-	if len(e.sweeps) >= e.maxSweepStates {
-		// Simple wholesale reset: state keys hash session diff logs, so
-		// there is no cheap recency order worth maintaining here.
-		e.sweeps = make(map[string]*contingency.SweepPool)
-	}
-	e.stats.sweepPoolNew.Add(1)
-	p := contingency.NewSweepPool()
-	e.sweeps[stateKey] = p
+	p, hit := stateEntry(e.sweeps, stateKey, e.maxSweepStates, contingency.NewSweepPool)
+	tally(hit, e.stats.sweepPoolHits, e.stats.sweepPoolNew)
 	return p
 }
 
@@ -458,15 +457,7 @@ func (e *Engine) SweepPool(stateKey string) *contingency.SweepPool {
 func (e *Engine) ScenarioPool(stateKey string) *scenario.Pool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if p, ok := e.scn[stateKey]; ok {
-		e.stats.scnPoolHits.Add(1)
-		return p
-	}
-	if len(e.scn) >= e.maxSweepStates {
-		e.scn = make(map[string]*scenario.Pool)
-	}
-	e.stats.scnPoolNew.Add(1)
-	p := scenario.NewPool()
-	e.scn[stateKey] = p
+	p, hit := stateEntry(e.scn, stateKey, e.maxSweepStates, scenario.NewPool)
+	tally(hit, e.stats.scnPoolHits, e.stats.scnPoolNew)
 	return p
 }

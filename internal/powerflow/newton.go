@@ -7,98 +7,307 @@ import (
 	"gridmind/internal/sparse"
 )
 
-// newtonInner runs full Newton-Raphson iterations for a fixed PV/PQ split.
-// The unknown vector is [Va at non-slack buses; Vm at PQ buses].
-//
-// The Jacobian sparsity pattern is fixed by the Ybus structural nonzeros,
-// so the symbolic CSC is compiled once per solve and only its values are
-// refilled in place each iteration; the LU likewise keeps its symbolic
-// analysis (fill pattern, pivot order) from the first iteration and only
-// refactorizes numerically afterwards. Steady-state iterations therefore
-// perform no pattern construction and no per-iteration allocation.
+// newtonInner runs full Newton-Raphson iterations for a fixed PV/PQ split:
+// the shared kernel over the REDUCED index map, whose unknown vector is
+// [Va at non-slack buses; Vm at PQ buses] — PV magnitudes are eliminated
+// (mPos = -1) rather than pinned, so on this map isPQ ⇔ mPos ≥ 0.
 func newtonInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, float64, bool, error) {
 	nb := len(n.Buses)
-	// Index maps: bus -> position in the angle block / magnitude block.
 	aPos := make([]int, nb)
 	mPos := make([]int, nb)
+	dim := 0
 	for i := range aPos {
 		aPos[i], mPos[i] = -1, -1
-	}
-	na := 0
-	for i := 0; i < nb; i++ {
 		if i != c.slack {
-			aPos[i] = na
-			na++
+			aPos[i] = dim
+			dim++
 		}
 	}
-	nm := 0
 	for _, i := range c.pq {
-		mPos[i] = na + nm
-		nm++
+		mPos[i] = dim
+		dim++
 	}
-	dim := na + nm
+	return newFixedState(y, aPos, mPos, dim, true).newtonRound(y, c, vm, va, opts)
+}
+
+// fixedState is the one Newton kernel of the package: index maps, work
+// vectors, the compiled Jacobian and its LU. The Jacobian sparsity pattern
+// is fixed by the Ybus structural nonzeros and the index map, so the
+// symbolic CSC is compiled once per state and only its values are refilled
+// in place each iteration; the LU likewise keeps its symbolic analysis (fill
+// pattern, pivot order) from the first factorization and only refactorizes
+// numerically afterwards. Steady-state iterations therefore perform no
+// pattern construction and no allocation.
+//
+// Two index maps drive it. The augmented map (augmentedState, the
+// ViewSolver's) gives every non-slack bus a magnitude unknown and pins the
+// buses that are currently PV by identity rows, so one state serves every
+// PV/PQ split of a sweep. The reduced map (newtonInner, the one-shot
+// Solve's) gives only PQ buses a magnitude unknown and is rebuilt per split.
+type fixedState struct {
+	aPos, mPos []int // bus -> angle / magnitude unknown, -1 when absent
+	isPQ       []bool
+	// reduced marks the one-shot system. Its Ybus values are frozen for the
+	// state's lifetime, so exactly-zero off-diagonals are left out of the
+	// pattern, and its columns take the scalar minimum-degree pre-order
+	// (busBlockOrdering relies on the augmented column layout).
+	reduced bool
+	dim     int
+	rhs, dx []float64
+	work    []float64
+	p, q    []float64
+	cs, sn  []float64
+	jac     jacobian
+	lu      *sparse.LU
+	colPerm []int
+}
+
+func newFixedState(y *model.Ybus, aPos, mPos []int, dim int, reduced bool) *fixedState {
+	nb := len(aPos)
+	st := &fixedState{aPos: aPos, mPos: mPos, isPQ: make([]bool, nb), reduced: reduced, dim: dim}
 	if dim == 0 {
+		return st
+	}
+	st.rhs = make([]float64, dim)
+	st.dx = make([]float64, dim)
+	st.work = make([]float64, dim)
+	st.p = make([]float64, nb)
+	st.q = make([]float64, nb)
+	st.cs = make([]float64, nb)
+	st.sn = make([]float64, nb)
+	st.jac = newJacobian(y, st)
+	return st
+}
+
+// newtonRound iterates Newton to convergence for the split in c. Buses
+// with a magnitude unknown that are not in c.pq are pinned (dVm = 0).
+func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, float64, bool, error) {
+	if st.dim == 0 {
 		return 0, 0, true, nil
 	}
-
-	isPQ := make([]bool, nb)
-	for _, i := range c.pq {
-		isPQ[i] = true
+	for i := range st.isPQ {
+		st.isPQ[i] = false
 	}
-
-	rhs := make([]float64, dim)
-	dx := make([]float64, dim)
-	work := make([]float64, dim)
-	p := make([]float64, nb)
-	q := make([]float64, nb)
-	cs := make([]float64, nb)
-	sn := make([]float64, nb)
-	jac := newJacobian(y, aPos, mPos, dim)
-	var lu *sparse.LU
-	var colPerm []int
+	for _, i := range c.pq {
+		st.isPQ[i] = true
+	}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		injectionsInto(y, vm, va, cs, sn, p, q)
-		maxMis := mismatchInto(c, isPQ, aPos, mPos, p, q, rhs)
+		injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
+		maxMis := st.mismatch(c)
 		if maxMis < opts.Tol {
 			return iter - 1, maxMis, true, nil
 		}
 
-		jac.refill(y, aPos, mPos, vm, cs, sn, p, q)
-		if lu == nil {
-			if colPerm = lookupOrdering(opts.Reorder, dim); colPerm == nil {
-				colPerm = sparse.MinDegree(jac.mat)
-				storeOrdering(opts.Reorder, dim, colPerm)
+		st.jac.refill(y, st, vm)
+		if st.lu == nil {
+			if st.colPerm = lookupOrdering(opts.Reorder, st.dim); st.colPerm == nil {
+				if st.reduced {
+					st.colPerm = sparse.MinDegree(st.jac.mat)
+				} else {
+					st.colPerm = busBlockOrdering(y, st)
+				}
+				storeOrdering(opts.Reorder, st.dim, st.colPerm)
 			}
-			var err error
-			if lu, err = sparse.Factorize(jac.mat, sparse.Options{ColPerm: colPerm}); err != nil {
+			lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
+			if err != nil {
 				return iter, maxMis, false, err
 			}
-		} else if err := lu.Refactorize(jac.mat); err != nil {
-			// Frozen pivot order hit a zero pivot; redo the factorization
-			// with fresh row pivoting. The column pre-order stays valid —
-			// only the pivot choices went stale.
-			if lu, err = sparse.Factorize(jac.mat, sparse.Options{ColPerm: colPerm}); err != nil {
+			st.lu = lu
+		} else if err := st.lu.Refactorize(st.jac.mat); err != nil {
+			// Frozen pivot order hit a zero pivot for these values; redo the
+			// factorization with fresh row pivoting and keep it. The column
+			// pre-order stays valid — only the pivot choices went stale.
+			lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
+			if err != nil {
 				return iter, maxMis, false, err
 			}
+			st.lu = lu
 		}
-		if err := lu.SolveInto(dx, rhs, work); err != nil {
+		if err := st.lu.SolveInto(st.dx, st.rhs, st.work); err != nil {
 			return iter, maxMis, false, err
 		}
-		for i := 0; i < nb; i++ {
-			if aPos[i] >= 0 {
-				va[i] = angleWrap(va[i] + dx[aPos[i]])
+		for i, a := range st.aPos {
+			if a >= 0 {
+				va[i] = angleWrap(va[i] + st.dx[a])
 			}
-			if mPos[i] >= 0 {
-				vm[i] += dx[mPos[i]]
+			// Magnitude steps apply only to PQ buses; pinned rows solved
+			// dVm = 0 exactly, and skipping them here keeps even that
+			// exactness irrelevant.
+			if m := st.mPos[i]; m >= 0 && st.isPQ[i] {
+				vm[i] += st.dx[m]
 				if vm[i] < 1e-3 {
 					vm[i] = 1e-3 // keep magnitudes physical during iteration
 				}
 			}
 		}
 	}
-	injectionsInto(y, vm, va, cs, sn, p, q)
-	maxMis := mismatchInto(c, isPQ, aPos, mPos, p, q, rhs)
+	injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
+	maxMis := st.mismatch(c)
 	return opts.MaxIter, maxMis, maxMis < opts.Tol, nil
+}
+
+// mismatch writes [ΔP; ΔQ or pin] into rhs from the injections in st.p/st.q
+// and returns the max abs mismatch. Pinned magnitude rows get a zero
+// right-hand side: their equation is dVm = 0.
+func (st *fixedState) mismatch(c *classification) float64 {
+	var maxMis float64
+	for i, a := range st.aPos {
+		if a >= 0 {
+			d := c.pSpec[i] - st.p[i]
+			st.rhs[a] = d
+			if d = math.Abs(d); d > maxMis {
+				maxMis = d
+			}
+		}
+		if m := st.mPos[i]; m >= 0 {
+			if st.isPQ[i] {
+				d := c.qSpec[i] - st.q[i]
+				st.rhs[m] = d
+				if d = math.Abs(d); d > maxMis {
+					maxMis = d
+				}
+			} else {
+				st.rhs[m] = 0
+			}
+		}
+	}
+	return maxMis
+}
+
+// jacobian is the polar power flow Jacobian
+//
+//	[ dP/dVa  dP/dVm ]
+//	[ dQ/dVa  dQ/dVm ]
+//
+// over the unknowns of a fixedState's index map, with a fixed symbolic
+// pattern compiled from the Ybus structural nonzeros. A bus that has a
+// magnitude unknown but is currently PV is pinned: its magnitude row is the
+// identity and every coupling into or out of its magnitude column is
+// written as exact zero. On the augmented map zero-valued Ybus entries stay
+// in the pattern, so rank-1 outage patches never change it.
+//
+// refill overwrites mat's values through the slot map; the symbolic and
+// numeric walks below visit y.NZ in storage (row-major) order and must emit
+// in the same sequence (each Ybus nonzero maps to a unique set of Jacobian coordinates,
+// so the slot map is a bijection).
+type jacobian struct {
+	mat  *sparse.CSC
+	slot []int
+}
+
+// newJacobian compiles the symbolic pattern once for st's index map.
+func newJacobian(y *model.Ybus, st *fixedState) jacobian {
+	ri := make([]int, 0, 4*len(y.NZ))
+	ci := make([]int, 0, 4*len(y.NZ))
+	emit := func(r, c int) {
+		ri = append(ri, r)
+		ci = append(ci, c)
+	}
+	for e, nz := range y.NZ {
+		i, j := nz[0], nz[1]
+		ai, mi := st.aPos[i], st.mPos[i]
+		if ai < 0 || (i != j && st.reduced && y.NZv[e] == 0) {
+			continue
+		}
+		if i == j {
+			emit(ai, ai)
+			if mi >= 0 {
+				emit(ai, mi)
+				emit(mi, ai)
+				emit(mi, mi)
+			}
+			continue
+		}
+		if aj := st.aPos[j]; aj >= 0 {
+			emit(ai, aj)
+			if mi >= 0 {
+				emit(mi, aj)
+			}
+		}
+		if mj := st.mPos[j]; mj >= 0 {
+			emit(ai, mj)
+			if mi >= 0 {
+				emit(mi, mj)
+			}
+		}
+	}
+	mat, slot := sparse.CompilePattern(st.dim, st.dim, ri, ci)
+	return jacobian{mat: mat, slot: slot}
+}
+
+// refill recomputes the Jacobian values for the current state and PQ
+// membership. No allocation, no pattern work, no closures: this loop is
+// ~5% of an N-1 sweep. y.NZ is row-major, so walking it by rows is the
+// same storage order newJacobian compiled, with the per-row state hoisted.
+// st.p/st.q/st.cs/st.sn must hold the injections and cos(va)/sin(va) as
+// filled by injectionsInto for the same state.
+func (ja *jacobian) refill(y *model.Ybus, st *fixedState, vm []float64) {
+	val, slot := ja.mat.Values(), ja.slot
+	aPos, mPos, isPQ, reduced := st.aPos, st.mPos, st.isPQ, st.reduced
+	p, q, cs, sn := st.p, st.q, st.cs, st.sn
+	k := 0
+	for i := 0; i < y.N; i++ {
+		if aPos[i] < 0 {
+			continue
+		}
+		hasM, pqi := mPos[i] >= 0, isPQ[i]
+		vi, ci, si := vm[i], cs[i], sn[i]
+		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+			j, yij := y.NZ[e][1], y.NZv[e]
+			g, b := real(yij), imag(yij)
+			if i == j {
+				val[slot[k]] = -q[i] - b*vi*vi // dP_i/dVa_i
+				k++
+				if !hasM {
+					continue
+				}
+				if pqi {
+					val[slot[k]] = p[i]/vi + g*vi   // dP_i/dVm_i
+					val[slot[k+1]] = p[i] - g*vi*vi // dQ_i/dVa_i
+					val[slot[k+2]] = q[i]/vi - b*vi // dQ_i/dVm_i
+				} else {
+					val[slot[k]] = 0   // pinned column
+					val[slot[k+1]] = 0 // pinned row
+					val[slot[k+2]] = 1 // identity: dVm_i = 0
+				}
+				k += 3
+				continue
+			}
+			if reduced && yij == 0 {
+				continue
+			}
+			ct := ci*cs[j] + si*sn[j]  // cos(va_i − va_j)
+			sth := si*cs[j] - ci*sn[j] // sin(va_i − va_j)
+			vij := vi * vm[j]
+			if aPos[j] >= 0 {
+				val[slot[k]] = vij * (g*sth - b*ct) // dP_i/dVa_j
+				k++
+				if hasM {
+					var dQdA float64
+					if pqi {
+						dQdA = -vij * (g*ct + b*sth) // dQ_i/dVa_j
+					}
+					val[slot[k]] = dQdA
+					k++
+				}
+			}
+			if mPos[j] >= 0 {
+				var dPdM, dQdM float64
+				if isPQ[j] {
+					dPdM = vi * (g*ct + b*sth) // dP_i/dVm_j
+					if pqi {
+						dQdM = vi * (g*sth - b*ct) // dQ_i/dVm_j
+					}
+				}
+				val[slot[k]] = dPdM
+				k++
+				if hasM {
+					val[slot[k]] = dQdM
+					k++
+				}
+			}
+		}
+	}
 }
 
 // injections evaluates real and reactive nodal injections in p.u. for the
@@ -135,158 +344,5 @@ func injectionsInto(y *model.Ybus, vm, va []float64, cs, sn, p, q []float64) {
 		vv := vm[i] * vm[j]
 		p[i] += vv * (g*ct + b*st)
 		q[i] += vv * (g*st - b*ct)
-	}
-}
-
-// mismatchInto writes [ΔP; ΔQ] into rhs and returns the max abs mismatch.
-func mismatchInto(c *classification, isPQ []bool, aPos, mPos []int, p, q, rhs []float64) float64 {
-	var maxMis float64
-	for i := range p {
-		if aPos[i] >= 0 {
-			d := c.pSpec[i] - p[i]
-			rhs[aPos[i]] = d
-			if a := math.Abs(d); a > maxMis {
-				maxMis = a
-			}
-		}
-		if mPos[i] >= 0 {
-			d := c.qSpec[i] - q[i]
-			rhs[mPos[i]] = d
-			if a := math.Abs(d); a > maxMis {
-				maxMis = a
-			}
-		}
-	}
-	return maxMis
-}
-
-// jacobian is the polar power flow Jacobian
-//
-//	[ dP/dVa  dP/dVm ]
-//	[ dQ/dVa  dQ/dVm ]
-//
-// restricted to non-slack angles and PQ magnitudes, with a fixed symbolic
-// pattern compiled from the Ybus structural nonzeros. refill overwrites
-// mat's values in place; the emission order of the symbolic and numeric
-// walks must stay identical (each Ybus nonzero maps to a unique set of
-// Jacobian coordinates, so the slot map is a bijection).
-type jacobian struct {
-	mat  *sparse.CSC
-	slot []int
-}
-
-// newJacobian compiles the symbolic pattern once for the given PV/PQ split.
-func newJacobian(y *model.Ybus, aPos, mPos []int, dim int) *jacobian {
-	ri := make([]int, 0, 4*len(y.NZ))
-	ci := make([]int, 0, 4*len(y.NZ))
-	emit := func(r, c int) {
-		ri = append(ri, r)
-		ci = append(ci, c)
-	}
-	walkJacobian(y, aPos, mPos, func(i int) {
-		if aPos[i] >= 0 {
-			emit(aPos[i], aPos[i])
-			if mPos[i] >= 0 {
-				emit(aPos[i], mPos[i])
-			}
-		}
-		if mPos[i] >= 0 {
-			if aPos[i] >= 0 {
-				emit(mPos[i], aPos[i])
-			}
-			emit(mPos[i], mPos[i])
-		}
-	}, func(i, j int, _ complex128) {
-		if aPos[i] >= 0 {
-			if aPos[j] >= 0 {
-				emit(aPos[i], aPos[j])
-			}
-			if mPos[j] >= 0 {
-				emit(aPos[i], mPos[j])
-			}
-		}
-		if mPos[i] >= 0 {
-			if aPos[j] >= 0 {
-				emit(mPos[i], aPos[j])
-			}
-			if mPos[j] >= 0 {
-				emit(mPos[i], mPos[j])
-			}
-		}
-	})
-	mat, slot := sparse.CompilePattern(dim, dim, ri, ci)
-	return &jacobian{mat: mat, slot: slot}
-}
-
-// refill recomputes the Jacobian values at the current state, writing
-// through the slot map. No allocation, no pattern work. cs and sn hold
-// cos(va)/sin(va) as filled by injectionsInto for the same state.
-func (ja *jacobian) refill(y *model.Ybus, aPos, mPos []int, vm, cs, sn, p, q []float64) {
-	val := ja.mat.Values()
-	k := 0
-	put := func(v float64) {
-		val[ja.slot[k]] = v
-		k++
-	}
-	walkJacobian(y, aPos, mPos, func(i int) {
-		yii := y.Diag(i)
-		g, b := real(yii), imag(yii)
-		vi := vm[i]
-		if aPos[i] >= 0 {
-			put(-q[i] - b*vi*vi) // dP_i/dVa_i
-			if mPos[i] >= 0 {
-				put(p[i]/vi + g*vi) // dP_i/dVm_i
-			}
-		}
-		if mPos[i] >= 0 {
-			if aPos[i] >= 0 {
-				put(p[i] - g*vi*vi) // dQ_i/dVa_i
-			}
-			put(q[i]/vi - b*vi) // dQ_i/dVm_i
-		}
-	}, func(i, j int, yij complex128) {
-		g, b := real(yij), imag(yij)
-		ct := cs[i]*cs[j] + sn[i]*sn[j] // cos(va_i − va_j)
-		st := sn[i]*cs[j] - cs[i]*sn[j] // sin(va_i − va_j)
-		vij := vm[i] * vm[j]
-		dPdA := vij * (g*st - b*ct)   // dP_i/dVa_j
-		dPdM := vm[i] * (g*ct + b*st) // dP_i/dVm_j
-		dQdA := -vij * (g*ct + b*st)  // dQ_i/dVa_j
-		dQdM := vm[i] * (g*st - b*ct) // dQ_i/dVm_j
-		if aPos[i] >= 0 {
-			if aPos[j] >= 0 {
-				put(dPdA)
-			}
-			if mPos[j] >= 0 {
-				put(dPdM)
-			}
-		}
-		if mPos[i] >= 0 {
-			if aPos[j] >= 0 {
-				put(dQdA)
-			}
-			if mPos[j] >= 0 {
-				put(dQdM)
-			}
-		}
-	})
-}
-
-// walkJacobian drives the shared traversal order of the symbolic and
-// numeric passes: every Ybus structural nonzero in storage order, diagonal
-// entries via onDiag, off-diagonals with exactly-zero admittance skipped
-// (their four partials are identically zero for the whole solve, since the
-// Ybus values are fixed while the pattern is in use).
-func walkJacobian(y *model.Ybus, aPos, mPos []int, onDiag func(i int), onOff func(i, j int, yij complex128)) {
-	for k, nz := range y.NZ {
-		i, j := nz[0], nz[1]
-		if i == j {
-			onDiag(i)
-			continue
-		}
-		if y.NZv[k] == 0 {
-			continue
-		}
-		onOff(i, j, y.NZv[k])
 	}
 }

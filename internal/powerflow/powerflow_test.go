@@ -257,58 +257,89 @@ func TestBranchFlowConsistency(t *testing.T) {
 	}
 }
 
+// TestJacobianMatchesFiniteDifferences checks the one Jacobian kernel under
+// both index maps against central differences: the reduced map of the
+// one-shot Solve (PV magnitude eliminated) and the augmented map of the N-1
+// sweep with the PV bus pinned — identity row, zeroed pinned couplings, and
+// every live partial.
 func TestJacobianMatchesFiniteDifferences(t *testing.T) {
-	n := threeBus()
+	n := threeBus() // bus 0 slack, bus 1 PV, bus 2 PQ
 	y := model.BuildYbus(n)
-	nb := len(n.Buses)
 	vm := []float64{1.04, 1.01, 0.97}
 	va := []float64{0, -0.05, -0.11}
+	pq := []int{2}
 
-	aPos := []int{-1, 0, 1}
-	mPos := []int{-1, -1, 2}
-	dim := 3
-	p, q := injections(y, vm, va)
-	cs := make([]float64, nb)
-	sn := make([]float64, nb)
-	for i := range va {
-		cs[i] = math.Cos(va[i])
-		sn[i] = math.Sin(va[i])
-	}
-	ja := newJacobian(y, aPos, mPos, dim)
-	ja.refill(y, aPos, mPos, vm, cs, sn, p, q)
-	jac := ja.mat
+	for _, tc := range []struct {
+		name string
+		st   *fixedState
+	}{
+		{"reduced", newFixedState(y, []int{-1, 0, 1}, []int{-1, -1, 2}, 3, true)},
+		{"augmented-pinned-pv", augmentedState(y, 3, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.st
+			for _, i := range pq {
+				st.isPQ[i] = true
+			}
+			injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
+			st.jac.refill(y, st, vm)
 
-	const h = 1e-7
-	// residual vector r(x) = [P(x) at buses 1,2; Q(x) at bus 2]
-	eval := func(vm, va []float64) []float64 {
-		p, q := injections(y, vm, va)
-		return []float64{p[1], p[2], q[2]}
-	}
-	perturb := func(k int, delta float64) (pm, pa []float64) {
-		pm = append([]float64(nil), vm...)
-		pa = append([]float64(nil), va...)
-		for i := 0; i < nb; i++ {
-			if aPos[i] == k {
-				pa[i] += delta
+			// unknown k -> (bus, is-magnitude)
+			bus := make([]int, st.dim)
+			mag := make([]bool, st.dim)
+			for i := range st.aPos {
+				if a := st.aPos[i]; a >= 0 {
+					bus[a] = i
+				}
+				if m := st.mPos[i]; m >= 0 {
+					bus[m], mag[m] = i, true
+				}
 			}
-			if mPos[i] == k {
-				pm[i] += delta
+			pinned := func(k int) bool { return mag[k] && !st.isPQ[bus[k]] }
+			// residual of row r: P at angle rows, Q at magnitude rows
+			eval := func(r int, vm, va []float64) float64 {
+				p, q := injections(y, vm, va)
+				if mag[r] {
+					return q[bus[r]]
+				}
+				return p[bus[r]]
 			}
-		}
-		return pm, pa
-	}
-	for k := 0; k < dim; k++ {
-		vmp, vap := perturb(k, h)
-		vmm, vam := perturb(k, -h)
-		fp := eval(vmp, vap)
-		fm := eval(vmm, vam)
-		for r := 0; r < dim; r++ {
-			fd := (fp[r] - fm[r]) / (2 * h)
-			got := jac.At(r, k)
-			if math.Abs(fd-got) > 1e-5*math.Max(1, math.Abs(fd)) {
-				t.Fatalf("J[%d,%d] = %v, finite difference %v", r, k, got, fd)
+			const h = 1e-7
+			live := 0
+			for k := 0; k < st.dim; k++ {
+				for r := 0; r < st.dim; r++ {
+					got := st.jac.mat.At(r, k)
+					if pinned(r) || pinned(k) {
+						want := 0.0
+						if r == k {
+							want = 1
+						}
+						if got != want {
+							t.Fatalf("pinned J[%d,%d] = %v, want exactly %v", r, k, got, want)
+						}
+						continue
+					}
+					f := func(delta float64) float64 {
+						pm := append([]float64(nil), vm...)
+						pa := append([]float64(nil), va...)
+						if mag[k] {
+							pm[bus[k]] += delta
+						} else {
+							pa[bus[k]] += delta
+						}
+						return eval(r, pm, pa)
+					}
+					fd := (f(h) - f(-h)) / (2 * h)
+					if math.Abs(fd-got) > 1e-5*math.Max(1, math.Abs(fd)) {
+						t.Fatalf("J[%d,%d] = %v, finite difference %v", r, k, got, fd)
+					}
+					live++
+				}
 			}
-		}
+			if live != 9 {
+				t.Fatalf("checked %d live partials, want 9 (3 equations x 3 free unknowns)", live)
+			}
+		})
 	}
 }
 

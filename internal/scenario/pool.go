@@ -1,87 +1,50 @@
 package scenario
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"gridmind/internal/model"
+	"gridmind/internal/pool"
 )
 
 // Pool recycles cascade worker contexts (Ctx) across Cascade / Sweep /
 // Episode / RunMC calls, so repeated scenario studies over one engine
 // reuse the compiled Newton patterns and LU symbolic analyses instead of
-// rebuilding them per call — the scenario counterpart of
-// contingency.SweepPool.
+// rebuilding them per call.
 //
 // A Ctx is valid for exactly the base network it was built over (its
 // solver's pristine classification embeds the base loads and dispatch;
 // per-event load scales and redispatch ride the view, not the context),
-// so free lists are keyed by the network pointer. The key map is bounded:
-// beyond the cap it resets wholesale, which costs recompilation, never
-// correctness. Safe for concurrent use.
+// so the free-list is keyed by the network pointer.
 type Pool struct {
-	mu   sync.Mutex
-	free map[*model.Network][]*Ctx
-
-	reuses, builds atomic.Int64
+	ctx *pool.Keyed[*model.Network, *Ctx]
 }
 
-// maxPoolNets bounds the per-pool network map (one entry per distinct
-// case state; a runaway map means leaked sessions).
+// maxPoolNets bounds the pool's network map (one entry per distinct case
+// state; a runaway map means leaked sessions).
 const maxPoolNets = 16
 
 // NewPool returns an empty context pool.
 func NewPool() *Pool {
-	return &Pool{free: make(map[*model.Network][]*Ctx)}
+	return &Pool{ctx: pool.NewKeyed[*model.Network, *Ctx](maxPoolNets)}
 }
 
 // ContextReuses reports how many worker contexts were served from the pool.
-func (p *Pool) ContextReuses() int64 { return p.reuses.Load() }
+func (p *Pool) ContextReuses() int64 { return p.ctx.Reuses() }
 
 // ContextBuilds reports how many worker contexts had to be built fresh.
-func (p *Pool) ContextBuilds() int64 { return p.builds.Load() }
-
-// acquire returns a worker context over n, recycling one bound to the
-// same network and building one otherwise.
-func (p *Pool) acquire(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Ctx {
-	p.mu.Lock()
-	if list := p.free[n]; len(list) > 0 {
-		c := list[len(list)-1]
-		p.free[n] = list[:len(list)-1]
-		p.mu.Unlock()
-		p.reuses.Add(1)
-		return c
-	}
-	p.mu.Unlock()
-	p.builds.Add(1)
-	return NewCtx(n, topo, baseY)
-}
-
-// release returns a context to its network's free list.
-func (p *Pool) release(c *Ctx) {
-	if c == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.free[c.n]; !ok && len(p.free) >= maxPoolNets {
-		p.free = make(map[*model.Network][]*Ctx)
-	}
-	p.free[c.n] = append(p.free[c.n], c)
-}
+func (p *Pool) ContextBuilds() int64 { return p.ctx.Builds() }
 
 // acquireCtx serves one worker context from the options' pool, or builds
 // a throwaway one when no pool is wired.
 func acquireCtx(opts *Options, n *model.Network) *Ctx {
-	if opts.Pool != nil {
-		return opts.Pool.acquire(n, opts.Topology, opts.BaseYbus)
+	if opts.Pool == nil {
+		return NewCtx(n, opts.Topology, opts.BaseYbus)
 	}
-	return NewCtx(n, opts.Topology, opts.BaseYbus)
+	return opts.Pool.ctx.Get(n, func() *Ctx { return NewCtx(n, opts.Topology, opts.BaseYbus) })
 }
 
 // releaseCtx hands the context back to the pool (no-op without one).
 func releaseCtx(opts *Options, c *Ctx) {
 	if opts.Pool != nil {
-		opts.Pool.release(c)
+		opts.Pool.ctx.Put(c.n, c)
 	}
 }

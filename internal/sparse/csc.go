@@ -59,13 +59,6 @@ func (c *COO) Add(i, j int, v float64) {
 // NNZ returns the number of accumulated triplets (before duplicate merging).
 func (c *COO) NNZ() int { return len(c.v) }
 
-// Each visits every accumulated triplet in insertion order.
-func (c *COO) Each(fn func(i, j int, v float64)) {
-	for k := range c.v {
-		fn(c.i[k], c.j[k], c.v[k])
-	}
-}
-
 // Dims returns the matrix dimensions.
 func (c *COO) Dims() (int, int) { return c.rows, c.cols }
 

@@ -28,10 +28,10 @@ import (
 // screening pipeline, the interior-point ACOPF, the SCOPF loop, the
 // session snapshot cache, the multi-session serving path, the N-k
 // cascade sweep, the Monte Carlo reliability loop and the distributed
-// fleet sweep, each over the paper-scale cases. Regenerate the JSON
-// with:
-//
-//	go test -run '^$' -bench 'BuildYbus|NewtonSolve|N1Sweep|GenSweep|N2Screen|ACOPF|SCOPF|SessionNetwork|ConcurrentAsk|Cascade|MCReliability|RegistryHotPath|FleetSweep' -benchmem .
+// fleet sweep, each over the paper-scale cases. Regenerate the JSON with
+// the command its "description" records (it pins -cpu 1 -benchtime=10x).
+// `gridmind-bench -benchguard BENCH_numeric.json` runs the guarded subset
+// of these benchmarks with `go test -cpu 1` and fails CI on a regression.
 
 func benchBuildYbus(b *testing.B, caseName string) {
 	n := cases.MustLoad(caseName)
@@ -71,7 +71,9 @@ func BenchmarkNewtonSolveCase57(b *testing.B)  { benchNewtonSolve(b, "case57") }
 func BenchmarkNewtonSolveCase118(b *testing.B) { benchNewtonSolve(b, "case118") }
 func BenchmarkNewtonSolveCase300(b *testing.B) { benchNewtonSolve(b, "case300") }
 
-func benchN1Sweep(b *testing.B, caseName string) {
+// benchN1Sweep times the full N-1 branch sweep from the Q-limited base
+// case; the bench_test.go ablations reuse it with their own options.
+func benchN1Sweep(b *testing.B, caseName string, opts contingency.Options) {
 	n := cases.MustLoad(caseName)
 	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
 	if err != nil {
@@ -80,15 +82,19 @@ func benchN1Sweep(b *testing.B, caseName string) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := contingency.Analyze(n, base, contingency.Options{}); err != nil {
+		rs, err := contingency.Analyze(n, base, opts)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if opts.DCScreen && rs.Screened == 0 {
+			b.Fatal("screening inactive")
 		}
 	}
 }
 
-func BenchmarkN1SweepCase57(b *testing.B)      { benchN1Sweep(b, "case57") }
-func BenchmarkN1SweepCase118Full(b *testing.B) { benchN1Sweep(b, "case118") }
-func BenchmarkN1SweepCase300(b *testing.B)     { benchN1Sweep(b, "case300") }
+func BenchmarkN1SweepCase57(b *testing.B)      { benchN1Sweep(b, "case57", contingency.Options{}) }
+func BenchmarkN1SweepCase118Full(b *testing.B) { benchN1Sweep(b, "case118", contingency.Options{}) }
+func BenchmarkN1SweepCase300(b *testing.B)     { benchN1Sweep(b, "case300", contingency.Options{}) }
 
 // BenchmarkGenSweepCase57 measures the N-1 generation sweep — since the
 // gen-outage fast path, a zero-clone workload that re-derives the PV/PQ
@@ -327,9 +333,9 @@ func BenchmarkSCOPFCase57(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		// Workers pinned to 1 so allocs/op is machine-independent (the CI
-		// guard protocol; see cmd/gridmind-bench/benchguard.go). MaxRounds 2
-		// bounds the loop the same way on every machine.
+		// Workers pinned to 1 so allocs/op does not depend on GOMAXPROCS
+		// even outside the -cpu 1 baseline protocol. MaxRounds 2 bounds the
+		// loop the same way on every machine.
 		res, err := scopf.Solve(n, scopf.Options{Screen: true, MaxRounds: 2, Workers: 1})
 		if err != nil {
 			b.Fatal(err)

@@ -5,6 +5,8 @@
 //
 // Figure/table benches run scaled-down configurations so -bench=. stays
 // tractable; cmd/gridmind-bench regenerates the full paper-scale tables.
+// The numeric-core solver benchmarks tracked in BENCH_numeric.json live in
+// bench_numeric_test.go.
 package gridmind_test
 
 import (
@@ -90,49 +92,10 @@ func BenchmarkTable2CaseInventory(b *testing.B) {
 	}
 }
 
-// --- Core solver benchmarks (the deterministic substrate) ---
-//
-// The ACOPF and SCOPF benchmarks live in bench_numeric_test.go: they are
-// tracked in BENCH_numeric.json and guarded by the CI bench-regression job.
-
-func benchPowerFlow(b *testing.B, caseName string) {
-	n := cases.MustLoad(caseName)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := powerflow.Solve(n, powerflow.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPowerFlowCase118(b *testing.B) { benchPowerFlow(b, "case118") }
-func BenchmarkPowerFlowCase300(b *testing.B) { benchPowerFlow(b, "case300") }
-
-func BenchmarkN1SweepCase118(b *testing.B) {
-	n := cases.MustLoad("case118")
-	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := contingency.Analyze(n, base, contingency.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- A2: contingency cache on repeated analyses (§3.4) ---
 
 func BenchmarkAblationContingencyCacheCold(b *testing.B) {
-	n := cases.MustLoad("case30")
-	base, _ := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := contingency.Analyze(n, base, contingency.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchN1Sweep(b, "case30", contingency.Options{})
 }
 
 func BenchmarkAblationContingencyCacheWarm(b *testing.B) {
@@ -153,55 +116,22 @@ func BenchmarkAblationContingencyCacheWarm(b *testing.B) {
 
 // --- A3: parallel contingency sweep scaling (§3.2.2) ---
 
-func benchSweepWorkers(b *testing.B, workers int) {
-	n := cases.MustLoad("case118")
-	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := contingency.Analyze(n, base, contingency.Options{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
+func BenchmarkAblationParallelSweep1(b *testing.B) {
+	benchN1Sweep(b, "case118", contingency.Options{Workers: 1})
 }
 
-func BenchmarkAblationParallelSweep1(b *testing.B) { benchSweepWorkers(b, 1) }
-func BenchmarkAblationParallelSweep4(b *testing.B) { benchSweepWorkers(b, 4) }
+func BenchmarkAblationParallelSweep4(b *testing.B) {
+	benchN1Sweep(b, "case118", contingency.Options{Workers: 4})
+}
 
 // --- A5: LODF+1Q screening vs full AC contingency sweep ---
 
 func BenchmarkAblationScreeningOff(b *testing.B) {
-	n := cases.MustLoad("case118")
-	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := contingency.Analyze(n, base, contingency.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchN1Sweep(b, "case118", contingency.Options{})
 }
 
 func BenchmarkAblationScreeningOn(b *testing.B) {
-	n := cases.MustLoad("case118")
-	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := contingency.Analyze(n, base, contingency.Options{DCScreen: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rs.Screened == 0 {
-			b.Fatal("screening inactive")
-		}
-	}
+	benchN1Sweep(b, "case118", contingency.Options{DCScreen: true})
 }
 
 // --- Extension workloads: sensitivity (SCOPF is in bench_numeric_test.go) ---

@@ -1,540 +1,233 @@
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http/httptest"
+	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"testing"
-
-	"gridmind"
-	"gridmind/internal/cases"
-	"gridmind/internal/contingency"
-	"gridmind/internal/engine"
-	"gridmind/internal/fleet"
-	"gridmind/internal/model"
-	"gridmind/internal/obs"
-	"gridmind/internal/opf"
-	"gridmind/internal/powerflow"
-	"gridmind/internal/ptdf"
-	"gridmind/internal/scenario"
-	"gridmind/internal/scopf"
-	"gridmind/internal/session"
 )
 
-// benchBaseline mirrors the subset of BENCH_numeric.json the guard reads.
-type benchBaseline struct {
-	Benchmarks []struct {
-		Name  string `json:"name"`
-		After struct {
-			NsOp     float64 `json:"ns_op"`
-			AllocsOp float64 `json:"allocs_op"`
-		} `json:"after"`
-	} `json:"benchmarks"`
+// guarded names the benchmarks of bench_numeric_test.go the regression gate
+// runs, each exactly as recorded in BENCH_numeric.json. The test file
+// documents what each one measures.
+var guarded = []string{
+	"BenchmarkN1SweepCase57",
+	"BenchmarkGenSweepCase57",
+	"BenchmarkN2ScreenCase57",
+	"BenchmarkACOPFCase57",
+	"BenchmarkACOPFCase118",
+	"BenchmarkACOPFCase300",
+	"BenchmarkSessionNetworkSnapshot",
+	"BenchmarkConcurrentAsk8",
+	"BenchmarkCascadeCase57",
+	"BenchmarkMCReliability",
+	"BenchmarkRegistryHotPath",
+	"BenchmarkSCOPFCase57",
+	"BenchmarkFleetSweepCase57",
 }
 
-// guardSpec is one benchmark the regression gate runs in-process.
-type guardSpec struct {
-	// name matches the benchmark entry in BENCH_numeric.json (an "…Full"
-	// suffix on the recorded name is accepted).
-	name string
-	run  func(b *testing.B)
+// guardTolerance is the fractional ns/op and allocs/op regression allowed
+// against the baseline. The wall-time arm assumes CI hardware no slower
+// than the baseline machine; allocation counts are machine-independent.
+const guardTolerance = 0.30
+
+// benchResult is one benchmark measurement, in BENCH_numeric.json's shape.
+type benchResult struct {
+	NsOp     float64 `json:"ns_op"`
+	BOp      float64 `json:"b_op"`
+	AllocsOp float64 `json:"allocs_op"`
 }
 
-// guardRow is one measured-vs-baseline comparison, kept for the failure
-// table and the fresh-results artifact.
+// guardRow is one measured-vs-baseline comparison: a row of the failure
+// table and an entry of the fresh-results artifact.
 type guardRow struct {
-	Name           string  `json:"name"`
-	BaselineNsOp   float64 `json:"baseline_ns_op"`
-	MeasuredNsOp   float64 `json:"measured_ns_op"`
-	BaselineAllocs float64 `json:"baseline_allocs_op"`
-	MeasuredAllocs float64 `json:"measured_allocs_op"`
-	MeasuredBOp    float64 `json:"measured_b_op"`
-	Failed         bool    `json:"failed"`
+	Name           string      `json:"name"`
+	After          benchResult `json:"after"`
+	BaselineNsOp   float64     `json:"baseline_ns_op"`
+	BaselineAllocs float64     `json:"baseline_allocs_op"`
+	Failed         bool        `json:"failed"`
 }
 
-// runBenchGuard executes the guarded benchmarks in-process (minimum of
-// three testing.Benchmark runs each, to shed scheduler noise) and compares
-// them against the checked-in baseline:
-//
-//   - ns/op may regress at most by the tolerance fraction (wall-time guard;
-//     CI hardware is assumed no slower than the baseline machine);
-//   - allocs/op may regress at most by the same fraction — allocation
-//     counts are machine-independent, so this arm catches a reintroduced
-//     per-outage clone or per-iteration KKT rebuild even on faster
-//     hardware.
-//
-// Every run writes the fresh measurements to outPath (when non-empty) so
-// CI can archive them as an artifact, and any failure prints the full
-// before/after table instead of just naming the failing metric.
-//
-// Guarded workloads (all with Workers pinned to 1, matching the baseline
-// protocol: BENCH_numeric.json is regenerated with `go test -cpu 1`, and
-// per-worker context setup would otherwise scale allocs/op with the
-// runner's core count):
-//
-//   - the N-1 branch sweep on caseName (the PR 2 zero-clone path);
-//   - the N-1 generation sweep on case57 (the in-place classification
-//     path — a reintroduced Materialize shows up in allocs/op);
-//   - the N-2 screening pipeline on case57 (pair seeding + LODF pair
-//     pre-screen + zero-clone AC verification, candidate set capped);
-//   - the interior-point ACOPF on case57 and case118 (the PR 3
-//     fixed-pattern KKT path);
-//   - the SCOPF tightening loop on case57 (ACOPF × N-1 × rounds);
-//   - the session snapshot-cache hit path (Network() on an unchanged diff
-//     log — a reintroduced per-call clone/replay trips the alloc arm);
-//   - the 8-session concurrent serving workload over one shared engine
-//     (the PR 5 multi-session path; per-ask allocations are the
-//     machine-independent arm);
-//   - the N-k cascade sweep on case57 (pooled zero-clone contexts +
-//     lazy-LODF DC pre-screen) and the 64-draw seeded Monte Carlo
-//     reliability loop (the PR 7 scenario engine);
-//   - the obs-registry instrument hot path (counter Inc + histogram
-//     Observe), pinned to exactly 0 allocs/op.
-func runBenchGuard(baselinePath, outPath, caseName string, tol float64) error {
+// runBenchGuard runs the guarded benchmarks with `go test` in the directory
+// of baselinePath (where bench_numeric_test.go lives), at -cpu 1 like every
+// recorded baseline, three times each, and compares the best run of each
+// against the baseline. Fresh measurements go to outPath when it is
+// non-empty, so CI can archive them; any regression prints the full
+// before/after table.
+func runBenchGuard(baselinePath, outPath string) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
 	}
-	var base benchBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
+	var file struct {
+		Benchmarks []struct {
+			Name  string      `json:"name"`
+			After benchResult `json:"after"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
 		return fmt.Errorf("parse %s: %w", baselinePath, err)
 	}
-	canon := cases.Canonical(caseName)
-	if canon == "" {
-		return fmt.Errorf("unknown case %q", caseName)
+	base := make(map[string]benchResult, len(file.Benchmarks))
+	for _, b := range file.Benchmarks {
+		base[b.Name] = b.After
 	}
-	sweepCase := cases.MustLoad(canon)
-	sweepBase, err := powerflow.Solve(sweepCase, powerflow.Options{EnforceQLimits: true})
+
+	var out bytes.Buffer
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^("+strings.Join(guarded, "|")+")$",
+		"-benchmem", "-cpu", "1", "-count", "3", ".")
+	cmd.Dir = filepath.Dir(baselinePath)
+	cmd.Stdout = io.MultiWriter(os.Stdout, &out)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%s: %w", strings.Join(cmd.Args, " "), err)
+	}
+
+	rows, failures, err := compareBench(guarded, base, parseBench(out.String()))
 	if err != nil {
-		return fmt.Errorf("base power flow: %w", err)
+		return fmt.Errorf("%s: %w", baselinePath, err)
 	}
-	case57 := cases.MustLoad("case57")
-	base57, err := powerflow.Solve(case57, powerflow.Options{EnforceQLimits: true})
-	if err != nil {
-		return fmt.Errorf("case57 base power flow: %w", err)
-	}
-	n157, err := contingency.Analyze(case57, base57, contingency.Options{Workers: 1})
-	if err != nil {
-		return fmt.Errorf("case57 N-1 seed sweep: %w", err)
-	}
-
-	specs := []guardSpec{
-		{
-			name: "BenchmarkN1Sweep" + strings.ToUpper(canon[:1]) + canon[1:],
-			run: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := contingency.Analyze(sweepCase, sweepBase, contingency.Options{Workers: 1}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		},
-		{
-			name: "BenchmarkGenSweepCase57",
-			run: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := contingency.AnalyzeGenOutages(case57, contingency.Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		},
-		{
-			name: "BenchmarkN2ScreenCase57",
-			run: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rs, err := contingency.AnalyzeN2(case57, base57, n157, contingency.N2Options{
-						Options:  contingency.Options{Workers: 1},
-						MaxPairs: 200,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(rs.Outages) == 0 {
-						b.Fatal("empty N-2 sweep")
-					}
-				}
-			},
-		},
-		{name: "BenchmarkACOPFCase57", run: benchGuardACOPF(cases.MustLoad("case57"))},
-		{name: "BenchmarkACOPFCase118", run: benchGuardACOPF(cases.MustLoad("case118"))},
-		{name: "BenchmarkACOPFCase300", run: benchGuardACOPF(cases.MustLoad("case300"))},
-		{
-			// The session snapshot-cache hit path: every tool call's state
-			// access. A reintroduced per-call clone+replay shows up as 5
-			// allocs/op against a 0-alloc baseline.
-			name: "BenchmarkSessionNetworkSnapshot",
-			run: func() func(b *testing.B) {
-				sess := session.New(nil)
-				if _, err := sess.LoadCase("case57"); err != nil {
-					return func(b *testing.B) { b.Fatal(err) }
-				}
-				mods := []session.Modification{
-					{Kind: session.ModSetLoad, BusID: 9, PMW: 40, QMVAr: 12},
-					{Kind: session.ModScaleLoad, Factor: 1.05},
-					{Kind: session.ModOutageBranch, Branch: 3},
-					{Kind: session.ModRestoreBranch, Branch: 3},
-					{Kind: session.ModSetGenP, Gen: 1, PMW: 55},
-				}
-				for _, m := range mods {
-					if err := sess.Apply(m); err != nil {
-						return func(b *testing.B) { b.Fatal(err) }
-					}
-				}
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := sess.Network(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}(),
-		},
-		{
-			// Multi-session serving throughput: 8 sessions, one shared
-			// engine, concurrent asks. allocs/op is the machine-independent
-			// arm — a session that stops sharing compiled artifacts (or a
-			// tool call that re-grows per-ask allocations) trips it even on
-			// faster hardware.
-			name: "BenchmarkConcurrentAsk8",
-			run: func() func(b *testing.B) {
-				eng := gridmind.NewEngine()
-				const k = 8
-				sessions := make([]*gridmind.GridMind, k)
-				for i := range sessions {
-					sessions[i] = gridmind.New(gridmind.Options{Engine: eng})
-				}
-				if _, err := sessions[0].Ask(context.Background(), "Solve IEEE 14"); err != nil {
-					return func(b *testing.B) { b.Fatal(err) }
-				}
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					var next int64
-					var wg sync.WaitGroup
-					var failed atomic.Bool
-					for w := 0; w < k; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							for {
-								if int(atomic.AddInt64(&next, 1)) > b.N {
-									return
-								}
-								ex, err := sessions[w].Ask(context.Background(), "Solve IEEE 14")
-								if err != nil || !ex.Success {
-									failed.Store(true)
-									return
-								}
-							}
-						}(w)
-					}
-					wg.Wait()
-					if failed.Load() {
-						b.Fatal("concurrent ask failed")
-					}
-				}
-			}(),
-		},
-		{
-			// The scenario engine's N-k cascade sweep: 80 seeds propagated
-			// to depth 3 on pooled zero-clone contexts with the lazy-LODF DC
-			// pre-screen. A reintroduced per-stage clone (or a dead screen)
-			// shows up in the machine-independent allocs/op arm.
-			name: "BenchmarkCascadeCase57",
-			run: func() func(b *testing.B) {
-				ptdfM, err := ptdf.Build(case57)
-				if err != nil {
-					return func(b *testing.B) { b.Fatal(err) }
-				}
-				opts := scenario.Options{
-					BaseYbus: model.BuildYbus(case57),
-					Topology: model.NewTopology(case57),
-					Pool:     scenario.NewPool(),
-					DCScreen: true,
-					PTDF:     ptdfM,
-					Workers:  1,
-				}
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						sw, err := scenario.Sweep(case57, base57, opts)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if sw.Seeds == 0 || sw.Screened == 0 {
-							b.Fatal("degenerate sweep")
-						}
-					}
-				}
-			}(),
-		},
-		{
-			// 64 seeded Monte Carlo reliability draws through the cascade
-			// engine (per-sample splitmix64 RNG, so the workload is
-			// bit-identical every run and at any worker count).
-			name: "BenchmarkMCReliability",
-			run: func() func(b *testing.B) {
-				opts := scenario.Options{
-					BaseYbus: model.BuildYbus(case57),
-					Topology: model.NewTopology(case57),
-					Pool:     scenario.NewPool(),
-					Workers:  1,
-				}
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						mc, err := scenario.RunMC(case57, base57, scenario.MCOptions{
-							Samples:          64,
-							Seed:             2026,
-							BranchOutageProb: 0.01,
-							GenOutageProb:    0.005,
-							LoadSigma:        0.03,
-							Cascade:          opts,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if mc.Samples != 64 {
-							b.Fatal("bad sample count")
-						}
-					}
-				}
-			}(),
-		},
-		{
-			// The obs-registry instrument hot path every engine lookup,
-			// gateway attempt and tool call rides: pre-registered counter Inc
-			// plus histogram Observe. The baseline is exactly 0 allocs/op;
-			// the alloc arm's zero-baseline case fails on ANY allocation
-			// creeping into the publish path.
-			name: "BenchmarkRegistryHotPath",
-			run: func() func(b *testing.B) {
-				met := obs.NewRegistry()
-				c := met.Counter("bench_hot_total", "hot-path benchmark counter", "path", "hot")
-				h := met.Histogram("bench_hot_seconds", "hot-path benchmark histogram", nil, "path", "hot")
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						c.Inc()
-						h.Observe(0.0042)
-					}
-				}
-			}(),
-		},
-		{
-			name: "BenchmarkSCOPFCase57",
-			run: func() func(b *testing.B) {
-				n := cases.MustLoad("case57")
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := scopf.Solve(n, scopf.Options{Screen: true, MaxRounds: 2, Workers: 1}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}(),
-		},
-		{
-			// The distributed N-1 sweep on two loopback workers: shard
-			// split, HTTP/JSON dispatch, engine-threaded shard solves,
-			// offset-based merge. Worker engines warm before timing, so a
-			// regression here is fleet protocol overhead (serialization,
-			// dispatch, merge) — the solver arms are guarded separately.
-			// Sweep IDs rotate per iteration; a repeated ID would measure
-			// the workers' idempotency replay instead of the sweep.
-			name: "BenchmarkFleetSweepCase57",
-			run: func() func(b *testing.B) {
-				urls := make([]string, 2)
-				for i := range urls {
-					w := fleet.NewWorker(fmt.Sprintf("guard-w%d", i), engine.New(), nil, obs.NewRegistry())
-					urls[i] = httptest.NewServer(w.Handler()).URL
-				}
-				coord, cerr := fleet.NewCoordinator(fleet.Config{Workers: urls})
-				branches := cases.MustLoad("case57").InServiceBranches()
-				var sweepSeq atomic.Int64
-				ctx := context.Background()
-				warmed := false
-				return func(b *testing.B) {
-					if cerr != nil {
-						b.Fatal(cerr)
-					}
-					if !warmed {
-						warmed = true
-						if _, err := coord.SweepN1(ctx, "guard-fleet-warm", "case57", branches, fleet.SweepOptions{DCScreen: true}); err != nil {
-							b.Fatal(err)
-						}
-						b.ResetTimer()
-					}
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						id := fmt.Sprintf("guard-fleet-%d", sweepSeq.Add(1))
-						rs, err := coord.SweepN1(ctx, id, "case57", branches, fleet.SweepOptions{DCScreen: true})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if len(rs.Outages) != len(branches) {
-							b.Fatal("short sweep")
-						}
-					}
-				}
-			}(),
-		},
-	}
-
-	rows := make([]guardRow, 0, len(specs))
-	var failures []string
-	for _, spec := range specs {
-		var refNs, refAllocs float64
-		found := false
-		for _, b := range base.Benchmarks {
-			if b.Name == spec.name || b.Name == spec.name+"Full" {
-				refNs, refAllocs = b.After.NsOp, b.After.AllocsOp
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("no %s baseline in %s", spec.name, baselinePath)
-		}
-
-		bestNs, bestAllocs, bestBytes := -1.0, -1.0, -1.0
-		for rep := 0; rep < 3; rep++ {
-			r := testing.Benchmark(spec.run)
-			if ns := float64(r.NsPerOp()); bestNs < 0 || ns < bestNs {
-				bestNs = ns
-			}
-			if allocs := float64(r.AllocsPerOp()); bestAllocs < 0 || allocs < bestAllocs {
-				bestAllocs = allocs
-			}
-			if by := float64(r.AllocedBytesPerOp()); bestBytes < 0 || by < bestBytes {
-				bestBytes = by
-			}
-		}
-
-		row := guardRow{
-			Name:         spec.name,
-			BaselineNsOp: refNs, MeasuredNsOp: bestNs,
-			BaselineAllocs: refAllocs, MeasuredAllocs: bestAllocs,
-			MeasuredBOp: bestBytes,
-		}
+	for _, r := range rows {
 		fmt.Printf("benchguard %s: %.0f ns/op (baseline %.0f), %.0f allocs/op (baseline %.0f), tolerance %.0f%%\n",
-			spec.name, bestNs, refNs, bestAllocs, refAllocs, 100*tol)
-		if bestNs > refNs*(1+tol) {
-			row.Failed = true
-			failures = append(failures, fmt.Sprintf("%s ns/op regressed: %.0f > %.0f (+%.0f%% allowed)", spec.name, bestNs, refNs, 100*tol))
-		}
-		// A zero-alloc baseline is pinned exactly: tolerance is a fraction,
-		// and any fraction of zero is zero — one allocation on a 0-alloc
-		// hot path is the whole regression.
-		if (refAllocs == 0 && bestAllocs > 0) || (refAllocs > 0 && bestAllocs > refAllocs*(1+tol)) {
-			row.Failed = true
-			failures = append(failures, fmt.Sprintf("%s allocs/op regressed: %.0f > %.0f (+%.0f%% allowed)", spec.name, bestAllocs, refAllocs, 100*tol))
-		}
-		rows = append(rows, row)
+			r.Name, r.After.NsOp, r.BaselineNsOp, r.After.AllocsOp, r.BaselineAllocs, 100*guardTolerance)
 	}
-
 	if outPath != "" {
-		if err := writeFreshBench(outPath, baselinePath, tol, rows); err != nil {
+		if err := writeFreshBench(outPath, baselinePath, rows); err != nil {
 			return fmt.Errorf("write fresh bench results: %w", err)
 		}
 		fmt.Printf("benchguard: fresh measurements written to %s\n", outPath)
 	}
-
 	if len(failures) > 0 {
-		printGuardTable(rows, tol)
+		printGuardTable(rows)
 		return errors.New(strings.Join(failures, "; "))
 	}
 	fmt.Println("benchguard: OK")
 	return nil
 }
 
+// parseBench reads `go test -bench -benchmem` output and returns, per
+// benchmark, the minimum of each metric over its runs (best of -count, to
+// shed scheduler noise). The GOMAXPROCS suffix ("-2") is stripped from
+// names; lines that are not benchmark results are skipped.
+func parseBench(out string) map[string]benchResult {
+	best := make(map[string]benchResult)
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
+			continue
+		}
+		// A benchmark function name cannot contain '-', so the first one
+		// starts the GOMAXPROCS suffix.
+		name, _, _ := strings.Cut(f[0], "-")
+		r := benchResult{NsOp: -1, BOp: -1, AllocsOp: -1}
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				continue
+			}
+			switch f[i+1] {
+			case "ns/op":
+				r.NsOp = v
+			case "B/op":
+				r.BOp = v
+			case "allocs/op":
+				r.AllocsOp = v
+			}
+		}
+		if r.NsOp < 0 || r.BOp < 0 || r.AllocsOp < 0 {
+			continue
+		}
+		if prev, ok := best[name]; ok {
+			r.NsOp = min(r.NsOp, prev.NsOp)
+			r.BOp = min(r.BOp, prev.BOp)
+			r.AllocsOp = min(r.AllocsOp, prev.AllocsOp)
+		}
+		best[name] = r
+	}
+	return best
+}
+
+// compareBench checks each named benchmark's measurement against its
+// baseline: ns/op and allocs/op may each regress by at most guardTolerance,
+// and a zero-alloc baseline is pinned exactly (any fraction of zero is
+// zero, so one allocation on a 0-alloc hot path is the whole regression).
+// It returns one row per name and a message per regression; a name with no
+// baseline or no measurement is an error.
+func compareBench(names []string, base, measured map[string]benchResult) ([]guardRow, []string, error) {
+	rows := make([]guardRow, 0, len(names))
+	var failures []string
+	for _, name := range names {
+		ref, ok := base[name]
+		if !ok {
+			return nil, nil, fmt.Errorf("no %s baseline", name)
+		}
+		got, ok := measured[name]
+		if !ok {
+			return nil, nil, fmt.Errorf("%s is guarded but missing from the go test output", name)
+		}
+		row := guardRow{Name: name, After: got, BaselineNsOp: ref.NsOp, BaselineAllocs: ref.AllocsOp}
+		if got.NsOp > ref.NsOp*(1+guardTolerance) {
+			row.Failed = true
+			failures = append(failures, fmt.Sprintf("%s ns/op regressed: %.0f > %.0f (+%.0f%% allowed)", name, got.NsOp, ref.NsOp, 100*guardTolerance))
+		}
+		if (ref.AllocsOp == 0 && got.AllocsOp > 0) || (ref.AllocsOp > 0 && got.AllocsOp > ref.AllocsOp*(1+guardTolerance)) {
+			row.Failed = true
+			failures = append(failures, fmt.Sprintf("%s allocs/op regressed: %.0f > %.0f (+%.0f%% allowed)", name, got.AllocsOp, ref.AllocsOp, 100*guardTolerance))
+		}
+		rows = append(rows, row)
+	}
+	return rows, failures, nil
+}
+
 // printGuardTable renders the full before/after comparison so a failing CI
 // run shows every guarded metric in context, not just the one that
 // tripped.
-func printGuardTable(rows []guardRow, tol float64) {
+func printGuardTable(rows []guardRow) {
 	pct := func(meas, ref float64) string {
 		if ref <= 0 {
 			return "   n/a"
 		}
 		return fmt.Sprintf("%+5.1f%%", 100*(meas-ref)/ref)
 	}
-	fmt.Printf("\nbenchguard comparison (tolerance +%.0f%%):\n", 100*tol)
-	fmt.Printf("%-28s %14s %14s %7s %12s %12s %7s  %s\n",
+	fmt.Printf("\nbenchguard comparison (tolerance +%.0f%%):\n", 100*guardTolerance)
+	fmt.Printf("%-32s %14s %14s %7s %12s %12s %7s  %s\n",
 		"benchmark", "base ns/op", "meas ns/op", "Δ", "base allocs", "meas allocs", "Δ", "verdict")
 	for _, r := range rows {
 		verdict := "ok"
 		if r.Failed {
 			verdict = "FAIL"
 		}
-		fmt.Printf("%-28s %14.0f %14.0f %7s %12.0f %12.0f %7s  %s\n",
-			r.Name, r.BaselineNsOp, r.MeasuredNsOp, pct(r.MeasuredNsOp, r.BaselineNsOp),
-			r.BaselineAllocs, r.MeasuredAllocs, pct(r.MeasuredAllocs, r.BaselineAllocs), verdict)
+		fmt.Printf("%-32s %14.0f %14.0f %7s %12.0f %12.0f %7s  %s\n",
+			r.Name, r.BaselineNsOp, r.After.NsOp, pct(r.After.NsOp, r.BaselineNsOp),
+			r.BaselineAllocs, r.After.AllocsOp, pct(r.After.AllocsOp, r.BaselineAllocs), verdict)
 	}
 }
 
 // writeFreshBench dumps the run's measurements in a BENCH_numeric.json-like
 // shape for the CI artifact.
-func writeFreshBench(path, baselinePath string, tol float64, rows []guardRow) error {
-	type freshEntry struct {
-		Name  string `json:"name"`
-		After struct {
-			NsOp     float64 `json:"ns_op"`
-			BOp      float64 `json:"b_op"`
-			AllocsOp float64 `json:"allocs_op"`
-		} `json:"after"`
-		BaselineNsOp   float64 `json:"baseline_ns_op"`
-		BaselineAllocs float64 `json:"baseline_allocs_op"`
-		Failed         bool    `json:"failed"`
-	}
-	out := struct {
-		Description string       `json:"description"`
-		Baseline    string       `json:"baseline"`
-		Tolerance   float64      `json:"tolerance"`
-		Benchmarks  []freshEntry `json:"benchmarks"`
+func writeFreshBench(path, baselinePath string, rows []guardRow) error {
+	data, err := json.MarshalIndent(struct {
+		Description string     `json:"description"`
+		Baseline    string     `json:"baseline"`
+		Tolerance   float64    `json:"tolerance"`
+		Benchmarks  []guardRow `json:"benchmarks"`
 	}{
-		Description: "benchguard fresh measurements (best of 3 in-process runs, Workers pinned to 1)",
+		Description: "benchguard fresh measurements (best of 3 go test -cpu 1 runs)",
 		Baseline:    baselinePath,
-		Tolerance:   tol,
-	}
-	for _, r := range rows {
-		e := freshEntry{Name: r.Name, BaselineNsOp: r.BaselineNsOp, BaselineAllocs: r.BaselineAllocs, Failed: r.Failed}
-		e.After.NsOp = r.MeasuredNsOp
-		e.After.BOp = r.MeasuredBOp
-		e.After.AllocsOp = r.MeasuredAllocs
-		out.Benchmarks = append(out.Benchmarks, e)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
+		Tolerance:   guardTolerance,
+		Benchmarks:  rows,
+	}, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// benchGuardACOPF closes over a pre-loaded network so case parsing stays
-// outside the measured loop, matching the bench_numeric_test.go protocol
-// (ResetTimer after load).
-func benchGuardACOPF(n *model.Network) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sol, err := opf.SolveACOPF(n, opf.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !sol.Solved {
-				b.Fatal("not solved")
-			}
-		}
-	}
 }

@@ -12,13 +12,12 @@
 //
 //	gridmind-bench -benchguard BENCH_numeric.json
 //
-// runs the guarded benchmarks in-process — the N-1 branch sweep (case
-// from -benchguard-case), the N-1 generation sweep and N-2 screening
-// pipeline on case57, the fixed-pattern ACOPF on case57/case118 and the
-// SCOPF loop on case57 — and exits nonzero when any ns/op (or allocs/op,
-// a machine-independent signal) regresses beyond the tolerance against
-// the checked-in baseline, printing the full before/after table on
-// failure. -benchguard-out archives the fresh measurements as JSON.
+// runs the 13 guarded benchmarks of bench_numeric_test.go (listed in
+// benchguard.go) with `go test -cpu 1 -count 3` beside the baseline file
+// and exits nonzero when the best run's ns/op or allocs/op (a
+// machine-independent signal) regresses more than 30% against the
+// checked-in baseline, printing the full before/after table on failure.
+// -benchguard-out archives the fresh measurements as JSON.
 package main
 
 import (
@@ -37,9 +36,7 @@ func main() {
 	runs := flag.Int("runs", 5, "runs per (model, case) cell")
 	caseName := flag.String("case", "case118", "fixed case for fig3-success/fig3-dist/table1")
 	models := flag.String("models", "", "comma-separated model subset (default: all six)")
-	guard := flag.String("benchguard", "", "path to BENCH_numeric.json: run the guarded benchmarks (N-1 branch/gen sweeps, N-2 screening, ACOPF case57/118, SCOPF case57, cascade sweep, Monte Carlo reliability, obs-registry hot path) against their recorded baselines and fail on regression")
-	guardCase := flag.String("benchguard-case", "case57", "case for the -benchguard N-1 sweep benchmark (the ACOPF/SCOPF cases are fixed by their baselines)")
-	guardTol := flag.Float64("benchguard-tolerance", 0.30, "allowed fractional ns/op regression before -benchguard fails")
+	guard := flag.String("benchguard", "", "path to BENCH_numeric.json: run the guarded benchmarks of bench_numeric_test.go (listed in benchguard.go) in its directory with go test -cpu 1 -count 3 and fail on a >30% ns/op or allocs/op regression against the recorded baselines")
 	guardOut := flag.String("benchguard-out", "", "path to write the fresh -benchguard measurements as JSON (CI uploads it as an artifact)")
 	fleetWorkers := flag.String("workers", "", "comma-separated worker base URLs for -experiment fleet-compare (real `gridmind-server -worker` processes)")
 	fleetSizes := flag.String("fleet-sizes", "1,2,4", "comma-separated worker counts for -experiment fleet-scaling")
@@ -48,7 +45,7 @@ func main() {
 	flag.Parse()
 
 	if *guard != "" {
-		if err := runBenchGuard(*guard, *guardOut, *guardCase, *guardTol); err != nil {
+		if err := runBenchGuard(*guard, *guardOut); err != nil {
 			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 			os.Exit(1)
 		}

@@ -56,16 +56,16 @@ func SolveDispatch(n *model.Network, pfOpts powerflow.Options) (*Solution, error
 	}
 
 	sol := &Solution{
-		CaseName:     n.Name,
-		Solved:       res.Converged,
-		Method:       MethodDispatch,
-		Iterations:   res.Iterations,
-		GenP: append([]float64(nil), res.GenP...),
-		GenQ: append([]float64(nil), res.GenQ...),
-		Voltages: *res.Voltages.Clone(),
+		CaseName:   n.Name,
+		Solved:     res.Converged,
+		Method:     MethodDispatch,
+		Iterations: res.Iterations,
+		GenP:       append([]float64(nil), res.GenP...),
+		GenQ:       append([]float64(nil), res.GenQ...),
+		Voltages:   *res.Voltages.Clone(),
 		// One-shot Solve results own their flow records (fresh scratch per
 		// call), so the solution takes the slice instead of copying it.
-		Flows: res.Flows,
+		Flows:        res.Flows,
 		LMP:          make([]float64, len(n.Buses)),
 		LossMW:       res.LossP,
 		MinVoltagePU: res.MinVm,

@@ -107,9 +107,9 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 		return nil, err
 	}
 	p := &nlp{
-		nx:   prob.nx(),
-		ng:   prob.ngEq(),
-		nh:   prob.nIneq(),
+		nx:    prob.nx(),
+		ng:    prob.ngEq(),
+		nh:    prob.nIneq(),
 		x0:    prob.initialPoint(opts.Start),
 		eval:  prob.eval,
 		hess:  prob.hessian,

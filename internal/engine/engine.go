@@ -63,6 +63,7 @@ type engineStats struct {
 	topoBuilds                   *obs.Counter
 	ptdfBuilds                   *obs.Counter
 	opfReuses, opfCreates        *obs.Counter
+	kktRefactors, kktRepivots    *obs.Counter
 	sweepPoolHits, sweepPoolNew  *obs.Counter
 	scnPoolHits, scnPoolNew      *obs.Counter
 	basePFHits, basePFSolves     *obs.Counter
@@ -86,6 +87,8 @@ func newEngineStats(met *obs.Registry) engineStats {
 		ptdfBuilds:     met.Counter("gridmind_engine_ptdf_builds_total", "PTDF factor matrices actually constructed."),
 		opfReuses:      lookup("gridmind_engine_opf_context_checkouts_total", "KKT solver-context checkouts by result (reuse = from pool, create = fresh compile).", "reuse"),
 		opfCreates:     lookup("gridmind_engine_opf_context_checkouts_total", "", "create"),
+		kktRefactors:   met.Counter("gridmind_opf_kkt_factorizations_total", "KKT factorizations of pooled interior-point contexts by kind (refactor = frozen pivots reused, repivot = fresh row pivots after a frozen one went unstable).", "kind", "refactor"),
+		kktRepivots:    met.Counter("gridmind_opf_kkt_factorizations_total", "", "kind", "repivot"),
 		sweepPoolHits:  lookup("gridmind_engine_sweep_pool_lookups_total", "Contingency sweep-pool lookups by session state.", "hit"),
 		sweepPoolNew:   lookup("gridmind_engine_sweep_pool_lookups_total", "", "new"),
 		scnPoolHits:    lookup("gridmind_engine_scenario_pool_lookups_total", "Scenario worker-pool lookups by session state.", "hit"),
@@ -370,9 +373,13 @@ func (e *Engine) AcquireOPF(sig string) *opf.Context {
 	return c
 }
 
-// ReleaseOPF returns a context to the structure's pool.
+// ReleaseOPF returns a context to the structure's pool, publishing the KKT
+// refactorizations and repivots it ran while checked out.
 func (e *Engine) ReleaseOPF(sig string, c *opf.Context) {
 	if c != nil {
+		refactors, repivots := c.TakeFactorizations()
+		e.stats.kktRefactors.Add(int64(refactors))
+		e.stats.kktRepivots.Add(int64(repivots))
 		e.opfFree.Put(sig, c)
 	}
 }

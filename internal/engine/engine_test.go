@@ -129,6 +129,15 @@ func TestOPFPoolCheckoutCheckin(t *testing.T) {
 	if st.OPFCreates != 1 || st.OPFReuses != 1 {
 		t.Fatalf("opf creates/reuses = %d/%d, want 1/1", st.OPFCreates, st.OPFReuses)
 	}
+	// Checkin publishes the KKT factorizations the solves ran, and takes
+	// them: the context has nothing left to report.
+	refactors := e.Metrics().Counter("gridmind_opf_kkt_factorizations_total", "", "kind", "refactor")
+	if refactors.Value() == 0 {
+		t.Fatal("checkin published no KKT refactorizations")
+	}
+	if r, p := c2.TakeFactorizations(); r != 0 || p != 0 {
+		t.Fatalf("context still reports %d/%d factorizations after checkin, want 0/0", r, p)
+	}
 }
 
 func TestBasePFMemoizedPerState(t *testing.T) {

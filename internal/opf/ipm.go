@@ -114,7 +114,9 @@ func costProgress(f, fOld float64) float64 {
 // referenceKKT is the legacy per-iteration assembly pipeline, kept only as
 // the differential-test reference: build a COO, compress to CSC, reuse an
 // RCM ordering computed on the first iteration's pattern, and run a full
-// LU factorization every iteration.
+// LU factorization every iteration. It pins the pivot threshold at 0.1
+// instead of the default 0.001, so the differential harness also checks
+// the production threshold against a stricter one.
 type referenceKKT struct {
 	colPerm []int
 }
@@ -127,7 +129,7 @@ func (rk *referenceKKT) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64)
 	if rk.colPerm == nil {
 		rk.colPerm = sparse.RCM(csc)
 	}
-	lu, err := sparse.Factorize(csc, sparse.Options{ColPerm: rk.colPerm})
+	lu, err := sparse.Factorize(csc, sparse.Options{ColPerm: rk.colPerm, DiagPreference: 0.1})
 	if err != nil {
 		return nil, err
 	}

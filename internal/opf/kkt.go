@@ -80,8 +80,9 @@ type kktSystem struct {
 	vals        []float64
 	refillE     int
 	refillDrift int
-	// counters for tests and diagnostics
-	compiles, factors, refactors int
+	// counters for tests and telemetry: factors counts full
+	// factorizations, the first one plus every repivot
+	compiles, factors, refactors, repivots int
 }
 
 func (k *kktSystem) compiled() bool { return k.mat != nil }
@@ -173,25 +174,26 @@ func (k *kktSystem) refill(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
 // first call runs a full factorization; later calls (including across
 // warm-started solves) reuse the symbolic analysis via Refactorize, with
 // the same relative pivot-stability fallback powerflow/newton.go uses: a
-// frozen pivot gone unstable triggers one fresh numeric+symbolic
-// factorization, keeping the fill-reducing column pre-order.
+// frozen pivot gone unstable triggers one in-place Repivot — fresh row
+// pivots and symbolic analysis into the same storage, keeping the
+// fill-reducing column pre-order.
 func (k *kktSystem) factorAndSolve(rhs []float64) ([]float64, error) {
-	if k.lu == nil {
+	switch {
+	case k.lu == nil:
 		lu, err := sparse.Factorize(k.mat, sparse.Options{ColPerm: k.colPerm})
 		if err != nil {
 			return nil, err
 		}
 		k.lu = lu
 		k.factors++
-	} else if err := k.lu.Refactorize(k.mat); err != nil {
-		lu, err := sparse.Factorize(k.mat, sparse.Options{ColPerm: k.colPerm})
-		if err != nil {
-			return nil, err
-		}
-		k.lu = lu
-		k.factors++
-	} else {
+	case k.lu.Refactorize(k.mat) == nil:
 		k.refactors++
+	default:
+		if err := k.lu.Repivot(k.mat); err != nil {
+			return nil, err
+		}
+		k.factors++
+		k.repivots++
 	}
 	if err := k.lu.SolveInto(k.sol, rhs, k.work); err != nil {
 		return nil, err
@@ -210,8 +212,11 @@ func (k *kktSystem) factorAndSolve(rhs []float64) ([]float64, error) {
 // balance-row border entries adjacent in the pivot order lets elimination
 // consume each bus's whole 4×4 saddle block at once instead of revisiting
 // the bus twice (once per half), which measurably cuts LU fill versus
-// scalar minimum degree on the full pattern (≈20-30% fewer factor
-// nonzeros on case57-case300).
+// scalar minimum degree on the full pattern: on the last KKT matrix of a
+// cold solve, at the default pivot threshold, 40-65% fewer factor
+// nonzeros on case57-case300 (10% on case14). The gain depends on the
+// factorization keeping the order; at the stricter threshold 0.1, which
+// pivots off the diagonal in about half the columns, it was 20-30%.
 //
 // Two designs that sound plausible measure WORSE, so don't resurrect them
 // without re-profiling: eliminating the equality border strictly last
@@ -320,6 +325,10 @@ type Context struct {
 	kkt   *kktSystem
 	es    *evalScratch
 	prior int // compile count of replaced systems
+	// readRefactors/readRepivots are the current system's counts at the
+	// last TakeFactorizations. A replacement system starts them at minus
+	// the replaced one's unread counts, so a structural change loses none.
+	readRefactors, readRepivots int
 }
 
 // NewContext returns an empty reusable solver context.
@@ -333,6 +342,21 @@ func (c *Context) Compiles() int {
 		n += c.kkt.compiles
 	}
 	return n
+}
+
+// TakeFactorizations reports the KKT refactorizations (frozen pivots
+// reused) and repivots (a frozen pivot went unstable, so the factor was
+// recomputed with fresh row pivots) run through this context since the
+// previous call. The first factorization of a compiled pattern is
+// neither.
+func (c *Context) TakeFactorizations() (refactors, repivots int) {
+	if c.kkt == nil {
+		return 0, 0
+	}
+	refactors = c.kkt.refactors - c.readRefactors
+	repivots = c.kkt.repivots - c.readRepivots
+	c.readRefactors, c.readRepivots = c.kkt.refactors, c.kkt.repivots
+	return refactors, repivots
 }
 
 // acquire returns the cached KKT system when prob structurally matches the
@@ -352,6 +376,8 @@ func (c *Context) acquire(prob *acopf) *kktSystem {
 	}
 	if c.kkt != nil {
 		c.prior += c.kkt.compiles
+		c.readRefactors -= c.kkt.refactors
+		c.readRepivots -= c.kkt.repivots
 	}
 	c.sig = sig
 	c.kkt = &kktSystem{}

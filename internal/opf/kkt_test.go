@@ -14,8 +14,9 @@ import (
 // full symbolic LU each step — kept behind the test-only ReferenceKKT
 // flag) to tight tolerance on every case. The two pipelines share the
 // emission code but nothing of the linear-solver plumbing, so agreement
-// pins ordering, slot mapping, refactorization and the pivot-stability
-// fallback all at once.
+// pins ordering, slot mapping, refactorization, the pivot-stability
+// fallback and the pivot threshold (the reference factors at 0.1) all at
+// once.
 func TestIPMFixedPatternMatchesReference(t *testing.T) {
 	for _, name := range []string{"case14", "case30", "case57"} {
 		n := cases.MustLoad(name)
@@ -378,7 +379,7 @@ func TestBranchRehomeInvalidatesCachedKKT(t *testing.T) {
 // relative — the ordering may only change roundoff, never the linear
 // algebra. It also pins the point of the exercise: the block ordering's
 // factor fill must be strictly below scalar min-degree's on every case
-// (measured 9-30% fewer LU nonzeros on case14-case300); an "improvement"
+// (measured 11-69% fewer LU nonzeros on case14-case118); an "improvement"
 // that regresses fill on any standard case should fail loudly here rather
 // than quietly ship a slower factorization.
 func TestBlockOrderingMatchesMinDegree(t *testing.T) {
@@ -428,6 +429,64 @@ func TestBlockOrderingMatchesMinDegree(t *testing.T) {
 		if nnzBlk >= nnzMD {
 			t.Errorf("%s: block ordering fill %d is not below min-degree %d", name, nnzBlk, nnzMD)
 		}
+	}
+}
+
+// TestKKTFactorKeepsOrdering pins what the default pivot threshold buys on
+// the saddle-point KKT system. On the last matrix of a converged solve,
+// factored under acopf's supernode order, the default threshold must keep
+// at most 80% of the factor nonzeros of DiagPreference 0.1, which rejects
+// about half of the diagonal pivots and with them the order. Nonzero
+// counts are machine-independent. The iteration counts are pinned too, so
+// the cheaper factor cannot be bought with more IPM iterations.
+func TestKKTFactorKeepsOrdering(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		iters int
+	}{{"case57", 38}, {"case118", 70}, {"case300", 55}} {
+		ctx := NewContext()
+		sol, err := SolveACOPF(cases.MustLoad(c.name), Options{Context: ctx})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if sol.Iterations != c.iters {
+			t.Errorf("%s: %d IPM iterations, want %d", c.name, sol.Iterations, c.iters)
+		}
+		k := ctx.kkt
+		nnz := func(tol float64) int {
+			lu, err := sparse.Factorize(k.mat, sparse.Options{ColPerm: k.colPerm, DiagPreference: tol})
+			if err != nil {
+				t.Fatalf("%s: DiagPreference %v: %v", c.name, tol, err)
+			}
+			return lu.NNZ()
+		}
+		def, strict := nnz(0), nnz(0.1)
+		t.Logf("%s: factor nonzeros %d at the default threshold, %d at 0.1", c.name, def, strict)
+		if 5*def > 4*strict {
+			t.Errorf("%s: factor nonzeros %d at the default threshold exceed 0.8 × %d at 0.1", c.name, def, strict)
+		}
+	}
+}
+
+// TestContextReportsFactorizations pins the KKT telemetry the engine
+// publishes: a cold case118 solve refactorizes and repivots, every full
+// factorization after the first is a repivot, and a second read reports
+// nothing new.
+func TestContextReportsFactorizations(t *testing.T) {
+	ctx := NewContext()
+	if _, err := SolveACOPF(cases.MustLoad("case118"), Options{Context: ctx}); err != nil {
+		t.Fatal(err)
+	}
+	refactors, repivots := ctx.TakeFactorizations()
+	if refactors == 0 || repivots == 0 {
+		t.Fatalf("case118 solve reported %d refactorizations and %d repivots, want both > 0", refactors, repivots)
+	}
+	if refactors != ctx.kkt.refactors || repivots != ctx.kkt.factors-1 {
+		t.Fatalf("reported %d/%d, want %d refactorizations and factors−1 = %d repivots",
+			refactors, repivots, ctx.kkt.refactors, ctx.kkt.factors-1)
+	}
+	if r, p := ctx.TakeFactorizations(); r != 0 || p != 0 {
+		t.Fatalf("second read reported %d/%d, want 0/0", r, p)
 	}
 }
 

@@ -115,13 +115,11 @@ func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []flo
 			st.lu = lu
 		} else if err := st.lu.Refactorize(st.jac.mat); err != nil {
 			// Frozen pivot order hit a zero pivot for these values; redo the
-			// factorization with fresh row pivoting and keep it. The column
+			// factorization in place with fresh row pivoting. The column
 			// pre-order stays valid — only the pivot choices went stale.
-			lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
-			if err != nil {
+			if err := st.lu.Repivot(st.jac.mat); err != nil {
 				return iter, maxMis, false, err
 			}
-			st.lu = lu
 		}
 		if err := st.lu.SolveInto(st.dx, st.rhs, st.work); err != nil {
 			return iter, maxMis, false, err

@@ -17,10 +17,18 @@ type Options struct {
 	// DiagPreference is the threshold-pivoting parameter in (0, 1]: the
 	// original diagonal entry is accepted as pivot when its magnitude is at
 	// least DiagPreference times the column maximum. 1.0 means strict
-	// partial pivoting; smaller values preserve the (fill-reducing)
-	// diagonal choice more often. Zero selects the default 0.1.
+	// partial pivoting; smaller values keep the diagonal, and with it the
+	// order ColPerm chose, more often. Zero selects the default 0.001, the
+	// value KLU ships and UMFPACK's symmetric strategy uses: element growth
+	// per step stays bounded by 10³, and a saddle-point system (the OPF
+	// KKT matrix) keeps its fill-reducing order where 0.1 would reject
+	// about half of its diagonal pivots and roughly double the factor.
+	// A matrix whose diagonal always passes 0.1 factors identically.
 	DiagPreference float64
 }
+
+// defaultDiagPreference is the threshold Options.DiagPreference == 0 selects.
+const defaultDiagPreference = 0.001
 
 // LU is a Gilbert-Peierls sparse LU factorization with partial pivoting:
 // P·A·Q = L·U, where Q is the fill-reducing column pre-order and P is the
@@ -33,9 +41,18 @@ type LU struct {
 	up   []int // U column pointers (diagonal entry stored last per column)
 	ui   []int
 	ux   []float64
-	pinv []int     // original row -> pivot position
-	q    []int     // column pre-order: column q[k] eliminated at step k
-	rw   []float64 // Refactorize numeric workspace, kept zeroed between calls
+	pinv []int   // original row -> pivot position
+	q    []int   // column pre-order: column q[k] eliminated at step k
+	tol  float64 // threshold-pivoting parameter Repivot applies
+	// failed marks a Repivot that returned an error part-way: the factors
+	// are incomplete, so Refactorize refuses them until a Repivot succeeds.
+	failed bool
+	// Factor workspace: rw is the numeric scratch of Repivot and
+	// Refactorize, kept zeroed between calls; xi (pattern + recursion
+	// stacks, 2n), pstack (DFS positions) and marked (DFS visit stamps)
+	// serve Repivot's reach.
+	rw                 []float64
+	xi, pstack, marked []int
 }
 
 // Factorize computes the sparse LU decomposition of the square matrix a.
@@ -53,37 +70,63 @@ func Factorize(a *CSC, opts Options) (*LU, error) {
 	}
 	tol := opts.DiagPreference
 	if tol == 0 {
-		tol = 0.1
+		tol = defaultDiagPreference
 	}
 	if tol < 0 || tol > 1 {
 		return nil, fmt.Errorf("sparse: DiagPreference %v out of (0,1]", tol)
 	}
 
+	nzEst := 4*a.NNZ() + n
 	f := &LU{
-		n:    n,
-		lp:   make([]int, n+1),
-		up:   make([]int, n+1),
-		pinv: make([]int, n),
-		q:    q,
+		n:      n,
+		lp:     make([]int, n+1),
+		li:     make([]int, 0, nzEst),
+		lx:     make([]float64, 0, nzEst),
+		up:     make([]int, n+1),
+		ui:     make([]int, 0, nzEst),
+		ux:     make([]float64, 0, nzEst),
+		pinv:   make([]int, n),
+		q:      q,
+		tol:    tol,
+		rw:     make([]float64, n),
+		xi:     make([]int, 2*n),
+		pstack: make([]int, n),
+		marked: make([]int, n),
 	}
+	if err := f.Repivot(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Repivot factorizes a afresh into f's own storage: the same column
+// pre-order and pivot threshold as the Factorize that built f, but a new
+// symbolic analysis and new row pivots chosen from a's values. It is the
+// fallback when Refactorize reports that the frozen pivots went stale, and
+// allocates nothing once the factor slices have grown to a's fill. The
+// result is identical to Factorize(a) with f's options.
+//
+// a must have f's dimension. On error f holds no usable factorization
+// until a later Repivot succeeds (Refactorize returns ErrSingular
+// meanwhile, so the usual Refactorize-else-Repivot fallback recovers); the
+// workspace is left zeroed, so that Repivot needs no reset.
+func (f *LU) Repivot(a *CSC) error {
+	n := f.n
+	if a.rows != n || a.cols != n {
+		return fmt.Errorf("sparse: Repivot matrix is %dx%d, factorization is %dx%d", a.rows, a.cols, n, n)
+	}
+	f.li, f.lx, f.ui, f.ux = f.li[:0], f.lx[:0], f.ui[:0], f.ux[:0]
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
-	nzEst := 4*a.NNZ() + n
-	f.li = make([]int, 0, nzEst)
-	f.lx = make([]float64, 0, nzEst)
-	f.ui = make([]int, 0, nzEst)
-	f.ux = make([]float64, 0, nzEst)
-
-	x := make([]float64, n)  // numeric workspace
-	xi := make([]int, 2*n)   // pattern + recursion stacks
-	pstack := make([]int, n) // DFS position stack
-	marked := make([]int, n) // DFS visit marks, stamped by column k+1
+	clear(f.marked) // stamps left by an earlier run would read as visited
+	f.failed = true
+	x, xi, pstack, marked := f.rw, f.xi, f.pstack, f.marked
 	for k := 0; k < n; k++ {
 		f.lp[k] = len(f.lx)
 		f.up[k] = len(f.ux)
 
-		col := q[k]
+		col := f.q[k]
 		top := f.reach(a, col, xi, pstack, marked, k+1)
 
 		// Numeric sparse triangular solve x = L \ A(:, col) over the
@@ -118,10 +161,15 @@ func Factorize(a *CSC, opts Options) (*LU, error) {
 			}
 		}
 		if ipiv == -1 || amax == 0 {
-			return nil, fmt.Errorf("%w: no pivot in column %d", ErrSingular, col)
+			// The reach covers every entry the column scattered or
+			// updated, so clearing it leaves x zeroed.
+			for pp := top; pp < n; pp++ {
+				x[xi[pp]] = 0
+			}
+			return fmt.Errorf("%w: no pivot in column %d", ErrSingular, col)
 		}
 		// Prefer the original diagonal if acceptably large.
-		if f.pinv[col] < 0 && math.Abs(x[col]) >= tol*amax {
+		if f.pinv[col] < 0 && math.Abs(x[col]) >= f.tol*amax {
 			ipiv = col
 		}
 		pivot := x[ipiv]
@@ -156,7 +204,8 @@ func Factorize(a *CSC, opts Options) (*LU, error) {
 	for p := range f.li {
 		f.li[p] = f.pinv[f.li[p]]
 	}
-	return f, nil
+	f.failed = false
+	return nil
 }
 
 // reach computes the nonzero pattern of L \ A(:, col) by depth-first search

@@ -8,29 +8,30 @@ import (
 // refactorPivotTol is the relative pivot-magnitude floor of Refactorize:
 // a frozen pivot smaller than this fraction of its column's largest entry
 // signals element growth the original pivot order can no longer contain,
-// so the refactorization bails to ErrSingular and the caller re-pivots
-// with a fresh Factorize. A failed attempt only costs that fallback, so
-// the threshold errs on the safe side.
+// so the refactorization bails to ErrSingular and the caller re-pivots in
+// place with Repivot. A failed attempt only costs that fallback, so the
+// threshold errs on the safe side.
 const refactorPivotTol = 1e-6
 
 // Refactorize recomputes the numeric values of the factorization for a new
-// matrix a with the SAME sparsity pattern as the matrix originally passed
-// to Factorize, reusing the symbolic analysis: the fill pattern of L and U,
-// the column pre-order Q and the row permutation P are all kept, so no
-// reach/DFS, no pivot search and no index allocation happens — only the
-// numeric triangular solves. This is the classic KLU-style refactorization
-// that makes Newton iterations after the first cheap.
+// matrix a with the SAME sparsity pattern as the matrix last factored by
+// Factorize or Repivot, reusing the symbolic analysis: the fill pattern of
+// L and U, the column pre-order Q and the row permutation P are all kept,
+// so no reach/DFS, no pivot search and no index allocation happens — only
+// the numeric triangular solves. This is the classic KLU-style
+// refactorization that makes Newton iterations after the first cheap.
 //
 // Because pivoting is frozen, a value change that would have demanded a
 // different pivot order can surface as a zero pivot; ErrSingular is
-// returned and the caller should fall back to a fresh Factorize.
+// returned and the caller should fall back to Repivot, which keeps the
+// column pre-order and the storage and chooses fresh row pivots.
 func (f *LU) Refactorize(a *CSC) error {
 	n := f.n
 	if a.rows != n || a.cols != n {
 		return fmt.Errorf("sparse: Refactorize matrix is %dx%d, factorization is %dx%d", a.rows, a.cols, n, n)
 	}
-	if f.rw == nil {
-		f.rw = make([]float64, n)
+	if f.failed {
+		return fmt.Errorf("%w: no factorization to refactorize after a failed Repivot", ErrSingular)
 	}
 	x := f.rw
 	for k := 0; k < n; k++ {

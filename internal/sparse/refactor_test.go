@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -173,4 +175,99 @@ func TestSolveIntoNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("SolveInto allocates %v per run, want 0", allocs)
 	}
+}
+
+// sameFactors fails unless got and want hold bit-identical L, U and row
+// permutations.
+func sameFactors(t *testing.T, got, want *LU) {
+	t.Helper()
+	if !slices.Equal(got.pinv, want.pinv) {
+		t.Fatal("row permutations differ")
+	}
+	if !slices.Equal(got.lp, want.lp) || !slices.Equal(got.li, want.li) || !slices.Equal(got.lx, want.lx) {
+		t.Fatal("L factors differ")
+	}
+	if !slices.Equal(got.up, want.up) || !slices.Equal(got.ui, want.ui) || !slices.Equal(got.ux, want.ux) {
+		t.Fatal("U factors differ")
+	}
+}
+
+// TestRepivotMatchesFactorize drives the fallback Refactorize callers take:
+// the diagonal the pivots were frozen on shrinks by 1e-9, Refactorize
+// refuses it, and Repivot into the same storage must produce exactly what
+// a fresh Factorize of the new values does — and, once the storage has
+// grown to that fill, without allocating. The sparse matrix has rows only
+// one column reaches, which a visit stamp left from the previous
+// factorization would hide.
+func TestRepivotMatchesFactorize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, density := range []float64{0.03, 0.3} {
+		a := randomSolvable(rng, 40, density)
+		lu, err := Factorize(a, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < a.cols; j++ {
+			for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
+				if a.rowIdx[p] == j {
+					a.val[p] *= 1e-9
+				}
+			}
+		}
+		if err := lu.Refactorize(a); !errors.Is(err, ErrSingular) {
+			t.Fatalf("density %v: Refactorize on shrunken pivots: %v, want ErrSingular", density, err)
+		}
+		if err := lu.Repivot(a); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Factorize(a, Options{ColPerm: lu.q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFactors(t, lu, want)
+		if err := lu.Refactorize(a); err != nil {
+			t.Fatalf("density %v: Refactorize after Repivot: %v", density, err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := lu.Repivot(a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("density %v: warm Repivot allocates %v per run, want 0", density, allocs)
+		}
+	}
+}
+
+// TestRepivotAfterSingular checks that a Repivot failing part-way leaves
+// nothing behind: the failing matrix's last column is the sum of two
+// earlier ones, so elimination ends with nonzeros in the workspace and no
+// pivot. Until a Repivot succeeds Refactorize must refuse the partial
+// factors, and the next Repivot must equal a fresh Factorize.
+func TestRepivotAfterSingular(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	good := randomSolvable(rng, 5, 0.5)
+	lu, err := Factorize(good, Options{ColPerm: IdentityPerm(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCOO(5, 5)
+	for _, e := range [][3]float64{{0, 0, 2}, {2, 0, 1}, {1, 1, 2}, {3, 1, 1}, {2, 2, 2}, {3, 3, 2},
+		{0, 4, 2}, {1, 4, 2}, {2, 4, 1}, {3, 4, 1}} {
+		c.Add(int(e[0]), int(e[1]), e[2])
+	}
+	if err := lu.Repivot(c.ToCSC()); !errors.Is(err, ErrSingular) {
+		t.Fatalf("Repivot on a singular matrix: %v, want ErrSingular", err)
+	}
+	if err := lu.Refactorize(good); !errors.Is(err, ErrSingular) {
+		t.Fatalf("Refactorize after a failed Repivot: %v, want ErrSingular", err)
+	}
+	if err := lu.Repivot(good); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Factorize(good, Options{ColPerm: IdentityPerm(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFactors(t, lu, want)
 }

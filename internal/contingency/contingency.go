@@ -11,8 +11,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gridmind/internal/model"
 	"gridmind/internal/obs"
@@ -217,115 +215,18 @@ var ErrNoBase = errors.New("contingency: base case power flow is required")
 
 // Analyze runs the N-1 sweep. base must be a converged pre-contingency
 // power flow of n (the CA agent solves it first, per the paper's
-// solve_base_case tool).
+// solve_base_case tool). An explicit Options.Branches entry that is out of
+// range or out of service fails the sweep with ErrInvalidOutage.
 func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet, error) {
-	opts.fill()
-	if base == nil || !base.Converged {
-		return nil, ErrNoBase
-	}
 	branches := opts.Branches
 	if branches == nil {
 		branches = n.InServiceBranches()
 	}
-	rs := &ResultSet{
-		CaseName:         n.Name,
-		BaseMinVoltagePU: base.MinVm,
+	outages := make([]N2Pair, len(branches))
+	for i, k := range branches {
+		outages[i] = branchOutage(k)
 	}
-	for _, f := range base.Flows {
-		if f.LoadingPct > rs.BaseMaxLoadingPct {
-			rs.BaseMaxLoadingPct = f.LoadingPct
-		}
-	}
-
-	if opts.Reorder == nil {
-		opts.Reorder = powerflow.NewOrderingCache()
-	}
-
-	// Optional linear screening stage: predict post-outage loadings with
-	// LODFs and skip the full AC solve for comfortably secure outages.
-	var screen *screener
-	if opts.DCScreen {
-		var err error
-		if screen, err = newScreener(n, base, opts); err != nil {
-			// Screening is an optimization; fall back to full analysis.
-			screen = nil
-		}
-	}
-
-	// Worker pool over the outage list. Each worker owns one zero-clone
-	// sweep context (patched Ybus, reusable Newton state, topology scratch)
-	// built once — or checked out of the engine's SweepPool, which carries
-	// compiled contexts across whole sweeps — so the per-outage cost is the
-	// solve itself: no network clones, no Ybus rebuilds, no symbolic work.
-	results := make([]OutageResult, len(branches))
-	var screened int64
-	var next int64
-	// Shared worker prerequisites, taken from Options when the engine
-	// provides them, otherwise built once and only if some worker actually
-	// reaches the view path (a fully cached or reference-clone sweep never
-	// pays for them).
-	baseY := opts.BaseYbus
-	topo := opts.Topology
-	var prepOnce sync.Once
-	prep := func() {
-		if baseY == nil {
-			baseY = model.BuildYbus(n)
-		}
-		if topo == nil {
-			topo = model.NewTopology(n)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ctx *sweepContext
-			defer func() { opts.Pool.release(ctx) }()
-			for {
-				idx := int(atomic.AddInt64(&next, 1) - 1)
-				if idx >= len(branches) {
-					return
-				}
-				k := branches[idx]
-				if opts.Cache != nil {
-					if hit, ok := opts.Cache.Get(Key(opts.CacheKeyPrefix, n.Name, k)); ok {
-						results[idx] = *hit
-						continue
-					}
-				}
-				if screen != nil {
-					if r, ok := screen.trySecure(n, k, opts); ok {
-						results[idx] = *r
-						atomic.AddInt64(&screened, 1)
-						if opts.Cache != nil {
-							opts.Cache.Put(Key(opts.CacheKeyPrefix, n.Name, k), r)
-						}
-						continue
-					}
-				}
-				var r *OutageResult
-				if opts.ReferenceClone {
-					r = analyzeOneClone(n, base, k, opts)
-				} else {
-					if ctx == nil {
-						prepOnce.Do(prep)
-						ctx = opts.Pool.acquire(n, base, topo, baseY)
-					}
-					r = ctx.analyze(k, opts)
-				}
-				results[idx] = *r
-				if opts.Cache != nil {
-					opts.Cache.Put(Key(opts.CacheKeyPrefix, n.Name, k), r)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	rs.Outages = results
-	rs.Screened = int(screened)
-	recordSweep(opts.Metrics, "n1", len(results), int(screened))
-	return rs, nil
+	return sweep(n, base, outages, "n1", opts.DCScreen, opts)
 }
 
 // recordSweep publishes one sweep's bulk counters on met (no-op when nil).
@@ -349,7 +250,7 @@ func recordSweep(met *obs.Registry, kind string, outages, screened int) {
 func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
 	opts.fill()
 	if opts.ReferenceClone {
-		return analyzeOneClone(n, base, k, opts)
+		return analyzeClone(n, base, branchOutage(k), opts)
 	}
 	topo := opts.Topology
 	if topo == nil {
@@ -357,62 +258,15 @@ func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *
 	}
 	ctx := opts.Pool.acquire(n, base, topo, opts.BaseYbus)
 	defer opts.Pool.release(ctx)
-	return ctx.analyze(k, opts)
-}
-
-// analyzeOneClone is the legacy deep-clone implementation, kept verbatim
-// as the reference the differential harness pins the fast path against.
-func analyzeOneClone(n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
-	br := n.Branches[k]
-	out := &OutageResult{
-		Branch:    k,
-		FromBusID: n.Buses[br.From].ID,
-		ToBusID:   n.Buses[br.To].ID,
-		IsXfmr:    br.IsTransformer,
-	}
-	post := n.Clone()
-	post.Branches[k].InService = false
-
-	// Islanding check first: an outage that splits the grid shes all
-	// load outside the slack's island.
-	comp, count := post.ConnectedComponents()
-	if count > 1 {
-		out.Islanded = true
-		slackComp := comp[post.SlackBus()]
-		for _, l := range post.Loads {
-			if l.InService && comp[l.Bus] != slackComp {
-				out.LoadShedMW += l.P
-			}
-		}
-		out.Severity = severity(out, opts)
-		return out
-	}
-
-	pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder}
-	if !opts.NoWarmStart {
-		pfOpts.Warm = base.Voltages.Clone()
-	}
-	res, err := powerflow.Solve(post, pfOpts)
-	if err != nil || !res.Converged {
-		// Fallback: fast-decoupled is more tolerant of poor starts.
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
-	if err != nil || !res.Converged {
-		out.Converged = false
-		out.LoadShedMW = estimateLoadShed(post)
-		out.Severity = severity(out, opts)
-		return out
-	}
-	scoreOutage(out, res, post, k, -1, opts)
-	return out
+	return ctx.analyze(branchOutage(k), opts)
 }
 
 // scoreOutage fills out's post-solve fields — loading extrema, overload
 // and voltage-violation lists, severity — from a converged power flow.
-// The clone-reference and view paths share it, so the scoring rules
-// cannot silently diverge between them. n supplies bus IDs and branch
-// endpoints; k and k2 are the outaged branches (zero flow by construction,
-// skipped); k2 is −1 for single outages.
+// Branch, pair and generator outages, on the view and clone paths alike,
+// share it, so the scoring rules cannot silently diverge between them. n
+// supplies bus IDs and branch endpoints; k and k2 are the outaged branches
+// (zero flow by construction, skipped), −1 when absent.
 func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, k, k2 int, opts Options) {
 	out.Converged = true
 	out.Algorithm = res.Algorithm.String()

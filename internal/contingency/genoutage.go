@@ -2,7 +2,6 @@ package contingency
 
 import (
 	"fmt"
-	"sort"
 
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
@@ -102,43 +101,19 @@ func prepareGenOutage(n *model.Network, view *model.OutageView, g int) (lostMW, 
 }
 
 // scoreGenOutage fills out's post-solve fields from a converged power
-// flow. n supplies bus IDs and branch endpoints (shared between the base
-// network and any materialized view, so both paths read identical data).
+// flow through the branch-outage scoring rule (no branch is out), adding
+// the reserve deficit to the severity. n supplies bus IDs and branch
+// endpoints (shared between the base network and any materialized view,
+// so both paths read identical data).
 func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Network, opts Options) {
+	var scored OutageResult
+	scoreOutage(&scored, res, n, -1, -1, opts)
 	out.Converged = true
-	out.MinVoltagePU = res.MinVm
-	for bk, f := range res.Flows {
-		if f.LoadingPct > out.MaxLoadingPct {
-			out.MaxLoadingPct = f.LoadingPct
-		}
-		if f.LoadingPct > opts.OverloadPct {
-			bb := n.Branches[bk]
-			out.Overloads = append(out.Overloads, BranchLoading{
-				Branch:     bk,
-				FromBusID:  n.Buses[bb.From].ID,
-				ToBusID:    n.Buses[bb.To].ID,
-				LoadingPct: f.LoadingPct,
-			})
-		}
-	}
-	sort.Slice(out.Overloads, func(a, b int) bool {
-		return out.Overloads[a].LoadingPct > out.Overloads[b].LoadingPct
-	})
-	for i := range n.Buses {
-		vm := res.Voltages.Vm[i]
-		if vm < opts.VoltLow {
-			out.VoltViols = append(out.VoltViols, VoltageViolation{
-				BusID: n.Buses[i].ID, VmPU: vm, Limit: opts.VoltLow, Low: true,
-			})
-		} else if vm > opts.VoltHigh {
-			out.VoltViols = append(out.VoltViols, VoltageViolation{
-				BusID: n.Buses[i].ID, VmPU: vm, Limit: opts.VoltHigh, Low: false,
-			})
-		}
-	}
-	// Severity shares the branch-outage scale, plus the reserve deficit.
-	proxy := &OutageResult{Converged: true, Overloads: out.Overloads, VoltViols: out.VoltViols}
-	out.Severity = severity(proxy, opts) + out.ReserveDeficitMW
+	out.MaxLoadingPct = scored.MaxLoadingPct
+	out.Overloads = scored.Overloads
+	out.MinVoltagePU = scored.MinVoltagePU
+	out.VoltViols = scored.VoltViols
+	out.Severity = scored.Severity + out.ReserveDeficitMW
 }
 
 // genSweepContext is the zero-clone generator-outage analysis state: one

@@ -124,7 +124,7 @@ func TestRaceConcurrentOutageViewReaders(t *testing.T) {
 			ctx := newSweepContext(n, base, topo, nil)
 			for off := 0; off < len(branches); off++ {
 				k := branches[(off+w)%len(branches)]
-				if r := ctx.analyze(k, opts); r.Branch != k {
+				if r := ctx.analyze(branchOutage(k), opts); r.Branch != k {
 					t.Errorf("worker %d: wrong result branch", w)
 					return
 				}

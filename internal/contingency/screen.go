@@ -81,6 +81,13 @@ const qReserveMarginMVA = 2.0
 // nonlinear, which the linear floor estimate cannot track.
 const weakFeedShare = 0.5
 
+// pairInteractionTrust is the minimum |det(I − L_MM)| for the linear pair
+// screen to trust itself: a small determinant means the two branches
+// back each other up so strongly that the post-pair flow redistribution is
+// a large multiple of either single-outage picture, where the reactive
+// side of the linearization degrades. Such pairs go to the AC path.
+const pairInteractionTrust = 0.25
+
 // screenedAlgorithm labels outage results certified by the linear
 // two-stage screen rather than a full AC solve.
 const screenedAlgorithm = "lodf-1q-screened"
@@ -171,77 +178,83 @@ func newScreener(n *model.Network, base *powerflow.Result, opts Options) (*scree
 	return s, nil
 }
 
-// trySecure returns a screened-secure result when both linear stages say
-// the outage cannot approach any limit; ok=false sends the outage to the
-// full AC path.
-func (s *screener) trySecure(n *model.Network, k int, opts Options) (*OutageResult, bool) {
-	if !s.baseSecure {
-		return nil, false
+// trySecure returns a screened-secure record when both linear stages say
+// the outage cannot approach any limit; nil sends it to the full AC path.
+// A single outage takes its active flows from the LODFs; a branch pair
+// from the pair LODF composition (ptdf.Matrix.PairOutageFlows: the rank-2
+// Woodbury identity over memoized columns), behind the pair-interaction
+// gate. Both then run the same 1Q, thermal and voltage stages. Mixed
+// branch+generator pairs change injections, which the LODF picture does
+// not model, so they always go to the AC path.
+func (s *screener) trySecure(n *model.Network, p N2Pair, opts Options) *OutageResult {
+	if !s.baseSecure || p.Gen >= 0 {
+		return nil
 	}
-	flows, err := s.factors.PostOutageFlows(s.preP, k)
+	a, b := p.BranchA, p.BranchB
+	ks, m := [2]int{a, b}, 1
+	var flows []float64
+	var err error
+	if b < 0 {
+		flows, err = s.factors.PostOutageFlows(s.preP, a)
+	} else {
+		det, derr := s.factors.PairInteraction(a, b)
+		if derr != nil || math.Abs(det) < pairInteractionTrust {
+			return nil // joint cutset or strongly coupled pair
+		}
+		flows, err = s.factors.PairOutageFlows(s.preP, a, b)
+		m = 2
+	}
 	if err != nil {
-		return nil, false // islanding or numerical trouble: full analysis
+		return nil // islanding or numerical trouble: full analysis
 	}
 	// 1Q stage first: the linearized voltage solution also prices the
 	// reactive redistribution the thermal stage needs.
-	dv, ok := s.qvSolve(n, k, flows)
+	dv, ok := s.qvSolveMulti(n, ks[:m], flows)
 	if !ok {
-		return nil, false
+		return nil
 	}
-	// Thermal stage: active flows from the LODFs; reactive flows shifted
-	// by the branch Q-flow change the voltage solution implies
+	// Thermal stage: predicted active flows; reactive flows shifted by the
+	// branch Q-flow change the voltage solution implies
 	// (ΔQ_f ≈ b_series·(ΔV_f − ΔV_t)), so MVAr-heavy branches are not
 	// invisible to the screen. The worse of {carried-over, shifted} Q is
 	// used per branch, with the unaffected allowance.
 	var worst float64
-	for b, br := range n.Branches {
-		if !br.InService || br.RateMVA <= 0 || b == k {
+	for bk, br := range n.Branches {
+		if !br.InService || br.RateMVA <= 0 || bk == a || bk == b {
 			continue
 		}
 		var dvf, dvt float64
-		if p := s.pqPos[br.From]; p >= 0 {
-			dvf = dv[p]
+		if pos := s.pqPos[br.From]; pos >= 0 {
+			dvf = dv[pos]
 		}
-		if p := s.pqPos[br.To]; p >= 0 {
-			dvt = dv[p]
+		if pos := s.pqPos[br.To]; pos >= 0 {
+			dvt = dv[pos]
 		}
 		bser := br.X / (br.R*br.R + br.X*br.X)
-		shifted := s.preQ[b] + bser*(dvf-dvt)*n.BaseMVA
-		q := math.Max(math.Abs(s.preQ[b]), math.Abs(shifted))
-		pct := 100 * math.Hypot(flows[b], q) / br.RateMVA
+		shifted := s.preQ[bk] + bser*(dvf-dvt)*n.BaseMVA
+		q := math.Max(math.Abs(s.preQ[bk]), math.Abs(shifted))
+		pct := 100 * math.Hypot(flows[bk], q) / br.RateMVA
 		if pct > worst {
 			worst = pct
 		}
-		if pct >= opts.ScreenThreshold && pct > s.basePct[b]+loadingAllowancePct {
-			return nil, false
+		if pct >= opts.ScreenThreshold && pct > s.basePct[bk]+loadingAllowancePct {
+			return nil
 		}
 	}
 	// Voltage stage: the estimated post-outage extremes must clear both
 	// thresholds with margin.
 	estMin, estMax, ok := s.boundsFromDV(n, dv)
 	if !ok || estMin < opts.VoltLow+voltScreenMarginPU || estMax > opts.VoltHigh-voltScreenMarginPU {
-		return nil, false
+		return nil
 	}
 
-	br := n.Branches[k]
-	out := &OutageResult{
-		Branch:        k,
-		FromBusID:     n.Buses[br.From].ID,
-		ToBusID:       n.Buses[br.To].ID,
-		IsXfmr:        br.IsTransformer,
-		Converged:     true,
-		MaxLoadingPct: worst,
-		MinVoltagePU:  estMin,
-		Algorithm:     screenedAlgorithm,
-	}
+	out := newOutageResult(n, p)
+	out.Converged = true
+	out.MaxLoadingPct = worst
+	out.MinVoltagePU = estMin
+	out.Algorithm = screenedAlgorithm
 	out.Severity = severity(out, opts)
-	return out, true
-}
-
-// qvSolve solves the fast-decoupled Q-V equation with branch k removed —
-// the single-outage entry point of qvSolveMulti.
-func (s *screener) qvSolve(n *model.Network, k int, flows []float64) ([]float64, bool) {
-	return s.qvSolveMulti(n, []int{k}, flows)
+	return out
 }
 
 // qvSolveMulti solves the fast-decoupled Q-V equation with the branches in
@@ -250,8 +263,8 @@ func (s *screener) qvSolve(n *model.Network, k int, flows []float64) ([]float64,
 // stage). One branch is the N-1 screen; two branches is the N-2
 // pre-screen, whose update couples up to four PQ endpoint columns — all
 // batched through ONE SolveBlockInto multi-RHS triangular pass. flows are
-// the LODF-predicted post-outage MW flows (computed internally when nil);
-// they feed the reactive-loss term of the forcing. It returns ok=false
+// the LODF-predicted post-outage MW flows; they feed the reactive-loss
+// term of the forcing. It returns ok=false
 // when the estimate cannot be trusted — a weakly-fed endpoint, numerical
 // trouble, or a regulated bus whose generators would be pushed near a
 // reactive limit — which routes the outage to the full AC path.
@@ -296,18 +309,6 @@ func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]
 	}
 	for i := 0; i < nwf; i++ {
 		if wfLost[i] > weakFeedShare*(-imag(s.y.Diag(wfBus[i]))) {
-			return nil, false
-		}
-	}
-
-	if flows == nil {
-		var err error
-		if len(ks) == 1 {
-			flows, err = s.factors.PostOutageFlows(s.preP, ks[0])
-		} else {
-			flows, err = s.factors.PairOutageFlows(s.preP, ks[0], ks[1])
-		}
-		if err != nil {
 			return nil, false
 		}
 	}

@@ -32,7 +32,11 @@ func TestWoodburyVoltageFloorConservative(t *testing.T) {
 		}
 		checked := 0
 		for _, k := range n.InServiceBranches() {
-			dv, ok := s.qvSolve(n, k, nil)
+			flows, err := s.factors.PostOutageFlows(s.preP, k)
+			if err != nil {
+				continue // islanding: no linear estimate exists
+			}
+			dv, ok := s.qvSolveMulti(n, []int{k}, flows)
 			if !ok {
 				continue // estimator flags itself untrustworthy: fine
 			}

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -325,12 +328,25 @@ func TestWorkerIdempotentReplay(t *testing.T) {
 			BaseMaxLoadingPct: second.BaseMaxLoadingPct, BaseMinVoltagePU: second.BaseMinVoltagePU})
 }
 
-// TestWorkerRejectsBadRequests covers the protocol guardrails.
+// shardStatus serves req through the worker handler h in-process and
+// returns the HTTP status.
+func shardStatus(t testing.TB, h http.Handler, req *ShardRequest) int {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard", bytes.NewReader(body)))
+	return rec.Code
+}
+
+// TestWorkerRejectsBadRequests covers the protocol guardrails: every
+// malformed request answers 400, including outages the case does not have
+// (an out-of-range N-1 branch once panicked a sweep goroutine and took the
+// whole worker down), and the same worker still serves a valid shard.
 func TestWorkerRejectsBadRequests(t *testing.T) {
-	w := NewWorker("w1", engine.New(), nil, nil)
-	srv := httptest.NewServer(w.Handler())
-	t.Cleanup(srv.Close)
-	coord := coordinatorFor(t, Config{Workers: []string{srv.URL}})
+	h := NewWorker("w1", engine.New(), nil, nil).Handler()
 
 	bad := []ShardRequest{
 		{Version: ProtocolVersion + 1, SweepID: "s", Case: "case30", Kind: KindN1, Branches: []int{0}},
@@ -338,12 +354,50 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: "n3", Branches: []int{0}},
 		{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: KindN1},
 		{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: KindN2, Branches: []int{0}},
+		{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: KindN1, Branches: []int{99999}},
+		{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: KindN1, Branches: []int{-1}},
+		{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: KindN2,
+			Pairs: []contingency.N2Pair{{BranchA: 0, BranchB: 99999, Gen: -1}}},
 	}
 	for i := range bad {
-		if _, err := coord.post(context.Background(), srv.URL, &bad[i]); err == nil {
-			t.Fatalf("bad request %d accepted", i)
+		if code := shardStatus(t, h, &bad[i]); code != http.StatusBadRequest {
+			t.Fatalf("bad request %d answered %d, want 400", i, code)
 		}
 	}
+	ok := ShardRequest{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: KindN1, Branches: []int{0, 1}}
+	if code := shardStatus(t, h, &ok); code != http.StatusOK {
+		t.Fatalf("valid shard after the bad ones answered %d, want 200", code)
+	}
+}
+
+// FuzzWorkerShard fuzzes the sweep kind and element indices of a case14
+// shard request: whatever the input, the worker answers 200 or 400 and
+// never panics. An N-1 shard carries branch a, plus b when b ≥ 0; an N-2
+// shard carries the one pair (a, b, g). The seed corpus in
+// testdata/fuzz/FuzzWorkerShard includes the out-of-range N-1 branch
+// that once crashed the worker.
+func FuzzWorkerShard(f *testing.F) {
+	h := NewWorker("fuzz", engine.New(), nil, nil).Handler()
+	var seq atomic.Int64
+	f.Fuzz(func(t *testing.T, kind string, a, b, g int) {
+		req := ShardRequest{
+			Version: ProtocolVersion,
+			SweepID: fmt.Sprintf("fuzz-%d", seq.Add(1)), // never an idempotent replay
+			Case:    "case14",
+			Kind:    kind,
+		}
+		if kind == KindN2 {
+			req.Pairs = []contingency.N2Pair{{BranchA: a, BranchB: b, Gen: g}}
+		} else {
+			req.Branches = []int{a}
+			if b >= 0 {
+				req.Branches = append(req.Branches, b)
+			}
+		}
+		if code := shardStatus(t, h, &req); code != http.StatusOK && code != http.StatusBadRequest {
+			t.Fatalf("%+v answered %d, want 200 or 400", req, code)
+		}
+	})
 }
 
 // TestFleetStoreWarmedWorker runs a fleet sweep against a worker mounted

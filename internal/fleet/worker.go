@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -72,7 +73,8 @@ func NewWorker(id string, eng *engine.Engine, store *engine.Store, met *obs.Regi
 }
 
 // Handler returns the worker's HTTP surface: POST /shard runs (or
-// replays) a shard, GET /healthz answers readiness probes.
+// replays) a shard, GET /healthz answers readiness probes. A malformed
+// request or an outage the case does not have answers 400.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard", w.handleShard)
@@ -112,7 +114,11 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	resp, err := w.runShard(&req)
 	if err != nil {
 		w.count(w.shardsErr)
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		status := http.StatusInternalServerError
+		if errors.Is(err, contingency.ErrInvalidOutage) {
+			status = http.StatusBadRequest // the same outages fail on every retry
+		}
+		http.Error(rw, err.Error(), status)
 		return
 	}
 	body, err := json.Marshal(resp)

@@ -1,45 +1,31 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"gridmind"
 	"gridmind/internal/llm"
 	"gridmind/internal/obs"
 )
 
-// server bundles the HTTP surface: the session manager, the shared
-// artifact engine, the process metrics registry behind /metrics, a
-// default session serving session-less /ask calls (back-compat with the
-// single-tenant API), and the simulated chat-completions backend.
+// server bundles the HTTP surface: the session manager (which also owns
+// the default session behind session-less /ask calls, the single-tenant
+// API), the shared artifact engine, the process metrics registry behind
+// /metrics, and the simulated chat-completions backend.
 type server struct {
 	mgr *sessionManager
 	eng *gridmind.Engine
 	// met is the process-wide obs registry (the engine's); every layer —
 	// engine, gateway, tools, agents, session manager — publishes here.
 	met *obs.Registry
-	def *gridmind.GridMind
-	// defMu serializes asks into the default session, matching the
-	// per-session discipline managed sessions get from the manager.
-	defMu sync.Mutex
-	sim   http.Handler
+	sim http.Handler
 	// maxBody bounds /ask and /sessions request bodies in bytes.
 	maxBody int64
-	// gw, when non-nil, is the shared resilient LLM gateway every session
-	// rides; its per-deployment counters are exported on /metrics.
-	gw *gridmind.Gateway
-	// maxQueue bounds in-flight asks on the default session (managed
-	// sessions enforce theirs in the manager); 0 = unbounded.
-	maxQueue int
-	defBusy  atomic.Int64
 }
 
 // Retry-After hints, in seconds. A full queue drains as soon as the
@@ -141,13 +127,7 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, `body must be {"query": "...", "session_id": "optional"}`)
 		return
 	}
-	var ex *gridmind.Exchange
-	var err error
-	if in.SessionID != "" {
-		ex, err = s.mgr.ask(r.Context(), in.SessionID, in.Query)
-	} else {
-		ex, err = s.askDefault(r.Context(), in.Query)
-	}
+	ex, err := s.mgr.ask(r.Context(), in.SessionID, in.Query)
 	if err != nil {
 		status := errStatus(err)
 		if ra := retryAfter(status); ra > 0 {
@@ -164,19 +144,6 @@ func (s *server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		"latency_s":  ex.Latency.Seconds(),
 		"workflow":   ex.Steps,
 	})
-}
-
-// askDefault routes a session-less ask into the shared default session,
-// applying the same in-flight bound managed sessions get.
-func (s *server) askDefault(ctx context.Context, query string) (*gridmind.Exchange, error) {
-	if s.maxQueue > 0 && s.defBusy.Add(1) > int64(s.maxQueue) {
-		s.defBusy.Add(-1)
-		return nil, errQueueFull
-	}
-	defer s.defBusy.Add(-1)
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	return s.def.Ask(ctx, query)
 }
 
 // handleSessions creates (POST) or lists (GET) sessions.

@@ -17,10 +17,16 @@
 //	POST   /v1/chat/completions   chat-completions dialect        → simulated backend
 //
 // /ask without a session_id uses a shared default session (the original
-// single-tenant contract). Sessions idle past -session-ttl expire; with
-// -spill-dir they spill to disk instead and transparently restore on the
-// next ask, so mostly-idle users stop holding RAM. The server drains
-// gracefully on SIGINT/SIGTERM.
+// single-tenant contract); it is admitted like any other session but never
+// expires, is not listed and does not count as live. Sessions idle past
+// -session-ttl expire; with -spill-dir they spill to disk instead and
+// transparently restore on the next ask, so mostly-idle users stop holding
+// RAM. The session manager changes its table and the spill directory only
+// under its one lock, so a session lives in the table or in its spill
+// file, never both, and is never spilled while an ask holds it. A restore
+// runs under that lock too: admissions and the gridmind_sessions_live
+// scrape wait for it, and gridmind_sessions_restore_latency_seconds
+// measures that wait. The server drains gracefully on SIGINT/SIGTERM.
 package main
 
 import (
@@ -90,19 +96,16 @@ func main() {
 		}
 		return gridmind.New(gridmind.Options{Model: model, Engine: eng})
 	}
-	mgr := newSessionManager(factory, *sessionTTL, *maxSessions, *maxQueue, *spillDir, met)
+	mgr := newSessionManager(factory, *modelName, *sessionTTL, *maxSessions, *maxQueue, *spillDir, met)
 	defer mgr.close()
 
 	profile, _ := llm.ProfileByName(*modelName)
 	srv := &server{
-		mgr:      mgr,
-		eng:      eng,
-		met:      met,
-		def:      factory(*modelName),
-		sim:      llm.Handler(llm.NewSim(profile)),
-		maxBody:  *maxBody,
-		gw:       gw,
-		maxQueue: *maxQueue,
+		mgr:     mgr,
+		eng:     eng,
+		met:     met,
+		sim:     llm.Handler(llm.NewSim(profile)),
+		maxBody: *maxBody,
 	}
 
 	httpSrv := &http.Server{

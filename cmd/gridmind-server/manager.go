@@ -26,9 +26,9 @@ var (
 	errQueueFull       = errors.New("session ask queue full; retry shortly")
 )
 
-// managedSession is one live conversational session. Asks within a
-// session are serialized by mu (the coordinator's shared context is a
-// conversation, not a queue); distinct sessions run fully in parallel.
+// managedSession is one conversational session. Asks within a session are
+// serialized by mu (the coordinator's shared context is a conversation,
+// not a queue); distinct sessions run fully in parallel.
 type managedSession struct {
 	ID      string
 	Model   string
@@ -41,8 +41,12 @@ type managedSession struct {
 	busy     int       // in-flight asks; guarded by the manager's lock
 }
 
-// sessionManager owns the live-session table: creation, id routing, idle
-// expiry and the per-session/cross-session concurrency discipline.
+// sessionManager owns the session lifecycle: creation, id routing,
+// admission, idle expiry, spill, restore and removal. One rule keeps it
+// race-free: the live table, the spill directory and every session's
+// busy/lastUsed/asks change only while mu is held. A session therefore
+// lives in the table or in its spill file, never both, and is never
+// spilled while an ask holds it.
 type sessionManager struct {
 	factory     func(model string) *gridmind.GridMind
 	idleTTL     time.Duration
@@ -59,7 +63,11 @@ type sessionManager struct {
 
 	mu       sync.Mutex
 	sessions map[string]*managedSession
-	now      func() time.Time
+	// def serves session-less asks (the single-tenant contract). It is
+	// admitted like any other session but kept out of the table, so it
+	// never expires, is never listed and never counts as live.
+	def *managedSession
+	now func() time.Time
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -73,12 +81,14 @@ type sessionManager struct {
 	restoreLat  *obs.Histogram
 }
 
-// newSessionManager starts a manager and its idle-expiry janitor. met is
-// the registry lifecycle instruments land on; nil gets a private one.
-func newSessionManager(factory func(string) *gridmind.GridMind, idleTTL time.Duration, maxSessions, maxQueue int, spillDir string, met *obs.Registry) *sessionManager {
+// newSessionManager starts a manager, with a default session on defModel,
+// and its idle-expiry janitor. met is the registry lifecycle instruments
+// land on; nil gets a private one.
+func newSessionManager(factory func(string) *gridmind.GridMind, defModel string, idleTTL time.Duration, maxSessions, maxQueue int, spillDir string, met *obs.Registry) *sessionManager {
 	if met == nil {
 		met = obs.NewRegistry()
 	}
+	now := time.Now()
 	m := &sessionManager{
 		factory:     factory,
 		idleTTL:     idleTTL,
@@ -86,6 +96,7 @@ func newSessionManager(factory func(string) *gridmind.GridMind, idleTTL time.Dur
 		maxQueue:    maxQueue,
 		spillDir:    spillDir,
 		sessions:    make(map[string]*managedSession),
+		def:         &managedSession{Model: defModel, Created: now, gm: factory(defModel), lastUsed: now},
 		now:         time.Now,
 		stop:        make(chan struct{}),
 		expired:     met.Counter("gridmind_sessions_expired_total", "Sessions dropped or spilled by the idle-expiry janitor."),
@@ -204,29 +215,22 @@ func (m *sessionManager) spill(s *managedSession) error {
 }
 
 // restore revives a spilled session: decode the envelope, rebuild a
-// GridMind via the factory, replay the persisted session into it, and
-// install it back in the table. Returns errSessionNotFound when there is
-// no (usable) spill file, which the handlers map to 404 — exactly what a
-// plain expiry looked like before spilling existed.
+// GridMind via the factory, replay the persisted session into it, consume
+// the file and install the session in the table. Caller holds m.mu for the
+// whole revival, so no spill, remove or second restore of the id can
+// interleave with it. Returns errSessionNotFound when there is no (usable)
+// spill file, which the handlers map to 404 — exactly what a plain expiry
+// looked like before spilling existed.
 func (m *sessionManager) restore(id string) (*managedSession, error) {
 	path, ok := m.spillPath(id)
 	if !ok {
 		return nil, errSessionNotFound
 	}
+	start := time.Now()
 	data, err := os.ReadFile(path)
 	if err != nil {
-		// A racing restore may have consumed the file between our table
-		// miss and this read; it installs in the same critical section
-		// that removes, so re-check.
-		m.mu.Lock()
-		s, ok := m.sessions[id]
-		m.mu.Unlock()
-		if ok {
-			return s, nil
-		}
 		return nil, errSessionNotFound
 	}
-	start := time.Now()
 	var env spillEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		m.restoreErrs.Inc()
@@ -237,27 +241,15 @@ func (m *sessionManager) restore(id string) (*managedSession, error) {
 		m.restoreErrs.Inc()
 		return nil, errSessionNotFound
 	}
-	m.mu.Lock()
-	if s, ok := m.sessions[id]; ok {
-		// A racing restore of the same id won; use the installed one.
-		m.mu.Unlock()
-		return s, nil
-	}
 	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
-		m.mu.Unlock()
 		return nil, errAtCapacity
 	}
+	os.Remove(path)
 	s := &managedSession{
 		ID: id, Model: env.Model, Created: env.Created,
 		gm: gm, lastUsed: m.now(), asks: env.Asks,
 	}
-	// Consume the file before the install becomes visible, still under the
-	// lock the janitor spills under: removed after unlocking, a janitor
-	// pass in between re-spills the session and the late Remove deletes
-	// the fresh file — the session is then in neither place (404).
-	os.Remove(path)
 	m.sessions[id] = s
-	m.mu.Unlock()
 	m.restores.Inc()
 	m.restoreLat.ObserveDuration(time.Since(start))
 	return s, nil
@@ -293,76 +285,85 @@ func (m *sessionManager) create(model string) (*managedSession, error) {
 	return s, nil
 }
 
-// get returns a live session, refreshing its idle clock; a spilled
-// session is restored first.
-func (m *sessionManager) get(id string) (*managedSession, error) {
-	m.mu.Lock()
-	s, ok := m.sessions[id]
-	if ok {
-		s.lastUsed = m.now()
-		m.mu.Unlock()
+// lookup resolves id to its session, "" naming the default session; a
+// spilled session is restored first. Caller holds m.mu.
+func (m *sessionManager) lookup(id string) (*managedSession, error) {
+	if id == "" {
+		return m.def, nil
+	}
+	if s, ok := m.sessions[id]; ok {
 		return s, nil
 	}
-	m.mu.Unlock()
-	s, err := m.restore(id)
+	return m.restore(id)
+}
+
+// get returns a session, refreshing its idle clock; a spilled session is
+// restored first.
+func (m *sessionManager) get(id string) (*managedSession, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, err := m.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
 	s.lastUsed = m.now()
-	m.mu.Unlock()
 	return s, nil
 }
 
-// remove deletes a session — live table entry, spill file, or both;
-// false when neither exists.
-func (m *sessionManager) remove(id string) bool {
+// acquire admits one ask into a session in a single critical section:
+// lookup (restoring a spilled session), the in-flight bound, busy++ and
+// the idle clock. From here to the matching release the session is busy,
+// so the janitor cannot spill it from under the ask.
+func (m *sessionManager) acquire(id string) (*managedSession, error) {
 	m.mu.Lock()
-	_, ok := m.sessions[id]
-	if ok {
-		delete(m.sessions, id)
-	}
-	m.mu.Unlock()
-	if path, valid := m.spillPath(id); valid {
-		if err := os.Remove(path); err == nil {
-			ok = true
-		}
-	}
-	return ok
-}
-
-// ask routes one query into a session, serialized per session (two asks
-// into the same session queue behind each other; asks into different
-// sessions run concurrently).
-func (m *sessionManager) ask(ctx context.Context, id, query string) (*gridmind.Exchange, error) {
-	m.mu.Lock()
-	s, ok := m.sessions[id]
-	if !ok {
-		m.mu.Unlock()
-		// The id may name a spilled session; restoring here is what makes
-		// spill-to-disk transparent to clients.
-		var err error
-		if s, err = m.restore(id); err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
+	defer m.mu.Unlock()
+	s, err := m.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	if m.maxQueue > 0 && s.busy >= m.maxQueue {
 		// The hot-session pileup guard: shed load with a 429 instead of
 		// parking an unbounded line of goroutines behind the session lock.
-		m.mu.Unlock()
 		return nil, errQueueFull
 	}
 	s.busy++
 	s.lastUsed = m.now()
+	return s, nil
+}
+
+// release ends an ask admitted by acquire.
+func (m *sessionManager) release(s *managedSession) {
+	m.mu.Lock()
+	s.busy--
+	s.asks++
+	s.lastUsed = m.now()
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		s.busy--
-		s.asks++
-		s.lastUsed = m.now()
-		m.mu.Unlock()
-	}()
+}
+
+// remove deletes a session — live table entry or spill file — in one
+// critical section, so a racing restore either completes first (and its
+// table entry is deleted here) or finds no file; false when neither
+// exists.
+func (m *sessionManager) remove(id string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.sessions[id]
+	delete(m.sessions, id)
+	if path, valid := m.spillPath(id); valid && os.Remove(path) == nil {
+		ok = true
+	}
+	return ok
+}
+
+// ask routes one query into a session ("" = the default session),
+// serialized per session: two asks into the same session queue behind
+// each other; asks into different sessions run concurrently.
+func (m *sessionManager) ask(ctx context.Context, id, query string) (*gridmind.Exchange, error) {
+	s, err := m.acquire(id)
+	if err != nil {
+		return nil, err
+	}
+	defer m.release(s)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gm.Ask(ctx, query)

@@ -50,18 +50,15 @@ func newTestServerFull(t *testing.T, maxSessions, maxQueue int, spillDir string,
 		}
 		return gridmind.New(gridmind.Options{Model: model, Engine: eng})
 	}
-	mgr := newSessionManager(factory, time.Hour, maxSessions, maxQueue, spillDir, met)
+	mgr := newSessionManager(factory, gridmind.ModelGPTO3, time.Hour, maxSessions, maxQueue, spillDir, met)
 	t.Cleanup(mgr.close)
 	profile, _ := llm.ProfileByName(gridmind.ModelGPTO3)
 	s := &server{
-		mgr:      mgr,
-		eng:      eng,
-		met:      met,
-		def:      factory(gridmind.ModelGPTO3),
-		sim:      llm.Handler(llm.NewSim(profile)),
-		maxBody:  4096,
-		gw:       gw,
-		maxQueue: maxQueue,
+		mgr:     mgr,
+		eng:     eng,
+		met:     met,
+		sim:     llm.Handler(llm.NewSim(profile)),
+		maxBody: 4096,
 	}
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
@@ -448,16 +445,17 @@ func TestHotSessionPileupSheds429(t *testing.T) {
 	}
 }
 
-// TestDefaultSessionQueueCap: the session-less /ask path enforces the
-// same in-flight bound as managed sessions.
+// TestDefaultSessionQueueCap: the session-less /ask path is admitted by
+// the manager like any session, so it enforces the same in-flight bound.
 func TestDefaultSessionQueueCap(t *testing.T) {
 	s, ts := newTestServerQueue(t, 8, 1, nil)
+	def := s.mgr.def
 
-	s.defMu.Lock()
+	def.mu.Lock()
 	unlocked := false
 	defer func() {
 		if !unlocked {
-			s.defMu.Unlock()
+			def.mu.Unlock()
 		}
 	}()
 	firstStatus := make(chan int, 1)
@@ -471,7 +469,11 @@ func TestDefaultSessionQueueCap(t *testing.T) {
 		resp.Body.Close()
 		firstStatus <- resp.StatusCode
 	}()
-	waitFor(t, func() bool { return s.defBusy.Load() == 1 })
+	waitFor(t, func() bool {
+		s.mgr.mu.Lock()
+		defer s.mgr.mu.Unlock()
+		return def.busy == 1
+	})
 
 	resp, _ := postJSON(t, ts.URL+"/ask", map[string]any{"query": "What is the current network status?"})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -482,7 +484,7 @@ func TestDefaultSessionQueueCap(t *testing.T) {
 	}
 
 	unlocked = true
-	s.defMu.Unlock()
+	def.mu.Unlock()
 	if st := <-firstStatus; st != http.StatusOK {
 		t.Fatalf("parked default ask finished with status %d, want 200", st)
 	}
@@ -708,7 +710,8 @@ func TestSessionTouchRestores(t *testing.T) {
 // run under -race in CI: 8 sessions ask repeatedly while a fake-clock
 // janitor keeps spilling every idle session and a scraper hammers
 // WritePrometheus. Asks must never 404 — restore-on-touch makes spilling
-// invisible — and the scrape must stay internally consistent.
+// invisible — no acknowledged modification may be lost to a spill that
+// raced the ask, and the scrape must stay internally consistent.
 func TestConcurrentScrapeSpillAsk(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServerFull(t, 16, 8, dir, nil)
@@ -765,17 +768,27 @@ func TestConcurrentScrapeSpillAsk(t *testing.T) {
 		}
 	}()
 
+	// Each asker solves case14, then modifies its own session; mods counts
+	// the modifying asks that were acknowledged with a 200.
 	errs := make([]error, K)
+	mods := make([]int, K)
 	var askers sync.WaitGroup
 	for i, id := range ids {
 		askers.Add(1)
 		go func(i int, id string) {
 			defer askers.Done()
-			for n := 0; n < 3; n++ {
-				resp, out := postJSON(t, ts.URL+"/ask", map[string]any{"query": "Solve IEEE 14", "session_id": id})
+			queries := []string{"Solve IEEE 14"}
+			for k := 1; k <= 3; k++ {
+				queries = append(queries, fmt.Sprintf("Increase the load at bus 9 to %d MW", 30+k))
+			}
+			for n, q := range queries {
+				resp, out := postJSON(t, ts.URL+"/ask", map[string]any{"query": q, "session_id": id})
 				if resp.StatusCode != http.StatusOK {
 					errs[i] = fmt.Errorf("session %s ask %d: status %d body %v", id, n, resp.StatusCode, out)
 					return
+				}
+				if n > 0 {
+					mods[i]++
 				}
 			}
 		}(i, id)
@@ -789,10 +802,86 @@ func TestConcurrentScrapeSpillAsk(t *testing.T) {
 		}
 	}
 
+	// No lost updates: an ask that ran on a session the janitor had already
+	// spilled would leave its diff on an orphan. get restores a spilled one.
+	for i, id := range ids {
+		ms, err := s.mgr.get(id)
+		if err != nil {
+			t.Fatalf("session %s after the run: %v", id, err)
+		}
+		if got := len(ms.gm.Session().Diffs()); got != mods[i] {
+			t.Fatalf("session %s holds %d diffs, want %d (lost update)", id, got, mods[i])
+		}
+	}
+
 	// The final scrape must hold the histogram invariant even after all
 	// that churn: +Inf bucket == observation count.
 	_, _, body := fetchMetrics(t, ts.URL+"/metrics")
 	if !strings.Contains(body, "gridmind_sessions_spilled_total") {
 		t.Fatalf("no spill counters on /metrics:\n%s", body)
+	}
+}
+
+// TestDeleteRacesRestore: a DELETE racing an explicit restore (POST
+// /sessions/{id}) of a spilled session leaves the id in exactly one place
+// or in none, and a DELETE answered 204 is final — the restore cannot
+// bring the session back, and no spill file survives it.
+func TestDeleteRacesRestore(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServerFull(t, 8, 8, dir, nil)
+	var offset atomic.Int64
+	s.mgr.mu.Lock()
+	s.mgr.now = func() time.Time { return time.Now().Add(time.Duration(offset.Load())) }
+	s.mgr.mu.Unlock()
+
+	for iter := 0; iter < 25; iter++ {
+		ms, err := s.mgr.create(gridmind.ModelGPTO3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, spillFile := ms.ID, filepath.Join(dir, ms.ID+".json")
+		offset.Add(int64(2 * time.Hour))
+		if n := s.mgr.expireIdle(); n != 1 {
+			t.Fatalf("iter %d: expired %d sessions, want 1", iter, n)
+		}
+
+		var wg sync.WaitGroup
+		var delStatus int
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return
+			}
+			resp.Body.Close()
+			delStatus = resp.StatusCode
+		}()
+		go func() {
+			defer wg.Done()
+			if resp, err := http.Post(ts.URL+"/sessions/"+id, "application/json", strings.NewReader("{}")); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		wg.Wait()
+
+		s.mgr.mu.Lock()
+		_, live := s.mgr.sessions[id]
+		_, statErr := os.Stat(spillFile)
+		s.mgr.mu.Unlock()
+		if spilled := statErr == nil; live && spilled {
+			t.Fatalf("iter %d: session %s is both live and spilled", iter, id)
+		}
+		if delStatus != http.StatusNoContent {
+			s.mgr.remove(id)
+			continue
+		}
+		if resp, out := postJSON(t, ts.URL+"/ask", map[string]any{"query": "What is the current network status?", "session_id": id}); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("iter %d: ask after a 204 DELETE: status %d body %v, want 404", iter, resp.StatusCode, out)
+		}
+		if _, err := os.Stat(spillFile); !os.IsNotExist(err) {
+			t.Fatalf("iter %d: spill file survived a 204 DELETE: %v", iter, err)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func ExtendedCAToolNames() []string {
 }
 
 // RegisterExtensions adds the extension tools to a registry bound to the
-// same session and shared artifact engine (nil eng disables sharing).
+// same session and shared artifact engine.
 func RegisterExtensions(r *Registry, ctx *session.Context, eng *engine.Engine) error {
 	if err := r.Register(loadSensitivityTool(ctx, eng)); err != nil {
 		return err
@@ -70,18 +70,12 @@ func RegisterExtensions(r *Registry, ctx *session.Context, eng *engine.Engine) e
 
 // scenarioOpts assembles scenario Options from the engine's shared
 // structural artifacts, mirroring sharedOpts for the contingency tools.
-// With a nil engine every call builds what it needs (pre-engine behavior).
 func scenarioOpts(ctx *session.Context, eng *engine.Engine, n *model.Network, withPTDF bool) scenario.Options {
-	var opts scenario.Options
-	if eng == nil {
-		return opts
-	}
 	a := eng.Artifacts(n)
-	opts.BaseYbus = a.Ybus()
-	opts.Topology = a.Topology()
-	opts.Reorder = a.Ordering()
-	opts.Pool = eng.ScenarioPool(ctx.DiffHash())
-	opts.Metrics = eng.Metrics()
+	opts := scenario.Options{
+		BaseYbus: a.Ybus(), Topology: a.Topology(), Reorder: a.Ordering(),
+		Pool: eng.ScenarioPool(ctx.DiffHash()), Metrics: eng.Metrics(),
+	}
 	if withPTDF {
 		if m, err := a.PTDF(); err == nil {
 			opts.PTDF = m
@@ -611,14 +605,10 @@ func compareStrategyTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			// a pooled KKT context so even the FIRST round of a new session
 			// skips pattern compilation when any session solved this
 			// structure before.
-			sopts := scopf.Options{Screen: true, MaxRounds: rounds}
-			if eng != nil {
-				sig := eng.Artifacts(n).Sig
-				kkt := eng.AcquireOPF(sig)
-				defer eng.ReleaseOPF(sig, kkt)
-				sopts.OPF.Context = kkt
-			}
-			cmp, err := scopf.Compare(n, sopts)
+			sig := eng.Artifacts(n).Sig
+			kkt := eng.AcquireOPF(sig)
+			defer eng.ReleaseOPF(sig, kkt)
+			cmp, err := scopf.Compare(n, scopf.Options{Screen: true, MaxRounds: rounds, OPF: opf.Options{Context: kkt}})
 			if err != nil {
 				return nil, err
 			}

@@ -37,8 +37,7 @@ func CAToolNames() []string {
 }
 
 // NewGridMind builds the full registry bound to a session context and a
-// shared artifact engine (nil eng disables artifact sharing: every tool
-// call rebuilds what it needs, the pre-engine behavior).
+// shared artifact engine.
 func NewGridMind(ctx *session.Context, eng *engine.Engine) *Registry {
 	r := NewRegistry()
 	mustRegister := func(t *Tool) {
@@ -59,19 +58,14 @@ func NewGridMind(ctx *session.Context, eng *engine.Engine) *Registry {
 // sharedOpts assembles contingency Options from the engine's shared
 // structural artifacts (base Ybus, topology, ordering cache, the
 // state-keyed worker-context pool, and — when the caller will DC-screen —
-// the PTDF factors). With a nil engine it returns cache-only options, the
-// pre-engine behavior.
+// the PTDF factors).
 func sharedOpts(ctx *session.Context, eng *engine.Engine, n *model.Network, withPTDF bool) contingency.Options {
-	opts := contingency.Options{Cache: ctx.ContCache(), CacheKeyPrefix: ctx.DiffHash()}
-	if eng == nil {
-		return opts
-	}
 	a := eng.Artifacts(n)
-	opts.BaseYbus = a.Ybus()
-	opts.Topology = a.Topology()
-	opts.Reorder = a.Ordering()
-	opts.Pool = eng.SweepPool(ctx.DiffHash())
-	opts.Metrics = eng.Metrics()
+	opts := contingency.Options{
+		Cache: ctx.ContCache(), CacheKeyPrefix: ctx.DiffHash(),
+		BaseYbus: a.Ybus(), Topology: a.Topology(), Reorder: a.Ordering(),
+		Pool: eng.SweepPool(ctx.DiffHash()), Metrics: eng.Metrics(),
+	}
 	if withPTDF {
 		if m, err := a.PTDF(); err == nil {
 			opts.PTDF = m
@@ -131,21 +125,18 @@ var solutionOutputSchema = schema.Obj("ACOPF solution summary", map[string]*sche
 }, "case_name", "solved", "objective_cost", "max_mismatch_pu").WithExtra()
 
 // solveWithRecovery is the §3.2.1 automatic recovery path: primary IPM,
-// then relaxed tolerances, then the dispatch fallback. With an engine, the
-// interior-point solver context (compiled KKT pattern + LU symbolic
-// analysis) is checked out of the structure's shared pool, so every
-// session's solve after the process's first skips pattern compilation.
+// then relaxed tolerances, then the dispatch fallback. The interior-point
+// solver context (compiled KKT pattern + LU symbolic analysis) is checked
+// out of the structure's shared pool, so every session's solve after the
+// process's first skips pattern compilation.
 func solveWithRecovery(ctx *session.Context, eng *engine.Engine) (*opf.Solution, bool, error) {
 	n, err := ctx.Network()
 	if err != nil {
 		return nil, false, err
 	}
-	var kkt *opf.Context
-	if eng != nil {
-		sig := eng.Artifacts(n).Sig
-		kkt = eng.AcquireOPF(sig)
-		defer eng.ReleaseOPF(sig, kkt)
-	}
+	sig := eng.Artifacts(n).Sig
+	kkt := eng.AcquireOPF(sig)
+	defer eng.ReleaseOPF(sig, kkt)
 	sol, err := opf.SolveACOPF(n, opf.Options{Context: kkt})
 	if err == nil && sol.MaxMismatchPU < 1e-4 {
 		return sol, false, nil
@@ -383,7 +374,7 @@ func ensureCASweep(ctx *session.Context, eng *engine.Engine) (*contingency.Resul
 }
 
 // ensureBase returns a fresh base power flow, computing one if needed.
-// With an engine, the solve itself is memoized per session state, so N
+// The solve itself is memoized per session state in the engine, so N
 // sessions at the same state pay for one solve.
 func ensureBase(ctx *session.Context, eng *engine.Engine) (*powerflow.Result, error) {
 	if base, fresh := ctx.BasePF(); fresh && base.Converged {
@@ -393,12 +384,7 @@ func ensureBase(ctx *session.Context, eng *engine.Engine) (*powerflow.Result, er
 	if err != nil {
 		return nil, err
 	}
-	var res *powerflow.Result
-	if eng != nil {
-		res, err = eng.BasePF(ctx.DiffHash(), n)
-	} else {
-		res, err = powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
-	}
+	res, err := eng.BasePF(ctx.DiffHash(), n)
 	if err != nil {
 		return nil, fmt.Errorf("base case power flow failed: %w", err)
 	}

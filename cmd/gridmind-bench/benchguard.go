@@ -18,6 +18,7 @@ import (
 // documents what each one measures.
 var guarded = []string{
 	"BenchmarkN1SweepCase57",
+	"BenchmarkN1SweepCase300",
 	"BenchmarkGenSweepCase57",
 	"BenchmarkN2ScreenCase57",
 	"BenchmarkACOPFCase57",

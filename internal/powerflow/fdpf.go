@@ -12,7 +12,7 @@ import (
 // uses B” taken from the imaginary part of the full Ybus. Both matrices
 // are factorized once and reused every sweep, which is the method's speed
 // advantage and why the agents use it as a cheap fallback.
-func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, float64, bool, error) {
+func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
 	nb := len(n.Buses)
 	aPos := make([]int, nb)
 	mPos := make([]int, nb)
@@ -32,7 +32,7 @@ func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []floa
 		nm++
 	}
 	if na == 0 {
-		return 0, 0, true, nil
+		return 0, 0, 0, true, nil
 	}
 
 	// B': branch susceptances from 1/x, taps and resistance ignored.
@@ -54,9 +54,10 @@ func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []floa
 			bp.Add(aPos[t], aPos[f], -b)
 		}
 	}
+	facts := 1
 	luP, err := sparse.Factorize(bp.ToCSC(), sparse.Options{})
 	if err != nil {
-		return 0, math.Inf(1), false, err
+		return 0, facts, math.Inf(1), false, err
 	}
 
 	var luQ *sparse.LU
@@ -69,9 +70,10 @@ func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []floa
 				bpp.Add(mPos[i], mPos[j], -imag(y.NZv[k]))
 			}
 		}
+		facts++
 		luQ, err = sparse.Factorize(bpp.ToCSC(), sparse.Options{})
 		if err != nil {
-			return 0, math.Inf(1), false, err
+			return 0, facts, math.Inf(1), false, err
 		}
 	}
 
@@ -90,11 +92,11 @@ func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []floa
 		injectionsInto(y, vm, va, cs, sn, p, q)
 		maxMis = fdpfMismatch(c, aPos, mPos, vm, p, q, rhsP, rhsQ)
 		if maxMis < opts.Tol {
-			return iter - 1, maxMis, true, nil
+			return iter - 1, facts, maxMis, true, nil
 		}
 		// P-θ half step.
 		if err := luP.SolveInto(dva, rhsP, workP); err != nil {
-			return iter, maxMis, false, err
+			return iter, facts, maxMis, false, err
 		}
 		for i := 0; i < nb; i++ {
 			if aPos[i] >= 0 {
@@ -106,7 +108,7 @@ func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []floa
 			injectionsInto(y, vm, va, cs, sn, p, q)
 			fdpfMismatch(c, aPos, mPos, vm, p, q, rhsP, rhsQ)
 			if err := luQ.SolveInto(dvm, rhsQ, workQ); err != nil {
-				return iter, maxMis, false, err
+				return iter, facts, maxMis, false, err
 			}
 			for i := 0; i < nb; i++ {
 				if mPos[i] >= 0 {
@@ -120,7 +122,7 @@ func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []floa
 	}
 	injectionsInto(y, vm, va, cs, sn, p, q)
 	maxMis = fdpfMismatch(c, aPos, mPos, vm, p, q, rhsP, rhsQ)
-	return opts.MaxIter, maxMis, maxMis < opts.Tol, nil
+	return opts.MaxIter, facts, maxMis, maxMis < opts.Tol, nil
 }
 
 // fdpfMismatch fills the scaled mismatch vectors ΔP/Vm and ΔQ/Vm and

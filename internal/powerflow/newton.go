@@ -7,14 +7,24 @@ import (
 	"gridmind/internal/sparse"
 )
 
-// newtonInner runs full Newton-Raphson iterations for a fixed PV/PQ split:
-// the shared kernel over the REDUCED index map, whose unknown vector is
-// [Va at non-slack buses; Vm at PQ buses] — PV magnitudes are eliminated
-// (mPos = -1) rather than pinned, so on this map isPQ ⇔ mPos ≥ 0.
-func newtonInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, float64, bool, error) {
-	nb := len(n.Buses)
-	aPos := make([]int, nb)
-	mPos := make([]int, nb)
+// chordContraction is the factor by which a step must cut the max mismatch
+// for the next step to reuse its LU factor (a chord step). A step that
+// falls short is followed by a fresh refill and factorization.
+const chordContraction = 0.2
+
+// newtonInner runs Newton-Raphson with chord steps for a fixed PV/PQ split
+// over the reduced index map.
+func newtonInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
+	return reducedState(y, c).newtonRound(y, c, vm, va, opts, chordContraction)
+}
+
+// reducedState builds the Newton kernel over the REDUCED index map, whose
+// unknown vector is [Va at non-slack buses; Vm at PQ buses] — PV magnitudes
+// are eliminated (mPos = -1) rather than pinned, so on this map isPQ ⇔
+// mPos ≥ 0.
+func reducedState(y *model.Ybus, c *classification) *fixedState {
+	aPos := make([]int, y.N)
+	mPos := make([]int, y.N)
 	dim := 0
 	for i := range aPos {
 		aPos[i], mPos[i] = -1, -1
@@ -27,17 +37,19 @@ func newtonInner(n *model.Network, y *model.Ybus, c *classification, vm, va []fl
 		mPos[i] = dim
 		dim++
 	}
-	return newFixedState(y, aPos, mPos, dim, true).newtonRound(y, c, vm, va, opts)
+	return newFixedState(y, aPos, mPos, dim, true)
 }
 
 // fixedState is the one Newton kernel of the package: index maps, work
 // vectors, the compiled Jacobian and its LU. The Jacobian sparsity pattern
 // is fixed by the Ybus structural nonzeros and the index map, so the
 // symbolic CSC is compiled once per state and only its values are refilled
-// in place each iteration; the LU likewise keeps its symbolic analysis (fill
-// pattern, pivot order) from the first factorization and only refactorizes
-// numerically afterwards. Steady-state iterations therefore perform no
-// pattern construction and no allocation.
+// in place when a step needs a fresh Jacobian; the LU likewise keeps its
+// symbolic analysis (fill pattern, pivot order) from the first
+// factorization and only refactorizes numerically afterwards. Chord steps
+// (see newtonRound) skip both and only solve against the kept factor.
+// Steady-state steps therefore perform no pattern construction and no
+// allocation.
 //
 // Two index maps drive it. The augmented map (augmentedState, the
 // ViewSolver's) gives every non-slack bus a magnitude unknown and pins the
@@ -79,11 +91,23 @@ func newFixedState(y *model.Ybus, aPos, mPos []int, dim int, reduced bool) *fixe
 	return st
 }
 
-// newtonRound iterates Newton to convergence for the split in c. Buses
-// with a magnitude unknown that are not in c.pq are pinned (dVm = 0).
-func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, float64, bool, error) {
+// newtonRound iterates to convergence for the split in c. Buses with a
+// magnitude unknown that are not in c.pq are pinned (dVm = 0).
+//
+// The round's first step refills and factorizes the Jacobian. A step that
+// cut the max mismatch below rho times the previous one keeps that factor:
+// the next step is a chord step, one triangular solve against it. A step
+// that fell short is followed by a fresh refill and factorization, so the
+// round falls back to full Newton wherever the chord stalls; rho = 0 takes
+// full Newton throughout. opts.MaxIter bounds the fresh-Jacobian steps, so
+// chord steps never spend budget a Newton step needs; each chord step cuts
+// the mismatch at least 1/rho-fold, so their number stays bounded too.
+// It returns the steps taken, the LU factorizations (a Repivot fallback
+// counts as one more), the final max mismatch and whether it is below
+// opts.Tol.
+func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []float64, opts Options, rho float64) (steps, facts int, maxMis float64, converged bool, err error) {
 	if st.dim == 0 {
-		return 0, 0, true, nil
+		return 0, 0, 0, true, nil
 	}
 	for i := range st.isPQ {
 		st.isPQ[i] = false
@@ -91,38 +115,29 @@ func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []flo
 	for _, i := range c.pq {
 		st.isPQ[i] = true
 	}
-	for iter := 1; iter <= opts.MaxIter; iter++ {
+	// prevMis starts at 0, so the round's first step always factorizes.
+	var jacobians int
+	var prevMis float64
+	for step := 1; ; step++ {
 		injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
-		maxMis := st.mismatch(c)
+		maxMis = st.mismatch(c)
 		if maxMis < opts.Tol {
-			return iter - 1, maxMis, true, nil
+			return step - 1, facts, maxMis, true, nil
 		}
-
-		st.jac.refill(y, st, vm)
-		if st.lu == nil {
-			if st.colPerm = lookupOrdering(opts.Reorder, st.dim); st.colPerm == nil {
-				if st.reduced {
-					st.colPerm = sparse.MinDegree(st.jac.mat)
-				} else {
-					st.colPerm = busBlockOrdering(y, st)
-				}
-				storeOrdering(opts.Reorder, st.dim, st.colPerm)
+		if !(maxMis < rho*prevMis) {
+			if jacobians >= opts.MaxIter {
+				return step - 1, facts, maxMis, false, nil
 			}
-			lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
+			jacobians++
+			n, err := st.factorize(y, vm, opts)
+			facts += n
 			if err != nil {
-				return iter, maxMis, false, err
-			}
-			st.lu = lu
-		} else if err := st.lu.Refactorize(st.jac.mat); err != nil {
-			// Frozen pivot order hit a zero pivot for these values; redo the
-			// factorization in place with fresh row pivoting. The column
-			// pre-order stays valid — only the pivot choices went stale.
-			if err := st.lu.Repivot(st.jac.mat); err != nil {
-				return iter, maxMis, false, err
+				return step, facts, maxMis, false, err
 			}
 		}
+		prevMis = maxMis
 		if err := st.lu.SolveInto(st.dx, st.rhs, st.work); err != nil {
-			return iter, maxMis, false, err
+			return step, facts, maxMis, false, err
 		}
 		for i, a := range st.aPos {
 			if a >= 0 {
@@ -139,9 +154,37 @@ func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []flo
 			}
 		}
 	}
-	injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
-	maxMis := st.mismatch(c)
-	return opts.MaxIter, maxMis, maxMis < opts.Tol, nil
+}
+
+// factorize refills the Jacobian at the current state and factorizes it:
+// Factorize with the fill-reducing order on the state's first call,
+// Refactorize on the kept symbolic analysis afterwards. It returns the
+// number of numeric factorizations done (2 when Repivot had to follow).
+func (st *fixedState) factorize(y *model.Ybus, vm []float64, opts Options) (int, error) {
+	st.jac.refill(y, st, vm)
+	if st.lu == nil {
+		if st.colPerm = lookupOrdering(opts.Reorder, st.dim); st.colPerm == nil {
+			if st.reduced {
+				st.colPerm = sparse.MinDegree(st.jac.mat)
+			} else {
+				st.colPerm = busBlockOrdering(y, st)
+			}
+			storeOrdering(opts.Reorder, st.dim, st.colPerm)
+		}
+		lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
+		if err != nil {
+			return 1, err
+		}
+		st.lu = lu
+		return 1, nil
+	}
+	if err := st.lu.Refactorize(st.jac.mat); err != nil {
+		// Frozen pivot order hit a zero pivot for these values; redo the
+		// factorization in place with fresh row pivoting. The column
+		// pre-order stays valid — only the pivot choices went stale.
+		return 2, st.lu.Repivot(st.jac.mat)
+	}
+	return 1, nil
 }
 
 // mismatch writes [ΔP; ΔQ or pin] into rhs from the injections in st.p/st.q

@@ -9,7 +9,7 @@ import (
 // Jacobian across solves of structurally similar networks — the N-1 sweep
 // is the canonical user: every outage solves a network that differs from
 // the base by one branch, so the base ordering is reused instead of
-// recomputing RCM per outage.
+// recomputing the minimum-degree ordering per outage.
 //
 // Orderings are keyed by Jacobian dimension. Any permutation of the right
 // length is a valid elimination order for the LU (the choice affects only

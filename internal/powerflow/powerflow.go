@@ -52,8 +52,11 @@ type Options struct {
 	// Tol is the convergence tolerance on the maximum nodal power
 	// mismatch in p.u. Zero selects 1e-8.
 	Tol float64
-	// MaxIter bounds solver iterations. Zero selects 30 for NR and 60 for
-	// the fast-decoupled method.
+	// MaxIter bounds the work of each Q-limit round. For Newton-Raphson it
+	// bounds the Jacobian factorizations; the chord steps between them,
+	// which reuse a factor while the mismatch keeps falling fast, do not
+	// count. For the fast-decoupled method it bounds iterations. Zero
+	// selects 30 for NR and 60 for the fast-decoupled method.
 	MaxIter int
 	// FlatStart forces Vm=1 (or setpoints), Va=0 instead of the case's
 	// stored voltage profile.
@@ -129,11 +132,17 @@ func FillBranchFlows(n *model.Network, flows []BranchFlow, sf, st []complex128) 
 
 // Result is a solved power flow.
 type Result struct {
-	Converged   bool
-	Iterations  int
-	MaxMismatch float64 // p.u., at the returned state
-	Algorithm   Algorithm
-	Voltages    VoltageProfile
+	Converged bool
+	// Iterations counts the solver steps over all Q-limit rounds: for
+	// Newton-Raphson the full Newton and the chord steps alike.
+	Iterations int
+	// Factorizations counts the LU numeric factorizations over all rounds:
+	// for Newton-Raphson one per fresh Jacobian plus one per Repivot
+	// fallback, for the fast-decoupled method B' and B'' once per round.
+	Factorizations int
+	MaxMismatch    float64 // p.u., at the returned state
+	Algorithm      Algorithm
+	Voltages       VoltageProfile
 	// GenP and GenQ are the per-generator outputs in MW / MVAr after
 	// slack pickup and reactive allocation.
 	GenP, GenQ []float64
@@ -262,7 +271,7 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 }
 
 // innerSolver iterates one AC method to convergence for a fixed PV/PQ split.
-type innerSolver func(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (iter int, maxMis float64, converged bool, err error)
+type innerSolver func(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (iter, facts int, maxMis float64, converged bool, err error)
 
 // solveACOuter wraps an inner AC solver with the PV→PQ reactive-limit
 // outer loop and final result assembly.
@@ -278,8 +287,9 @@ func solveACOuter(n *model.Network, opts Options, inner innerSolver) (*Result, e
 	var qScratch *qSwitchScratch
 	const maxQRounds = 6
 	for round := 0; ; round++ {
-		iter, mis, conv, err := inner(n, y, c, vm, va, opts)
+		iter, facts, mis, conv, err := inner(n, y, c, vm, va, opts)
 		res.Iterations += iter
+		res.Factorizations += facts
 		res.MaxMismatch = mis
 		res.Converged = conv
 		if err != nil {
@@ -540,13 +550,16 @@ func Mismatch(n *model.Network, prof *VoltageProfile) []complex128 {
 	return out
 }
 
-// angleWrap keeps angles in (-π, π] for stable warm starts.
+// angleWrap keeps angles in (-π, π] for stable warm starts, in constant
+// time: ±Inf and NaN come back as NaN at once, so a diverging iterate
+// fails the mismatch test instead of spinning. Within one wrap of the
+// range the result equals a ∓ 2π exactly (that subtraction is exact by
+// Sterbenz's lemma, and so is the IEEE remainder).
 func angleWrap(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a <= -math.Pi {
-		a += 2 * math.Pi
+	if a > math.Pi || a <= -math.Pi {
+		if a = math.Remainder(a, 2*math.Pi); a == -math.Pi {
+			a = math.Pi
+		}
 	}
 	return a
 }

@@ -382,6 +382,32 @@ func TestAngleWrap(t *testing.T) {
 	if v := angleWrap(-3 * math.Pi); math.Abs(v-math.Pi) > 1e-12 {
 		t.Fatalf("angleWrap(-3π) = %v want π", v)
 	}
+	if v := angleWrap(-math.Pi); v != math.Pi {
+		t.Fatalf("angleWrap(-π) = %v want π", v)
+	}
+	// Within one wrap the result is the exact single subtraction.
+	for _, a := range []float64{0, 1, -1, math.Pi, 3.2, -3.2, 5, -5, 9.4, -9.4} {
+		want := a
+		if a > math.Pi {
+			want = a - 2*math.Pi
+		} else if a <= -math.Pi {
+			want = a + 2*math.Pi
+		}
+		if v := angleWrap(a); v != want {
+			t.Fatalf("angleWrap(%v) = %v want %v", a, v, want)
+		}
+	}
+	// Far out of range the cost stays constant: no wrap loop to run.
+	for _, a := range []float64{1e9, -1e9, 1e17, -1e17} {
+		if v := angleWrap(a); !(v > -math.Pi && v <= math.Pi) {
+			t.Fatalf("angleWrap(%v) = %v outside (-π, π]", a, v)
+		}
+	}
+	for _, a := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if v := angleWrap(a); !math.IsNaN(v) {
+			t.Fatalf("angleWrap(%v) = %v want NaN", a, v)
+		}
+	}
 }
 
 func TestOutOfServiceBranchExcluded(t *testing.T) {

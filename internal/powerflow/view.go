@@ -24,9 +24,10 @@ import (
 //     A sweep encounters dozens of distinct PV/PQ splits as Q-limits bind
 //     differently per outage; the augmentation makes them all share one
 //     compiled Jacobian pattern and one LU symbolic analysis, so every
-//     post-outage Newton iteration everywhere rides refill + Refactorize —
-//     no pattern work, no symbolic analysis, no allocation in the steady
-//     state.
+//     post-outage Newton round starts with refill + Refactorize and then
+//     takes chord steps on that factor while the mismatch falls fast (see
+//     fixedState.newtonRound) — no pattern work, no symbolic analysis, no
+//     allocation in the steady state.
 //
 // The identity-row trick is exact, not approximate: a pinned row solves
 // dVm_i = 0 identically (its off-row couplings are exact zeros, so no
@@ -184,8 +185,9 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	res := &Result{Algorithm: opts.Algorithm}
 	const maxQRounds = 6
 	for round := 0; ; round++ {
-		iter, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts)
+		iter, facts, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts, chordContraction)
 		res.Iterations += iter
+		res.Factorizations += facts
 		res.MaxMismatch = mis
 		res.Converged = conv
 		if err != nil {

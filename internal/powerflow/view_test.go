@@ -71,6 +71,100 @@ func TestViewSolverMatchesCloneSolve(t *testing.T) {
 	}
 }
 
+// forEachOutage solves every non-islanding branch outage of the named case
+// at the given load scale through one ViewSolver, warm-started from the
+// Q-limited base solve of the scaled network like a sweep, and hands each
+// view result with its materialized network and options to check.
+func forEachOutage(t *testing.T, name string, scale float64, check func(k int, got *powerflow.Result, errV error, post *model.Network, opts powerflow.Options)) {
+	t.Helper()
+	n := cases.MustLoad(name)
+	view := model.NewOutageView(n)
+	view.ScaleLoads(scale)
+	base, err := powerflow.Solve(view.Materialize(), powerflow.Options{EnforceQLimits: true})
+	if err != nil {
+		t.Fatalf("%s x%.1f: base solve: %v", name, scale, err)
+	}
+	solver, err := powerflow.NewViewSolver(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := model.NewTopology(n)
+	comp := make([]int, len(n.Buses))
+	stack := make([]int, len(n.Buses))
+	for k, br := range n.Branches {
+		if !br.InService || topo.Islands(k, comp, stack) > 1 {
+			continue
+		}
+		view.Reset()
+		view.ScaleLoads(scale)
+		view.OutBranch(k)
+		opts := powerflow.Options{EnforceQLimits: true, Warm: &base.Voltages}
+		got, errV := solver.Solve(view, opts)
+		check(k, got, errV, view.Materialize(), opts)
+	}
+}
+
+// TestChordKeepsNewtonClasses pins the chord steps of the Newton kernel to
+// full Newton: every outage the sweeps' view path solves must reach the
+// same convergence verdict and, when converged, the same voltages (1e-6)
+// as the refactorize-every-step reference on the materialized network.
+func TestChordKeepsNewtonClasses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scale float64
+	}{
+		{"case14", 1}, {"case30", 1}, {"case57", 1}, {"case118", 1}, {"case300", 1},
+		{"case57", 1.1}, {"case118", 1.1},
+	} {
+		checked := 0
+		// The reference solves share one ordering cache, as a sweep does;
+		// any column order is exact, so this only skips the ordering work.
+		reorder := powerflow.NewOrderingCache()
+		forEachOutage(t, tc.name, tc.scale, func(k int, got *powerflow.Result, errV error, post *model.Network, opts powerflow.Options) {
+			opts.Reorder = reorder
+			want, errR := powerflow.SolveFullNewton(post, opts)
+			if (errV == nil) != (errR == nil) || got.Converged != want.Converged {
+				t.Fatalf("%s x%.1f branch %d: chord err=%v conv=%v, full Newton err=%v conv=%v",
+					tc.name, tc.scale, k, errV, got.Converged, errR, want.Converged)
+			}
+			checked++
+			if !want.Converged {
+				return
+			}
+			const tol = 1e-6
+			for i := range post.Buses {
+				if d := math.Abs(got.Voltages.Vm[i] - want.Voltages.Vm[i]); d > tol {
+					t.Fatalf("%s x%.1f branch %d bus %d: Vm differs by %.3e", tc.name, tc.scale, k, i, d)
+				}
+				if d := math.Abs(got.Voltages.Va[i] - want.Voltages.Va[i]); d > tol {
+					t.Fatalf("%s x%.1f branch %d bus %d: Va differs by %.3e", tc.name, tc.scale, k, i, d)
+				}
+			}
+		})
+		if checked < 10 {
+			t.Fatalf("%s x%.1f: only %d outages checked", tc.name, tc.scale, checked)
+		}
+	}
+}
+
+// TestChordFactorizationRatio pins the chord gain with a counter instead of
+// a timing: over the case300 N-1 outages, at most one step in three may
+// refactorize the Jacobian (full Newton refactorizes every step).
+func TestChordFactorizationRatio(t *testing.T) {
+	var steps, facts int
+	forEachOutage(t, "case300", 1, func(k int, got *powerflow.Result, errV error, _ *model.Network, _ powerflow.Options) {
+		if errV != nil {
+			t.Fatalf("branch %d: %v", k, errV)
+		}
+		steps += got.Iterations
+		facts += got.Factorizations
+	})
+	t.Logf("case300 N-1: %d steps, %d factorizations (ratio %.3f)", steps, facts, float64(facts)/float64(steps))
+	if facts == 0 || 3*facts > steps {
+		t.Fatalf("%d factorizations over %d steps, want at most one in three", facts, steps)
+	}
+}
+
 // TestViewSolverRestoresBetweenSolves verifies the rank-1 patches leave no
 // residue: solving outage A, then the empty view, reproduces the base
 // solution exactly.

@@ -61,8 +61,6 @@ type (
 	OutageResult = contingency.OutageResult
 	// Exchange is a coordinated multi-agent reply.
 	Exchange = agents.Exchange
-	// Turn is one agent's structured interaction record.
-	Turn = agents.Turn
 	// Interaction is one instrumentation row.
 	Interaction = metrics.Interaction
 	// Quality is the solution-quality assessment schema.
@@ -70,8 +68,6 @@ type (
 	// Engine is the process-wide compiled-artifact store shared by
 	// concurrent sessions (see Options.Engine and NewEngine).
 	Engine = engine.Engine
-	// EngineStats is an Engine's reuse-counter snapshot.
-	EngineStats = engine.Stats
 	// Client is the chat-completion backend interface; see Options.Client.
 	Client = llm.Client
 	// Gateway is a resilient multi-deployment LLM client: routing,
@@ -82,16 +78,11 @@ type (
 	GatewayDeployment = gateway.Deployment
 	// GatewayConfig tunes a Gateway's routing, breakers, retries, health.
 	GatewayConfig = gateway.Config
-	// GatewayStats is a Gateway's counter snapshot.
-	GatewayStats = gateway.Stats
 	// GatewayStrategy names a Gateway routing policy ("priority",
 	// "round-robin", "least-latency", "weighted").
 	GatewayStrategy = gateway.Strategy
 	// GatewayHealthConfig tunes a Gateway's background health probing.
 	GatewayHealthConfig = gateway.HealthConfig
-	// FaultSpec configures deterministic fault injection for chaos testing
-	// (see NewChaosClient).
-	FaultSpec = llm.FaultSpec
 	// ScenarioOptions configures cascade studies, sweeps and episodes.
 	ScenarioOptions = scenario.Options
 	// CascadeEvent is one initiating disturbance for a cascade study.
@@ -115,13 +106,6 @@ type (
 	// publishes on (counters, gauges, latency histograms); scrape it with
 	// WritePrometheus. See Options.Metrics and (*GridMind).MetricsRegistry.
 	MetricsRegistry = obs.Registry
-	// MetricsCounter is an allocation-free monotone counter.
-	MetricsCounter = obs.Counter
-	// MetricsGauge is an allocation-free float64 gauge.
-	MetricsGauge = obs.Gauge
-	// MetricsHistogram is a fixed-bucket latency histogram with summary
-	// quantiles.
-	MetricsHistogram = obs.Histogram
 )
 
 // NewEngine returns a fresh shared artifact store. Hand the same engine to
@@ -129,12 +113,6 @@ type (
 // case share one compilation instead of N; sessions created without one
 // share a process-wide default.
 func NewEngine() *Engine { return engine.New() }
-
-// NewMetricsRegistry returns a fresh observability registry. Pass it via
-// Options.Metrics (and GatewayConfig.Metrics) to collect every layer's
-// instruments on one scrapeable surface; a session created without one
-// publishes on its engine's registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Evaluated model names (the paper's §4 set).
 const (
@@ -391,13 +369,6 @@ func NewSimClient(model string) (Client, error) {
 // for use as a Gateway deployment.
 func NewHTTPClient(endpoint, model string) Client {
 	return &llm.HTTPClient{Endpoint: endpoint, ModelName: model}
-}
-
-// NewChaosClient wraps any client with seeded, deterministic fault
-// injection (errors, latency spikes, stalls, malformed responses) for
-// resilience testing.
-func NewChaosClient(c Client, spec FaultSpec) Client {
-	return llm.NewFaultClient(c, spec)
 }
 
 // ValidateModel returns an error when the model name is not one of the

@@ -157,11 +157,6 @@ type Options struct {
 	// CacheKeyPrefix disambiguates network states in the cache; callers
 	// pass the session's case + diff hash (§3.4 composite key).
 	CacheKeyPrefix string
-	// ReferenceClone selects the legacy clone-per-outage analysis path
-	// instead of the zero-clone OutageView + patched-Ybus fast path. It is
-	// a test-only flag: the differential harness pins the fast path to the
-	// reference implementation with it. Production callers leave it false.
-	ReferenceClone bool
 
 	// BaseYbus, when non-nil, is the base admittance matrix of n, shared
 	// read-only (workers value-copy it before patching). It MUST match n's
@@ -210,7 +205,8 @@ func (o *Options) fill() {
 	}
 }
 
-// ErrNoBase reports a missing or unconverged base-case solution.
+// ErrNoBase reports a missing or unconverged base-case solution, or a
+// network without the slack bus any converged base of it would have.
 var ErrNoBase = errors.New("contingency: base case power flow is required")
 
 // Analyze runs the N-1 sweep. base must be a converged pre-contingency
@@ -244,14 +240,12 @@ func recordSweep(met *obs.Registry, kind string, outages, screened int) {
 // it takes the prebuilt topology, base Ybus and a recyclable solve context
 // from Options when the engine provides them — a single-outage tool query
 // then pays for the solve only, not a topology + Ybus + pattern rebuild.
-// Bare calls (no shared artifacts) build what they need, as before. With
-// opts.ReferenceClone it runs the legacy clone-based path instead (the
-// differential-test reference).
+// Bare calls (no shared artifacts) build what they need, as before. base
+// must be a converged power flow of n, so n has a slack bus; unlike the
+// sweeps, AnalyzeOne does not check this, and panics on a network
+// without one.
 func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
 	opts.fill()
-	if opts.ReferenceClone {
-		return analyzeClone(n, base, branchOutage(k), opts)
-	}
 	topo := opts.Topology
 	if topo == nil {
 		topo = model.NewTopology(n)
@@ -263,10 +257,10 @@ func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *
 
 // scoreOutage fills out's post-solve fields — loading extrema, overload
 // and voltage-violation lists, severity — from a converged power flow.
-// Branch, pair and generator outages, on the view and clone paths alike,
-// share it, so the scoring rules cannot silently diverge between them. n
-// supplies bus IDs and branch endpoints; k and k2 are the outaged branches
-// (zero flow by construction, skipped), −1 when absent.
+// Branch, pair and generator outages, on the view path and in the test
+// reference alike, share it, so the scoring rules cannot silently diverge
+// between them. n supplies bus IDs and branch endpoints; k and k2 are the
+// outaged branches (zero flow by construction, skipped), −1 when absent.
 func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, k, k2 int, opts Options) {
 	out.Converged = true
 	out.Algorithm = res.Algorithm.String()

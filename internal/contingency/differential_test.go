@@ -10,8 +10,8 @@ import (
 
 // The differential harness: for every in-service branch outage of the
 // paper's mid-size cases, the zero-clone OutageView + patched-Ybus path
-// must reproduce the clone-based reference path (Options.ReferenceClone)
-// — classification, flows-derived metrics, voltages and severity — to
+// must reproduce the clone-based reference (analyzeClone) —
+// classification, flows-derived metrics, voltages and severity — to
 // 1e-9. This is the contract that makes the fast path trustworthy: any
 // incremental-update bug (a stale patch, a leaked buffer, a wrong
 // classification reset) shows up as a diff here.
@@ -69,8 +69,9 @@ func TestDifferentialViewVsCloneReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			n := cases.MustLoad(name)
 			base := solveBase(t, n)
+			opts := filledOptions()
 			for _, k := range n.InServiceBranches() {
-				ref := AnalyzeOne(n, base, k, Options{ReferenceClone: true})
+				ref := analyzeClone(n, base, branchOutage(k), opts)
 				got := AnalyzeOne(n, base, k, Options{})
 				if err := diffOutage(ref, got); err != nil {
 					t.Fatalf("%s branch %d: view path diverges from clone reference: %v", name, k, err)
@@ -81,25 +82,25 @@ func TestDifferentialViewVsCloneReference(t *testing.T) {
 }
 
 // TestDifferentialSweepVsCloneReference pins the full parallel sweep (the
-// production entry point, with its per-worker reusable contexts) to the
-// clone-based sweep.
+// production entry point: four workers, pooled reusable contexts, slot
+// ordering) to a sequential loop of clone-based references, so the
+// driver's own logic is checked against code that shares none of it.
 func TestDifferentialSweepVsCloneReference(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
-	ref, err := Analyze(n, base, Options{ReferenceClone: true})
+	got, err := Analyze(n, base, Options{Workers: 4, Pool: NewSweepPool()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Analyze(n, base, Options{})
-	if err != nil {
-		t.Fatal(err)
+	branches := n.InServiceBranches()
+	if len(got.Outages) != len(branches) {
+		t.Fatalf("sweep returned %d outages for %d branches", len(got.Outages), len(branches))
 	}
-	if len(ref.Outages) != len(got.Outages) {
-		t.Fatalf("outage counts differ: %d vs %d", len(ref.Outages), len(got.Outages))
-	}
-	for i := range ref.Outages {
-		if err := diffOutage(&ref.Outages[i], &got.Outages[i]); err != nil {
-			t.Fatalf("outage %d: %v", i, err)
+	opts := filledOptions()
+	for i, k := range branches {
+		ref := analyzeClone(n, base, branchOutage(k), opts)
+		if err := diffOutage(ref, &got.Outages[i]); err != nil {
+			t.Fatalf("outage %d (branch %d): %v", i, k, err)
 		}
 	}
 }

@@ -104,7 +104,8 @@ func prepareGenOutage(n *model.Network, view *model.OutageView, g int) (lostMW, 
 // flow through the branch-outage scoring rule (no branch is out), adding
 // the reserve deficit to the severity. n supplies bus IDs and branch
 // endpoints (shared between the base network and any materialized view,
-// so both paths read identical data).
+// so the view path and the materializing test reference read identical
+// data).
 func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Network, opts Options) {
 	var scored OutageResult
 	scoreOutage(&scored, res, n, -1, -1, opts)
@@ -124,24 +125,24 @@ func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Networ
 type genSweepContext struct {
 	n      *model.Network
 	view   *model.OutageView
-	solver *powerflow.ViewSolver // nil when the base fails to classify
+	solver *powerflow.ViewSolver
 }
 
 // newGenSweepContext prepares a generator-sweep context. baseY (optional)
-// is the shared base admittance matrix to value-copy; nil builds one.
-func newGenSweepContext(n *model.Network, baseY *model.Ybus) *genSweepContext {
-	ctx := &genSweepContext{n: n, view: model.NewOutageView(n)}
-	ctx.solver, _ = powerflow.NewViewSolver(n, baseY)
-	return ctx
+// is the shared base admittance matrix to value-copy; nil builds one. It
+// fails when n cannot be classified (no slack bus).
+func newGenSweepContext(n *model.Network, baseY *model.Ybus) (*genSweepContext, error) {
+	solver, err := powerflow.NewViewSolver(n, baseY)
+	if err != nil {
+		return nil, err
+	}
+	return &genSweepContext{n: n, view: model.NewOutageView(n), solver: solver}, nil
 }
 
 // analyzeGen simulates the loss of generator g on the view path, matching
-// analyzeGenOutageMaterialize result-for-result (the differential harness
-// enforces this to 1e-9).
+// the materializing reference in reference_test.go result-for-result (the
+// differential harness enforces this to 1e-9).
 func (c *genSweepContext) analyzeGen(g int, opts Options) (*GenOutageResult, error) {
-	if c.solver == nil {
-		return analyzeGenOutageMaterialize(c.n, g, opts)
-	}
 	c.view.Reset()
 	lost, deficit, err := prepareGenOutage(c.n, c.view, g)
 	if err != nil {
@@ -170,75 +171,36 @@ func (c *genSweepContext) analyzeGen(g int, opts Options) (*GenOutageResult, err
 // redistributed to the remaining units in proportion to spare capacity
 // (governor-style pickup), then the power flow is re-solved and screened.
 // One-shot calls build a fresh view context; sweeps amortize theirs via
-// AnalyzeGenOutages. With opts.ReferenceClone it runs the legacy
-// materialize-and-solve path instead (the differential-test reference).
+// AnalyzeGenOutages. A network without a slack bus fails with the
+// classification error.
 func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, error) {
 	opts.fill()
-	if opts.ReferenceClone {
-		return analyzeGenOutageMaterialize(n, g, opts)
-	}
-	ctx := opts.Pool.acquireGen(n, opts.BaseYbus)
-	defer opts.Pool.releaseGen(ctx)
-	return ctx.analyzeGen(g, opts)
-}
-
-// analyzeGenOutageMaterialize is the legacy implementation — view
-// materialized into a network, solved through the general-purpose solver —
-// kept as the reference the differential harness pins the in-place
-// classification path against.
-func analyzeGenOutageMaterialize(n *model.Network, g int, opts Options) (*GenOutageResult, error) {
-	view := model.NewOutageView(n)
-	lost, deficit, err := prepareGenOutage(n, view, g)
+	ctx, err := opts.Pool.acquireGen(n, opts.BaseYbus)
 	if err != nil {
 		return nil, err
 	}
-	out := &GenOutageResult{
-		Gen:              g,
-		BusID:            n.Buses[n.Gens[g].Bus].ID,
-		LostMW:           lost,
-		ReserveDeficitMW: deficit,
-	}
-	// The outage touches only generation, so Materialize copies the
-	// generator slice and shares everything else with the base.
-	post := view.Materialize()
-
-	res, err := powerflow.Solve(post, powerflow.Options{EnforceQLimits: true})
-	if err != nil || !res.Converged {
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
-	if err != nil || !res.Converged {
-		out.Converged = false
-		out.Severity = out.LostMW + out.ReserveDeficitMW + 50
-		return out, nil
-	}
-	scoreGenOutage(out, res, post, opts)
-	return out, nil
+	defer opts.Pool.releaseGen(ctx)
+	return ctx.analyzeGen(g, opts)
 }
 
 // AnalyzeGenOutages sweeps every in-service generator (the "N-1 on
 // generation assets" companion of the branch sweep), returning results in
 // generator order. The whole sweep shares one zero-clone solve context, so
-// no network is cloned or materialized on the happy path.
+// no network is cloned or materialized on the happy path. A network
+// without a slack bus fails with the classification error.
 func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error) {
 	opts.fill()
-	// Lazily built: reference-mode sweeps never pay for the solver context.
-	var ctx *genSweepContext
-	defer func() { opts.Pool.releaseGen(ctx) }()
+	ctx, err := opts.Pool.acquireGen(n, opts.BaseYbus)
+	if err != nil {
+		return nil, err
+	}
+	defer opts.Pool.releaseGen(ctx)
 	var out []GenOutageResult
 	for g, gen := range n.Gens {
 		if !gen.InService {
 			continue
 		}
-		var r *GenOutageResult
-		var err error
-		if opts.ReferenceClone {
-			r, err = analyzeGenOutageMaterialize(n, g, opts)
-		} else {
-			if ctx == nil {
-				ctx = opts.Pool.acquireGen(n, opts.BaseYbus)
-			}
-			r, err = ctx.analyzeGen(g, opts)
-		}
+		r, err := ctx.analyzeGen(g, opts)
 		if err != nil {
 			// The irreplaceable slack machine is skipped, not fatal.
 			continue

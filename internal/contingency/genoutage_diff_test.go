@@ -8,7 +8,7 @@ import (
 	"gridmind/internal/model"
 )
 
-// The gen-outage differential harness, mirroring the PR 2 ReferenceClone
+// The gen-outage differential harness, mirroring the branch-outage
 // harness: for every analyzable generator outage of the paper's mid-size
 // cases, the in-place classification path (ViewSolver re-deriving pSpec /
 // reactive aggregates / PV-PQ membership from the view) must reproduce the
@@ -54,12 +54,13 @@ func TestDifferentialGenOutageViewVsMaterializeReference(t *testing.T) {
 	for _, name := range []string{"case30", "case57", "case118"} {
 		t.Run(name, func(t *testing.T) {
 			n := cases.MustLoad(name)
+			opts := filledOptions()
 			checked := 0
 			for g, gen := range n.Gens {
 				if !gen.InService {
 					continue
 				}
-				ref, refErr := AnalyzeGenOutage(n, g, Options{ReferenceClone: true})
+				ref, refErr := analyzeGenOutageMaterialize(n, g, opts)
 				got, gotErr := AnalyzeGenOutage(n, g, Options{})
 				if (refErr == nil) != (gotErr == nil) {
 					t.Fatalf("%s gen %d: error class differs: %v vs %v", name, g, refErr, gotErr)

@@ -26,8 +26,8 @@ type N2Pair struct {
 }
 
 // N2Options configures AnalyzeN2. The embedded Options fields keep their
-// N-1 meanings (workers, thresholds, cache, the test-only ReferenceClone
-// flag); DCScreen is implied — use NoPreScreen to disable it.
+// N-1 meanings (workers, thresholds, cache, shared artifacts); DCScreen is
+// implied — use NoPreScreen to disable it.
 type N2Options struct {
 	Options
 

@@ -141,10 +141,11 @@ func TestN2RejectsMalformedPairs(t *testing.T) {
 	}
 }
 
-// TestN2DifferentialVsCloneReference is the pair analogue of the PR 2
-// harness: on the full seeded candidate set of case57, the zero-clone pair
-// path must reproduce the brute-force clone-based reference pair for pair
-// to 1e-9 — and in particular agree on the top-10 ranking.
+// TestN2DifferentialVsCloneReference is the pair analogue of the branch
+// harness: on the full seeded candidate set of case57, the parallel
+// zero-clone pair sweep must reproduce a sequential loop of brute-force
+// clone-based references pair for pair to 1e-9 — and in particular agree
+// on the top-10 ranking.
 func TestN2DifferentialVsCloneReference(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
@@ -154,22 +155,24 @@ func TestN2DifferentialVsCloneReference(t *testing.T) {
 	}
 	// A couple of mixed pairs ride along so the gen path is differentially
 	// covered inside the pair machinery too.
-	opts := N2Options{TopK: 10, GenSeeds: []int{1, 3}}
-	pairs := SeedN2Pairs(n, n1, opts)
+	pairs := SeedN2Pairs(n, n1, N2Options{TopK: 10, GenSeeds: []int{1, 3}})
 	if len(pairs) < 45 {
 		t.Fatalf("only %d candidate pairs seeded", len(pairs))
 	}
 
-	ref, err := AnalyzeN2(n, base, n1, N2Options{Options: Options{ReferenceClone: true}, Pairs: pairs, NoPreScreen: true})
+	got, err := AnalyzeN2(n, base, n1, N2Options{
+		Options: Options{Workers: 4, Pool: NewSweepPool()}, Pairs: pairs, NoPreScreen: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeN2(n, base, n1, N2Options{Pairs: pairs, NoPreScreen: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(got.Outages) != len(pairs) {
+		t.Fatalf("sweep returned %d records for %d pairs", len(got.Outages), len(pairs))
 	}
-	if len(ref.Outages) != len(got.Outages) || len(ref.Outages) != len(pairs) {
-		t.Fatalf("result counts differ: %d vs %d (pairs %d)", len(ref.Outages), len(got.Outages), len(pairs))
+	ref := &ResultSet{Outages: make([]OutageResult, len(pairs))}
+	opts := filledOptions()
+	for i, p := range pairs {
+		ref.Outages[i] = *analyzeClone(n, base, p, opts)
 	}
 	for i := range ref.Outages {
 		r, g := &ref.Outages[i], &got.Outages[i]

@@ -70,12 +70,19 @@ func (p *SweepPool) release(c *sweepContext) {
 	}
 }
 
-// acquireGen is acquire for generator-outage contexts.
-func (p *SweepPool) acquireGen(n *model.Network, baseY *model.Ybus) *genSweepContext {
+// acquireGen is acquire for generator-outage contexts; it fails, as
+// newGenSweepContext does, when n has no slack bus.
+func (p *SweepPool) acquireGen(n *model.Network, baseY *model.Ybus) (*genSweepContext, error) {
 	if p == nil {
 		return newGenSweepContext(n, baseY)
 	}
-	return p.gen.Get(n, func() *genSweepContext { return newGenSweepContext(n, baseY) })
+	var err error
+	ctx := p.gen.Get(n, func() *genSweepContext {
+		var c *genSweepContext
+		c, err = newGenSweepContext(n, baseY)
+		return c
+	})
+	return ctx, err
 }
 
 // releaseGen returns a generator-outage context to its network's free list.

@@ -1,0 +1,104 @@
+package contingency
+
+import (
+	"gridmind/internal/model"
+	"gridmind/internal/powerflow"
+)
+
+// The brute-force references the differential harnesses pin the zero-clone
+// paths against. They share the scoring rules (scoreOutage,
+// scoreGenOutage, severity) and the load-shed estimate with production
+// code, and nothing of the solve machinery: each outage deep-clones (or
+// materializes) the network and re-solves it from scratch. opts must be
+// filled.
+
+// analyzeClone is the deep-clone reference for sweepContext.analyze —
+// clone, mark the elements out (with governor redispatch for a generator),
+// islanding check, warm Newton with a fast-decoupled fallback.
+func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
+	out := newOutageResult(n, p)
+	post := n.Clone()
+	post.Branches[p.BranchA].InService = false
+	if p.BranchB >= 0 {
+		post.Branches[p.BranchB].InService = false
+	}
+	var deficit float64
+	if p.Gen >= 0 {
+		view := model.NewOutageView(n)
+		var err error
+		if _, deficit, err = prepareGenOutage(n, view, p.Gen); err == nil {
+			post.Gens[p.Gen].InService = false
+			for gi := range post.Gens {
+				if post.Gens[gi].InService {
+					post.Gens[gi].P = view.Gen(gi).P
+				}
+			}
+		}
+	}
+
+	comp, count := post.ConnectedComponents()
+	if count > 1 {
+		out.Islanded = true
+		out.LoadShedMW = islandedLoad(post.Loads, comp, post.SlackBus())
+		out.Severity = severity(out, opts)
+		return out
+	}
+
+	pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder}
+	if !opts.NoWarmStart {
+		pfOpts.Warm = base.Voltages.Clone()
+	}
+	res, err := powerflow.Solve(post, pfOpts)
+	if err != nil || !res.Converged {
+		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
+	}
+	if err != nil || !res.Converged {
+		out.LoadShedMW = estimateLoadShed(post)
+		out.Severity = severity(out, opts) + deficit
+		return out
+	}
+	scoreOutage(out, res, post, p.BranchA, p.BranchB, opts)
+	out.Severity += deficit
+	return out
+}
+
+// analyzeGenOutageMaterialize is the reference for
+// genSweepContext.analyzeGen: the view is materialized into a network and
+// solved through the general-purpose solver, instead of re-deriving the
+// classification in place.
+func analyzeGenOutageMaterialize(n *model.Network, g int, opts Options) (*GenOutageResult, error) {
+	view := model.NewOutageView(n)
+	lost, deficit, err := prepareGenOutage(n, view, g)
+	if err != nil {
+		return nil, err
+	}
+	out := &GenOutageResult{
+		Gen:              g,
+		BusID:            n.Buses[n.Gens[g].Bus].ID,
+		LostMW:           lost,
+		ReserveDeficitMW: deficit,
+	}
+	// The outage touches only generation, so Materialize copies the
+	// generator slice and shares everything else with the base.
+	post := view.Materialize()
+
+	res, err := powerflow.Solve(post, powerflow.Options{EnforceQLimits: true})
+	if err != nil || !res.Converged {
+		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
+	}
+	if err != nil || !res.Converged {
+		out.Converged = false
+		out.Severity = out.LostMW + out.ReserveDeficitMW + 50
+		return out, nil
+	}
+	scoreGenOutage(out, res, post, opts)
+	return out, nil
+}
+
+// filledOptions returns the zero Options with every default filled in, as
+// the references expect.
+func filledOptions() Options {
+	var opts Options
+	opts.fill()
+	return opts
+}

@@ -12,9 +12,9 @@ import (
 
 // One outage pipeline serves the N-1 sweep (Analyze) and the N-2 sweep
 // (AnalyzeN2). An outage is an N2Pair; a single branch outage is its
-// one-element case, BranchB = Gen = −1. The driver, the DC screen, the
-// zero-clone analyzer and the clone reference each exist once and branch
-// on the outage's shape only where the physics differs.
+// one-element case, BranchB = Gen = −1. The driver, the DC screen and the
+// zero-clone analyzer each exist once and branch on the outage's shape
+// only where the physics differs.
 
 // branchOutage is the single-outage case of N2Pair.
 func branchOutage(k int) N2Pair { return N2Pair{BranchA: k, BranchB: -1, Gen: -1} }
@@ -72,13 +72,14 @@ func validateOutages(n *model.Network, outages []N2Pair, pairsOnly bool) error {
 }
 
 // sweep runs the outage list through the pipeline — cache, then the DC
-// screen when dcScreen is set, then zero-clone AC analysis (or the clone
-// reference) — and returns one record per outage in list order, whatever
-// the worker count. kind labels the sweep metrics ("n1" or "n2"); an "n2"
-// list must hold pairs only.
+// screen when dcScreen is set, then zero-clone AC analysis — and returns
+// one record per outage in list order, whatever the worker count. kind
+// labels the sweep metrics ("n1" or "n2"); an "n2" list must hold pairs
+// only. A network without a slack bus fails as ErrNoBase: no base of it
+// can have converged, and it cannot host a view solver.
 func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind string, dcScreen bool, opts Options) (*ResultSet, error) {
 	opts.fill()
-	if base == nil || !base.Converged {
+	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	if err := validateOutages(n, outages, kind == "n2"); err != nil {
@@ -147,12 +148,9 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 				if screen != nil {
 					r = screen.trySecure(n, p, opts)
 				}
-				switch {
-				case r != nil:
+				if r != nil {
 					screened.Add(1)
-				case opts.ReferenceClone:
-					r = analyzeClone(n, base, p, opts)
-				default:
+				} else {
 					if ctx == nil {
 						prepOnce.Do(prep)
 						ctx = opts.Pool.acquire(n, base, topo, baseY)
@@ -183,7 +181,7 @@ type sweepContext struct {
 	topo  *model.Topology
 	slack int
 
-	solver *powerflow.ViewSolver // nil when the base fails to classify
+	solver *powerflow.ViewSolver
 	view   *model.OutageView
 
 	comp, stack []int
@@ -201,10 +199,13 @@ func newSweepContext(n *model.Network, base *powerflow.Result, topo *model.Topol
 		comp:  make([]int, len(n.Buses)),
 		stack: make([]int, len(n.Buses)),
 	}
-	// A base that cannot classify (no slack) cannot host a view solver;
-	// analyze falls back to the clone path, which reports the failure the
-	// same way the legacy code did.
-	ctx.solver, _ = powerflow.NewViewSolver(n, baseY)
+	solver, err := powerflow.NewViewSolver(n, baseY)
+	if err != nil {
+		// Classification fails only without a slack bus, which sweep
+		// rejects as ErrNoBase and AnalyzeOne's contract excludes.
+		panic(err)
+	}
+	ctx.solver = solver
 	return ctx
 }
 
@@ -246,17 +247,14 @@ func islandedLoad(loads []model.Load, comp []int, slack int) float64 {
 }
 
 // analyze simulates the outage p — one branch, two branches, or a branch
-// plus a generator — on the zero-clone path and scores it, matching
-// analyzeClone result-for-result (the differential harnesses enforce
-// this). The islanding check removes both branches from the prebuilt
-// topology (a −1 skip removes nothing); the view stacks the outages, whose
-// rank-1 Ybus patches stack the same way inside ViewSolver.Solve; and a
-// generator loss rides the solver's in-place classification instead of
-// falling back to Materialize.
+// plus a generator — on the zero-clone path and scores it, matching the
+// clone reference in reference_test.go result-for-result (the
+// differential harnesses enforce this). The islanding check removes both
+// branches from the prebuilt topology (a −1 skip removes nothing); the
+// view stacks the outages, whose rank-1 Ybus patches stack the same way
+// inside ViewSolver.Solve; and a generator loss rides the solver's
+// in-place classification instead of falling back to Materialize.
 func (c *sweepContext) analyze(p N2Pair, opts Options) *OutageResult {
-	if c.solver == nil {
-		return analyzeClone(c.n, c.base, p, opts)
-	}
 	out := newOutageResult(c.n, p)
 
 	// Islanding check first: an outage that splits the grid sheds all load
@@ -297,57 +295,6 @@ func (c *sweepContext) analyze(p N2Pair, opts Options) *OutageResult {
 		}
 	}
 	scoreOutage(out, res, c.n, p.BranchA, p.BranchB, opts)
-	out.Severity += deficit
-	return out
-}
-
-// analyzeClone is the legacy deep-clone implementation — clone, mark the
-// elements out (with governor redispatch for a generator), islanding
-// check, warm Newton with a fast-decoupled fallback — kept as the
-// reference the differential harnesses pin analyze against.
-func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
-	out := newOutageResult(n, p)
-	post := n.Clone()
-	post.Branches[p.BranchA].InService = false
-	if p.BranchB >= 0 {
-		post.Branches[p.BranchB].InService = false
-	}
-	var deficit float64
-	if p.Gen >= 0 {
-		view := model.NewOutageView(n)
-		var err error
-		if _, deficit, err = prepareGenOutage(n, view, p.Gen); err == nil {
-			post.Gens[p.Gen].InService = false
-			for gi := range post.Gens {
-				if post.Gens[gi].InService {
-					post.Gens[gi].P = view.Gen(gi).P
-				}
-			}
-		}
-	}
-
-	comp, count := post.ConnectedComponents()
-	if count > 1 {
-		out.Islanded = true
-		out.LoadShedMW = islandedLoad(post.Loads, comp, post.SlackBus())
-		out.Severity = severity(out, opts)
-		return out
-	}
-
-	pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder}
-	if !opts.NoWarmStart {
-		pfOpts.Warm = base.Voltages.Clone()
-	}
-	res, err := powerflow.Solve(post, pfOpts)
-	if err != nil || !res.Converged {
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
-	if err != nil || !res.Converged {
-		out.LoadShedMW = estimateLoadShed(post)
-		out.Severity = severity(out, opts) + deficit
-		return out
-	}
-	scoreOutage(out, res, post, p.BranchA, p.BranchB, opts)
 	out.Severity += deficit
 	return out
 }

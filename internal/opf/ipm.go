@@ -47,21 +47,25 @@ type nlp struct {
 	order func(m *sparse.CSC) []int
 }
 
+// kktSolver computes the IPM's Newton direction: it solves the reduced KKT
+// system assembled (assembleKKT) at iterate (x, λ, μ, z) against rhs. The
+// error text is the IPM's failure message. *kktSystem is the solver; the
+// tests substitute a from-scratch reference.
+type kktSolver interface {
+	solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error)
+}
+
 // ipmOptions tunes the primal-dual interior-point solver. Zero values
 // select the MIPS defaults.
 type ipmOptions struct {
 	FeasTol, GradTol, CompTol, CostTol float64
 	MaxIter                            int
-	// kkt, when non-nil, supplies a (possibly pre-compiled) fixed-pattern
-	// KKT system, letting warm-started re-solves on the same topology skip
-	// pattern compilation and LU symbolic analysis. Nil compiles a private
-	// one on the first iteration.
-	kkt *kktSystem
-	// reference selects the legacy per-iteration assembly pipeline —
-	// triplet COO, CSC compression and a full symbolic+numeric LU
-	// factorization every iteration. Test-only: it exists as the
-	// differential reference the fixed-pattern path is pinned against.
-	reference bool
+	// kkt, when non-nil, supplies the Newton-direction solver — typically a
+	// (possibly pre-compiled) fixed-pattern KKT system, letting
+	// warm-started re-solves on the same topology skip pattern compilation
+	// and LU symbolic analysis. Nil compiles a private kktSystem on the
+	// first iteration.
+	kkt kktSolver
 }
 
 func (o *ipmOptions) fill() {
@@ -109,31 +113,6 @@ func costProgress(f, fOld float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(f-fOld) / (1 + math.Abs(fOld))
-}
-
-// referenceKKT is the legacy per-iteration assembly pipeline, kept only as
-// the differential-test reference: build a COO, compress to CSC, reuse an
-// RCM ordering computed on the first iteration's pattern, and run a full
-// LU factorization every iteration. It pins the pivot threshold at 0.1
-// instead of the default 0.001, so the differential harness also checks
-// the production threshold against a stricter one.
-type referenceKKT struct {
-	colPerm []int
-}
-
-func (rk *referenceKKT) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
-	dim := p.nx + p.ng
-	kkt := sparse.NewCOO(dim, dim)
-	assembleKKT(p, ev, x, lam, mu, z, kkt.Add)
-	csc := kkt.ToCSC()
-	if rk.colPerm == nil {
-		rk.colPerm = sparse.RCM(csc)
-	}
-	lu, err := sparse.Factorize(csc, sparse.Options{ColPerm: rk.colPerm, DiagPreference: 0.1})
-	if err != nil {
-		return nil, err
-	}
-	return lu.Solve(rhs)
 }
 
 // solveIPM runs the MIPS-style primal-dual interior-point method
@@ -185,11 +164,9 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 	}
 
 	kkt := opts.kkt
-	if kkt == nil && !opts.reference {
+	if kkt == nil {
 		kkt = &kktSystem{}
 	}
-	compiledThisSolve := false // distinguishes cached patterns from own ones
-	var ref referenceKKT
 
 	// Per-solve buffers, allocated once and refilled every iteration.
 	lx := make([]float64, nx)
@@ -251,38 +228,9 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 		}
 
 		// Newton direction.
-		var sol []float64
-		var err error
-		if opts.reference {
-			sol, err = ref.solve(p, ev, x, lam, mu, z, rhs)
-		} else {
-			err = nil
-			if kkt.compiled() {
-				if err = kkt.refill(p, ev, x, lam, mu, z); err != nil && !compiledThisSolve {
-					// Coordinate drift against a pattern cached from an
-					// EARLIER solve: a structural change slipped past the
-					// signature — recompile for this problem and continue.
-					// Drift against a pattern compiled in THIS solve is a
-					// value-dependent emitter, a contract violation that must
-					// fail loudly (reported distinctly from singularity).
-					kkt.mat = nil
-					err = nil
-				}
-			}
-			if err == nil && !kkt.compiled() {
-				// compile captures the pattern AND accumulates the values,
-				// so the compile iteration needs no refill pass.
-				kkt.compile(p, ev, x, lam, mu, z)
-				compiledThisSolve = true
-			}
-			if err != nil {
-				res.Message = err.Error()
-				return res, fmt.Errorf("%w: %s", errNumerical, res.Message)
-			}
-			sol, err = kkt.factorAndSolve(rhs)
-		}
+		sol, err := kkt.solve(p, ev, x, lam, mu, z, rhs)
 		if err != nil {
-			res.Message = "singular KKT system: " + err.Error()
+			res.Message = err.Error()
 			return res, fmt.Errorf("%w: %s", errNumerical, res.Message)
 		}
 		dx := sol[:nx]

@@ -80,6 +80,10 @@ type kktSystem struct {
 	vals        []float64
 	refillE     int
 	refillDrift int
+	// compiledThisSolve tells a pattern compiled in the current solve from
+	// one a Context carried over from an earlier solve (Context.acquire
+	// clears it); solve treats emission drift against the two differently.
+	compiledThisSolve bool
 	// counters for tests and telemetry: factors counts full
 	// factorizations, the first one plus every repivot
 	compiles, factors, refactors, repivots int
@@ -146,6 +150,7 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) {
 		k.refillE = e + 1
 	}
 	k.compiles++
+	k.compiledThisSolve = true
 }
 
 // refill overwrites the matrix values in place through the slot map — no
@@ -168,6 +173,34 @@ func (k *kktSystem) refill(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
 		return fmt.Errorf("opf: KKT emission %d drifted from compiled coordinate (%d,%d): the hess/eval pattern is not structural", k.refillDrift, k.ri[u], k.ci[u])
 	}
 	return nil
+}
+
+// solve is the fixed-pattern Newton-direction step: compile the pattern on
+// first use, refill the values in place on every later iteration, then
+// factor and solve. Drift against a pattern cached from an EARLIER solve
+// means a structural change slipped past the signature, so the pattern is
+// recompiled for this problem; drift against a pattern compiled in THIS
+// solve is a value-dependent emitter, a contract violation that fails
+// loudly (reported distinctly from singularity).
+func (k *kktSystem) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
+	if k.compiled() {
+		if err := k.refill(p, ev, x, lam, mu, z); err != nil {
+			if k.compiledThisSolve {
+				return nil, err
+			}
+			k.mat = nil
+		}
+	}
+	if !k.compiled() {
+		// compile captures the pattern AND accumulates the values, so the
+		// compile iteration needs no refill pass.
+		k.compile(p, ev, x, lam, mu, z)
+	}
+	sol, err := k.factorAndSolve(rhs)
+	if err != nil {
+		return nil, fmt.Errorf("singular KKT system: %w", err)
+	}
+	return sol, nil
 }
 
 // factorAndSolve solves the current matrix against rhs into k.sol. The
@@ -367,6 +400,7 @@ func (c *Context) TakeFactorizations() (refactors, repivots int) {
 func (c *Context) acquire(prob *acopf) *kktSystem {
 	sig := prob.signature()
 	if c.kkt != nil && sigMatch(c.sig, sig) {
+		c.kkt.compiledThisSolve = false
 		c.sig = sig
 		if c.es == nil {
 			c.es = newEvalScratch(prob)

@@ -10,10 +10,10 @@ import (
 
 // TestIPMFixedPatternMatchesReference is the differential harness for the
 // fixed-pattern KKT path: the compiled-pattern + Refactorize pipeline must
-// reproduce the legacy per-iteration assembly (COO build, CSC compression,
-// full symbolic LU each step — kept behind the test-only ReferenceKKT
-// flag) to tight tolerance on every case. The two pipelines share the
-// emission code but nothing of the linear-solver plumbing, so agreement
+// reproduce the per-iteration assembly of referenceKKT (COO build, CSC
+// compression, full symbolic LU each step, in reference_test.go) to tight
+// tolerance on every case. The two pipelines share the emission code and
+// the IPM loop but nothing of the linear-solver plumbing, so agreement
 // pins ordering, slot mapping, refactorization, the pivot-stability
 // fallback and the pivot threshold (the reference factors at 0.1) all at
 // once.
@@ -24,7 +24,7 @@ func TestIPMFixedPatternMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s fixed: %v", name, err)
 		}
-		ref, err := SolveACOPF(n, Options{ReferenceKKT: true})
+		ref, err := solveACOPFReference(n)
 		if err != nil {
 			t.Fatalf("%s reference: %v", name, err)
 		}

@@ -34,10 +34,6 @@ type Options struct {
 	// first skips pattern compilation entirely. Not safe for concurrent
 	// use. See NewContext.
 	Context *Context
-	// ReferenceKKT selects the legacy per-iteration KKT assembly (COO
-	// build, CSC compression, full symbolic LU every iteration). Test-only:
-	// the differential harness pins the fixed-pattern path against it.
-	ReferenceKKT bool
 }
 
 // Solution is the paper's ACOPFSolution data model (Appendix C): every
@@ -118,10 +114,9 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 	iopts := ipmOptions{
 		FeasTol: opts.FeasTol, GradTol: opts.GradTol,
 		CompTol: opts.CompTol, CostTol: opts.CostTol,
-		MaxIter:   opts.MaxIter,
-		reference: opts.ReferenceKKT,
+		MaxIter: opts.MaxIter,
 	}
-	if opts.Context != nil && !opts.ReferenceKKT {
+	if opts.Context != nil {
 		// acquire also installs the Context's cached evalScratch (same
 		// structural signature governs both); without a Context, eval
 		// lays out a private one lazily.

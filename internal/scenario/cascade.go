@@ -84,12 +84,16 @@ type CascadeResult struct {
 	Severity float64 `json:"severity"`
 }
 
-// cascadeState is the solve backend of a cascade: the pooled zero-clone
-// view path (viewState) or the brute-force clone path (cloneState) the
-// differential harness pins it against. Everything above this interface —
-// trip selection, islanding, redispatch planning, scoring — is shared
-// code, so the two paths can only diverge in the solver itself.
+// cascadeState is the solve backend of a cascade or an episode step: the
+// pooled zero-clone view path (viewState), or the brute-force clone
+// reference in reference_test.go that the differential harnesses pin it
+// against. Everything above this interface — trip selection, islanding,
+// redispatch planning, scoring — is shared code, so the two paths can
+// only diverge in the solver itself.
 type cascadeState interface {
+	// prepare starts from the pristine base with the event's load scale
+	// and the plan's generator outages and dispatch targets applied.
+	prepare(ev Event, fp fleetPlan)
 	// trip applies additional branch outages cumulatively.
 	trip(branches []int)
 	// solve runs the power flow at the current cumulative state.
@@ -143,48 +147,8 @@ func (s *viewState) setGenP(g int, p float64) { s.view.SetGenP(g, p) }
 func (s *viewState) inService(g int) bool     { return s.view.GenInService(g) }
 func (s *viewState) effP(g int) float64       { return s.view.Gen(g).P }
 
-// cloneState is the reference path: one deep clone per cascade, mutated
-// progressively (outages flip InService, redispatch writes P, load scale
-// rewrites the load table) and re-solved from scratch per stage.
-type cloneState struct {
-	n *model.Network
-}
-
-func newCloneState(base *model.Network, ev Event, fp fleetPlan) *cloneState {
-	n := base.Clone()
-	for _, g := range fp.out {
-		n.Gens[g].InService = false
-	}
-	for _, t := range fp.targets {
-		n.Gens[t.gen].P = t.p
-	}
-	if ls := ev.loadScale(); ls != 1 {
-		for i := range n.Loads {
-			n.Loads[i].P *= ls
-			n.Loads[i].Q *= ls
-		}
-	}
-	return &cloneState{n: n}
-}
-
-func (s *cloneState) trip(branches []int) {
-	for _, k := range branches {
-		s.n.Branches[k].InService = false
-	}
-}
-
-func (s *cloneState) solve(opts powerflow.Options) (*powerflow.Result, error) {
-	return powerflow.Solve(s.n, opts)
-}
-
-func (s *cloneState) materialize() *model.Network { return s.n }
-
-func (s *cloneState) setGenP(g int, p float64) { s.n.Gens[g].P = p }
-func (s *cloneState) inService(g int) bool     { return s.n.Gens[g].InService }
-func (s *cloneState) effP(g int) float64       { return s.n.Gens[g].P }
-
-// Ctx is one worker's reusable cascade state: the view solver whose
-// compiled Newton pattern and LU symbolic analysis persist across
+// Ctx is one worker's reusable cascade state: the view backend whose
+// solver keeps its compiled Newton pattern and LU symbolic analysis across
 // cascades, plus the shared base topology and the allocation-free
 // islanding/mask buffers. Not safe for concurrent use; Pool hands one per
 // worker.
@@ -193,39 +157,43 @@ type Ctx struct {
 	topo  *model.Topology
 	slack int
 
-	solver *powerflow.ViewSolver // nil when the base fails to classify
-	view   *model.OutageView
+	vs viewState
 
 	comp, stack []int
 	mask        []bool
 }
 
-// NewCtx builds a worker context over base network n. topo must describe
-// n's in-service branches (nil builds one); baseY, when non-nil, is the
-// shared base admittance matrix to value-copy.
+// NewCtx builds a worker context over base network n, which must have a
+// slack bus. topo must describe n's in-service branches (nil builds one);
+// baseY, when non-nil, is the shared base admittance matrix to value-copy.
 func NewCtx(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Ctx {
 	if topo == nil {
 		topo = model.NewTopology(n)
 	}
-	c := &Ctx{
+	solver, err := powerflow.NewViewSolver(n, baseY)
+	if err != nil {
+		// Classification fails only without a slack bus, which every entry
+		// point rejects as ErrNoBase.
+		panic(err)
+	}
+	return &Ctx{
 		n:     n,
 		topo:  topo,
 		slack: n.SlackBus(),
-		view:  model.NewOutageView(n),
+		vs:    viewState{view: model.NewOutageView(n), solver: solver},
 		comp:  make([]int, len(n.Buses)),
 		stack: make([]int, len(n.Buses)),
 		mask:  make([]bool, len(n.Branches)),
 	}
-	c.solver, _ = powerflow.NewViewSolver(n, baseY)
-	return c
 }
 
-// runCascade drives one cascade study over the chosen backend. Both
-// backends run this exact loop — islanding, scoring, trip selection and
-// redispatch are literally shared code — so the differential harness
-// checking identical trip sequences and matching stage metrics pins the
-// solver backends against each other, nothing else.
-func runCascade(c *Ctx, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
+// runCascade drives one cascade study over the backend st, using c for
+// the base topology and scratch buffers. Both backends run this exact
+// loop — islanding, scoring, trip selection and redispatch are literally
+// shared code — so the differential harness checking identical trip
+// sequences and matching stage metrics pins the solver backends against
+// each other, nothing else. Production callers pass &c.vs.
+func runCascade(c *Ctx, st cascadeState, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
 	n := c.n
 	fp := planGenOutages(n, ev.Gens)
 	r := &CascadeResult{
@@ -234,15 +202,7 @@ func runCascade(c *Ctx, base *powerflow.Result, ev Event, opts Options) *Cascade
 		LostGenMW:    fp.lostMW,
 		GenDeficitMW: fp.deficitMW,
 	}
-
-	var st cascadeState
-	if opts.ReferenceClone || c.solver == nil {
-		st = newCloneState(n, ev, fp)
-	} else {
-		vs := &viewState{view: c.view, solver: c.solver}
-		vs.prepare(ev, fp)
-		st = vs
-	}
+	st.prepare(ev, fp)
 
 	for i := range c.mask {
 		c.mask[i] = false
@@ -432,17 +392,16 @@ func (r *CascadeResult) computeSeverity(opts Options) {
 }
 
 // Cascade runs one cascade study from the initiating event over a solved
-// base case. The fast path stacks the cumulative trip set as rank-1 Ybus
-// patches on a pooled worker context; Options.ReferenceClone selects the
-// clone-and-resolve reference instead.
+// base case. The cumulative trip set stacks as rank-1 Ybus patches on a
+// pooled worker context.
 func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (*CascadeResult, error) {
-	if base == nil || !base.Converged {
+	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	opts.fill()
 	ctx := acquireCtx(&opts, n)
 	defer releaseCtx(&opts, ctx)
-	r := runCascade(ctx, base, ev, opts)
+	r := runCascade(ctx, &ctx.vs, base, ev, opts)
 	recordScenario(opts.Metrics, "cascade", 1, 0)
 	return r, nil
 }
@@ -520,10 +479,9 @@ func screenSeed(n *model.Network, preMW, basePct []float64, k int, opts Options)
 // Sweep runs a cascade study seeded from every in-service branch outage.
 // With Options.DCScreen and a PTDF matrix, seeds the DC re-screen (via
 // the lazy LODF memo, see screenSeed) certifies as non-cascading are
-// recorded OutcomeScreened with no AC work — the screen is shared sweep
-// code, identical on the fast and reference paths.
+// recorded OutcomeScreened with no AC work.
 func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult, error) {
-	if base == nil || !base.Converged {
+	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	opts.fill()
@@ -565,7 +523,7 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 						continue
 					}
 				}
-				sw.Results[k] = runCascade(ctx, base, Event{Branches: []int{k}}, opts)
+				sw.Results[k] = runCascade(ctx, &ctx.vs, base, Event{Branches: []int{k}}, opts)
 			}
 		}()
 	}

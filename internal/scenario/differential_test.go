@@ -141,15 +141,10 @@ func TestCascadeDifferentialSeeds(t *testing.T) {
 			t.Run(name+"/"+cfg.label, func(t *testing.T) {
 				n := cases.MustLoad(name)
 				base := solveBase(t, n)
-				refOpts, fastOpts := cfg.opts, cfg.opts
-				refOpts.ReferenceClone = true
 				var deepest int
 				for _, k := range n.InServiceBranches() {
-					ref, err := Cascade(n, base, cfg.ev(k), refOpts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Cascade(n, base, cfg.ev(k), fastOpts)
+					ref := cascadeReference(n, base, cfg.ev(k), cfg.opts)
+					got, err := Cascade(n, base, cfg.ev(k), cfg.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -177,8 +172,6 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 			n := cases.MustLoad(name)
 			base := solveBase(t, n)
 			opts := Options{TripPct: 108, Redispatch: true}
-			refOpts := opts
-			refOpts.ReferenceClone = true
 			branches := n.InServiceBranches()
 			for i, k := range branches {
 				ev := Event{
@@ -186,10 +179,7 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 					Gens:      []int{i % len(n.Gens)},
 					LoadScale: 1.05,
 				}
-				ref, err := Cascade(n, base, ev, refOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref := cascadeReference(n, base, ev, opts)
 				got, err := Cascade(n, base, ev, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -202,38 +192,57 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 	}
 }
 
-// TestCascadeSweepDifferential pins the full parallel sweep — worker
-// pool, context reuse, DC screen disabled so every seed is studied —
-// against the clone-backed sweep, including the aggregate classification.
+// TestCascadeSweepDifferential pins the full parallel sweep — four
+// workers, pooled context reuse, DC screen disabled so every seed is
+// studied — against a sequential loop of clone-backed cascades, including
+// the aggregate classification the sweep derives from them.
 func TestCascadeSweepDifferential(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
-	ref, err := Sweep(n, base, Options{ReferenceClone: true})
+	got, err := Sweep(n, base, Options{Workers: 4, Pool: NewPool()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Sweep(n, base, Options{Pool: NewPool()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Seeds != got.Seeds || ref.Stable != got.Stable || ref.Islanded != got.Islanded ||
-		ref.Collapsed != got.Collapsed || ref.DepthLimited != got.DepthLimited || ref.Cascaded != got.Cascaded {
-		t.Fatalf("aggregate classification differs: ref %+v vs got %+v", ref, got)
-	}
-	if ref.WorstSeed != got.WorstSeed || !close9(ref.WorstSeverity, got.WorstSeverity) {
-		t.Fatalf("worst seed: (%d, %v) vs (%d, %v)", ref.WorstSeed, ref.WorstSeverity, got.WorstSeed, got.WorstSeverity)
-	}
-	for k := range ref.Results {
-		r, g := ref.Results[k], got.Results[k]
-		if (r == nil) != (g == nil) {
-			t.Fatalf("seed %d: presence differs", k)
-		}
-		if r == nil {
+	want := SweepResult{WorstSeed: -1}
+	for k := range n.Branches {
+		g := got.Results[k]
+		if !n.Branches[k].InService {
+			if g != nil {
+				t.Fatalf("seed %d is out of service but has a result", k)
+			}
 			continue
+		}
+		r := cascadeReference(n, base, Event{Branches: []int{k}}, Options{})
+		if g == nil {
+			t.Fatalf("seed %d: no result", k)
 		}
 		if err := diffCascade(r, g); err != nil {
 			t.Fatalf("seed %d: %v", k, err)
 		}
+		want.Seeds++
+		switch r.Outcome {
+		case OutcomeStable:
+			want.Stable++
+		case OutcomeIslanded:
+			want.Islanded++
+		case OutcomeCollapse:
+			want.Collapsed++
+		case OutcomeDepthLimit:
+			want.DepthLimited++
+		}
+		if r.Depth > 0 {
+			want.Cascaded++
+		}
+		if r.Severity > want.WorstSeverity {
+			want.WorstSeverity, want.WorstSeed = r.Severity, k
+		}
+	}
+	if want.Seeds != got.Seeds || want.Stable != got.Stable || want.Islanded != got.Islanded ||
+		want.Collapsed != got.Collapsed || want.DepthLimited != got.DepthLimited || want.Cascaded != got.Cascaded {
+		t.Fatalf("aggregate classification differs: want %+v vs got %+v", want, got)
+	}
+	if want.WorstSeed != got.WorstSeed || !close9(want.WorstSeverity, got.WorstSeverity) {
+		t.Fatalf("worst seed: (%d, %v) vs (%d, %v)", want.WorstSeed, want.WorstSeverity, got.WorstSeed, got.WorstSeverity)
 	}
 }
 

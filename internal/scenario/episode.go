@@ -48,58 +48,45 @@ type EpisodeResult struct {
 // the pooled view solver (no clone, no recompilation) and warm-starts
 // from the previous step's voltage profile — consecutive operating points
 // are close, so steps typically converge in a couple of Newton
-// iterations. Options.ReferenceClone solves a fresh clone per step
-// instead; the episode differential harness pins the two.
+// iterations.
 func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) (*EpisodeResult, error) {
-	if base == nil || !base.Converged {
+	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	opts.fill()
 	ctx := acquireCtx(&opts, n)
 	defer releaseCtx(&opts, ctx)
+	er := runEpisode(n, &ctx.vs, base, steps, opts)
+	recordScenario(opts.Metrics, "episode", len(er.Steps), 0)
+	return er, nil
+}
 
+// runEpisode solves every step on the backend st, which the cascade
+// driver shares: a step is an event with the step's load scale, its
+// dispatch overrides as plan targets and its in-service outaged branches
+// as one trip. Production callers pass the worker context's view backend.
+func runEpisode(n *model.Network, st cascadeState, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
 	er := &EpisodeResult{WorstStep: -1, MinMarginPct: 100, MinVoltagePU: base.MinVm}
 	warm := &base.Voltages
+	// Reused across steps: neither backend retains the plan or trip list.
+	var fp fleetPlan
+	var out []int
 	for si, step := range steps {
-		pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm}
-		var res *powerflow.Result
-		var err error
-		if opts.ReferenceClone || ctx.solver == nil {
-			m := n.Clone()
-			if ls := stepScale(step); ls != 1 {
-				for i := range m.Loads {
-					m.Loads[i].P *= ls
-					m.Loads[i].Q *= ls
-				}
+		fp.targets = fp.targets[:0]
+		for g, p := range step.GenP {
+			if g >= 0 && g < len(n.Gens) {
+				fp.targets = append(fp.targets, genTarget{gen: g, p: p})
 			}
-			for g, p := range step.GenP {
-				if g >= 0 && g < len(m.Gens) {
-					m.Gens[g].P = p
-				}
-			}
-			for _, k := range step.BranchesOut {
-				if k >= 0 && k < len(m.Branches) {
-					m.Branches[k].InService = false
-				}
-			}
-			res, err = powerflow.Solve(m, pfOpts)
-		} else {
-			ctx.view.Reset()
-			if ls := stepScale(step); ls != 1 {
-				ctx.view.ScaleLoads(ls)
-			}
-			for g, p := range step.GenP {
-				if g >= 0 && g < len(n.Gens) {
-					ctx.view.SetGenP(g, p)
-				}
-			}
-			for _, k := range step.BranchesOut {
-				if k >= 0 && k < len(n.Branches) && n.Branches[k].InService {
-					ctx.view.OutBranch(k)
-				}
-			}
-			res, err = ctx.solver.Solve(ctx.view, pfOpts)
 		}
+		st.prepare(Event{LoadScale: step.LoadScale}, fp)
+		out = out[:0]
+		for _, k := range step.BranchesOut {
+			if k >= 0 && k < len(n.Branches) && n.Branches[k].InService {
+				out = append(out, k)
+			}
+		}
+		st.trip(out)
+		res, err := st.solve(powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm})
 
 		sr := StepResult{Step: si}
 		if err != nil || !res.Converged {
@@ -144,15 +131,7 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 		er.Steps = append(er.Steps, sr)
 		warm = &res.Voltages
 	}
-	recordScenario(opts.Metrics, "episode", len(er.Steps), 0)
-	return er, nil
-}
-
-func stepScale(s EpisodeStep) float64 {
-	if s.LoadScale <= 0 {
-		return 1
-	}
-	return s.LoadScale
+	return er
 }
 
 // maskForStep marks the step's outaged branches so loading stats skip

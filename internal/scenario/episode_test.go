@@ -41,10 +41,7 @@ func TestEpisodeDifferential(t *testing.T) {
 			n := cases.MustLoad(name)
 			base := solveBase(t, n)
 			steps := episodeSteps(n, 24)
-			ref, err := Episode(n, base, steps, Options{ReferenceClone: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := episodeReference(n, base, steps, Options{})
 			got, err := Episode(n, base, steps, Options{Pool: NewPool()})
 			if err != nil {
 				t.Fatal(err)
@@ -102,7 +99,7 @@ func TestEpisodeDeterminismAndWarmStart(t *testing.T) {
 			t.Fatalf("step %d did not converge", i)
 		}
 		m := n.Clone()
-		if ls := stepScale(step); ls != 1 {
+		if ls := (Event{LoadScale: step.LoadScale}).loadScale(); ls != 1 {
 			for j := range m.Loads {
 				m.Loads[j].P *= ls
 				m.Loads[j].Q *= ls

@@ -83,7 +83,7 @@ type MCResult struct {
 // with Wilson 95% intervals. Parallel across Cascade.Workers; outcome
 // order and every drawn event are scheduling-independent.
 func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, error) {
-	if base == nil || !base.Converged {
+	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	mo.fill()
@@ -107,7 +107,7 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 					return
 				}
 				ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
-				r := runCascade(ctx, base, ev, mo.Cascade)
+				r := runCascade(ctx, &ctx.vs, base, ev, mo.Cascade)
 				so := SampleOutcome{
 					Sample:     i,
 					Event:      ev,

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -53,9 +54,11 @@ func TestMCDeterminism(t *testing.T) {
 	}
 }
 
-// TestMCDifferential pins the Monte Carlo fast path against the clone
-// reference backend: identical seeds draw identical events, so the two
-// must agree on every sampled outcome within the cascade tolerance.
+// TestMCDifferential pins the parallel Monte Carlo driver against the
+// clone reference backend: every sample's event must be the one its
+// derived seed draws, and cascading that event on the clone backend must
+// reproduce the sampled outcome within the cascade tolerance — as must
+// the loss-of-load and overload intervals built from those outcomes.
 func TestMCDifferential(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
@@ -64,31 +67,43 @@ func TestMCDifferential(t *testing.T) {
 		Seed:             7,
 		BranchOutageProb: 0.03,
 		LoadSigma:        0.04,
-	}
-	ref := mo
-	ref.Cascade = Options{ReferenceClone: true}
-	mo.Cascade = Options{Pool: NewPool()}
-	want, err := RunMC(n, base, ref)
-	if err != nil {
-		t.Fatal(err)
+		Cascade:          Options{Workers: 4, Pool: NewPool()},
 	}
 	got, err := RunMC(n, base, mo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Outcomes {
-		w, g := want.Outcomes[i], got.Outcomes[i]
-		if !reflect.DeepEqual(w.Event, g.Event) {
-			t.Fatalf("sample %d: drew different events %+v vs %+v", i, w.Event, g.Event)
+	var lol, ovl int
+	for i, g := range got.Outcomes {
+		ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
+		if !reflect.DeepEqual(g.Event, ev) {
+			t.Fatalf("sample %d: event %+v, seed draws %+v", i, g.Event, ev)
 		}
-		if w.Outcome != g.Outcome || w.Depth != g.Depth ||
-			w.Overloaded != g.Overloaded || w.LossOfLoad != g.LossOfLoad ||
-			!close9(w.LoadShedMW, g.LoadShedMW) || !close9(w.MaxLoadingPct, g.MaxLoadingPct) {
-			t.Fatalf("sample %d: view outcome %+v diverges from clone reference %+v", i, g, w)
+		r := cascadeReference(n, base, ev, Options{})
+		var maxPct float64
+		overloaded := false
+		for _, sg := range r.Stages {
+			maxPct = math.Max(maxPct, sg.MaxLoadingPct)
+			overloaded = overloaded || len(sg.Overloads) > 0
+		}
+		lossOfLoad := r.LoadShedMW > 1e-9
+		if g.Outcome != r.Outcome || g.Depth != r.Depth ||
+			g.Overloaded != overloaded || g.LossOfLoad != lossOfLoad ||
+			!close9(g.LoadShedMW, r.LoadShedMW) || !close9(g.MaxLoadingPct, maxPct) {
+			t.Fatalf("sample %d: view outcome %+v diverges from clone reference %+v", i, g, r)
+		}
+		if lossOfLoad {
+			lol++
+		}
+		if overloaded {
+			ovl++
 		}
 	}
-	if want.LossOfLoad != got.LossOfLoad || want.Overload != got.Overload {
-		t.Fatalf("aggregate intervals diverge: %+v vs %+v", want, got)
+	if want := wilson(lol, mo.Samples); got.LossOfLoad != want {
+		t.Fatalf("loss-of-load interval %+v, reference outcomes give %+v", got.LossOfLoad, want)
+	}
+	if want := wilson(ovl, mo.Samples); got.Overload != want {
+		t.Fatalf("overload interval %+v, reference outcomes give %+v", got.Overload, want)
 	}
 }
 

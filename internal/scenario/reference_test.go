@@ -1,0 +1,62 @@
+package scenario
+
+import (
+	"gridmind/internal/model"
+	"gridmind/internal/powerflow"
+)
+
+// cloneState is the brute-force reference backend the differential
+// harnesses run the shared cascade and episode drivers over: one deep
+// clone per cascade (or episode step), mutated progressively (outages flip
+// InService, redispatch writes P, load scale rewrites the load table) and
+// re-solved from scratch per stage.
+type cloneState struct {
+	base *model.Network
+	n    *model.Network
+}
+
+func (s *cloneState) prepare(ev Event, fp fleetPlan) {
+	s.n = s.base.Clone()
+	for _, g := range fp.out {
+		s.n.Gens[g].InService = false
+	}
+	for _, t := range fp.targets {
+		s.n.Gens[t.gen].P = t.p
+	}
+	if ls := ev.loadScale(); ls != 1 {
+		for i := range s.n.Loads {
+			s.n.Loads[i].P *= ls
+			s.n.Loads[i].Q *= ls
+		}
+	}
+}
+
+func (s *cloneState) trip(branches []int) {
+	for _, k := range branches {
+		s.n.Branches[k].InService = false
+	}
+}
+
+func (s *cloneState) solve(opts powerflow.Options) (*powerflow.Result, error) {
+	return powerflow.Solve(s.n, opts)
+}
+
+func (s *cloneState) materialize() *model.Network { return s.n }
+
+func (s *cloneState) setGenP(g int, p float64) { s.n.Gens[g].P = p }
+func (s *cloneState) inService(g int) bool     { return s.n.Gens[g].InService }
+func (s *cloneState) effP(g int) float64       { return s.n.Gens[g].P }
+
+// cascadeReference runs one cascade through the shared driver on the clone
+// backend, as Cascade does on the view backend.
+func cascadeReference(n *model.Network, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
+	opts.fill()
+	return runCascade(NewCtx(n, nil, nil), &cloneState{base: n}, base, ev, opts)
+}
+
+// episodeReference runs an episode through the shared driver on the clone
+// backend, as Episode does on the view backend.
+func episodeReference(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
+	opts.fill()
+	return runEpisode(n, &cloneState{base: n}, base, steps, opts)
+}

@@ -8,8 +8,8 @@
 // Ybus patches on multi-outage OutageViews, episodes ride the view
 // solver's in-place spec re-derivation (uniform load scaling + dispatch
 // overrides), and Monte Carlo samples replay seeded outage/load draws
-// through the same cascade driver. A clone-and-resolve reference path
-// (Options.ReferenceClone) backs the differential harness, exactly as the
+// through the same cascade driver. A clone-and-resolve reference backend
+// in reference_test.go backs the differential harness, exactly as the
 // contingency sweeps are pinned.
 package scenario
 
@@ -39,7 +39,8 @@ func recordScenario(met *obs.Registry, kind string, units, screened int) {
 	}
 }
 
-// ErrNoBase reports a missing or unconverged base-case solution.
+// ErrNoBase reports a missing or unconverged base-case solution, or a
+// network without the slack bus any converged base of it would have.
 var ErrNoBase = errors.New("scenario: a converged base power flow is required")
 
 // Options configures cascade studies, sweeps and episodes. The zero value
@@ -71,9 +72,7 @@ type Options struct {
 	Workers int
 	// DCScreen enables the lazy-LODF pre-screen in cascade sweeps: seed
 	// outages whose DC-predicted worst loading stays below ScreenThreshold
-	// are certified non-cascading without any AC work. The screen is part
-	// of the sweep semantics shared by the fast and reference paths, so it
-	// cannot diverge between them.
+	// are certified non-cascading without any AC work.
 	DCScreen bool
 	// ScreenThreshold is the absolute predicted-loading bar of the screen;
 	// zero selects 85 (the N-1 screener's). A seed is certified when every
@@ -84,10 +83,6 @@ type Options struct {
 	// the DC prediction is MW-only and absolute bars can't certify
 	// anything on a base that already runs branches in the 90s.
 	ScreenThreshold float64
-	// ReferenceClone selects the brute-force clone-and-resolve backend
-	// instead of the pooled zero-clone view backend. Test-only: the
-	// differential harness pins the fast path against it.
-	ReferenceClone bool
 
 	// BaseYbus/Topology/PTDF/Reorder are the engine's shared structural
 	// artifacts (see contingency.Options for the matching contracts). Nil

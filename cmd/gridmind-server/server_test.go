@@ -259,7 +259,7 @@ func TestMetricsPrometheus(t *testing.T) {
 		"# TYPE gridmind_engine_ptdf_builds_total counter",
 		`gridmind_engine_pristine_lookups_total{result="miss"} 1`,
 		`gridmind_engine_opf_context_checkouts_total{result=`,
-		`gridmind_opf_kkt_factorizations_total{kind="refactor"}`,
+		"# TYPE gridmind_opf_kkt_factorizations_total counter",
 		`gridmind_engine_base_pf_total{result=`,
 		"# TYPE gridmind_tool_latency_seconds histogram",
 		"gridmind_tool_latency_seconds_bucket{",

@@ -63,7 +63,7 @@ type engineStats struct {
 	topoBuilds                   *obs.Counter
 	ptdfBuilds                   *obs.Counter
 	opfReuses, opfCreates        *obs.Counter
-	kktRefactors, kktRepivots    *obs.Counter
+	kktFactors                   *obs.Counter
 	sweepPoolHits, sweepPoolNew  *obs.Counter
 	scnPoolHits, scnPoolNew      *obs.Counter
 	basePFHits, basePFSolves     *obs.Counter
@@ -87,8 +87,7 @@ func newEngineStats(met *obs.Registry) engineStats {
 		ptdfBuilds:     met.Counter("gridmind_engine_ptdf_builds_total", "PTDF factor matrices actually constructed."),
 		opfReuses:      lookup("gridmind_engine_opf_context_checkouts_total", "KKT solver-context checkouts by result (reuse = from pool, create = fresh compile).", "reuse"),
 		opfCreates:     lookup("gridmind_engine_opf_context_checkouts_total", "", "create"),
-		kktRefactors:   met.Counter("gridmind_opf_kkt_factorizations_total", "KKT factorizations of pooled interior-point contexts by kind (refactor = frozen pivots reused, repivot = fresh row pivots after a frozen one went unstable).", "kind", "refactor"),
-		kktRepivots:    met.Counter("gridmind_opf_kkt_factorizations_total", "", "kind", "repivot"),
+		kktFactors:     met.Counter("gridmind_opf_kkt_factorizations_total", "Numeric LDLᵀ factorizations of the KKT system run by pooled interior-point contexts, one per interior-point step."),
 		sweepPoolHits:  lookup("gridmind_engine_sweep_pool_lookups_total", "Contingency sweep-pool lookups by session state.", "hit"),
 		sweepPoolNew:   lookup("gridmind_engine_sweep_pool_lookups_total", "", "new"),
 		scnPoolHits:    lookup("gridmind_engine_scenario_pool_lookups_total", "Scenario worker-pool lookups by session state.", "hit"),
@@ -361,7 +360,7 @@ func (a *Artifacts) Ordering() *powerflow.OrderingCache { return a.reorder }
 // AcquireOPF checks a reusable interior-point solver context out of the
 // structure's pool, creating one when the pool is empty. opf.Context is
 // not safe for concurrent use, hence checkout/checkin; a context carries
-// the compiled KKT pattern + LU symbolic analysis, so a checked-out reuse
+// the compiled KKT pattern + LDLᵀ symbolic analysis, so a checked-out reuse
 // skips pattern compilation entirely. Return it with ReleaseOPF. Contexts
 // self-verify their structural signature, so a stale checkin (topology
 // changed between checkout and checkin) degrades to a recompile, never to
@@ -374,12 +373,10 @@ func (e *Engine) AcquireOPF(sig string) *opf.Context {
 }
 
 // ReleaseOPF returns a context to the structure's pool, publishing the KKT
-// refactorizations and repivots it ran while checked out.
+// factorizations it ran while checked out.
 func (e *Engine) ReleaseOPF(sig string, c *opf.Context) {
 	if c != nil {
-		refactors, repivots := c.TakeFactorizations()
-		e.stats.kktRefactors.Add(int64(refactors))
-		e.stats.kktRepivots.Add(int64(repivots))
+		e.stats.kktFactors.Add(int64(c.TakeFactorizations()))
 		e.opfFree.Put(sig, c)
 	}
 }

@@ -131,12 +131,12 @@ func TestOPFPoolCheckoutCheckin(t *testing.T) {
 	}
 	// Checkin publishes the KKT factorizations the solves ran, and takes
 	// them: the context has nothing left to report.
-	refactors := e.Metrics().Counter("gridmind_opf_kkt_factorizations_total", "", "kind", "refactor")
-	if refactors.Value() == 0 {
-		t.Fatal("checkin published no KKT refactorizations")
+	factors := e.Metrics().Counter("gridmind_opf_kkt_factorizations_total", "")
+	if factors.Value() == 0 {
+		t.Fatal("checkin published no KKT factorizations")
 	}
-	if r, p := c2.TakeFactorizations(); r != 0 || p != 0 {
-		t.Fatalf("context still reports %d/%d factorizations after checkin, want 0/0", r, p)
+	if n := c2.TakeFactorizations(); n != 0 {
+		t.Fatalf("context still reports %d factorizations after checkin, want 0", n)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 // TestIPMSteadyStateZeroAllocs pins the interior-point steady state at
 // exactly zero allocations: after the first iteration has compiled the
 // KKT pattern and the evalScratch row layout, one full iteration's linear
-// algebra — eval refill, KKT slot-map refill, LU Refactorize on the
-// retained symbolic analysis, and SolveInto — must not touch the heap.
+// algebra — eval refill, KKT slot-map refill, the numeric LDLᵀ factor on
+// the retained symbolic analysis, SolveInto and the refinement step —
+// must not touch the heap.
 // This is the contract the evalScratch/kktSystem pair exists to provide;
 // any append or fresh slice creeping back into the hot path fails here
 // before it shows up as a benchmark regression.
@@ -33,7 +34,7 @@ func TestIPMSteadyStateZeroAllocs(t *testing.T) {
 			}
 			// The converged state stands in for any steady-state iterate:
 			// z and μ are strictly positive, the pattern is compiled, the
-			// LU symbolic analysis is warm.
+			// LDLᵀ symbolic analysis is warm.
 			x, lam, mu, z := res.X, res.Lam, res.Mu, res.Z
 			rhs := make([]float64, p.nx+p.ng)
 			var failed error

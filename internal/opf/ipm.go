@@ -63,7 +63,7 @@ type ipmOptions struct {
 	// kkt, when non-nil, supplies the Newton-direction solver — typically a
 	// (possibly pre-compiled) fixed-pattern KKT system, letting
 	// warm-started re-solves on the same topology skip pattern compilation
-	// and LU symbolic analysis. Nil compiles a private kktSystem on the
+	// and LDLᵀ symbolic analysis. Nil compiles a private kktSystem on the
 	// first iteration.
 	kkt kktSolver
 }
@@ -127,10 +127,10 @@ func costProgress(f, fOld float64) float64 {
 //
 // The KKT sparsity pattern is fixed by the problem structure, so it is
 // compiled once (or inherited pre-compiled from a reusable Context) and
-// after iteration 0 each step performs only a slot-map value refill, an
-// LU Refactorize on the retained symbolic analysis, and an allocation-free
-// SolveInto — no COO construction, no CSC compression, no symbolic
-// factorization.
+// after iteration 0 each step performs only a slot-map value refill, a
+// numeric LDLᵀ factorization on the retained symbolic analysis, and an
+// allocation-free solve with one refinement step — no COO construction,
+// no CSC compression, no symbolic factorization.
 func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 	opts.fill()
 	const (

@@ -9,17 +9,34 @@ import (
 // This file is the fixed-pattern KKT machinery of the interior-point
 // solver: the reduced KKT system's sparsity pattern is compiled once per
 // problem, values are refilled in place through a slot map each iteration,
-// and the LU symbolic analysis is reused via Refactorize — the same recipe
-// powerflow/newton.go applies to the power-flow Jacobian, ported to the
-// saddle-point system
+// and the symmetric saddle-point system
 //
 //	[ M   dgᵀ ]      M = ∇²L + dhᵀ·diag(μ/z)·dh
 //	[ dg   0  ]
+//
+// is factored by a static-pivot sparse LDLᵀ (sparse.LDL) whose symbolic
+// analysis — elimination tree and fill pattern on the fill-reducing order
+// — is built once together with the pattern. Pivots stay on the diagonal
+// in that order: a shift of +kktShift on the primal columns and −kktShift
+// on the equality rows makes the matrix quasi-definite, and
+// kktRefineSteps steps of iterative refinement against the unshifted
+// matrix take the shift back out of the Newton direction.
 //
 // A kktSystem additionally survives ACROSS solves of the same network
 // topology (see Context), so SCOPF tightening rounds, sensitivity
 // re-solves and warm-started SolveACOPF calls skip pattern compilation and
 // symbolic analysis entirely.
+
+// kktShift is δ, the static regularisation of the KKT factor, added at
+// the pivot only (the matrix keeps its values): +δ on the primal columns,
+// −δ on the equality rows. kktRefineSteps is the number of iterative
+// refinement steps against the unshifted matrix after each solve; without
+// it the shift alone moves the IPM path (case30 takes 23 iterations
+// instead of the unshifted 24).
+const (
+	kktShift       = 1e-8
+	kktRefineSteps = 1
+)
 
 // assembleKKT emits every entry of the reduced KKT matrix in a fixed,
 // value-independent order: the Lagrangian Hessian (via p.hess, whose
@@ -53,9 +70,9 @@ func assembleKKT(p *nlp, ev *nlpEval, x, lam, mu, z []float64, emit func(i, j in
 
 // kktSystem holds the compiled KKT linear system: the CSC matrix with its
 // fixed structural pattern, the emission→value-slot map, the fill-reducing
-// column pre-order, the LU factorization whose symbolic analysis is reused
-// across iterations (and solves), and the solve buffers. The zero value is
-// ready to use; compile runs lazily on the first iteration.
+// order, the LDLᵀ factor whose symbolic analysis is built with the
+// pattern, and the solve buffers. The zero value is ready to use; compile
+// runs lazily on the first iteration.
 type kktSystem struct {
 	dim   int
 	nEmit int
@@ -68,9 +85,10 @@ type kktSystem struct {
 	emitUniq []int
 	ri, ci   []int
 	colPerm  []int
-	lu       *sparse.LU
-	sol      []float64
-	work     []float64
+	ldl      *sparse.LDL
+	// sol, res and work are the solve buffers: the Newton direction, the
+	// refinement residual and the factor's workspace.
+	sol, res, work []float64
 	// refillFn is the refill emitter, built once at compile time with its
 	// cursor state (refillE/refillDrift) hoisted onto the struct: a
 	// closure literal inside refill would be re-allocated on every
@@ -84,18 +102,19 @@ type kktSystem struct {
 	// one a Context carried over from an earlier solve (Context.acquire
 	// clears it); solve treats emission drift against the two differently.
 	compiledThisSolve bool
-	// counters for tests and telemetry: factors counts full
-	// factorizations, the first one plus every repivot
-	compiles, factors, refactors, repivots int
+	// counters for tests and telemetry: pattern compilations and numeric
+	// factorizations
+	compiles, factors int
 }
 
 func (k *kktSystem) compiled() bool { return k.mat != nil }
 
 // compile records one structural emission of the full KKT assembly,
-// deduplicates coordinates, and compiles the CSC pattern plus the
-// emission→slot map. The values captured along the way are accumulated
-// into the matrix, so the compile iteration needs no separate refill pass.
-func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) {
+// deduplicates coordinates, compiles the CSC pattern plus the
+// emission→slot map, orders it and runs the LDLᵀ symbolic analysis. The
+// values captured along the way are accumulated into the matrix, so the
+// compile iteration needs no separate refill pass.
+func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
 	dim := p.nx + p.ng
 	var ri, ci []int
 	seen := make(map[int64]int)
@@ -115,6 +134,23 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) {
 	}
 	assembleKKT(p, ev, x, lam, mu, z, capture)
 	mat, slot := sparse.CompilePattern(dim, dim, ri, ci)
+	var colPerm []int
+	if p.order != nil {
+		colPerm = p.order(mat)
+	} else {
+		colPerm = sparse.MinDegree(mat)
+	}
+	shift := make([]float64, dim)
+	for j := range shift {
+		shift[j] = kktShift
+		if j >= p.nx {
+			shift[j] = -kktShift
+		}
+	}
+	ldl, err := sparse.NewLDL(mat, colPerm, shift)
+	if err != nil {
+		return fmt.Errorf("opf: KKT symbolic analysis: %w", err)
+	}
 	k.dim = dim
 	k.nEmit = len(emitUniq)
 	k.mat = mat
@@ -127,13 +163,10 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) {
 		k.emitVal[e] = s
 		val[s] += vals[e]
 	}
-	if p.order != nil {
-		k.colPerm = p.order(mat)
-	} else {
-		k.colPerm = sparse.MinDegree(mat)
-	}
-	k.lu = nil
+	k.colPerm = colPerm
+	k.ldl = ldl
 	k.sol = make([]float64, dim)
+	k.res = make([]float64, dim)
 	k.work = make([]float64, dim)
 	k.vals = val
 	k.refillFn = func(i, j int, v float64) {
@@ -151,6 +184,7 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) {
 	}
 	k.compiles++
 	k.compiledThisSolve = true
+	return nil
 }
 
 // refill overwrites the matrix values in place through the slot map — no
@@ -194,7 +228,9 @@ func (k *kktSystem) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]
 	if !k.compiled() {
 		// compile captures the pattern AND accumulates the values, so the
 		// compile iteration needs no refill pass.
-		k.compile(p, ev, x, lam, mu, z)
+		if err := k.compile(p, ev, x, lam, mu, z); err != nil {
+			return nil, err
+		}
 	}
 	sol, err := k.factorAndSolve(rhs)
 	if err != nil {
@@ -203,35 +239,32 @@ func (k *kktSystem) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]
 	return sol, nil
 }
 
-// factorAndSolve solves the current matrix against rhs into k.sol. The
-// first call runs a full factorization; later calls (including across
-// warm-started solves) reuse the symbolic analysis via Refactorize, with
-// the same relative pivot-stability fallback powerflow/newton.go uses: a
-// frozen pivot gone unstable triggers one in-place Repivot — fresh row
-// pivots and symbolic analysis into the same storage, keeping the
-// fill-reducing column pre-order.
+// factorAndSolve solves the current matrix against rhs into k.sol: one
+// numeric LDLᵀ factorization of the shifted matrix, a solve, then
+// kktRefineSteps steps of iterative refinement against the unshifted
+// matrix. It allocates nothing.
 func (k *kktSystem) factorAndSolve(rhs []float64) ([]float64, error) {
-	switch {
-	case k.lu == nil:
-		lu, err := sparse.Factorize(k.mat, sparse.Options{ColPerm: k.colPerm})
-		if err != nil {
-			return nil, err
-		}
-		k.lu = lu
-		k.factors++
-	case k.lu.Refactorize(k.mat) == nil:
-		k.refactors++
-	default:
-		if err := k.lu.Repivot(k.mat); err != nil {
-			return nil, err
-		}
-		k.factors++
-		k.repivots++
-	}
-	if err := k.lu.SolveInto(k.sol, rhs, k.work); err != nil {
+	if err := k.ldl.Factor(k.mat); err != nil {
 		return nil, err
 	}
-	return k.sol, nil
+	k.factors++
+	sol, res := k.sol, k.res
+	if err := k.ldl.SolveInto(sol, rhs, k.work); err != nil {
+		return nil, err
+	}
+	for range kktRefineSteps {
+		k.mat.MulVecInto(res, sol)
+		for i, b := range rhs {
+			res[i] = b - res[i]
+		}
+		if err := k.ldl.SolveInto(res, res, k.work); err != nil {
+			return nil, err
+		}
+		for i, d := range res {
+			sol[i] += d
+		}
+	}
+	return sol, nil
 }
 
 // kktOrder is acopf's constraint-aware KKT column pre-order: quotient-graph
@@ -244,12 +277,12 @@ func (k *kktSystem) factorAndSolve(rhs []float64) ([]float64, error) {
 // singletons and the slack-angle pin. Keeping a bus's variables and its
 // balance-row border entries adjacent in the pivot order lets elimination
 // consume each bus's whole 4×4 saddle block at once instead of revisiting
-// the bus twice (once per half), which measurably cuts LU fill versus
-// scalar minimum degree on the full pattern: on the last KKT matrix of a
-// cold solve, at the default pivot threshold, 40-65% fewer factor
-// nonzeros on case57-case300 (10% on case14). The gain depends on the
-// factorization keeping the order; at the stricter threshold 0.1, which
-// pivots off the diagonal in about half the columns, it was 20-30%.
+// the bus twice (once per half). Under the LDLᵀ factor its fill is
+// within 1.2× of scalar minimum degree on the full pattern (1.05× on
+// case118, 0.96× on case300, at unit μ/z on the converged pattern) at the
+// same IPM iteration counts, and a cold solve measured 3-13% faster than
+// under scalar minimum degree on case14-case300 (one run each, ordering
+// time included).
 //
 // Two designs that sound plausible measure WORSE, so don't resurrect them
 // without re-profiling: eliminating the equality border strictly last
@@ -343,14 +376,14 @@ func sigMatch(s, t *kktSig) bool {
 	return true
 }
 
-// Context carries the compiled KKT pattern, fill-reducing ordering and LU
-// symbolic analysis of an ACOPF problem across solves. Pass it via
+// Context carries the compiled KKT pattern, fill-reducing ordering and
+// LDLᵀ symbolic analysis of an ACOPF problem across solves. Pass it via
 // Options.Context when re-solving the SAME network topology with different
 // ratings, loads or start points — SCOPF tightening/backoff rounds,
 // sensitivity impact re-solves, warm-started comparative studies — and the
 // re-solves skip pattern compilation entirely, going straight to slot-map
-// refill + Refactorize. A topology or generator-status change is detected
-// by structural signature and recompiles transparently.
+// refill + numeric factorization. A topology or generator-status change is
+// detected by structural signature and recompiles transparently.
 //
 // A Context is NOT safe for concurrent use; give each goroutine its own.
 type Context struct {
@@ -358,10 +391,10 @@ type Context struct {
 	kkt   *kktSystem
 	es    *evalScratch
 	prior int // compile count of replaced systems
-	// readRefactors/readRepivots are the current system's counts at the
-	// last TakeFactorizations. A replacement system starts them at minus
-	// the replaced one's unread counts, so a structural change loses none.
-	readRefactors, readRepivots int
+	// readFactors is the current system's factorization count at the last
+	// TakeFactorizations. A replacement system starts it at minus the
+	// replaced one's unread count, so a structural change loses none.
+	readFactors int
 }
 
 // NewContext returns an empty reusable solver context.
@@ -377,19 +410,15 @@ func (c *Context) Compiles() int {
 	return n
 }
 
-// TakeFactorizations reports the KKT refactorizations (frozen pivots
-// reused) and repivots (a frozen pivot went unstable, so the factor was
-// recomputed with fresh row pivots) run through this context since the
-// previous call. The first factorization of a compiled pattern is
-// neither.
-func (c *Context) TakeFactorizations() (refactors, repivots int) {
+// TakeFactorizations reports the numeric KKT factorizations — one per
+// interior-point step — run through this context since the previous call.
+func (c *Context) TakeFactorizations() int {
 	if c.kkt == nil {
-		return 0, 0
+		return 0
 	}
-	refactors = c.kkt.refactors - c.readRefactors
-	repivots = c.kkt.repivots - c.readRepivots
-	c.readRefactors, c.readRepivots = c.kkt.refactors, c.kkt.repivots
-	return refactors, repivots
+	n := c.kkt.factors - c.readFactors
+	c.readFactors = c.kkt.factors
+	return n
 }
 
 // acquire returns the cached KKT system when prob structurally matches the
@@ -410,8 +439,7 @@ func (c *Context) acquire(prob *acopf) *kktSystem {
 	}
 	if c.kkt != nil {
 		c.prior += c.kkt.compiles
-		c.readRefactors -= c.kkt.refactors
-		c.readRepivots -= c.kkt.repivots
+		c.readFactors -= c.kkt.factors
 	}
 	c.sig = sig
 	c.kkt = &kktSystem{}

@@ -10,9 +10,10 @@ import (
 // referenceKKT is the from-scratch Newton-direction step the fixed-pattern
 // kktSystem is pinned against: build a COO every iteration, compress it to
 // CSC, reuse an RCM ordering computed on the first iteration's pattern,
-// and run a full symbolic+numeric LU factorization. It pins the pivot
-// threshold at 0.1 instead of the default 0.001, so the differential
-// harness also checks the production threshold against a stricter one.
+// and run a full symbolic+numeric LU factorization with threshold partial
+// pivoting at 0.1 and no shift. It shares no linear algebra with the
+// production static LDLᵀ, so the differential harness checks the shift,
+// the refinement and the order together.
 type referenceKKT struct {
 	colPerm []int
 }

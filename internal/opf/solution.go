@@ -27,7 +27,7 @@ type Options struct {
 	// solution's operating point (voltages and dispatch). ACOPF is
 	// nonconvex; warm-starting anchors comparative studies in one basin.
 	Start *Solution
-	// Context, when non-nil, caches the compiled KKT pattern and LU
+	// Context, when non-nil, caches the compiled KKT pattern and LDLᵀ
 	// symbolic analysis across solves of the same network topology (rating
 	// or load changes, warm starts): SCOPF tightening rounds and
 	// sensitivity re-solves reuse one Context so every solve after the

@@ -38,7 +38,7 @@ type Options struct {
 	// OPF forwards solver tolerances. If OPF.Context is nil, Solve installs
 	// a fresh reusable solver context so every ACOPF after the first —
 	// tightening rounds, backoff retries, the basin re-anchor — reuses the
-	// compiled KKT pattern and LU symbolic analysis (rating changes leave
+	// compiled KKT pattern and LDLᵀ symbolic analysis (rating changes leave
 	// the problem structure untouched).
 	OPF opf.Options
 	// Screen enables linear contingency screening inside each round.

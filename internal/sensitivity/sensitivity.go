@@ -50,7 +50,7 @@ func LoadImpacts(n *model.Network, base *opf.Solution, busIDs []int, deltaMW flo
 		return nil, errors.New("sensitivity: deltaMW must be nonzero")
 	}
 	// One solver context across all per-bus re-solves: adding a load leaves
-	// the network topology (and so the compiled KKT pattern + LU symbolic
+	// the network topology (and so the compiled KKT pattern + LDLᵀ symbolic
 	// analysis) unchanged, so only the first re-solve compiles anything —
 	// and nothing at all when the pooled context has seen the case before.
 	ctx := kkt

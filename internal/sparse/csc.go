@@ -1,11 +1,13 @@
 // Package sparse provides compressed sparse column (CSC) matrices,
 // fill-reducing orderings (minimum-degree, the default, and reverse
-// Cuthill-McKee), and a Gilbert-Peierls LU factorization with threshold
-// partial pivoting.
+// Cuthill-McKee), a Gilbert-Peierls LU factorization with threshold
+// partial pivoting, and a static-pivot LDLᵀ factorization for symmetric
+// quasi-definite systems.
 //
 // This is the production linear-solver path for GridMind: power flow
-// Jacobians and interior-point KKT systems are assembled in triplet (COO)
-// form, compressed to CSC, ordered to reduce fill, and factorized here.
+// Jacobians (LU) and interior-point KKT systems (LDL) are assembled in
+// triplet (COO) form or compiled patterns, ordered to reduce fill, and
+// factorized here.
 // Package mat provides the dense reference implementation used for
 // verification and the sparse-vs-dense ablation (A1 in DESIGN.md).
 //
@@ -184,16 +186,26 @@ func (m *CSC) MulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: %dx%d by %d", m.rows, m.cols, len(x)))
 	}
 	y := make([]float64, m.rows)
+	m.MulVecInto(y, x)
+	return y
+}
+
+// MulVecInto computes dst = M·x into a caller-owned buffer without
+// allocating. dst must not alias x.
+func (m *CSC) MulVecInto(dst, x []float64) {
+	if len(x) != m.cols || len(dst) != m.rows {
+		panic(fmt.Sprintf("sparse: MulVecInto dimension mismatch: %dx%d by %d into %d", m.rows, m.cols, len(x), len(dst)))
+	}
+	clear(dst)
 	for j := 0; j < m.cols; j++ {
 		xj := x[j]
 		if xj == 0 {
 			continue
 		}
 		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
-			y[m.rowIdx[p]] += m.val[p] * xj
+			dst[m.rowIdx[p]] += m.val[p] * xj
 		}
 	}
-	return y
 }
 
 // MulVecT computes y = Mᵀ·x without forming the transpose.

@@ -20,10 +20,9 @@ type Options struct {
 	// partial pivoting; smaller values keep the diagonal, and with it the
 	// order ColPerm chose, more often. Zero selects the default 0.001, the
 	// value KLU ships and UMFPACK's symmetric strategy uses: element growth
-	// per step stays bounded by 10³, and a saddle-point system (the OPF
-	// KKT matrix) keeps its fill-reducing order where 0.1 would reject
-	// about half of its diagonal pivots and roughly double the factor.
-	// A matrix whose diagonal always passes 0.1 factors identically.
+	// per step stays bounded by 10³. A matrix whose diagonal always passes
+	// 0.1 factors identically. (Symmetric saddle-point systems, such as
+	// the OPF KKT matrix, are factored by LDL instead.)
 	DiagPreference float64
 }
 

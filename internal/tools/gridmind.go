@@ -126,7 +126,7 @@ var solutionOutputSchema = schema.Obj("ACOPF solution summary", map[string]*sche
 
 // solveWithRecovery is the §3.2.1 automatic recovery path: primary IPM,
 // then relaxed tolerances, then the dispatch fallback. The interior-point
-// solver context (compiled KKT pattern + LU symbolic analysis) is checked
+// solver context (compiled KKT pattern + LDLᵀ symbolic analysis) is checked
 // out of the structure's shared pool, so every session's solve after the
 // process's first skips pattern compilation.
 func solveWithRecovery(ctx *session.Context, eng *engine.Engine) (*opf.Solution, bool, error) {

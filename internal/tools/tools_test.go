@@ -166,6 +166,30 @@ func TestModifyBusLoadTool(t *testing.T) {
 	}
 }
 
+// TestModifyBusLoadRecovery pins the recovery ladder on the what-if the
+// benchmark times as opf.recovery_ms: pristine case118 with bus 64 up
+// 8 MW. The primary interior-point solve fails there, so the answer must
+// come from a fallback solver and say so.
+func TestModifyBusLoadRecovery(t *testing.T) {
+	sess := newSession(t)
+	r := NewGridMind(sess, engine.New())
+	if _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case118"}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := sess.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := n.BusLoad(n.BusByID(64))
+	out, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 64, "p_mw": p + 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := out.(map[string]any); m["recovery_used"] != true {
+		t.Fatalf("bus 64 +8 MW answered without recovery: %v", m)
+	}
+}
+
 func TestNetworkStatusTool(t *testing.T) {
 	sess := newSession(t)
 	r := NewGridMind(sess, engine.New())

@@ -275,7 +275,7 @@ func BenchmarkCascadeCase57(b *testing.B) {
 	opts := scenario.Options{
 		BaseYbus: model.BuildYbus(n),
 		Topology: model.NewTopology(n),
-		Pool:     scenario.NewPool(),
+		Pool:     contingency.NewSweepPool(),
 		DCScreen: true,
 		PTDF:     ptdfM,
 		Workers:  1,
@@ -305,7 +305,7 @@ func BenchmarkMCReliability(b *testing.B) {
 	opts := scenario.Options{
 		BaseYbus: model.BuildYbus(n),
 		Topology: model.NewTopology(n),
-		Pool:     scenario.NewPool(),
+		Pool:     contingency.NewSweepPool(),
 		Workers:  1,
 	}
 	b.ResetTimer()

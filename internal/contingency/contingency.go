@@ -170,10 +170,10 @@ type Options struct {
 	// DC screening, shared across calls (its LODF memo is concurrency-
 	// safe). Nil builds one per screened sweep, as before.
 	PTDF *ptdf.Matrix
-	// Pool, when non-nil, recycles worker solve contexts (compiled Newton
-	// pattern + LU symbolic analysis) across calls. Callers must key pools
-	// by network state (case + diff hash): a context is reused only for
-	// the exact (network, base) pair it was built from. See SweepPool.
+	// Pool, when non-nil, recycles Workers (compiled Newton pattern + LU
+	// symbolic analysis) across calls. Callers must key pools by network
+	// state (case + diff hash): a worker is reused only for the network it
+	// was built over. See SweepPool.
 	Pool *SweepPool
 	// Reorder shares the Jacobian fill-reducing ordering across the
 	// per-outage Newton solves: every outage network has the same bus set
@@ -237,44 +237,51 @@ func recordSweep(met *obs.Registry, kind string, outages, screened int) {
 }
 
 // AnalyzeOne simulates the outage of branch k and scores it. Like Analyze,
-// it takes the prebuilt topology, base Ybus and a recyclable solve context
-// from Options when the engine provides them — a single-outage tool query
-// then pays for the solve only, not a topology + Ybus + pattern rebuild.
-// Bare calls (no shared artifacts) build what they need, as before. base
-// must be a converged power flow of n, so n has a slack bus; unlike the
+// it takes the prebuilt topology, base Ybus and a recyclable Worker from
+// Options when the engine provides them — a single-outage tool query then
+// pays for the solve only, not a topology + Ybus + pattern rebuild. Bare
+// calls (no shared artifacts) build what they need, as before. base must
+// be a converged power flow of n, so n has a slack bus; unlike the
 // sweeps, AnalyzeOne does not check this, and panics on a network
 // without one.
 func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
 	opts.fill()
-	topo := opts.Topology
-	if topo == nil {
-		topo = model.NewTopology(n)
-	}
-	ctx := opts.Pool.acquire(n, base, topo, opts.BaseYbus)
-	defer opts.Pool.release(ctx)
-	return ctx.analyze(branchOutage(k), opts)
+	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	defer opts.Pool.Release(w)
+	return w.analyze(base, branchOutage(k), opts)
 }
 
 // scoreOutage fills out's post-solve fields — loading extrema, overload
 // and voltage-violation lists, severity — from a converged power flow.
 // Branch, pair and generator outages, on the view path and in the test
 // reference alike, share it, so the scoring rules cannot silently diverge
-// between them. n supplies bus IDs and branch endpoints; k and k2 are the
-// outaged branches (zero flow by construction, skipped), −1 when absent.
-func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, k, k2 int, opts Options) {
+// between them. n supplies bus IDs and branch endpoints; mask marks the
+// outaged branches (zero flow by construction, skipped), nil when none.
+func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, mask []bool, opts Options) {
 	out.Converged = true
 	out.Algorithm = res.Algorithm.String()
 	out.MinVoltagePU = res.MinVm
+	out.MaxLoadingPct, out.Overloads, out.VoltViols = Violations(res, n, mask, opts.OverloadPct, opts.VoltLow, opts.VoltHigh)
+	out.Severity = severity(out, opts)
+}
+
+// Violations is the one limit check of a converged power flow, shared by
+// the outage scorer here and the cascade's stage scorer: the worst loading
+// over the surviving branches (mask[k] marks branch k out; a nil mask
+// keeps every branch), their overloads above overloadPct sorted worst
+// first, and every bus voltage outside [voltLow, voltHigh]. n supplies
+// bus IDs and branch endpoints.
+func Violations(res *powerflow.Result, n *model.Network, mask []bool, overloadPct, voltLow, voltHigh float64) (maxPct float64, overloads []BranchLoading, viols []VoltageViolation) {
 	for bk, f := range res.Flows {
-		if bk == k || bk == k2 {
+		if mask != nil && mask[bk] {
 			continue // the outaged branches carry nothing
 		}
-		if f.LoadingPct > out.MaxLoadingPct {
-			out.MaxLoadingPct = f.LoadingPct
+		if f.LoadingPct > maxPct {
+			maxPct = f.LoadingPct
 		}
-		if f.LoadingPct > opts.OverloadPct {
+		if f.LoadingPct > overloadPct {
 			bb := n.Branches[bk]
-			out.Overloads = append(out.Overloads, BranchLoading{
+			overloads = append(overloads, BranchLoading{
 				Branch:     bk,
 				FromBusID:  n.Buses[bb.From].ID,
 				ToBusID:    n.Buses[bb.To].ID,
@@ -282,22 +289,22 @@ func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, k, 
 			})
 		}
 	}
-	sort.Slice(out.Overloads, func(a, b int) bool {
-		return out.Overloads[a].LoadingPct > out.Overloads[b].LoadingPct
+	sort.Slice(overloads, func(a, b int) bool {
+		return overloads[a].LoadingPct > overloads[b].LoadingPct
 	})
 	for i := range n.Buses {
 		vm := res.Voltages.Vm[i]
-		if vm < opts.VoltLow {
-			out.VoltViols = append(out.VoltViols, VoltageViolation{
-				BusID: n.Buses[i].ID, VmPU: vm, Limit: opts.VoltLow, Low: true,
+		if vm < voltLow {
+			viols = append(viols, VoltageViolation{
+				BusID: n.Buses[i].ID, VmPU: vm, Limit: voltLow, Low: true,
 			})
-		} else if vm > opts.VoltHigh {
-			out.VoltViols = append(out.VoltViols, VoltageViolation{
-				BusID: n.Buses[i].ID, VmPU: vm, Limit: opts.VoltHigh, Low: false,
+		} else if vm > voltHigh {
+			viols = append(viols, VoltageViolation{
+				BusID: n.Buses[i].ID, VmPU: vm, Limit: voltHigh, Low: false,
 			})
 		}
 	}
-	out.Severity = severity(out, opts)
+	return maxPct, overloads, viols
 }
 
 // severity computes the composite criticality score the CA agent ranks

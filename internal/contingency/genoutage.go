@@ -108,7 +108,7 @@ func prepareGenOutage(n *model.Network, view *model.OutageView, g int) (lostMW, 
 // data).
 func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Network, opts Options) {
 	var scored OutageResult
-	scoreOutage(&scored, res, n, -1, -1, opts)
+	scoreOutage(&scored, res, n, nil, opts)
 	out.Converged = true
 	out.MaxLoadingPct = scored.MaxLoadingPct
 	out.Overloads = scored.Overloads
@@ -117,90 +117,70 @@ func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Networ
 	out.Severity = scored.Severity + out.ReserveDeficitMW
 }
 
-// genSweepContext is the zero-clone generator-outage analysis state: one
-// reusable view over the shared base plus one ViewSolver whose patched
-// Ybus, compiled Jacobian and LU symbolic analysis persist across units.
-// Since the solver re-derives the PV/PQ classification from the view in
-// place, a generator sweep materializes nothing on the happy path.
-type genSweepContext struct {
-	n      *model.Network
-	view   *model.OutageView
-	solver *powerflow.ViewSolver
-}
-
-// newGenSweepContext prepares a generator-sweep context. baseY (optional)
-// is the shared base admittance matrix to value-copy; nil builds one. It
-// fails when n cannot be classified (no slack bus).
-func newGenSweepContext(n *model.Network, baseY *model.Ybus) (*genSweepContext, error) {
-	solver, err := powerflow.NewViewSolver(n, baseY)
-	if err != nil {
-		return nil, err
-	}
-	return &genSweepContext{n: n, view: model.NewOutageView(n), solver: solver}, nil
-}
-
 // analyzeGen simulates the loss of generator g on the view path, matching
 // the materializing reference in reference_test.go result-for-result (the
-// differential harness enforces this to 1e-9).
-func (c *genSweepContext) analyzeGen(g int, opts Options) (*GenOutageResult, error) {
-	c.view.Reset()
-	lost, deficit, err := prepareGenOutage(c.n, c.view, g)
+// differential harness enforces this to 1e-9). Since the solver re-derives
+// the PV/PQ classification from the view in place, a generator sweep
+// materializes nothing on the happy path.
+func (w *Worker) analyzeGen(g int, opts Options) (*GenOutageResult, error) {
+	w.view.Reset()
+	lost, deficit, err := prepareGenOutage(w.n, w.view, g)
 	if err != nil {
 		return nil, err
 	}
 	out := &GenOutageResult{
 		Gen:              g,
-		BusID:            c.n.Buses[c.n.Gens[g].Bus].ID,
+		BusID:            w.n.Buses[w.n.Gens[g].Bus].ID,
 		LostMW:           lost,
 		ReserveDeficitMW: deficit,
 	}
-	res, err := c.solver.Solve(c.view, powerflow.Options{EnforceQLimits: true})
+	res, err := w.Solve(powerflow.Options{EnforceQLimits: true})
 	if err != nil || !res.Converged {
-		res, err = powerflow.Solve(c.view.Materialize(), powerflow.Options{Algorithm: powerflow.FastDecoupled})
+		res, err = powerflow.Solve(w.view.Materialize(), powerflow.Options{Algorithm: powerflow.FastDecoupled})
 	}
 	if err != nil || !res.Converged {
 		out.Converged = false
 		out.Severity = out.LostMW + out.ReserveDeficitMW + 50
 		return out, nil
 	}
-	scoreGenOutage(out, res, c.n, opts)
+	scoreGenOutage(out, res, w.n, opts)
 	return out, nil
 }
 
 // AnalyzeGenOutage simulates the loss of generator g: its dispatch is
 // redistributed to the remaining units in proportion to spare capacity
 // (governor-style pickup), then the power flow is re-solved and screened.
-// One-shot calls build a fresh view context; sweeps amortize theirs via
-// AnalyzeGenOutages. A network without a slack bus fails with the
-// classification error.
+// One-shot calls check a Worker out of Options.Pool (or build a throwaway
+// one); sweeps amortize theirs via AnalyzeGenOutages. A network without a
+// slack bus fails with ErrNoBase.
 func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, error) {
-	opts.fill()
-	ctx, err := opts.Pool.acquireGen(n, opts.BaseYbus)
-	if err != nil {
-		return nil, err
+	if n.SlackBus() < 0 {
+		return nil, ErrNoBase
 	}
-	defer opts.Pool.releaseGen(ctx)
-	return ctx.analyzeGen(g, opts)
+	opts.fill()
+	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	defer opts.Pool.Release(w)
+	return w.analyzeGen(g, opts)
 }
 
 // AnalyzeGenOutages sweeps every in-service generator (the "N-1 on
 // generation assets" companion of the branch sweep), returning results in
-// generator order. The whole sweep shares one zero-clone solve context, so
-// no network is cloned or materialized on the happy path. A network
-// without a slack bus fails with the classification error.
+// generator order. The whole sweep runs on one Worker, so no network is
+// cloned or materialized on the happy path. A network without a slack bus
+// fails with ErrNoBase.
 func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error) {
-	opts.fill()
-	ctx, err := opts.Pool.acquireGen(n, opts.BaseYbus)
-	if err != nil {
-		return nil, err
+	if n.SlackBus() < 0 {
+		return nil, ErrNoBase
 	}
-	defer opts.Pool.releaseGen(ctx)
+	opts.fill()
+	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	defer opts.Pool.Release(w)
 	var out []GenOutageResult
 	for g, gen := range n.Gens {
 		if !gen.InService {
 			continue
 		}
-		r, err := ctx.analyzeGen(g, opts)
+		r, err := w.analyzeGen(g, opts)
 		if err != nil {
 			// The irreplaceable slack machine is skipped, not fatal.
 			continue

@@ -6,88 +6,142 @@ import (
 	"gridmind/internal/powerflow"
 )
 
-// SweepPool recycles the zero-clone worker contexts (sweepContext for
-// branch/pair outages, genSweepContext for generator outages) across
-// Analyze/AnalyzeOne/AnalyzeN2/AnalyzeGenOutage calls, so a session that
-// sweeps repeatedly — or several sessions sharing one engine — reuse the
+// Worker is one goroutine's zero-clone outage-analysis state, and the one
+// worker every outage study runs on: branch, pair and generator sweeps
+// here, cascades, episodes and Monte Carlo draws in package scenario. It
+// holds a reusable OutageView over the shared immutable base network, a
+// ViewSolver whose patched Ybus, compiled Jacobian and LU symbolic
+// analysis persist across outages, the base topology with the scratch of
+// the allocation-free islanding check, and one branch mask marking the
+// branches currently out. The warm-start base is passed per call, so a
+// worker is bound to its network alone. Whoever sets mask bits clears
+// them again, so a released worker's mask is all false. Not safe for
+// concurrent use.
+type Worker struct {
+	n     *model.Network
+	topo  *model.Topology
+	slack int
+
+	view   *model.OutageView
+	solver *powerflow.ViewSolver
+
+	comp, stack []int
+	mask        []bool
+}
+
+// newWorker prepares a worker over n, which must have a slack bus. topo
+// (optional) must be built from n; nil builds one on the first islanding
+// check, which a generator sweep never makes. baseY (optional) is the
+// shared base admittance matrix to value-copy.
+func newWorker(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Worker {
+	solver, err := powerflow.NewViewSolver(n, baseY)
+	if err != nil {
+		// Classification fails only without a slack bus, which every entry
+		// point rejects up front (AnalyzeOne's contract excludes it).
+		panic(err)
+	}
+	return &Worker{
+		n:      n,
+		topo:   topo,
+		slack:  n.SlackBus(),
+		view:   model.NewOutageView(n),
+		solver: solver,
+		comp:   make([]int, len(n.Buses)),
+		stack:  make([]int, len(n.Buses)),
+		mask:   make([]bool, len(n.Branches)),
+	}
+}
+
+// View returns the worker's outage view; callers Reset it before staging
+// a new state.
+func (w *Worker) View() *model.OutageView { return w.view }
+
+// Solve runs the power flow of the view's current state on the worker's
+// persistent solver.
+func (w *Worker) Solve(opts powerflow.Options) (*powerflow.Result, error) {
+	return w.solver.Solve(w.view, opts)
+}
+
+// Mask returns the worker's branch mask: mask[k] marks branch k out for
+// IslandedLoad and Violations. A caller that sets bits clears them before
+// it releases the worker.
+func (w *Worker) Mask() []bool { return w.mask }
+
+// IslandedLoad reports whether the branches set in the mask split the
+// grid and, if so, the in-service demand outside the slack's island at
+// load scale ls. The traversal runs over the prebuilt topology into the
+// worker's buffers and allocates nothing.
+func (w *Worker) IslandedLoad(ls float64) (float64, bool) {
+	if w.topo == nil {
+		w.topo = model.NewTopology(w.n)
+	}
+	if w.topo.IslandsMasked(w.mask, w.comp, w.stack) == 1 {
+		return 0, false
+	}
+	return islandedLoad(w.n.Loads, w.comp, w.slack, ls), true
+}
+
+// islandedLoad is the in-service demand (MW, at load scale ls) outside the
+// slack's island, given the component label of every bus.
+func islandedLoad(loads []model.Load, comp []int, slack int, ls float64) float64 {
+	var mw float64
+	for _, l := range loads {
+		if l.InService && comp[l.Bus] != comp[slack] {
+			mw += l.P * ls
+		}
+	}
+	return mw
+}
+
+// SweepPool recycles Workers across every outage study of one session
+// state, so a session that sweeps, screens pairs, studies generators and
+// runs cascades — or several sessions sharing one engine — reuses the
 // compiled Newton patterns and LU symbolic analyses instead of rebuilding
 // them per call.
 //
-// A context is only valid for the exact (network, base power flow) pair it
-// was built from: the solver's classification embeds loads and dispatch,
-// not just topology. Free lists are therefore keyed by that pointer pair
-// (generator-outage contexts by the network alone; generator views never
-// read the base power flow). Callers key pools by session state (case +
-// diff hash), so every pair a pool sees is the SAME state replayed by a
-// different session (zero-diff sessions share the engine pristine and hence
-// one pair); a free list per pair lets each session reuse its own contexts
-// without evicting the others'. A nil *SweepPool is valid and builds a
-// throwaway context per acquire.
+// A worker is valid for exactly the network it was built over: its
+// solver's classification embeds the loads and dispatch, not just the
+// topology, so the free list is keyed by the network pointer. Callers key
+// pools by session state (case + diff hash), so every network a pool sees
+// is the SAME state replayed by a different session (zero-diff sessions
+// share the engine pristine); a free list per network lets each session
+// reuse its own workers without evicting the others'. A nil *SweepPool is
+// valid and builds a throwaway worker per Acquire.
 type SweepPool struct {
-	ctx *pool.Keyed[poolKey, *sweepContext]
-	gen *pool.Keyed[*model.Network, *genSweepContext]
+	free *pool.Keyed[*model.Network, *Worker]
 }
 
-// poolKey identifies the exact binding a sweep context is valid for.
-type poolKey struct {
-	n    *model.Network
-	base *powerflow.Result
-}
-
-// maxPoolKeys bounds each free-list's binding map (distinct bindings are
+// maxPoolKeys bounds the free list's network map (distinct networks are
 // one per session replica of the state; a runaway map means leaked
 // sessions).
 const maxPoolKeys = 16
 
 // NewSweepPool returns an empty pool.
 func NewSweepPool() *SweepPool {
-	return &SweepPool{
-		ctx: pool.NewKeyed[poolKey, *sweepContext](maxPoolKeys),
-		gen: pool.NewKeyed[*model.Network, *genSweepContext](maxPoolKeys),
-	}
+	return &SweepPool{free: pool.NewKeyed[*model.Network, *Worker](maxPoolKeys)}
 }
 
-// ContextReuses reports how many worker contexts were served from the pool.
-func (p *SweepPool) ContextReuses() int64 { return p.ctx.Reuses() + p.gen.Reuses() }
+// ContextReuses reports how many workers were served from the pool.
+func (p *SweepPool) ContextReuses() int64 { return p.free.Reuses() }
 
-// ContextBuilds reports how many worker contexts had to be built fresh
-// (each build compiles a Jacobian pattern and an LU symbolic analysis).
-func (p *SweepPool) ContextBuilds() int64 { return p.ctx.Builds() + p.gen.Builds() }
+// ContextBuilds reports how many workers had to be built fresh (each
+// build compiles a Jacobian pattern and an LU symbolic analysis).
+func (p *SweepPool) ContextBuilds() int64 { return p.free.Builds() }
 
-// acquire returns a worker context for (n, base); topo and baseY feed a
-// fresh build exactly as newSweepContext takes them.
-func (p *SweepPool) acquire(n *model.Network, base *powerflow.Result, topo *model.Topology, baseY *model.Ybus) *sweepContext {
+// Acquire checks out a worker for n, which must have a slack bus. topo and
+// baseY (both optional) are n's shared topology and base admittance
+// matrix, used when a worker has to be built. Return it with Release.
+func (p *SweepPool) Acquire(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Worker {
 	if p == nil {
-		return newSweepContext(n, base, topo, baseY)
+		return newWorker(n, topo, baseY)
 	}
-	return p.ctx.Get(poolKey{n, base}, func() *sweepContext { return newSweepContext(n, base, topo, baseY) })
+	return p.free.Get(n, func() *Worker { return newWorker(n, topo, baseY) })
 }
 
-// release returns a context to the free list of the pair it was built for.
-func (p *SweepPool) release(c *sweepContext) {
-	if p != nil && c != nil {
-		p.ctx.Put(poolKey{c.n, c.base}, c)
-	}
-}
-
-// acquireGen is acquire for generator-outage contexts; it fails, as
-// newGenSweepContext does, when n has no slack bus.
-func (p *SweepPool) acquireGen(n *model.Network, baseY *model.Ybus) (*genSweepContext, error) {
-	if p == nil {
-		return newGenSweepContext(n, baseY)
-	}
-	var err error
-	ctx := p.gen.Get(n, func() *genSweepContext {
-		var c *genSweepContext
-		c, err = newGenSweepContext(n, baseY)
-		return c
-	})
-	return ctx, err
-}
-
-// releaseGen returns a generator-outage context to its network's free list.
-func (p *SweepPool) releaseGen(c *genSweepContext) {
-	if p != nil && c != nil {
-		p.gen.Put(c.n, c)
+// Release returns a worker to its network's free list (no-op for a nil
+// pool or worker).
+func (p *SweepPool) Release(w *Worker) {
+	if p != nil && w != nil {
+		p.free.Put(w.n, w)
 	}
 }

@@ -119,12 +119,12 @@ func TestRaceConcurrentOutageViewReaders(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Each worker owns its context; only the base network, base
+			// Each goroutine owns its Worker; only the base network, base
 			// result and topology are shared, all read-only.
-			ctx := newSweepContext(n, base, topo, nil)
+			wk := newWorker(n, topo, nil)
 			for off := 0; off < len(branches); off++ {
 				k := branches[(off+w)%len(branches)]
-				if r := ctx.analyze(branchOutage(k), opts); r.Branch != k {
+				if r := wk.analyze(base, branchOutage(k), opts); r.Branch != k {
 					t.Errorf("worker %d: wrong result branch", w)
 					return
 				}

@@ -12,7 +12,7 @@ import (
 // materializes) the network and re-solves it from scratch. opts must be
 // filled.
 
-// analyzeClone is the deep-clone reference for sweepContext.analyze —
+// analyzeClone is the deep-clone reference for Worker.analyze —
 // clone, mark the elements out (with governor redispatch for a generator),
 // islanding check, warm Newton with a fast-decoupled fallback.
 func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
@@ -39,7 +39,7 @@ func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Optio
 	comp, count := post.ConnectedComponents()
 	if count > 1 {
 		out.Islanded = true
-		out.LoadShedMW = islandedLoad(post.Loads, comp, post.SlackBus())
+		out.LoadShedMW = islandedLoad(post.Loads, comp, post.SlackBus(), 1)
 		out.Severity = severity(out, opts)
 		return out
 	}
@@ -57,13 +57,18 @@ func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Optio
 		out.Severity = severity(out, opts) + deficit
 		return out
 	}
-	scoreOutage(out, res, post, p.BranchA, p.BranchB, opts)
+	mask := make([]bool, len(post.Branches))
+	mask[p.BranchA] = true
+	if p.BranchB >= 0 {
+		mask[p.BranchB] = true
+	}
+	scoreOutage(out, res, post, mask, opts)
 	out.Severity += deficit
 	return out
 }
 
 // analyzeGenOutageMaterialize is the reference for
-// genSweepContext.analyzeGen: the view is materialized into a network and
+// Worker.analyzeGen: the view is materialized into a network and
 // solved through the general-purpose solver, instead of re-deriving the
 // classification in place.
 func analyzeGenOutageMaterialize(n *model.Network, g int, opts Options) (*GenOutageResult, error) {

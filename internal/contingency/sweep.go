@@ -105,10 +105,10 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 		screen, _ = newScreener(n, base, opts)
 	}
 
-	// Worker pool over the outage list. Each worker owns one zero-clone
-	// sweep context (patched Ybus, reusable Newton state, topology scratch)
-	// built on its first AC analysis — or checked out of the engine's
-	// SweepPool, which carries compiled contexts across whole sweeps — so
+	// Goroutines over the outage list. Each checks out one Worker (patched
+	// Ybus, reusable Newton state, topology scratch) on its first AC
+	// analysis — from the engine's SweepPool, which carries compiled
+	// workers across whole sweeps and studies, when one is wired — so
 	// the per-outage cost is the solve itself. The shared Ybus and topology
 	// come from Options when the engine provides them; otherwise they are
 	// built once, and only if some worker reaches the view path.
@@ -128,8 +128,8 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ctx *sweepContext
-			defer func() { opts.Pool.release(ctx) }()
+			var w *Worker
+			defer func() { opts.Pool.Release(w) }()
 			for {
 				idx := int(next.Add(1) - 1)
 				if idx >= len(outages) {
@@ -151,11 +151,11 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 				if r != nil {
 					screened.Add(1)
 				} else {
-					if ctx == nil {
+					if w == nil {
 						prepOnce.Do(prep)
-						ctx = opts.Pool.acquire(n, base, topo, baseY)
+						w = opts.Pool.Acquire(n, topo, baseY)
 					}
-					r = ctx.analyze(p, opts)
+					r = w.analyze(base, p, opts)
 				}
 				rs.Outages[idx] = *r
 				if opts.Cache != nil {
@@ -168,45 +168,6 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 	rs.Screened = int(screened.Load())
 	recordSweep(opts.Metrics, kind, len(outages), rs.Screened)
 	return rs, nil
-}
-
-// sweepContext is one worker's zero-clone outage-analysis state: a reusable
-// OutageView over the shared immutable base network, a ViewSolver whose
-// patched Ybus / compiled Jacobian / LU symbolic analysis persist across
-// outages, and scratch buffers for the allocation-free islanding check.
-// Not safe for concurrent use; the sweep builds one per worker.
-type sweepContext struct {
-	n     *model.Network
-	base  *powerflow.Result
-	topo  *model.Topology
-	slack int
-
-	solver *powerflow.ViewSolver
-	view   *model.OutageView
-
-	comp, stack []int
-}
-
-// newSweepContext prepares a worker context. topo must be built from n;
-// baseY (optional) is the shared base admittance matrix to value-copy.
-func newSweepContext(n *model.Network, base *powerflow.Result, topo *model.Topology, baseY *model.Ybus) *sweepContext {
-	ctx := &sweepContext{
-		n:     n,
-		base:  base,
-		topo:  topo,
-		slack: n.SlackBus(),
-		view:  model.NewOutageView(n),
-		comp:  make([]int, len(n.Buses)),
-		stack: make([]int, len(n.Buses)),
-	}
-	solver, err := powerflow.NewViewSolver(n, baseY)
-	if err != nil {
-		// Classification fails only without a slack bus, which sweep
-		// rejects as ErrNoBase and AnalyzeOne's contract excludes.
-		panic(err)
-	}
-	ctx.solver = solver
-	return ctx
 }
 
 // newOutageResult prepares the identity fields of p's record; only pairs
@@ -234,59 +195,50 @@ func newOutageResult(n *model.Network, p N2Pair) *OutageResult {
 	return out
 }
 
-// islandedLoad is the in-service demand (MW) outside the slack's island,
-// given the component label of every bus.
-func islandedLoad(loads []model.Load, comp []int, slack int) float64 {
-	var mw float64
-	for _, l := range loads {
-		if l.InService && comp[l.Bus] != comp[slack] {
-			mw += l.P
-		}
-	}
-	return mw
-}
-
 // analyze simulates the outage p — one branch, two branches, or a branch
-// plus a generator — on the zero-clone path and scores it, matching the
-// clone reference in reference_test.go result-for-result (the
-// differential harnesses enforce this). The islanding check removes both
-// branches from the prebuilt topology (a −1 skip removes nothing); the
-// view stacks the outages, whose rank-1 Ybus patches stack the same way
-// inside ViewSolver.Solve; and a generator loss rides the solver's
-// in-place classification instead of falling back to Materialize.
-func (c *sweepContext) analyze(p N2Pair, opts Options) *OutageResult {
-	out := newOutageResult(c.n, p)
+// plus a generator — on the zero-clone path, warm-started from base, and
+// scores it, matching the clone reference in reference_test.go
+// result-for-result (the differential harnesses enforce this). The
+// outaged branches are set in the worker's mask for the islanding check
+// and the scoring, and cleared on return; the view stacks the outages,
+// whose rank-1 Ybus patches stack the same way inside ViewSolver.Solve;
+// and a generator loss rides the solver's in-place classification instead
+// of falling back to Materialize.
+func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
+	out := newOutageResult(w.n, p)
+	w.markOut(p, true)
+	defer w.markOut(p, false)
 
 	// Islanding check first: an outage that splits the grid sheds all load
 	// outside the slack's island. The topology is prebuilt, so this costs
 	// one buffer-reusing traversal instead of an adjacency rebuild.
-	if count := c.topo.Islands2(p.BranchA, p.BranchB, c.comp, c.stack); count > 1 {
+	if shed, split := w.IslandedLoad(1); split {
 		out.Islanded = true
-		out.LoadShedMW = islandedLoad(c.n.Loads, c.comp, c.slack)
+		out.LoadShedMW = shed
 		out.Severity = severity(out, opts)
 		return out
 	}
 
-	c.view.Reset()
-	c.view.OutBranch(p.BranchA)
+	w.view.Reset()
+	w.view.OutBranch(p.BranchA)
 	if p.BranchB >= 0 {
-		c.view.OutBranch(p.BranchB)
+		w.view.OutBranch(p.BranchB)
 	}
 	var deficit float64
 	if p.Gen >= 0 {
 		// validateOutages admits only units whose loss has a steady state.
-		_, deficit, _ = prepareGenOutage(c.n, c.view, p.Gen)
+		_, deficit, _ = prepareGenOutage(w.n, w.view, p.Gen)
 	}
 	pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder}
 	if !opts.NoWarmStart {
-		pfOpts.Warm = &c.base.Voltages
+		pfOpts.Warm = &base.Voltages
 	}
-	res, err := c.solver.Solve(c.view, pfOpts)
+	res, err := w.Solve(pfOpts)
 	if err != nil || !res.Converged {
 		// Fallback: fast-decoupled is more tolerant of poor starts. The
 		// materialized overlay serves both the fallback and, if that also
 		// fails, the load-shed estimate.
-		post := c.view.Materialize()
+		post := w.view.Materialize()
 		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
 		if err != nil || !res.Converged {
 			out.LoadShedMW = estimateLoadShed(post)
@@ -294,7 +246,15 @@ func (c *sweepContext) analyze(p N2Pair, opts Options) *OutageResult {
 			return out
 		}
 	}
-	scoreOutage(out, res, c.n, p.BranchA, p.BranchB, opts)
+	scoreOutage(out, res, w.n, w.mask, opts)
 	out.Severity += deficit
 	return out
+}
+
+// markOut sets (or clears) p's branches in the worker's mask.
+func (w *Worker) markOut(p N2Pair, out bool) {
+	w.mask[p.BranchA] = out
+	if p.BranchB >= 0 {
+		w.mask[p.BranchB] = out
+	}
 }

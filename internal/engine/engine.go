@@ -12,7 +12,7 @@
 // handed out is either immutable and safe to share concurrently (networks,
 // Ybus, Topology, PTDF, ordering caches) or pooled with checkout/checkin
 // semantics for the single-goroutine artifacts (opf.Context, contingency
-// sweep contexts). See README.md for the exact invalidation contract.
+// outage workers). See README.md for the exact invalidation contract.
 package engine
 
 import (
@@ -30,7 +30,6 @@ import (
 	"gridmind/internal/pool"
 	"gridmind/internal/powerflow"
 	"gridmind/internal/ptdf"
-	"gridmind/internal/scenario"
 )
 
 // Engine is a concurrency-safe, process-wide artifact store. The zero
@@ -41,7 +40,6 @@ type Engine struct {
 	structs  map[string]*Artifacts
 	opfFree  *pool.Keyed[string, *opf.Context]
 	sweeps   map[string]*contingency.SweepPool
-	scn      map[string]*scenario.Pool
 	basePF   map[string]*basePFEntry
 
 	// maxSweepStates bounds the sweep-pool map: pools are keyed by full
@@ -65,7 +63,6 @@ type engineStats struct {
 	opfReuses, opfCreates        *obs.Counter
 	kktFactors                   *obs.Counter
 	sweepPoolHits, sweepPoolNew  *obs.Counter
-	scnPoolHits, scnPoolNew      *obs.Counter
 	basePFHits, basePFSolves     *obs.Counter
 
 	storeHits, storeMisses *obs.Counter
@@ -88,10 +85,8 @@ func newEngineStats(met *obs.Registry) engineStats {
 		opfReuses:      lookup("gridmind_engine_opf_context_checkouts_total", "KKT solver-context checkouts by result (reuse = from pool, create = fresh compile).", "reuse"),
 		opfCreates:     lookup("gridmind_engine_opf_context_checkouts_total", "", "create"),
 		kktFactors:     met.Counter("gridmind_opf_kkt_factorizations_total", "Numeric LDLᵀ factorizations of the KKT system run by pooled interior-point contexts, one per interior-point step."),
-		sweepPoolHits:  lookup("gridmind_engine_sweep_pool_lookups_total", "Contingency sweep-pool lookups by session state.", "hit"),
+		sweepPoolHits:  lookup("gridmind_engine_sweep_pool_lookups_total", "Outage worker-pool lookups by session state (every contingency and scenario study).", "hit"),
 		sweepPoolNew:   lookup("gridmind_engine_sweep_pool_lookups_total", "", "new"),
-		scnPoolHits:    lookup("gridmind_engine_scenario_pool_lookups_total", "Scenario worker-pool lookups by session state.", "hit"),
-		scnPoolNew:     lookup("gridmind_engine_scenario_pool_lookups_total", "", "new"),
 		basePFHits:     lookup("gridmind_engine_base_pf_total", "Base power-flow requests by result (hit = memoized, solve = computed).", "hit"),
 		basePFSolves:   lookup("gridmind_engine_base_pf_total", "", "solve"),
 		storeHits:      lookup("gridmind_engine_artifact_store_loads_total", "Persistent artifact-store loads by result (hit = warmed from disk, miss = no entry, error = corrupt/version-skewed entry).", "hit"),
@@ -118,9 +113,6 @@ type Stats struct {
 	OPFReuses, OPFCreates int64
 	// SweepPoolHits/SweepPoolNew count sweep-pool lookups by session state.
 	SweepPoolHits, SweepPoolNew int64
-	// ScenarioPoolHits/ScenarioPoolNew count scenario-pool lookups by
-	// session state (cascade / episode / Monte Carlo worker contexts).
-	ScenarioPoolHits, ScenarioPoolNew int64
 	// BasePFHits/BasePFSolves count base power flows served from the
 	// state-keyed memo vs. actually solved.
 	BasePFHits, BasePFSolves int64
@@ -147,7 +139,6 @@ func NewWithMetrics(met *obs.Registry) *Engine {
 		structs:        make(map[string]*Artifacts),
 		opfFree:        pool.NewKeyed[string, *opf.Context](0),
 		sweeps:         make(map[string]*contingency.SweepPool),
-		scn:            make(map[string]*scenario.Pool),
 		basePF:         make(map[string]*basePFEntry),
 		maxSweepStates: 64,
 		met:            met,
@@ -172,25 +163,23 @@ func (e *Engine) Metrics() *obs.Registry { return e.met }
 // registry instruments — the same values a /metrics scrape reports.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		PristineHits:     e.stats.pristineHits.Value(),
-		PristineMisses:   e.stats.pristineMisses.Value(),
-		StructHits:       e.stats.structHits.Value(),
-		StructMisses:     e.stats.structMisses.Value(),
-		YbusBuilds:       e.stats.ybusBuilds.Value(),
-		TopoBuilds:       e.stats.topoBuilds.Value(),
-		PTDFBuilds:       e.stats.ptdfBuilds.Value(),
-		OPFReuses:        e.stats.opfReuses.Value(),
-		OPFCreates:       e.stats.opfCreates.Value(),
-		SweepPoolHits:    e.stats.sweepPoolHits.Value(),
-		SweepPoolNew:     e.stats.sweepPoolNew.Value(),
-		ScenarioPoolHits: e.stats.scnPoolHits.Value(),
-		ScenarioPoolNew:  e.stats.scnPoolNew.Value(),
-		BasePFHits:       e.stats.basePFHits.Value(),
-		BasePFSolves:     e.stats.basePFSolves.Value(),
-		StoreHits:        e.stats.storeHits.Value(),
-		StoreMisses:      e.stats.storeMisses.Value(),
-		StoreErrors:      e.stats.storeErrors.Value(),
-		StoreSaves:       e.stats.storeSaves.Value(),
+		PristineHits:   e.stats.pristineHits.Value(),
+		PristineMisses: e.stats.pristineMisses.Value(),
+		StructHits:     e.stats.structHits.Value(),
+		StructMisses:   e.stats.structMisses.Value(),
+		YbusBuilds:     e.stats.ybusBuilds.Value(),
+		TopoBuilds:     e.stats.topoBuilds.Value(),
+		PTDFBuilds:     e.stats.ptdfBuilds.Value(),
+		OPFReuses:      e.stats.opfReuses.Value(),
+		OPFCreates:     e.stats.opfCreates.Value(),
+		SweepPoolHits:  e.stats.sweepPoolHits.Value(),
+		SweepPoolNew:   e.stats.sweepPoolNew.Value(),
+		BasePFHits:     e.stats.basePFHits.Value(),
+		BasePFSolves:   e.stats.basePFSolves.Value(),
+		StoreHits:      e.stats.storeHits.Value(),
+		StoreMisses:    e.stats.storeMisses.Value(),
+		StoreErrors:    e.stats.storeErrors.Value(),
+		StoreSaves:     e.stats.storeSaves.Value(),
 	}
 }
 
@@ -441,27 +430,18 @@ func tally(ok bool, hit, miss *obs.Counter) {
 	}
 }
 
-// SweepPool returns the contingency worker-context pool for one session
-// STATE (case + diff hash — loads matter here, because a sweep context's
-// compiled classification embeds them). Sessions at the same state share
-// one pool, so repeated or concurrent sweeps reuse compiled Newton
-// patterns and LU symbolic analyses instead of rebuilding per call. The
-// state map is bounded by a wholesale reset at the cap (see stateEntry).
+// SweepPool returns the outage-worker pool for one session STATE (case +
+// diff hash — loads matter here, because a worker's compiled
+// classification embeds them). Every outage study of the state checks
+// its workers out of it: N-1, N-2 and generator sweeps, cascades,
+// episodes and Monte Carlo runs. Sessions at the same state share one
+// pool, so repeated or concurrent studies reuse compiled Newton patterns
+// and LU symbolic analyses instead of rebuilding per call. The state map
+// is bounded by a wholesale reset at the cap (see stateEntry).
 func (e *Engine) SweepPool(stateKey string) *contingency.SweepPool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	p, hit := stateEntry(e.sweeps, stateKey, e.maxSweepStates, contingency.NewSweepPool)
 	tally(hit, e.stats.sweepPoolHits, e.stats.sweepPoolNew)
-	return p
-}
-
-// ScenarioPool returns the scenario worker-context pool (cascade /
-// episode / Monte Carlo) for one session state, with the same keying,
-// sharing and bounded-map semantics as SweepPool.
-func (e *Engine) ScenarioPool(stateKey string) *scenario.Pool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p, hit := stateEntry(e.scn, stateKey, e.maxSweepStates, scenario.NewPool)
-	tally(hit, e.stats.scnPoolHits, e.stats.scnPoolNew)
 	return p
 }

@@ -66,7 +66,7 @@ func Scenario(ctx context.Context, cfg Config) ([]ScenarioRow, error) {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
 		// State keys are per case: BasePF memoizes by key, and the pool
-		// segregates contexts per network under one key.
+		// segregates workers per network under one key.
 		stateKey := "scenario/" + name
 		base, err := eng.BasePF(stateKey, n)
 		if err != nil {
@@ -77,7 +77,7 @@ func Scenario(ctx context.Context, cfg Config) ([]ScenarioRow, error) {
 			BaseYbus: art.Ybus(),
 			Topology: art.Topology(),
 			Reorder:  art.Ordering(),
-			Pool:     eng.ScenarioPool(stateKey),
+			Pool:     eng.SweepPool(stateKey),
 			DCScreen: true,
 		}
 		if m, err := art.PTDF(); err == nil {

@@ -257,21 +257,14 @@ func TopologyFromData(d TopologyData) (*Topology, error) {
 	return &Topology{N: d.N, ptr: d.Ptr, bus: d.Bus, br: d.Br}, nil
 }
 
-// Islands labels buses by connected component with branch skip removed
-// (skip < 0 removes nothing), writing component ids into comp (length N)
-// and using stack (length ≥ N) as scratch. It returns the component count.
-// Labeling matches a depth-first traversal from bus 0 upward; only label
-// equality is meaningful to callers.
-func (t *Topology) Islands(skip int, comp, stack []int) int {
-	return t.Islands2(skip, -1, comp, stack)
-}
-
-// IslandsMasked labels connected components with every branch k having
-// mask[k] == true removed — the N-k generalization of Islands/Islands2
-// that cascade studies need once the cumulative trip set exceeds two. A
-// nil mask removes nothing. Like the fixed-arity variants it writes into
-// caller-owned buffers and allocates nothing; the mask lookup is O(1) per
-// edge, so deep cascades pay no membership scan.
+// IslandsMasked labels buses by connected component with every branch k
+// having mask[k] == true removed (a nil mask removes nothing), writing
+// component ids into comp (length N) and using stack (length ≥ N) as
+// scratch. It returns the component count. It is the one islanding
+// traversal: N-1 and N-2 outages set their one or two branches in a mask,
+// cascades their cumulative trip set. Labeling matches a depth-first
+// traversal from bus 0 upward; only label equality is meaningful to
+// callers. It allocates nothing, and the mask lookup is O(1) per edge.
 func (t *Topology) IslandsMasked(mask []bool, comp, stack []int) int {
 	for i := range comp[:t.N] {
 		comp[i] = -1
@@ -288,39 +281,6 @@ func (t *Topology) IslandsMasked(mask []bool, comp, stack []int) int {
 			stack = stack[:len(stack)-1]
 			for p := t.ptr[v]; p < t.ptr[v+1]; p++ {
 				if mask != nil && mask[t.br[p]] {
-					continue
-				}
-				if w := t.bus[p]; comp[w] == -1 {
-					comp[w] = count
-					stack = append(stack, w)
-				}
-			}
-		}
-		count++
-	}
-	return count
-}
-
-// Islands2 is Islands with TWO branches removed — the N-2 connectivity
-// check. Either skip may be negative (removing nothing), so Islands is the
-// skipB < 0 special case and the pair sweep shares one traversal kernel
-// with the N-1 sweep.
-func (t *Topology) Islands2(skipA, skipB int, comp, stack []int) int {
-	for i := range comp[:t.N] {
-		comp[i] = -1
-	}
-	count := 0
-	for s := 0; s < t.N; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		comp[s] = count
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for p := t.ptr[v]; p < t.ptr[v+1]; p++ {
-				if t.br[p] == skipA || t.br[p] == skipB {
 					continue
 				}
 				if w := t.bus[p]; comp[w] == -1 {

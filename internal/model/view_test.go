@@ -83,12 +83,16 @@ func TestTopologyIslandsMatchesConnectedComponents(t *testing.T) {
 	topo := NewTopology(n)
 	comp := make([]int, len(n.Buses))
 	stack := make([]int, len(n.Buses))
+	mask := make([]bool, len(n.Branches))
 	for k := range n.Branches {
 		post := n.Clone()
 		post.Branches[k].InService = false
 		refComp, refCount := post.ConnectedComponents()
-		if got := topo.Islands(k, comp, stack); got != refCount {
-			t.Fatalf("branch %d: Islands = %d, ConnectedComponents = %d", k, got, refCount)
+		mask[k] = true
+		got := topo.IslandsMasked(mask, comp, stack)
+		mask[k] = false
+		if got != refCount {
+			t.Fatalf("branch %d: IslandsMasked = %d, ConnectedComponents = %d", k, got, refCount)
 		}
 		// Labels must agree up to relabeling: same partition.
 		for i := range comp {
@@ -99,8 +103,8 @@ func TestTopologyIslandsMatchesConnectedComponents(t *testing.T) {
 			}
 		}
 	}
-	// skip = -1 removes nothing.
-	if got := topo.Islands(-1, comp, stack); got != 1 {
+	// An all-false mask removes nothing.
+	if got := topo.IslandsMasked(mask, comp, stack); got != 1 {
 		t.Fatalf("base topology should be one island, got %d", got)
 	}
 }

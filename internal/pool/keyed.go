@@ -1,6 +1,6 @@
 // Package pool holds the one free-list every worker-context pool in the
-// repository instantiates: contingency sweep contexts, scenario cascade
-// contexts and the engine's interior-point solver contexts.
+// repository instantiates: the outage workers every contingency and
+// scenario study runs on, and the engine's interior-point solver contexts.
 package pool
 
 import (

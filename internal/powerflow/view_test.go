@@ -27,10 +27,11 @@ func TestViewSolverMatchesCloneSolve(t *testing.T) {
 		topo := model.NewTopology(n)
 		comp := make([]int, len(n.Buses))
 		stack := make([]int, len(n.Buses))
+		mask := make([]bool, len(n.Branches))
 		view := model.NewOutageView(n)
 		checked := 0
 		for k, br := range n.Branches {
-			if !br.InService || topo.Islands(k, comp, stack) > 1 {
+			if !br.InService || islandsWithout(topo, mask, k, comp, stack) > 1 {
 				continue
 			}
 			view.Reset()
@@ -91,8 +92,9 @@ func forEachOutage(t *testing.T, name string, scale float64, check func(k int, g
 	topo := model.NewTopology(n)
 	comp := make([]int, len(n.Buses))
 	stack := make([]int, len(n.Buses))
+	mask := make([]bool, len(n.Branches))
 	for k, br := range n.Branches {
-		if !br.InService || topo.Islands(k, comp, stack) > 1 {
+		if !br.InService || islandsWithout(topo, mask, k, comp, stack) > 1 {
 			continue
 		}
 		view.Reset()
@@ -243,4 +245,12 @@ func TestViewSolverRejectsForeignView(t *testing.T) {
 	if _, err := solver.Solve(model.NewOutageView(other), powerflow.Options{}); err == nil {
 		t.Fatal("expected rejection of a view over a different base")
 	}
+}
+
+// islandsWithout counts the islands with branch k removed, through a
+// one-hot mask (all false on entry and on return).
+func islandsWithout(topo *model.Topology, mask []bool, k int, comp, stack []int) int {
+	mask[k] = true
+	defer func() { mask[k] = false }()
+	return topo.IslandsMasked(mask, comp, stack)
 }

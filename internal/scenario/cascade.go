@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -108,93 +109,52 @@ type cascadeState interface {
 	effP(g int) float64
 }
 
-// viewState is the fast path: one reusable OutageView over the shared
-// immutable base, solved by the worker's persistent ViewSolver (patched
-// Ybus, compiled Jacobian pattern, reused LU symbolic analysis). Stacking
-// a cascade's cumulative trip set is exactly the rank-1 patch stack
-// ViewSolver already applies per solve.
-type viewState struct {
-	view   *model.OutageView
-	solver *powerflow.ViewSolver
-}
+// viewState is the fast path: the pooled contingency.Worker's reusable
+// OutageView over the shared immutable base, solved by its persistent
+// ViewSolver (patched Ybus, compiled Jacobian pattern, reused LU symbolic
+// analysis). Stacking a cascade's cumulative trip set is exactly the
+// rank-1 patch stack ViewSolver already applies per solve.
+type viewState struct{ w *contingency.Worker }
 
-func (s *viewState) prepare(ev Event, fp fleetPlan) {
-	s.view.Reset()
+func (s viewState) prepare(ev Event, fp fleetPlan) {
+	v := s.w.View()
+	v.Reset()
 	for _, g := range fp.out {
-		s.view.OutGen(g)
+		v.OutGen(g)
 	}
 	for _, t := range fp.targets {
-		s.view.SetGenP(t.gen, t.p)
+		v.SetGenP(t.gen, t.p)
 	}
 	if ls := ev.loadScale(); ls != 1 {
-		s.view.ScaleLoads(ls)
+		v.ScaleLoads(ls)
 	}
 }
 
-func (s *viewState) trip(branches []int) {
+func (s viewState) trip(branches []int) {
 	for _, k := range branches {
-		s.view.OutBranch(k)
+		s.w.View().OutBranch(k)
 	}
 }
 
-func (s *viewState) solve(opts powerflow.Options) (*powerflow.Result, error) {
-	return s.solver.Solve(s.view, opts)
+func (s viewState) solve(opts powerflow.Options) (*powerflow.Result, error) {
+	return s.w.Solve(opts)
 }
 
-func (s *viewState) materialize() *model.Network { return s.view.Materialize() }
+func (s viewState) materialize() *model.Network { return s.w.View().Materialize() }
 
-func (s *viewState) setGenP(g int, p float64) { s.view.SetGenP(g, p) }
-func (s *viewState) inService(g int) bool     { return s.view.GenInService(g) }
-func (s *viewState) effP(g int) float64       { return s.view.Gen(g).P }
+func (s viewState) setGenP(g int, p float64) { s.w.View().SetGenP(g, p) }
+func (s viewState) inService(g int) bool     { return s.w.View().GenInService(g) }
+func (s viewState) effP(g int) float64       { return s.w.View().Gen(g).P }
 
-// Ctx is one worker's reusable cascade state: the view backend whose
-// solver keeps its compiled Newton pattern and LU symbolic analysis across
-// cascades, plus the shared base topology and the allocation-free
-// islanding/mask buffers. Not safe for concurrent use; Pool hands one per
-// worker.
-type Ctx struct {
-	n     *model.Network
-	topo  *model.Topology
-	slack int
-
-	vs viewState
-
-	comp, stack []int
-	mask        []bool
-}
-
-// NewCtx builds a worker context over base network n, which must have a
-// slack bus. topo must describe n's in-service branches (nil builds one);
-// baseY, when non-nil, is the shared base admittance matrix to value-copy.
-func NewCtx(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Ctx {
-	if topo == nil {
-		topo = model.NewTopology(n)
-	}
-	solver, err := powerflow.NewViewSolver(n, baseY)
-	if err != nil {
-		// Classification fails only without a slack bus, which every entry
-		// point rejects as ErrNoBase.
-		panic(err)
-	}
-	return &Ctx{
-		n:     n,
-		topo:  topo,
-		slack: n.SlackBus(),
-		vs:    viewState{view: model.NewOutageView(n), solver: solver},
-		comp:  make([]int, len(n.Buses)),
-		stack: make([]int, len(n.Buses)),
-		mask:  make([]bool, len(n.Branches)),
-	}
-}
-
-// runCascade drives one cascade study over the backend st, using c for
-// the base topology and scratch buffers. Both backends run this exact
-// loop — islanding, scoring, trip selection and redispatch are literally
-// shared code — so the differential harness checking identical trip
-// sequences and matching stage metrics pins the solver backends against
-// each other, nothing else. Production callers pass &c.vs.
-func runCascade(c *Ctx, st cascadeState, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
-	n := c.n
+// runCascade drives one cascade study over the backend st, using w's
+// branch mask for the cumulative trip set and its islanding check. Both
+// backends run this exact loop — islanding, scoring, trip selection and
+// redispatch are literally shared code — so the differential harness
+// checking identical trip sequences and matching stage metrics pins the
+// solver backends against each other, nothing else. Production callers
+// pass viewState{w}. The trip bits are cleared before it returns, so w
+// goes back to its pool with an all-false mask.
+func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
 	fp := planGenOutages(n, ev.Gens)
 	r := &CascadeResult{
 		Event:        ev,
@@ -204,9 +164,7 @@ func runCascade(c *Ctx, st cascadeState, base *powerflow.Result, ev Event, opts 
 	}
 	st.prepare(ev, fp)
 
-	for i := range c.mask {
-		c.mask[i] = false
-	}
+	mask := w.Mask()
 	ls := ev.loadScale()
 	warm := &base.Voltages
 	trips := ev.Branches
@@ -215,10 +173,10 @@ func runCascade(c *Ctx, st cascadeState, base *powerflow.Result, ev Event, opts 
 		// mask, in candidate order — both backends see the identical set.
 		var applied []int
 		for _, k := range trips {
-			if k < 0 || k >= len(n.Branches) || !n.Branches[k].InService || c.mask[k] {
+			if k < 0 || k >= len(n.Branches) || !n.Branches[k].InService || mask[k] {
 				continue
 			}
-			c.mask[k] = true
+			mask[k] = true
 			applied = append(applied, k)
 		}
 		st.trip(applied)
@@ -228,14 +186,9 @@ func runCascade(c *Ctx, st cascadeState, base *powerflow.Result, ev Event, opts 
 		// Islanding first, over the cumulative trip set: a split sheds all
 		// demand outside the slack island (at the event's load scale) and
 		// ends propagation — exactly the N-1 sweep's rule, generalized N-k.
-		if count := c.topo.IslandsMasked(c.mask, c.comp, c.stack); count > 1 {
+		if shed, split := w.IslandedLoad(ls); split {
 			sg.Islanded = true
-			slackComp := c.comp[c.slack]
-			for _, l := range n.Loads {
-				if l.InService && c.comp[l.Bus] != slackComp {
-					r.LoadShedMW += l.P * ls
-				}
-			}
+			r.LoadShedMW += shed
 			r.Outcome = OutcomeIslanded
 			r.Stages = append(r.Stages, sg)
 			break
@@ -259,9 +212,12 @@ func runCascade(c *Ctx, st cascadeState, base *powerflow.Result, ev Event, opts 
 		}
 		sg.Converged = true
 		sg.Algorithm = res.Algorithm.String()
-		scoreStage(&sg, res, n, c.mask, opts)
+		// The contingency scorer's thermal/voltage rules over the
+		// surviving branches: flows on tripped branches are meaningless.
+		sg.MinVoltagePU = res.MinVm
+		sg.MaxLoadingPct, sg.Overloads, sg.VoltViols = contingency.Violations(res, n, mask, opts.OverloadPct, opts.VoltLow, opts.VoltHigh)
 
-		sg.NextTrips = selectTrips(res, c.mask, opts)
+		sg.NextTrips = selectTrips(res, mask, opts)
 		if len(sg.NextTrips) == 0 {
 			r.Outcome = OutcomeStable
 			r.Stages = append(r.Stages, sg)
@@ -285,48 +241,12 @@ func runCascade(c *Ctx, st cascadeState, base *powerflow.Result, ev Event, opts 
 		warm = &res.Voltages
 		trips = sg.NextTrips
 	}
+	for _, k := range r.TrippedBranches {
+		mask[k] = false
+	}
 	r.Depth = len(r.Stages) - 1
 	r.computeSeverity(opts)
 	return r
-}
-
-// scoreStage records the surviving-branch violations of a solved stage —
-// the contingency scorer's thermal/voltage rules with the outaged pair
-// generalized to the cumulative trip mask.
-func scoreStage(sg *Stage, res *powerflow.Result, n *model.Network, mask []bool, opts Options) {
-	sg.MinVoltagePU = res.MinVm
-	for bk, f := range res.Flows {
-		if mask[bk] {
-			continue // flows on tripped branches are meaningless
-		}
-		if f.LoadingPct > sg.MaxLoadingPct {
-			sg.MaxLoadingPct = f.LoadingPct
-		}
-		if f.LoadingPct > opts.OverloadPct {
-			bb := n.Branches[bk]
-			sg.Overloads = append(sg.Overloads, contingency.BranchLoading{
-				Branch:     bk,
-				FromBusID:  n.Buses[bb.From].ID,
-				ToBusID:    n.Buses[bb.To].ID,
-				LoadingPct: f.LoadingPct,
-			})
-		}
-	}
-	sort.Slice(sg.Overloads, func(a, b int) bool {
-		return sg.Overloads[a].LoadingPct > sg.Overloads[b].LoadingPct
-	})
-	for i := range n.Buses {
-		vm := res.Voltages.Vm[i]
-		if vm < opts.VoltLow {
-			sg.VoltViols = append(sg.VoltViols, contingency.VoltageViolation{
-				BusID: n.Buses[i].ID, VmPU: vm, Limit: opts.VoltLow, Low: true,
-			})
-		} else if vm > opts.VoltHigh {
-			sg.VoltViols = append(sg.VoltViols, contingency.VoltageViolation{
-				BusID: n.Buses[i].ID, VmPU: vm, Limit: opts.VoltHigh,
-			})
-		}
-	}
 }
 
 // selectTrips is the protection rule: every surviving branch loaded at or
@@ -393,15 +313,28 @@ func (r *CascadeResult) computeSeverity(opts Options) {
 
 // Cascade runs one cascade study from the initiating event over a solved
 // base case. The cumulative trip set stacks as rank-1 Ybus patches on a
-// pooled worker context.
+// pooled Worker. A seed branch that is out of range or out of service, or
+// a generator index out of range, fails with an error wrapping
+// contingency.ErrInvalidOutage; an in-range generator that is out of
+// service or the sole slack machine is dropped, as for Monte Carlo draws.
 func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (*CascadeResult, error) {
 	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
+	for _, k := range ev.Branches {
+		if k < 0 || k >= len(n.Branches) || !n.Branches[k].InService {
+			return nil, fmt.Errorf("%w: seed branch %d is out of range or out of service", contingency.ErrInvalidOutage, k)
+		}
+	}
+	for _, g := range ev.Gens {
+		if g < 0 || g >= len(n.Gens) {
+			return nil, fmt.Errorf("%w: generator %d is out of range", contingency.ErrInvalidOutage, g)
+		}
+	}
 	opts.fill()
-	ctx := acquireCtx(&opts, n)
-	defer releaseCtx(&opts, ctx)
-	r := runCascade(ctx, &ctx.vs, base, ev, opts)
+	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	defer opts.Pool.Release(w)
+	r := runCascade(w, viewState{w}, n, base, ev, opts)
 	recordScenario(opts.Metrics, "cascade", 1, 0)
 	return r, nil
 }
@@ -503,8 +436,8 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := acquireCtx(&opts, n)
-			defer releaseCtx(&opts, ctx)
+			w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+			defer opts.Pool.Release(w)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(n.Branches) {
@@ -523,7 +456,7 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 						continue
 					}
 				}
-				sw.Results[k] = runCascade(ctx, &ctx.vs, base, Event{Branches: []int{k}}, opts)
+				sw.Results[k] = runCascade(w, viewState{w}, n, base, Event{Branches: []int{k}}, opts)
 			}
 		}()
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridmind/internal/cases"
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
 	"gridmind/internal/ptdf"
@@ -199,7 +200,7 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 func TestCascadeSweepDifferential(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
-	got, err := Sweep(n, base, Options{Workers: 4, Pool: NewPool()})
+	got, err := Sweep(n, base, Options{Workers: 4, Pool: contingency.NewSweepPool()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,9 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 		return nil, ErrNoBase
 	}
 	opts.fill()
-	ctx := acquireCtx(&opts, n)
-	defer releaseCtx(&opts, ctx)
-	er := runEpisode(n, &ctx.vs, base, steps, opts)
+	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	defer opts.Pool.Release(w)
+	er := runEpisode(n, viewState{w}, base, steps, opts)
 	recordScenario(opts.Metrics, "episode", len(er.Steps), 0)
 	return er, nil
 }
@@ -64,7 +64,7 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 // runEpisode solves every step on the backend st, which the cascade
 // driver shares: a step is an event with the step's load scale, its
 // dispatch overrides as plan targets and its in-service outaged branches
-// as one trip. Production callers pass the worker context's view backend.
+// as one trip. Production callers pass the pooled worker's view backend.
 func runEpisode(n *model.Network, st cascadeState, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
 	er := &EpisodeResult{WorstStep: -1, MinMarginPct: 100, MinVoltagePU: base.MinVm}
 	warm := &base.Voltages

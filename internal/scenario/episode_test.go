@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gridmind/internal/cases"
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
 )
@@ -42,7 +43,7 @@ func TestEpisodeDifferential(t *testing.T) {
 			base := solveBase(t, n)
 			steps := episodeSteps(n, 24)
 			ref := episodeReference(n, base, steps, Options{})
-			got, err := Episode(n, base, steps, Options{Pool: NewPool()})
+			got, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,11 +82,11 @@ func TestEpisodeDeterminismAndWarmStart(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
 	steps := episodeSteps(n, 24)
-	a, err := Episode(n, base, steps, Options{Pool: NewPool()})
+	a, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Episode(n, base, steps, Options{Pool: NewPool()})
+	b, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestEpisodeZeroClone(t *testing.T) {
 	base := solveBase(t, n)
 	steps := episodeSteps(n, 24)
 	c0, m0 := model.CloneCount(), model.MaterializeCount()
-	er, err := Episode(n, base, steps, Options{Pool: NewPool()})
+	er, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,15 +99,15 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := acquireCtx(&mo.Cascade, n)
-			defer releaseCtx(&mo.Cascade, ctx)
+			w := mo.Cascade.Pool.Acquire(n, mo.Cascade.Topology, mo.Cascade.BaseYbus)
+			defer mo.Cascade.Pool.Release(w)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= mo.Samples {
 					return
 				}
 				ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
-				r := runCascade(ctx, &ctx.vs, base, ev, mo.Cascade)
+				r := runCascade(w, viewState{w}, n, base, ev, mo.Cascade)
 				so := SampleOutcome{
 					Sample:     i,
 					Event:      ev,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gridmind/internal/cases"
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 )
 
@@ -28,7 +29,7 @@ func TestMCDeterminism(t *testing.T) {
 		BranchOutageProb: 0.02,
 		GenOutageProb:    0.01,
 		LoadSigma:        0.05,
-		Cascade:          Options{Pool: NewPool()},
+		Cascade:          Options{Pool: contingency.NewSweepPool()},
 	}
 	first, err := RunMC(n, base, mo)
 	if err != nil {
@@ -43,7 +44,7 @@ func TestMCDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		mo2 := mo
-		mo2.Cascade = Options{Pool: NewPool(), Workers: workers}
+		mo2.Cascade = Options{Pool: contingency.NewSweepPool(), Workers: workers}
 		r, err := RunMC(n, base, mo2)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +68,7 @@ func TestMCDifferential(t *testing.T) {
 		Seed:             7,
 		BranchOutageProb: 0.03,
 		LoadSigma:        0.04,
-		Cascade:          Options{Workers: 4, Pool: NewPool()},
+		Cascade:          Options{Workers: 4, Pool: contingency.NewSweepPool()},
 	}
 	got, err := RunMC(n, base, mo)
 	if err != nil {
@@ -144,7 +145,7 @@ func TestMCWilsonSanity(t *testing.T) {
 		Samples:          1000,
 		Seed:             2026,
 		BranchOutageProb: 0.3,
-		Cascade:          Options{Pool: NewPool()},
+		Cascade:          Options{Pool: contingency.NewSweepPool()},
 	})
 	if err != nil {
 		t.Fatal(err)

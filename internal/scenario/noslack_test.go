@@ -13,10 +13,10 @@ import (
 // state for any outage or scenario solve, so every entry point that would
 // build a view solver over it must fail with an error instead of returning
 // records. The base-taking entry points see a converged base of the intact
-// case paired with the slackless copy and must reject it as ErrNoBase; the
-// generator-outage entry points take no base and return the classification
-// error. This covers the contingency package too, which cannot import
-// scenario's tests the other way round.
+// case paired with the slackless copy, and the generator-outage entry
+// points take no base; all must reject it as ErrNoBase. This covers the
+// contingency package too, which cannot import scenario's tests the other
+// way round.
 func TestNoSlackFailsLoudly(t *testing.T) {
 	base := solveBase(t, cases.MustLoad("case14"))
 	n := cases.MustLoad("case14")
@@ -38,15 +38,15 @@ func TestNoSlackFailsLoudly(t *testing.T) {
 		}, contingency.ErrNoBase},
 		{"contingency.AnalyzeGenOutage", func() (any, error) {
 			return contingency.AnalyzeGenOutage(n, 1, contingency.Options{})
-		}, nil},
+		}, contingency.ErrNoBase},
 		{"contingency.AnalyzeGenOutages", func() (any, error) {
 			return contingency.AnalyzeGenOutages(n, contingency.Options{Pool: contingency.NewSweepPool()})
-		}, nil},
+		}, contingency.ErrNoBase},
 		{"scenario.Cascade", func() (any, error) {
 			return Cascade(n, base, Event{Branches: []int{0}}, Options{})
 		}, ErrNoBase},
 		{"scenario.Sweep", func() (any, error) {
-			return Sweep(n, base, Options{Pool: NewPool()})
+			return Sweep(n, base, Options{Pool: contingency.NewSweepPool()})
 		}, ErrNoBase},
 		{"scenario.Episode", func() (any, error) {
 			return Episode(n, base, []EpisodeStep{{LoadScale: 1.05}}, Options{})

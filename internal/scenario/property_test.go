@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridmind/internal/cases"
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
 )
@@ -125,7 +126,7 @@ func TestCascadeZeroClone(t *testing.T) {
 	base := solveBase(t, n)
 
 	c0, m0 := model.CloneCount(), model.MaterializeCount()
-	sw, err := Sweep(n, base, Options{Pool: NewPool()})
+	sw, err := Sweep(n, base, Options{Pool: contingency.NewSweepPool()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,19 @@ import (
 	"sync"
 	"testing"
 
+	"gridmind/internal/contingency"
 	"gridmind/internal/engine"
 	"gridmind/internal/scenario"
 )
 
 // TestScenarioSharedEngineRace hammers one shared Engine from concurrent
 // cascade sweeps (DC screen on, so the lazy LODF memo is hit from many
-// goroutines), Monte Carlo runs, and episodes — all workloads drawing
-// contexts from the same scenario pool and structural artifacts from the
-// same cache. Run under -race this is the concurrency pin; the Stats
-// assertions additionally prove one-case-one-compilation: N goroutines
-// share ONE Ybus, ONE topology, ONE PTDF build.
+// goroutines), Monte Carlo runs, episodes, N-1 sweeps and generator
+// sweeps — all checking workers out of the same state's one SweepPool and
+// structural artifacts out of the same cache. Run under -race this is the
+// concurrency pin; the Stats assertions additionally prove
+// one-case-one-compilation: N goroutines share ONE Ybus, ONE topology,
+// ONE PTDF build and ONE worker pool.
 func TestScenarioSharedEngineRace(t *testing.T) {
 	eng := engine.New()
 	n, err := eng.Pristine("case57")
@@ -30,25 +32,36 @@ func TestScenarioSharedEngineRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := eng.SweepPool("race")
 	mkOpts := func() scenario.Options {
 		return scenario.Options{
 			BaseYbus: art.Ybus(),
 			Topology: art.Topology(),
 			PTDF:     ptdfM,
 			Reorder:  art.Ordering(),
-			Pool:     eng.ScenarioPool("race"),
+			Pool:     pool,
 			Workers:  2,
 		}
 	}
 
-	const goroutines = 8
+	contOpts := func() contingency.Options {
+		return contingency.Options{
+			BaseYbus: art.Ybus(),
+			Topology: art.Topology(),
+			Reorder:  art.Ordering(),
+			Pool:     pool,
+			Workers:  2,
+		}
+	}
+
+	const goroutines = 10
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			switch i % 3 {
+			switch i % 5 {
 			case 0:
 				opts := mkOpts()
 				opts.DCScreen = true
@@ -74,6 +87,14 @@ func TestScenarioSharedEngineRace(t *testing.T) {
 				if _, err := scenario.Episode(n, base, steps, mkOpts()); err != nil {
 					errs <- err
 				}
+			case 3:
+				if _, err := contingency.Analyze(n, base, contOpts()); err != nil {
+					errs <- err
+				}
+			case 4:
+				if _, err := contingency.AnalyzeGenOutages(n, contOpts()); err != nil {
+					errs <- err
+				}
 			}
 		}(i)
 	}
@@ -88,8 +109,11 @@ func TestScenarioSharedEngineRace(t *testing.T) {
 		t.Fatalf("shared engine recompiled structure under concurrency: ybus=%d topo=%d ptdf=%d, want 1 each",
 			st.YbusBuilds, st.TopoBuilds, st.PTDFBuilds)
 	}
-	if st.ScenarioPoolNew == 0 {
-		t.Fatal("scenario pool was never used")
+	if st.SweepPoolNew != 1 {
+		t.Fatalf("state %q built %d worker pools, want 1", "race", st.SweepPoolNew)
+	}
+	if pool.ContextBuilds() == 0 {
+		t.Fatal("worker pool was never used")
 	}
 	t.Logf("stats: %+v", st)
 }

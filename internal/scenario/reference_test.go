@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
 )
@@ -51,7 +52,7 @@ func (s *cloneState) effP(g int) float64       { return s.n.Gens[g].P }
 // backend, as Cascade does on the view backend.
 func cascadeReference(n *model.Network, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
 	opts.fill()
-	return runCascade(NewCtx(n, nil, nil), &cloneState{base: n}, base, ev, opts)
+	return runCascade(contingency.NewSweepPool().Acquire(n, nil, nil), &cloneState{base: n}, n, base, ev, opts)
 }
 
 // episodeReference runs an episode through the shared driver on the clone

@@ -18,6 +18,7 @@ import (
 	"math"
 	"runtime"
 
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/obs"
 	"gridmind/internal/powerflow"
@@ -91,9 +92,10 @@ type Options struct {
 	Topology *model.Topology
 	PTDF     *ptdf.Matrix
 	Reorder  *powerflow.OrderingCache
-	// Pool recycles the per-worker scenario contexts (compiled Newton
-	// pattern + LU symbolic analysis) across calls; see Pool.
-	Pool *Pool
+	// Pool recycles the outage Workers (compiled Newton pattern + LU
+	// symbolic analysis) across calls; it is the same per-state pool the
+	// contingency sweeps check theirs out of (see contingency.SweepPool).
+	Pool *contingency.SweepPool
 	// Metrics, when non-nil, receives scenario-level counters (cascade
 	// sweeps, seeds, screen certificates, episode steps, MC samples) —
 	// recorded in bulk per run, never per solve.

@@ -69,12 +69,13 @@ func RegisterExtensions(r *Registry, ctx *session.Context, eng *engine.Engine) e
 }
 
 // scenarioOpts assembles scenario Options from the engine's shared
-// structural artifacts, mirroring sharedOpts for the contingency tools.
+// structural artifacts and the state's worker pool, mirroring sharedOpts
+// for the contingency tools (both check workers out of the same pool).
 func scenarioOpts(ctx *session.Context, eng *engine.Engine, n *model.Network, withPTDF bool) scenario.Options {
 	a := eng.Artifacts(n)
 	opts := scenario.Options{
 		BaseYbus: a.Ybus(), Topology: a.Topology(), Reorder: a.Ordering(),
-		Pool: eng.ScenarioPool(ctx.DiffHash()), Metrics: eng.Metrics(),
+		Pool: eng.SweepPool(ctx.DiffHash()), Metrics: eng.Metrics(),
 	}
 	if withPTDF {
 		if m, err := a.PTDF(); err == nil {

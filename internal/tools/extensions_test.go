@@ -1,8 +1,10 @@
 package tools
 
 import (
+	"errors"
 	"testing"
 
+	"gridmind/internal/contingency"
 	"gridmind/internal/engine"
 	"gridmind/internal/session"
 )
@@ -169,6 +171,23 @@ func TestCascadeToolEvent(t *testing.T) {
 	}
 	if len(m["stages"].([]any)) == 0 {
 		t.Fatal("no stage records")
+	}
+}
+
+// TestCascadeToolRejectsInvalidSeed: LLM-supplied seed branches reach
+// scenario.Cascade unfiltered, so an index that names no in-service
+// branch must come back as an ErrInvalidOutage error, not as a "stable"
+// study of a non-event.
+func TestCascadeToolRejectsInvalidSeed(t *testing.T) {
+	r, sess := extendedRegistry(t)
+	if _, err := sess.LoadCase("case57"); err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []any{[]any{9999.0}, []any{-3.0}, []any{0.0, 9999.0}} {
+		out, err := r.Invoke(ToolCascade, map[string]any{"branches": seed})
+		if !errors.Is(err, contingency.ErrInvalidOutage) {
+			t.Fatalf("branches %v: got %v, %v; want ErrInvalidOutage", seed, out, err)
+		}
 	}
 }
 

@@ -226,14 +226,18 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 }
 
 // recordSweep publishes one sweep's bulk counters on met (no-op when nil).
-// kind labels the sweep family: n1, n2, gen.
-func recordSweep(met *obs.Registry, kind string, outages, screened int) {
+// kind labels the sweep family: n1, n2, gen. factorizations and baseStarts
+// are the Newton LU factorizations and base-factor starts of the outages
+// the sweep solved on the AC path.
+func recordSweep(met *obs.Registry, kind string, outages, screened, factorizations, baseStarts int) {
 	if met == nil {
 		return
 	}
 	met.Counter("gridmind_contingency_sweeps_total", "Contingency sweeps completed, by kind.", "kind", kind).Inc()
 	met.Counter("gridmind_contingency_outages_total", "Outages evaluated across sweeps, by kind.", "kind", kind).Add(int64(outages))
 	met.Counter("gridmind_contingency_screened_total", "Outages certified secure by the DC screen (no AC solve), by kind.", "kind", kind).Add(int64(screened))
+	met.Counter("gridmind_contingency_factorizations_total", "Newton LU factorizations of AC-solved outages, by kind.", "kind", kind).Add(int64(factorizations))
+	met.Counter("gridmind_contingency_base_factor_starts_total", "Newton solves of AC-solved outages that started on the base factor instead of a factorization, by kind.", "kind", kind).Add(int64(baseStarts))
 }
 
 // AnalyzeOne simulates the outage of branch k and scores it. Like Analyze,

@@ -6,6 +6,7 @@ import (
 
 	"gridmind/internal/cases"
 	"gridmind/internal/model"
+	"gridmind/internal/obs"
 	"gridmind/internal/powerflow"
 )
 
@@ -319,4 +320,41 @@ func contains(s, sub string) bool {
 		}
 		return false
 	})()
+}
+
+// TestSweepNewtonTelemetry checks the sweep's Newton counters: every
+// non-islanding outage of a case57 N-1 sweep starts on its worker's base
+// factor, the factorizations left are far fewer than the outages, and a
+// second sweep on the same pool adds to both counters.
+func TestSweepNewtonTelemetry(t *testing.T) {
+	n := cases.MustLoad("case57")
+	base := solveBase(t, n)
+	met := obs.NewRegistry()
+	opts := Options{Workers: 2, Pool: NewSweepPool(), Metrics: met}
+	rs, err := Analyze(n, base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var solved int
+	for _, o := range rs.Outages {
+		if !o.Islanded {
+			solved++
+		}
+	}
+	facts := met.Counter("gridmind_contingency_factorizations_total", "", "kind", "n1")
+	starts := met.Counter("gridmind_contingency_base_factor_starts_total", "", "kind", "n1")
+	f1, s1 := facts.Value(), starts.Value()
+	t.Logf("case57 N-1: %d AC-solved outages, %d factorizations, %d base-factor starts", solved, f1, s1)
+	if s1 != int64(solved) {
+		t.Fatalf("%d base-factor starts over %d AC-solved outages", s1, solved)
+	}
+	if f1 == 0 || f1 >= int64(solved) {
+		t.Fatalf("%d factorizations over %d AC-solved outages", f1, solved)
+	}
+	if _, err := Analyze(n, base, opts); err != nil {
+		t.Fatal(err)
+	}
+	if starts.Value() != 2*s1 || facts.Value() <= f1 {
+		t.Fatalf("second sweep: counters at %d factorizations, %d base-factor starts", facts.Value(), starts.Value())
+	}
 }

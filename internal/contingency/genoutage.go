@@ -175,6 +175,7 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 	opts.fill()
 	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
 	defer opts.Pool.Release(w)
+	w.takeNewtonWork() // drop what its earlier studies did
 	var out []GenOutageResult
 	for g, gen := range n.Gens {
 		if !gen.InService {
@@ -190,6 +191,7 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 	if len(out) == 0 {
 		return nil, fmt.Errorf("contingency: no analyzable generator outages in %s", n.Name)
 	}
-	recordSweep(opts.Metrics, "gen", len(out), 0)
+	facts, baseStarts := w.takeNewtonWork()
+	recordSweep(opts.Metrics, "gen", len(out), 0, facts, baseStarts)
 	return out, nil
 }

@@ -27,6 +27,10 @@ type Worker struct {
 
 	comp, stack []int
 	mask        []bool
+
+	// factorizations and baseStarts sum the Newton work of the worker's
+	// solves since the last takeNewtonWork.
+	factorizations, baseStarts int
 }
 
 // newWorker prepares a worker over n, which must have a slack bus. topo
@@ -59,7 +63,20 @@ func (w *Worker) View() *model.OutageView { return w.view }
 // Solve runs the power flow of the view's current state on the worker's
 // persistent solver.
 func (w *Worker) Solve(opts powerflow.Options) (*powerflow.Result, error) {
-	return w.solver.Solve(w.view, opts)
+	res, err := w.solver.Solve(w.view, opts)
+	if res != nil {
+		w.factorizations += res.Factorizations
+		w.baseStarts += res.BaseFactorStarts
+	}
+	return res, err
+}
+
+// takeNewtonWork returns the LU factorizations and base-factor starts of
+// the worker's Newton solves since the last call, and zeroes them.
+func (w *Worker) takeNewtonWork() (factorizations, baseStarts int) {
+	factorizations, baseStarts = w.factorizations, w.baseStarts
+	w.factorizations, w.baseStarts = 0, 0
+	return factorizations, baseStarts
 }
 
 // Mask returns the worker's branch mask: mask[k] marks branch k out for

@@ -122,14 +122,21 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 			topo = model.NewTopology(n)
 		}
 	}
-	var next, screened atomic.Int64
+	var next, screened, facts, baseStarts atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(opts.Workers, len(outages)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var w *Worker
-			defer func() { opts.Pool.Release(w) }()
+			defer func() {
+				if w != nil {
+					f, b := w.takeNewtonWork()
+					facts.Add(int64(f))
+					baseStarts.Add(int64(b))
+				}
+				opts.Pool.Release(w)
+			}()
 			for {
 				idx := int(next.Add(1) - 1)
 				if idx >= len(outages) {
@@ -154,6 +161,7 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 					if w == nil {
 						prepOnce.Do(prep)
 						w = opts.Pool.Acquire(n, topo, baseY)
+						w.takeNewtonWork() // drop what its earlier studies did
 					}
 					r = w.analyze(base, p, opts)
 				}
@@ -166,7 +174,7 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 	}
 	wg.Wait()
 	rs.Screened = int(screened.Load())
-	recordSweep(opts.Metrics, kind, len(outages), rs.Screened)
+	recordSweep(opts.Metrics, kind, len(outages), rs.Screened, int(facts.Load()), int(baseStarts.Load()))
 	return rs, nil
 }
 

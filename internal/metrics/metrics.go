@@ -31,11 +31,21 @@ type Interaction struct {
 	At               time.Time     `json:"at"`
 }
 
-// Recorder accumulates interactions; it is safe for concurrent use.
+// maxRows is how many of the most recent interactions a Recorder keeps. A
+// serving process records one row per agent turn for its whole life, so
+// the log is a ring: older rows are overwritten and counted in Dropped.
+const maxRows = 4096
+
+// Recorder keeps the last maxRows interactions in a ring; it is safe for
+// concurrent use.
 type Recorder struct {
-	mu   sync.Mutex
-	rows []Interaction
-	met  *obs.Registry
+	mu sync.Mutex
+	// rows holds at most maxRows interactions; once full, next is the
+	// slot of the oldest row, which the next Record overwrites.
+	rows    []Interaction
+	next    int
+	dropped int64
+	met     *obs.Registry
 }
 
 // NewRecorder returns an empty recorder.
@@ -52,10 +62,23 @@ func (r *Recorder) Observe(met *obs.Registry) *Recorder {
 	return r
 }
 
-// Record appends one interaction.
+// Record appends one interaction, overwriting the oldest once maxRows are
+// held.
 func (r *Recorder) Record(i Interaction) {
 	r.mu.Lock()
-	r.rows = append(r.rows, i)
+	if len(r.rows) < maxRows {
+		if len(r.rows) == cap(r.rows) {
+			// Grow by doubling, but never past the ring's size.
+			grown := make([]Interaction, len(r.rows), min(max(2*cap(r.rows), 16), maxRows))
+			copy(grown, r.rows)
+			r.rows = grown
+		}
+		r.rows = append(r.rows, i)
+	} else {
+		r.rows[r.next] = i
+		r.next = (r.next + 1) % maxRows
+		r.dropped++
+	}
 	met := r.met
 	r.mu.Unlock()
 	if met == nil {
@@ -73,24 +96,33 @@ func (r *Recorder) Record(i Interaction) {
 	met.Counter("gridmind_agent_recoveries_total", "Solver fallback recoveries during turns.", "agent", i.Agent).Add(int64(i.Recoveries))
 }
 
-// Rows returns a snapshot copy of all interactions.
+// Rows returns a snapshot copy of the kept interactions, oldest first.
 func (r *Recorder) Rows() []Interaction {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Interaction(nil), r.rows...)
+	out := make([]Interaction, 0, len(r.rows))
+	out = append(out, r.rows[r.next:]...)
+	return append(out, r.rows[:r.next]...)
 }
 
-// Len returns the number of recorded interactions.
+// Len returns the number of kept interactions (at most maxRows).
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.rows)
 }
 
-// Reset drops all records.
+// Dropped returns how many interactions the ring has overwritten.
+func (r *Recorder) Dropped() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// Reset drops all records and the dropped count.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	r.rows = nil
+	r.rows, r.next, r.dropped = nil, 0, 0
 	r.mu.Unlock()
 }
 

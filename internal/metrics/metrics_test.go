@@ -112,3 +112,36 @@ func TestWriteFormats(t *testing.T) {
 		t.Fatalf("csv output %q", cbuf.String())
 	}
 }
+
+// TestRecorderBounded records ten times the ring's capacity and checks that
+// the log stays at maxRows, keeps the newest rows in order, and counts
+// every overwritten one.
+func TestRecorderBounded(t *testing.T) {
+	r := NewRecorder()
+	const total = 10 * maxRows
+	for i := 0; i < total; i++ {
+		r.Record(Interaction{Query: "q", PromptTokens: i})
+	}
+	if r.Len() != maxRows {
+		t.Fatalf("len %d, want %d", r.Len(), maxRows)
+	}
+	if got := r.Dropped(); got != total-maxRows {
+		t.Fatalf("dropped %d, want %d", got, total-maxRows)
+	}
+	if c := cap(r.rows); c > maxRows {
+		t.Fatalf("ring grew to capacity %d", c)
+	}
+	rows := r.Rows()
+	for i, row := range rows {
+		if want := total - maxRows + i; row.PromptTokens != want {
+			t.Fatalf("row %d holds turn %d, want %d", i, row.PromptTokens, want)
+		}
+	}
+	if s := Summarize(rows); s.Count != maxRows {
+		t.Fatalf("summary count %d", s.Count)
+	}
+	r.Reset()
+	if r.Len() != 0 || r.Dropped() != 0 {
+		t.Fatal("reset left rows or a dropped count")
+	}
+}

@@ -15,7 +15,7 @@ const chordContraction = 0.2
 // newtonInner runs Newton-Raphson with chord steps for a fixed PV/PQ split
 // over the reduced index map.
 func newtonInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
-	return reducedState(y, c).newtonRound(y, c, vm, va, opts, chordContraction)
+	return reducedState(y, c).newtonRound(y, c, vm, va, opts, chordContraction, false)
 }
 
 // reducedState builds the Newton kernel over the REDUCED index map, whose
@@ -47,9 +47,10 @@ func reducedState(y *model.Ybus, c *classification) *fixedState {
 // in place when a step needs a fresh Jacobian; the LU likewise keeps its
 // symbolic analysis (fill pattern, pivot order) from the first
 // factorization and only refactorizes numerically afterwards. Chord steps
-// (see newtonRound) skip both and only solve against the kept factor.
-// Steady-state steps therefore perform no pattern construction and no
-// allocation.
+// (see newtonRound) skip both and only solve against the kept factor, and
+// on the ViewSolver's map a round may start on the base factor instead of
+// a fresh one (see baseFactor), which also skips both. Steady-state steps
+// therefore perform no pattern construction and no allocation.
 //
 // Two index maps drive it. The augmented map (augmentedState, the
 // ViewSolver's) gives every non-slack bus a magnitude unknown and pins the
@@ -72,6 +73,10 @@ type fixedState struct {
 	jac     jacobian
 	lu      *sparse.LU
 	colPerm []int
+	// base is the ViewSolver's base factor (nil on the reduced map); see
+	// baseFactor.
+	base  *baseFactor
+	tally factorTally
 }
 
 func newFixedState(y *model.Ybus, aPos, mPos []int, dim int, reduced bool) *fixedState {
@@ -94,30 +99,32 @@ func newFixedState(y *model.Ybus, aPos, mPos []int, dim int, reduced bool) *fixe
 // newtonRound iterates to convergence for the split in c. Buses with a
 // magnitude unknown that are not in c.pq are pinned (dVm = 0).
 //
-// The round's first step refills and factorizes the Jacobian. A step that
-// cut the max mismatch below rho times the previous one keeps that factor:
-// the next step is a chord step, one triangular solve against it. A step
+// The round's first step refills and factorizes the Jacobian, unless
+// fromBase says a factor of J0, the Jacobian of this start state over the
+// unpatched Ybus, is at hand (see baseFactor): then the first step
+// corrects J0 for the solve's branch patches by Woodbury instead, and
+// falls back to refill + factorize only when the correction is unsafe. A
+// step that cut the max mismatch below rho times the previous one keeps
+// the step's factor: the next step is a chord step, one triangular solve
+// against it (plus the low-rank correction on a J0 start). A step
 // that fell short is followed by a fresh refill and factorization, so the
 // round falls back to full Newton wherever the chord stalls; rho = 0 takes
-// full Newton throughout. opts.MaxIter bounds the fresh-Jacobian steps, so
-// chord steps never spend budget a Newton step needs; each chord step cuts
-// the mismatch at least 1/rho-fold, so their number stays bounded too.
-// It returns the steps taken, the LU factorizations (a Repivot fallback
-// counts as one more), the final max mismatch and whether it is below
-// opts.Tol.
-func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []float64, opts Options, rho float64) (steps, facts int, maxMis float64, converged bool, err error) {
+// full Newton throughout. opts.MaxIter bounds the exact-Jacobian steps (a
+// base-factor start is one), so chord steps never spend budget a Newton
+// step needs; each chord step cuts the mismatch at least 1/rho-fold, so
+// their number stays bounded too. It returns the steps taken, the LU
+// factorizations (a Repivot fallback counts as one more), the final max
+// mismatch and whether it is below opts.Tol.
+func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []float64, opts Options, rho float64, fromBase bool) (steps, facts int, maxMis float64, converged bool, err error) {
 	if st.dim == 0 {
 		return 0, 0, 0, true, nil
 	}
-	for i := range st.isPQ {
-		st.isPQ[i] = false
-	}
-	for _, i := range c.pq {
-		st.isPQ[i] = true
-	}
-	// prevMis starts at 0, so the round's first step always factorizes.
+	st.setPQ(c)
+	// prevMis starts at 0, so the round's first step always takes a fresh
+	// Jacobian.
 	var jacobians int
 	var prevMis float64
+	onBase := false // steps solve on J0 with the Woodbury correction
 	for step := 1; ; step++ {
 		injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
 		maxMis = st.mismatch(c)
@@ -129,14 +136,23 @@ func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []flo
 				return step - 1, facts, maxMis, false, nil
 			}
 			jacobians++
-			n, err := st.factorize(y, vm, opts)
-			facts += n
-			if err != nil {
-				return step, facts, maxMis, false, err
+			onBase = fromBase && step == 1 && st.base.correct(y, st, vm)
+			st.tally.count(step, fromBase, onBase, onBase && st.base.f == st.base.lu)
+			if !onBase {
+				n, err := st.factorize(y, vm, opts)
+				facts += n
+				if err != nil {
+					return step, facts, maxMis, false, err
+				}
 			}
 		}
 		prevMis = maxMis
-		if err := st.lu.SolveInto(st.dx, st.rhs, st.work); err != nil {
+		if onBase {
+			err = st.base.solve(st)
+		} else {
+			err = st.lu.SolveInto(st.dx, st.rhs, st.work)
+		}
+		if err != nil {
 			return step, facts, maxMis, false, err
 		}
 		for i, a := range st.aPos {
@@ -156,35 +172,79 @@ func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []flo
 	}
 }
 
-// factorize refills the Jacobian at the current state and factorizes it:
-// Factorize with the fill-reducing order on the state's first call,
-// Refactorize on the kept symbolic analysis afterwards. It returns the
-// number of numeric factorizations done (2 when Repivot had to follow).
+// setPQ marks the PQ buses of c in st.isPQ.
+func (st *fixedState) setPQ(c *classification) {
+	for i := range st.isPQ {
+		st.isPQ[i] = false
+	}
+	for _, i := range c.pq {
+		st.isPQ[i] = true
+	}
+}
+
+// factorize refills the Jacobian at the current state and factorizes it
+// into the state's working LU, returning the numeric factorizations done.
 func (st *fixedState) factorize(y *model.Ybus, vm []float64, opts Options) (int, error) {
 	st.jac.refill(y, st, vm)
-	if st.lu == nil {
-		if st.colPerm = lookupOrdering(opts.Reorder, st.dim); st.colPerm == nil {
-			if st.reduced {
-				st.colPerm = sparse.MinDegree(st.jac.mat)
-			} else {
-				st.colPerm = busBlockOrdering(y, st)
+	return st.factorInto(&st.lu, y, opts)
+}
+
+// factorInto factorizes the Jacobian's current values into *lu, which is
+// the working LU or the base factor's: Refactorize on the kept symbolic
+// analysis, which a nil *lu first takes over from the state's other LU by
+// Clone, so both share one pivot order; Factorize with the fill-reducing
+// order when the state has no LU yet. It returns the number of numeric
+// factorizations done (2 when Repivot had to follow).
+func (st *fixedState) factorInto(lu **sparse.LU, y *model.Ybus, opts Options) (int, error) {
+	if *lu == nil {
+		if other := st.otherLU(lu); other != nil {
+			*lu = other.Clone()
+		} else {
+			if st.colPerm == nil {
+				if st.colPerm = lookupOrdering(opts.Reorder, st.dim); st.colPerm == nil {
+					if st.reduced {
+						st.colPerm = sparse.MinDegree(st.jac.mat)
+					} else {
+						st.colPerm = busBlockOrdering(y, st)
+					}
+					storeOrdering(opts.Reorder, st.dim, st.colPerm)
+				}
 			}
-			storeOrdering(opts.Reorder, st.dim, st.colPerm)
+			f, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
+			if err != nil {
+				return 1, err
+			}
+			if st.base != nil {
+				// A ViewSolver keeps its LUs for its whole life: store this
+				// one compactly, not in the slack Factorize sizes for fill.
+				f = f.Clone()
+			}
+			*lu = f
+			return 1, nil
 		}
-		lu, err := sparse.Factorize(st.jac.mat, sparse.Options{ColPerm: st.colPerm})
-		if err != nil {
-			return 1, err
-		}
-		st.lu = lu
-		return 1, nil
 	}
-	if err := st.lu.Refactorize(st.jac.mat); err != nil {
+	if err := (*lu).Refactorize(st.jac.mat); err != nil {
 		// Frozen pivot order hit a zero pivot for these values; redo the
 		// factorization in place with fresh row pivoting. The column
 		// pre-order stays valid — only the pivot choices went stale.
-		return 2, st.lu.Repivot(st.jac.mat)
+		st.tally.repivots++
+		return 2, (*lu).Repivot(st.jac.mat)
 	}
 	return 1, nil
+}
+
+// otherLU returns the state's LU that lu does not point at: the base
+// factor's for the working LU and the other way round (nil without a base
+// factor).
+func (st *fixedState) otherLU(lu **sparse.LU) *sparse.LU {
+	switch {
+	case st.base == nil:
+		return nil
+	case lu == &st.lu:
+		return st.base.lu
+	default:
+		return st.lu
+	}
 }
 
 // mismatch writes [ΔP; ΔQ or pin] into rhs from the injections in st.p/st.q
@@ -234,6 +294,9 @@ func (st *fixedState) mismatch(c *classification) float64 {
 type jacobian struct {
 	mat  *sparse.CSC
 	slot []int
+	// rowSlot[i] is the slot-map index at which bus i's rows start, so
+	// refillRow can rewrite one bus's rows alone (augmented map only).
+	rowSlot []int
 }
 
 // newJacobian compiles the symbolic pattern once for st's index map.
@@ -244,111 +307,133 @@ func newJacobian(y *model.Ybus, st *fixedState) jacobian {
 		ri = append(ri, r)
 		ci = append(ci, c)
 	}
-	for e, nz := range y.NZ {
-		i, j := nz[0], nz[1]
+	var rowSlot []int
+	if !st.reduced {
+		rowSlot = make([]int, y.N)
+	}
+	for i := 0; i < y.N; i++ {
+		if rowSlot != nil {
+			rowSlot[i] = len(ri)
+		}
 		ai, mi := st.aPos[i], st.mPos[i]
-		if ai < 0 || (i != j && st.reduced && y.NZv[e] == 0) {
+		if ai < 0 {
 			continue
 		}
-		if i == j {
-			emit(ai, ai)
-			if mi >= 0 {
-				emit(ai, mi)
-				emit(mi, ai)
-				emit(mi, mi)
+		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+			j := y.NZ[e][1]
+			if i != j && st.reduced && y.NZv[e] == 0 {
+				continue
 			}
-			continue
-		}
-		if aj := st.aPos[j]; aj >= 0 {
-			emit(ai, aj)
-			if mi >= 0 {
-				emit(mi, aj)
+			if i == j {
+				emit(ai, ai)
+				if mi >= 0 {
+					emit(ai, mi)
+					emit(mi, ai)
+					emit(mi, mi)
+				}
+				continue
 			}
-		}
-		if mj := st.mPos[j]; mj >= 0 {
-			emit(ai, mj)
-			if mi >= 0 {
-				emit(mi, mj)
+			if aj := st.aPos[j]; aj >= 0 {
+				emit(ai, aj)
+				if mi >= 0 {
+					emit(mi, aj)
+				}
+			}
+			if mj := st.mPos[j]; mj >= 0 {
+				emit(ai, mj)
+				if mi >= 0 {
+					emit(mi, mj)
+				}
 			}
 		}
 	}
 	mat, slot := sparse.CompilePattern(st.dim, st.dim, ri, ci)
-	return jacobian{mat: mat, slot: slot}
+	return jacobian{mat: mat, slot: slot, rowSlot: rowSlot}
 }
 
 // refill recomputes the Jacobian values for the current state and PQ
 // membership. No allocation, no pattern work, no closures: this loop is
-// ~5% of an N-1 sweep. y.NZ is row-major, so walking it by rows is the
-// same storage order newJacobian compiled, with the per-row state hoisted.
-// st.p/st.q/st.cs/st.sn must hold the injections and cos(va)/sin(va) as
-// filled by injectionsInto for the same state.
+// ~5% of an N-1 sweep. st.p/st.q/st.cs/st.sn must hold the injections and
+// cos(va)/sin(va) as filled by injectionsInto for the same state.
 func (ja *jacobian) refill(y *model.Ybus, st *fixedState, vm []float64) {
-	val, slot := ja.mat.Values(), ja.slot
-	aPos, mPos, isPQ, reduced := st.aPos, st.mPos, st.isPQ, st.reduced
-	p, q, cs, sn := st.p, st.q, st.cs, st.sn
 	k := 0
 	for i := 0; i < y.N; i++ {
-		if aPos[i] < 0 {
+		k = ja.refillRow(y, st, vm, i, k)
+	}
+}
+
+// refillRow recomputes the values of bus i's rows (its P row and, with a
+// magnitude unknown, its Q row), whose entries start at slot-map index k,
+// and returns the index after them. Row i of the Jacobian reads only row i
+// of the Ybus and the injections at i, so after a change confined to some
+// buses' Ybus rows, refilling those buses' rows brings the whole matrix up
+// to date. y.NZ is row-major, so walking row i is the storage order
+// newJacobian compiled, with the per-row state hoisted.
+func (ja *jacobian) refillRow(y *model.Ybus, st *fixedState, vm []float64, i, k int) int {
+	aPos, mPos, isPQ, reduced := st.aPos, st.mPos, st.isPQ, st.reduced
+	if aPos[i] < 0 {
+		return k
+	}
+	val, slot := ja.mat.Values(), ja.slot
+	p, q, cs, sn := st.p, st.q, st.cs, st.sn
+	hasM, pqi := mPos[i] >= 0, isPQ[i]
+	vi, ci, si := vm[i], cs[i], sn[i]
+	for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
+		j, yij := y.NZ[e][1], y.NZv[e]
+		g, b := real(yij), imag(yij)
+		if i == j {
+			val[slot[k]] = -q[i] - b*vi*vi // dP_i/dVa_i
+			k++
+			if !hasM {
+				continue
+			}
+			if pqi {
+				val[slot[k]] = p[i]/vi + g*vi   // dP_i/dVm_i
+				val[slot[k+1]] = p[i] - g*vi*vi // dQ_i/dVa_i
+				val[slot[k+2]] = q[i]/vi - b*vi // dQ_i/dVm_i
+			} else {
+				val[slot[k]] = 0   // pinned column
+				val[slot[k+1]] = 0 // pinned row
+				val[slot[k+2]] = 1 // identity: dVm_i = 0
+			}
+			k += 3
 			continue
 		}
-		hasM, pqi := mPos[i] >= 0, isPQ[i]
-		vi, ci, si := vm[i], cs[i], sn[i]
-		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
-			j, yij := y.NZ[e][1], y.NZv[e]
-			g, b := real(yij), imag(yij)
-			if i == j {
-				val[slot[k]] = -q[i] - b*vi*vi // dP_i/dVa_i
-				k++
-				if !hasM {
-					continue
-				}
+		if reduced && yij == 0 {
+			continue
+		}
+		ct := ci*cs[j] + si*sn[j]  // cos(va_i − va_j)
+		sth := si*cs[j] - ci*sn[j] // sin(va_i − va_j)
+		vij := vi * vm[j]
+		if aPos[j] >= 0 {
+			val[slot[k]] = vij * (g*sth - b*ct) // dP_i/dVa_j
+			k++
+			if hasM {
+				var dQdA float64
 				if pqi {
-					val[slot[k]] = p[i]/vi + g*vi   // dP_i/dVm_i
-					val[slot[k+1]] = p[i] - g*vi*vi // dQ_i/dVa_i
-					val[slot[k+2]] = q[i]/vi - b*vi // dQ_i/dVm_i
-				} else {
-					val[slot[k]] = 0   // pinned column
-					val[slot[k+1]] = 0 // pinned row
-					val[slot[k+2]] = 1 // identity: dVm_i = 0
+					dQdA = -vij * (g*ct + b*sth) // dQ_i/dVa_j
 				}
-				k += 3
-				continue
-			}
-			if reduced && yij == 0 {
-				continue
-			}
-			ct := ci*cs[j] + si*sn[j]  // cos(va_i − va_j)
-			sth := si*cs[j] - ci*sn[j] // sin(va_i − va_j)
-			vij := vi * vm[j]
-			if aPos[j] >= 0 {
-				val[slot[k]] = vij * (g*sth - b*ct) // dP_i/dVa_j
+				val[slot[k]] = dQdA
 				k++
-				if hasM {
-					var dQdA float64
-					if pqi {
-						dQdA = -vij * (g*ct + b*sth) // dQ_i/dVa_j
-					}
-					val[slot[k]] = dQdA
-					k++
+			}
+		}
+		if mPos[j] >= 0 {
+			var dPdM, dQdM float64
+			if isPQ[j] {
+				dPdM = vi * (g*ct + b*sth) // dP_i/dVm_j
+				if pqi {
+					dQdM = vi * (g*sth - b*ct) // dQ_i/dVm_j
 				}
 			}
-			if mPos[j] >= 0 {
-				var dPdM, dQdM float64
-				if isPQ[j] {
-					dPdM = vi * (g*ct + b*sth) // dP_i/dVm_j
-					if pqi {
-						dQdM = vi * (g*sth - b*ct) // dQ_i/dVm_j
-					}
-				}
-				val[slot[k]] = dPdM
+			val[slot[k]] = dPdM
+			k++
+			if hasM {
+				val[slot[k]] = dQdM
 				k++
-				if hasM {
-					val[slot[k]] = dQdM
-					k++
-				}
 			}
 		}
 	}
+	return k
 }
 
 // injections evaluates real and reactive nodal injections in p.u. for the

@@ -140,9 +140,13 @@ type Result struct {
 	// for Newton-Raphson one per fresh Jacobian plus one per Repivot
 	// fallback, for the fast-decoupled method B' and B'' once per round.
 	Factorizations int
-	MaxMismatch    float64 // p.u., at the returned state
-	Algorithm      Algorithm
-	Voltages       VoltageProfile
+	// BaseFactorStarts counts the Newton rounds whose first step ran on a
+	// ViewSolver's kept base factor with a Woodbury correction for the
+	// outaged branches, in place of a factorization.
+	BaseFactorStarts int
+	MaxMismatch      float64 // p.u., at the returned state
+	Algorithm        Algorithm
+	Voltages         VoltageProfile
 	// GenP and GenQ are the per-generator outputs in MW / MVAr after
 	// slack pickup and reactive allocation.
 	GenP, GenQ []float64

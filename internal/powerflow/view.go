@@ -23,11 +23,18 @@ import (
 //     pinned by exact identity rows (dVm = 0) with their couplings zeroed.
 //     A sweep encounters dozens of distinct PV/PQ splits as Q-limits bind
 //     differently per outage; the augmentation makes them all share one
-//     compiled Jacobian pattern and one LU symbolic analysis, so every
-//     post-outage Newton round starts with refill + Refactorize and then
-//     takes chord steps on that factor while the mismatch falls fast (see
-//     fixedState.newtonRound) — no pattern work, no symbolic analysis, no
-//     allocation in the steady state.
+//     compiled Jacobian pattern and one LU symbolic analysis — no pattern
+//     work, no symbolic analysis, no allocation in the steady state;
+//   - a second LU over that pattern, the base factor (see baseFactor): the
+//     Jacobian J0 at a start state over the unpatched Ybus, kept at the
+//     state recent solves share, as every outage of a warm-started sweep
+//     does. A solve whose patches touch at most four non-slack buses takes
+//     its first Newton step on J0 at its start state, corrected for the
+//     patches by Woodbury: from that state, with no refill and no
+//     factorization. Q-limit re-solve rounds, chord stalls and unsafe
+//     corrections refill and Refactorize the working LU instead; every
+//     round then takes chord steps on its factor while the mismatch falls
+//     fast (see fixedState.newtonRound).
 //
 // The identity-row trick is exact, not approximate: a pinned row solves
 // dVm_i = 0 identically (its off-row couplings are exact zeros, so no
@@ -60,6 +67,7 @@ type ViewSolver struct {
 	rscView bool
 
 	st      *fixedState
+	bf      baseFactor // what st.base points at
 	patches []model.BranchPatch
 }
 
@@ -94,6 +102,7 @@ func NewViewSolver(n *model.Network, baseY *model.Ybus) (*ViewSolver, error) {
 		hasGenBuf: make([]bool, nb),
 	}
 	s.st = augmentedState(s.y, nb, c.slack)
+	s.st.base = &s.bf
 	return s, nil
 }
 
@@ -140,19 +149,45 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 		opts.MaxIter = 30
 	}
 
-	for _, k := range view.BranchesOut() {
-		if p, ok := s.y.PatchBranchOutage(s.base, k); ok {
-			s.patches = append(s.patches, p)
+	res := &Result{Algorithm: opts.Algorithm}
+	c, fromBase := s.start(view, opts, res)
+	defer s.restore()
+	vm, va := s.vm, s.va
+
+	const maxQRounds = 6
+	for round := 0; ; round++ {
+		baseStarts := s.st.tally.baseStarts
+		iter, facts, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts, chordContraction, fromBase && round == 0)
+		res.Iterations += iter
+		res.Factorizations += facts
+		res.BaseFactorStarts += s.st.tally.baseStarts - baseStarts
+		res.MaxMismatch = mis
+		res.Converged = conv
+		if err != nil {
+			return res, err
+		}
+		if !conv {
+			finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
+			return res, fmt.Errorf("%w after %d iterations (max mismatch %.3e p.u., %v)",
+				ErrNotConverged, res.Iterations, mis, opts.Algorithm)
+		}
+		if !opts.EnforceQLimits || round >= maxQRounds {
+			break
+		}
+		if !switchPVtoPQ(s.y, &c, vm, va, s.qsc) {
+			break
 		}
 	}
-	defer func() {
-		for i := len(s.patches) - 1; i >= 0; i-- {
-			s.y.Restore(s.patches[i])
-		}
-		s.patches = s.patches[:0]
-	}()
+	finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
+	return res, nil
+}
 
-	var c classification
+// start prepares a solve of the view: the working classification, the
+// start voltages in s.vm/s.va, J0 at the start state (counting its
+// factorization, if any, in res), and the branch patches on s.y, which
+// restore takes back off. It reports whether the first round may start
+// on J0.
+func (s *ViewSolver) start(view *model.OutageView, opts Options, res *Result) (c classification, fromBase bool) {
 	vm, va := s.vm, s.va
 	if view.HasSpecChanges() {
 		// In-place spec path (gen outages, redispatch, load scaling): owned
@@ -182,31 +217,30 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 		startVoltagesInto(s.base, opts, vm, va)
 	}
 
-	res := &Result{Algorithm: opts.Algorithm}
-	const maxQRounds = 6
-	for round := 0; ; round++ {
-		iter, facts, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts, chordContraction)
-		res.Iterations += iter
+	// A solve whose branch patches touch few enough buses for the Woodbury
+	// correction starts on J0, which is over the unpatched Ybus, so this
+	// precedes the patches.
+	fromBase = s.st.base.touch(s.base, view.BranchesOut(), c.slack)
+	if fromBase {
+		var facts int
+		fromBase, facts = s.st.startOnBase(s.y, &c, vm, va, opts)
 		res.Factorizations += facts
-		res.MaxMismatch = mis
-		res.Converged = conv
-		if err != nil {
-			return res, err
-		}
-		if !conv {
-			finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
-			return res, fmt.Errorf("%w after %d iterations (max mismatch %.3e p.u., %v)",
-				ErrNotConverged, res.Iterations, mis, opts.Algorithm)
-		}
-		if !opts.EnforceQLimits || round >= maxQRounds {
-			break
-		}
-		if !switchPVtoPQ(s.y, &c, vm, va, s.qsc) {
-			break
+	}
+
+	for _, k := range view.BranchesOut() {
+		if p, ok := s.y.PatchBranchOutage(s.base, k); ok {
+			s.patches = append(s.patches, p)
 		}
 	}
-	finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
-	return res, nil
+	return c, fromBase
+}
+
+// restore undoes start's branch patches, bitwise.
+func (s *ViewSolver) restore() {
+	for i := len(s.patches) - 1; i >= 0; i-- {
+		s.y.Restore(s.patches[i])
+	}
+	s.patches = s.patches[:0]
 }
 
 // classifyView rebuilds the PV/PQ classification from the view's effective

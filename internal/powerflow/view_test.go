@@ -74,9 +74,10 @@ func TestViewSolverMatchesCloneSolve(t *testing.T) {
 
 // forEachOutage solves every non-islanding branch outage of the named case
 // at the given load scale through one ViewSolver, warm-started from the
-// Q-limited base solve of the scaled network like a sweep, and hands each
-// view result with its materialized network and options to check.
-func forEachOutage(t *testing.T, name string, scale float64, check func(k int, got *powerflow.Result, errV error, post *model.Network, opts powerflow.Options)) {
+// Q-limited base solve of the scaled network like a sweep, hands each
+// view result with its materialized network and options to check, and
+// returns the solver.
+func forEachOutage(t *testing.T, name string, scale float64, check func(k int, got *powerflow.Result, errV error, post *model.Network, opts powerflow.Options)) *powerflow.ViewSolver {
 	t.Helper()
 	n := cases.MustLoad(name)
 	view := model.NewOutageView(n)
@@ -104,6 +105,7 @@ func forEachOutage(t *testing.T, name string, scale float64, check func(k int, g
 		got, errV := solver.Solve(view, opts)
 		check(k, got, errV, view.Materialize(), opts)
 	}
+	return solver
 }
 
 // TestChordKeepsNewtonClasses pins the chord steps of the Newton kernel to
@@ -164,6 +166,36 @@ func TestChordFactorizationRatio(t *testing.T) {
 	t.Logf("case300 N-1: %d steps, %d factorizations (ratio %.3f)", steps, facts, float64(facts)/float64(steps))
 	if facts == 0 || 3*facts > steps {
 		t.Fatalf("%d factorizations over %d steps, want at most one in three", facts, steps)
+	}
+}
+
+// TestN1FactorizationCensus pins the base-factor gain with counters: over
+// the case300 N-1 outages, at least 95% of the solves must start on the
+// base factor, and every factorization left must be a Q-limit round start,
+// a chord stall, a base-factor build, a one-off start state's J0 or a
+// fallback from an unsafe correction (or the Repivot behind one of them).
+func TestN1FactorizationCensus(t *testing.T) {
+	var outages, steps, facts, baseStarts int
+	solver := forEachOutage(t, "case300", 1, func(k int, got *powerflow.Result, errV error, _ *model.Network, _ powerflow.Options) {
+		if errV != nil {
+			t.Fatalf("branch %d: %v", k, errV)
+		}
+		outages++
+		steps += got.Iterations
+		facts += got.Factorizations
+		baseStarts += got.BaseFactorStarts
+	})
+	c := solver.Census()
+	t.Logf("case300 N-1: %d outages, %d steps, %d factorizations, %d base-factor starts; census %+v",
+		outages, steps, facts, baseStarts, c)
+	if c.BaseStarts != baseStarts {
+		t.Fatalf("results report %d base-factor starts, the solver counted %d", baseStarts, c.BaseStarts)
+	}
+	if 100*baseStarts < 95*outages {
+		t.Fatalf("%d base-factor starts over %d outages, want at least 95%%", baseStarts, outages)
+	}
+	if limit := c.RoundStarts + c.Stalls + c.BaseBuilds + c.OneOffs + c.Fallbacks + c.Repivots; facts > limit {
+		t.Fatalf("%d factorizations, but only %d Q-limit round starts, chord stalls, base builds, one-off starts, fallbacks and repivots", facts, limit)
 	}
 }
 

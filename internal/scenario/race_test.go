@@ -1,11 +1,15 @@
 package scenario_test
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"gridmind/internal/cases"
 	"gridmind/internal/contingency"
 	"gridmind/internal/engine"
+	"gridmind/internal/powerflow"
 	"gridmind/internal/scenario"
 )
 
@@ -116,4 +120,74 @@ func TestScenarioSharedEngineRace(t *testing.T) {
 		t.Fatal("worker pool was never used")
 	}
 	t.Logf("stats: %+v", st)
+}
+
+// TestRaceBaseFactorHistory pins the base factor's history independence:
+// workers that have already run a cascade sweep, a generator sweep and an
+// episode — each leaving their solvers' base factors built at other start
+// states — must then sweep N-1 exactly as fresh workers do: the same
+// convergence classes, islanding flags and overload sets, voltages within
+// 1e-10, and in fact every record bit for bit. It runs on one pooled worker, and on two sharing one
+// SweepPool concurrently.
+func TestRaceBaseFactorHistory(t *testing.T) {
+	n := cases.MustLoad("case57")
+	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := contingency.Analyze(n, base, contingency.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]scenario.EpisodeStep, 8)
+	for s := range steps {
+		steps[s] = scenario.EpisodeStep{LoadScale: 0.9 + 0.03*float64(s)}
+	}
+	steps[3].BranchesOut = []int{1}
+	for _, workers := range []int{1, 2} {
+		pool := contingency.NewSweepPool()
+		if _, err := scenario.Sweep(n, base, scenario.Options{Pool: pool, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := contingency.AnalyzeGenOutages(n, contingency.Options{Pool: pool}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scenario.Episode(n, base, steps, scenario.Options{Pool: pool, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := contingency.Analyze(n, base, contingency.Options{Workers: workers, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pool.ContextReuses() == 0 {
+			t.Fatalf("%d workers: the N-1 sweep ran on no worker with a history", workers)
+		}
+		for i, w := range fresh.Outages {
+			g := got.Outages[i]
+			if g.Converged != w.Converged || g.Islanded != w.Islanded || g.Algorithm != w.Algorithm {
+				t.Fatalf("%d workers, branch %d: class (%v, %v, %s), fresh (%v, %v, %s)",
+					workers, w.Branch, g.Converged, g.Islanded, g.Algorithm, w.Converged, w.Islanded, w.Algorithm)
+			}
+			if !reflect.DeepEqual(overloaded(g), overloaded(w)) {
+				t.Fatalf("%d workers, branch %d: overloads %v, fresh %v", workers, w.Branch, overloaded(g), overloaded(w))
+			}
+			if d := math.Abs(g.MinVoltagePU - w.MinVoltagePU); d > 1e-10 {
+				t.Fatalf("%d workers, branch %d: min voltage differs by %.3e", workers, w.Branch, d)
+			}
+			// A solve does the same arithmetic whatever its solver did
+			// before, so the records agree bit for bit.
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%d workers, branch %d: record differs from the fresh sweep\ngot:   %+v\nfresh: %+v", workers, w.Branch, g, w)
+			}
+		}
+	}
+}
+
+// overloaded lists the overloaded branches of an outage record.
+func overloaded(o contingency.OutageResult) []int {
+	var ks []int
+	for _, l := range o.Overloads {
+		ks = append(ks, l.Branch)
+	}
+	return ks
 }

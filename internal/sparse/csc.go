@@ -159,25 +159,28 @@ func (m *CSC) At(i, j int) float64 {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("sparse: At index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
 	}
-	lo, hi := m.colPtr[j], m.colPtr[j+1]
-	idx := m.rowIdx[lo:hi]
-	k := sort.SearchInts(idx, i)
-	if k < len(idx) && idx[k] == i {
-		return m.val[lo+k]
+	if p := m.Pos(i, j); p >= 0 {
+		return m.val[p]
 	}
 	return 0
 }
 
 // Has reports whether (i, j) is a structural entry of the pattern
 // (regardless of its stored value). O(log nnz(col j)).
-func (m *CSC) Has(i, j int) bool {
+func (m *CSC) Has(i, j int) bool { return m.Pos(i, j) >= 0 }
+
+// Pos returns the index into Values() where entry (i, j) is stored, or -1
+// when (i, j) is out of range or not in the pattern. O(log nnz(col j)).
+func (m *CSC) Pos(i, j int) int {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		return false
+		return -1
 	}
 	lo, hi := m.colPtr[j], m.colPtr[j+1]
 	idx := m.rowIdx[lo:hi]
-	k := sort.SearchInts(idx, i)
-	return k < len(idx) && idx[k] == i
+	if k := sort.SearchInts(idx, i); k < len(idx) && idx[k] == i {
+		return lo + k
+	}
+	return -1
 }
 
 // MulVec computes y = M·x.

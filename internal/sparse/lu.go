@@ -76,22 +76,7 @@ func Factorize(a *CSC, opts Options) (*LU, error) {
 	}
 
 	nzEst := 4*a.NNZ() + n
-	f := &LU{
-		n:      n,
-		lp:     make([]int, n+1),
-		li:     make([]int, 0, nzEst),
-		lx:     make([]float64, 0, nzEst),
-		up:     make([]int, n+1),
-		ui:     make([]int, 0, nzEst),
-		ux:     make([]float64, 0, nzEst),
-		pinv:   make([]int, n),
-		q:      q,
-		tol:    tol,
-		rw:     make([]float64, n),
-		xi:     make([]int, 2*n),
-		pstack: make([]int, n),
-		marked: make([]int, n),
-	}
+	f := newLU(n, q, tol, nzEst, nzEst)
 	if err := f.Repivot(a); err != nil {
 		return nil, err
 	}
@@ -205,6 +190,59 @@ func (f *LU) Repivot(a *CSC) error {
 	}
 	f.failed = false
 	return nil
+}
+
+// Clone returns an independent copy of f: the same factors, row pivots
+// and column pre-order, with storage of its own sized to f's factors, so
+// two factorizations that start from one symbolic analysis can be
+// refactorized apart.
+func (f *LU) Clone() *LU {
+	c := newLU(f.n, f.q, f.tol, len(f.li), len(f.ui))
+	c.failed = f.failed
+	c.li, c.lx, c.ui, c.ux = c.li[:len(f.li)], c.lx[:len(f.lx)], c.ui[:len(f.ui)], c.ux[:len(f.ux)]
+	copy(c.lp, f.lp)
+	copy(c.li, f.li)
+	copy(c.lx, f.lx)
+	copy(c.up, f.up)
+	copy(c.ui, f.ui)
+	copy(c.ux, f.ux)
+	copy(c.pinv, f.pinv)
+	return c
+}
+
+// newLU allocates an empty factorization of dimension n with room for lnz
+// entries of L and unz of U, in three allocations whatever n: the
+// struct, one block of ints and one of floats. Each slice is capped at its
+// share, so a factorization with more fill than planned grows by append
+// without overrunning its neighbour.
+func newLU(n int, q []int, tol float64, lnz, unz int) *LU {
+	ints := arena[int](make([]int, 2*(n+1)+5*n+lnz+unz))
+	floats := arena[float64](make([]float64, lnz+unz+n))
+	return &LU{
+		n:      n,
+		lp:     ints.take(n + 1),
+		li:     ints.take(lnz)[:0],
+		lx:     floats.take(lnz)[:0],
+		up:     ints.take(n + 1),
+		ui:     ints.take(unz)[:0],
+		ux:     floats.take(unz)[:0],
+		pinv:   ints.take(n),
+		q:      q,
+		tol:    tol,
+		rw:     floats.take(n),
+		xi:     ints.take(2 * n),
+		pstack: ints.take(n),
+		marked: ints.take(n),
+	}
+}
+
+// arena hands out consecutive, capacity-capped slices of one allocation.
+type arena[T any] []T
+
+func (a *arena[T]) take(k int) []T {
+	s := (*a)[:k:k]
+	*a = (*a)[k:]
+	return s
 }
 
 // reach computes the nonzero pattern of L \ A(:, col) by depth-first search

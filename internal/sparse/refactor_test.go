@@ -271,3 +271,65 @@ func TestRepivotAfterSingular(t *testing.T) {
 	}
 	sameFactors(t, lu, want)
 }
+
+// TestCloneRefactorizesApart checks that a Clone shares nothing with its
+// source: refactorizing each on different values leaves both solving their
+// own matrix bit for bit as a factorization refactorized alone does, and
+// Pos finds every stored coordinate.
+func TestCloneRefactorizesApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := randomSolvable(rng, 60, 0.08)
+	lu, err := Factorize(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < a.cols; j++ {
+		for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
+			if got := a.Pos(a.rowIdx[p], j); got != p {
+				t.Fatalf("Pos(%d,%d) = %d, want %d", a.rowIdx[p], j, got, p)
+			}
+		}
+	}
+	if a.Pos(-1, 0) != -1 || a.Pos(0, a.cols) != -1 {
+		t.Fatal("Pos accepted an out-of-range coordinate")
+	}
+	c := lu.Clone()
+	b := &CSC{rows: a.rows, cols: a.cols, colPtr: a.colPtr, rowIdx: a.rowIdx, val: slices.Clone(a.val)}
+	for i := range b.val {
+		b.val[i] *= 1 + 0.2*rng.Float64()
+	}
+	ref, err := Factorize(a, Options{ColPerm: lu.q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Refactorize(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Refactorize(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := lu.Refactorize(a); err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, a.rows)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	solve := func(f *LU) []float64 {
+		x := make([]float64, len(rhs))
+		if err := f.SolveInto(x, rhs, make([]float64, len(rhs))); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	if !slices.Equal(solve(c), solve(ref)) {
+		t.Fatal("the clone does not solve its own matrix as a lone factorization does")
+	}
+	want, err := Factorize(a, Options{ColPerm: lu.q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(solve(lu), solve(want)) {
+		t.Fatal("refactorizing the clone disturbed its source")
+	}
+}

@@ -227,8 +227,8 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 
 // recordSweep publishes one sweep's bulk counters on met (no-op when nil).
 // kind labels the sweep family: n1, n2, gen. factorizations and baseStarts
-// are the Newton LU factorizations and base-factor starts of the outages
-// the sweep solved on the AC path.
+// are the LU factorizations and Newton base-factor starts of the outages
+// the sweep solved on the AC path, failure escalations included.
 func recordSweep(met *obs.Registry, kind string, outages, screened, factorizations, baseStarts int) {
 	if met == nil {
 		return
@@ -236,7 +236,7 @@ func recordSweep(met *obs.Registry, kind string, outages, screened, factorizatio
 	met.Counter("gridmind_contingency_sweeps_total", "Contingency sweeps completed, by kind.", "kind", kind).Inc()
 	met.Counter("gridmind_contingency_outages_total", "Outages evaluated across sweeps, by kind.", "kind", kind).Add(int64(outages))
 	met.Counter("gridmind_contingency_screened_total", "Outages certified secure by the DC screen (no AC solve), by kind.", "kind", kind).Add(int64(screened))
-	met.Counter("gridmind_contingency_factorizations_total", "Newton LU factorizations of AC-solved outages, by kind.", "kind", kind).Add(int64(factorizations))
+	met.Counter("gridmind_contingency_factorizations_total", "LU factorizations of AC-solved outages, by kind: Newton, the fast-decoupled fallback (B′ and B″) and the load-shed trials.", "kind", kind).Add(int64(factorizations))
 	met.Counter("gridmind_contingency_base_factor_starts_total", "Newton solves of AC-solved outages that started on the base factor instead of a factorization, by kind.", "kind", kind).Add(int64(baseStarts))
 }
 
@@ -336,56 +336,4 @@ func severity(o *OutageResult, opts Options) float64 {
 		s += 50 // collapse without a clean island estimate is severe
 	}
 	return s
-}
-
-// EstimateLoadShed estimates the demand (MW) that must be shed to restore
-// power flow solvability on an unsolvable post-outage network — the same
-// bisection the sweeps use for collapse records, exported so the cascade
-// engine's collapse accounting shares one rule with the N-1/N-2 paths.
-func EstimateLoadShed(post *model.Network) float64 { return estimateLoadShed(post) }
-
-// estimateLoadShed bisects a uniform load scaling until the post-outage
-// power flow solves, returning the shed demand in MW. This approximates
-// the "involuntary load shedding" the paper's CA evaluates.
-//
-// One trial network is prepared up front (sharing the untouched bus and
-// branch slices with post — solvers never mutate case data) and rescaled
-// in place from post each trial; previously every bisection step deep-
-// cloned the already-cloned outage network.
-func estimateLoadShed(post *model.Network) float64 {
-	loadP, _ := post.TotalLoad()
-	trial := &model.Network{
-		Name:     post.Name,
-		BaseMVA:  post.BaseMVA,
-		Buses:    post.Buses,
-		Branches: post.Branches,
-		Loads:    make([]model.Load, len(post.Loads)),
-		Gens:     make([]model.Generator, len(post.Gens)),
-	}
-	lo, hi := 0.0, 1.0 // feasible scale in [lo, hi): lo solvable fraction
-	for iter := 0; iter < 5; iter++ {
-		mid := (lo + hi) / 2
-		scaleDemand(trial, post, mid)
-		res, err := powerflow.Solve(trial, powerflow.Options{FlatStart: true})
-		if err == nil && res.Converged {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (1 - lo) * loadP
-}
-
-// scaleDemand writes post's loads and generator dispatches scaled by f
-// into trial's preallocated slices, allocation-free.
-func scaleDemand(trial, post *model.Network, f float64) {
-	for i, l := range post.Loads {
-		l.P *= f
-		l.Q *= f
-		trial.Loads[i] = l
-	}
-	for i, g := range post.Gens {
-		g.P *= f
-		trial.Gens[i] = g
-	}
 }

@@ -358,3 +358,37 @@ func TestSweepNewtonTelemetry(t *testing.T) {
 		t.Fatalf("second sweep: counters at %d factorizations, %d base-factor starts", facts.Value(), starts.Value())
 	}
 }
+
+// TestFallbackFactorizationsCounted pins what the factorization counter
+// counts on a forced fallback: case30's branch 0 fails warm Newton and
+// solves fast-decoupled, and the sweep's counter must carry both solves'
+// factorizations (B′ and B″ for the fallback). A fresh worker replays the
+// two solves, so the expected count is exact.
+func TestFallbackFactorizationsCounted(t *testing.T) {
+	n := cases.MustLoad("case30")
+	base := solveBase(t, n)
+
+	w := newWorker(n, nil, nil)
+	w.view.OutBranch(0)
+	nr, err := w.Solve(powerflow.Options{EnforceQLimits: true, Warm: &base.Voltages})
+	if err == nil && nr.Converged {
+		t.Fatal("case30 branch 0 solves by Newton; pick an outage that forces the fallback")
+	}
+	fd, err := w.Solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
+	if err != nil || !fd.Converged || fd.Factorizations == 0 {
+		t.Fatalf("fast-decoupled fallback: err %v, converged %v, %d factorizations", err, fd.Converged, fd.Factorizations)
+	}
+
+	met := obs.NewRegistry()
+	rs, err := Analyze(n, base, Options{Workers: 1, Branches: []int{0}, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alg := rs.Outages[0].Algorithm; alg != powerflow.FastDecoupled.String() {
+		t.Fatalf("branch 0 solved by %s, want the fast-decoupled fallback", alg)
+	}
+	got := met.Counter("gridmind_contingency_factorizations_total", "", "kind", "n1").Value()
+	if want := int64(nr.Factorizations + fd.Factorizations); got != want {
+		t.Fatalf("counter at %d factorizations, want %d (Newton %d + fast-decoupled %d)", got, want, nr.Factorizations, fd.Factorizations)
+	}
+}

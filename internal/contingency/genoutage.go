@@ -120,8 +120,10 @@ func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Networ
 // analyzeGen simulates the loss of generator g on the view path, matching
 // the materializing reference in reference_test.go result-for-result (the
 // differential harness enforces this to 1e-9). Since the solver re-derives
-// the PV/PQ classification from the view in place, a generator sweep
-// materializes nothing on the happy path.
+// the PV/PQ classification from the view in place, and a failed Newton
+// solve falls back to fast-decoupled on the same view, a generator sweep
+// materializes nothing. It has no load-shed estimate: a unit that fails
+// both solves is recorded as a collapse.
 func (w *Worker) analyzeGen(g int, opts Options) (*GenOutageResult, error) {
 	w.view.Reset()
 	lost, deficit, err := prepareGenOutage(w.n, w.view, g)
@@ -134,10 +136,7 @@ func (w *Worker) analyzeGen(g int, opts Options) (*GenOutageResult, error) {
 		LostMW:           lost,
 		ReserveDeficitMW: deficit,
 	}
-	res, err := w.Solve(powerflow.Options{EnforceQLimits: true})
-	if err != nil || !res.Converged {
-		res, err = powerflow.Solve(w.view.Materialize(), powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
+	res, err := w.SolveOrFallback(powerflow.Options{EnforceQLimits: true})
 	if err != nil || !res.Converged {
 		out.Converged = false
 		out.Severity = out.LostMW + out.ReserveDeficitMW + 50
@@ -166,8 +165,8 @@ func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, 
 // AnalyzeGenOutages sweeps every in-service generator (the "N-1 on
 // generation assets" companion of the branch sweep), returning results in
 // generator order. The whole sweep runs on one Worker, so no network is
-// cloned or materialized on the happy path. A network without a slack bus
-// fails with ErrNoBase.
+// cloned or materialized. A network without a slack bus fails with
+// ErrNoBase.
 func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error) {
 	if n.SlackBus() < 0 {
 		return nil, ErrNoBase
@@ -175,7 +174,7 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 	opts.fill()
 	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
 	defer opts.Pool.Release(w)
-	w.takeNewtonWork() // drop what its earlier studies did
+	w.takeSolveWork() // drop what its earlier studies did
 	var out []GenOutageResult
 	for g, gen := range n.Gens {
 		if !gen.InService {
@@ -191,7 +190,7 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 	if len(out) == 0 {
 		return nil, fmt.Errorf("contingency: no analyzable generator outages in %s", n.Name)
 	}
-	facts, baseStarts := w.takeNewtonWork()
+	facts, baseStarts := w.takeSolveWork()
 	recordSweep(opts.Metrics, "gen", len(out), 0, facts, baseStarts)
 	return out, nil
 }

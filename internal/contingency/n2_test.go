@@ -5,6 +5,7 @@ import (
 
 	"gridmind/internal/cases"
 	"gridmind/internal/model"
+	"gridmind/internal/powerflow"
 )
 
 // n1Sweep runs the branch sweep the N-2 pipeline seeds from.
@@ -243,11 +244,12 @@ func TestN2PreScreenConservative(t *testing.T) {
 	}
 }
 
-// TestN2ZeroClone: the production pipeline must not copy the network at
-// all — no deep clones, and materialization only for the rare
-// non-converging pair's fast-decoupled fallback.
+// TestN2ZeroClone: the production pipeline copies no network at all —
+// no deep clone and no materialized view, on the failure escalation
+// (fast-decoupled, then the load-shed estimate) too. case30's seeded
+// pairs escalate often, and the test requires that they still do.
 func TestN2ZeroClone(t *testing.T) {
-	n := cases.MustLoad("case57")
+	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
 	n1, err := Analyze(n, base, Options{})
 	if err != nil {
@@ -259,23 +261,19 @@ func TestN2ZeroClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clones, mats := model.CloneCount()-clones0, model.MaterializeCount()-mats0
-	if clones != 0 {
-		t.Fatalf("AnalyzeN2 performed %d network clones, want 0", clones)
+	if c, m := model.CloneCount()-clones0, model.MaterializeCount()-mats0; c != 0 || m != 0 {
+		t.Fatalf("AnalyzeN2 cloned %d and materialized %d networks, want 0 and 0", c, m)
 	}
-	var fallbacks int64
+	var escalated int
 	for i := range rs.Outages {
-		o := &rs.Outages[i]
-		// A Newton failure materializes the view once for the
-		// fast-decoupled fallback, whether or not that fallback converges
-		// (converged fallbacks are visible through their algorithm label).
-		if !o.Islanded && (!o.Converged || o.Algorithm == "fast-decoupled-xb") {
-			fallbacks++
+		if o := &rs.Outages[i]; o.Algorithm == powerflow.FastDecoupled.String() || (!o.Islanded && !o.Converged) {
+			escalated++
 		}
 	}
-	if mats > fallbacks {
-		t.Fatalf("AnalyzeN2 materialized %d networks for %d fallbacks", mats, fallbacks)
+	if escalated == 0 {
+		t.Fatal("no pair escalated past Newton; the corpus must exercise the failure path")
 	}
+	t.Logf("%d pairs, %d escalated past Newton", len(rs.Outages), escalated)
 }
 
 // TestN2RankingFeedsRecommendations: pair records flow through the

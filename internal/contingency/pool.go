@@ -27,9 +27,11 @@ type Worker struct {
 
 	comp, stack []int
 	mask        []bool
+	// dispatch holds the view's dispatch while ShedToSolve scales it.
+	dispatch []float64
 
-	// factorizations and baseStarts sum the Newton work of the worker's
-	// solves since the last takeNewtonWork.
+	// factorizations and baseStarts sum the LU work of the worker's
+	// solves since the last takeSolveWork.
 	factorizations, baseStarts int
 }
 
@@ -61,7 +63,8 @@ func newWorker(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Worke
 func (w *Worker) View() *model.OutageView { return w.view }
 
 // Solve runs the power flow of the view's current state on the worker's
-// persistent solver.
+// persistent solver. Every solve's factorizations count toward the
+// worker's solve work, fallback and shed-trial solves included.
 func (w *Worker) Solve(opts powerflow.Options) (*powerflow.Result, error) {
 	res, err := w.solver.Solve(w.view, opts)
 	if res != nil {
@@ -71,9 +74,59 @@ func (w *Worker) Solve(opts powerflow.Options) (*powerflow.Result, error) {
 	return res, err
 }
 
-// takeNewtonWork returns the LU factorizations and base-factor starts of
-// the worker's Newton solves since the last call, and zeroes them.
-func (w *Worker) takeNewtonWork() (factorizations, baseStarts int) {
+// SolveOrFallback is the recovery rung of the outage studies: Newton at
+// opts and, if that fails, fast-decoupled from the case start profile on
+// the same view, which is more tolerant of a poor start. An error or an
+// unconverged result means both failed.
+func (w *Worker) SolveOrFallback(opts powerflow.Options) (*powerflow.Result, error) {
+	res, err := w.Solve(opts)
+	if err == nil && res.Converged {
+		return res, nil
+	}
+	return w.Solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
+}
+
+// ShedToSolve estimates the demand (MW) that must be shed before the
+// view's current state solves: five bisection steps on a uniform scaling
+// of its demand and dispatch, each a flat-start Newton solve on the
+// worker. This approximates the "involuntary load shedding" the paper's
+// CA evaluates. The view's demand and dispatch are restored on return.
+func (w *Worker) ShedToSolve() float64 {
+	v := w.view
+	ls := v.LoadScale()
+	var loadP float64
+	for _, l := range w.n.Loads {
+		if l.InService {
+			loadP += l.P * ls
+		}
+	}
+	w.dispatch = w.dispatch[:0]
+	for g := range w.n.Gens {
+		w.dispatch = append(w.dispatch, v.Gen(g).P)
+	}
+	scale := func(f float64) {
+		v.ScaleLoads(ls * f)
+		for g, p := range w.dispatch {
+			v.SetGenP(g, p*f)
+		}
+	}
+	lo, hi := 0.0, 1.0 // feasible scale in [lo, hi): lo solvable fraction
+	for iter := 0; iter < 5; iter++ {
+		mid := (lo + hi) / 2
+		scale(mid)
+		if res, err := w.Solve(powerflow.Options{FlatStart: true}); err == nil && res.Converged {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	scale(1)
+	return (1 - lo) * loadP
+}
+
+// takeSolveWork returns the LU factorizations and base-factor starts of
+// the worker's solves since the last call, and zeroes them.
+func (w *Worker) takeSolveWork() (factorizations, baseStarts int) {
 	factorizations, baseStarts = w.factorizations, w.baseStarts
 	w.factorizations, w.baseStarts = 0, 0
 	return factorizations, baseStarts

@@ -7,10 +7,10 @@ import (
 
 // The brute-force references the differential harnesses pin the zero-clone
 // paths against. They share the scoring rules (scoreOutage,
-// scoreGenOutage, severity) and the load-shed estimate with production
-// code, and nothing of the solve machinery: each outage deep-clones (or
-// materializes) the network and re-solves it from scratch. opts must be
-// filled.
+// scoreGenOutage, severity) with production code, and nothing of the solve
+// machinery: each outage deep-clones (or materializes) the network and
+// re-solves it from scratch, and a collapse's load-shed estimate bisects
+// over a trial network instead of the worker's view. opts must be filled.
 
 // analyzeClone is the deep-clone reference for Worker.analyze —
 // clone, mark the elements out (with governor redispatch for a generator),
@@ -98,6 +98,47 @@ func analyzeGenOutageMaterialize(n *model.Network, g int, opts Options) (*GenOut
 	}
 	scoreGenOutage(out, res, post, opts)
 	return out, nil
+}
+
+// estimateLoadShed is the network reference for Worker.ShedToSolve: the
+// same bisection of a uniform demand and dispatch scaling, over one trial
+// network rescaled in place from post each step.
+func estimateLoadShed(post *model.Network) float64 {
+	loadP, _ := post.TotalLoad()
+	trial := &model.Network{
+		Name:     post.Name,
+		BaseMVA:  post.BaseMVA,
+		Buses:    post.Buses,
+		Branches: post.Branches,
+		Loads:    make([]model.Load, len(post.Loads)),
+		Gens:     make([]model.Generator, len(post.Gens)),
+	}
+	lo, hi := 0.0, 1.0 // feasible scale in [lo, hi): lo solvable fraction
+	for iter := 0; iter < 5; iter++ {
+		mid := (lo + hi) / 2
+		scaleDemand(trial, post, mid)
+		res, err := powerflow.Solve(trial, powerflow.Options{FlatStart: true})
+		if err == nil && res.Converged {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (1 - lo) * loadP
+}
+
+// scaleDemand writes post's loads and generator dispatches scaled by f
+// into trial's preallocated slices.
+func scaleDemand(trial, post *model.Network, f float64) {
+	for i, l := range post.Loads {
+		l.P *= f
+		l.Q *= f
+		trial.Loads[i] = l
+	}
+	for i, g := range post.Gens {
+		g.P *= f
+		trial.Gens[i] = g
+	}
 }
 
 // filledOptions returns the zero Options with every default filled in, as

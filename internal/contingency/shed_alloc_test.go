@@ -1,73 +1,73 @@
 package contingency
 
 import (
-	"math"
 	"testing"
 
 	"gridmind/internal/cases"
-	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
 )
 
-// estimateLoadShed used to deep-clone the (already cloned) outage network
-// on every bisection trial — a clone inside a clone, five times per
-// unsolvable outage. The port prepares one trial network up front and
-// rescales it in place. These tests pin that down with allocation counts.
+// Worker.ShedToSolve bisects over the worker's own view: each trial
+// rescales the view's demand and dispatch and solves on the persistent
+// solver, so the estimate allocates no more than its five trial solves.
+// The clone-per-trial bisection it replaced added a network copy to every
+// trial and trips the bound below.
 
-func TestScaleDemandAllocatesNothing(t *testing.T) {
-	post := cases.MustLoad("case30")
-	trial := &model.Network{
-		Name:     post.Name,
-		BaseMVA:  post.BaseMVA,
-		Buses:    post.Buses,
-		Branches: post.Branches,
-		Loads:    make([]model.Load, len(post.Loads)),
-		Gens:     make([]model.Generator, len(post.Gens)),
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		scaleDemand(trial, post, 0.625)
-	}); allocs != 0 {
-		t.Fatalf("scaleDemand allocates %v objects per run, want 0", allocs)
-	}
-	if trial.Loads[0].P != post.Loads[0].P*0.625 {
-		t.Fatal("scaleDemand did not scale")
-	}
+// stageUnsolvable stages the case30 pair (0, 6) on w: both Newton and
+// fast-decoupled fail on it, so its record carries a shed estimate.
+func stageUnsolvable(w *Worker) {
+	w.view.Reset()
+	w.view.OutBranch(0)
+	w.view.OutBranch(6)
 }
 
-func TestEstimateLoadShedAllocationRegression(t *testing.T) {
-	post := cases.MustLoad("case30")
+func TestShedToSolveAllocationBound(t *testing.T) {
+	n := cases.MustLoad("case30")
+	w := newWorker(n, nil, nil)
+	stageUnsolvable(w)
+	if res, err := w.SolveOrFallback(powerflow.Options{EnforceQLimits: true}); err == nil && res.Converged {
+		t.Fatal("case30 pair (0, 6) solves; pick an unsolvable outage")
+	}
 
-	// Replay the deterministic bisection (every trial of case30 converges,
-	// so mid follows 0.5, 0.75, ...) measuring the solver's own
-	// allocations, which are the legitimate cost of each trial.
+	// Replay the bisection trial by trial, measuring each trial solve's
+	// own allocations, which are the legitimate cost of the estimate.
 	var solveAllocs float64
 	lo, hi := 0.0, 1.0
-	trial := post.Clone()
 	for iter := 0; iter < 5; iter++ {
 		mid := (lo + hi) / 2
-		scaleDemand(trial, post, mid)
-		solveAllocs += testing.AllocsPerRun(1, func() {
-			res, err := powerflow.Solve(trial, powerflow.Options{FlatStart: true})
-			if err == nil && res.Converged {
-				return
-			}
-		})
-		lo = mid // converges at every scale on case30
-	}
-
-	shedAllocs := testing.AllocsPerRun(2, func() {
-		if shed := estimateLoadShed(post); math.IsNaN(shed) {
-			t.Fatal("NaN shed")
+		stageUnsolvable(w)
+		w.view.ScaleLoads(mid)
+		for g, gen := range n.Gens {
+			w.view.SetGenP(g, gen.P*mid)
 		}
-	})
+		converged := false
+		solveAllocs += testing.AllocsPerRun(1, func() {
+			res, err := w.Solve(powerflow.Options{FlatStart: true})
+			converged = err == nil && res.Converged
+		})
+		if converged {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	loadP, _ := n.TotalLoad()
+	want := (1 - lo) * loadP
 
-	// Budget: the five solves plus a fixed setup slack (one trial network:
-	// two slices, one struct, plus TotalLoad and harness noise). The old
-	// clone-per-trial implementation added ~5 allocations per trial (four
-	// slice copies and the Network header) and trips this bound.
-	budget := solveAllocs + 15
-	if shedAllocs > budget {
-		t.Fatalf("estimateLoadShed allocates %v objects, budget %v (solves account for %v) — did a per-trial clone sneak back in?",
+	stageUnsolvable(w)
+	var shed float64
+	shedAllocs := testing.AllocsPerRun(2, func() { shed = w.ShedToSolve() })
+	if d := shed - want; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("ShedToSolve = %v MW, the replayed bisection gives %v", shed, want)
+	}
+	if w.view.LoadScale() != 1 || w.view.Gen(0).P != n.Gens[0].P {
+		t.Fatal("ShedToSolve left the view's demand or dispatch scaled")
+	}
+	// Budget: the five solves plus a small constant. One network copy per
+	// trial would add at least five.
+	if budget := solveAllocs + 3; shedAllocs > budget {
+		t.Fatalf("ShedToSolve allocates %v objects, budget %v (solves account for %v) — did a per-trial copy come back?",
 			shedAllocs, budget, solveAllocs)
 	}
+	t.Logf("shed %.4f MW: %v allocations, %v of them in the trial solves", shed, shedAllocs, solveAllocs)
 }

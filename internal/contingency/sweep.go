@@ -131,7 +131,7 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 			var w *Worker
 			defer func() {
 				if w != nil {
-					f, b := w.takeNewtonWork()
+					f, b := w.takeSolveWork()
 					facts.Add(int64(f))
 					baseStarts.Add(int64(b))
 				}
@@ -161,7 +161,7 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 					if w == nil {
 						prepOnce.Do(prep)
 						w = opts.Pool.Acquire(n, topo, baseY)
-						w.takeNewtonWork() // drop what its earlier studies did
+						w.takeSolveWork() // drop what its earlier studies did
 					}
 					r = w.analyze(base, p, opts)
 				}
@@ -210,8 +210,9 @@ func newOutageResult(n *model.Network, p N2Pair) *OutageResult {
 // outaged branches are set in the worker's mask for the islanding check
 // and the scoring, and cleared on return; the view stacks the outages,
 // whose rank-1 Ybus patches stack the same way inside ViewSolver.Solve;
-// and a generator loss rides the solver's in-place classification instead
-// of falling back to Materialize.
+// and a generator loss rides the solver's in-place classification. A
+// failed solve escalates on the same view: fast-decoupled, then the
+// load-shed estimate.
 func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
 	out := newOutageResult(w.n, p)
 	w.markOut(p, true)
@@ -241,18 +242,11 @@ func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *Outage
 	if !opts.NoWarmStart {
 		pfOpts.Warm = &base.Voltages
 	}
-	res, err := w.Solve(pfOpts)
+	res, err := w.SolveOrFallback(pfOpts)
 	if err != nil || !res.Converged {
-		// Fallback: fast-decoupled is more tolerant of poor starts. The
-		// materialized overlay serves both the fallback and, if that also
-		// fails, the load-shed estimate.
-		post := w.view.Materialize()
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-		if err != nil || !res.Converged {
-			out.LoadShedMW = estimateLoadShed(post)
-			out.Severity = severity(out, opts) + deficit
-			return out
-		}
+		out.LoadShedMW = w.ShedToSolve()
+		out.Severity = severity(out, opts) + deficit
+		return out
 	}
 	scoreOutage(out, res, w.n, w.mask, opts)
 	out.Severity += deficit

@@ -128,16 +128,11 @@ func (v *OutageView) GenInService(g int) bool {
 	return v.Base.Gens[g].InService
 }
 
-// Materialize renders the view as a Network. Only the component slices the
-// view modifies are copied; the rest are shared with the base, so callers
-// must treat the result as read-only (every solver in this repo already
-// does — solvers update copies, never case data). A branch-outage view
-// therefore costs one branch-slice copy, a generator view one generator-
-// slice copy, instead of the four-slice deep Clone.
-//
-// Materialize never consumes the view: the same view can be materialized
-// repeatedly (ViewSolver does so internally for generation-touching
-// views), so dispatch overrides are copied out, not handed over.
+// Materialize renders the view as a Network, the form the test-side
+// references solve; outage studies solve views in place and never call
+// it. Only the component slices the view modifies are copied and the rest
+// are shared with the base, so the result is read-only. The view is not
+// consumed: dispatch overrides are copied out, not handed over.
 func (v *OutageView) Materialize() *Network {
 	materializeCount.Add(1)
 	n := &Network{

@@ -11,8 +11,10 @@ import (
 // uses the B' matrix built from series reactances only; the Q-V half step
 // uses B” taken from the imaginary part of the full Ybus. Both matrices
 // are factorized once and reused every sweep, which is the method's speed
-// advantage and why the agents use it as a cheap fallback.
-func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
+// advantage and why the agents use it as a cheap fallback. Branch statuses
+// come from view, an outage view over n; y is the view's Ybus, patched for
+// its outaged branches.
+func fdpfInner(n *model.Network, view *model.OutageView, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
 	nb := len(n.Buses)
 	aPos := make([]int, nb)
 	mPos := make([]int, nb)
@@ -37,8 +39,8 @@ func fdpfInner(n *model.Network, y *model.Ybus, c *classification, vm, va []floa
 
 	// B': branch susceptances from 1/x, taps and resistance ignored.
 	bp := sparse.NewCOO(na, na)
-	for _, br := range n.Branches {
-		if !br.InService || br.X == 0 {
+	for k, br := range n.Branches {
+		if !view.BranchInService(k) || br.X == 0 {
 			continue
 		}
 		b := 1 / br.X

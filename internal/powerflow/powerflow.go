@@ -266,7 +266,11 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 		if opts.MaxIter == 0 {
 			opts.MaxIter = 60
 		}
-		return solveACOuter(n, opts, fdpfInner)
+		// An empty view: branch statuses are n's own.
+		view := model.NewOutageView(n)
+		return solveACOuter(n, opts, func(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
+			return fdpfInner(n, view, y, c, vm, va, opts)
+		})
 	case DC:
 		return solveDC(n)
 	default:

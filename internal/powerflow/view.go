@@ -128,25 +128,30 @@ func augmentedState(y *model.Ybus, nb, slack int) *fixedState {
 // Base returns the shared base network the solver was built over.
 func (s *ViewSolver) Base() *model.Network { return s.base }
 
-// Solve runs the power flow for the view. Branch-outage views take the
-// zero-clone patched path. Generation-touching views (outages, redispatch)
-// also stay in place: the classification is re-derived from the view's
-// effective fleet — gen changes move pSpec and the reactive aggregates,
-// never topology — so the same patched Ybus, compiled Jacobian and LU
-// symbolic analysis serve them too. Only non-Newton algorithms fall back
-// to materializing the view.
+// Solve runs the power flow for the view, Newton-Raphson or fast-decoupled,
+// with no copy of the network. Branch outages are rank-1 patches on the
+// solver's Ybus. Generation-touching views (outages, redispatch) and load
+// scaling re-derive the classification from the view's effective fleet
+// and demand — they move pSpec and the reactive aggregates, never
+// topology — so the same patched Ybus, compiled Jacobian and LU symbolic
+// analysis serve them too. The fast-decoupled method builds B′ from the
+// view's branch statuses and B″ from the patched Ybus; it never starts on
+// the base factor. The DC method is not offered on views.
 func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error) {
 	if view.Base != s.base {
 		return nil, fmt.Errorf("powerflow: view is over a different base network")
 	}
-	if opts.Algorithm != NewtonRaphson {
-		return Solve(view.Materialize(), opts)
+	if opts.Algorithm != NewtonRaphson && opts.Algorithm != FastDecoupled {
+		return nil, fmt.Errorf("powerflow: %v is not available on an outage view", opts.Algorithm)
 	}
 	if opts.Tol == 0 {
 		opts.Tol = 1e-8
 	}
 	if opts.MaxIter == 0 {
 		opts.MaxIter = 30
+		if opts.Algorithm == FastDecoupled {
+			opts.MaxIter = 60
+		}
 	}
 
 	res := &Result{Algorithm: opts.Algorithm}
@@ -157,10 +162,10 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	const maxQRounds = 6
 	for round := 0; ; round++ {
 		baseStarts := s.st.tally.baseStarts
-		iter, facts, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts, chordContraction, fromBase && round == 0)
+		iter, facts, mis, conv, err := s.round(view, &c, opts, fromBase && round == 0)
+		res.BaseFactorStarts += s.st.tally.baseStarts - baseStarts
 		res.Iterations += iter
 		res.Factorizations += facts
-		res.BaseFactorStarts += s.st.tally.baseStarts - baseStarts
 		res.MaxMismatch = mis
 		res.Converged = conv
 		if err != nil {
@@ -182,9 +187,18 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	return res, nil
 }
 
+// round runs one Q-limit round of opts.Algorithm from s.vm/s.va, on J0
+// for its first step when onBase is set (Newton only).
+func (s *ViewSolver) round(view *model.OutageView, c *classification, opts Options, onBase bool) (int, int, float64, bool, error) {
+	if opts.Algorithm == FastDecoupled {
+		return fdpfInner(s.base, view, s.y, c, s.vm, s.va, opts)
+	}
+	return s.st.newtonRound(s.y, c, s.vm, s.va, opts, chordContraction, onBase)
+}
+
 // start prepares a solve of the view: the working classification, the
-// start voltages in s.vm/s.va, J0 at the start state (counting its
-// factorization, if any, in res), and the branch patches on s.y, which
+// start voltages in s.vm/s.va, for Newton J0 at the start state (counting
+// its factorization, if any, in res), and the branch patches on s.y, which
 // restore takes back off. It reports whether the first round may start
 // on J0.
 func (s *ViewSolver) start(view *model.OutageView, opts Options, res *Result) (c classification, fromBase bool) {
@@ -217,10 +231,10 @@ func (s *ViewSolver) start(view *model.OutageView, opts Options, res *Result) (c
 		startVoltagesInto(s.base, opts, vm, va)
 	}
 
-	// A solve whose branch patches touch few enough buses for the Woodbury
-	// correction starts on J0, which is over the unpatched Ybus, so this
-	// precedes the patches.
-	fromBase = s.st.base.touch(s.base, view.BranchesOut(), c.slack)
+	// A Newton solve whose branch patches touch few enough buses for the
+	// Woodbury correction starts on J0, which is over the unpatched Ybus,
+	// so this precedes the patches.
+	fromBase = opts.Algorithm == NewtonRaphson && s.st.base.touch(s.base, view.BranchesOut(), c.slack)
 	if fromBase {
 		var facts int
 		fromBase, facts = s.st.startOnBase(s.y, &c, vm, va, opts)

@@ -89,19 +89,20 @@ type CascadeResult struct {
 // pooled zero-clone view path (viewState), or the brute-force clone
 // reference in reference_test.go that the differential harnesses pin it
 // against. Everything above this interface — trip selection, islanding,
-// redispatch planning, scoring — is shared code, so the two paths can
-// only diverge in the solver itself.
+// the failure escalation, redispatch planning, scoring — is shared code,
+// so the two paths can only diverge in the solver itself.
 type cascadeState interface {
 	// prepare starts from the pristine base with the event's load scale
 	// and the plan's generator outages and dispatch targets applied.
 	prepare(ev Event, fp fleetPlan)
 	// trip applies additional branch outages cumulatively.
 	trip(branches []int)
-	// solve runs the power flow at the current cumulative state.
+	// solve runs the power flow at the current cumulative state, by
+	// Newton or, for the fallback, fast-decoupled.
 	solve(opts powerflow.Options) (*powerflow.Result, error)
-	// materialize renders the current state as a Network for the
-	// fast-decoupled fallback and the collapse shed estimate.
-	materialize() *model.Network
+	// shed is the collapse estimate: the demand (MW) to shed before the
+	// current state solves.
+	shed() float64
 	// setGenP overrides a unit's dispatch (between-stage redispatch).
 	setGenP(g int, p float64)
 	// inService / effP expose the effective fleet for redispatch planning.
@@ -113,7 +114,8 @@ type cascadeState interface {
 // OutageView over the shared immutable base, solved by its persistent
 // ViewSolver (patched Ybus, compiled Jacobian pattern, reused LU symbolic
 // analysis). Stacking a cascade's cumulative trip set is exactly the
-// rank-1 patch stack ViewSolver already applies per solve.
+// rank-1 patch stack ViewSolver already applies per solve, and the
+// fast-decoupled fallback and the shed estimate run on the same view.
 type viewState struct{ w *contingency.Worker }
 
 func (s viewState) prepare(ev Event, fp fleetPlan) {
@@ -140,7 +142,7 @@ func (s viewState) solve(opts powerflow.Options) (*powerflow.Result, error) {
 	return s.w.Solve(opts)
 }
 
-func (s viewState) materialize() *model.Network { return s.w.View().Materialize() }
+func (s viewState) shed() float64 { return s.w.ShedToSolve() }
 
 func (s viewState) setGenP(g int, p float64) { s.w.View().SetGenP(g, p) }
 func (s viewState) inService(g int) bool     { return s.w.View().GenInService(g) }
@@ -197,14 +199,13 @@ func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *
 		pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm}
 		res, err := st.solve(pfOpts)
 		if err != nil || !res.Converged {
-			// Fast-decoupled fallback from the materialized state, then the
+			// Fast-decoupled fallback from the case start profile, then the
 			// solvability bisection for genuine collapse — the contingency
 			// sweeps' exact escalation.
-			post := st.materialize()
-			res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
+			res, err = st.solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
 			if err != nil || !res.Converged {
 				sg.Converged = false
-				r.LoadShedMW += contingency.EstimateLoadShed(post)
+				r.LoadShedMW += st.shed()
 				r.Outcome = OutcomeCollapse
 				r.Stages = append(r.Stages, sg)
 				break

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
 )
@@ -56,7 +57,7 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 	opts.fill()
 	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
 	defer opts.Pool.Release(w)
-	er := runEpisode(n, viewState{w}, base, steps, opts)
+	er := runEpisode(w, viewState{w}, n, base, steps, opts)
 	recordScenario(opts.Metrics, "episode", len(er.Steps), 0)
 	return er, nil
 }
@@ -64,10 +65,12 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 // runEpisode solves every step on the backend st, which the cascade
 // driver shares: a step is an event with the step's load scale, its
 // dispatch overrides as plan targets and its in-service outaged branches
-// as one trip. Production callers pass the pooled worker's view backend.
-func runEpisode(n *model.Network, st cascadeState, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
+// as one trip, which w's branch mask carries while the step is scored.
+// Production callers pass the pooled worker's view backend.
+func runEpisode(w *contingency.Worker, st cascadeState, n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
 	er := &EpisodeResult{WorstStep: -1, MinMarginPct: 100, MinVoltagePU: base.MinVm}
 	warm := &base.Voltages
+	mask := w.Mask()
 	// Reused across steps: neither backend retains the plan or trip list.
 	var fp fleetPlan
 	var out []int
@@ -102,23 +105,14 @@ func runEpisode(n *model.Network, st cascadeState, base *powerflow.Result, steps
 		sr.MinVoltagePU = res.MinVm
 		sr.MaxVoltagePU = res.MaxVm
 		sr.LossMW = res.LossP
-		mask := maskForStep(n, step)
-		for bk, f := range res.Flows {
-			if mask != nil && mask[bk] {
-				continue
-			}
-			if f.LoadingPct > sr.MaxLoadingPct {
-				sr.MaxLoadingPct = f.LoadingPct
-			}
-			if f.LoadingPct > opts.OverloadPct {
-				sr.Overloads++
-			}
+		for _, k := range out {
+			mask[k] = true
 		}
-		for i := range n.Buses {
-			if vm := res.Voltages.Vm[i]; vm < opts.VoltLow || vm > opts.VoltHigh {
-				sr.VoltViols++
-			}
+		maxPct, overloads, viols := contingency.Violations(res, n, mask, opts.OverloadPct, opts.VoltLow, opts.VoltHigh)
+		for _, k := range out {
+			mask[k] = false
 		}
+		sr.MaxLoadingPct, sr.Overloads, sr.VoltViols = maxPct, len(overloads), len(viols)
 		sr.MarginPct = 100 - sr.MaxLoadingPct
 		er.Converged++
 		if sr.MarginPct < er.MinMarginPct || er.WorstStep < 0 {
@@ -132,19 +126,4 @@ func runEpisode(n *model.Network, st cascadeState, base *powerflow.Result, steps
 		warm = &res.Voltages
 	}
 	return er
-}
-
-// maskForStep marks the step's outaged branches so loading stats skip
-// their meaningless view-path flows; nil when the step outages nothing.
-func maskForStep(n *model.Network, s EpisodeStep) []bool {
-	if len(s.BranchesOut) == 0 {
-		return nil
-	}
-	mask := make([]bool, len(n.Branches))
-	for _, k := range s.BranchesOut {
-		if k >= 0 && k < len(mask) {
-			mask[k] = true
-		}
-	}
-	return mask
 }

@@ -116,13 +116,13 @@ func TestMaterializeEqualsCloneProperty(t *testing.T) {
 }
 
 // TestCascadeZeroClone pins the fast path's allocation discipline with
-// the process-wide counters: a full cascade sweep performs ZERO network
-// clones, and materializes only for the stages that genuinely escalated
-// off the Newton view path (fast-decoupled fallbacks and collapse
-// estimates) — both counts derived from the results themselves, so the
-// budget can't drift silently.
+// the process-wide counters: a full cascade sweep clones and materializes
+// no network, its failure escalation included. case30's sweep escalates
+// often (fast-decoupled rescues and collapses with their shed estimates),
+// and the test requires that it still does, so the failure path is
+// exercised, not skipped.
 func TestCascadeZeroClone(t *testing.T) {
-	n := cases.MustLoad("case57")
+	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
 
 	c0, m0 := model.CloneCount(), model.MaterializeCount()
@@ -130,30 +130,25 @@ func TestCascadeZeroClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clones := model.CloneCount() - c0
-	mats := model.MaterializeCount() - m0
-
-	if clones != 0 {
-		t.Fatalf("fast-path cascade sweep cloned %d networks; the zero-clone contract is broken", clones)
+	if c, m := model.CloneCount()-c0, model.MaterializeCount()-m0; c != 0 || m != 0 {
+		t.Fatalf("cascade sweep cloned %d and materialized %d networks, want 0 and 0", c, m)
 	}
-	var expected int64
+	var rescued, collapsed int
 	for _, r := range sw.Results {
 		if r == nil {
 			continue
 		}
 		for _, sg := range r.Stages {
-			// A non-Newton algorithm or a collapse record means the stage
-			// materialized the view exactly once for the fallback chain.
-			if sg.Islanded {
-				continue
-			}
-			if !sg.Converged || sg.Algorithm != powerflow.NewtonRaphson.String() {
-				expected++
+			if sg.Algorithm == powerflow.FastDecoupled.String() {
+				rescued++
 			}
 		}
+		if r.Outcome == OutcomeCollapse {
+			collapsed++
+		}
 	}
-	if mats != expected {
-		t.Fatalf("sweep materialized %d views, results account for %d — a hidden materialize crept in", mats, expected)
+	if rescued == 0 || collapsed == 0 {
+		t.Fatalf("sweep escalated to %d fast-decoupled stages and %d collapses; the corpus must exercise both", rescued, collapsed)
 	}
-	t.Logf("sweep: 0 clones, %d accounted materializations over %d seeds", mats, sw.Seeds)
+	t.Logf("sweep: 0 clones, 0 materializations over %d seeds, %d fast-decoupled stages, %d collapses", sw.Seeds, rescued, collapsed)
 }

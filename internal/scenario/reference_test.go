@@ -42,7 +42,30 @@ func (s *cloneState) solve(opts powerflow.Options) (*powerflow.Result, error) {
 	return powerflow.Solve(s.n, opts)
 }
 
-func (s *cloneState) materialize() *model.Network { return s.n }
+// shed is the clone backend's solvability bisection: each of the five
+// trials deep-clones the current state with demand and dispatch scaled
+// and solves it from a flat start.
+func (s *cloneState) shed() float64 {
+	loadP, _ := s.n.TotalLoad()
+	lo, hi := 0.0, 1.0 // feasible scale in [lo, hi)
+	for iter := 0; iter < 5; iter++ {
+		mid := (lo + hi) / 2
+		trial := s.n.Clone()
+		for i := range trial.Loads {
+			trial.Loads[i].P *= mid
+			trial.Loads[i].Q *= mid
+		}
+		for i := range trial.Gens {
+			trial.Gens[i].P *= mid
+		}
+		if res, err := powerflow.Solve(trial, powerflow.Options{FlatStart: true}); err == nil && res.Converged {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (1 - lo) * loadP
+}
 
 func (s *cloneState) setGenP(g int, p float64) { s.n.Gens[g].P = p }
 func (s *cloneState) inService(g int) bool     { return s.n.Gens[g].InService }
@@ -59,5 +82,5 @@ func cascadeReference(n *model.Network, base *powerflow.Result, ev Event, opts O
 // backend, as Episode does on the view backend.
 func episodeReference(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
 	opts.fill()
-	return runEpisode(n, &cloneState{base: n}, base, steps, opts)
+	return runEpisode(contingency.NewSweepPool().Acquire(n, nil, nil), &cloneState{base: n}, n, base, steps, opts)
 }

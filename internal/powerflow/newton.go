@@ -12,35 +12,7 @@ import (
 // falls short is followed by a fresh refill and factorization.
 const chordContraction = 0.2
 
-// newtonInner runs Newton-Raphson with chord steps for a fixed PV/PQ split
-// over the reduced index map.
-func newtonInner(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
-	return reducedState(y, c).newtonRound(y, c, vm, va, opts, chordContraction, false)
-}
-
-// reducedState builds the Newton kernel over the REDUCED index map, whose
-// unknown vector is [Va at non-slack buses; Vm at PQ buses] — PV magnitudes
-// are eliminated (mPos = -1) rather than pinned, so on this map isPQ ⇔
-// mPos ≥ 0.
-func reducedState(y *model.Ybus, c *classification) *fixedState {
-	aPos := make([]int, y.N)
-	mPos := make([]int, y.N)
-	dim := 0
-	for i := range aPos {
-		aPos[i], mPos[i] = -1, -1
-		if i != c.slack {
-			aPos[i] = dim
-			dim++
-		}
-	}
-	for _, i := range c.pq {
-		mPos[i] = dim
-		dim++
-	}
-	return newFixedState(y, aPos, mPos, dim, true)
-}
-
-// fixedState is the one Newton kernel of the package: index maps, work
+// fixedState is the one Newton kernel of the package: index map, work
 // vectors, the compiled Jacobian and its LU. The Jacobian sparsity pattern
 // is fixed by the Ybus structural nonzeros and the index map, so the
 // symbolic CSC is compiled once per state and only its values are refilled
@@ -48,40 +20,33 @@ func reducedState(y *model.Ybus, c *classification) *fixedState {
 // symbolic analysis (fill pattern, pivot order) from the first
 // factorization and only refactorizes numerically afterwards. Chord steps
 // (see newtonRound) skip both and only solve against the kept factor, and
-// on the ViewSolver's map a round may start on the base factor instead of
-// a fresh one (see baseFactor), which also skips both. Steady-state steps
+// a round may start on the ViewSolver's base factor instead of a fresh one
+// (see baseFactor), which also skips both. Steady-state steps
 // therefore perform no pattern construction and no allocation.
 //
-// Two index maps drive it. The augmented map (augmentedState, the
-// ViewSolver's) gives every non-slack bus a magnitude unknown and pins the
-// buses that are currently PV by identity rows, so one state serves every
-// PV/PQ split of a sweep. The reduced map (newtonInner, the one-shot
-// Solve's) gives only PQ buses a magnitude unknown and is rebuilt per split.
+// One index map drives it, the augmented map of augmentedState: every
+// non-slack bus has a magnitude unknown and the buses that are currently PV
+// are pinned by identity rows, so one state serves every PV/PQ split of a
+// solve, one-shot or sweep, and every outage of a sweep.
 type fixedState struct {
 	aPos, mPos []int // bus -> angle / magnitude unknown, -1 when absent
 	isPQ       []bool
-	// reduced marks the one-shot system. Its Ybus values are frozen for the
-	// state's lifetime, so exactly-zero off-diagonals are left out of the
-	// pattern, and its columns take the scalar minimum-degree pre-order
-	// (busBlockOrdering relies on the augmented column layout).
-	reduced bool
-	dim     int
-	rhs, dx []float64
-	work    []float64
-	p, q    []float64
-	cs, sn  []float64
-	jac     jacobian
-	lu      *sparse.LU
-	colPerm []int
-	// base is the ViewSolver's base factor (nil on the reduced map); see
-	// baseFactor.
+	dim        int
+	rhs, dx    []float64
+	work       []float64
+	p, q       []float64
+	cs, sn     []float64
+	jac        jacobian
+	lu         *sparse.LU
+	colPerm    []int
+	// base is the ViewSolver's base factor; see baseFactor.
 	base  *baseFactor
 	tally factorTally
 }
 
-func newFixedState(y *model.Ybus, aPos, mPos []int, dim int, reduced bool) *fixedState {
+func newFixedState(y *model.Ybus, aPos, mPos []int, dim int) *fixedState {
 	nb := len(aPos)
-	st := &fixedState{aPos: aPos, mPos: mPos, isPQ: make([]bool, nb), reduced: reduced, dim: dim}
+	st := &fixedState{aPos: aPos, mPos: mPos, isPQ: make([]bool, nb), dim: dim}
 	if dim == 0 {
 		return st
 	}
@@ -202,11 +167,7 @@ func (st *fixedState) factorInto(lu **sparse.LU, y *model.Ybus, opts Options) (i
 		} else {
 			if st.colPerm == nil {
 				if st.colPerm = lookupOrdering(opts.Reorder, st.dim); st.colPerm == nil {
-					if st.reduced {
-						st.colPerm = sparse.MinDegree(st.jac.mat)
-					} else {
-						st.colPerm = busBlockOrdering(y, st)
-					}
+					st.colPerm = busBlockOrdering(y, st)
 					storeOrdering(opts.Reorder, st.dim, st.colPerm)
 				}
 			}
@@ -214,12 +175,9 @@ func (st *fixedState) factorInto(lu **sparse.LU, y *model.Ybus, opts Options) (i
 			if err != nil {
 				return 1, err
 			}
-			if st.base != nil {
-				// A ViewSolver keeps its LUs for its whole life: store this
-				// one compactly, not in the slack Factorize sizes for fill.
-				f = f.Clone()
-			}
-			*lu = f
+			// A ViewSolver keeps its LUs for its whole life: store this one
+			// compactly, not in the slack Factorize sizes for fill.
+			*lu = f.Clone()
 			return 1, nil
 		}
 	}
@@ -234,17 +192,12 @@ func (st *fixedState) factorInto(lu **sparse.LU, y *model.Ybus, opts Options) (i
 }
 
 // otherLU returns the state's LU that lu does not point at: the base
-// factor's for the working LU and the other way round (nil without a base
-// factor).
+// factor's for the working LU and the other way round.
 func (st *fixedState) otherLU(lu **sparse.LU) *sparse.LU {
-	switch {
-	case st.base == nil:
-		return nil
-	case lu == &st.lu:
+	if lu == &st.lu {
 		return st.base.lu
-	default:
-		return st.lu
 	}
+	return st.lu
 }
 
 // mismatch writes [ΔP; ΔQ or pin] into rhs from the injections in st.p/st.q
@@ -284,8 +237,8 @@ func (st *fixedState) mismatch(c *classification) float64 {
 // pattern compiled from the Ybus structural nonzeros. A bus that has a
 // magnitude unknown but is currently PV is pinned: its magnitude row is the
 // identity and every coupling into or out of its magnitude column is
-// written as exact zero. On the augmented map zero-valued Ybus entries stay
-// in the pattern, so rank-1 outage patches never change it.
+// written as exact zero. Zero-valued Ybus entries stay in the pattern, so
+// rank-1 outage patches never change it.
 //
 // refill overwrites mat's values through the slot map; the symbolic and
 // numeric walks below visit y.NZ in storage (row-major) order and must emit
@@ -295,7 +248,7 @@ type jacobian struct {
 	mat  *sparse.CSC
 	slot []int
 	// rowSlot[i] is the slot-map index at which bus i's rows start, so
-	// refillRow can rewrite one bus's rows alone (augmented map only).
+	// refillRow can rewrite one bus's rows alone.
 	rowSlot []int
 }
 
@@ -307,23 +260,15 @@ func newJacobian(y *model.Ybus, st *fixedState) jacobian {
 		ri = append(ri, r)
 		ci = append(ci, c)
 	}
-	var rowSlot []int
-	if !st.reduced {
-		rowSlot = make([]int, y.N)
-	}
+	rowSlot := make([]int, y.N)
 	for i := 0; i < y.N; i++ {
-		if rowSlot != nil {
-			rowSlot[i] = len(ri)
-		}
+		rowSlot[i] = len(ri)
 		ai, mi := st.aPos[i], st.mPos[i]
 		if ai < 0 {
 			continue
 		}
 		for e := y.RowPtr[i]; e < y.RowPtr[i+1]; e++ {
 			j := y.NZ[e][1]
-			if i != j && st.reduced && y.NZv[e] == 0 {
-				continue
-			}
 			if i == j {
 				emit(ai, ai)
 				if mi >= 0 {
@@ -370,7 +315,7 @@ func (ja *jacobian) refill(y *model.Ybus, st *fixedState, vm []float64) {
 // to date. y.NZ is row-major, so walking row i is the storage order
 // newJacobian compiled, with the per-row state hoisted.
 func (ja *jacobian) refillRow(y *model.Ybus, st *fixedState, vm []float64, i, k int) int {
-	aPos, mPos, isPQ, reduced := st.aPos, st.mPos, st.isPQ, st.reduced
+	aPos, mPos, isPQ := st.aPos, st.mPos, st.isPQ
 	if aPos[i] < 0 {
 		return k
 	}
@@ -397,9 +342,6 @@ func (ja *jacobian) refillRow(y *model.Ybus, st *fixedState, vm []float64, i, k 
 				val[slot[k+2]] = 1 // identity: dVm_i = 0
 			}
 			k += 3
-			continue
-		}
-		if reduced && yij == 0 {
 			continue
 		}
 		ct := ci*cs[j] + si*sn[j]  // cos(va_i − va_j)

@@ -11,6 +11,11 @@ import (
 // the base by one branch, so the base ordering is reused instead of
 // recomputing the minimum-degree ordering per outage.
 //
+// Every AC solve runs on the one augmented index map, whose dimension is
+// twice the non-slack bus count whatever the PV/PQ split, so a structure
+// has one ordering: the engine's cache holds it once, and the one-shot
+// base power flow and the sweep workers share it.
+//
 // Orderings are keyed by Jacobian dimension. Any permutation of the right
 // length is a valid elimination order for the LU (the choice affects only
 // fill-in, never correctness), so reusing an ordering computed for a

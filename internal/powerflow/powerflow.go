@@ -217,109 +217,24 @@ func classify(n *model.Network) (*classification, error) {
 	return c, nil
 }
 
-// startVoltages builds the initial profile according to options.
-func startVoltages(n *model.Network, opts Options) (vm, va []float64) {
-	nb := len(n.Buses)
-	vm = make([]float64, nb)
-	va = make([]float64, nb)
-	startVoltagesInto(n, opts, vm, va)
-	return vm, va
-}
-
-// startVoltagesInto is the allocation-free form of startVoltages, writing
-// into caller-owned buffers.
-func startVoltagesInto(n *model.Network, opts Options, vm, va []float64) {
-	if opts.Warm != nil {
-		copy(vm, opts.Warm.Vm)
-		copy(va, opts.Warm.Va)
-		return
-	}
-	for i, b := range n.Buses {
-		if opts.FlatStart {
-			vm[i], va[i] = 1, 0
-		} else {
-			vm[i], va[i] = b.Vm, b.Va
-		}
-	}
-	// Generator voltage setpoints override at regulated buses.
-	for _, g := range n.Gens {
-		if g.InService && g.VSetpoint > 0 {
-			if n.Buses[g.Bus].Type == model.PV || n.Buses[g.Bus].Type == model.Slack {
-				vm[g.Bus] = g.VSetpoint
-			}
-		}
-	}
-}
-
-// Solve runs the configured power flow on the network.
+// Solve runs the configured power flow on the network. Newton-Raphson and
+// the fast-decoupled method run on a throwaway ViewSolver over an empty
+// view, so one-shot and sweep solves share one solve loop and one index
+// map. The result owns all its slices: the solver, and with it the flow
+// buffer Result.Flows points at, is discarded on return.
 func Solve(n *model.Network, opts Options) (*Result, error) {
-	if opts.Tol == 0 {
-		opts.Tol = 1e-8
-	}
 	switch opts.Algorithm {
-	case NewtonRaphson:
-		if opts.MaxIter == 0 {
-			opts.MaxIter = 30
+	case NewtonRaphson, FastDecoupled:
+		s, err := NewViewSolver(n, nil)
+		if err != nil {
+			return nil, err
 		}
-		return solveACOuter(n, opts, newtonInner)
-	case FastDecoupled:
-		if opts.MaxIter == 0 {
-			opts.MaxIter = 60
-		}
-		// An empty view: branch statuses are n's own.
-		view := model.NewOutageView(n)
-		return solveACOuter(n, opts, func(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (int, int, float64, bool, error) {
-			return fdpfInner(n, view, y, c, vm, va, opts)
-		})
+		return s.Solve(model.NewOutageView(n), opts)
 	case DC:
 		return solveDC(n)
 	default:
 		return nil, fmt.Errorf("powerflow: unknown algorithm %v", opts.Algorithm)
 	}
-}
-
-// innerSolver iterates one AC method to convergence for a fixed PV/PQ split.
-type innerSolver func(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, opts Options) (iter, facts int, maxMis float64, converged bool, err error)
-
-// solveACOuter wraps an inner AC solver with the PV→PQ reactive-limit
-// outer loop and final result assembly.
-func solveACOuter(n *model.Network, opts Options, inner innerSolver) (*Result, error) {
-	c, err := classify(n)
-	if err != nil {
-		return nil, err
-	}
-	y := model.BuildYbus(n)
-	vm, va := startVoltages(n, opts)
-
-	res := &Result{Algorithm: opts.Algorithm}
-	var qScratch *qSwitchScratch
-	const maxQRounds = 6
-	for round := 0; ; round++ {
-		iter, facts, mis, conv, err := inner(n, y, c, vm, va, opts)
-		res.Iterations += iter
-		res.Factorizations += facts
-		res.MaxMismatch = mis
-		res.Converged = conv
-		if err != nil {
-			return res, err
-		}
-		if !conv {
-			finishResult(n, y, c, vm, va, res)
-			return res, fmt.Errorf("%w after %d iterations (max mismatch %.3e p.u., %v)",
-				ErrNotConverged, res.Iterations, mis, opts.Algorithm)
-		}
-		if !opts.EnforceQLimits || round >= maxQRounds {
-			break
-		}
-		if qScratch == nil {
-			qScratch = newQSwitchScratch(len(n.Buses))
-		}
-		if !switchPVtoPQ(y, c, vm, va, qScratch) {
-			break
-		}
-	}
-	finishResult(n, y, c, vm, va, res)
-	return res, nil
 }
 
 // qSwitchScratch holds the injection-evaluation buffers of switchPVtoPQ so
@@ -364,10 +279,10 @@ func switchPVtoPQ(y *model.Ybus, c *classification, vm, va []float64, sc *qSwitc
 	return switched
 }
 
-// resultScratch caches the per-network state finishResult needs — bus→
-// generator indices, effective dispatches, aggregate bus loads, and complex
-// work vectors — so repeated result assembly (one per outage in a sweep)
-// neither rescans the generator list per bus nor allocates the
+// resultScratch caches the per-network state finishResultScratch needs —
+// bus→generator indices, effective dispatches, aggregate bus loads, and
+// complex work vectors — so repeated result assembly (one per outage in a
+// sweep) neither rescans the generator list per bus nor allocates the
 // intermediates. configureView/configureBase repoint the generator side at
 // an OutageView's effective fleet, which is how the gen-outage fast path
 // assembles results without materializing a network.
@@ -380,8 +295,8 @@ type resultScratch struct {
 	// reuses one scratch across its outages, so Result.Flows ALIASES this
 	// buffer: each solve on the same scratch overwrites the previous
 	// result's flows. Sweep scoring consumes flows before the next solve;
-	// one-shot solves build a fresh scratch per call, so their results keep
-	// unique ownership.
+	// a one-shot Solve discards its solver, so its result keeps unique
+	// ownership.
 	sf, st []complex128
 	flows  []BranchFlow
 	// genP is the effective per-generator dispatch in MW: base setpoints,
@@ -475,13 +390,8 @@ func (sc *resultScratch) applyLoadScale(n *model.Network, ls float64) {
 	sc.loadScaled = ls != 1
 }
 
-// finishResult computes flows, losses, generator allocations and extrema.
-// One-shot solves build the scratch fresh; sweeps pass a reused one.
-func finishResult(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, res *Result) {
-	finishResultScratch(n, y, c, vm, va, res, newResultScratch(n))
-}
-
-// finishResultScratch is finishResult against a caller-provided scratch.
+// finishResultScratch computes flows, losses, generator allocations and
+// extrema against the solver's reused scratch.
 func finishResultScratch(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, res *Result, sc *resultScratch) {
 	nb := len(n.Buses)
 	res.Voltages = VoltageProfile{Vm: append([]float64(nil), vm...), Va: append([]float64(nil), va...)}
@@ -491,8 +401,8 @@ func finishResultScratch(n *model.Network, y *model.Ybus, c *classification, vm,
 
 	// Batched flow tail: one kernel pass over all branches into the
 	// scratch's buffers. The result borrows the scratch's flows slice —
-	// fresh per call for one-shot solves, reused per worker in sweeps (see
-	// resultScratch for the aliasing contract).
+	// the throwaway solver's for one-shot solves, reused per worker in
+	// sweeps (see resultScratch for the aliasing contract).
 	y.BranchFlowsInto(n, v, sc.sf, sc.st)
 	res.Flows = sc.flows
 	res.LossP = FillBranchFlows(n, sc.flows, sc.sf, sc.st)

@@ -1,7 +1,9 @@
 package powerflow_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gridmind/internal/cases"
@@ -11,10 +13,12 @@ import (
 
 // TestSolveResidualIndependentEvaluation checks what Solve returns against
 // powerflow.Mismatch — complex-arithmetic S = V·conj(Y·V), sharing nothing
-// with the Newton kernel's polar injections, mismatch or Jacobian — under
-// the options serving call sites use: flat start with Q-limit enforcement.
-// Every non-slack bus must balance P; a PQ bus must balance Q; a PV bus
-// must either hold its setpoint with reactive output inside its aggregate
+// with the Newton kernel's polar injections, mismatch or Jacobian, nor with
+// the fast-decoupled iteration — under the options serving call sites use:
+// Q-limit enforcement, from a flat start and from the case's stored
+// profile, for Newton-Raphson and the fast-decoupled method. Every
+// non-slack bus must balance P; a PQ bus must balance Q; a PV bus must
+// either hold its setpoint with reactive output inside its aggregate
 // capability, or sit exactly on the limit it was switched at. The nominal
 // cases hold every PV bus; at 1.2x demand Q-limits bind, so the switched
 // arm runs too.
@@ -22,23 +26,32 @@ func TestSolveResidualIndependentEvaluation(t *testing.T) {
 	const tol = 1e-7 // p.u.; Solve's own tolerance is 1e-8
 	for _, name := range []string{"case14", "case30", "case57", "case118", "case300"} {
 		for _, scale := range []float64{1, 1.2} {
-			checkResidual(t, name, scale, tol)
+			for _, alg := range []powerflow.Algorithm{powerflow.NewtonRaphson, powerflow.FastDecoupled} {
+				for _, flat := range []bool{true, false} {
+					checkResidual(t, name, scale, alg, flat, tol)
+				}
+			}
 		}
 	}
 }
 
-func checkResidual(t *testing.T, name string, scale, tol float64) {
+func checkResidual(t *testing.T, name string, scale float64, alg powerflow.Algorithm, flat bool, tol float64) {
 	t.Helper()
 	n := cases.MustLoad(name).Clone()
 	for i := range n.Loads {
 		n.Loads[i].P *= scale
 		n.Loads[i].Q *= scale
 	}
-	res, err := powerflow.Solve(n, powerflow.Options{FlatStart: true, EnforceQLimits: true})
+	start := "case start"
+	if flat {
+		start = "flat start"
+	}
+	name = fmt.Sprintf("%s x%.1f %v %s", name, scale, alg, start)
+	res, err := powerflow.Solve(n, powerflow.Options{Algorithm: alg, FlatStart: flat, EnforceQLimits: true})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if res.Iterations == 0 {
+	if flat && res.Iterations == 0 {
 		t.Fatalf("%s: zero iterations from a flat start", name)
 	}
 	mis := powerflow.Mismatch(n, &res.Voltages)
@@ -49,7 +62,10 @@ func checkResidual(t *testing.T, name string, scale, tol float64) {
 	qMax := make([]float64, nb)
 	vSet := make([]float64, nb)
 	for i := range vSet {
-		vSet[i] = 1 // flat start
+		vSet[i] = 1
+		if !flat {
+			vSet[i] = n.Buses[i].Vm
+		}
 	}
 	for _, g := range n.Gens {
 		if !g.InService {
@@ -91,7 +107,41 @@ func checkResidual(t *testing.T, name string, scale, tol float64) {
 		}
 	}
 	if scale > 1 && switched == 0 {
-		t.Fatalf("%s x%.1f: no PV bus hit a Q-limit; the switched arm went unchecked", name, scale)
+		t.Fatalf("%s: no PV bus hit a Q-limit; the switched arm went unchecked", name)
 	}
-	t.Logf("%s x%.1f: %d iterations, %d PV held, %d switched to PQ", name, scale, res.Iterations, held, switched)
+	t.Logf("%s: %d iterations, %d PV held, %d switched to PQ", name, res.Iterations, held, switched)
+}
+
+// TestSolveResultOwnership pins the one-shot ownership contract: Solve
+// discards the solver it ran on, so a result's Flows, Voltages, GenP and
+// GenQ are its own and a later Solve — here on the same network at a
+// different demand, Newton and fast-decoupled alike — leaves them
+// untouched. opf.SolveDispatch keeps res.Flows without copying it.
+func TestSolveResultOwnership(t *testing.T) {
+	for _, alg := range []powerflow.Algorithm{powerflow.NewtonRaphson, powerflow.FastDecoupled} {
+		n := cases.MustLoad("case57").Clone()
+		first, err := powerflow.Solve(n, powerflow.Options{Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		flows := slices.Clone(first.Flows)
+		vm, va := slices.Clone(first.Voltages.Vm), slices.Clone(first.Voltages.Va)
+		genP, genQ := slices.Clone(first.GenP), slices.Clone(first.GenQ)
+
+		for i := range n.Loads {
+			n.Loads[i].P *= 1.1
+			n.Loads[i].Q *= 1.1
+		}
+		second, err := powerflow.Solve(n, powerflow.Options{Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%v at 1.1x: %v", alg, err)
+		}
+		if slices.Equal(second.Voltages.Vm, vm) {
+			t.Fatalf("%v: the 1.1x solve returned the nominal voltages; the check has no teeth", alg)
+		}
+		if !slices.Equal(first.Flows, flows) || !slices.Equal(first.Voltages.Vm, vm) || !slices.Equal(first.Voltages.Va, va) ||
+			!slices.Equal(first.GenP, genP) || !slices.Equal(first.GenQ, genQ) {
+			t.Fatalf("%v: a second Solve changed the first result", alg)
+		}
+	}
 }

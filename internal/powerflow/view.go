@@ -7,24 +7,28 @@ import (
 	"gridmind/internal/sparse"
 )
 
-// ViewSolver is a reusable post-outage power flow context over one shared
-// immutable base network: the zero-clone fast path of the N-1 sweep.
+// ViewSolver is the package's one AC power-flow solver: a reusable context
+// over one shared immutable base network that solves outage views of it
+// with no network copy. Outage studies keep one per worker; the one-shot
+// Solve runs a throwaway one over an empty view, so sweeps and one-shot
+// solves share the solve loop, the index map and the Newton kernel.
 //
 // Instead of deep-cloning the network and rebuilding Ybus, Jacobian pattern
 // and LU symbolic analysis per outage, a ViewSolver owns
 //
-//   - a private value-copy of the base Ybus (pattern shared with the base),
-//     patched in place per outage via the rank-1 branch update and restored
-//     bitwise afterwards;
+//   - a private Ybus (built for it, or a value-copy of a shared base whose
+//     pattern it shares), patched in place per outage via the rank-1
+//     branch update and restored bitwise afterwards;
 //   - the pristine PV/PQ classification, copied into working buffers per
 //     solve (Q-limit switching mutates the split);
 //   - ONE augmented Newton state of fixed dimension: every non-slack bus
 //     carries a magnitude unknown, and buses that are currently PV are
 //     pinned by exact identity rows (dVm = 0) with their couplings zeroed.
 //     A sweep encounters dozens of distinct PV/PQ splits as Q-limits bind
-//     differently per outage; the augmentation makes them all share one
-//     compiled Jacobian pattern and one LU symbolic analysis — no pattern
-//     work, no symbolic analysis, no allocation in the steady state;
+//     differently per outage, and a one-shot solve one per Q-limit round;
+//     the augmentation makes them all share one compiled Jacobian pattern
+//     and one LU symbolic analysis — no pattern work, no symbolic
+//     analysis, no allocation in the steady state;
 //   - a second LU over that pattern, the base factor (see baseFactor): the
 //     Jacobian J0 at a start state over the unpatched Ybus, kept at the
 //     state recent solves share, as every outage of a warm-started sweep
@@ -47,6 +51,9 @@ type ViewSolver struct {
 	base *model.Network
 	y    *model.Ybus
 	c0   *classification
+	// rho is the Newton rounds' chord contraction: chordContraction, or 0
+	// for the full-Newton reference of the tests.
+	rho float64
 
 	// Per-solve working buffers.
 	qSpec  []float64
@@ -75,19 +82,25 @@ type ViewSolver struct {
 // must stay unmodified (and its base-case topology unchanged) for the
 // lifetime of the solver. baseY, when non-nil, is the base admittance
 // matrix to value-copy (sweeps build it once and share the pattern across
-// workers); nil builds one from n.
+// workers); nil builds one from n that the solver owns outright.
 func NewViewSolver(n *model.Network, baseY *model.Ybus) (*ViewSolver, error) {
 	c, err := classify(n)
 	if err != nil {
 		return nil, err
 	}
-	if baseY == nil {
-		baseY = model.BuildYbus(n)
+	// The solver patches its Ybus in place, so a shared base is
+	// value-copied; one built here is the solver's own.
+	var y *model.Ybus
+	if baseY != nil {
+		y = baseY.Copy()
+	} else {
+		y = model.BuildYbus(n)
 	}
 	nb := len(n.Buses)
 	s := &ViewSolver{
 		base:      n,
-		y:         baseY.Copy(),
+		y:         y,
+		rho:       chordContraction,
 		c0:        c,
 		qSpec:     make([]float64, nb),
 		pvBuf:     make([]int, 0, nb),
@@ -122,7 +135,7 @@ func augmentedState(y *model.Ybus, nb, slack int) *fixedState {
 		aPos[i], mPos[i] = pos, na+pos
 		pos++
 	}
-	return newFixedState(y, aPos, mPos, 2*na, false)
+	return newFixedState(y, aPos, mPos, 2*na)
 }
 
 // Base returns the shared base network the solver was built over.
@@ -193,7 +206,7 @@ func (s *ViewSolver) round(view *model.OutageView, c *classification, opts Optio
 	if opts.Algorithm == FastDecoupled {
 		return fdpfInner(s.base, view, s.y, c, s.vm, s.va, opts)
 	}
-	return s.st.newtonRound(s.y, c, s.vm, s.va, opts, chordContraction, onBase)
+	return s.st.newtonRound(s.y, c, s.vm, s.va, opts, s.rho, onBase)
 }
 
 // start prepares a solve of the view: the working classification, the
@@ -210,7 +223,6 @@ func (s *ViewSolver) start(view *model.OutageView, opts Options, res *Result) (c
 		c = s.classifyView(view)
 		s.rsc.configureView(s.base, view)
 		s.rscView = true
-		startVoltagesViewInto(s.base, view, opts, vm, va)
 	} else {
 		if s.rscView {
 			s.rsc.configureBase(s.base)
@@ -228,8 +240,8 @@ func (s *ViewSolver) start(view *model.OutageView, opts Options, res *Result) (c
 			qMinBus: s.c0.qMinBus,
 			qMaxBus: s.c0.qMaxBus,
 		}
-		startVoltagesInto(s.base, opts, vm, va)
 	}
+	startVoltagesViewInto(s.base, view, opts, vm, va)
 
 	// A Newton solve whose branch patches touch few enough buses for the
 	// Woodbury correction starts on J0, which is over the unpatched Ybus,
@@ -319,9 +331,12 @@ func (s *ViewSolver) classifyView(view *model.OutageView) classification {
 	return c
 }
 
-// startVoltagesViewInto mirrors startVoltagesInto under the view's
-// effective generator statuses: an outaged machine's voltage setpoint must
-// not seed the start profile, exactly as on the materialized network.
+// startVoltagesViewInto writes the start profile of a solve of the view into
+// vm/va: opts.Warm when set, else a flat or the case's stored profile, with
+// the voltage setpoints of the view's in-service generators at regulated
+// buses. An outaged machine's setpoint does not seed the profile, exactly
+// as on the materialized network; on a view with no spec changes
+// GenInService and Gen read the base fleet.
 func startVoltagesViewInto(n *model.Network, view *model.OutageView, opts Options, vm, va []float64) {
 	if opts.Warm != nil {
 		copy(vm, opts.Warm.Vm)

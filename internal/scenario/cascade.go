@@ -10,6 +10,7 @@ import (
 	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
+	"gridmind/internal/ptdf"
 )
 
 // Outcome classifies how a cascade terminated.
@@ -411,14 +412,21 @@ func screenSeed(n *model.Network, preMW, basePct []float64, k int, opts Options)
 }
 
 // Sweep runs a cascade study seeded from every in-service branch outage.
-// With Options.DCScreen and a PTDF matrix, seeds the DC re-screen (via
-// the lazy LODF memo, see screenSeed) certifies as non-cascading are
-// recorded OutcomeScreened with no AC work.
+// With Options.DCScreen, seeds the DC re-screen (via the lazy LODF memo,
+// see screenSeed) certifies as non-cascading are recorded OutcomeScreened
+// with no AC work. The distribution factors are Options.PTDF, or built
+// here when the caller shares none, as the N-1 screener does; a network
+// they cannot be built for is swept unscreened.
 func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult, error) {
 	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	opts.fill()
+	if opts.DCScreen && opts.PTDF == nil {
+		if m, err := ptdf.Build(n); err == nil {
+			opts.PTDF = m
+		}
+	}
 
 	sw := &SweepResult{Case: n.Name, WorstSeed: -1, Results: make([]*CascadeResult, len(n.Branches))}
 	var preMW, basePct []float64

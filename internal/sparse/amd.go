@@ -8,49 +8,23 @@ package sparse
 // factorization, refactorization and triangular solves; it is the default
 // ordering of Factorize.
 //
-// The implementation is the classical dense-elimination-graph variant
-// (adjacency sets, linear minimum scan): O(n²) in the worst case, which is
-// negligible against factorization time at the system sizes involved and
-// is amortized further by the ordering caches upstream. Ties break toward
-// the lowest node index, so the ordering is deterministic.
+// It is the singleton-supernode, no-tail case of BlockMinDegree: the
+// quotient graph of one-column supernodes is the elimination graph itself,
+// so one elimination kernel serves both. That kernel is the classical
+// dense-elimination-graph variant (adjacency sets, linear minimum scan):
+// O(n²) in the worst case, which is negligible against factorization time
+// at the system sizes involved and is amortized further by the ordering
+// caches upstream. Ties break toward the lowest node index, so the
+// ordering is deterministic.
 func MinDegree(m *CSC) []int {
 	n := m.cols
 	if m.rows != n {
 		panic("sparse: MinDegree requires a square matrix")
 	}
-	adjLists := symmetricAdjacency(m)
-	adj := make([]map[int]bool, n)
-	for v, nbrs := range adjLists {
-		adj[v] = make(map[int]bool, len(nbrs)*2)
-		for _, w := range nbrs {
-			adj[v][w] = true
-		}
+	cols := IdentityPerm(n)
+	super := make([][]int, n)
+	for i := range super {
+		super[i] = cols[i : i+1 : i+1]
 	}
-
-	perm := make([]int, 0, n)
-	eliminated := make([]bool, n)
-	nbrs := make([]int, 0, 64)
-	for len(perm) < n {
-		best, bestDeg := -1, int(^uint(0)>>1)
-		for v := 0; v < n; v++ {
-			if !eliminated[v] && len(adj[v]) < bestDeg {
-				best, bestDeg = v, len(adj[v])
-			}
-		}
-		perm = append(perm, best)
-		eliminated[best] = true
-		nbrs = nbrs[:0]
-		for w := range adj[best] {
-			nbrs = append(nbrs, w)
-			delete(adj[w], best)
-		}
-		adj[best] = nil
-		for a := 0; a < len(nbrs); a++ {
-			for b := a + 1; b < len(nbrs); b++ {
-				adj[nbrs[a]][nbrs[b]] = true
-				adj[nbrs[b]][nbrs[a]] = true
-			}
-		}
-	}
-	return perm
+	return BlockMinDegree(m, super, nil)
 }

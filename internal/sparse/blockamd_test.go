@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // arrowheadCSC builds an n×n symmetric arrowhead-plus-chain pattern: dense
 // first row/column plus a tridiagonal band — a shape where ordering
@@ -69,24 +66,6 @@ func TestBlockMinDegreeTailEliminatedLast(t *testing.T) {
 	}
 	if !last[0] || !last[3] || !last[4] {
 		t.Fatalf("tail supernodes not eliminated last: perm %v", perm)
-	}
-}
-
-func TestBlockMinDegreeSingletonsMatchMinDegree(t *testing.T) {
-	// With every supernode a singleton and no tail, the quotient graph IS
-	// the elimination graph, so the ordering must agree with MinDegree.
-	rng := rand.New(rand.NewSource(3))
-	m := randomSparse(rng, 20, 20, 0.15)
-	super := make([][]int, 20)
-	for i := range super {
-		super[i] = []int{i}
-	}
-	got := BlockMinDegree(m, super, nil)
-	want := MinDegree(m)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("singleton BlockMinDegree diverged from MinDegree at %d: %v vs %v", i, got, want)
-		}
 	}
 }
 

@@ -142,20 +142,29 @@ func clampInterior(v, lo, hi float64) float64 {
 	return v
 }
 
+// scratch returns the problem's evalScratch, laying out a private one on
+// first use when no Context supplied it.
+func (a *acopf) scratch() *evalScratch {
+	if a.es == nil {
+		a.es = newEvalScratch(a)
+	}
+	return a.es
+}
+
 // eval computes objective, constraints and Jacobians at x — as a pure
 // value-refill of the problem's evalScratch: every row pattern (columns
 // and their order, laid out by newEvalScratch) is fixed, only values are
-// overwritten. At steady state the call allocates nothing.
+// overwritten. It refreshes the scratch's trig cache for x's angles, which
+// the hessian at the same point then reuses. At steady state the call
+// allocates nothing.
 func (a *acopf) eval(x []float64) *nlpEval {
 	nb, base := a.nb, a.base
 	va := x[:nb]
 	vm := x[nb : 2*nb]
-	if a.es == nil {
-		a.es = newEvalScratch(a)
-	}
-	es := a.es
+	es := a.scratch()
 	ev := &es.ev
 	es.accumulateLoads(a)
+	cos, sin := es.trig(a, va)
 
 	// Objective: generation cost in $/h over MW dispatch. Grad is only
 	// ever nonzero at Pg positions; every other entry was zeroed at
@@ -171,6 +180,8 @@ func (a *acopf) eval(x []float64) *nlpEval {
 	// Nodal balance: g_P[i] = P_i(V) − ΣPg + Pd ; g_Q analogous. Row
 	// layout: [Va_i, Vm_i, (Va_k, Vm_k) per neighbor, then unit entries
 	// whose −1 values are constant].
+	var tp, tq pairTerm
+	e := 0 // flattened neighbour entry
 	for i := 0; i < nb; i++ {
 		yii := a.y.Diag(i)
 		gii, bii := real(yii), imag(yii)
@@ -185,8 +196,9 @@ func (a *acopf) eval(x []float64) *nlpEval {
 		for t, k := range a.nbrs[i] {
 			yik := a.nbrv[i][t]
 			gik, bik := real(yik), imag(yik)
-			tp := evalPair(gik, bik, vm[i], vm[k], va[i], va[k])
-			tq := evalPair(-bik, gik, vm[i], vm[k], va[i], va[k])
+			pairGrad(&tp, gik, bik, vm[i], vm[k], cos[e], sin[e])
+			pairGrad(&tq, -bik, gik, vm[i], vm[k], cos[e], sin[e])
+			e++
 			pi += tp.Val
 			qi += tq.Val
 			rowP[0].val += tp.Grad[0]
@@ -208,9 +220,16 @@ func (a *acopf) eval(x []float64) *nlpEval {
 	// Slack angle pin (row pattern and value are both constant).
 	ev.G[2*nb] = va[a.slack] - a.net.Buses[a.slack].Va
 
-	// Branch MVA limits at both ends: |S|² − rate² ≤ 0 (p.u.).
+	// Branch MVA limits at both ends: |S|² − rate² ≤ 0 (p.u.), with the
+	// 4-entry Jacobian rows laid out as [Va_i, Va_k, Vm_i, Vm_k] per
+	// metered end.
 	for ri, k := range a.rated {
-		ev.H[2*ri], ev.H[2*ri+1] = a.flowConstraintInto(k, vm, va, ev.DH[2*ri], ev.DH[2*ri+1])
+		br := a.net.Branches[k]
+		rmax := br.RateMVA / a.base
+		r2 := rmax * rmax
+		ef, et := es.ratedNbr[ri][0], es.ratedNbr[ri][1]
+		ev.H[2*ri] = flowRowInto(ev.DH[2*ri], &tp, &tq, a.y.Yff[k], a.y.Yft[k], vm[br.From], vm[br.To], cos[ef], sin[ef], r2)
+		ev.H[2*ri+1] = flowRowInto(ev.DH[2*ri+1], &tp, &tq, a.y.Ytt[k], a.y.Ytf[k], vm[br.To], vm[br.From], cos[et], sin[et], r2)
 	}
 	// Linear variable bounds (row values are the constant ∓1).
 	off := 2 * len(a.rated)
@@ -224,53 +243,35 @@ func (a *acopf) eval(x []float64) *nlpEval {
 	return ev
 }
 
-// branchEnd captures one end's quantities for constraint assembly:
-// value/grad of P and Q over the block (θi, θk, Vi, Vk) where i is the
-// metered end.
-type branchEnd struct {
-	p, q   float64
-	gp, gq [4]float64
-	bi, bk int // bus indices of the block (i = metered end)
-}
-
-// endQuantities computes P/Q and gradients at one branch end. yii is the
-// self admittance at the metered end and yik the transfer admittance.
-func (a *acopf) endQuantities(bi, bk int, yii, yik complex128, vm, va []float64) branchEnd {
+// flowEnd writes the metered-end active and reactive flows of one branch
+// end into tp and tq — value and gradient over the block (θi, θk, Vi, Vk),
+// self-admittance quadratic included. yii is the self admittance at the
+// metered end, yik the transfer admittance, and (c, s) the cos/sin of
+// θi − θk.
+func flowEnd(tp, tq *pairTerm, yii, yik complex128, vi, vk, c, s float64) {
 	gii, bii := real(yii), imag(yii)
 	gik, bik := real(yik), imag(yik)
-	tp := evalPair(gik, bik, vm[bi], vm[bk], va[bi], va[bk])
-	tq := evalPair(-bik, gik, vm[bi], vm[bk], va[bi], va[bk])
-	e := branchEnd{bi: bi, bk: bk}
-	e.p = gii*vm[bi]*vm[bi] + tp.Val
-	e.q = -bii*vm[bi]*vm[bi] + tq.Val
-	e.gp = tp.Grad
-	e.gq = tq.Grad
-	e.gp[2] += 2 * gii * vm[bi]
-	e.gq[2] += -2 * bii * vm[bi]
-	return e
+	pairGrad(tp, gik, bik, vi, vk, c, s)
+	pairGrad(tq, -bik, gik, vi, vk, c, s)
+	tp.Val += gii * vi * vi
+	tq.Val += -bii * vi * vi
+	tp.Grad[2] += 2 * gii * vi
+	tq.Grad[2] += -2 * bii * vi
 }
 
-// flowConstraintInto computes h for the from and to ends of rated branch
-// k and refills the 4-entry Jacobian rows in place (columns laid out at
-// scratch-compile time as [Va_i, Va_k, Vm_i, Vm_k] per metered end).
-func (a *acopf) flowConstraintInto(k int, vm, va []float64, rowF, rowT []jentry) (hf, ht float64) {
-	br := a.net.Branches[k]
-	rmax := br.RateMVA / a.base
-	r2 := rmax * rmax
-
-	from := a.endQuantities(br.From, br.To, a.y.Yff[k], a.y.Yft[k], vm, va)
-	to := a.endQuantities(br.To, br.From, a.y.Ytt[k], a.y.Ytf[k], vm, va)
-
-	hf = from.p*from.p + from.q*from.q - r2
-	ht = to.p*to.p + to.q*to.q - r2
-	for c := 0; c < 4; c++ {
-		rowF[c].val = 2*from.p*from.gp[c] + 2*from.q*from.gq[c]
-		rowT[c].val = 2*to.p*to.gp[c] + 2*to.q*to.gq[c]
+// flowRowInto returns h = P² + Q² − r2 for one branch end and refills its
+// Jacobian row in place; tp and tq are scratch terms.
+func flowRowInto(row []jentry, tp, tq *pairTerm, yii, yik complex128, vi, vk, c, s, r2 float64) float64 {
+	flowEnd(tp, tq, yii, yik, vi, vk, c, s)
+	for j := 0; j < 4; j++ {
+		row[j].val = 2*tp.Val*tp.Grad[j] + 2*tq.Val*tq.Grad[j]
 	}
-	return hf, ht
+	return tp.Val*tp.Val + tq.Val*tq.Val - r2
 }
 
-// hessian emits the Lagrangian Hessian ∇²f + Σλ∇²g + Σμ∇²h.
+// hessian emits the Lagrangian Hessian ∇²f + Σλ∇²g + Σμ∇²h into sink,
+// reading cos/sin from the scratch's trig cache (refreshed here only when
+// eval has not already computed it at x's angles).
 //
 // The emission is STRUCTURAL: every block is emitted on every call, in the
 // same order, with zero multipliers included — the historical
@@ -281,79 +282,70 @@ func (a *acopf) flowConstraintInto(k int, vm, va []float64, rowF, rowT []jentry)
 // artificially-sparse iteration-0 system (where λ is all zero, so the
 // entire equality-Hessian block was absent). See nlp.hess and kkt.go for
 // the contract.
-func (a *acopf) hessian(x, lam, mu []float64, emit func(i, j int, v float64)) {
+func (a *acopf) hessian(x, lam, mu []float64, sink *kktSink) {
 	nb, base := a.nb, a.base
 	va := x[:nb]
 	vm := x[nb : 2*nb]
+	es := a.scratch()
+	cos, sin := es.trig(a, va)
 
 	// Objective: 2·c2·base² on the Pg diagonal.
 	for p, gi := range a.gens {
 		c2 := a.net.Gens[gi].Cost.C2
-		emit(a.ixPg(p), a.ixPg(p), 2*c2*base*base)
+		sink.emit(a.ixPg(p), a.ixPg(p), 2*c2*base*base)
 	}
 
 	// Equality part: weighted second derivatives of nodal injections.
+	var tp, tq pairTerm
+	e := 0 // flattened neighbour entry
 	for i := 0; i < nb; i++ {
 		lp, lq := lam[i], lam[nb+i]
 		yii := a.y.Diag(i)
-		emit(a.ixVm(i), a.ixVm(i), lp*2*real(yii)+lq*(-2*imag(yii)))
+		sink.emit(a.ixVm(i), a.ixVm(i), lp*2*real(yii)+lq*(-2*imag(yii)))
 		for t, k := range a.nbrs[i] {
 			yik := a.nbrv[i][t]
 			gik, bik := real(yik), imag(yik)
-			tp := evalPair(gik, bik, vm[i], vm[k], va[i], va[k])
-			tq := evalPair(-bik, gik, vm[i], vm[k], va[i], va[k])
+			pairHess(&tp, gik, bik, vm[i], vm[k], cos[e], sin[e])
+			pairHess(&tq, -bik, gik, vm[i], vm[k], cos[e], sin[e])
+			e++
 			cols := [4]int{a.ixVa(i), a.ixVa(k), a.ixVm(i), a.ixVm(k)}
-			addBlock(emit, cols, &tp.Hess, lp)
-			addBlock(emit, cols, &tq.Hess, lq)
+			sink.addBlock(cols, &tp.Hess, lp)
+			sink.addBlock(cols, &tq.Hess, lq)
 		}
 	}
 
 	// Inequality part: flow constraints only (bounds are linear). The mu
 	// layout matches eval: two rows per rated branch, then bounds.
 	for ri, k := range a.rated {
-		muF, muT := mu[2*ri], mu[2*ri+1]
 		br := a.net.Branches[k]
-		a.addFlowHessian(emit, br.From, br.To, a.y.Yff[k], a.y.Yft[k], muF, vm, va)
-		a.addFlowHessian(emit, br.To, br.From, a.y.Ytt[k], a.y.Ytf[k], muT, vm, va)
+		ef, et := es.ratedNbr[ri][0], es.ratedNbr[ri][1]
+		a.addFlowHessian(sink, &tp, &tq, br.From, br.To, a.y.Yff[k], a.y.Yft[k], mu[2*ri], vm, cos[ef], sin[ef])
+		a.addFlowHessian(sink, &tp, &tq, br.To, br.From, a.y.Ytt[k], a.y.Ytf[k], mu[2*ri+1], vm, cos[et], sin[et])
 	}
 }
 
 // addFlowHessian accumulates w·∇²(P²+Q²) for one branch end:
 // ∇²h = 2(∇P∇Pᵀ + P∇²P + ∇Q∇Qᵀ + Q∇²Q). All 16 block entries are emitted
-// unconditionally (structural emission contract).
-func (a *acopf) addFlowHessian(emit func(i, j int, v float64), bi, bk int, yii, yik complex128, w float64, vm, va []float64) {
-	gii, bii := real(yii), imag(yii)
+// unconditionally (structural emission contract). tp and tq are scratch
+// terms; (c, s) is the cos/sin of θ_bi − θ_bk.
+func (a *acopf) addFlowHessian(sink *kktSink, tp, tq *pairTerm, bi, bk int, yii, yik complex128, w float64, vm []float64, c, s float64) {
+	vi, vk := vm[bi], vm[bk]
+	flowEnd(tp, tq, yii, yik, vi, vk, c, s)
 	gik, bik := real(yik), imag(yik)
-	tp := evalPair(gik, bik, vm[bi], vm[bk], va[bi], va[bk])
-	tq := evalPair(-bik, gik, vm[bi], vm[bk], va[bi], va[bk])
-
-	p := gii*vm[bi]*vm[bi] + tp.Val
-	q := -bii*vm[bi]*vm[bi] + tq.Val
-	gp := tp.Grad
-	gq := tq.Grad
-	gp[2] += 2 * gii * vm[bi]
-	gq[2] += -2 * bii * vm[bi]
+	pairHess(tp, gik, bik, vi, vk, c, s)
+	pairHess(tq, -bik, gik, vi, vk, c, s)
 	// Self-admittance quadratic adds to the (Vi, Vi) second derivative.
-	hp := tp.Hess
-	hq := tq.Hess
-	hp[2][2] += 2 * gii
-	hq[2][2] += -2 * bii
+	tp.Hess[2][2] += 2 * real(yii)
+	tq.Hess[2][2] += -2 * imag(yii)
 
+	p, q := tp.Val, tq.Val
+	gp, gq := &tp.Grad, &tq.Grad
+	hp, hq := &tp.Hess, &tq.Hess
 	cols := [4]int{a.ixVa(bi), a.ixVa(bk), a.ixVm(bi), a.ixVm(bk)}
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
 			v := 2 * (gp[r]*gp[c] + p*hp[r][c] + gq[r]*gq[c] + q*hq[r][c])
-			emit(cols[r], cols[c], w*v)
-		}
-	}
-}
-
-// addBlock accumulates w·H over the 4-variable block, emitting every entry
-// unconditionally (structural emission contract).
-func addBlock(emit func(i, j int, v float64), cols [4]int, h *[4][4]float64, w float64) {
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			emit(cols[r], cols[c], w*h[r][c])
+			sink.emit(cols[r], cols[c], w*v)
 		}
 	}
 }

@@ -10,6 +10,17 @@ import (
 	"gridmind/internal/sparse"
 )
 
+// evalPair is the angle-taking form of the pair kernels: the full term at
+// θ = thi − thk, as the finite-difference checks below differentiate it.
+func evalPair(a, b, vi, vk, thi, thk float64) pairTerm {
+	th := thi - thk
+	c, s := math.Cos(th), math.Sin(th)
+	var t pairTerm
+	pairGrad(&t, a, b, vi, vk, c, s)
+	pairHess(&t, a, b, vi, vk, c, s)
+	return t
+}
+
 func TestEvalPairGradientFD(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const h = 1e-6
@@ -173,7 +184,7 @@ func TestACOPFHessianFD(t *testing.T) {
 		return lx
 	}
 	hcoo := sparse.NewCOO(a.nx(), a.nx())
-	a.hessian(x, lam, mu, hcoo.Add)
+	a.hessian(x, lam, mu, &kktSink{fn: hcoo.Add})
 	hess := hcoo.ToCSC()
 
 	const h = 1e-6
@@ -193,6 +204,58 @@ func TestACOPFHessianFD(t *testing.T) {
 				t.Fatalf("H[%d][%d]: analytic %v fd %v", r, c, got, fd)
 			}
 		}
+	}
+}
+
+// hessianBits records one hessian call's emissions as coordinates and
+// value bits.
+func hessianBits(a *acopf, x, lam, mu []float64) [][3]uint64 {
+	var out [][3]uint64
+	a.hessian(x, lam, mu, &kktSink{fn: func(i, j int, v float64) {
+		out = append(out, [3]uint64{uint64(i), uint64(j), math.Float64bits(v)})
+	}})
+	return out
+}
+
+// TestHessianTrigCacheKeyedOnAngles pins the trig cache's key: eval at
+// x1 fills the cache, and a hessian at a point x2 that eval never saw
+// must recompute it, emitting exactly the bits a fresh problem emits at
+// x2. A cache keyed on call order would hand the hessian x1's angles.
+func TestHessianTrigCacheKeyedOnAngles(t *testing.T) {
+	for _, name := range []string{"case30", "case118"} {
+		t.Run(name, func(t *testing.T) {
+			n := cases.MustLoad(name)
+			warm, err := newACOPF(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := newACOPF(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(12))
+			x1 := randomizedState(warm, rng)
+			x2 := randomizedState(warm, rng)
+			lam := make([]float64, warm.ngEq())
+			mu := make([]float64, warm.nIneq())
+			for i := range lam {
+				lam[i] = rng.NormFloat64()
+			}
+			for i := range mu {
+				mu[i] = math.Abs(rng.NormFloat64())
+			}
+			warm.eval(x1)
+			got := hessianBits(warm, x2, lam, mu)
+			want := hessianBits(fresh, x2, lam, mu)
+			if len(got) != len(want) {
+				t.Fatalf("%d emissions after eval(x1), fresh problem emits %d", len(got), len(want))
+			}
+			for e := range want {
+				if got[e] != want[e] {
+					t.Fatalf("emission %d after eval(x1) is %v, fresh problem emits %v", e, got[e], want[e])
+				}
+			}
+		})
 	}
 }
 
@@ -374,9 +437,9 @@ func TestIPMOnQP(t *testing.T) {
 				DH:   [][]jentry{{{0, -1}}},
 			}
 		},
-		hess: func(x, lam, mu []float64, emit func(i, j int, v float64)) {
-			emit(0, 0, 2)
-			emit(1, 1, 2)
+		hess: func(x, lam, mu []float64, sink *kktSink) {
+			sink.emit(0, 0, 2)
+			sink.emit(1, 1, 2)
 		},
 	}
 	res, err := solveIPM(p, ipmOptions{})
@@ -439,9 +502,9 @@ func TestIPMEqualityOnly(t *testing.T) {
 				DH:   [][]jentry{},
 			}
 		},
-		hess: func(x, lam, mu []float64, emit func(i, j int, v float64)) {
-			emit(0, 0, 2)
-			emit(1, 1, 2)
+		hess: func(x, lam, mu []float64, sink *kktSink) {
+			sink.emit(0, 0, 2)
+			sink.emit(1, 1, 2)
 		},
 	}
 	res, err := solveIPM(p, ipmOptions{})

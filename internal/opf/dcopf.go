@@ -144,14 +144,14 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 		}
 		return ev
 	}
-	hess := func(x, lam, mu []float64, emit func(i, j int, v float64)) {
+	hess := func(x, lam, mu []float64, sink *kktSink) {
 		for p, gi := range gens {
-			emit(ixPg(p), ixPg(p), 2*n.Gens[gi].Cost.C2*base*base)
+			sink.emit(ixPg(p), ixPg(p), 2*n.Gens[gi].Cost.C2*base*base)
 		}
 		// Keep θ diagonal structurally nonzero: the DC objective has no
 		// curvature there, curvature comes only via constraints.
 		for i := 0; i < nb; i++ {
-			emit(ixTh(i), ixTh(i), 0)
+			sink.emit(ixTh(i), ixTh(i), 0)
 		}
 	}
 

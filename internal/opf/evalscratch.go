@@ -1,5 +1,10 @@
 package opf
 
+import (
+	"fmt"
+	"math"
+)
+
 // evalScratch is the compile-once/refill-in-place treatment for nlpEval,
 // the same recipe kkt.go applies to the KKT matrix one level down: the
 // DG/DH Jacobian row patterns are REQUIRED to be structural (the compiled
@@ -15,12 +20,35 @@ package opf
 // or slack changes miss the signature and rebuild it. Like the Context it
 // rides in, it is NOT safe for concurrent use — the returned *nlpEval is
 // reused by every eval call on the same problem.
+//
+// The scratch also caches the trigonometry of one iterate: cos and sin of
+// θi − θk for every Ybus neighbour entry. eval refreshes the cache and
+// hessian reuses it, so each interior-point iterate evaluates one cos/sin
+// pair per neighbour entry instead of up to eight per branch. Rated-branch
+// flow terms read the entries of their two ends, (from→to) and (to→from):
+// every in-service branch is a structural Ybus entry both ways and
+// self-loops fail validation, so both entries exist and hold exactly the
+// angles the branch terms need. This file is the one place in the package
+// that calls math.Cos/math.Sin (a CI grep keeps it that way).
 type evalScratch struct {
 	ev nlpEval
 	// loadP/loadQ are per-bus demand aggregates, re-accumulated in one
 	// pass over the load list at each eval (values are NOT structural —
 	// a Context survives load changes, so they cannot be cached).
 	loadP, loadQ []float64
+	// cos/sin hold cos(θi − θk) and sin(θi − θk) per neighbour entry,
+	// flattened in nbrs order (bus i, then its neighbours k). They are
+	// keyed on the angle vector itself: trigVa is a copy of the angles
+	// they were computed at (trigOK false until the first refresh), and
+	// a call at angles that differ in any bit recomputes them. A
+	// carried-over scratch stays valid across problems because the
+	// entries depend on the angles and the structural nbrs layout only.
+	cos, sin []float64
+	trigVa   []float64
+	trigOK   bool
+	// ratedNbr holds, per rated branch, the neighbour-entry positions of
+	// its from end (From→To) and its to end (To→From).
+	ratedNbr [][2]int
 }
 
 // newEvalScratch lays out the row patterns of one acopf problem. The
@@ -31,9 +59,30 @@ type evalScratch struct {
 // bound rows whose ∓1 values are themselves constant.
 func newEvalScratch(a *acopf) *evalScratch {
 	nb := a.nb
+	// nbrOff[i] is the flattened position of bus i's first neighbour entry.
+	nbrOff := make([]int, nb+1)
+	for i, nbrs := range a.nbrs {
+		nbrOff[i+1] = nbrOff[i] + len(nbrs)
+	}
+	entry := func(i, k int) int {
+		for t, j := range a.nbrs[i] {
+			if j == k {
+				return nbrOff[i] + t
+			}
+		}
+		panic(fmt.Sprintf("opf: rated branch %d-%d has no Ybus entry", i, k))
+	}
 	es := &evalScratch{
-		loadP: make([]float64, nb),
-		loadQ: make([]float64, nb),
+		loadP:    make([]float64, nb),
+		loadQ:    make([]float64, nb),
+		cos:      make([]float64, nbrOff[nb]),
+		sin:      make([]float64, nbrOff[nb]),
+		trigVa:   make([]float64, nb),
+		ratedNbr: make([][2]int, len(a.rated)),
+	}
+	for ri, k := range a.rated {
+		br := a.net.Branches[k]
+		es.ratedNbr[ri] = [2]int{entry(br.From, br.To), entry(br.To, br.From)}
 	}
 	ev := &es.ev
 	ev.Grad = make([]float64, a.nx())
@@ -108,4 +157,33 @@ func (es *evalScratch) accumulateLoads(a *acopf) {
 			es.loadQ[l.Bus] += l.Q
 		}
 	}
+}
+
+// trig returns the cos/sin cache at angles va, recomputing it only when va
+// differs in any bit from the angles of the previous refresh. Keying on
+// the angles rather than on call order keeps a hessian call at a point
+// eval never saw exact.
+func (es *evalScratch) trig(a *acopf, va []float64) (cos, sin []float64) {
+	if !es.trigOK || !sameBits(es.trigVa, va) {
+		e := 0
+		for i, nbrs := range a.nbrs {
+			for _, k := range nbrs {
+				th := va[i] - va[k]
+				es.cos[e], es.sin[e] = math.Cos(th), math.Sin(th)
+				e++
+			}
+		}
+		copy(es.trigVa, va)
+		es.trigOK = true
+	}
+	return es.cos, es.sin
+}
+
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

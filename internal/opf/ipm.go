@@ -39,8 +39,9 @@ type nlp struct {
 	// emission must be STRUCTURAL: every entry on every call, in the same
 	// order, regardless of multiplier values (zeros included) — a
 	// value-dependent skip would change the pattern between iterations and
-	// corrupt the compiled slot mapping (kkt.go checks the count).
-	hess func(x, lam, mu []float64, emit func(i, j int, v float64))
+	// corrupt the compiled slot mapping (kktSink checks the count and
+	// every coordinate).
+	hess func(x, lam, mu []float64, sink *kktSink)
 	// order, when non-nil, supplies the fill-reducing column pre-order for
 	// the compiled KKT pattern (e.g. acopf's constraint-aware supernode
 	// ordering). Nil falls back to plain minimum degree.

@@ -38,66 +38,120 @@ const (
 	kktRefineSteps = 1
 )
 
-// assembleKKT emits every entry of the reduced KKT matrix in a fixed,
-// value-independent order: the Lagrangian Hessian (via p.hess, whose
-// emission contract is structural — every block on every call, zeros
-// included), the Gauss terms dhᵀ·diag(μ/z)·dh of every inequality row, and
-// the equality Jacobian border with a structurally-present diagonal.
-// Duplicate coordinates accumulate. Pattern capture at compile time and
-// per-iteration numeric refill both walk through this single function, so
-// the slot mapping cannot drift between the two.
-func assembleKKT(p *nlp, ev *nlpEval, x, lam, mu, z []float64, emit func(i, j int, v float64)) {
+// assembleKKT emits every entry of the reduced KKT matrix into sink in a
+// fixed, value-independent order: the Lagrangian Hessian (via p.hess,
+// whose emission contract is structural — every block on every call,
+// zeros included), the Gauss terms dhᵀ·diag(μ/z)·dh of every inequality
+// row, and the equality Jacobian border with a structurally-present
+// diagonal. Duplicate coordinates accumulate. Pattern capture at compile
+// time and per-iteration numeric refill both walk through this single
+// function, so the slot mapping cannot drift between the two.
+func assembleKKT(p *nlp, ev *nlpEval, x, lam, mu, z []float64, sink *kktSink) {
 	nx := p.nx
-	p.hess(x, lam, mu, emit)
+	p.hess(x, lam, mu, sink)
 	for r := 0; r < p.nh; r++ {
 		w := mu[r] / z[r]
 		row := ev.DH[r]
 		for _, a := range row {
 			for _, b := range row {
-				emit(a.col, b.col, w*a.val*b.val)
+				sink.emit(a.col, b.col, w*a.val*b.val)
 			}
 		}
 	}
 	for i, row := range ev.DG {
 		for _, a := range row {
-			emit(nx+i, a.col, a.val)
-			emit(a.col, nx+i, a.val)
+			sink.emit(nx+i, a.col, a.val)
+			sink.emit(a.col, nx+i, a.val)
 		}
 		// Keep the diagonal structurally present for robustness.
-		emit(nx+i, nx+i, 0)
+		sink.emit(nx+i, nx+i, 0)
 	}
 }
 
+// kktSink receives the emissions of assembleKKT. With fn set it forwards
+// every emission to fn — the pattern capture at compile time and the COO
+// assemblies of the reference paths. With fn nil it is the compiled
+// refill: the n-th emission must land on the coordinate the compile
+// recorded for it and is accumulated into that coordinate's value slot.
+// It is a concrete type, not a func value, so the tens of thousands of
+// refill emissions per iteration are direct calls.
+type kktSink struct {
+	fn func(i, j int, v float64)
+	// emits records, per emission in assembly order, its compiled
+	// coordinate and the value slot it accumulates into.
+	emits []kktEmit
+	vals  []float64
+	// n counts this pass's emissions; drift is the first one that missed
+	// its compiled coordinate (−1 for none).
+	n, drift int
+}
+
+// kktEmit is one compiled emission: coordinate (i, j) and its slot in the
+// CSC value array.
+type kktEmit struct{ i, j, slot int32 }
+
+func (s *kktSink) emit(i, j int, v float64) {
+	n := s.n
+	s.n = n + 1
+	if n < len(s.emits) {
+		if e := s.emits[n]; int(e.i) == i && int(e.j) == j {
+			s.vals[e.slot] += v
+			return
+		}
+	}
+	// Off the compiled path: a capture sink, which has no compiled
+	// emissions, forwards to fn; a compiled sink records the first miss as
+	// drift.
+	if s.fn != nil {
+		s.fn(i, j, v)
+	} else if s.drift < 0 {
+		s.drift = n
+	}
+}
+
+// addBlock accumulates w·H over a 4-variable block, emitting every entry
+// unconditionally (structural emission contract).
+func (s *kktSink) addBlock(cols [4]int, h *[4][4]float64, w float64) {
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			s.emit(cols[r], cols[c], w*h[r][c])
+		}
+	}
+}
+
+// refill overwrites the matrix values in place through the slot map — no
+// COO construction, no CSC compression, no pattern work: it zeroes the
+// values and re-accumulates them from one assembly pass. Every emission is checked against the coordinates recorded at compile
+// time — count AND position — so a drifting (value-dependent) emitter
+// fails loudly instead of silently accumulating into the wrong slots.
+func (s *kktSink) refill(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
+	clear(s.vals)
+	s.n, s.drift = 0, -1
+	assembleKKT(p, ev, x, lam, mu, z, s)
+	if s.n != len(s.emits) {
+		return fmt.Errorf("opf: KKT emission count drifted: %d entries, compiled pattern has %d", s.n, len(s.emits))
+	}
+	if s.drift >= 0 {
+		e := s.emits[s.drift]
+		return fmt.Errorf("opf: KKT emission %d drifted from compiled coordinate (%d,%d): the hess/eval pattern is not structural", s.drift, e.i, e.j)
+	}
+	return nil
+}
+
 // kktSystem holds the compiled KKT linear system: the CSC matrix with its
-// fixed structural pattern, the emission→value-slot map, the fill-reducing
-// order, the LDLᵀ factor whose symbolic analysis is built with the
-// pattern, and the solve buffers. The zero value is ready to use; compile
-// runs lazily on the first iteration.
+// fixed structural pattern, the refill sink with its emission→value-slot
+// map, the fill-reducing order, the LDLᵀ factor whose symbolic analysis is
+// built with the pattern, and the solve buffers. The zero value is ready
+// to use; compile runs lazily on the first iteration.
 type kktSystem struct {
-	dim   int
-	nEmit int
-	mat   *sparse.CSC
-	// emitVal maps the k-th emission of assembleKKT to its value slot; the
-	// refill accumulates (duplicate coordinates sum, COO-style). ri/ci and
-	// emitUniq retain the captured coordinates so refill can verify each
-	// emission lands where the compile recorded it.
-	emitVal  []int
-	emitUniq []int
-	ri, ci   []int
-	colPerm  []int
-	ldl      *sparse.LDL
+	dim     int
+	mat     *sparse.CSC
+	sink    kktSink
+	colPerm []int
+	ldl     *sparse.LDL
 	// sol, res and work are the solve buffers: the Newton direction, the
 	// refinement residual and the factor's workspace.
 	sol, res, work []float64
-	// refillFn is the refill emitter, built once at compile time with its
-	// cursor state (refillE/refillDrift) hoisted onto the struct: a
-	// closure literal inside refill would be re-allocated on every
-	// iteration (emit escapes through the indirect p.hess call), which is
-	// exactly the allocation class the steady-state zero-alloc pin bans.
-	refillFn    func(i, j int, v float64)
-	vals        []float64
-	refillE     int
-	refillDrift int
 	// compiledThisSolve tells a pattern compiled in the current solve from
 	// one a Context carried over from an earlier solve (Context.acquire
 	// clears it); solve treats emission drift against the two differently.
@@ -118,9 +172,9 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error 
 	dim := p.nx + p.ng
 	var ri, ci []int
 	seen := make(map[int64]int)
-	var emitUniq []int
+	var uniq []int32 // per emission, the index of its coordinate in ri/ci
 	var vals []float64
-	capture := func(i, j int, v float64) {
+	assembleKKT(p, ev, x, lam, mu, z, &kktSink{fn: func(i, j int, v float64) {
 		key := int64(i)*int64(dim) + int64(j)
 		u, ok := seen[key]
 		if !ok {
@@ -129,10 +183,9 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error 
 			ri = append(ri, i)
 			ci = append(ci, j)
 		}
-		emitUniq = append(emitUniq, u)
+		uniq = append(uniq, int32(u))
 		vals = append(vals, v)
-	}
-	assembleKKT(p, ev, x, lam, mu, z, capture)
+	}})
 	mat, slot := sparse.CompilePattern(dim, dim, ri, ci)
 	var colPerm []int
 	if p.order != nil {
@@ -152,60 +205,22 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error 
 		return fmt.Errorf("opf: KKT symbolic analysis: %w", err)
 	}
 	k.dim = dim
-	k.nEmit = len(emitUniq)
 	k.mat = mat
-	k.emitUniq = emitUniq
-	k.ri, k.ci = ri, ci
-	k.emitVal = make([]int, len(emitUniq))
 	val := mat.Values() // zeroed by CompilePattern
-	for e, u := range emitUniq {
+	emits := make([]kktEmit, len(uniq))
+	for e, u := range uniq {
 		s := slot[u]
-		k.emitVal[e] = s
+		emits[e] = kktEmit{i: int32(ri[u]), j: int32(ci[u]), slot: int32(s)}
 		val[s] += vals[e]
 	}
+	k.sink = kktSink{emits: emits, vals: val}
 	k.colPerm = colPerm
 	k.ldl = ldl
 	k.sol = make([]float64, dim)
 	k.res = make([]float64, dim)
 	k.work = make([]float64, dim)
-	k.vals = val
-	k.refillFn = func(i, j int, v float64) {
-		e := k.refillE
-		if e < len(k.emitVal) {
-			if u := k.emitUniq[e]; i != k.ri[u] || j != k.ci[u] {
-				if k.refillDrift < 0 {
-					k.refillDrift = e
-				}
-			} else {
-				k.vals[k.emitVal[e]] += v
-			}
-		}
-		k.refillE = e + 1
-	}
 	k.compiles++
 	k.compiledThisSolve = true
-	return nil
-}
-
-// refill overwrites the matrix values in place through the slot map — no
-// COO construction, no CSC compression, no pattern work. Every emission is
-// checked against the coordinates recorded at compile time (count AND
-// position), so a drifting (value-dependent) emitter fails loudly instead
-// of silently accumulating into the wrong slots.
-func (k *kktSystem) refill(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
-	val := k.vals
-	for i := range val {
-		val[i] = 0
-	}
-	k.refillE, k.refillDrift = 0, -1
-	assembleKKT(p, ev, x, lam, mu, z, k.refillFn)
-	if k.refillE != k.nEmit {
-		return fmt.Errorf("opf: KKT emission count drifted: %d entries, compiled pattern has %d", k.refillE, k.nEmit)
-	}
-	if k.refillDrift >= 0 {
-		u := k.emitUniq[k.refillDrift]
-		return fmt.Errorf("opf: KKT emission %d drifted from compiled coordinate (%d,%d): the hess/eval pattern is not structural", k.refillDrift, k.ri[u], k.ci[u])
-	}
 	return nil
 }
 
@@ -218,7 +233,7 @@ func (k *kktSystem) refill(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
 // loudly (reported distinctly from singularity).
 func (k *kktSystem) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
 	if k.compiled() {
-		if err := k.refill(p, ev, x, lam, mu, z); err != nil {
+		if err := k.sink.refill(p, ev, x, lam, mu, z); err != nil {
 			if k.compiledThisSolve {
 				return nil, err
 			}

@@ -1,10 +1,15 @@
 package opf
 
 import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gridmind/internal/cases"
+	"gridmind/internal/model"
 	"gridmind/internal/sparse"
 )
 
@@ -114,7 +119,7 @@ func TestKKTPatternSupersetAtConvergedPoint(t *testing.T) {
 	// be a structural entry of the compiled pattern.
 	dim := p.nx + p.ng
 	converged := sparse.NewCOO(dim, dim)
-	assembleKKT(p, ev, res.X, res.Lam, res.Mu, res.Z, converged.Add)
+	assembleKKT(p, ev, res.X, res.Lam, res.Mu, res.Z, &kktSink{fn: converged.Add})
 	csc := converged.ToCSC()
 	missing := 0
 	for j := 0; j < dim; j++ {
@@ -132,7 +137,7 @@ func TestKKTPatternSupersetAtConvergedPoint(t *testing.T) {
 	// all-zero-λ iteration-0 point is strictly smaller than the converged
 	// one, so an ordering computed from it was computed on the wrong graph.
 	iter0 := sparse.NewCOO(dim, dim)
-	assembleKKT(p, ev, res.X, lam0, mu0, z0, iter0.Add)
+	assembleKKT(p, ev, res.X, lam0, mu0, z0, &kktSink{fn: iter0.Add})
 	csc0 := iter0.ToCSC()
 	nz := func(m *sparse.CSC) int {
 		count := 0
@@ -191,9 +196,9 @@ func TestIPMNoConvergenceOnIterationZero(t *testing.T) {
 				DH:   [][]jentry{},
 			}
 		},
-		hess: func(x, lam, mu []float64, emit func(i, j int, v float64)) {
-			emit(0, 0, 2)
-			emit(1, 1, 2)
+		hess: func(x, lam, mu []float64, sink *kktSink) {
+			sink.emit(0, 0, 2)
+			sink.emit(1, 1, 2)
 		},
 	}
 	res, err := solveIPM(p, ipmOptions{})
@@ -499,13 +504,13 @@ func TestKKTRefillMatchesScratchAssembly(t *testing.T) {
 	if err := kkt.compile(p, ev, res.X, res.Lam, res.Mu, res.Z); err != nil {
 		t.Fatal(err)
 	}
-	if err := kkt.refill(p, ev, res.X, res.Lam, res.Mu, res.Z); err != nil {
+	if err := kkt.sink.refill(p, ev, res.X, res.Lam, res.Mu, res.Z); err != nil {
 		t.Fatal(err)
 	}
 
 	dim := p.nx + p.ng
 	scratch := sparse.NewCOO(dim, dim)
-	assembleKKT(p, ev, res.X, res.Lam, res.Mu, res.Z, scratch.Add)
+	assembleKKT(p, ev, res.X, res.Lam, res.Mu, res.Z, &kktSink{fn: scratch.Add})
 	want := scratch.ToCSC()
 	// The two pipelines sum the same duplicate contributions in different
 	// orders (slot accumulation vs sorted-CSC merge), so heavy cancellation
@@ -518,4 +523,120 @@ func TestKKTRefillMatchesScratchAssembly(t *testing.T) {
 		})
 	}
 	_ = prob
+}
+
+// driftingNLP is min (x0−1)² + (x1−2)² with no constraints, so its hess is
+// the whole KKT assembly. The first hess call (the compile at iteration 0)
+// emits (0,0) and (1,1); every later call drifts. With moveCoord it emits
+// the second entry at (0,1) instead — same count, one coordinate off —
+// and otherwise it drops the second entry, the last emission of the
+// assembly, so only the count can tell.
+func driftingNLP(moveCoord bool) *nlp {
+	calls := 0
+	return &nlp{
+		nx: 2, x0: []float64{3, -1},
+		eval: func(x []float64) *nlpEval {
+			return &nlpEval{
+				F:    (x[0]-1)*(x[0]-1) + (x[1]-2)*(x[1]-2),
+				Grad: []float64{2 * (x[0] - 1), 2 * (x[1] - 2)},
+				DG:   [][]jentry{},
+				DH:   [][]jentry{},
+			}
+		},
+		hess: func(x, lam, mu []float64, sink *kktSink) {
+			calls++
+			sink.emit(0, 0, 2)
+			switch {
+			case calls == 1:
+				sink.emit(1, 1, 2)
+			case moveCoord:
+				sink.emit(0, 1, 2)
+			}
+		},
+	}
+}
+
+// TestKKTDriftFailsWithinCompilingSolve pins both drift checks of the
+// refill sink: an emitter that changes one coordinate, or drops one
+// emission, after the pattern was compiled in the same solve must fail
+// that solve on iteration 1 with the "drifted" error — not recompile, and
+// not surface later as a singular factor. Without the coordinate check
+// the moved entry would accumulate into the compiled (1,1) slot and the
+// solve would converge; without the count check the dropped entry would
+// leave a shifted zero pivot behind.
+func TestKKTDriftFailsWithinCompilingSolve(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		moveCoord bool
+		want      string
+	}{
+		{"coordinate", true, "drifted from compiled coordinate (1,1)"},
+		{"count", false, "emission count drifted: 1 entries, compiled pattern has 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kkt := &kktSystem{}
+			res, err := solveIPM(driftingNLP(tc.moveCoord), ipmOptions{kkt: kkt})
+			if err == nil {
+				t.Fatal("drifting emitter solved without error")
+			}
+			if !errors.Is(err, errNumerical) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want a numerical failure containing %q", err, tc.want)
+			}
+			if strings.Contains(err.Error(), "singular") {
+				t.Fatalf("drift reported as singularity: %v", err)
+			}
+			if res.Iterations != 1 || kkt.compiles != 1 {
+				t.Fatalf("failed at iteration %d after %d compiles, want iteration 1 of the compiling solve", res.Iterations, kkt.compiles)
+			}
+		})
+	}
+}
+
+// solutionHash digests everything a solve reports numerically — iteration
+// count, message, objective, voltages, LMPs, dispatch and branch flows —
+// in a form that differs whenever any float differs in any bit (%v prints
+// the shortest representation that round-trips).
+func solutionHash(s *Solution) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d|%s|%v|%v|%v|%v|%v|%v|%+v", s.Iterations, s.ConvergenceMessage, s.ObjectiveCost,
+		s.Voltages.Vm, s.Voltages.Va, s.LMP, s.GenP, s.GenQ, s.Flows)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestContextAlternatingNetworksBitIdentical is the serving pattern of
+// case118 what-ifs: one Context moves between two networks of the same
+// structure whose loads differ, so its evalScratch — row layout and trig
+// cache — is carried from one problem to the other on every solve. Each
+// solve must be bit-identical to a context-free solve of its network.
+func TestContextAlternatingNetworksBitIdentical(t *testing.T) {
+	base, heavy := cases.MustLoad("case118"), cases.MustLoad("case118")
+	for i := range heavy.Loads {
+		heavy.Loads[i].P *= 1.05
+		heavy.Loads[i].Q *= 1.05
+	}
+	want := map[string]string{}
+	nets := map[string]*model.Network{"base": base, "heavy": heavy}
+	for name, n := range nets {
+		sol, err := SolveACOPF(n, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = solutionHash(sol)
+	}
+	if want["base"] == want["heavy"] {
+		t.Fatal("the two networks solve identically; the test cannot tell them apart")
+	}
+	ctx := NewContext()
+	for r, name := range []string{"base", "heavy", "base", "heavy"} {
+		sol, err := SolveACOPF(nets[name], Options{Context: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := solutionHash(sol); got != want[name] {
+			t.Fatalf("solve %d (%s) through the shared Context hashes %s, context-free %s", r, name, got, want[name])
+		}
+	}
+	if got := ctx.Compiles(); got != 1 {
+		t.Fatalf("alternating same-structure networks compiled %d patterns, want 1", got)
+	}
 }

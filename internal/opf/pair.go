@@ -5,10 +5,8 @@
 // by the agents' automatic recovery path.
 package opf
 
-import "math"
-
-// pairTerm evaluates u = Vi·Vk·(A·cosθ + B·sinθ) with θ = θi − θk, along
-// with its gradient and Hessian over the variable block (θi, θk, Vi, Vk).
+// pairTerm holds u = Vi·Vk·(A·cosθ + B·sinθ) with θ = θi − θk, along with
+// its gradient and Hessian over the variable block (θi, θk, Vi, Vk).
 //
 // Every trigonometric quantity in the polar OPF reduces to this form:
 //
@@ -18,38 +16,39 @@ import "math"
 //
 // so one audited derivation covers all constraint derivatives. The block
 // order is fixed: index 0=θi, 1=θk, 2=Vi, 3=Vk.
+//
+// The kernels take c = cosθ and s = sinθ from the evaluation scratch's
+// trig cache (evalscratch.go) and write into a caller-owned term, so a
+// term is neither recomputed nor copied per use.
 type pairTerm struct {
 	Val  float64
 	Grad [4]float64
 	Hess [4][4]float64
 }
 
-// evalPair computes the term. The Hessian is symmetric and fully filled.
-func evalPair(a, b, vi, vk, thi, thk float64) pairTerm {
-	th := thi - thk
-	c, s := math.Cos(th), math.Sin(th)
+// pairGrad writes the value and gradient of the term into t; t.Hess is
+// left untouched.
+func pairGrad(t *pairTerm, a, b, vi, vk, c, s float64) {
 	e := a*c + b*s  // the trig kernel
 	d := -a*s + b*c // de/dθi
 	vv := vi * vk
-
-	var t pairTerm
 	t.Val = vv * e
 	t.Grad = [4]float64{vv * d, -vv * d, vk * e, vi * e}
+}
 
+// pairHess writes the Hessian of the term into t, symmetric and fully
+// filled; t.Val and t.Grad are left untouched.
+func pairHess(t *pairTerm, a, b, vi, vk, c, s float64) {
+	e := a*c + b*s
+	d := -a*s + b*c
+	vv := vi * vk
 	// dd/dθi = −e; symmetry in θk with opposite signs.
-	t.Hess[0][0] = -vv * e
-	t.Hess[0][1] = vv * e
-	t.Hess[1][1] = -vv * e
-	t.Hess[0][2] = vk * d
-	t.Hess[0][3] = vi * d
-	t.Hess[1][2] = -vk * d
-	t.Hess[1][3] = -vi * d
-	t.Hess[2][3] = e
-	// Mirror to the lower triangle.
-	for i := 0; i < 4; i++ {
-		for j := 0; j < i; j++ {
-			t.Hess[i][j] = t.Hess[j][i]
-		}
+	h00, h01, h11 := -vv*e, vv*e, -vv*e
+	h02, h03, h12, h13 := vk*d, vi*d, -vk*d, -vi*d
+	t.Hess = [4][4]float64{
+		{h00, h01, h02, h03},
+		{h01, h11, h12, h13},
+		{h02, h12, 0, e},
+		{h03, h13, e, 0},
 	}
-	return t
 }

@@ -21,7 +21,7 @@ type referenceKKT struct {
 func (rk *referenceKKT) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
 	dim := p.nx + p.ng
 	kkt := sparse.NewCOO(dim, dim)
-	assembleKKT(p, ev, x, lam, mu, z, kkt.Add)
+	assembleKKT(p, ev, x, lam, mu, z, &kktSink{fn: kkt.Add})
 	csc := kkt.ToCSC()
 	if rk.colPerm == nil {
 		rk.colPerm = sparse.RCM(csc)

@@ -180,18 +180,19 @@ func extractSolution(a *acopf, res *ipmResult) *Solution {
 	sol.LossMW = powerflow.FillBranchFlows(n, sol.Flows, sf, st)
 	sol.foldFlowStats()
 
-	// Residual power balance at the solution (the validation quantity).
+	// Residual power balance at the solution (the validation quantity),
+	// against the per-bus demand the last eval accumulated.
 	s := a.y.Injections(v)
+	loadP, loadQ := a.es.loadP, a.es.loadQ
 	var maxMis float64
 	for i := 0; i < nb; i++ {
-		loadP, loadQ := n.BusLoad(i)
 		genP, genQ := 0.0, 0.0
 		for _, p := range a.genOf[i] {
 			genP += res.X[a.ixPg(p)]
 			genQ += res.X[a.ixQg(p)]
 		}
-		mp := math.Abs(real(s[i]) + loadP/base - genP)
-		mq := math.Abs(imag(s[i]) + loadQ/base - genQ)
+		mp := math.Abs(real(s[i]) + loadP[i]/base - genP)
+		mq := math.Abs(imag(s[i]) + loadQ[i]/base - genQ)
 		maxMis = math.Max(maxMis, math.Max(mp, mq))
 	}
 	sol.MaxMismatchPU = maxMis

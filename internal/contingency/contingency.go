@@ -161,10 +161,11 @@ type Options struct {
 	// BaseYbus, when non-nil, is the base admittance matrix of n, shared
 	// read-only (workers value-copy it before patching). It MUST match n's
 	// structure and branch parameters; the engine keys it by structural
-	// signature. Nil builds one per call, as before.
+	// signature. Nil lets each newly built worker build its own.
 	BaseYbus *model.Ybus
 	// Topology, when non-nil, is the prebuilt adjacency of n for the
-	// allocation-free islanding checks. Same matching contract as BaseYbus.
+	// allocation-free islanding checks. Same matching contract as BaseYbus;
+	// nil lets a worker build one on its first islanding check.
 	Topology *model.Topology
 	// PTDF, when non-nil, is the distribution-factor matrix of n used by
 	// DC screening, shared across calls (its LODF memo is concurrency-
@@ -315,25 +316,29 @@ func Violations(res *powerflow.Result, n *model.Network, mask []bool, overloadPc
 // by, mirroring §3.2.3: clustered thermal overloads, voltage excursion
 // depth, and load shedding all contribute.
 func severity(o *OutageResult, opts Options) float64 {
-	s := 0.0
-	for _, ov := range o.Overloads {
+	s := AddViolationScore(0, o.Overloads, o.VoltViols, opts.OverloadPct)
+	s += o.LoadShedMW // 1 MW shed == 1 point
+	if !o.Converged && !o.Islanded {
+		s += 50 // collapse without a clean island estimate is severe
+	}
+	return s
+}
+
+// AddViolationScore adds the limit-violation terms of the composite score
+// to the running sum s: each overload's capped excess over overloadPct,
+// then each voltage excursion. The outage severity and the cascade's
+// per-stage sum share it, so both add the same terms in the same order.
+func AddViolationScore(s float64, overloads []BranchLoading, viols []VoltageViolation, overloadPct float64) float64 {
+	for _, ov := range overloads {
 		// Each overload contributes its excess percentage, capped so the
 		// score counts overload *clusters* (the paper's 110-115% cluster
 		// criterion) rather than letting one extreme loading dominate —
 		// that distinction is exactly what separates the composite
 		// ranking from the thermal-first style in Table 1.
-		excess := ov.LoadingPct - opts.OverloadPct
-		if excess > 25 {
-			excess = 25
-		}
-		s += excess
+		s += min(ov.LoadingPct-overloadPct, 25)
 	}
-	for _, vv := range o.VoltViols {
+	for _, vv := range viols {
 		s += 100 * math.Abs(vv.VmPU-vv.Limit) // 0.01 p.u. == 1 point
-	}
-	s += o.LoadShedMW // 1 MW shed == 1 point
-	if !o.Converged && !o.Islanded {
-		s += 50 // collapse without a clean island estimate is severe
 	}
 	return s
 }

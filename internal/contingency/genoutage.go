@@ -117,20 +117,21 @@ func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Networ
 	out.Severity = scored.Severity + out.ReserveDeficitMW
 }
 
-// analyzeGen simulates the loss of generator g on the view path, matching
-// the materializing reference in reference_test.go result-for-result (the
-// differential harness enforces this to 1e-9). Since the solver re-derives
+// analyzeGen simulates the loss of generator g on the view path into out,
+// matching the materializing reference in reference_test.go
+// result-for-result (the differential harness enforces this to 1e-9).
+// Since the solver re-derives
 // the PV/PQ classification from the view in place, and a failed Newton
 // solve falls back to fast-decoupled on the same view, a generator sweep
 // materializes nothing. It has no load-shed estimate: a unit that fails
 // both solves is recorded as a collapse.
-func (w *Worker) analyzeGen(g int, opts Options) (*GenOutageResult, error) {
+func (w *Worker) analyzeGen(out *GenOutageResult, g int, opts Options) error {
 	w.view.Reset()
 	lost, deficit, err := prepareGenOutage(w.n, w.view, g)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := &GenOutageResult{
+	*out = GenOutageResult{
 		Gen:              g,
 		BusID:            w.n.Buses[w.n.Gens[g].Bus].ID,
 		LostMW:           lost,
@@ -140,10 +141,10 @@ func (w *Worker) analyzeGen(g int, opts Options) (*GenOutageResult, error) {
 	if err != nil || !res.Converged {
 		out.Converged = false
 		out.Severity = out.LostMW + out.ReserveDeficitMW + 50
-		return out, nil
+		return nil
 	}
 	scoreGenOutage(out, res, w.n, opts)
-	return out, nil
+	return nil
 }
 
 // AnalyzeGenOutage simulates the loss of generator g: its dispatch is
@@ -159,38 +160,41 @@ func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, 
 	opts.fill()
 	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
 	defer opts.Pool.Release(w)
-	return w.analyzeGen(g, opts)
+	out := new(GenOutageResult)
+	if err := w.analyzeGen(out, g, opts); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // AnalyzeGenOutages sweeps every in-service generator (the "N-1 on
-// generation assets" companion of the branch sweep), returning results in
-// generator order. The whole sweep runs on one Worker, so no network is
-// cloned or materialized. A network without a slack bus fails with
+// generation assets" companion of the branch sweep) over Options.Workers
+// through SweepPool.Run, returning results in generator order. No network
+// is cloned or materialized. A network without a slack bus fails with
 // ErrNoBase.
 func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error) {
 	if n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	opts.fill()
-	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
-	defer opts.Pool.Release(w)
-	w.takeSolveWork() // drop what its earlier studies did
-	var out []GenOutageResult
-	for g, gen := range n.Gens {
-		if !gen.InService {
-			continue
+	// analyzeGen rejects out-of-service units and the irreplaceable slack
+	// machine; their slots are marked Gen −1 and skipped, not fatal.
+	res := make([]GenOutageResult, len(n.Gens))
+	facts, baseStarts := opts.Pool.Run(n, opts.Topology, opts.BaseYbus, opts.Workers, len(n.Gens), nil,
+		func(w *Worker, g int) {
+			if w.analyzeGen(&res[g], g, opts) != nil {
+				res[g].Gen = -1
+			}
+		})
+	out := res[:0]
+	for _, r := range res {
+		if r.Gen >= 0 {
+			out = append(out, r)
 		}
-		r, err := w.analyzeGen(g, opts)
-		if err != nil {
-			// The irreplaceable slack machine is skipped, not fatal.
-			continue
-		}
-		out = append(out, *r)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("contingency: no analyzable generator outages in %s", n.Name)
 	}
-	facts, baseStarts := w.takeSolveWork()
 	recordSweep(opts.Metrics, "gen", len(out), 0, facts, baseStarts)
 	return out, nil
 }

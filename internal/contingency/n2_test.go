@@ -193,57 +193,6 @@ func TestN2DifferentialVsCloneReference(t *testing.T) {
 	}
 }
 
-// TestN2PreScreenConservative: no pair the DC pre-screen certifies secure
-// may show ANY violation — overload, voltage excursion, islanding or
-// collapse — under full AC verification. The candidate set is the seeded
-// critical pairs (where the screen certifies next to nothing, correctly:
-// pairs among the worst N-1 branches are nearly all insecure) extended
-// with pairs among N-1-secure branches, where certifications do happen —
-// the test asserts some do, so the conservatism check has teeth.
-func TestN2PreScreenConservative(t *testing.T) {
-	n := cases.MustLoad("case57")
-	base := solveBase(t, n)
-	n1, err := Analyze(n, base, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := SeedN2Pairs(n, n1, N2Options{TopK: 10})
-	var benign []int
-	for i := range n1.Outages {
-		o := &n1.Outages[i]
-		if o.Converged && !o.Islanded && len(o.Overloads) == 0 && len(o.VoltViols) == 0 {
-			benign = append(benign, o.Branch)
-		}
-	}
-	for i := 0; i < len(benign); i++ {
-		for j := i + 1; j < len(benign); j++ {
-			pairs = append(pairs, N2Pair{BranchA: benign[i], BranchB: benign[j], Gen: -1})
-		}
-	}
-	screened, err := AnalyzeN2(n, base, n1, N2Options{Pairs: pairs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := AnalyzeN2(n, base, n1, N2Options{Pairs: pairs, NoPreScreen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if screened.Screened == 0 {
-		t.Fatal("pre-screen certified nothing on the extended candidate set; conservatism check is vacuous")
-	}
-	for i := range screened.Outages {
-		s, e := &screened.Outages[i], &exact.Outages[i]
-		if s.Algorithm != screenedAlgorithm {
-			continue
-		}
-		insecure := len(e.Overloads) > 0 || len(e.VoltViols) > 0 || e.Islanded || !e.Converged
-		if insecure {
-			t.Errorf("pair %+v certified secure by the DC pre-screen but AC finds %d overloads / %d voltage violations (islanded=%v, converged=%v)",
-				pairs[i], len(e.Overloads), len(e.VoltViols), e.Islanded, e.Converged)
-		}
-	}
-}
-
 // TestN2ZeroClone: the production pipeline copies no network at all —
 // no deep clone and no materialized view, on the failure escalation
 // (fast-decoupled, then the load-shed estimate) too. case30's seeded

@@ -1,6 +1,9 @@
 package contingency
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"gridmind/internal/model"
 	"gridmind/internal/pool"
 	"gridmind/internal/powerflow"
@@ -214,4 +217,45 @@ func (p *SweepPool) Release(w *Worker) {
 	if p != nil && w != nil {
 		p.free.Put(w.n, w)
 	}
+}
+
+// Run is the one study driver of the outage sweeps: it fans items
+// 0..count−1 over up to workers goroutines (workers ≥ 1). certify
+// (optional) settles item i with no worker and reports whether it did;
+// every other item runs solve on the goroutine's Worker, acquired with
+// topo and baseY on its first uncertified item and released when the
+// goroutine ends. Callbacks run concurrently, one item each. Run returns
+// the solves' LU factorizations and base-factor starts.
+func (p *SweepPool) Run(n *model.Network, topo *model.Topology, baseY *model.Ybus, workers, count int,
+	certify func(i int) bool, solve func(w *Worker, i int)) (factorizations, baseStarts int) {
+	// One heap cell holds the shared cursor, the tally and the wait group.
+	var run struct {
+		next, facts, starts atomic.Int64
+		wg                  sync.WaitGroup
+	}
+	for g := min(workers, count); g > 0; g-- {
+		run.wg.Add(1)
+		go func() {
+			defer run.wg.Done()
+			var w *Worker
+			for i := int(run.next.Add(1) - 1); i < count; i = int(run.next.Add(1) - 1) {
+				if certify != nil && certify(i) {
+					continue
+				}
+				if w == nil {
+					w = p.Acquire(n, topo, baseY)
+					w.takeSolveWork() // drop what its earlier studies did
+				}
+				solve(w, i)
+			}
+			if w != nil {
+				f, b := w.takeSolveWork()
+				run.facts.Add(int64(f))
+				run.starts.Add(int64(b))
+				p.Release(w)
+			}
+		}()
+	}
+	run.wg.Wait()
+	return int(run.facts.Load()), int(run.starts.Load())
 }

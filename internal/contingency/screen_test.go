@@ -6,40 +6,6 @@ import (
 	"gridmind/internal/cases"
 )
 
-func TestDCScreeningIsConservative(t *testing.T) {
-	// Screening must never hide a real violation: every outage that the
-	// full AC sweep finds insecure must survive screening (i.e., be sent
-	// to the AC path), on every supported case.
-	for _, name := range []string{"case30", "case57", "case118"} {
-		n := cases.MustLoad(name)
-		base := solveBase(t, n)
-		full, err := Analyze(n, base, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		screenedRS, err := Analyze(n, base, Options{DCScreen: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// case30's authentic base case carries pre-existing overloads
-		// (max loading ≈ 134%), so every predicted post-outage loading
-		// exceeds the threshold and nothing screens out — correct
-		// conservative behaviour. The clean synthetic cases must screen.
-		if name != "case30" && screenedRS.Screened == 0 {
-			t.Errorf("%s: screening accepted nothing; expected some secure outages", name)
-		}
-		for i := range full.Outages {
-			f := &full.Outages[i]
-			s := &screenedRS.Outages[i]
-			insecure := len(f.Overloads) > 0 || f.Islanded || !f.Converged || len(f.VoltViols) > 0
-			if insecure && s.Algorithm == screenedAlgorithm {
-				t.Errorf("%s: outage of branch %d was screened secure but AC finds %d overloads / %d voltage violations (islanded=%v)",
-					name, f.Branch, len(f.Overloads), len(f.VoltViols), f.Islanded)
-			}
-		}
-	}
-}
-
 func TestDCScreeningReducesACWork(t *testing.T) {
 	n := cases.MustLoad("case118")
 	base := solveBase(t, n)

@@ -3,7 +3,6 @@ package contingency
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"gridmind/internal/model"
@@ -105,76 +104,44 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 		screen, _ = newScreener(n, base, opts)
 	}
 
-	// Goroutines over the outage list. Each checks out one Worker (patched
-	// Ybus, reusable Newton state, topology scratch) on its first AC
-	// analysis — from the engine's SweepPool, which carries compiled
-	// workers across whole sweeps and studies, when one is wired — so
-	// the per-outage cost is the solve itself. The shared Ybus and topology
-	// come from Options when the engine provides them; otherwise they are
-	// built once, and only if some worker reaches the view path.
-	baseY, topo := opts.BaseYbus, opts.Topology
-	var prepOnce sync.Once
-	prep := func() {
-		if baseY == nil {
-			baseY = model.BuildYbus(n)
-		}
-		if topo == nil {
-			topo = model.NewTopology(n)
+	// A cache hit and a screener certificate settle an outage with no
+	// worker; the rest run on a Run goroutine's worker, checked out of
+	// the engine's SweepPool when one is wired, so the per-outage cost is
+	// the solve itself.
+	var keys []string
+	if opts.Cache != nil {
+		keys = make([]string, len(outages))
+	}
+	settle := func(i int, r *OutageResult) {
+		rs.Outages[i] = *r
+		if opts.Cache != nil {
+			opts.Cache.Put(keys[i], r)
 		}
 	}
-	var next, screened, facts, baseStarts atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(opts.Workers, len(outages)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var w *Worker
-			defer func() {
-				if w != nil {
-					f, b := w.takeSolveWork()
-					facts.Add(int64(f))
-					baseStarts.Add(int64(b))
-				}
-				opts.Pool.Release(w)
-			}()
-			for {
-				idx := int(next.Add(1) - 1)
-				if idx >= len(outages) {
-					return
-				}
-				p := outages[idx]
-				var key string
-				if opts.Cache != nil {
-					key = p.cacheKey(opts.CacheKeyPrefix, n.Name)
-					if hit, ok := opts.Cache.Get(key); ok {
-						rs.Outages[idx] = *hit
-						continue
-					}
-				}
-				var r *OutageResult
-				if screen != nil {
-					r = screen.trySecure(n, p, opts)
-				}
-				if r != nil {
-					screened.Add(1)
-				} else {
-					if w == nil {
-						prepOnce.Do(prep)
-						w = opts.Pool.Acquire(n, topo, baseY)
-						w.takeSolveWork() // drop what its earlier studies did
-					}
-					r = w.analyze(base, p, opts)
-				}
-				rs.Outages[idx] = *r
-				if opts.Cache != nil {
-					opts.Cache.Put(key, r)
-				}
+	var screened atomic.Int64
+	certify := func(i int) bool {
+		if opts.Cache != nil {
+			keys[i] = outages[i].cacheKey(opts.CacheKeyPrefix, n.Name)
+			if hit, ok := opts.Cache.Get(keys[i]); ok {
+				rs.Outages[i] = *hit
+				return true
 			}
-		}()
+		}
+		if screen == nil {
+			return false
+		}
+		r := screen.trySecure(n, outages[i], opts)
+		if r == nil {
+			return false
+		}
+		screened.Add(1)
+		settle(i, r)
+		return true
 	}
-	wg.Wait()
+	facts, baseStarts := opts.Pool.Run(n, opts.Topology, opts.BaseYbus, opts.Workers, len(outages), certify,
+		func(w *Worker, i int) { settle(i, w.analyze(base, outages[i], opts)) })
 	rs.Screened = int(screened.Load())
-	recordSweep(opts.Metrics, kind, len(outages), rs.Screened, int(facts.Load()), int(baseStarts.Load()))
+	recordSweep(opts.Metrics, kind, len(outages), rs.Screened, facts, baseStarts)
 	return rs, nil
 }
 

@@ -392,24 +392,3 @@ func (m *Matrix) PairOutageFlows(preMW []float64, m1, m2 int) ([]float64, error)
 	}
 	return out, nil
 }
-
-// WorstPostOutageLoading predicts the maximum loading percentage after
-// the outage of branch mm against branch ratings (0-rated branches are
-// skipped).
-func (m *Matrix) WorstPostOutageLoading(n *model.Network, preMW []float64, mm int) (float64, error) {
-	flows, err := m.PostOutageFlows(preMW, mm)
-	if err != nil {
-		return 0, err
-	}
-	var worst float64
-	for k, br := range n.Branches {
-		if !br.InService || br.RateMVA <= 0 || k == mm {
-			continue
-		}
-		pct := 100 * math.Abs(flows[k]) / br.RateMVA
-		if pct > worst {
-			worst = pct
-		}
-	}
-	return worst, nil
-}

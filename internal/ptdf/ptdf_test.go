@@ -119,43 +119,6 @@ func TestLODFDiagonalAndRadial(t *testing.T) {
 	}
 }
 
-func TestWorstPostOutageLoading(t *testing.T) {
-	n := cases.MustLoad("case118")
-	m, err := Build(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := powerflow.Solve(n, powerflow.Options{Algorithm: powerflow.DC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := make([]float64, len(n.Branches))
-	for k := range n.Branches {
-		pre[k] = base.Flows[k].FromP
-	}
-	found := 0
-	for k, br := range n.Branches {
-		if !br.InService || br.X == 0 {
-			continue
-		}
-		worst, err := m.WorstPostOutageLoading(n, pre, k)
-		if err == ErrIslanding {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if worst > 100 {
-			found++
-		}
-	}
-	// The synthetic case118 has deliberately tight ratings: screening
-	// must flag a meaningful set of candidate overloads.
-	if found < 5 {
-		t.Fatalf("screening flagged only %d outages, expected more on case118", found)
-	}
-}
-
 func TestBuildRequiresSlack(t *testing.T) {
 	n := cases.MustLoad("case14")
 	n.Buses[0].Type = model.PQ

@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gridmind/internal/contingency"
 	"gridmind/internal/model"
@@ -98,9 +98,11 @@ type cascadeState interface {
 	prepare(ev Event, fp fleetPlan)
 	// trip applies additional branch outages cumulatively.
 	trip(branches []int)
-	// solve runs the power flow at the current cumulative state, by
-	// Newton or, for the fallback, fast-decoupled.
+	// solve runs the Newton power flow at the current cumulative state.
 	solve(opts powerflow.Options) (*powerflow.Result, error)
+	// solveOrFallback is solve, escalated on failure to fast-decoupled
+	// from the case start profile: contingency.Worker.SolveOrFallback.
+	solveOrFallback(opts powerflow.Options) (*powerflow.Result, error)
 	// shed is the collapse estimate: the demand (MW) to shed before the
 	// current state solves.
 	shed() float64
@@ -141,6 +143,10 @@ func (s viewState) trip(branches []int) {
 
 func (s viewState) solve(opts powerflow.Options) (*powerflow.Result, error) {
 	return s.w.Solve(opts)
+}
+
+func (s viewState) solveOrFallback(opts powerflow.Options) (*powerflow.Result, error) {
+	return s.w.SolveOrFallback(opts)
 }
 
 func (s viewState) shed() float64 { return s.w.ShedToSolve() }
@@ -197,20 +203,15 @@ func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *
 			break
 		}
 
-		pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm}
-		res, err := st.solve(pfOpts)
+		// The contingency sweeps' escalation: Newton, fast-decoupled, then
+		// the solvability bisection for genuine collapse.
+		res, err := st.solveOrFallback(powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm})
 		if err != nil || !res.Converged {
-			// Fast-decoupled fallback from the case start profile, then the
-			// solvability bisection for genuine collapse — the contingency
-			// sweeps' exact escalation.
-			res, err = st.solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
-			if err != nil || !res.Converged {
-				sg.Converged = false
-				r.LoadShedMW += st.shed()
-				r.Outcome = OutcomeCollapse
-				r.Stages = append(r.Stages, sg)
-				break
-			}
+			sg.Converged = false
+			r.LoadShedMW += st.shed()
+			r.Outcome = OutcomeCollapse
+			r.Stages = append(r.Stages, sg)
+			break
 		}
 		sg.Converged = true
 		sg.Algorithm = res.Algorithm.String()
@@ -294,17 +295,7 @@ func selectTrips(res *powerflow.Result, mask []bool, opts Options) []int {
 func (r *CascadeResult) computeSeverity(opts Options) {
 	s := 0.0
 	for i := range r.Stages {
-		sg := &r.Stages[i]
-		for _, ov := range sg.Overloads {
-			excess := ov.LoadingPct - opts.OverloadPct
-			if excess > 25 {
-				excess = 25
-			}
-			s += excess
-		}
-		for _, vv := range sg.VoltViols {
-			s += 100 * math.Abs(vv.VmPU-vv.Limit)
-		}
+		s = contingency.AddViolationScore(s, r.Stages[i].Overloads, r.Stages[i].VoltViols, opts.OverloadPct)
 	}
 	s += r.LoadShedMW + r.GenDeficitMW
 	if r.Outcome == OutcomeCollapse {
@@ -323,15 +314,8 @@ func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (
 	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
-	for _, k := range ev.Branches {
-		if k < 0 || k >= len(n.Branches) || !n.Branches[k].InService {
-			return nil, fmt.Errorf("%w: seed branch %d is out of range or out of service", contingency.ErrInvalidOutage, k)
-		}
-	}
-	for _, g := range ev.Gens {
-		if g < 0 || g >= len(n.Gens) {
-			return nil, fmt.Errorf("%w: generator %d is out of range", contingency.ErrInvalidOutage, g)
-		}
+	if err := checkIndices(n, ev.Branches, slices.Values(ev.Gens)); err != nil {
+		return nil, err
 	}
 	opts.fill()
 	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
@@ -339,6 +323,22 @@ func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (
 	r := runCascade(w, viewState{w}, n, base, ev, opts)
 	recordScenario(opts.Metrics, "cascade", 1, 0)
 	return r, nil
+}
+
+// checkIndices rejects, wrapping contingency.ErrInvalidOutage, a branch
+// that is out of range or out of service, or a generator out of range.
+func checkIndices(n *model.Network, branches []int, gens iter.Seq[int]) error {
+	for _, k := range branches {
+		if k < 0 || k >= len(n.Branches) || !n.Branches[k].InService {
+			return fmt.Errorf("%w: branch %d is out of range or out of service", contingency.ErrInvalidOutage, k)
+		}
+	}
+	for g := range gens {
+		if g < 0 || g >= len(n.Gens) {
+			return fmt.Errorf("%w: generator %d is out of range", contingency.ErrInvalidOutage, g)
+		}
+	}
+	return nil
 }
 
 // SweepResult aggregates a full cascade screening: one study per
@@ -381,11 +381,12 @@ const (
 // screenSeed DC-certifies seed outage k as non-cascading: every
 // surviving rated branch must sit below the absolute ScreenThreshold
 // bar, or be essentially unchanged from its base loading while clearing
-// the trip threshold with margin. Returns the predicted worst loading
+// the trip threshold with margin. preMW holds base's branch flows (MW);
+// base supplies the loadings. Returns the predicted worst loading
 // for the screened record. Radial seeds (ErrIslanding) are never
 // certified — islanding sheds load, which is exactly what the screen
 // must not wave through.
-func screenSeed(n *model.Network, preMW, basePct []float64, k int, opts Options) (bool, float64) {
+func screenSeed(n *model.Network, base *powerflow.Result, preMW []float64, k int, opts Options) (bool, float64) {
 	flows, err := opts.PTDF.PostOutageFlows(preMW, k)
 	if err != nil {
 		return false, 0
@@ -403,7 +404,7 @@ func screenSeed(n *model.Network, preMW, basePct []float64, k int, opts Options)
 		if pct < opts.ScreenThreshold {
 			continue
 		}
-		if pct < unchangedBar && pct <= basePct[b]+screenRisePct {
+		if pct < unchangedBar && pct <= base.Flows[b].LoadingPct+screenRisePct {
 			continue
 		}
 		return false, 0
@@ -429,47 +430,27 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 	}
 
 	sw := &SweepResult{Case: n.Name, WorstSeed: -1, Results: make([]*CascadeResult, len(n.Branches))}
-	var preMW, basePct []float64
+	seeds := n.InServiceBranches()
+	// Seed i's event lists seeds[i] in place: one backing array serves
+	// every result's Event.Branches.
+	seedEvent := func(i int) Event { return Event{Branches: seeds[i : i+1 : i+1]} }
+	var certify func(i int) bool
 	if opts.DCScreen && opts.PTDF != nil {
-		preMW = make([]float64, len(n.Branches))
-		basePct = make([]float64, len(n.Branches))
+		preMW := make([]float64, len(n.Branches))
 		for k := range n.Branches {
 			preMW[k] = base.Flows[k].FromP
-			basePct[k] = base.Flows[k].LoadingPct
+		}
+		certify = func(i int) bool {
+			secure, worst := screenSeed(n, base, preMW, seeds[i], opts)
+			if secure {
+				sw.Results[seeds[i]] = &CascadeResult{Event: seedEvent(i), Outcome: OutcomeScreened, ScreenedPct: worst}
+			}
+			return secure
 		}
 	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
-			defer opts.Pool.Release(w)
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(n.Branches) {
-					return
-				}
-				if !n.Branches[k].InService {
-					continue
-				}
-				if preMW != nil {
-					if secure, worst := screenSeed(n, preMW, basePct, k, opts); secure {
-						sw.Results[k] = &CascadeResult{
-							Event:       Event{Branches: []int{k}},
-							Outcome:     OutcomeScreened,
-							ScreenedPct: worst,
-						}
-						continue
-					}
-				}
-				sw.Results[k] = runCascade(w, viewState{w}, n, base, Event{Branches: []int{k}}, opts)
-			}
-		}()
-	}
-	wg.Wait()
+	opts.Pool.Run(n, opts.Topology, opts.BaseYbus, opts.Workers, len(seeds), certify, func(w *contingency.Worker, i int) {
+		sw.Results[seeds[i]] = runCascade(w, viewState{w}, n, base, seedEvent(i), opts)
+	})
 
 	for k, r := range sw.Results {
 		if r == nil {

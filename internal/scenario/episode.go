@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"fmt"
+	"maps"
+
 	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
@@ -49,10 +52,18 @@ type EpisodeResult struct {
 // the pooled view solver (no clone, no recompilation) and warm-starts
 // from the previous step's voltage profile — consecutive operating points
 // are close, so steps typically converge in a couple of Newton
-// iterations.
+// iterations. A step that outages a branch out of range or out of
+// service, or overrides the dispatch of a generator out of range, fails
+// the episode with an error wrapping contingency.ErrInvalidOutage, as
+// Cascade rejects such a seed.
 func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) (*EpisodeResult, error) {
 	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
+	}
+	for si, step := range steps {
+		if err := checkIndices(n, step.BranchesOut, maps.Keys(step.GenP)); err != nil {
+			return nil, fmt.Errorf("episode step %d: %w", si, err)
+		}
 	}
 	opts.fill()
 	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
@@ -66,29 +77,21 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 // driver shares: a step is an event with the step's load scale, its
 // dispatch overrides as plan targets and its in-service outaged branches
 // as one trip, which w's branch mask carries while the step is scored.
-// Production callers pass the pooled worker's view backend.
+// Production callers pass the pooled worker's view backend, after Episode
+// has validated every index the steps name.
 func runEpisode(w *contingency.Worker, st cascadeState, n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
 	er := &EpisodeResult{WorstStep: -1, MinMarginPct: 100, MinVoltagePU: base.MinVm}
 	warm := &base.Voltages
 	mask := w.Mask()
-	// Reused across steps: neither backend retains the plan or trip list.
+	// Reused across steps: neither backend retains the plan.
 	var fp fleetPlan
-	var out []int
 	for si, step := range steps {
 		fp.targets = fp.targets[:0]
 		for g, p := range step.GenP {
-			if g >= 0 && g < len(n.Gens) {
-				fp.targets = append(fp.targets, genTarget{gen: g, p: p})
-			}
+			fp.targets = append(fp.targets, genTarget{gen: g, p: p})
 		}
 		st.prepare(Event{LoadScale: step.LoadScale}, fp)
-		out = out[:0]
-		for _, k := range step.BranchesOut {
-			if k >= 0 && k < len(n.Branches) && n.Branches[k].InService {
-				out = append(out, k)
-			}
-		}
-		st.trip(out)
+		st.trip(step.BranchesOut)
 		res, err := st.solve(powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm})
 
 		sr := StepResult{Step: si}
@@ -105,11 +108,11 @@ func runEpisode(w *contingency.Worker, st cascadeState, n *model.Network, base *
 		sr.MinVoltagePU = res.MinVm
 		sr.MaxVoltagePU = res.MaxVm
 		sr.LossMW = res.LossP
-		for _, k := range out {
+		for _, k := range step.BranchesOut {
 			mask[k] = true
 		}
 		maxPct, overloads, viols := contingency.Violations(res, n, mask, opts.OverloadPct, opts.VoltLow, opts.VoltHigh)
-		for _, k := range out {
+		for _, k := range step.BranchesOut {
 			mask[k] = false
 		}
 		sr.MaxLoadingPct, sr.Overloads, sr.VoltViols = maxPct, len(overloads), len(viols)

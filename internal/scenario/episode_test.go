@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -147,5 +148,47 @@ func TestEpisodeZeroClone(t *testing.T) {
 	}
 	if er.Converged != len(steps) {
 		t.Fatalf("%d/%d steps converged", er.Converged, len(steps))
+	}
+}
+
+// TestEpisodeRejectsInvalidIndices: a step that outages a branch out of
+// range or out of service, or overrides a generator out of range, fails
+// the episode with contingency.ErrInvalidOutage, as Cascade rejects such a
+// seed, instead of reporting the base operating point as a converged step.
+func TestEpisodeRejectsInvalidIndices(t *testing.T) {
+	n := cases.MustLoad("case30")
+	base := solveBase(t, n)
+	offBranch := n.Clone()
+	offBranch.Branches[5].InService = false
+
+	for _, c := range []struct {
+		name  string
+		step  EpisodeStep
+		net   *model.Network // nil: case30 as loaded
+		valid bool
+	}{
+		{"branch out of range", EpisodeStep{BranchesOut: []int{9999}}, nil, false},
+		{"negative branch", EpisodeStep{BranchesOut: []int{-1}}, nil, false},
+		{"out-of-service branch", EpisodeStep{BranchesOut: []int{5}}, offBranch, false},
+		{"generator keys out of range", EpisodeStep{GenP: map[int]float64{-3: 50, 999: 10}}, nil, false},
+		{"valid branch and generator", EpisodeStep{BranchesOut: []int{1}, GenP: map[int]float64{1: n.Gens[1].P}}, nil, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, b := n, base
+			if c.net != nil {
+				net, b = c.net, solveBase(t, c.net)
+			}
+			steps := []EpisodeStep{{}, c.step}
+			er, err := Episode(net, b, steps, Options{})
+			if c.valid {
+				if err != nil || er.Converged != len(steps) {
+					t.Fatalf("Episode = %+v, %v; want %d converged steps", er, err, len(steps))
+				}
+				return
+			}
+			if !errors.Is(err, contingency.ErrInvalidOutage) {
+				t.Fatalf("Episode = %+v, %v; want ErrInvalidOutage", er, err)
+			}
+		})
 	}
 }

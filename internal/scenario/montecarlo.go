@@ -3,9 +3,8 @@ package scenario
 import (
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
+	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
 )
@@ -93,42 +92,28 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 		Seed:     mo.Seed,
 		Outcomes: make([]SampleOutcome, mo.Samples),
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < mo.Cascade.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := mo.Cascade.Pool.Acquire(n, mo.Cascade.Topology, mo.Cascade.BaseYbus)
-			defer mo.Cascade.Pool.Release(w)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= mo.Samples {
-					return
-				}
-				ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
-				r := runCascade(w, viewState{w}, n, base, ev, mo.Cascade)
-				so := SampleOutcome{
-					Sample:     i,
-					Event:      ev,
-					Outcome:    r.Outcome,
-					Depth:      r.Depth,
-					LoadShedMW: r.LoadShedMW,
-					LossOfLoad: r.LoadShedMW > 1e-9,
-				}
-				for _, sg := range r.Stages {
-					if sg.MaxLoadingPct > so.MaxLoadingPct {
-						so.MaxLoadingPct = sg.MaxLoadingPct
-					}
-					if len(sg.Overloads) > 0 {
-						so.Overloaded = true
-					}
-				}
-				out.Outcomes[i] = so
+	c := &mo.Cascade
+	c.Pool.Run(n, c.Topology, c.BaseYbus, c.Workers, mo.Samples, nil, func(w *contingency.Worker, i int) {
+		ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
+		r := runCascade(w, viewState{w}, n, base, ev, *c)
+		so := SampleOutcome{
+			Sample:     i,
+			Event:      ev,
+			Outcome:    r.Outcome,
+			Depth:      r.Depth,
+			LoadShedMW: r.LoadShedMW,
+			LossOfLoad: r.LoadShedMW > 1e-9,
+		}
+		for _, sg := range r.Stages {
+			if sg.MaxLoadingPct > so.MaxLoadingPct {
+				so.MaxLoadingPct = sg.MaxLoadingPct
 			}
-		}()
-	}
-	wg.Wait()
+			if len(sg.Overloads) > 0 {
+				so.Overloaded = true
+			}
+		}
+		out.Outcomes[i] = so
+	})
 
 	var lol, ovl, casc int
 	for _, so := range out.Outcomes {

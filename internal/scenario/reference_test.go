@@ -42,6 +42,16 @@ func (s *cloneState) solve(opts powerflow.Options) (*powerflow.Result, error) {
 	return powerflow.Solve(s.n, opts)
 }
 
+// solveOrFallback is the clone backend's copy of the worker's escalation:
+// Newton at opts, then fast-decoupled from the case start profile.
+func (s *cloneState) solveOrFallback(opts powerflow.Options) (*powerflow.Result, error) {
+	res, err := s.solve(opts)
+	if err == nil && res.Converged {
+		return res, nil
+	}
+	return s.solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
+}
+
 // shed is the clone backend's solvability bisection: each of the five
 // trials deep-clones the current state with demand and dispatch scaled
 // and solves it from a flat start.

@@ -235,17 +235,6 @@ func (m *CSC) ColView(j int, fn func(i int, v float64)) {
 	}
 }
 
-// Transpose returns Mᵀ as a new CSC matrix.
-func (m *CSC) Transpose() *CSC {
-	t := NewCOO(m.cols, m.rows)
-	for j := 0; j < m.cols; j++ {
-		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
-			t.Add(j, m.rowIdx[p], m.val[p])
-		}
-	}
-	return t.ToCSC()
-}
-
 // Dense expands the matrix to a row-major [][]float64, for tests and
 // small-system fallbacks.
 func (m *CSC) Dense() [][]float64 {

@@ -50,19 +50,6 @@ func TestCSCMulVec(t *testing.T) {
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := randomSparse(rng, 8, 5, 0.4)
-	tt := m.Transpose().Transpose()
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 5; j++ {
-			if m.At(i, j) != tt.At(i, j) {
-				t.Fatalf("transpose involution differs at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestDenseExpansion(t *testing.T) {
 	c := NewCOO(2, 2)
 	c.Add(1, 0, 4)

@@ -362,16 +362,30 @@ func TestConcurrentSessionsOneCase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.eng.Stats()
-	if st.PristineMisses != 1 {
-		t.Fatalf("case14 loaded %d times across %d sessions, want 1", st.PristineMisses, K)
+	if misses := engineCount(t, s.eng, "gridmind_engine_pristine_lookups_total", "result", "miss"); misses != 1 {
+		t.Fatalf("case14 loaded %d times across %d sessions, want 1", misses, K)
 	}
-	if st.YbusBuilds > 1 || st.TopoBuilds > 1 {
-		t.Fatalf("structural artifacts rebuilt: %+v", st)
+	ybus := engineCount(t, s.eng, "gridmind_engine_ybus_builds_total")
+	topo := engineCount(t, s.eng, "gridmind_engine_topology_builds_total")
+	if ybus > 1 || topo > 1 {
+		t.Fatalf("structural artifacts rebuilt: ybus=%d topo=%d", ybus, topo)
 	}
-	if st.OPFCreates+st.OPFReuses < K {
-		t.Fatalf("KKT pool under-used: creates=%d reuses=%d across %d asks", st.OPFCreates, st.OPFReuses, K)
+	creates := engineCount(t, s.eng, "gridmind_engine_opf_context_checkouts_total", "result", "create")
+	reuses := engineCount(t, s.eng, "gridmind_engine_opf_context_checkouts_total", "result", "reuse")
+	if creates+reuses < K {
+		t.Fatalf("KKT pool under-used: creates=%d reuses=%d across %d asks", creates, reuses, K)
 	}
+}
+
+// engineCount reads one engine counter off its obs registry. A series
+// that is not registered fails the test instead of reading as 0.
+func engineCount(t *testing.T, eng *gridmind.Engine, name string, labels ...string) int64 {
+	t.Helper()
+	v, ok := eng.Metrics().Value(name, labels...)
+	if !ok {
+		t.Fatalf("no metric series %s%v", name, labels)
+	}
+	return int64(v)
 }
 
 // waitFor polls cond until it holds or the test deadline-ish budget runs

@@ -53,7 +53,7 @@ type Engine struct {
 }
 
 // engineStats are the process-wide reuse counters, published on the
-// engine's obs registry; Stats() is a read view over the same handles.
+// engine's obs registry; tests and /metrics read them there.
 type engineStats struct {
 	pristineHits, pristineMisses *obs.Counter
 	structHits, structMisses     *obs.Counter
@@ -96,33 +96,6 @@ func newEngineStats(met *obs.Registry) engineStats {
 	}
 }
 
-// Stats is a point-in-time snapshot of the engine's reuse counters.
-type Stats struct {
-	// PristineHits/Misses count case-library lookups served from the store
-	// vs. loaded (parsed or generated) fresh.
-	PristineHits, PristineMisses int64
-	// StructHits/Misses count structural-signature lookups that found an
-	// existing artifact set vs. installed a new one.
-	StructHits, StructMisses int64
-	// YbusBuilds/TopoBuilds/PTDFBuilds count the expensive constructions
-	// actually performed; a second session on a shared structure adds zero.
-	YbusBuilds, TopoBuilds, PTDFBuilds int64
-	// OPFReuses/OPFCreates count KKT solver contexts checked out of the
-	// pool vs. created fresh (each fresh context compiles its pattern on
-	// first solve).
-	OPFReuses, OPFCreates int64
-	// SweepPoolHits/SweepPoolNew count sweep-pool lookups by session state.
-	SweepPoolHits, SweepPoolNew int64
-	// BasePFHits/BasePFSolves count base power flows served from the
-	// state-keyed memo vs. actually solved.
-	BasePFHits, BasePFSolves int64
-	// StoreHits/StoreMisses/StoreErrors count persistent artifact-store
-	// loads by outcome; StoreSaves counts artifact sets persisted. A
-	// store-warmed worker shows one StoreHit and zero Ybus/Topo/PTDF
-	// builds for the warmed structure.
-	StoreHits, StoreMisses, StoreErrors, StoreSaves int64
-}
-
 // New returns an empty engine publishing its counters on a fresh private
 // obs registry (so exact-counter tests stay isolated). Use NewWithMetrics
 // to publish on a shared registry instead.
@@ -158,30 +131,6 @@ func Default() *Engine { return defaultEngine }
 // The serving stack threads this single registry through the gateway,
 // session manager, and every session so one scrape sees the whole process.
 func (e *Engine) Metrics() *obs.Registry { return e.met }
-
-// Stats snapshots the reuse counters. It is a read view over the obs
-// registry instruments — the same values a /metrics scrape reports.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		PristineHits:   e.stats.pristineHits.Value(),
-		PristineMisses: e.stats.pristineMisses.Value(),
-		StructHits:     e.stats.structHits.Value(),
-		StructMisses:   e.stats.structMisses.Value(),
-		YbusBuilds:     e.stats.ybusBuilds.Value(),
-		TopoBuilds:     e.stats.topoBuilds.Value(),
-		PTDFBuilds:     e.stats.ptdfBuilds.Value(),
-		OPFReuses:      e.stats.opfReuses.Value(),
-		OPFCreates:     e.stats.opfCreates.Value(),
-		SweepPoolHits:  e.stats.sweepPoolHits.Value(),
-		SweepPoolNew:   e.stats.sweepPoolNew.Value(),
-		BasePFHits:     e.stats.basePFHits.Value(),
-		BasePFSolves:   e.stats.basePFSolves.Value(),
-		StoreHits:      e.stats.storeHits.Value(),
-		StoreMisses:    e.stats.storeMisses.Value(),
-		StoreErrors:    e.stats.storeErrors.Value(),
-		StoreSaves:     e.stats.storeSaves.Value(),
-	}
-}
 
 // Pristine returns the shared immutable pristine network for a case name.
 // Callers must treat the result as read-only; session replay clones it

@@ -9,6 +9,29 @@ import (
 	"gridmind/internal/opf"
 )
 
+// Engine counter names, as /metrics serves them.
+const (
+	pristineLookups = "gridmind_engine_pristine_lookups_total"
+	ybusBuilds      = "gridmind_engine_ybus_builds_total"
+	topoBuilds      = "gridmind_engine_topology_builds_total"
+	ptdfBuilds      = "gridmind_engine_ptdf_builds_total"
+	opfCheckouts    = "gridmind_engine_opf_context_checkouts_total"
+	basePF          = "gridmind_engine_base_pf_total"
+	storeLoads      = "gridmind_engine_artifact_store_loads_total"
+	storeSaves      = "gridmind_engine_artifact_store_saves_total"
+)
+
+// count reads one engine counter off its obs registry. A series that is
+// not registered fails the test instead of reading as 0.
+func count(t *testing.T, e *Engine, name string, labels ...string) int64 {
+	t.Helper()
+	v, ok := e.Metrics().Value(name, labels...)
+	if !ok {
+		t.Fatalf("no metric series %s%v", name, labels)
+	}
+	return int64(v)
+}
+
 func TestPristineCachedAndShared(t *testing.T) {
 	e := New()
 	a, err := e.Pristine("case14")
@@ -22,9 +45,9 @@ func TestPristineCachedAndShared(t *testing.T) {
 	if a != b {
 		t.Fatal("aliased case names must share one pristine instance")
 	}
-	st := e.Stats()
-	if st.PristineMisses != 1 || st.PristineHits != 1 {
-		t.Fatalf("pristine hits/misses = %d/%d, want 1/1", st.PristineHits, st.PristineMisses)
+	hits, misses := count(t, e, pristineLookups, "result", "hit"), count(t, e, pristineLookups, "result", "miss")
+	if misses != 1 || hits != 1 {
+		t.Fatalf("pristine hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	if _, err := e.Pristine("case9999"); err == nil {
 		t.Fatal("unknown case must error")
@@ -81,10 +104,9 @@ func TestArtifactsBuiltOncePerStructure(t *testing.T) {
 	if a2.Ybus() != y1 || a2.Topology() != topo1 || m2 != m1 {
 		t.Fatal("artifacts must be the identical shared instances")
 	}
-	st := e.Stats()
-	if st.YbusBuilds != 1 || st.TopoBuilds != 1 || st.PTDFBuilds != 1 {
-		t.Fatalf("builds ybus/topo/ptdf = %d/%d/%d, want 1/1/1",
-			st.YbusBuilds, st.TopoBuilds, st.PTDFBuilds)
+	ybus, topo, ptdf := count(t, e, ybusBuilds), count(t, e, topoBuilds), count(t, e, ptdfBuilds)
+	if ybus != 1 || topo != 1 || ptdf != 1 {
+		t.Fatalf("builds ybus/topo/ptdf = %d/%d/%d, want 1/1/1", ybus, topo, ptdf)
 	}
 
 	// A structural change recompiles under a new key.
@@ -95,7 +117,7 @@ func TestArtifactsBuiltOncePerStructure(t *testing.T) {
 		t.Fatal("structural change must map to a fresh artifact set")
 	}
 	a3.Ybus()
-	if got := e.Stats().YbusBuilds; got != 2 {
+	if got := count(t, e, ybusBuilds); got != 2 {
 		t.Fatalf("ybus builds after structural change = %d, want 2", got)
 	}
 }
@@ -125,14 +147,13 @@ func TestOPFPoolCheckoutCheckin(t *testing.T) {
 		t.Fatalf("pooled re-solve compiled again: compiles = %d, want 1", c2.Compiles())
 	}
 	e.ReleaseOPF(sig, c2)
-	st := e.Stats()
-	if st.OPFCreates != 1 || st.OPFReuses != 1 {
-		t.Fatalf("opf creates/reuses = %d/%d, want 1/1", st.OPFCreates, st.OPFReuses)
+	creates, reuses := count(t, e, opfCheckouts, "result", "create"), count(t, e, opfCheckouts, "result", "reuse")
+	if creates != 1 || reuses != 1 {
+		t.Fatalf("opf creates/reuses = %d/%d, want 1/1", creates, reuses)
 	}
 	// Checkin publishes the KKT factorizations the solves ran, and takes
 	// them: the context has nothing left to report.
-	factors := e.Metrics().Counter("gridmind_opf_kkt_factorizations_total", "")
-	if factors.Value() == 0 {
+	if count(t, e, "gridmind_opf_kkt_factorizations_total") == 0 {
 		t.Fatal("checkin published no KKT factorizations")
 	}
 	if n := c2.TakeFactorizations(); n != 0 {
@@ -154,9 +175,9 @@ func TestBasePFMemoizedPerState(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("same state must share one base power flow")
 	}
-	st := e.Stats()
-	if st.BasePFSolves != 1 || st.BasePFHits != 1 {
-		t.Fatalf("base pf solves/hits = %d/%d, want 1/1", st.BasePFSolves, st.BasePFHits)
+	solves, hits := count(t, e, basePF, "result", "solve"), count(t, e, basePF, "result", "hit")
+	if solves != 1 || hits != 1 {
+		t.Fatalf("base pf solves/hits = %d/%d, want 1/1", solves, hits)
 	}
 }
 
@@ -203,8 +224,9 @@ func TestEngineConcurrentAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := e.Stats(); st.YbusBuilds != 1 || st.PTDFBuilds != 1 || st.BasePFSolves != 1 {
-		t.Fatalf("concurrent access built more than once: %+v", st)
+	ybus, ptdf, solves := count(t, e, ybusBuilds), count(t, e, ptdfBuilds), count(t, e, basePF, "result", "solve")
+	if ybus != 1 || ptdf != 1 || solves != 1 {
+		t.Fatalf("concurrent access built more than once: ybus/ptdf/base-pf = %d/%d/%d", ybus, ptdf, solves)
 	}
 }
 

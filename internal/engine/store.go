@@ -251,8 +251,3 @@ func (a *Artifacts) installTopology(t *model.Topology) {
 func (a *Artifacts) installPTDF(m *ptdf.Matrix) {
 	a.ptdfOnce.Do(func() { a.ptdf = m })
 }
-
-// OrderingMisses reports the structure's ordering-cache misses — each one
-// is an ordering computed at a solver. Zero across a warmed sweep is the
-// store's "no ordering compiles" counter-assertion.
-func (a *Artifacts) OrderingMisses() int64 { return a.reorder.Misses() }

@@ -88,8 +88,8 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 	if err := cold.SaveArtifacts(store, n); err != nil {
 		t.Fatal(err)
 	}
-	if st := cold.Stats(); st.StoreSaves != 1 {
-		t.Fatalf("store saves = %d, want 1", st.StoreSaves)
+	if saves := count(t, cold, storeSaves); saves != 1 {
+		t.Fatalf("store saves = %d, want 1", saves)
 	}
 
 	// Fresh engine in a "new process": warm from the store, then run the
@@ -107,19 +107,18 @@ func TestArtifactStoreRoundTrip(t *testing.T) {
 	}
 	gotRS, gotBase := warmSweep(t, warm)
 
-	st := warm.Stats()
-	if st.YbusBuilds != 0 || st.TopoBuilds != 0 || st.PTDFBuilds != 0 {
-		t.Fatalf("warmed engine compiled artifacts: ybus=%d topo=%d ptdf=%d, want 0/0/0",
-			st.YbusBuilds, st.TopoBuilds, st.PTDFBuilds)
+	ybus, topo, ptdf := count(t, warm, ybusBuilds), count(t, warm, topoBuilds), count(t, warm, ptdfBuilds)
+	if ybus != 0 || topo != 0 || ptdf != 0 {
+		t.Fatalf("warmed engine compiled artifacts: ybus=%d topo=%d ptdf=%d, want 0/0/0", ybus, topo, ptdf)
 	}
-	if st.OPFCreates != 0 {
-		t.Fatalf("warmed engine created %d KKT contexts during a sweep, want 0", st.OPFCreates)
+	if creates := count(t, warm, opfCheckouts, "result", "create"); creates != 0 {
+		t.Fatalf("warmed engine created %d KKT contexts during a sweep, want 0", creates)
 	}
-	if st.StoreHits != 1 || st.StoreMisses != 0 || st.StoreErrors != 0 {
-		t.Fatalf("store load counters hit/miss/error = %d/%d/%d, want 1/0/0",
-			st.StoreHits, st.StoreMisses, st.StoreErrors)
+	hits, misses, errs := count(t, warm, storeLoads, "result", "hit"), count(t, warm, storeLoads, "result", "miss"), count(t, warm, storeLoads, "result", "error")
+	if hits != 1 || misses != 0 || errs != 0 {
+		t.Fatalf("store load counters hit/miss/error = %d/%d/%d, want 1/0/0", hits, misses, errs)
 	}
-	if miss := warm.Artifacts(wn).OrderingMisses(); miss != 0 {
+	if miss := warm.Artifacts(wn).Ordering().Misses(); miss != 0 {
 		t.Fatalf("warmed engine computed %d orderings, want 0", miss)
 	}
 
@@ -144,8 +143,8 @@ func TestArtifactStoreMissIsNotAnError(t *testing.T) {
 	if ok || err != nil {
 		t.Fatalf("WarmFrom on empty store = %v, %v; want miss, nil", ok, err)
 	}
-	if st := e.Stats(); st.StoreMisses != 1 || st.StoreErrors != 0 {
-		t.Fatalf("miss/error counters = %d/%d, want 1/0", st.StoreMisses, st.StoreErrors)
+	if misses, errs := count(t, e, storeLoads, "result", "miss"), count(t, e, storeLoads, "result", "error"); misses != 1 || errs != 0 {
+		t.Fatalf("miss/error counters = %d/%d, want 1/0", misses, errs)
 	}
 }
 
@@ -194,8 +193,8 @@ func TestArtifactStoreCorruptFileFallsBackToCompile(t *testing.T) {
 	if ok || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("WarmFrom on corrupt file = %v, %v; want miss + ErrCorrupt", ok, err)
 	}
-	if st := e.Stats(); st.StoreErrors != 1 {
-		t.Fatalf("store error counter = %d, want 1", st.StoreErrors)
+	if errs := count(t, e, storeLoads, "result", "error"); errs != 1 {
+		t.Fatalf("store error counter = %d, want 1", errs)
 	}
 
 	// The engine stays usable: it compiles cold and the sweep still runs.
@@ -203,7 +202,7 @@ func TestArtifactStoreCorruptFileFallsBackToCompile(t *testing.T) {
 	if len(rs.Outages) == 0 {
 		t.Fatal("fallback sweep produced no outages")
 	}
-	if st := e.Stats(); st.YbusBuilds == 0 {
+	if count(t, e, ybusBuilds) == 0 {
 		t.Fatal("fallback must have compiled the Ybus")
 	}
 }

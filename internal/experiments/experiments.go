@@ -137,9 +137,9 @@ func Figure3Distribution(ctx context.Context, cfg Config) ([]DistRow, error) {
 		rows = append(rows, DistRow{
 			Model:  m,
 			Min:    lats[0],
-			Q1:     quantileF(lats, 0.25),
-			Median: quantileF(lats, 0.5),
-			Q3:     quantileF(lats, 0.75),
+			Q1:     metrics.Quantile(lats, 0.25),
+			Median: metrics.Quantile(lats, 0.5),
+			Q3:     metrics.Quantile(lats, 0.75),
 			Max:    lats[len(lats)-1],
 			Mean:   meanF(lats),
 		})
@@ -259,22 +259,6 @@ func caseNumber(caseName string) int {
 	n := 0
 	fmt.Sscanf(strings.TrimPrefix(caseName, "case"), "%d", &n)
 	return n
-}
-
-func quantileF(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
 func meanF(v []float64) float64 {

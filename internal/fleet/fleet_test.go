@@ -456,19 +456,32 @@ func TestFleetStoreWarmedWorker(t *testing.T) {
 	}
 	pinResultSets(t, want, got)
 
-	st := eng.Stats()
-	if st.YbusBuilds != 0 || st.TopoBuilds != 0 || st.PTDFBuilds != 0 || st.OPFCreates != 0 {
-		t.Fatalf("warmed worker compiled: ybus=%d topo=%d ptdf=%d kkt=%d, want all 0",
-			st.YbusBuilds, st.TopoBuilds, st.PTDFBuilds, st.OPFCreates)
+	ybus := engineCount(t, eng, "gridmind_engine_ybus_builds_total")
+	topo := engineCount(t, eng, "gridmind_engine_topology_builds_total")
+	ptdf := engineCount(t, eng, "gridmind_engine_ptdf_builds_total")
+	kkt := engineCount(t, eng, "gridmind_engine_opf_context_checkouts_total", "result", "create")
+	if ybus != 0 || topo != 0 || ptdf != 0 || kkt != 0 {
+		t.Fatalf("warmed worker compiled: ybus=%d topo=%d ptdf=%d kkt=%d, want all 0", ybus, topo, ptdf, kkt)
 	}
-	if st.StoreHits != 1 {
-		t.Fatalf("store hits = %d, want 1", st.StoreHits)
+	if hits := engineCount(t, eng, "gridmind_engine_artifact_store_loads_total", "result", "hit"); hits != 1 {
+		t.Fatalf("store hits = %d, want 1", hits)
 	}
 	n, err := eng.Pristine("case57")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if miss := eng.Artifacts(n).OrderingMisses(); miss != 0 {
+	if miss := eng.Artifacts(n).Ordering().Misses(); miss != 0 {
 		t.Fatalf("warmed worker computed %d orderings, want 0", miss)
 	}
+}
+
+// engineCount reads one engine counter off its obs registry. A series
+// that is not registered fails the test instead of reading as 0.
+func engineCount(t *testing.T, eng *engine.Engine, name string, labels ...string) int64 {
+	t.Helper()
+	v, ok := eng.Metrics().Value(name, labels...)
+	if !ok {
+		t.Fatalf("no metric series %s%v", name, labels)
+	}
+	return int64(v)
 }

@@ -100,8 +100,8 @@ type Config struct {
 }
 
 // deployment is a Deployment plus its runtime state. The counters are
-// obs registry instruments labelled {gateway, deployment}; Stats() reads
-// the same handles a /metrics scrape does.
+// obs registry instruments labelled {gateway, deployment}, read through
+// the registry like every other counter.
 type deployment struct {
 	Deployment
 	idx int
@@ -358,60 +358,6 @@ func realSleep(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// DeploymentStats is one deployment's counter snapshot.
-type DeploymentStats struct {
-	Name          string
-	State         string
-	Attempts      int64
-	Successes     int64
-	Failures      int64
-	Timeouts      int64
-	Probes        int64
-	BreakerOpens  int64
-	BreakerCloses int64
-	MeanLatency   time.Duration
-}
-
-// Stats is a gateway-wide counter snapshot.
-type Stats struct {
-	Requests  int64
-	Succeeded int64
-	Failed    int64
-	// Retries is total attempts beyond each request's first.
-	Retries int64
-	// Exhausted counts requests that spent the whole retry budget.
-	Exhausted   int64
-	Deployments []DeploymentStats
-}
-
-// Stats snapshots all counters. It is a read view over the obs registry
-// instruments — the same values a /metrics scrape reports.
-func (g *Gateway) Stats() Stats {
-	s := Stats{
-		Requests:  g.requests.Value(),
-		Succeeded: g.succeeded.Value(),
-		Failed:    g.failed.Value(),
-		Retries:   g.retries.Value(),
-		Exhausted: g.exhausted.Value(),
-	}
-	for _, d := range g.deps {
-		opens, closes := d.br.Counters()
-		s.Deployments = append(s.Deployments, DeploymentStats{
-			Name:          d.Name,
-			State:         d.br.State().String(),
-			Attempts:      d.attempts.Value(),
-			Successes:     d.successes.Value(),
-			Failures:      d.failures.Value(),
-			Timeouts:      d.timeouts.Value(),
-			Probes:        d.probes.Value(),
-			BreakerOpens:  opens,
-			BreakerCloses: closes,
-			MeanLatency:   time.Duration(d.ewma.Load()),
-		})
-	}
-	return s
 }
 
 // Metrics returns the obs registry the gateway publishes on.

@@ -1,10 +1,11 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,15 +101,17 @@ func mustGateway(t *testing.T, deps []Deployment, cfg Config) *Gateway {
 	return g
 }
 
-func depStats(t *testing.T, s Stats, name string) DeploymentStats {
+// dep returns the named deployment; tests read its counter handles and
+// breaker directly.
+func dep(t *testing.T, g *Gateway, name string) *deployment {
 	t.Helper()
-	for _, d := range s.Deployments {
+	for _, d := range g.deps {
 		if d.Name == name {
 			return d
 		}
 	}
-	t.Fatalf("no deployment %q in stats", name)
-	return DeploymentStats{}
+	t.Fatalf("no deployment %q", name)
+	return nil
 }
 
 // --- the ISSUE acceptance scenario ---------------------------------------
@@ -117,8 +120,8 @@ func depStats(t *testing.T, s Stats, name string) DeploymentStats {
 // (healthy sim, 50%-fault-injected sim, dead endpoint) through 200 asks.
 // At ask 100 the dead endpoint comes back (a live llm.Handler server) and
 // the virtual clock jumps past the breaker cooldown, so recovery happens
-// via half-open probes. Returns the final counter snapshot.
-func runChaosScenario(t *testing.T) Stats {
+// via half-open probes. Returns the gateway for its counters.
+func runChaosScenario(t *testing.T) *Gateway {
 	t.Helper()
 	p := simProfile(t)
 	healthy := llm.NewSim(p)
@@ -156,14 +159,26 @@ func runChaosScenario(t *testing.T) Stats {
 			t.Fatalf("ask %d failed through the gateway: %v", i, err)
 		}
 	}
-	return g.Stats()
+	return g
 }
 
-func normalize(s Stats) Stats {
-	for i := range s.Deployments {
-		s.Deployments[i].MeanLatency = 0
+// normalize is the gateway's Prometheus exposition minus the wall-clock
+// families (attempt latency and its EWMA): every remaining line is an exact
+// counter, breaker state or transition count.
+func normalize(t *testing.T, g *Gateway) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	return s
+	var kept []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.Contains(line, "gridmind_gateway_deployment_latency_seconds") &&
+			!strings.Contains(line, "gridmind_gateway_deployment_ewma_latency_seconds") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
 }
 
 // TestChaosRunAcceptance is the ISSUE 6 acceptance criterion: 200 asks,
@@ -171,51 +186,50 @@ func normalize(s Stats) Stats {
 // its threshold and recovers via half-open probes — all asserted on exact
 // counters, and the whole scenario replayed to prove determinism.
 func TestChaosRunAcceptance(t *testing.T) {
-	s := runChaosScenario(t)
+	g := runChaosScenario(t)
 
-	if s.Requests != 200 || s.Succeeded != 200 || s.Failed != 0 {
-		t.Fatalf("requests/succeeded/failed = %d/%d/%d, want 200/200/0",
-			s.Requests, s.Succeeded, s.Failed)
+	if r, s, f := g.requests.Value(), g.succeeded.Value(), g.failed.Value(); r != 200 || s != 200 || f != 0 {
+		t.Fatalf("requests/succeeded/failed = %d/%d/%d, want 200/200/0", r, s, f)
 	}
 
-	dead := depStats(t, s, "dead")
+	dead := dep(t, g, "dead")
 	// The breaker trips on exactly the MinSamples-th consecutive failure
 	// (ratio 4/4 ≥ 0.5) and never re-trips after recovery.
-	if dead.Failures != 4 {
-		t.Fatalf("dead deployment failures = %d, want exactly 4 (MinSamples)", dead.Failures)
+	if f := dead.failures.Value(); f != 4 {
+		t.Fatalf("dead deployment failures = %d, want exactly 4 (MinSamples)", f)
 	}
-	if dead.BreakerOpens != 1 || dead.BreakerCloses != 1 {
-		t.Fatalf("dead breaker opens/closes = %d/%d, want 1/1", dead.BreakerOpens, dead.BreakerCloses)
+	if opens, closes := dead.br.Counters(); opens != 1 || closes != 1 {
+		t.Fatalf("dead breaker opens/closes = %d/%d, want 1/1", opens, closes)
 	}
-	if dead.State != "closed" {
-		t.Fatalf("dead breaker final state = %s, want closed", dead.State)
+	if st := dead.br.State(); st != StateClosed {
+		t.Fatalf("dead breaker final state = %s, want closed", st)
 	}
-	if dead.Probes != 2 {
-		t.Fatalf("dead breaker probes = %d, want exactly HalfOpenSuccesses=2", dead.Probes)
+	if p := dead.probes.Value(); p != 2 {
+		t.Fatalf("dead breaker probes = %d, want exactly HalfOpenSuccesses=2", p)
 	}
-	if dead.Successes == 0 {
+	if dead.successes.Value() == 0 {
 		t.Fatal("recovered deployment served no traffic after closing")
 	}
 
-	healthy := depStats(t, s, "healthy")
-	if healthy.Failures != 0 {
-		t.Fatalf("healthy deployment recorded %d failures", healthy.Failures)
+	healthy := dep(t, g, "healthy")
+	if f := healthy.failures.Value(); f != 0 {
+		t.Fatalf("healthy deployment recorded %d failures", f)
 	}
-	faulty := depStats(t, s, "faulty")
-	if faulty.Failures == 0 {
+	faulty := dep(t, g, "faulty")
+	if faulty.failures.Value() == 0 {
 		t.Fatal("fault-injected deployment recorded no failures: chaos not wired")
 	}
 
 	// Retry accounting closes exactly: every request succeeded, so each
 	// failed attempt corresponds to one retry.
-	totalFailures := dead.Failures + faulty.Failures + healthy.Failures
-	if s.Retries != totalFailures {
-		t.Fatalf("retries = %d, want = total failed attempts %d", s.Retries, totalFailures)
+	totalFailures := dead.failures.Value() + faulty.failures.Value() + healthy.failures.Value()
+	if r := g.retries.Value(); r != totalFailures {
+		t.Fatalf("retries = %d, want = total failed attempts %d", r, totalFailures)
 	}
 
 	// Determinism: the identical seeded scenario yields identical counters.
-	if a, b := normalize(s), normalize(runChaosScenario(t)); !reflect.DeepEqual(a, b) {
-		t.Fatalf("seeded chaos scenario is not deterministic:\n run1 %+v\n run2 %+v", a, b)
+	if a, b := normalize(t, g), normalize(t, runChaosScenario(t)); a != b {
+		t.Fatalf("seeded chaos scenario is not deterministic:\n run1:\n%s\n run2:\n%s", a, b)
 	}
 }
 
@@ -324,9 +338,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if bad.callCount() != 3 {
 		t.Fatalf("attempts = %d, want MaxAttempts = 3", bad.callCount())
 	}
-	s := g.Stats()
-	if s.Exhausted != 1 || s.Failed != 1 || s.Retries != 2 {
-		t.Fatalf("exhausted/failed/retries = %d/%d/%d, want 1/1/2", s.Exhausted, s.Failed, s.Retries)
+	if e, f, r := g.exhausted.Value(), g.failed.Value(), g.retries.Value(); e != 1 || f != 1 || r != 2 {
+		t.Fatalf("exhausted/failed/retries = %d/%d/%d, want 1/1/2", e, f, r)
 	}
 }
 
@@ -348,8 +361,8 @@ func TestTerminalErrorFailsFast(t *testing.T) {
 		t.Fatalf("calls bad/fallback = %d/%d, want 1/0: terminal errors must not retry or fall back",
 			bad.callCount(), fallback.callCount())
 	}
-	if st := depStats(t, g.Stats(), "bad"); st.State != "closed" {
-		t.Fatalf("a 4xx tripped the breaker: state = %s", st.State)
+	if st := dep(t, g, "bad").br.State(); st != StateClosed {
+		t.Fatalf("a 4xx tripped the breaker: state = %s", st)
 	}
 }
 
@@ -428,9 +441,9 @@ func TestAttemptTimeoutPreemptsStall(t *testing.T) {
 	if e := time.Since(start); e > 10*time.Second {
 		t.Fatalf("stall held the request %v: attempt timeout not applied", e)
 	}
-	st := depStats(t, g.Stats(), "hung")
-	if st.Timeouts != 1 || st.Failures != 1 {
-		t.Fatalf("hung deployment timeouts/failures = %d/%d, want 1/1", st.Timeouts, st.Failures)
+	hd := dep(t, g, "hung")
+	if to, f := hd.timeouts.Value(), hd.failures.Value(); to != 1 || f != 1 {
+		t.Fatalf("hung deployment timeouts/failures = %d/%d, want 1/1", to, f)
 	}
 	if healthy.callCount() != 1 {
 		t.Fatalf("fallback calls = %d, want 1", healthy.callCount())
@@ -455,8 +468,9 @@ func TestHealthCheckerDemotesAndRestores(t *testing.T) {
 	// Two failing probes demote the deployment.
 	g.CheckNow(context.Background())
 	g.CheckNow(context.Background())
-	if st := depStats(t, g.Stats(), "only"); st.State != "open" {
-		t.Fatalf("state after 2 failed probes = %s, want open (demoted)", st.State)
+	only := dep(t, g, "only")
+	if st := only.br.State(); st != StateOpen {
+		t.Fatalf("state after 2 failed probes = %s, want open (demoted)", st)
 	}
 	if _, err := g.Complete(context.Background(), ask()); !errors.Is(err, llm.ErrUnavailable) {
 		t.Fatalf("demoted deployment still served: %v", err)
@@ -465,19 +479,18 @@ func TestHealthCheckerDemotesAndRestores(t *testing.T) {
 	// Healing the backend is not enough while the cooldown holds.
 	backend.setErr(nil)
 	g.CheckNow(context.Background())
-	if st := depStats(t, g.Stats(), "only"); st.State != "open" {
-		t.Fatalf("probe ignored the cooldown: state = %s", st.State)
+	if st := only.br.State(); st != StateOpen {
+		t.Fatalf("probe ignored the cooldown: state = %s", st)
 	}
 
 	// Past the cooldown, one good probe restores it.
 	clk.Advance(2 * time.Second)
 	g.CheckNow(context.Background())
-	st := depStats(t, g.Stats(), "only")
-	if st.State != "closed" {
-		t.Fatalf("state after healing probe = %s, want closed (restored)", st.State)
+	if st := only.br.State(); st != StateClosed {
+		t.Fatalf("state after healing probe = %s, want closed (restored)", st)
 	}
-	if st.BreakerOpens != 1 || st.BreakerCloses != 1 {
-		t.Fatalf("opens/closes = %d/%d, want 1/1", st.BreakerOpens, st.BreakerCloses)
+	if opens, closes := only.br.Counters(); opens != 1 || closes != 1 {
+		t.Fatalf("opens/closes = %d/%d, want 1/1", opens, closes)
 	}
 	if _, err := g.Complete(context.Background(), ask()); err != nil {
 		t.Fatalf("restored deployment rejected traffic: %v", err)
@@ -526,10 +539,8 @@ func TestConcurrentAsksThroughFlappingDeployment(t *testing.T) {
 	for err := range errs {
 		t.Errorf("concurrent ask failed: %v", err)
 	}
-	s := g.Stats()
-	if s.Requests != workers*asksPer || s.Succeeded != workers*asksPer {
-		t.Fatalf("requests/succeeded = %d/%d, want %d/%d", s.Requests, s.Succeeded,
-			workers*asksPer, workers*asksPer)
+	if r, s := g.requests.Value(), g.succeeded.Value(); r != workers*asksPer || s != workers*asksPer {
+		t.Fatalf("requests/succeeded = %d/%d, want %d/%d", r, s, workers*asksPer, workers*asksPer)
 	}
 }
 

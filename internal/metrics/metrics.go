@@ -166,25 +166,29 @@ func Summarize(rows []Interaction) Summary {
 	s.SuccessRate = float64(succ) / float64(len(rows))
 	s.MinLatency = lats[0]
 	s.MaxLatency = lats[len(lats)-1]
-	s.Q1Latency = quantile(lats, 0.25)
-	s.MedianLat = quantile(lats, 0.5)
-	s.Q3Latency = quantile(lats, 0.75)
+	s.Q1Latency = Quantile(lats, 0.25)
+	s.MedianLat = Quantile(lats, 0.5)
+	s.Q3Latency = Quantile(lats, 0.75)
 	s.MeanLatency = sum / time.Duration(len(rows))
 	return s
 }
 
-// quantile interpolates linearly between order statistics.
-func quantile(sorted []time.Duration, q float64) time.Duration {
+// Quantile returns the q-quantile of an ascending slice, interpolating
+// linearly between order statistics; an empty slice gives 0.
+func Quantile[T time.Duration | float64](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
 	pos := q * float64(len(sorted)-1)
 	lo := int(pos)
-	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[lo] + time.Duration(frac*float64(sorted[lo+1]-sorted[lo]))
+	frac := pos - float64(lo)
+	return sorted[lo] + T(frac*float64(sorted[lo+1]-sorted[lo]))
 }
 
 // Filter returns the rows matching the predicate.

@@ -79,6 +79,25 @@ func TestSummarizeSingle(t *testing.T) {
 	}
 }
 
+// TestQuantile pins the shared interpolation for both element types: the
+// float64 and Duration instantiations agree on the same order statistics,
+// and an empty slice reads 0.
+func TestQuantile(t *testing.T) {
+	secs := []float64{1, 2, 4, 8}
+	durs := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second}
+	for _, tc := range []struct{ q, want float64 }{{0, 1}, {0.25, 1.75}, {0.5, 3}, {0.75, 5}, {1, 8}} {
+		if got := Quantile(secs, tc.q); got != tc.want {
+			t.Errorf("Quantile(float64, %v) = %v, want %v", tc.q, got, tc.want)
+		}
+		if got := Quantile(durs, tc.q); got != time.Duration(tc.want*float64(time.Second)) {
+			t.Errorf("Quantile(Duration, %v) = %v, want %vs", tc.q, got, tc.want)
+		}
+	}
+	if Quantile([]float64(nil), 0.5) != 0 || Quantile([]time.Duration{}, 0.5) != 0 {
+		t.Error("empty slice must give 0")
+	}
+}
+
 func TestByModelAndFilter(t *testing.T) {
 	rows := []Interaction{row("b", time.Second, true), row("a", time.Second, true), row("b", 2*time.Second, false)}
 	models, groups := ByModel(rows)

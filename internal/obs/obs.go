@@ -388,3 +388,28 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	}
 	return s.h
 }
+
+// Value returns the current value of the counter or gauge series for
+// name + label pairs — stored or func-backed, the number WritePrometheus
+// prints for it — and ok=false when no such series is registered (or the
+// family is a histogram). It never registers anything, so a misspelled
+// name reads as missing rather than as a fresh zero. Label order does not
+// matter. A func-backed series is evaluated outside the registry lock.
+func (r *Registry) Value(name string, labels ...string) (float64, bool) {
+	key, _ := labelKey(labels)
+	r.mu.Lock()
+	var s series
+	if f := r.fams[name]; f != nil && f.kind != kindHistogram && f.byKey[key] != nil {
+		s = *f.byKey[key]
+	}
+	r.mu.Unlock()
+	switch {
+	case s.fn != nil:
+		return s.fn(), true
+	case s.c != nil:
+		return float64(s.c.Value()), true
+	case s.g != nil:
+		return s.g.Value(), true
+	}
+	return 0, false
+}

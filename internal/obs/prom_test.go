@@ -308,3 +308,78 @@ func TestPrometheusConsistentUnderTraffic(t *testing.T) {
 	}
 	<-done
 }
+
+// TestRegistryValue pins the read path: Value returns, for every counter
+// and gauge kind, exactly the sample WritePrometheus prints; a missing
+// series (unknown name, unknown labels, histogram family) is ok=false and
+// registers nothing; label order does not matter.
+func TestRegistryValue(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_ops_total", "ops", "tool", "solve", "result", "ok").Add(7)
+	r.Gauge("test_temp", "temp", "zone", "a").Set(-1.25)
+	r.CounterFunc("test_trips_total", "trips", func() float64 { return 3 }, "dep", "x")
+	r.GaugeFunc("test_depth", "depth", func() float64 { return 0.1 })
+	r.Histogram("test_lat_seconds", "lat", nil).Observe(0.002)
+
+	var before bytes.Buffer
+	if err := r.WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	printed := func(name string, labels map[string]string) float64 {
+		t.Helper()
+		fams := parsePrometheus(t, before.String())
+		for _, s := range fams[name].samples {
+			if fmt.Sprint(s.labels) == fmt.Sprint(labels) {
+				return s.value
+			}
+		}
+		t.Fatalf("no printed sample %s%v", name, labels)
+		return 0
+	}
+
+	for _, tc := range []struct {
+		kind, name string
+		labels     []string
+		want       float64
+	}{
+		{"counter", "test_ops_total", []string{"tool", "solve", "result", "ok"}, 7},
+		{"counter, labels reordered", "test_ops_total", []string{"result", "ok", "tool", "solve"}, 7},
+		{"gauge", "test_temp", []string{"zone", "a"}, -1.25},
+		{"counter func", "test_trips_total", []string{"dep", "x"}, 3},
+		{"gauge func", "test_depth", nil, 0.1},
+	} {
+		v, ok := r.Value(tc.name, tc.labels...)
+		if !ok || v != tc.want {
+			t.Errorf("%s: Value = %v, %v; want %v, true", tc.kind, v, ok, tc.want)
+		}
+		want := map[string]string{}
+		for i := 0; i < len(tc.labels); i += 2 {
+			want[tc.labels[i]] = tc.labels[i+1]
+		}
+		if p := printed(tc.name, want); v != p {
+			t.Errorf("%s: Value = %v, WritePrometheus printed %v", tc.kind, v, p)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		labels []string
+	}{
+		{"test_misspelled_total", nil},
+		{"test_ops_total", []string{"tool", "solve"}},
+		{"test_ops_total", []string{"tool", "solve", "result", "fail"}},
+		{"test_temp", nil},
+		{"test_lat_seconds", nil},
+	} {
+		if v, ok := r.Value(tc.name, tc.labels...); ok {
+			t.Errorf("Value(%s%v) = %v, true; want ok=false", tc.name, tc.labels, v)
+		}
+	}
+	var after bytes.Buffer
+	if err := r.WritePrometheus(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Fatalf("missing-series reads changed the exposition:\nbefore:\n%s\nafter:\n%s", before.String(), after.String())
+	}
+}

@@ -167,7 +167,7 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 			super = append(super, []int{ixPg(p)})
 		}
 		super = append(super, []int{nx + nb})
-		return sparse.BlockMinDegree(m, super, nil)
+		return sparse.BlockMinDegree(m, super)
 	}
 
 	res, ipmErr := solveIPM(&nlp{nx: nx, ng: ng, nh: nh, x0: x0, eval: eval, hess: hess, order: order}, ipmOptions{

@@ -301,9 +301,9 @@ func (k *kktSystem) factorAndSolve(rhs []float64) ([]float64, error) {
 //
 // Two designs that sound plausible measure WORSE, so don't resurrect them
 // without re-profiling: eliminating the equality border strictly last
-// (tail=true for balance supernodes) inflates fill 10-50% — the deferred
-// rows' quotient cliques grow monotonically while every variable is
-// eliminated under them; and separating (Va,Vm) pairs from (P,Q) pairs as
+// (every balance supernode after every variable) inflates fill 10-50%
+// — the deferred rows' quotient cliques grow monotonically while every
+// variable is eliminated under them; and separating (Va,Vm) pairs from (P,Q) pairs as
 // distinct supernodes doubles the condensed graph for no benefit since
 // the two halves of a bus have identical adjacency.
 //
@@ -319,7 +319,7 @@ func (a *acopf) kktOrder(m *sparse.CSC) []int {
 		super = append(super, []int{a.ixPg(g)}, []int{a.ixQg(g)})
 	}
 	super = append(super, []int{nx + 2*nb})
-	return sparse.BlockMinDegree(m, super, nil)
+	return sparse.BlockMinDegree(m, super)
 }
 
 // kktSig captures the structural identity of an acopf problem: everything

@@ -108,18 +108,30 @@ func TestScenarioSharedEngineRace(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := eng.Stats()
-	if st.YbusBuilds != 1 || st.TopoBuilds != 1 || st.PTDFBuilds != 1 {
+	ybus := engineCount(t, eng, "gridmind_engine_ybus_builds_total")
+	topo := engineCount(t, eng, "gridmind_engine_topology_builds_total")
+	ptdf := engineCount(t, eng, "gridmind_engine_ptdf_builds_total")
+	if ybus != 1 || topo != 1 || ptdf != 1 {
 		t.Fatalf("shared engine recompiled structure under concurrency: ybus=%d topo=%d ptdf=%d, want 1 each",
-			st.YbusBuilds, st.TopoBuilds, st.PTDFBuilds)
+			ybus, topo, ptdf)
 	}
-	if st.SweepPoolNew != 1 {
-		t.Fatalf("state %q built %d worker pools, want 1", "race", st.SweepPoolNew)
+	if pools := engineCount(t, eng, "gridmind_engine_sweep_pool_lookups_total", "result", "new"); pools != 1 {
+		t.Fatalf("state %q built %d worker pools, want 1", "race", pools)
 	}
 	if pool.ContextBuilds() == 0 {
 		t.Fatal("worker pool was never used")
 	}
-	t.Logf("stats: %+v", st)
+}
+
+// engineCount reads one engine counter off its obs registry. A series
+// that is not registered fails the test instead of reading as 0.
+func engineCount(t *testing.T, eng *engine.Engine, name string, labels ...string) int64 {
+	t.Helper()
+	v, ok := eng.Metrics().Value(name, labels...)
+	if !ok {
+		t.Fatalf("no metric series %s%v", name, labels)
+	}
+	return int64(v)
 }
 
 // TestRaceBaseFactorHistory pins the base factor's history independence:

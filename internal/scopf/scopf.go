@@ -12,9 +12,11 @@
 package scopf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"gridmind/internal/contingency"
 	"gridmind/internal/model"
@@ -201,7 +203,7 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 	for b := range tightened {
 		res.TightenedBranches = append(res.TightenedBranches, b)
 	}
-	sortInts(res.TightenedBranches)
+	slices.Sort(res.TightenedBranches)
 
 	// Re-evaluate the final solution against the ORIGINAL ratings so the
 	// reported loadings are meaningful to the user.
@@ -350,31 +352,19 @@ func Compare(n *model.Network, opts Options) (*Comparison, error) {
 	return c, nil
 }
 
-// sortViolations orders by loading severity, worst first, deterministic.
+// sortViolations orders by loading severity, worst first, then by outage
+// and branch, deterministic.
 func sortViolations(v []violation) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &v[j-1], &v[j]
-			if a.LoadingPct > b.LoadingPct ||
-				(a.LoadingPct == b.LoadingPct && (a.Outage < b.Outage ||
-					(a.Outage == b.Outage && a.Branch <= b.Branch))) {
-				break
-			}
-			*a, *b = *b, *a
-		}
-	}
+	slices.SortStableFunc(v, func(a, b violation) int {
+		return cmp.Or(
+			cmp.Compare(b.LoadingPct, a.LoadingPct),
+			cmp.Compare(a.Outage, b.Outage),
+			cmp.Compare(a.Branch, b.Branch))
+	})
 }
 
 func copyRates(n *model.Network, rates []float64) {
 	for b := range n.Branches {
 		n.Branches[b].RateMVA = rates[b]
-	}
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

@@ -98,8 +98,8 @@ func TestPristineSharedAcrossEngineSessions(t *testing.T) {
 	if na != nb {
 		t.Fatal("engine-bound sessions at zero diffs must share one network instance")
 	}
-	if st := eng.Stats(); st.PristineMisses != 1 {
-		t.Fatalf("pristine loaded %d times, want 1", st.PristineMisses)
+	if v, ok := eng.Metrics().Value("gridmind_engine_pristine_lookups_total", "result", "miss"); !ok || v != 1 {
+		t.Fatalf("pristine loaded %v times (series present: %v), want 1", v, ok)
 	}
 
 	// Diverging one session must not disturb the other.

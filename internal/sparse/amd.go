@@ -8,9 +8,9 @@ package sparse
 // factorization, refactorization and triangular solves; it is the default
 // ordering of Factorize.
 //
-// It is the singleton-supernode, no-tail case of BlockMinDegree: the
-// quotient graph of one-column supernodes is the elimination graph itself,
-// so one elimination kernel serves both. That kernel is the classical
+// It is the singleton-supernode case of BlockMinDegree: the quotient
+// graph of one-column supernodes is the elimination graph itself, so one
+// elimination kernel serves both. That kernel is the classical
 // dense-elimination-graph variant (adjacency sets, linear minimum scan):
 // O(n²) in the worst case, which is negligible against factorization time
 // at the system sizes involved and is amortized further by the ordering
@@ -26,5 +26,5 @@ func MinDegree(m *CSC) []int {
 	for i := range super {
 		super[i] = cols[i : i+1 : i+1]
 	}
-	return BlockMinDegree(m, super, nil)
+	return BlockMinDegree(m, super)
 }

@@ -12,15 +12,9 @@ package sparse
 // pivot order, and cannot split a block the factorization would rather
 // eliminate together.
 //
-// Supernodes flagged in tail are eliminated strictly after every
-// non-tail supernode — still by minimum degree among themselves on the
-// remaining quotient graph. The KKT systems use this for the equality
-// border: variables first, then the constraint rows over the condensed
-// Schur pattern.
-//
 // Every column of m must appear in exactly one supernode. Ties break
 // toward the lowest supernode index, so the ordering is deterministic.
-func BlockMinDegree(m *CSC, super [][]int, tail []bool) []int {
+func BlockMinDegree(m *CSC, super [][]int) []int {
 	n := m.cols
 	if m.rows != n {
 		panic("sparse: BlockMinDegree requires a square matrix")
@@ -62,27 +56,16 @@ func BlockMinDegree(m *CSC, super [][]int, tail []bool) []int {
 
 	perm := make([]int, 0, n)
 	eliminated := make([]bool, ns)
-	remaining := ns
-	phaseTail := false
 	nbrs := make([]int, 0, 64)
-	for remaining > 0 {
+	for range ns {
 		best, bestDeg := -1, int(^uint(0)>>1)
 		for s := 0; s < ns; s++ {
-			if eliminated[s] || (tail != nil && tail[s] != phaseTail) {
-				continue
-			}
-			if len(adj[s]) < bestDeg {
+			if !eliminated[s] && len(adj[s]) < bestDeg {
 				best, bestDeg = s, len(adj[s])
 			}
 		}
-		if best == -1 {
-			// Non-tail phase exhausted: switch to the border.
-			phaseTail = true
-			continue
-		}
 		perm = append(perm, super[best]...)
 		eliminated[best] = true
-		remaining--
 		nbrs = nbrs[:0]
 		for w := range adj[best] {
 			nbrs = append(nbrs, w)

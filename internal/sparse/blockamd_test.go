@@ -25,8 +25,7 @@ func TestBlockMinDegreeIsPermutation(t *testing.T) {
 	n := 12
 	m := arrowheadCSC(n)
 	super := [][]int{{0}, {1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11}}
-	tail := []bool{true, false, false, false, false, false, false}
-	perm := BlockMinDegree(m, super, tail)
+	perm := BlockMinDegree(m, super)
 	if len(perm) != n {
 		t.Fatalf("perm length %d want %d", len(perm), n)
 	}
@@ -42,7 +41,7 @@ func TestBlockMinDegreeIsPermutation(t *testing.T) {
 func TestBlockMinDegreeKeepsSupernodeColumnsAdjacent(t *testing.T) {
 	m := arrowheadCSC(10)
 	super := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}}
-	perm := BlockMinDegree(m, super, nil)
+	perm := BlockMinDegree(m, super)
 	pos := make([]int, 10)
 	for p, c := range perm {
 		pos[c] = p
@@ -51,21 +50,6 @@ func TestBlockMinDegreeKeepsSupernodeColumnsAdjacent(t *testing.T) {
 		if pos[s[1]] != pos[s[0]]+1 {
 			t.Fatalf("supernode %v split in perm %v", s, perm)
 		}
-	}
-}
-
-func TestBlockMinDegreeTailEliminatedLast(t *testing.T) {
-	m := arrowheadCSC(9)
-	super := [][]int{{0}, {1, 2}, {3, 4}, {5, 6}, {7, 8}}
-	tail := []bool{true, false, true, false, false}
-	perm := BlockMinDegree(m, super, tail)
-	// Tail columns {0, 3, 4} must occupy the last three positions.
-	last := map[int]bool{}
-	for _, c := range perm[len(perm)-3:] {
-		last[c] = true
-	}
-	if !last[0] || !last[3] || !last[4] {
-		t.Fatalf("tail supernodes not eliminated last: perm %v", perm)
 	}
 }
 
@@ -82,7 +66,7 @@ func TestBlockMinDegreeRejectsBadPartition(t *testing.T) {
 					t.Fatalf("partition %v did not panic", bad)
 				}
 			}()
-			BlockMinDegree(m, bad, nil)
+			BlockMinDegree(m, bad)
 		}()
 	}
 }
@@ -95,7 +79,7 @@ func TestBlockMinDegreeFactorizes(t *testing.T) {
 	for i := 0; i < n; i += 2 {
 		super = append(super, []int{i, i + 1})
 	}
-	perm := BlockMinDegree(m, super, nil)
+	perm := BlockMinDegree(m, super)
 	lu, err := Factorize(m, Options{ColPerm: perm})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func TestBlockMinDegreeSingletonsMatchMinDegree(t *testing.T) {
 		if got := sparse.MinDegree(m); !slices.Equal(got, want) {
 			t.Fatalf("%s: MinDegree diverged from the reference kernel: %v vs %v", name, got, want)
 		}
-		if got := sparse.BlockMinDegree(m, super, nil); !slices.Equal(got, want) {
+		if got := sparse.BlockMinDegree(m, super); !slices.Equal(got, want) {
 			t.Fatalf("%s: singleton BlockMinDegree diverged from the reference kernel: %v vs %v", name, got, want)
 		}
 	}

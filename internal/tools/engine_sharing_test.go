@@ -43,6 +43,13 @@ func sessionWorkload(t *testing.T, eng *engine.Engine) {
 	}
 }
 
+// opfCheckouts reads the engine's KKT-context checkouts for one result
+// ("create" or "reuse").
+func opfCheckouts(t *testing.T, eng *engine.Engine, result string) int64 {
+	t.Helper()
+	return count(t, eng.Metrics(), "gridmind_engine_opf_context_checkouts_total", "result", result)
+}
+
 // TestSecondSessionSharesCompiledArtifacts is the acceptance check for the
 // multi-session engine: after a first session compiles everything for a
 // case, an identical second session performs ZERO ptdf.Build, zero KKT
@@ -50,40 +57,46 @@ func sessionWorkload(t *testing.T, eng *engine.Engine) {
 // — proven by the engine's exact counters, not timings.
 func TestSecondSessionSharesCompiledArtifacts(t *testing.T) {
 	eng := engine.New()
+	met := eng.Metrics()
+	builds := func() (ptdf, ybus, topo int64) {
+		return count(t, met, "gridmind_engine_ptdf_builds_total"),
+			count(t, met, "gridmind_engine_ybus_builds_total"),
+			count(t, met, "gridmind_engine_topology_builds_total")
+	}
+	basePFSolves := func() int64 { return count(t, met, "gridmind_engine_base_pf_total", "result", "solve") }
 
 	sessionWorkload(t, eng)
-	first := eng.Stats()
-	if first.PTDFBuilds != 1 || first.YbusBuilds != 1 || first.TopoBuilds != 1 {
-		t.Fatalf("first session builds ptdf/ybus/topo = %d/%d/%d, want 1/1/1",
-			first.PTDFBuilds, first.YbusBuilds, first.TopoBuilds)
+	ptdf1, ybus1, topo1 := builds()
+	if ptdf1 != 1 || ybus1 != 1 || topo1 != 1 {
+		t.Fatalf("first session builds ptdf/ybus/topo = %d/%d/%d, want 1/1/1", ptdf1, ybus1, topo1)
 	}
-	if first.OPFCreates != 1 {
-		t.Fatalf("first session created %d KKT contexts, want 1", first.OPFCreates)
+	creates1, reuses1 := opfCheckouts(t, eng, "create"), opfCheckouts(t, eng, "reuse")
+	if creates1 != 1 {
+		t.Fatalf("first session created %d KKT contexts, want 1", creates1)
 	}
-	if first.BasePFSolves != 1 {
-		t.Fatalf("first session solved %d base power flows, want 1", first.BasePFSolves)
+	solves1 := basePFSolves()
+	if solves1 != 1 {
+		t.Fatalf("first session solved %d base power flows, want 1", solves1)
 	}
 
 	cloneBase := model.CloneCount()
 	sessionWorkload(t, eng)
-	second := eng.Stats()
+	ptdf2, ybus2, topo2 := builds()
 
-	if second.PTDFBuilds != first.PTDFBuilds {
-		t.Fatalf("second session rebuilt PTDF: %d -> %d", first.PTDFBuilds, second.PTDFBuilds)
+	if ptdf2 != ptdf1 {
+		t.Fatalf("second session rebuilt PTDF: %d -> %d", ptdf1, ptdf2)
 	}
-	if second.YbusBuilds != first.YbusBuilds || second.TopoBuilds != first.TopoBuilds {
-		t.Fatalf("second session rebuilt Ybus/topology: %+v -> %+v", first, second)
+	if ybus2 != ybus1 || topo2 != topo1 {
+		t.Fatalf("second session rebuilt Ybus/topology: ybus %d -> %d, topo %d -> %d", ybus1, ybus2, topo1, topo2)
 	}
-	if second.OPFCreates != first.OPFCreates {
-		t.Fatalf("second session compiled a fresh KKT context: creates %d -> %d",
-			first.OPFCreates, second.OPFCreates)
+	if creates2 := opfCheckouts(t, eng, "create"); creates2 != creates1 {
+		t.Fatalf("second session compiled a fresh KKT context: creates %d -> %d", creates1, creates2)
 	}
-	if second.OPFReuses == first.OPFReuses {
+	if opfCheckouts(t, eng, "reuse") == reuses1 {
 		t.Fatal("second session never checked the pooled KKT context out")
 	}
-	if second.BasePFSolves != first.BasePFSolves {
-		t.Fatalf("second session re-solved the base power flow: %d -> %d",
-			first.BasePFSolves, second.BasePFSolves)
+	if solves2 := basePFSolves(); solves2 != solves1 {
+		t.Fatalf("second session re-solved the base power flow: %d -> %d", solves1, solves2)
 	}
 	// The pooled KKT context compiled exactly once across both sessions —
 	// the "zero symbolic/pattern work in session two" guarantee.
@@ -115,9 +128,9 @@ func TestSensitivitySweepReusesPooledKKT(t *testing.T) {
 		t.Fatalf("acopf: %v", err)
 	}
 	sess.SetACOPF(sol)
-	before := eng.Stats()
-	if before.OPFCreates != 1 {
-		t.Fatalf("base solve created %d KKT contexts, want 1", before.OPFCreates)
+	creates, reuses := opfCheckouts(t, eng, "create"), opfCheckouts(t, eng, "reuse")
+	if creates != 1 {
+		t.Fatalf("base solve created %d KKT contexts, want 1", creates)
 	}
 
 	tool := loadSensitivityTool(sess, eng)
@@ -133,12 +146,10 @@ func TestSensitivitySweepReusesPooledKKT(t *testing.T) {
 		t.Fatalf("sensitivity sweep did not solve all probes: %+v", out)
 	}
 
-	after := eng.Stats()
-	if after.OPFCreates != before.OPFCreates {
-		t.Fatalf("sensitivity sweep compiled a private KKT context: creates %d -> %d",
-			before.OPFCreates, after.OPFCreates)
+	if after := opfCheckouts(t, eng, "create"); after != creates {
+		t.Fatalf("sensitivity sweep compiled a private KKT context: creates %d -> %d", creates, after)
 	}
-	if after.OPFReuses == before.OPFReuses {
+	if opfCheckouts(t, eng, "reuse") == reuses {
 		t.Fatal("sensitivity sweep never checked the pooled KKT context out")
 	}
 	n, err := sess.Network()

@@ -42,14 +42,12 @@ var (
 	ErrOutputSchema = errors.New("tools: output validation failed")
 )
 
-// Registry holds tools and invocation statistics. It is safe for
-// concurrent use.
+// Registry holds tools. It is safe for concurrent use. Invocation,
+// error and latency counts are published on the obs registry bound by
+// Observe.
 type Registry struct {
 	mu    sync.Mutex
 	tools map[string]*Tool
-	// invocation counters per tool
-	calls            map[string]int
-	validationErrors int
 
 	// obs instruments, pre-registered per tool so Invoke's hot path only
 	// loads handles (nil maps when no registry is bound).
@@ -66,7 +64,7 @@ type toolMetrics struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{tools: map[string]*Tool{}, calls: map[string]int{}}
+	return &Registry{tools: map[string]*Tool{}}
 }
 
 // Observe binds the registry to an obs registry: every already-registered
@@ -175,7 +173,6 @@ func (r *Registry) Invoke(name string, args map[string]any) (any, error) {
 	}
 	normMap, _ := norm.(map[string]any)
 	if err := t.Input.Validate(normMap); err != nil {
-		r.countValidationError()
 		return fail(fmt.Errorf("%w: %s: %v", ErrInputSchema, name, err))
 	}
 	out, err := t.Fn(normMap)
@@ -184,28 +181,7 @@ func (r *Registry) Invoke(name string, args map[string]any) (any, error) {
 	}
 	validated, err := t.Output.ValidateValue(out)
 	if err != nil {
-		r.countValidationError()
 		return fail(fmt.Errorf("%w: %s: %v", ErrOutputSchema, name, err))
 	}
-	r.mu.Lock()
-	r.calls[name]++
-	r.mu.Unlock()
 	return validated, nil
-}
-
-func (r *Registry) countValidationError() {
-	r.mu.Lock()
-	r.validationErrors++
-	r.mu.Unlock()
-}
-
-// Stats reports per-tool call counts and cumulative validation errors.
-func (r *Registry) Stats() (calls map[string]int, validationErrors int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	calls = make(map[string]int, len(r.calls))
-	for k, v := range r.calls {
-		calls[k] = v
-	}
-	return calls, r.validationErrors
 }

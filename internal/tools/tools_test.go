@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridmind/internal/engine"
+	"gridmind/internal/obs"
 	"gridmind/internal/schema"
 	"gridmind/internal/session"
 )
@@ -37,8 +38,20 @@ func TestRegistryRegisterRules(t *testing.T) {
 	}
 }
 
+// count reads one tool counter off met. A series that is not registered
+// fails the test instead of reading as 0.
+func count(t *testing.T, met *obs.Registry, name string, labels ...string) int64 {
+	t.Helper()
+	v, ok := met.Value(name, labels...)
+	if !ok {
+		t.Fatalf("no metric series %s%v", name, labels)
+	}
+	return int64(v)
+}
+
 func TestInvokeValidatesInput(t *testing.T) {
-	r := NewRegistry()
+	met := obs.NewRegistry()
+	r := NewRegistry().Observe(met)
 	_ = r.Register(&Tool{
 		Name: "add", Description: "",
 		Input: schema.Obj("", map[string]*schema.Schema{
@@ -70,9 +83,13 @@ func TestInvokeValidatesInput(t *testing.T) {
 	if _, err := r.Invoke("nope", nil); !errors.Is(err, ErrUnknownTool) {
 		t.Fatalf("err = %v", err)
 	}
-	_, vErrs := r.Stats()
-	if vErrs != 2 {
+	// add's Fn never fails, so every counted error is a validation error;
+	// the unknown tool has no series to count on.
+	if vErrs := count(t, met, "gridmind_tool_errors_total", "tool", "add"); vErrs != 2 {
 		t.Fatalf("validation errors %d, want 2", vErrs)
+	}
+	if calls := count(t, met, "gridmind_tool_invocations_total", "tool", "add"); calls != 3 {
+		t.Fatalf("invocations %d, want 3", calls)
 	}
 }
 
@@ -325,11 +342,15 @@ func TestAnalyzeOutageErrors(t *testing.T) {
 }
 
 func TestToolCallStats(t *testing.T) {
-	r := NewGridMind(newSession(t), engine.New())
+	met := obs.NewRegistry()
+	r := NewGridMind(newSession(t), engine.New()).Observe(met)
 	_, _ = r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"})
 	_, _ = r.Invoke(ToolNetworkStatus, nil)
-	calls, _ := r.Stats()
-	if calls[ToolSolveACOPF] != 1 || calls[ToolNetworkStatus] != 1 {
-		t.Fatalf("calls = %v", calls)
+	for _, name := range []string{ToolSolveACOPF, ToolNetworkStatus} {
+		calls := count(t, met, "gridmind_tool_invocations_total", "tool", name)
+		errs := count(t, met, "gridmind_tool_errors_total", "tool", name)
+		if calls != 1 || errs != 0 {
+			t.Fatalf("%s: invocations/errors = %d/%d, want 1/0", name, calls, errs)
+		}
 	}
 }

@@ -166,15 +166,15 @@ func (a *acopf) eval(x []float64) *nlpEval {
 	es.accumulateLoads(a)
 	cos, sin := es.trig(a, va)
 
-	// Objective: generation cost in $/h over MW dispatch. Grad is only
-	// ever nonzero at Pg positions; every other entry was zeroed at
-	// layout time and is never written.
+	// Objective: generation cost in $/h over MW dispatch, times
+	// costScale. Grad is only ever nonzero at Pg positions; every other
+	// entry was zeroed at layout time and is never written.
 	ev.F = 0
 	for p, gi := range a.gens {
 		g := a.net.Gens[gi]
 		pmw := x[a.ixPg(p)] * base
-		ev.F += g.Cost.At(pmw)
-		ev.Grad[a.ixPg(p)] = g.Cost.Marginal(pmw) * base
+		ev.F += g.Cost.At(pmw) * costScale
+		ev.Grad[a.ixPg(p)] = g.Cost.Marginal(pmw) * base * costScale
 	}
 
 	// Nodal balance: g_P[i] = P_i(V) − ΣPg + Pd ; g_Q analogous. Row
@@ -289,10 +289,10 @@ func (a *acopf) hessian(x, lam, mu []float64, sink *kktSink) {
 	es := a.scratch()
 	cos, sin := es.trig(a, va)
 
-	// Objective: 2·c2·base² on the Pg diagonal.
+	// Objective: 2·c2·base²·costScale on the Pg diagonal.
 	for p, gi := range a.gens {
 		c2 := a.net.Gens[gi].Cost.C2
-		sink.emit(a.ixPg(p), a.ixPg(p), 2*c2*base*base)
+		sink.emit(a.ixPg(p), a.ixPg(p), 2*c2*base*base*costScale)
 	}
 
 	// Equality part: weighted second derivatives of nodal injections.

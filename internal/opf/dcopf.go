@@ -118,8 +118,8 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 		for p, gi := range gens {
 			g := n.Gens[gi]
 			pmw := x[ixPg(p)] * base
-			ev.F += g.Cost.At(pmw)
-			ev.Grad[ixPg(p)] = g.Cost.Marginal(pmw) * base
+			ev.F += g.Cost.At(pmw) * costScale
+			ev.Grad[ixPg(p)] = g.Cost.Marginal(pmw) * base * costScale
 		}
 		for i := 0; i < nb; i++ {
 			// The balance row already carries both the θ and the −Pg
@@ -146,7 +146,7 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 	}
 	hess := func(x, lam, mu []float64, sink *kktSink) {
 		for p, gi := range gens {
-			sink.emit(ixPg(p), ixPg(p), 2*n.Gens[gi].Cost.C2*base*base)
+			sink.emit(ixPg(p), ixPg(p), 2*n.Gens[gi].Cost.C2*base*base*costScale)
 		}
 		// Keep θ diagonal structurally nonzero: the DC objective has no
 		// curvature there, curvature comes only via constraints.
@@ -181,7 +181,7 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 		Solved:             res.Converged,
 		Method:             MethodDCOPF,
 		Iterations:         res.Iterations,
-		ObjectiveCost:      res.F,
+		ObjectiveCost:      res.F / costScale,
 		ConvergenceMessage: res.Message,
 		GenP:               make([]float64, len(n.Gens)),
 		GenQ:               make([]float64, len(n.Gens)),
@@ -199,7 +199,7 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 			sol.GenP[gi] = res.X[ixPg(p)] * base
 		}
 		for i := 0; i < nb; i++ {
-			sol.LMP[i] = res.Lam[i] / base
+			sol.LMP[i] = res.Lam[i] / (base * costScale)
 		}
 		// DC flow tail rides the shared record conversion: the lossless
 		// linear flows become per-end complex flows (+pf, −pf) and the

@@ -116,6 +116,17 @@ func costProgress(f, fOld float64) float64 {
 	return math.Abs(f-fOld) / (1 + math.Abs(fOld))
 }
 
+// costScale multiplies every objective term a formulation hands to
+// solveIPM: value, gradient and Hessian. It is MIPS's and PIPS's cost_mult,
+// which MATPOWER's mipsopf_solver and PYPOWER's pipsopf_solver set to
+// 1e-4. It keeps the objective's magnitude near that of the constraint
+// residuals, so the multipliers, seeded at μ = z = 1, need fewer iterates
+// to settle. The F,
+// λ and μ that solveIPM returns are scaled by the same factor; the
+// solution extractors divide ObjectiveCost and the LMPs by it, so every
+// public field stays in $/h and $/MWh.
+const costScale = 1e-4
+
 // solveIPM runs the MIPS-style primal-dual interior-point method
 // (Wang, Murillo-Sánchez, Zimmerman & Thomas): slack variables z>0 turn
 // h(x)≤0 into h(x)+z=0, a log barrier with parameter γ enforces z>0, and

@@ -43,7 +43,7 @@ func TestIPMFixedPatternMatchesReference(t *testing.T) {
 		// fill-reducing orderings (LDLᵀ on the constraint-aware supernode
 		// order vs LU on the reference's RCM), so elimination roundoff
 		// diverges by a few ulps per iteration and compounds over the
-		// 25-70 IPM steps; 1e-8 relative still pins the
+		// 10-19 IPM steps; 1e-8 relative still pins the
 		// pipelines to far tighter agreement than the 1e-6 convergence
 		// tolerance while leaving room for ordering-dependent noise.
 		if rel := math.Abs(fixed.ObjectiveCost-ref.ObjectiveCost) / ref.ObjectiveCost; rel > 1e-8 {
@@ -455,7 +455,7 @@ func TestKKTFactorKeepsOrdering(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		iters int
-	}{{"case57", 38}, {"case118", 70}, {"case300", 55}} {
+	}{{"case57", 14}, {"case118", 18}, {"case300", 19}} {
 		ctx := NewContext()
 		sol, err := SolveACOPF(cases.MustLoad(c.name), Options{Context: ctx})
 		if err != nil {

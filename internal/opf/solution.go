@@ -139,7 +139,7 @@ func extractSolution(a *acopf, res *ipmResult) *Solution {
 		Solved:             res.Converged,
 		Method:             MethodIPM,
 		Iterations:         res.Iterations,
-		ObjectiveCost:      res.F,
+		ObjectiveCost:      res.F / costScale,
 		ConvergenceMessage: res.Message,
 		GenP:               make([]float64, len(n.Gens)),
 		GenQ:               make([]float64, len(n.Gens)),
@@ -158,9 +158,9 @@ func extractSolution(a *acopf, res *ipmResult) *Solution {
 	}
 	for i := 0; i < nb; i++ {
 		// With g_i = P_i(V) − Pg_i + Pd_i, the multiplier equals the
-		// marginal cost of serving load at bus i: λ is $/h per p.u., so
-		// divide by base for $/MWh.
-		sol.LMP[i] = res.Lam[i] / base
+		// marginal cost of serving load at bus i: λ is costScale·$/h per
+		// p.u., so divide by base·costScale for $/MWh.
+		sol.LMP[i] = res.Lam[i] / (base * costScale)
 	}
 
 	v := model.VoltageVector(vm, va)

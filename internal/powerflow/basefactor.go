@@ -297,9 +297,10 @@ func (b *baseFactor) solve(st *fixedState) error {
 	if m == 0 {
 		return nil
 	}
+	dx := st.dx[:dim]
 	var t, u [maxBaseRank]float64
 	for r := 0; r < m; r++ {
-		t[r] = st.dx[b.idx[r]]
+		t[r] = dx[b.idx[r]]
 	}
 	for r := 0; r < m; r++ {
 		var s float64
@@ -313,9 +314,9 @@ func (b *baseFactor) solve(st *fixedState) error {
 		if u[c] == 0 {
 			continue
 		}
-		col := b.w[c*dim : (c+1)*dim]
+		uc, col := u[c], b.w[c*dim:][:len(dx)]
 		for i, wi := range col {
-			st.dx[i] -= u[c] * wi
+			dx[i] -= uc * wi
 		}
 	}
 	return nil

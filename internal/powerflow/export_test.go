@@ -54,3 +54,6 @@ func (s *ViewSolver) Census() FactorCensus {
 	t := s.st.tally
 	return FactorCensus{t.roundStarts, t.baseStarts, t.fallbacks, t.stalls, t.baseBuilds, t.oneOffs, t.repivots}
 }
+
+// InjectionsInto exposes injectionsInto to the external tests.
+var InjectionsInto = injectionsInto

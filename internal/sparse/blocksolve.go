@@ -22,50 +22,55 @@ func (f *LU) SolveBlockInto(dst, b, work []float64, nrhs int) error {
 		return fmt.Errorf("sparse: SolveBlockInto buffer lengths (%d,%d,%d), want %d", len(dst), len(b), len(work), n*nrhs)
 	}
 	y := work
+	lp, li, lx := f.lp, f.li, f.lx
+	up, ui, ux := f.up, f.ui, f.ux
 	for r := 0; r < nrhs; r++ {
-		o := r * n
-		for i := 0; i < n; i++ {
-			y[o+f.pinv[i]] = b[o+i]
+		yr, br := y[r*n:(r+1)*n], b[r*n:(r+1)*n]
+		for i, pi := range f.pinv {
+			yr[pi] = br[i]
 		}
 	}
 	// Forward substitution L·Z = P·B: each L column is loaded once and
 	// applied to every right-hand side.
 	for j := 0; j < n; j++ {
-		lo, hi := f.lp[j]+1, f.lp[j+1]
+		rows, vals := li[lp[j]+1:lp[j+1]], lx[lp[j]+1:lp[j+1]]
+		vals = vals[:len(rows)]
 		for r := 0; r < nrhs; r++ {
-			o := r * n
-			yj := y[o+j]
+			yr := y[r*n : (r+1)*n]
+			yj := yr[j]
 			if yj == 0 {
 				continue
 			}
-			for p := lo; p < hi; p++ {
-				y[o+f.li[p]] -= f.lx[p] * yj
+			for p, i := range rows {
+				yr[i] -= vals[p] * yj
 			}
 		}
 	}
 	// Back substitution U·W = Z.
 	for j := n - 1; j >= 0; j-- {
-		d := f.ux[f.up[j+1]-1]
+		diag := up[j+1] - 1
+		d := ux[diag]
 		if d == 0 {
 			return ErrSingular
 		}
-		lo, hi := f.up[j], f.up[j+1]-1
+		rows, vals := ui[up[j]:diag], ux[up[j]:diag]
+		vals = vals[:len(rows)]
 		for r := 0; r < nrhs; r++ {
-			o := r * n
-			y[o+j] /= d
-			yj := y[o+j]
+			yr := y[r*n : (r+1)*n]
+			yr[j] /= d
+			yj := yr[j]
 			if yj == 0 {
 				continue
 			}
-			for p := lo; p < hi; p++ {
-				y[o+f.ui[p]] -= f.ux[p] * yj
+			for p, i := range rows {
+				yr[i] -= vals[p] * yj
 			}
 		}
 	}
 	for r := 0; r < nrhs; r++ {
-		o := r * n
-		for k := 0; k < n; k++ {
-			dst[o+f.q[k]] = y[o+k]
+		yr, dr := y[r*n:(r+1)*n], dst[r*n:(r+1)*n]
+		for k, qk := range f.q {
+			dr[qk] = yr[k]
 		}
 	}
 	return nil

@@ -34,20 +34,28 @@ func (f *LU) Refactorize(a *CSC) error {
 		return fmt.Errorf("%w: no factorization to refactorize after a failed Repivot", ErrSingular)
 	}
 	x := f.rw
+	q, pinv := f.q, f.pinv
+	colPtr, rowIdx, aval := a.colPtr, a.rowIdx, a.val
+	up, ui, ux := f.up, f.ui, f.ux
+	lp, li, lx := f.lp, f.li, f.lx
 	for k := 0; k < n; k++ {
-		col := f.q[k]
+		col := q[k]
 		// Scatter A(:, col) into pivot-order positions. Every structural
 		// entry of a lies inside the factorized pattern by precondition.
-		for p := a.colPtr[col]; p < a.colPtr[col+1]; p++ {
-			x[f.pinv[a.rowIdx[p]]] = a.val[p]
+		arows, avals := rowIdx[colPtr[col]:colPtr[col+1]], aval[colPtr[col]:colPtr[col+1]]
+		avals = avals[:len(arows)]
+		for p, i := range arows {
+			x[pinv[i]] = avals[p]
 		}
 		// Eliminate along the stored U pattern. The off-diagonal entries of
 		// U column k were appended in topological order during Factorize,
 		// so replaying them in storage order respects dependencies.
-		for p := f.up[k]; p < f.up[k+1]-1; p++ {
-			j := f.ui[p]
+		diag := up[k+1] - 1
+		urows, uvals := ui[up[k]:diag], ux[up[k]:diag]
+		uvals = uvals[:len(urows)]
+		for p, j := range urows {
 			xj := x[j]
-			f.ux[p] = xj
+			uvals[p] = xj
 			x[j] = 0
 			if xj == 0 {
 				// Exactly-zero entries propagate nothing. Patterns that
@@ -56,15 +64,19 @@ func (f *LU) Refactorize(a *CSC) error {
 				// their whole update here.
 				continue
 			}
-			for p2 := f.lp[j] + 1; p2 < f.lp[j+1]; p2++ {
-				x[f.li[p2]] -= f.lx[p2] * xj
+			rows, vals := li[lp[j]+1:lp[j+1]], lx[lp[j]+1:lp[j+1]]
+			vals = vals[:len(rows)]
+			for p2, i := range rows {
+				x[i] -= vals[p2] * xj
 			}
 		}
 		pivot := x[k]
 		x[k] = 0
 		amax := math.Abs(pivot)
-		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
-			if av := math.Abs(x[f.li[p]]); av > amax {
+		rows, vals := li[lp[k]+1:lp[k+1]], lx[lp[k]+1:lp[k+1]]
+		vals = vals[:len(rows)]
+		for _, i := range rows {
+			if av := math.Abs(x[i]); av > amax {
 				amax = av
 			}
 		}
@@ -73,15 +85,14 @@ func (f *LU) Refactorize(a *CSC) error {
 			// would blow up the factors. Clear the remaining pattern
 			// before bailing so the workspace stays zeroed for a future
 			// attempt.
-			for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
-				x[f.li[p]] = 0
+			for _, i := range rows {
+				x[i] = 0
 			}
 			return fmt.Errorf("%w: unstable pivot in column %d during refactorization", ErrSingular, col)
 		}
-		f.ux[f.up[k+1]-1] = pivot
-		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
-			i := f.li[p]
-			f.lx[p] = x[i] / pivot
+		ux[diag] = pivot
+		for p, i := range rows {
+			vals[p] = x[i] / pivot
 			x[i] = 0
 		}
 	}
@@ -98,8 +109,10 @@ func (f *LU) SolveInto(dst, b, work []float64) error {
 		return fmt.Errorf("sparse: SolveInto buffer lengths (%d,%d,%d), want %d", len(dst), len(b), len(work), n)
 	}
 	y := work
-	for i := 0; i < n; i++ {
-		y[f.pinv[i]] = b[i]
+	lp, li, lx := f.lp, f.li, f.lx
+	up, ui, ux := f.up, f.ui, f.ux
+	for i, pi := range f.pinv {
+		y[pi] = b[i]
 	}
 	// Forward substitution L·z = P·b (diagonal of L stored first, == 1).
 	for j := 0; j < n; j++ {
@@ -107,13 +120,16 @@ func (f *LU) SolveInto(dst, b, work []float64) error {
 		if yj == 0 {
 			continue
 		}
-		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
-			y[f.li[p]] -= f.lx[p] * yj
+		rows, vals := li[lp[j]+1:lp[j+1]], lx[lp[j]+1:lp[j+1]]
+		vals = vals[:len(rows)]
+		for p, i := range rows {
+			y[i] -= vals[p] * yj
 		}
 	}
 	// Back substitution U·w = z (diagonal of U stored last in each column).
 	for j := n - 1; j >= 0; j-- {
-		d := f.ux[f.up[j+1]-1]
+		diag := up[j+1] - 1
+		d := ux[diag]
 		if d == 0 {
 			return ErrSingular
 		}
@@ -122,13 +138,15 @@ func (f *LU) SolveInto(dst, b, work []float64) error {
 		if yj == 0 {
 			continue
 		}
-		for p := f.up[j]; p < f.up[j+1]-1; p++ {
-			y[f.ui[p]] -= f.ux[p] * yj
+		rows, vals := ui[up[j]:diag], ux[up[j]:diag]
+		vals = vals[:len(rows)]
+		for p, i := range rows {
+			y[i] -= vals[p] * yj
 		}
 	}
 	// Undo the column pre-order.
-	for k := 0; k < n; k++ {
-		dst[f.q[k]] = y[k]
+	for k, qk := range f.q {
+		dst[qk] = y[k]
 	}
 	return nil
 }

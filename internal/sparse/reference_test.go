@@ -1,0 +1,336 @@
+package sparse
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// The LU kernels as they were written before their per-entry loops moved
+// to subslices: index arithmetic on the factor arrays for every entry.
+// They are the bitwise references of TestLUKernelsMatchReference, so
+// every operation and its order here is the contract the production
+// kernels keep.
+
+// refactorizeRef is the reference body of LU.Refactorize.
+func refactorizeRef(f *LU, a *CSC) error {
+	n := f.n
+	if a.rows != n || a.cols != n {
+		return fmt.Errorf("sparse: Refactorize matrix is %dx%d, factorization is %dx%d", a.rows, a.cols, n, n)
+	}
+	if f.failed {
+		return fmt.Errorf("%w: no factorization to refactorize after a failed Repivot", ErrSingular)
+	}
+	x := f.rw
+	for k := 0; k < n; k++ {
+		col := f.q[k]
+		for p := a.colPtr[col]; p < a.colPtr[col+1]; p++ {
+			x[f.pinv[a.rowIdx[p]]] = a.val[p]
+		}
+		for p := f.up[k]; p < f.up[k+1]-1; p++ {
+			j := f.ui[p]
+			xj := x[j]
+			f.ux[p] = xj
+			x[j] = 0
+			if xj == 0 {
+				continue
+			}
+			for p2 := f.lp[j] + 1; p2 < f.lp[j+1]; p2++ {
+				x[f.li[p2]] -= f.lx[p2] * xj
+			}
+		}
+		pivot := x[k]
+		x[k] = 0
+		amax := math.Abs(pivot)
+		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
+			if av := math.Abs(x[f.li[p]]); av > amax {
+				amax = av
+			}
+		}
+		if pivot == 0 || math.Abs(pivot) < refactorPivotTol*amax {
+			for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
+				x[f.li[p]] = 0
+			}
+			return fmt.Errorf("%w: unstable pivot in column %d during refactorization", ErrSingular, col)
+		}
+		f.ux[f.up[k+1]-1] = pivot
+		for p := f.lp[k] + 1; p < f.lp[k+1]; p++ {
+			i := f.li[p]
+			f.lx[p] = x[i] / pivot
+			x[i] = 0
+		}
+	}
+	return nil
+}
+
+// solveRef is the reference body of LU.SolveInto.
+func solveRef(f *LU, dst, b, work []float64) error {
+	n := f.n
+	if len(b) != n || len(dst) != n || len(work) != n {
+		return fmt.Errorf("sparse: SolveInto buffer lengths (%d,%d,%d), want %d", len(dst), len(b), len(work), n)
+	}
+	y := work
+	for i := 0; i < n; i++ {
+		y[f.pinv[i]] = b[i]
+	}
+	for j := 0; j < n; j++ {
+		yj := y[j]
+		if yj == 0 {
+			continue
+		}
+		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
+			y[f.li[p]] -= f.lx[p] * yj
+		}
+	}
+	for j := n - 1; j >= 0; j-- {
+		d := f.ux[f.up[j+1]-1]
+		if d == 0 {
+			return ErrSingular
+		}
+		y[j] /= d
+		yj := y[j]
+		if yj == 0 {
+			continue
+		}
+		for p := f.up[j]; p < f.up[j+1]-1; p++ {
+			y[f.ui[p]] -= f.ux[p] * yj
+		}
+	}
+	for k := 0; k < n; k++ {
+		dst[f.q[k]] = y[k]
+	}
+	return nil
+}
+
+// solveBlockRef is the reference body of LU.SolveBlockInto.
+func solveBlockRef(f *LU, dst, b, work []float64, nrhs int) error {
+	n := f.n
+	if nrhs < 0 {
+		return fmt.Errorf("sparse: SolveBlockInto nrhs %d", nrhs)
+	}
+	if len(b) != n*nrhs || len(dst) != n*nrhs || len(work) != n*nrhs {
+		return fmt.Errorf("sparse: SolveBlockInto buffer lengths (%d,%d,%d), want %d", len(dst), len(b), len(work), n*nrhs)
+	}
+	y := work
+	for r := 0; r < nrhs; r++ {
+		o := r * n
+		for i := 0; i < n; i++ {
+			y[o+f.pinv[i]] = b[o+i]
+		}
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := f.lp[j]+1, f.lp[j+1]
+		for r := 0; r < nrhs; r++ {
+			o := r * n
+			yj := y[o+j]
+			if yj == 0 {
+				continue
+			}
+			for p := lo; p < hi; p++ {
+				y[o+f.li[p]] -= f.lx[p] * yj
+			}
+		}
+	}
+	for j := n - 1; j >= 0; j-- {
+		d := f.ux[f.up[j+1]-1]
+		if d == 0 {
+			return ErrSingular
+		}
+		lo, hi := f.up[j], f.up[j+1]-1
+		for r := 0; r < nrhs; r++ {
+			o := r * n
+			y[o+j] /= d
+			yj := y[o+j]
+			if yj == 0 {
+				continue
+			}
+			for p := lo; p < hi; p++ {
+				y[o+f.ui[p]] -= f.ux[p] * yj
+			}
+		}
+	}
+	for r := 0; r < nrhs; r++ {
+		o := r * n
+		for k := 0; k < n; k++ {
+			dst[o+f.q[k]] = y[o+k]
+		}
+	}
+	return nil
+}
+
+// sameBits fails unless got and want hold the same float64 bit patterns.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// sameFactorBits fails unless got and want hold bit-identical L and U
+// values and got's workspace is zero again.
+func sameFactorBits(t *testing.T, what string, got, want *LU) {
+	t.Helper()
+	sameBits(t, what+" L", got.lx, want.lx)
+	sameBits(t, what+" U", got.ux, want.ux)
+	for i, v := range got.rw {
+		if v != 0 {
+			t.Fatalf("%s: workspace[%d] = %v after Refactorize, want 0", what, i, v)
+		}
+	}
+}
+
+// zeroSomeValues writes exact zeros into about a fifth of a's stored
+// entries, never on the diagonal, so the refactorization meets structural
+// zeros and skips their updates.
+func zeroSomeValues(rng *rand.Rand, a *CSC) {
+	for j := 0; j < a.cols; j++ {
+		for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
+			if a.rowIdx[p] != j && rng.Float64() < 0.2 {
+				a.val[p] = 0
+			}
+		}
+	}
+}
+
+// sparseRHS returns a right-hand side of length n with about a third of
+// its entries exactly zero, so the triangular solves skip columns.
+func sparseRHS(rng *rand.Rand, n int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		if rng.Float64() < 0.67 {
+			b[i] = rng.NormFloat64()
+		}
+	}
+	return b
+}
+
+// TestLUKernelsMatchReference pins Refactorize, SolveInto and
+// SolveBlockInto bit for bit to the reference bodies above: on random
+// unsymmetric patterns with structural zeros and sparse right-hand sides,
+// through a frozen-pivot ErrSingular bail-out (after which the workspace
+// must be zero again, so the next Refactorize still matches), and for
+// block solves of 1–8 right-hand sides against per-column solves.
+func TestLUKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{1, 5, 30, 120} {
+		for _, density := range []float64{0.02, 0.1, 0.3} {
+			what := fmt.Sprintf("n=%d density=%v", n, density)
+			a := randomSolvable(rng, n, density)
+			got, err := Factorize(a, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want := got.Clone()
+			for round := 0; round < 4; round++ {
+				for i := range a.val {
+					a.val[i] *= 1 + 0.3*rng.NormFloat64()
+				}
+				zeroSomeValues(rng, a)
+				errGot, errWant := got.Refactorize(a), refactorizeRef(want, a)
+				if (errGot == nil) != (errWant == nil) {
+					t.Fatalf("%s round %d: Refactorize %v, reference %v", what, round, errGot, errWant)
+				}
+				sameFactorBits(t, what, got, want)
+				if errGot != nil {
+					// Both bailed at the same pivot; re-pivot both the same way.
+					if err := got.Repivot(a); err != nil {
+						t.Fatal(err)
+					}
+					if err := want.Repivot(a); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				b := sparseRHS(rng, n)
+				x, xRef := make([]float64, n), make([]float64, n)
+				if err := got.SolveInto(x, b, make([]float64, n)); err != nil {
+					t.Fatal(err)
+				}
+				if err := solveRef(want, xRef, b, make([]float64, n)); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, what+" solve", x, xRef)
+			}
+		}
+	}
+
+	// A frozen pivot that shrinks relative to its column bails out of
+	// both kernels at the same column; the workspace must come back
+	// zeroed, so the Refactorize that follows on good values still
+	// matches the reference.
+	for _, density := range []float64{0.05, 0.3} {
+		what := fmt.Sprintf("bail-out density=%v", density)
+		a := randomSolvable(rng, 60, density)
+		got, err := Factorize(a, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := got.Clone()
+		good := slices.Clone(a.val)
+		for j := 0; j < a.cols; j++ {
+			for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
+				if a.rowIdx[p] == j && j >= a.cols/2 {
+					a.val[p] *= 1e-9
+				}
+			}
+		}
+		errGot, errWant := got.Refactorize(a), refactorizeRef(want, a)
+		if !errors.Is(errGot, ErrSingular) || !errors.Is(errWant, ErrSingular) || errGot.Error() != errWant.Error() {
+			t.Fatalf("%s: Refactorize %v, reference %v; want the same ErrSingular", what, errGot, errWant)
+		}
+		sameFactorBits(t, what, got, want)
+		copy(a.val, good)
+		if err := got.Refactorize(a); err != nil {
+			t.Fatalf("%s: Refactorize after bail-out: %v", what, err)
+		}
+		if err := refactorizeRef(want, a); err != nil {
+			t.Fatal(err)
+		}
+		sameFactorBits(t, what+" after bail-out", got, want)
+	}
+
+	// SolveBlockInto at 1–8 right-hand sides must equal per-column
+	// SolveInto (and the block reference) bit for bit, including columns
+	// that are entirely zero.
+	a := randomSolvable(rng, 80, 0.06)
+	lu, err := Factorize(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 80
+	for nrhs := 1; nrhs <= 8; nrhs++ {
+		what := fmt.Sprintf("nrhs=%d", nrhs)
+		b := make([]float64, 0, n*nrhs)
+		for r := 0; r < nrhs; r++ {
+			if r == 2 {
+				b = append(b, make([]float64, n)...)
+				continue
+			}
+			b = append(b, sparseRHS(rng, n)...)
+		}
+		x, xRef := make([]float64, n*nrhs), make([]float64, n*nrhs)
+		if err := lu.SolveBlockInto(x, b, make([]float64, n*nrhs), nrhs); err != nil {
+			t.Fatal(err)
+		}
+		if err := solveBlockRef(lu, xRef, b, make([]float64, n*nrhs), nrhs); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, what+" block", x, xRef)
+		col := make([]float64, n)
+		for r := 0; r < nrhs; r++ {
+			if err := lu.SolveInto(col, b[r*n:(r+1)*n], make([]float64, n)); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("%s column %d", what, r), x[r*n:(r+1)*n], col)
+		}
+	}
+}

@@ -201,7 +201,9 @@ type Options struct {
 	Salt int64
 	// RealLatency makes simulated backend latency elapse on the wall
 	// clock (off by default: latency is tracked on a virtual clock and
-	// reported, not slept).
+	// reported, not slept). Only the simulated LLM latency is slept;
+	// solver time has already elapsed on the wall clock and is not slept
+	// again.
 	RealLatency bool
 	// Engine, when non-nil, is the shared compiled-artifact store this
 	// session draws from; nil selects the process-wide default engine.
@@ -210,7 +212,8 @@ type Options struct {
 	// precedence over Model and Endpoint. This is how a session rides a
 	// resilient multi-deployment Gateway (see NewGateway) or any custom
 	// backend. Latency is recorded as reported by the client; the session
-	// clock stays real.
+	// clock stays real, so a turn's latency is its wall time and nothing
+	// is slept for the client or the tools.
 	Client Client
 	// Metrics, when non-nil, is the observability registry the session's
 	// tool layer and per-agent instrumentation publish on; nil selects the
@@ -257,7 +260,9 @@ func New(o Options) *GridMind {
 	absorb := false
 	// Only the plain in-process simulated backend runs on a virtual clock;
 	// remote endpoints and injected clients (gateways may mix real and
-	// simulated deployments) keep real time.
+	// simulated deployments) keep real time. Simulated latency is slept on
+	// whichever clock the session has; compute that already elapsed (the
+	// tools' solver time) is charged only to the virtual one.
 	if o.Client == nil && o.Endpoint == "" && !o.RealLatency {
 		clock = simclock.NewSim(time.Now())
 		absorb = true

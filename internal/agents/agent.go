@@ -66,12 +66,22 @@ type Agent struct {
 	Recorder  *metrics.Recorder
 	// MaxRounds bounds the reason-act loop (default 8).
 	MaxRounds int
-	// AbsorbLatency advances Clock by each response's Latency. Enable for
-	// simulated backends (their latency is virtual); disable for live
-	// HTTP backends whose latency has already elapsed in real time.
+	// AbsorbLatency sleeps each response's Latency on Clock, whichever
+	// clock it is. Enable for simulated backends, whose latency is never
+	// spent in compute; disable for live HTTP backends, whose latency has
+	// already elapsed in real time. Solver time is not governed by this
+	// flag: it already elapsed too, so Run charges it to Clock only when
+	// Clock is virtual (see advancer).
 	AbsorbLatency bool
 	// Salt feeds the simulated backends' seeded randomness (run index).
 	Salt int64
+}
+
+// advancer is a virtual clock, one whose time passes only when it is
+// told to (simclock.Sim). Compute that already elapsed on the wall clock
+// is charged to such a clock and to no other.
+type advancer interface {
+	Advance(d time.Duration)
 }
 
 // errTooManyRounds guards against planning loops.
@@ -94,6 +104,7 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 		{Role: llm.RoleUser, Content: query},
 	}
 	started := clock.Now()
+	virtual, _ := clock.(advancer)
 
 	var toolData []map[string]any // successful structured results this turn
 	for round := 0; round < maxRounds; round++ {
@@ -125,7 +136,11 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 			t0 := time.Now()
 			result, err := a.Registry.Invoke(tc.Name, tc.Args)
 			step.ToolLat = time.Since(t0)
-			clock.Sleep(step.ToolLat) // solver time elapses on the session clock
+			if virtual != nil {
+				// Solver time has already passed on the wall clock; a
+				// virtual session clock has to be told.
+				virtual.Advance(step.ToolLat)
+			}
 			turn.ToolCalls++
 			var content string
 			if err != nil {

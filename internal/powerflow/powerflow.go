@@ -237,8 +237,9 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 	}
 }
 
-// qSwitchScratch holds the injection-evaluation buffers of switchPVtoPQ so
-// repeated Q-limit rounds (and view-solver sweeps) allocate nothing.
+// qSwitchScratch holds the injection-evaluation buffers of the Q-limit
+// check after a fast-decoupled round, so repeated Q-limit rounds (and
+// view-solver sweeps) allocate nothing.
 type qSwitchScratch struct {
 	p, q, cs, sn []float64
 }
@@ -253,14 +254,14 @@ func newQSwitchScratch(nb int) *qSwitchScratch {
 }
 
 // switchPVtoPQ checks reactive outputs at PV buses against aggregate
-// capability; violated buses become PQ pinned at the limit. Reports
-// whether any switch happened.
-func switchPVtoPQ(y *model.Ybus, c *classification, vm, va []float64, sc *qSwitchScratch) bool {
-	injectionsInto(y, vm, va, sc.cs, sc.sn, sc.p, sc.q)
+// capability; violated buses become PQ pinned at the limit. q holds the
+// reactive injections at the converged state. Reports whether any switch
+// happened.
+func switchPVtoPQ(c *classification, q []float64) bool {
 	switched := false
 	kept := c.pv[:0]
 	for _, i := range c.pv {
-		qInj := sc.q[i]           // net injection needed at solution
+		qInj := q[i]              // net injection needed at solution
 		qGen := qInj - c.qSpec[i] // generator share (qSpec holds −load)
 		switch {
 		case qGen > c.qMaxBus[i]+1e-9:

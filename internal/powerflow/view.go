@@ -192,7 +192,15 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 		if !opts.EnforceQLimits || round >= maxQRounds {
 			break
 		}
-		if !switchPVtoPQ(s.y, &c, vm, va, s.qsc) {
+		// A converged Newton round evaluated the injections at this very
+		// state last, into s.st.q; the fast-decoupled round keeps its
+		// own, so its check evaluates them again.
+		q := s.st.q
+		if opts.Algorithm == FastDecoupled || s.st.dim == 0 {
+			injectionsInto(s.y, vm, va, s.qsc.cs, s.qsc.sn, s.qsc.p, s.qsc.q)
+			q = s.qsc.q
+		}
+		if !switchPVtoPQ(&c, q) {
 			break
 		}
 	}

@@ -166,7 +166,7 @@ func BenchmarkACOPFCase300(b *testing.B) { benchACOPF(b, "case300") }
 // log (the serving-path state reconstruction workload).
 func benchSession(b *testing.B) *session.Context {
 	b.Helper()
-	c := session.New(nil)
+	c := session.NewWithEngine(nil, nil)
 	if _, err := c.LoadCase("case57"); err != nil {
 		b.Fatal(err)
 	}

@@ -75,8 +75,8 @@ func buildNetwork(name string, baseMVA float64, buses []rawBus, gens []rawGen, b
 
 // Case14 returns the IEEE 14-bus test system with the standard MATPOWER
 // data: 14 buses, 5 generators, 11 loads, 17 AC lines and 3 transformers
-// (Table 2, row 1). The case ships without thermal ratings; use
-// EnsureRatings to derive them for contingency studies.
+// (Table 2, row 1). The case ships without thermal ratings, so its
+// branches report no loading percentage.
 func Case14() *model.Network {
 	buses := []rawBus{
 		{1, model.Slack, 0, 0, 0, 0, 1.060, 0, 1.06, 0.94, 0},

@@ -11,11 +11,8 @@ package cases
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"gridmind/internal/model"
-	"gridmind/internal/powerflow"
 )
 
 // Names lists the supported case names in complexity order.
@@ -93,50 +90,4 @@ func Summaries() ([]model.Summary, error) {
 		out = append(out, n.Summarize())
 	}
 	return out, nil
-}
-
-// EnsureRatings assigns thermal ratings to branches that have none, set to
-// headroom times the base-case AC flow (floored at minMVA). Cases from the
-// PSTCA archive often ship without ratings; contingency analysis needs
-// them to report loading percentages.
-func EnsureRatings(n *model.Network, headroom, minMVA float64) error {
-	if headroom <= 1 {
-		return fmt.Errorf("cases: headroom %v must exceed 1", headroom)
-	}
-	res, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
-	if err != nil {
-		return fmt.Errorf("cases: base power flow for ratings: %w", err)
-	}
-	for k := range n.Branches {
-		if n.Branches[k].RateMVA > 0 || !n.Branches[k].InService {
-			continue
-		}
-		f := res.Flows[k]
-		mva := math.Max(f.MVAFrom(), f.MVATo())
-		n.Branches[k].RateMVA = math.Max(headroom*mva, minMVA)
-	}
-	return nil
-}
-
-// busIndexByID builds internal indices from one-based external IDs,
-// failing loudly on gaps so embedded data errors cannot pass silently.
-func busIndexByID(n *model.Network) (map[int]int, error) {
-	m := make(map[int]int, len(n.Buses))
-	for i, b := range n.Buses {
-		if _, dup := m[b.ID]; dup {
-			return nil, fmt.Errorf("cases: duplicate bus id %d", b.ID)
-		}
-		m[b.ID] = i
-	}
-	return m, nil
-}
-
-// sortedBusIDs is a test helper shared by the embedded cases.
-func sortedBusIDs(n *model.Network) []int {
-	ids := make([]int, len(n.Buses))
-	for i, b := range n.Buses {
-		ids[i] = b.ID
-	}
-	sort.Ints(ids)
-	return ids
 }

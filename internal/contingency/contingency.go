@@ -124,33 +124,37 @@ type ResultSet struct {
 	BaseMinVoltagePU  float64 `json:"base_min_voltage_pu"`
 }
 
+// The paper's fixed violation thresholds (§3.2.3): a bus voltage outside
+// [voltLow, voltHigh] p.u. or a branch loaded above overloadPct percent of
+// its rating is a violation.
+const (
+	voltLow     = 0.94
+	voltHigh    = 1.06
+	overloadPct = 100.0
+)
+
+// screenThreshold is the DC screen's predicted-loading percentage below
+// which a screened outage is accepted as secure: a conservative margin
+// under the overloadPct violation threshold.
+const screenThreshold = 85.0
+
 // Options configures a sweep. The zero value analyzes all in-service
 // branches with NumCPU workers, warm-started Newton power flows and the
-// paper's 0.94 p.u. voltage threshold.
+// paper's 0.94/1.06 p.u. voltage and 100 % loading thresholds.
 type Options struct {
 	// Workers bounds sweep parallelism; 0 selects GOMAXPROCS.
 	Workers int
 	// Branches restricts the outage set; nil means every in-service
 	// branch.
 	Branches []int
-	// VoltLow/VoltHigh are violation thresholds; zero selects 0.94/1.06
-	// (the paper's §3.2.3 thresholds).
-	VoltLow, VoltHigh float64
-	// OverloadPct is the loading threshold counted as an overload; zero
-	// selects 100.
-	OverloadPct float64
 	// NoWarmStart disables warm starting from the base solution (the A4
 	// ablation).
 	NoWarmStart bool
 	// DCScreen enables linear (LODF) pre-screening: outages whose
-	// predicted worst loading stays below ScreenThreshold are classified
-	// secure without a full AC solve — the classic two-stage contingency
-	// screening of production tools.
+	// predicted worst loading stays below screenThreshold (85 %) are
+	// classified secure without a full AC solve — the classic two-stage
+	// contingency screening of production tools.
 	DCScreen bool
-	// ScreenThreshold is the predicted-loading percentage below which a
-	// screened outage is accepted as secure; zero selects 85 (a
-	// conservative margin under the 100% violation threshold).
-	ScreenThreshold float64
 	// Cache, when non-nil, is consulted with Key before any solve and
 	// populated afterwards.
 	Cache *Cache
@@ -191,18 +195,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.VoltLow == 0 {
-		o.VoltLow = 0.94
-	}
-	if o.VoltHigh == 0 {
-		o.VoltHigh = 1.06
-	}
-	if o.OverloadPct == 0 {
-		o.OverloadPct = 100
-	}
-	if o.ScreenThreshold == 0 {
-		o.ScreenThreshold = 85
 	}
 }
 
@@ -262,12 +254,12 @@ func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *
 // reference alike, share it, so the scoring rules cannot silently diverge
 // between them. n supplies bus IDs and branch endpoints; mask marks the
 // outaged branches (zero flow by construction, skipped), nil when none.
-func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, mask []bool, opts Options) {
+func scoreOutage(out *OutageResult, res *powerflow.Result, n *model.Network, mask []bool) {
 	out.Converged = true
 	out.Algorithm = res.Algorithm.String()
 	out.MinVoltagePU = res.MinVm
-	out.MaxLoadingPct, out.Overloads, out.VoltViols = Violations(res, n, mask, opts.OverloadPct, opts.VoltLow, opts.VoltHigh)
-	out.Severity = severity(out, opts)
+	out.MaxLoadingPct, out.Overloads, out.VoltViols = Violations(res, n, mask, overloadPct, voltLow, voltHigh)
+	out.Severity = severity(out)
 }
 
 // Violations is the one limit check of a converged power flow, shared by
@@ -315,8 +307,8 @@ func Violations(res *powerflow.Result, n *model.Network, mask []bool, overloadPc
 // severity computes the composite criticality score the CA agent ranks
 // by, mirroring §3.2.3: clustered thermal overloads, voltage excursion
 // depth, and load shedding all contribute.
-func severity(o *OutageResult, opts Options) float64 {
-	s := AddViolationScore(0, o.Overloads, o.VoltViols, opts.OverloadPct)
+func severity(o *OutageResult) float64 {
+	s := AddViolationScore(0, o.Overloads, o.VoltViols, overloadPct)
 	s += o.LoadShedMW // 1 MW shed == 1 point
 	if !o.Converged && !o.Islanded {
 		s += 50 // collapse without a clean island estimate is severe

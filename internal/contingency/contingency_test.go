@@ -101,10 +101,8 @@ func TestSeverityOrdering(t *testing.T) {
 		Converged: true,
 		Overloads: []BranchLoading{{LoadingPct: 103}},
 	}
-	opts := Options{}
-	opts.fill()
-	a.Severity = severity(a, opts)
-	b.Severity = severity(b, opts)
+	a.Severity = severity(a)
+	b.Severity = severity(b)
 	if a.Severity <= b.Severity {
 		t.Fatalf("outage A (%v) must rank above B (%v)", a.Severity, b.Severity)
 	}
@@ -153,10 +151,8 @@ func TestStrategiesCanDiverge(t *testing.T) {
 			Overloads:  []BranchLoading{{LoadingPct: 120}, {LoadingPct: 118}, {LoadingPct: 112}},
 			LoadShedMW: 30},
 	}}
-	opts := Options{}
-	opts.fill()
 	for i := range rs.Outages {
-		rs.Outages[i].Severity = severity(&rs.Outages[i], opts)
+		rs.Outages[i].Severity = severity(&rs.Outages[i])
 	}
 	if rs.Rank(Composite)[0] != 1 {
 		t.Fatal("composite should prefer the clustered outage")

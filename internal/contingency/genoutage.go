@@ -108,7 +108,7 @@ func prepareGenOutage(n *model.Network, view *model.OutageView, g int) (lostMW, 
 // data).
 func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Network, opts Options) {
 	var scored OutageResult
-	scoreOutage(&scored, res, n, nil, opts)
+	scoreOutage(&scored, res, n, nil)
 	out.Converged = true
 	out.MaxLoadingPct = scored.MaxLoadingPct
 	out.Overloads = scored.Overloads

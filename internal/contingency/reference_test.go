@@ -40,7 +40,7 @@ func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Optio
 	if count > 1 {
 		out.Islanded = true
 		out.LoadShedMW = islandedLoad(post.Loads, comp, post.SlackBus(), 1)
-		out.Severity = severity(out, opts)
+		out.Severity = severity(out)
 		return out
 	}
 
@@ -54,7 +54,7 @@ func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Optio
 	}
 	if err != nil || !res.Converged {
 		out.LoadShedMW = estimateLoadShed(post)
-		out.Severity = severity(out, opts) + deficit
+		out.Severity = severity(out) + deficit
 		return out
 	}
 	mask := make([]bool, len(post.Branches))
@@ -62,7 +62,7 @@ func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Optio
 	if p.BranchB >= 0 {
 		mask[p.BranchB] = true
 	}
-	scoreOutage(out, res, post, mask, opts)
+	scoreOutage(out, res, post, mask)
 	out.Severity += deficit
 	return out
 }

@@ -110,13 +110,13 @@ func newScreener(n *model.Network, base *powerflow.Result, opts Options) (*scree
 		basePct: make([]float64, len(n.Branches)),
 		baseVm:  append([]float64(nil), base.Voltages.Vm...),
 	}
-	s.baseSecure = base.MinVm >= opts.VoltLow && base.MaxVm <= opts.VoltHigh
+	s.baseSecure = base.MinVm >= voltLow && base.MaxVm <= voltHigh
 	for k := range n.Branches {
 		s.preP[k] = base.Flows[k].FromP
 		s.preQ[k] = base.Flows[k].FromQ
 		s.preQTo[k] = base.Flows[k].ToQ
 		s.basePct[k] = base.Flows[k].LoadingPct
-		if s.basePct[k] > opts.OverloadPct {
+		if s.basePct[k] > overloadPct {
 			s.baseSecure = false
 		}
 	}
@@ -186,7 +186,7 @@ func newScreener(n *model.Network, base *powerflow.Result, opts Options) (*scree
 // gate. Both then run the same 1Q, thermal and voltage stages. Mixed
 // branch+generator pairs change injections, which the LODF picture does
 // not model, so they always go to the AC path.
-func (s *screener) trySecure(n *model.Network, p N2Pair, opts Options) *OutageResult {
+func (s *screener) trySecure(n *model.Network, p N2Pair) *OutageResult {
 	if !s.baseSecure || p.Gen >= 0 {
 		return nil
 	}
@@ -237,14 +237,14 @@ func (s *screener) trySecure(n *model.Network, p N2Pair, opts Options) *OutageRe
 		if pct > worst {
 			worst = pct
 		}
-		if pct >= opts.ScreenThreshold && pct > s.basePct[bk]+loadingAllowancePct {
+		if pct >= screenThreshold && pct > s.basePct[bk]+loadingAllowancePct {
 			return nil
 		}
 	}
 	// Voltage stage: the estimated post-outage extremes must clear both
 	// thresholds with margin.
 	estMin, estMax, ok := s.boundsFromDV(n, dv)
-	if !ok || estMin < opts.VoltLow+voltScreenMarginPU || estMax > opts.VoltHigh-voltScreenMarginPU {
+	if !ok || estMin < voltLow+voltScreenMarginPU || estMax > voltHigh-voltScreenMarginPU {
 		return nil
 	}
 
@@ -253,7 +253,7 @@ func (s *screener) trySecure(n *model.Network, p N2Pair, opts Options) *OutageRe
 	out.MaxLoadingPct = worst
 	out.MinVoltagePU = estMin
 	out.Algorithm = screenedAlgorithm
-	out.Severity = severity(out, opts)
+	out.Severity = severity(out)
 	return out
 }
 

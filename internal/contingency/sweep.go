@@ -130,7 +130,7 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 		if screen == nil {
 			return false
 		}
-		r := screen.trySecure(n, outages[i], opts)
+		r := screen.trySecure(n, outages[i])
 		if r == nil {
 			return false
 		}
@@ -191,7 +191,7 @@ func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *Outage
 	if shed, split := w.IslandedLoad(1); split {
 		out.Islanded = true
 		out.LoadShedMW = shed
-		out.Severity = severity(out, opts)
+		out.Severity = severity(out)
 		return out
 	}
 
@@ -212,10 +212,10 @@ func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *Outage
 	res, err := w.SolveOrFallback(pfOpts)
 	if err != nil || !res.Converged {
 		out.LoadShedMW = w.ShedToSolve()
-		out.Severity = severity(out, opts) + deficit
+		out.Severity = severity(out) + deficit
 		return out
 	}
-	scoreOutage(out, res, w.n, w.mask, opts)
+	scoreOutage(out, res, w.n, w.mask)
 	out.Severity += deficit
 	return out
 }

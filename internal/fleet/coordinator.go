@@ -125,31 +125,6 @@ func (c *Coordinator) SweepN1(ctx context.Context, sweepID, caseName string, bra
 	return c.run(ctx, caseName, reqs, ranges, len(branches))
 }
 
-// SweepN2 runs a sharded N-2 sweep over an explicit candidate-pair set.
-// Callers seed the set once with contingency.SeedN2Pairs (which is
-// deterministic), so every worker verifies a disjoint slice of the same
-// global candidate ordering. The same sweepID contract as SweepN1.
-func (c *Coordinator) SweepN2(ctx context.Context, sweepID, caseName string, pairs []contingency.N2Pair, opts SweepOptions) (*contingency.ResultSet, error) {
-	if len(pairs) == 0 {
-		return nil, errors.New("fleet: N-2 sweep needs a non-empty pair set")
-	}
-	ranges := splitContiguous(len(pairs), c.cfg.ShardsPerWorker*len(c.cfg.Workers))
-	reqs := make([]ShardRequest, len(ranges))
-	for i, rg := range ranges {
-		reqs[i] = ShardRequest{
-			Version: ProtocolVersion,
-			SweepID: sweepID,
-			Shard:   i,
-			Shards:  len(ranges),
-			Case:    caseName,
-			Kind:    KindN2,
-			Pairs:   pairs[rg.Off : rg.Off+rg.Len],
-			Opts:    opts,
-		}
-	}
-	return c.run(ctx, caseName, reqs, ranges, len(pairs))
-}
-
 // run dispatches the shard set and merges the responses.
 func (c *Coordinator) run(ctx context.Context, caseName string, reqs []ShardRequest, ranges []shardRange, total int) (*contingency.ResultSet, error) {
 	results, err := c.dispatch(ctx, reqs)

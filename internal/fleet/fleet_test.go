@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,7 +193,23 @@ func TestFleetN2MatchesSingleProcess(t *testing.T) {
 	w1 := testWorker(t, "w1", nil)
 	w2 := testWorker(t, "w2", nil)
 	coord := coordinatorFor(t, Config{Workers: []string{w1.URL, w2.URL}})
-	got, err := coord.SweepN2(context.Background(), "sweep-n2", "case57", pairs, opts)
+	// The coordinator exports only SweepN1; the worker's n2 shard path is
+	// driven here with KindN2 requests through the same dispatch and merge.
+	ranges := splitContiguous(len(pairs), coord.cfg.ShardsPerWorker*len(coord.cfg.Workers))
+	reqs := make([]ShardRequest, len(ranges))
+	for i, rg := range ranges {
+		reqs[i] = ShardRequest{
+			Version: ProtocolVersion,
+			SweepID: "sweep-n2",
+			Shard:   i,
+			Shards:  len(ranges),
+			Case:    "case57",
+			Kind:    KindN2,
+			Pairs:   pairs[rg.Off : rg.Off+rg.Len],
+			Opts:    opts,
+		}
+	}
+	got, err := coord.run(context.Background(), "case57", reqs, ranges, len(pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +385,28 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	ok := ShardRequest{Version: ProtocolVersion, SweepID: "s", Case: "case30", Kind: KindN1, Branches: []int{0, 1}}
 	if code := shardStatus(t, h, &ok); code != http.StatusOK {
 		t.Fatalf("valid shard after the bad ones answered %d, want 200", code)
+	}
+}
+
+// TestWorkerRejectsOversizedBody caps the /shard body at maxShardBody: a
+// valid request behind maxShardBody+1 bytes of leading whitespace answers
+// 413 and counts as an errored shard, where an uncapped decoder would read
+// on and run it.
+func TestWorkerRejectsOversizedBody(t *testing.T) {
+	met := obs.NewRegistry()
+	h := NewWorker("w1", engine.New(), nil, met).Handler()
+	req, err := json.Marshal(ShardRequest{Version: ProtocolVersion, SweepID: "s", Case: "case14", Kind: KindN1, Branches: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := io.MultiReader(strings.NewReader(strings.Repeat(" ", maxShardBody+1)), bytes.NewReader(req))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized shard body answered %d, want 413", rec.Code)
+	}
+	if v, _ := met.Value("gridmind_fleet_worker_shards_total", "result", "error"); v != 1 {
+		t.Fatalf(`gridmind_fleet_worker_shards_total{result="error"} = %v, want 1`, v)
 	}
 }
 

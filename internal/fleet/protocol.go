@@ -1,16 +1,16 @@
 // Package fleet distributes contingency sweeps across worker processes.
 //
-// A Coordinator splits the outage list of an N-1 (or the candidate-pair
-// list of an N-2) sweep into deterministic contiguous shards and posts
-// them to workers over a small HTTP/JSON protocol; each Worker runs its
-// shard with the engine's full artifact-threading fast path (shared Ybus,
-// prebuilt topology, PTDF, ordering cache, pooled Newton contexts —
-// warmed from the persistent artifact store when one is mounted) and
-// returns the partial ResultSet. The coordinator merges partials at
-// precomputed offsets, so the merged sweep is bit-identical to the
-// single-process sweep regardless of worker count, shard completion
-// order, retries or mid-sweep worker death. See README.md for the wire
-// contract.
+// A Coordinator splits the outage list of an N-1 sweep into deterministic
+// contiguous shards and posts them to workers over a small HTTP/JSON
+// protocol (workers also verify N-2 candidate-pair shards); each Worker
+// runs its shard with the engine's full artifact-threading fast path
+// (shared Ybus, prebuilt topology, PTDF, ordering cache, pooled Newton
+// contexts — warmed from the persistent artifact store when one is
+// mounted) and returns the partial ResultSet. The coordinator merges
+// partials at precomputed offsets, so the merged sweep is bit-identical
+// to the single-process sweep regardless of worker count, shard
+// completion order, retries or mid-sweep worker death. See README.md for
+// the wire contract.
 package fleet
 
 import (
@@ -32,28 +32,25 @@ const (
 	KindN2 = "n2"
 )
 
-// SweepOptions is the wire subset of contingency.Options: only the value
-// knobs travel. The artifact pointers (Ybus, topology, PTDF, ordering
-// cache, sweep pool) are process-local by design — every worker supplies
-// its own from its engine, warmed from the shared artifact store when
-// available. Zero values select the same defaults as contingency.Options.
+// SweepOptions is the wire subset of contingency.Options. One knob
+// travels: dc_screen, which turns on the linear pre-screen
+// (contingency.Options.DCScreen). The violation thresholds are the
+// paper's fixed ones on both sides. The artifact pointers (Ybus,
+// topology, PTDF, ordering cache, sweep pool) are process-local by
+// design — every worker supplies its own from its engine, warmed from the
+// shared artifact store when available.
+//
+// Version 1 once also carried volt_low, volt_high, overload_pct,
+// screen_threshold and no_warm_start. No coordinator ever set them, and
+// all five were omitempty, so every request a coordinator can emit
+// encodes byte-identically with or without them; ProtocolVersion stays 1.
 type SweepOptions struct {
-	VoltLow         float64 `json:"volt_low,omitempty"`
-	VoltHigh        float64 `json:"volt_high,omitempty"`
-	OverloadPct     float64 `json:"overload_pct,omitempty"`
-	ScreenThreshold float64 `json:"screen_threshold,omitempty"`
-	DCScreen        bool    `json:"dc_screen,omitempty"`
-	NoWarmStart     bool    `json:"no_warm_start,omitempty"`
+	DCScreen bool `json:"dc_screen,omitempty"`
 }
 
-// apply copies the wire knobs onto a local Options value.
+// apply copies the wire knob onto a local Options value.
 func (o SweepOptions) apply(dst *contingency.Options) {
-	dst.VoltLow = o.VoltLow
-	dst.VoltHigh = o.VoltHigh
-	dst.OverloadPct = o.OverloadPct
-	dst.ScreenThreshold = o.ScreenThreshold
 	dst.DCScreen = o.DCScreen
-	dst.NoWarmStart = o.NoWarmStart
 }
 
 // ShardRequest is one unit of sweep work, POSTed to a worker's /shard

@@ -20,6 +20,10 @@ import (
 // the sweep is deterministic).
 const memoCap = 512
 
+// maxShardBody caps a /shard request body, the same 16 MiB the LLM
+// handler reads; a case3000 shard of every branch is well under 1 MiB.
+const maxShardBody = 16 << 20
+
 // Worker executes shard requests against a local engine. One Worker
 // serves many sweeps concurrently; every shard runs the engine-threaded
 // fast path (shared Ybus/topology/PTDF, shared ordering cache, pooled
@@ -91,9 +95,14 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBody)).Decode(&req); err != nil {
 		w.count(w.shardsErr)
-		http.Error(rw, "bad shard request: "+err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(rw, "bad shard request: "+err.Error(), status)
 		return
 	}
 	if err := req.validate(); err != nil {

@@ -50,8 +50,9 @@ func TestFaultClientClassification(t *testing.T) {
 	p := mustProfile(t, ModelGPT5Mini)
 	fc := NewFaultClient(NewSim(p), FaultSpec{ErrorRate: 1, ErrorStatus: 429})
 	_, err := fc.Complete(context.Background(), userReq(nil, "hello"))
-	if StatusOf(err) != 429 {
-		t.Fatalf("injected error status = %d (%v), want 429", StatusOf(err), err)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != 429 {
+		t.Fatalf("injected error %v, want status 429", err)
 	}
 	fc = NewFaultClient(NewSim(p), FaultSpec{MalformedRate: 1})
 	_, err = fc.Complete(context.Background(), userReq(nil, "hello"))

@@ -40,13 +40,3 @@ var ErrMalformed = errors.New("llm: malformed backend response")
 // layers should map it to 503 with a Retry-After hint rather than a bare
 // failure: the condition is temporary and the session remains usable.
 var ErrUnavailable = errors.New("llm: no backend deployment available")
-
-// StatusOf extracts the HTTP-style status from an error chain; 0 when the
-// error carries no status.
-func StatusOf(err error) int {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Code
-	}
-	return 0
-}

@@ -332,7 +332,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected failure")
 	}
-	if llm.StatusOf(err) != 503 {
+	var se *llm.StatusError
+	if !errors.As(err, &se) || se.Code != 503 {
 		t.Fatalf("exhaustion error lost the last cause: %v", err)
 	}
 	if bad.callCount() != 3 {
@@ -354,8 +355,9 @@ func TestTerminalErrorFailsFast(t *testing.T) {
 		{Name: "fallback", Client: fallback, Priority: 1},
 	}, Config{Strategy: StrategyPriority, Now: clk.Now, Sleep: instantSleep})
 	_, err := g.Complete(context.Background(), ask())
-	if llm.StatusOf(err) != 400 {
-		t.Fatalf("terminal error status = %d (%v), want 400", llm.StatusOf(err), err)
+	var se *llm.StatusError
+	if !errors.As(err, &se) || se.Code != 400 {
+		t.Fatalf("terminal error %v, want status 400", err)
 	}
 	if bad.callCount() != 1 || fallback.callCount() != 0 {
 		t.Fatalf("calls bad/fallback = %d/%d, want 1/0: terminal errors must not retry or fall back",

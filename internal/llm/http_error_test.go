@@ -26,8 +26,9 @@ func TestHTTPStatusSurvivesRoundTrip(t *testing.T) {
 		c := &HTTPClient{Endpoint: srv.URL, ModelName: "m"}
 		_, err := c.Complete(context.Background(), userReq(nil, "hello"))
 		srv.Close()
-		if got := StatusOf(err); got != code {
-			t.Fatalf("status %d became %d across the round trip (%v)", code, got, err)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != code {
+			t.Fatalf("status %d lost across the round trip (%v)", code, err)
 		}
 		if err == nil || !strings.Contains(err.Error(), "backend says no") {
 			t.Fatalf("backend message lost: %v", err)

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -189,37 +188,6 @@ func Quantile[T time.Duration | float64](sorted []T, q float64) T {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo] + T(frac*float64(sorted[lo+1]-sorted[lo]))
-}
-
-// Filter returns the rows matching the predicate.
-func Filter(rows []Interaction, keep func(Interaction) bool) []Interaction {
-	var out []Interaction
-	for _, r := range rows {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ByModel groups rows per model name, sorted keys for determinism.
-func ByModel(rows []Interaction) (models []string, groups map[string][]Interaction) {
-	groups = map[string][]Interaction{}
-	for _, r := range rows {
-		groups[r.Model] = append(groups[r.Model], r)
-	}
-	for m := range groups {
-		models = append(models, m)
-	}
-	sort.Strings(models)
-	return models, groups
-}
-
-// WriteJSON dumps all rows as a JSON array.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Rows())
 }
 
 // WriteCSV dumps rows as CSV with a header.

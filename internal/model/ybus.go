@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math"
 	"math/cmplx"
 	"sort"
 )
@@ -140,27 +139,12 @@ func BuildYbus(n *Network) *Ybus {
 	return y
 }
 
-// BranchFlow returns the complex power flow in MVA entering the branch at
-// its from and to ends, given bus voltages in rectangular p.u. form.
-func (y *Ybus) BranchFlow(n *Network, k int, v []complex128) (sf, st complex128) {
-	br := n.Branches[k]
-	if !br.InService {
-		return 0, 0
-	}
-	vf, vt := v[br.From], v[br.To]
-	ifr := y.Yff[k]*vf + y.Yft[k]*vt
-	ito := y.Ytf[k]*vf + y.Ytt[k]*vt
-	base := complex(n.BaseMVA, 0)
-	return vf * cmplx.Conj(ifr) * base, vt * cmplx.Conj(ito) * base
-}
-
-// BranchFlowsInto is the batched form of BranchFlow: one pass over the
-// branch list fills sf and st (both length len(n.Branches)) with the
-// complex power in MVA entering each branch at its from and to ends.
-// Out-of-service branches get zeros, matching BranchFlow exactly — the
-// per-branch arithmetic is identical, so batched and scalar results are
-// bitwise equal. Sweep tails and result assembly use this with
-// caller-owned scratch so per-outage flow evaluation allocates nothing.
+// BranchFlowsInto fills sf and st (both length len(n.Branches)) in one
+// pass over the branch list with the complex power in MVA entering each
+// branch at its from and to ends, given bus voltages in rectangular p.u.
+// form. Out-of-service branches get zeros. Sweep tails and result
+// assembly use this with caller-owned scratch so per-outage flow
+// evaluation allocates nothing.
 func (y *Ybus) BranchFlowsInto(n *Network, v []complex128, sf, st []complex128) {
 	base := complex(n.BaseMVA, 0)
 	for k := range n.Branches {
@@ -210,16 +194,4 @@ func VoltageVectorInto(v []complex128, vm, va []float64) {
 	for i := range vm {
 		v[i] = cmplx.Rect(vm[i], va[i])
 	}
-}
-
-// PolarVoltages splits a rectangular voltage vector into magnitudes and
-// angles.
-func PolarVoltages(v []complex128) (vm, va []float64) {
-	vm = make([]float64, len(v))
-	va = make([]float64, len(v))
-	for i, x := range v {
-		vm[i] = cmplx.Abs(x)
-		va[i] = math.Atan2(imag(x), real(x))
-	}
-	return vm, va
 }

@@ -57,3 +57,31 @@ func (s *ViewSolver) Census() FactorCensus {
 
 // InjectionsInto exposes injectionsInto to the external tests.
 var InjectionsInto = injectionsInto
+
+// Mismatch returns the per-bus complex power mismatch (specified − injected)
+// in p.u. for an arbitrary voltage profile, over a fresh Ybus.
+func Mismatch(n *model.Network, prof *VoltageProfile) []complex128 {
+	y := model.BuildYbus(n)
+	c, err := classify(n)
+	if err != nil {
+		return nil
+	}
+	v := model.VoltageVector(prof.Vm, prof.Va)
+	s := y.Injections(v)
+	out := make([]complex128, len(n.Buses))
+	for i := range n.Buses {
+		out[i] = complex(c.pSpec[i], c.qSpec[i]) - s[i]
+	}
+	return out
+}
+
+// injections evaluates real and reactive nodal injections in p.u. for the
+// polar voltage state, iterating only structural nonzeros.
+func injections(y *model.Ybus, vm, va []float64) (p, q []float64) {
+	p = make([]float64, y.N)
+	q = make([]float64, y.N)
+	cs := make([]float64, y.N)
+	sn := make([]float64, y.N)
+	injectionsInto(y, vm, va, cs, sn, p, q)
+	return p, q
+}

@@ -379,26 +379,17 @@ func (ja *jacobian) refillRow(y *model.Ybus, st *fixedState, vm []float64, i, k 
 	return k
 }
 
-// injections evaluates real and reactive nodal injections in p.u. for the
-// polar voltage state, iterating only structural nonzeros.
-func injections(y *model.Ybus, vm, va []float64) (p, q []float64) {
-	p = make([]float64, y.N)
-	q = make([]float64, y.N)
-	cs := make([]float64, y.N)
-	sn := make([]float64, y.N)
-	injectionsInto(y, vm, va, cs, sn, p, q)
-	return p, q
-}
-
-// injectionsInto is the allocation-free form of injections: it overwrites
-// p and q (length nb) in place. cs and sn are caller-owned scratch (length
-// nb) that receive cos(va)/sin(va) from one math.Sincos per bus, which
-// returns the same bits as separate math.Cos and math.Sin for every finite
-// angle. Angle differences across entries are expanded through the
-// addition identities, so the per-structural-nonzero cost is multiplies
-// instead of transcendental calls. Each bus accumulates its P and Q over
-// its Ybus row in two locals, in storage order, so the sums are the ones
-// a walk over y.NZ adding into p[i] and q[i] produces.
+// injectionsInto evaluates real and reactive nodal injections in p.u. for
+// the polar voltage state, iterating only structural nonzeros, without
+// allocating: it overwrites p and q (length nb) in place. cs and sn are
+// caller-owned scratch (length nb) that receive cos(va)/sin(va) from one
+// math.Sincos per bus, which returns the same bits as separate math.Cos
+// and math.Sin for every finite angle. Angle differences across entries
+// are expanded through the addition identities, so the
+// per-structural-nonzero cost is multiplies instead of transcendental
+// calls. Each bus accumulates its P and Q over its Ybus row in two
+// locals, in storage order, so the sums are the ones a walk over y.NZ
+// adding into p[i] and q[i] produces.
 func injectionsInto(y *model.Ybus, vm, va []float64, cs, sn, p, q []float64) {
 	for i := range p {
 		sn[i], cs[i] = math.Sincos(va[i])

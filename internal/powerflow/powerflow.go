@@ -452,23 +452,6 @@ func finishResultScratch(n *model.Network, y *model.Ybus, c *classification, vm,
 	}
 }
 
-// Mismatch returns the per-bus complex power mismatch (specified − injected)
-// in p.u. for an arbitrary voltage profile. Exposed for validation layers.
-func Mismatch(n *model.Network, prof *VoltageProfile) []complex128 {
-	y := model.BuildYbus(n)
-	c, err := classify(n)
-	if err != nil {
-		return nil
-	}
-	v := model.VoltageVector(prof.Vm, prof.Va)
-	s := y.Injections(v)
-	out := make([]complex128, len(n.Buses))
-	for i := range n.Buses {
-		out[i] = complex(c.pSpec[i], c.qSpec[i]) - s[i]
-	}
-	return out
-}
-
 // angleWrap keeps angles in (-π, π] for stable warm starts, in constant
 // time: ±Inf and NaN come back as NaN at once, so a diverging iterate
 // fails the mismatch test instead of spinning. Within one wrap of the

@@ -67,7 +67,7 @@ func TestQualityReport(t *testing.T) {
 }
 
 func TestSessionReport(t *testing.T) {
-	ctx := session.New(nil)
+	ctx := session.NewWithEngine(nil, nil)
 	var buf bytes.Buffer
 	Session(&buf, ctx)
 	if !strings.Contains(buf.String(), "no case loaded") {

@@ -10,9 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
-	"strings"
 )
 
 // Type enumerates the supported JSON types.
@@ -221,78 +219,4 @@ func (s *Schema) ValidateValue(v any) (any, error) {
 		return nil, err
 	}
 	return n, nil
-}
-
-// FromStruct derives an object schema from a Go struct using `json` tags
-// for field names and `desc` tags for descriptions. Exported fields
-// without a json tag use their lowercased name; fields tagged `json:"-"`
-// are skipped. All derived object schemas allow extra fields, since Go
-// structs evolve additively.
-func FromStruct(v any) (*Schema, error) {
-	t := reflect.TypeOf(v)
-	for t != nil && t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t == nil || t.Kind() != reflect.Struct {
-		return nil, fmt.Errorf("schema: FromStruct needs a struct, got %T", v)
-	}
-	return structSchema(t)
-}
-
-func structSchema(t reflect.Type) (*Schema, error) {
-	s := &Schema{Type: Object, Properties: map[string]*Schema{}, AllowExtra: true}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name := strings.Split(f.Tag.Get("json"), ",")[0]
-		if name == "-" {
-			continue
-		}
-		if name == "" {
-			name = strings.ToLower(f.Name)
-		}
-		sub, err := typeSchema(f.Type)
-		if err != nil {
-			return nil, fmt.Errorf("schema: field %s: %w", f.Name, err)
-		}
-		sub.Description = f.Tag.Get("desc")
-		s.Properties[name] = sub
-	}
-	return s, nil
-}
-
-func typeSchema(t reflect.Type) (*Schema, error) {
-	switch t.Kind() {
-	case reflect.Pointer:
-		return typeSchema(t.Elem())
-	case reflect.String:
-		return &Schema{Type: String}, nil
-	case reflect.Bool:
-		return &Schema{Type: Boolean}, nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return &Schema{Type: Integer}, nil
-	case reflect.Float32, reflect.Float64:
-		return &Schema{Type: Number}, nil
-	case reflect.Slice, reflect.Array:
-		items, err := typeSchema(t.Elem())
-		if err != nil {
-			return nil, err
-		}
-		return &Schema{Type: Array, Items: items}, nil
-	case reflect.Map:
-		return &Schema{Type: Object, AllowExtra: true}, nil
-	case reflect.Struct:
-		if t.String() == "time.Time" {
-			return &Schema{Type: String}, nil
-		}
-		return structSchema(t)
-	case reflect.Interface:
-		// Free-form: validated as object-with-extras when present.
-		return &Schema{Type: Object, AllowExtra: true}, nil
-	default:
-		return nil, fmt.Errorf("unsupported kind %v", t.Kind())
-	}
 }

@@ -120,62 +120,3 @@ func TestNormalizeRejectsUnmarshalable(t *testing.T) {
 		t.Fatal("channel should not normalize")
 	}
 }
-
-func TestFromStruct(t *testing.T) {
-	type inner struct {
-		Flag bool `json:"flag"`
-	}
-	type outer struct {
-		Name    string    `json:"name" desc:"the name"`
-		Age     int       `json:"age"`
-		Scores  []float64 `json:"scores"`
-		Nested  inner     `json:"nested"`
-		Skipped string    `json:"-"`
-		private int
-	}
-	s, err := FromStruct(outer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Properties["name"].Type != String || s.Properties["name"].Description != "the name" {
-		t.Fatalf("name schema %+v", s.Properties["name"])
-	}
-	if s.Properties["age"].Type != Integer {
-		t.Fatal("age should be integer")
-	}
-	if s.Properties["scores"].Type != Array || s.Properties["scores"].Items.Type != Number {
-		t.Fatal("scores should be array of number")
-	}
-	if s.Properties["nested"].Type != Object || s.Properties["nested"].Properties["flag"].Type != Boolean {
-		t.Fatal("nested struct schema wrong")
-	}
-	if _, present := s.Properties["Skipped"]; present {
-		t.Fatal("json:\"-\" field included")
-	}
-	if _, present := s.Properties["private"]; present {
-		t.Fatal("unexported field included")
-	}
-	// Derived schemas validate real instances.
-	if _, err := s.ValidateValue(outer{Name: "x", Age: 3, Scores: []float64{1}, Nested: inner{true}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFromStructRejectsNonStruct(t *testing.T) {
-	if _, err := FromStruct(42); err == nil {
-		t.Fatal("int accepted")
-	}
-}
-
-func TestFromStructPointer(t *testing.T) {
-	type thing struct {
-		V int `json:"v"`
-	}
-	s, err := FromStruct(&thing{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Properties["v"].Type != Integer {
-		t.Fatal("pointer struct not handled")
-	}
-}

@@ -24,19 +24,23 @@ import (
 	"gridmind/internal/powerflow"
 )
 
+// The tightening constants of the SCOPF loop.
+const (
+	// securityLimitPct is the post-contingency loading treated as a
+	// violation.
+	securityLimitPct = 100.0
+	// damping ∈ (0, 1] controls how aggressively ratings tighten toward
+	// the violation ratio each round.
+	damping = 0.7
+	// minRateFraction floors tightened ratings at this fraction of the
+	// original rating, protecting feasibility.
+	minRateFraction = 0.3
+)
+
 // Options tunes the SCOPF loop. The zero value is usable.
 type Options struct {
 	// MaxRounds bounds tighten-and-resolve iterations (default 6).
 	MaxRounds int
-	// SecurityLimitPct is the post-contingency loading treated as a
-	// violation (default 100).
-	SecurityLimitPct float64
-	// Damping ∈ (0, 1] controls how aggressively ratings tighten toward
-	// the violation ratio each round (default 0.7).
-	Damping float64
-	// MinRateFraction floors tightened ratings at this fraction of the
-	// original rating, protecting feasibility (default 0.3).
-	MinRateFraction float64
 	// OPF forwards solver tolerances. If OPF.Context is nil, Solve installs
 	// a fresh reusable solver context so every ACOPF after the first —
 	// tightening rounds, backoff retries, the basin re-anchor — reuses the
@@ -54,15 +58,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 6
-	}
-	if o.SecurityLimitPct == 0 {
-		o.SecurityLimitPct = 100
-	}
-	if o.Damping == 0 {
-		o.Damping = 0.7
-	}
-	if o.MinRateFraction == 0 {
-		o.MinRateFraction = 0.3
 	}
 }
 
@@ -143,7 +138,7 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 		// lightly-loaded branches that receive diverted flow.
 		tighten := func(b int, factor float64) {
 			newRate := work.Branches[b].RateMVA * factor
-			if floor := n.Branches[b].RateMVA * opts.MinRateFraction; newRate < floor {
+			if floor := n.Branches[b].RateMVA * minRateFraction; newRate < floor {
 				newRate = floor
 			}
 			if newRate < work.Branches[b].RateMVA {
@@ -163,7 +158,7 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 			viols = viols[:20]
 		}
 		for _, v := range viols {
-			factor := math.Pow(opts.SecurityLimitPct/v.LoadingPct, opts.Damping)
+			factor := math.Pow(securityLimitPct/v.LoadingPct, damping)
 			if factor < 0.8 {
 				factor = 0.8
 			}
@@ -263,7 +258,7 @@ func postContingencyViolations(n *model.Network, sol *opf.Solution, opts Options
 			worst = o.MaxLoadingPct
 		}
 		for _, ov := range o.Overloads {
-			if ov.LoadingPct > opts.SecurityLimitPct {
+			if ov.LoadingPct > securityLimitPct {
 				viols = append(viols, violation{Outage: o.Branch, Branch: ov.Branch, LoadingPct: ov.LoadingPct})
 			}
 		}

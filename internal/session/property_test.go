@@ -41,7 +41,7 @@ func TestDiffReplayDeterminismProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		mods := randomMods(rng, 1+rng.Intn(6))
 		build := func() (*Context, bool) {
-			c := New(nil)
+			c := NewWithEngine(nil, nil)
 			if _, err := c.LoadCase("case14"); err != nil {
 				return nil, false
 			}
@@ -92,7 +92,7 @@ func TestDiffReplayDeterminismProperty(t *testing.T) {
 func TestPersistRestoreProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New(nil)
+		c := NewWithEngine(nil, nil)
 		if _, err := c.LoadCase("case14"); err != nil {
 			return false
 		}
@@ -103,7 +103,7 @@ func TestPersistRestoreProperty(t *testing.T) {
 		if err := c.Persist(&buf); err != nil {
 			return false
 		}
-		r, err := Restore(&buf, nil)
+		r, err := RestoreWithEngine(&buf, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -132,7 +132,7 @@ func TestPersistRestoreProperty(t *testing.T) {
 func TestDiffHashSensitivityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		base := New(nil)
+		base := NewWithEngine(nil, nil)
 		if _, err := base.LoadCase("case14"); err != nil {
 			return false
 		}
@@ -140,7 +140,7 @@ func TestDiffHashSensitivityProperty(t *testing.T) {
 		if err := base.Apply(m); err != nil {
 			return false
 		}
-		other := New(nil)
+		other := NewWithEngine(nil, nil)
 		if _, err := other.LoadCase("case14"); err != nil {
 			return false
 		}

@@ -103,15 +103,10 @@ type Context struct {
 	eng *engine.Engine
 }
 
-// New returns an empty session context. nowFn supplies timestamps (pass
-// nil for time.Now; experiments inject the simulated clock).
-func New(nowFn func() time.Time) *Context {
-	return NewWithEngine(nowFn, nil)
-}
-
 // NewWithEngine returns an empty session context bound to a shared
-// artifact engine (nil behaves like New: every expensive artifact is
-// rebuilt per session).
+// artifact engine. nowFn supplies timestamps (pass nil for time.Now;
+// experiments inject the simulated clock). A nil engine rebuilds every
+// expensive artifact per session.
 func NewWithEngine(nowFn func() time.Time, eng *engine.Engine) *Context {
 	if nowFn == nil {
 		nowFn = time.Now
@@ -450,14 +445,9 @@ func (c *Context) Persist(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// Restore loads a persisted session, reconstructing the pristine case
-// from the embedded library and replaying the diff log.
-func Restore(r io.Reader, nowFn func() time.Time) (*Context, error) {
-	return RestoreWithEngine(r, nowFn, nil)
-}
-
-// RestoreWithEngine is Restore with a shared artifact engine bound to the
-// reconstructed session.
+// RestoreWithEngine loads a persisted session, reconstructing the
+// pristine case from the embedded library and replaying the diff log, and
+// binds the shared artifact engine eng (nil for none) to it.
 func RestoreWithEngine(r io.Reader, nowFn func() time.Time, eng *engine.Engine) (*Context, error) {
 	var p persisted
 	if err := json.NewDecoder(r).Decode(&p); err != nil {

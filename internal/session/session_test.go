@@ -14,7 +14,7 @@ func fixedNow() time.Time { return time.Date(2025, 9, 2, 12, 0, 0, 0, time.UTC) 
 
 func loaded(t *testing.T) *Context {
 	t.Helper()
-	c := New(fixedNow)
+	c := NewWithEngine(fixedNow, nil)
 	if _, err := c.LoadCase("case14"); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLoadCaseResetsState(t *testing.T) {
 }
 
 func TestNetworkWithoutCase(t *testing.T) {
-	c := New(fixedNow)
+	c := NewWithEngine(fixedNow, nil)
 	if _, err := c.Network(); err != ErrNoCase {
 		t.Fatalf("err = %v, want ErrNoCase", err)
 	}
@@ -184,7 +184,7 @@ func TestPersistRestoreRoundTrip(t *testing.T) {
 		t.Fatal("serialized session lacks diff note")
 	}
 
-	r, err := Restore(&buf, fixedNow)
+	r, err := RestoreWithEngine(&buf, fixedNow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPersistRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := Restore(strings.NewReader("not json"), fixedNow); err == nil {
+	if _, err := RestoreWithEngine(strings.NewReader("not json"), fixedNow, nil); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // calls (the process-wide CloneCount counter is exact where allocation
 // budgets are noisy).
 func TestNetworkSnapshotZeroClones(t *testing.T) {
-	c := New(nil)
+	c := NewWithEngine(nil, nil)
 	if _, err := c.LoadCase("case14"); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ package sparse
 // of m (pattern of M + Mᵀ): at each step the uneliminated node of smallest
 // degree in the elimination graph is removed and its neighbours are
 // connected into a clique. On power-system matrices this typically yields
-// ~3x less LU fill than RCM, which translates directly into faster
-// factorization, refactorization and triangular solves; it is the default
-// ordering of Factorize.
+// ~3x less LU fill than reverse Cuthill-McKee, which translates directly
+// into faster factorization, refactorization and triangular solves; it is
+// the default ordering of Factorize.
 //
 // It is the singleton-supernode case of BlockMinDegree: the quotient
 // graph of one-column supernodes is the elimination graph itself, so one
@@ -27,4 +27,13 @@ func MinDegree(m *CSC) []int {
 		super[i] = cols[i : i+1 : i+1]
 	}
 	return BlockMinDegree(m, super)
+}
+
+// IdentityPerm returns the identity permutation of length n.
+func IdentityPerm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
 }

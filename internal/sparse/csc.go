@@ -1,8 +1,7 @@
 // Package sparse provides compressed sparse column (CSC) matrices,
-// fill-reducing orderings (minimum-degree, the default, and reverse
-// Cuthill-McKee), a Gilbert-Peierls LU factorization with threshold
-// partial pivoting, and a static-pivot LDLᵀ factorization for symmetric
-// quasi-definite systems.
+// fill-reducing minimum-degree orderings, a Gilbert-Peierls LU
+// factorization with threshold partial pivoting, and a static-pivot LDLᵀ
+// factorization for symmetric quasi-definite systems.
 //
 // This is the production linear-solver path for GridMind: power flow
 // Jacobians (LU) and interior-point KKT systems (LDL) are assembled in
@@ -61,9 +60,6 @@ func (c *COO) Add(i, j int, v float64) {
 // NNZ returns the number of accumulated triplets (before duplicate merging).
 func (c *COO) NNZ() int { return len(c.v) }
 
-// Dims returns the matrix dimensions.
-func (c *COO) Dims() (int, int) { return c.rows, c.cols }
-
 // ToCSC compresses the triplets into CSC form, summing duplicates.
 func (c *COO) ToCSC() *CSC {
 	n := c.cols
@@ -99,9 +95,6 @@ type CSC struct {
 	rowIdx     []int
 	val        []float64
 }
-
-// Dims returns the matrix dimensions.
-func (m *CSC) Dims() (int, int) { return m.rows, m.cols }
 
 // NNZ returns the number of stored entries.
 func (m *CSC) NNZ() int { return len(m.val) }
@@ -183,16 +176,6 @@ func (m *CSC) Pos(i, j int) int {
 	return -1
 }
 
-// MulVec computes y = M·x.
-func (m *CSC) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: %dx%d by %d", m.rows, m.cols, len(x)))
-	}
-	y := make([]float64, m.rows)
-	m.MulVecInto(y, x)
-	return y
-}
-
 // MulVecInto computes dst = M·x into a caller-owned buffer without
 // allocating. dst must not alias x.
 func (m *CSC) MulVecInto(dst, x []float64) {
@@ -211,41 +194,10 @@ func (m *CSC) MulVecInto(dst, x []float64) {
 	}
 }
 
-// MulVecT computes y = Mᵀ·x without forming the transpose.
-func (m *CSC) MulVecT(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(fmt.Sprintf("sparse: MulVecT dimension mismatch: %dx%d^T by %d", m.rows, m.cols, len(x)))
-	}
-	y := make([]float64, m.cols)
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
-			s += m.val[p] * x[m.rowIdx[p]]
-		}
-		y[j] = s
-	}
-	return y
-}
-
 // ColView calls fn(row, value) for each stored entry of column j in
 // ascending row order.
 func (m *CSC) ColView(j int, fn func(i int, v float64)) {
 	for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
 		fn(m.rowIdx[p], m.val[p])
 	}
-}
-
-// Dense expands the matrix to a row-major [][]float64, for tests and
-// small-system fallbacks.
-func (m *CSC) Dense() [][]float64 {
-	out := make([][]float64, m.rows)
-	for i := range out {
-		out[i] = make([]float64, m.cols)
-	}
-	for j := 0; j < m.cols; j++ {
-		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
-			out[m.rowIdx[p]][j] = m.val[p]
-		}
-	}
-	return out
 }

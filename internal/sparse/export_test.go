@@ -1,5 +1,10 @@
 package sparse
 
+import (
+	"fmt"
+	"sort"
+)
+
 // RandomSparse exposes randomSparse to the external tests.
 var RandomSparse = randomSparse
 
@@ -44,4 +49,80 @@ func MinDegreeReference(m *CSC) []int {
 		}
 	}
 	return perm
+}
+
+// Dims returns the matrix dimensions.
+func (m *CSC) Dims() (int, int) { return m.rows, m.cols }
+
+// MulVec computes y = M·x.
+func (m *CSC) MulVec(x []float64) []float64 {
+	if len(x) != m.cols {
+		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: %dx%d by %d", m.rows, m.cols, len(x)))
+	}
+	y := make([]float64, m.rows)
+	m.MulVecInto(y, x)
+	return y
+}
+
+// MulVecT computes y = Mᵀ·x without forming the transpose.
+func (m *CSC) MulVecT(x []float64) []float64 {
+	if len(x) != m.rows {
+		panic(fmt.Sprintf("sparse: MulVecT dimension mismatch: %dx%d^T by %d", m.rows, m.cols, len(x)))
+	}
+	y := make([]float64, m.cols)
+	for j := 0; j < m.cols; j++ {
+		var s float64
+		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
+			s += m.val[p] * x[m.rowIdx[p]]
+		}
+		y[j] = s
+	}
+	return y
+}
+
+// Dense expands the matrix to a row-major [][]float64.
+func (m *CSC) Dense() [][]float64 {
+	out := make([][]float64, m.rows)
+	for i := range out {
+		out[i] = make([]float64, m.cols)
+	}
+	for j := 0; j < m.cols; j++ {
+		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
+			out[m.rowIdx[p]][j] = m.val[p]
+		}
+	}
+	return out
+}
+
+// symmetricAdjacency builds the adjacency lists of the undirected graph of
+// M + Mᵀ, excluding self loops.
+func symmetricAdjacency(m *CSC) [][]int {
+	n := m.cols
+	adj := make([][]int, n)
+	add := func(a, b int) {
+		if a != b {
+			adj[a] = append(adj[a], b)
+		}
+	}
+	for j := 0; j < n; j++ {
+		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
+			i := m.rowIdx[p]
+			add(i, j)
+			add(j, i)
+		}
+	}
+	// Deduplicate.
+	for v := range adj {
+		sort.Ints(adj[v])
+		out := adj[v][:0]
+		prev := -1
+		for _, w := range adj[v] {
+			if w != prev {
+				out = append(out, w)
+				prev = w
+			}
+		}
+		adj[v] = out
+	}
+	return adj
 }

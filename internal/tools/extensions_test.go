@@ -11,7 +11,7 @@ import (
 
 func extendedRegistry(t *testing.T) (*Registry, *session.Context) {
 	t.Helper()
-	sess := session.New(nil)
+	sess := session.NewWithEngine(nil, nil)
 	eng := engine.New()
 	r := NewGridMind(sess, eng)
 	if err := RegisterExtensions(r, sess, eng); err != nil {
@@ -22,8 +22,8 @@ func extendedRegistry(t *testing.T) (*Registry, *session.Context) {
 
 func TestExtensionsRegistered(t *testing.T) {
 	r, _ := extendedRegistry(t)
-	if len(r.Names()) != 14 {
-		t.Fatalf("registry has %d tools, want 7 paper tools + 7 extensions", len(r.Names()))
+	if len(r.tools) != 14 {
+		t.Fatalf("registry has %d tools, want 7 paper tools + 7 extensions", len(r.tools))
 	}
 	for _, name := range []string{ToolLoadSensitivity, ToolCompareStrategy, ToolGenOutage, ToolAssessQuality, ToolRunN2, ToolCascade, ToolRunMC} {
 		if _, ok := r.Get(name); !ok {

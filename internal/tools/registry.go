@@ -13,7 +13,6 @@ package tools
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -116,30 +115,6 @@ func (r *Registry) Get(name string) (*Tool, bool) {
 	defer r.mu.Unlock()
 	t, ok := r.tools[name]
 	return t, ok
-}
-
-// Names lists registered tool names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.tools))
-	for n := range r.tools {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// List returns all tools sorted by name (for advertising to LLM clients).
-func (r *Registry) List() []*Tool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Tool, 0, len(r.tools))
-	for _, t := range r.tools {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Invoke validates args, executes the tool, and validates + normalizes

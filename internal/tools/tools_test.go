@@ -13,7 +13,7 @@ import (
 
 func newSession(t *testing.T) *session.Context {
 	t.Helper()
-	return session.New(nil)
+	return session.NewWithEngine(nil, nil)
 }
 
 func TestRegistryRegisterRules(t *testing.T) {
@@ -117,8 +117,8 @@ func TestGridMindRegistryComplete(t *testing.T) {
 			t.Errorf("tool %s missing", name)
 		}
 	}
-	if len(r.Names()) != 7 {
-		t.Fatalf("registry has %d tools, want 7 (Appendix B.3)", len(r.Names()))
+	if len(r.tools) != 7 {
+		t.Fatalf("registry has %d tools, want 7 (Appendix B.3)", len(r.tools))
 	}
 }
 

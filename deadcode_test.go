@@ -32,8 +32,6 @@ var deadcodeAllow = map[string]string{
 	"gridmind/internal/session.Context.DropSnapshot":        "benchmark hook: BenchmarkSessionNetworkReplay times the cold replay",
 	"gridmind/internal/metrics.Recorder.Dropped":            "test hook: the ring-bound test reads how many rows the ring overwrote",
 	"gridmind/internal/obs.Histogram.Count":                 "test hook: the obs tests read a histogram's sample count",
-	"gridmind/internal/obs.Histogram.Quantile":              "no caller yet: pinned by TestHistogramBucketsAndQuantiles and TestQuantileEmpty, which go with it",
-	"gridmind/internal/report.Comparison":                   "no caller yet: the SCOPF comparison renderer, pinned by TestComparisonReport, which goes with it",
 	"gridmind/internal/sparse.colSorter.Less":               "sort.Interface: sort.Sort calls it",
 	"gridmind/internal/sparse.colSorter.Swap":               "sort.Interface: sort.Sort calls it",
 }

@@ -134,7 +134,7 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 		for _, tc := range resp.Message.ToolCalls {
 			step := Step{Kind: "tool_call", Tool: tc.Name, Args: tc.Args, LLMLat: resp.Latency}
 			t0 := time.Now()
-			result, err := a.Registry.Invoke(tc.Name, tc.Args)
+			result, raw, err := a.Registry.Invoke(tc.Name, tc.Args)
 			step.ToolLat = time.Since(t0)
 			if virtual != nil {
 				// Solver time has already passed on the wall clock; a
@@ -148,8 +148,8 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 				if errors.Is(err, tools.ErrInputSchema) || errors.Is(err, tools.ErrOutputSchema) {
 					turn.ValidationErrors++
 				}
-				raw, _ := json.Marshal(map[string]any{"error": err.Error()})
-				content = string(raw)
+				errRaw, _ := json.Marshal(map[string]any{"error": err.Error()})
+				content = string(errRaw)
 			} else {
 				step.Result = result
 				if m, ok := result.(map[string]any); ok {
@@ -158,7 +158,8 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 						turn.Recoveries++
 					}
 				}
-				raw, _ := json.Marshal(result)
+				// raw is the encoding Invoke decoded result from: the
+				// tool message without a second encode.
 				content = string(raw)
 			}
 			msgs = append(msgs, llm.Message{

@@ -1,0 +1,104 @@
+package agents
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"gridmind/internal/llm"
+	"gridmind/internal/simclock"
+	"gridmind/internal/tools"
+)
+
+// scriptedClient answers the first completion of a turn with every call
+// of its script at once and the second with a narration. It keeps the
+// last request it saw, whose messages hold the turn's tool messages.
+type scriptedClient struct {
+	calls []llm.ToolCall
+	last  *llm.Request
+}
+
+func (c *scriptedClient) Model() string { return "scripted" }
+
+func (c *scriptedClient) Complete(_ context.Context, req *llm.Request) (*llm.Response, error) {
+	c.last = req
+	if req.Messages[len(req.Messages)-1].Role == llm.RoleUser {
+		return &llm.Response{Message: llm.Message{Role: llm.RoleAssistant, ToolCalls: c.calls}}, nil
+	}
+	return &llm.Response{Message: llm.Message{Role: llm.RoleAssistant, Content: "done"}}, nil
+}
+
+// TestToolMessageIsMarshalOfResult: the tool message Run hands back to the
+// model is the encoding Invoke decoded the validated result from, and it
+// is byte for byte json.Marshal of that result, for every registered tool
+// and for a failing call.
+func TestToolMessageIsMarshalOfResult(t *testing.T) {
+	script := []struct {
+		tool string
+		args map[string]any
+	}{
+		{tools.ToolSolveACOPF, map[string]any{"case_name": "case30"}},
+		{tools.ToolNetworkStatus, map[string]any{"bus": 5}},
+		{tools.ToolModifyBusLoad, map[string]any{"bus": 5, "p_mw": 95.5}},
+		{tools.ToolLoadSensitivity, map[string]any{}},
+		{tools.ToolAssessQuality, map[string]any{}},
+		{tools.ToolCompareStrategy, map[string]any{"max_rounds": 1}},
+		{tools.ToolSolveBaseCase, map[string]any{"case_name": "case30"}},
+		{tools.ToolRunN1, map[string]any{"top_k": 3}},
+		{tools.ToolAnalyzeOutage, map[string]any{"branch": 3}},
+		{tools.ToolContStatus, map[string]any{}},
+		{tools.ToolRunN2, map[string]any{"top_k": 3, "seed_k": 4}},
+		{tools.ToolGenOutage, map[string]any{"bus": 2}},
+		{tools.ToolCascade, map[string]any{"branches": []any{3}}},
+		{tools.ToolRunMC, map[string]any{"samples": 20, "seed": 1}},
+		{tools.ToolSolveACOPF, map[string]any{"case_name": "case9999"}},
+	}
+	client := &scriptedClient{}
+	for _, s := range script {
+		client.calls = append(client.calls, llm.ToolCall{ID: "call-" + s.tool, Name: s.tool, Args: s.args})
+	}
+	c := NewCoordinator(Config{Client: client, Clock: simclock.NewSim(time.Date(2025, 9, 2, 0, 0, 0, 0, time.UTC))})
+	turn, err := c.ACOPF.Run(context.Background(), "run the script")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msgs []llm.Message
+	for _, m := range client.last.Messages {
+		if m.Role == llm.RoleTool {
+			msgs = append(msgs, m)
+		}
+	}
+	var steps []Step
+	for _, s := range turn.Steps {
+		if s.Kind == "tool_call" {
+			steps = append(steps, s)
+		}
+	}
+	if len(msgs) != len(script) || len(steps) != len(script) {
+		t.Fatalf("%d tool messages and %d tool steps for %d scripted calls", len(msgs), len(steps), len(script))
+	}
+	seen := map[string]bool{}
+	for i, step := range steps {
+		want, err := json.Marshal(step.Result)
+		if step.Err != "" {
+			want, err = json.Marshal(map[string]any{"error": step.Err})
+		} else {
+			seen[step.Tool] = true
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msgs[i].Content != string(want) {
+			t.Errorf("%s: tool message\n%s\nwant json.Marshal of the validated result\n%s", step.Tool, msgs[i].Content, want)
+		}
+	}
+	if steps[len(steps)-1].Err == "" {
+		t.Error("the unknown case did not fail")
+	}
+	for _, s := range script[:len(script)-1] {
+		if !seen[s.tool] {
+			t.Errorf("%s returned no result", s.tool)
+		}
+	}
+}

@@ -78,45 +78,58 @@ func (rs *ResultSet) Recommend(limit int) []Recommendation {
 		}
 	}
 
-	var out []Recommendation
+	// Rank on the numbers alone, keep limit rows, and only then write the
+	// rationales of the rows that are returned.
+	type candidate struct {
+		Recommendation
+		from, to int
+		worst    float64 // overload corridors: worst loading %
+		depth    float64 // reactive support: deepest excursion p.u.
+	}
+	var cands []candidate
 	for b, st := range overloadHits {
-		score := float64(st.count)*10 + (st.worst - 100)
 		kind := ReinforceCapacity
-		rationale := fmt.Sprintf(
-			"branch %d (%d-%d) overloads under %d different outages (worst %.0f%%); add parallel capacity or uprate the corridor",
-			b, st.from, st.to, st.count, st.worst)
 		if st.count <= 2 && st.worst > 120 {
 			kind = RemedialSwitching
-			rationale = fmt.Sprintf(
-				"branch %d (%d-%d) overloads only under %d specific outage(s) but severely (%.0f%%); evaluate post-contingency switching instead of reinforcement",
-				b, st.from, st.to, st.count, st.worst)
 		}
-		out = append(out, Recommendation{
-			Kind: kind, Branch: b, Score: score, Evidence: st.count, Rationale: rationale,
-		})
+		rec := Recommendation{Kind: kind, Branch: b, Score: float64(st.count)*10 + (st.worst - 100), Evidence: st.count}
+		cands = append(cands, candidate{Recommendation: rec, from: st.from, to: st.to, worst: st.worst})
 	}
 	for bus, h := range voltageHits {
-		out = append(out, Recommendation{
-			Kind:     ReactiveSupport,
-			BusID:    bus,
-			Score:    float64(h.count)*8 + 400*h.depth,
-			Evidence: h.count,
-			Rationale: fmt.Sprintf(
-				"bus %d drops below its voltage floor under %d outage(s) (deepest excursion %.3f p.u.); add shunt compensation or local reactive reserves",
-				bus, h.count, h.depth),
-		})
+		rec := Recommendation{Kind: ReactiveSupport, BusID: bus, Score: float64(h.count)*8 + 400*h.depth, Evidence: h.count}
+		cands = append(cands, candidate{Recommendation: rec, depth: h.depth})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := &cands[i], &cands[j]
+		if a.Score != b.Score {
+			return a.Score > b.Score
 		}
-		if out[i].Branch != out[j].Branch {
-			return out[i].Branch < out[j].Branch
+		if a.Branch != b.Branch {
+			return a.Branch < b.Branch
 		}
-		return out[i].BusID < out[j].BusID
+		return a.BusID < b.BusID
 	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	if limit > 0 && len(cands) > limit {
+		cands = cands[:limit]
+	}
+	var out []Recommendation
+	for _, c := range cands {
+		r := c.Recommendation
+		switch r.Kind {
+		case ReinforceCapacity:
+			r.Rationale = fmt.Sprintf(
+				"branch %d (%d-%d) overloads under %d different outages (worst %.0f%%); add parallel capacity or uprate the corridor",
+				r.Branch, c.from, c.to, r.Evidence, c.worst)
+		case RemedialSwitching:
+			r.Rationale = fmt.Sprintf(
+				"branch %d (%d-%d) overloads only under %d specific outage(s) but severely (%.0f%%); evaluate post-contingency switching instead of reinforcement",
+				r.Branch, c.from, c.to, r.Evidence, c.worst)
+		case ReactiveSupport:
+			r.Rationale = fmt.Sprintf(
+				"bus %d drops below its voltage floor under %d outage(s) (deepest excursion %.3f p.u.); add shunt compensation or local reactive reserves",
+				r.BusID, r.Evidence, c.depth)
+		}
+		out = append(out, r)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package contingency
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -91,5 +94,107 @@ func TestRecommendEmptySweep(t *testing.T) {
 	rs := &ResultSet{}
 	if recs := rs.Recommend(5); len(recs) != 0 {
 		t.Fatalf("secure sweep produced %d recommendations", len(recs))
+	}
+}
+
+// recommendRef formats a rationale for every candidate, then sorts and
+// truncates. Recommend ranks first and formats only the rows it returns;
+// the two must agree row for row.
+func recommendRef(rs *ResultSet, limit int) []Recommendation {
+	type corridorStat struct {
+		count int
+		worst float64
+		from  int
+		to    int
+	}
+	overloadHits := map[int]*corridorStat{}
+	voltageHits := map[int]struct {
+		count int
+		depth float64
+	}{}
+	for i := range rs.Outages {
+		o := &rs.Outages[i]
+		for _, ov := range o.Overloads {
+			st := overloadHits[ov.Branch]
+			if st == nil {
+				st = &corridorStat{from: ov.FromBusID, to: ov.ToBusID}
+				overloadHits[ov.Branch] = st
+			}
+			st.count++
+			if ov.LoadingPct > st.worst {
+				st.worst = ov.LoadingPct
+			}
+		}
+		for _, vv := range o.VoltViols {
+			if !vv.Low {
+				continue
+			}
+			h := voltageHits[vv.BusID]
+			h.count++
+			if d := vv.Limit - vv.VmPU; d > h.depth {
+				h.depth = d
+			}
+			voltageHits[vv.BusID] = h
+		}
+	}
+
+	var out []Recommendation
+	for b, st := range overloadHits {
+		score := float64(st.count)*10 + (st.worst - 100)
+		kind := ReinforceCapacity
+		rationale := fmt.Sprintf(
+			"branch %d (%d-%d) overloads under %d different outages (worst %.0f%%); add parallel capacity or uprate the corridor",
+			b, st.from, st.to, st.count, st.worst)
+		if st.count <= 2 && st.worst > 120 {
+			kind = RemedialSwitching
+			rationale = fmt.Sprintf(
+				"branch %d (%d-%d) overloads only under %d specific outage(s) but severely (%.0f%%); evaluate post-contingency switching instead of reinforcement",
+				b, st.from, st.to, st.count, st.worst)
+		}
+		out = append(out, Recommendation{
+			Kind: kind, Branch: b, Score: score, Evidence: st.count, Rationale: rationale,
+		})
+	}
+	for bus, h := range voltageHits {
+		out = append(out, Recommendation{
+			Kind:     ReactiveSupport,
+			BusID:    bus,
+			Score:    float64(h.count)*8 + 400*h.depth,
+			Evidence: h.count,
+			Rationale: fmt.Sprintf(
+				"bus %d drops below its voltage floor under %d outage(s) (deepest excursion %.3f p.u.); add shunt compensation or local reactive reserves",
+				bus, h.count, h.depth),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		if out[i].Branch != out[j].Branch {
+			return out[i].Branch < out[j].Branch
+		}
+		return out[i].BusID < out[j].BusID
+	})
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+func TestRecommendMatchesReference(t *testing.T) {
+	for _, name := range []string{"case30", "case57", "case118"} {
+		n := cases.MustLoad(name)
+		rs, err := Analyze(n, solveBase(t, n), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recommendRef(rs, 0)) == 0 {
+			t.Fatalf("%s: no recommendations to compare", name)
+		}
+		for _, limit := range []int{0, 1, 3, 100} {
+			if got, want := rs.Recommend(limit), recommendRef(rs, limit); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s limit %d:\n got %+v\nwant %+v", name, limit, got, want)
+			}
+		}
 	}
 }

@@ -52,15 +52,6 @@ var (
 func parseIntent(text string) intent {
 	in := intent{topK: 5, branch: -1, fromBus: -1, toBus: -1, genOutBus: -1}
 	lower := strings.ToLower(text)
-
-	if m := reCase.FindStringSubmatch(text); m != nil {
-		switch m[1] {
-		case "14", "30", "57", "118", "300":
-			in.caseName = "case" + m[1]
-		default:
-			in.badCase = m[0]
-		}
-	}
 	hasAny := func(subs ...string) bool {
 		for _, s := range subs {
 			if strings.Contains(lower, s) {
@@ -68,6 +59,26 @@ func parseIntent(text string) intent {
 			}
 		}
 		return false
+	}
+	// A (?i) regex can only match ASCII text where lower holds one of its
+	// literal anchors, so find skips it elsewhere. (?i) also folds ſ and
+	// the Kelvin sign onto s and k: non-ASCII text runs every regex.
+	ascii := isASCII(text)
+	may := func(anchors ...string) bool { return !ascii || hasAny(anchors...) }
+	find := func(re *regexp.Regexp, anchors ...string) []string {
+		if !may(anchors...) {
+			return nil
+		}
+		return re.FindStringSubmatch(text)
+	}
+
+	if m := find(reCase, "case", "ieee"); m != nil {
+		switch m[1] {
+		case "14", "30", "57", "118", "300":
+			in.caseName = "case" + m[1]
+		default:
+			in.badCase = m[0]
+		}
 	}
 	in.solve = hasAny("solve", "optimal power flow", "opf", "optimize", "optimise", "dispatch")
 	in.status = hasAny("status", "current state", "network info", "what is loaded", "session")
@@ -79,43 +90,55 @@ func parseIntent(text string) intent {
 	in.cascade = hasAny("cascade", "cascading", "n-k", "domino", "trip sequence")
 	in.mc = hasAny("monte carlo", "monte-carlo", "lolp", "loss of load", "loss-of-load", "probabilistic")
 
-	if m := reModify.FindStringSubmatch(text); m != nil {
-		verb := strings.ToLower(m[1])
-		bus, _ := strconv.Atoi(m[2])
-		val, _ := strconv.ParseFloat(m[4], 64)
-		mi := &modIntent{bus: bus, value: val, relative: strings.EqualFold(m[3], "by"), sign: 1}
-		if verb == "decrease" || verb == "lower" || verb == "reduce" {
-			mi.sign = -1
-		}
-		if qm := reQVal.FindStringSubmatch(text); qm != nil {
-			mi.qValue, _ = strconv.ParseFloat(qm[1], 64)
-			mi.hasQ = true
-		}
-		in.modify = mi
-	}
-
-	if m := reTopK.FindStringSubmatch(text); m != nil {
-		if k, err := strconv.Atoi(m[1]); err == nil && k > 0 && k <= 100 {
-			in.topK = k
-		}
-	} else if m := reMostK.FindStringSubmatch(text); m != nil {
-		if k, err := strconv.Atoi(m[1]); err == nil && k > 0 && k <= 100 {
-			in.topK = k
+	if may("bus") { // reModify holds both "load" and "bus"
+		if m := find(reModify, "load"); m != nil {
+			verb := strings.ToLower(m[1])
+			bus, _ := strconv.Atoi(m[2])
+			val, _ := strconv.ParseFloat(m[4], 64)
+			mi := &modIntent{bus: bus, value: val, relative: strings.EqualFold(m[3], "by"), sign: 1}
+			if verb == "decrease" || verb == "lower" || verb == "reduce" {
+				mi.sign = -1
+			}
+			if qm := find(reQVal, "mvar"); qm != nil {
+				mi.qValue, _ = strconv.ParseFloat(qm[1], 64)
+				mi.hasQ = true
+			}
+			in.modify = mi
 		}
 	}
 
-	if m := reGenOut.FindStringSubmatch(text); m != nil {
+	if m := find(reTopK, "top"); m != nil {
+		if k, err := strconv.Atoi(m[1]); err == nil && k > 0 && k <= 100 {
+			in.topK = k
+		}
+	} else if m := find(reMostK, "most"); m != nil {
+		if k, err := strconv.Atoi(m[1]); err == nil && k > 0 && k <= 100 {
+			in.topK = k
+		}
+	}
+
+	if m := find(reGenOut, "generator", "unit", "machine"); m != nil {
 		in.genOutBus, _ = strconv.Atoi(m[1])
 	}
-	if m := reBusPair.FindStringSubmatch(text); m != nil {
+	if m := find(reBusPair, "between"); m != nil {
 		in.fromBus, _ = strconv.Atoi(m[1])
 		in.toBus, _ = strconv.Atoi(m[2])
 	} else if in.conting || in.cascade {
 		// A bare branch number only counts when the phrasing is about an
 		// outage, not e.g. "line limits".
-		if m := reBranch.FindStringSubmatch(text); m != nil && hasAny("outage", "remove", "removing", "trip", "take out", "analyze", "analyse", "cascade", "cascading") {
+		if m := find(reBranch, "branch", "line", "transformer"); m != nil && hasAny("outage", "remove", "removing", "trip", "take out", "analyze", "analyse", "cascade", "cascading") {
 			in.branch, _ = strconv.Atoi(m[1])
 		}
 	}
 	return in
+}
+
+// isASCII reports whether s holds only ASCII bytes.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }

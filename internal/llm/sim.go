@@ -284,7 +284,8 @@ func (s *SimClient) decideCA(in intent, results []toolResult, avail map[string]b
 // against the stored structured results.
 func (s *SimClient) respond(req *Request, msg Message) *Response {
 	prompt := PromptTokens(req)
-	rngSlip := s.rng(req)
+	st := s.stream(req)
+	rngSlip := st.reader()
 	if msg.Content != "" && len(msg.ToolCalls) == 0 && rngSlip.Float64() < s.profile.SlipRate {
 		msg.Content = injectSlip(msg.Content, rngSlip)
 	}
@@ -300,7 +301,7 @@ func (s *SimClient) respond(req *Request, msg Message) *Response {
 	// visible completion is a short tool call.
 	completion += int(40 * s.profile.Verbosity)
 
-	rng := s.rng(req)
+	rng := st.reader()
 	domain := s.profile.ACOPFCallSec
 	if hasCATool(req.Tools) {
 		domain = s.profile.CACallSec
@@ -314,18 +315,48 @@ func (s *SimClient) respond(req *Request, msg Message) *Response {
 	}
 }
 
-// rng derives a deterministic stream from the conversation state, so the
-// same (model, salt, conversation) always behaves identically while
+// stream derives a deterministic stream from the conversation state, so
+// the same (model, salt, conversation) always behaves identically while
 // different runs (salts) draw independent latencies.
-func (s *SimClient) rng(req *Request) *rand.Rand {
+func (s *SimClient) stream(req *Request) *stream {
 	h := fnv.New64a()
 	h.Write([]byte(s.profile.Name))
 	fmt.Fprintf(h, "|%d|%d|", req.Salt, len(req.Messages))
 	if i := lastUserIndex(req.Messages); i >= 0 {
 		h.Write([]byte(req.Messages[i].Content))
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return &stream{src: rand.NewSource(int64(h.Sum64()))}
 }
+
+// stream is one seeded source whose draws every reader replays from the
+// start: the slip and latency draws of a completion each read the stream
+// as if it were freshly seeded, but the source is seeded once.
+type stream struct {
+	src   rand.Source
+	drawn []int64
+}
+
+// reader returns a generator positioned at the stream's first draw.
+func (st *stream) reader() *rand.Rand { return rand.New(&replay{st: st}) }
+
+// replay is one reader's position in a stream. Every rand.Rand method the
+// simulator calls (Float64, NormFloat64, Intn) draws through Int63, so
+// replaying Int63 replays the generator.
+type replay struct {
+	st  *stream
+	pos int
+}
+
+func (r *replay) Int63() int64 {
+	if r.pos == len(r.st.drawn) {
+		r.st.drawn = append(r.st.drawn, r.st.src.Int63())
+	}
+	v := r.st.drawn[r.pos]
+	r.pos++
+	return v
+}
+
+func (r *replay) Seed(int64) { panic("llm: a replayed stream is seeded once") }
 
 // --- conversation helpers ---
 

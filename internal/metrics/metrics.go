@@ -45,6 +45,19 @@ type Recorder struct {
 	next    int
 	dropped int64
 	met     *obs.Registry
+	// agents holds each agent's instrument handles on met, resolved on
+	// the agent's first Record.
+	agents map[string]*agentMetrics
+}
+
+// agentMetrics are one agent's handles on the bound registry.
+type agentMetrics struct {
+	interactions, tokensPrompt, tokensCompletion *obs.Counter
+	validationErrors, factualSlips, recoveries   *obs.Counter
+	latency                                      *obs.Histogram
+	// success is resolved on the agent's first successful turn, so the
+	// series appears only once there is a success to count.
+	success *obs.Counter
 }
 
 // NewRecorder returns an empty recorder.
@@ -52,11 +65,14 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Observe binds the recorder to an obs registry: every Record also feeds
 // the per-agent interaction/success counters and latency histogram.
-// Returns the recorder for chaining. Recording is per-turn, not hot-path,
-// so the registry's get-or-create lookup per record is acceptable.
+// Returns the recorder for chaining. Each agent's handles are registered
+// on its first Record and kept: looking the eight instruments up on
+// every Record measured about 3 % of all CPU of an in-process chat_light
+// replay (20 000 asks, HTTP client included).
 func (r *Recorder) Observe(met *obs.Registry) *Recorder {
 	r.mu.Lock()
 	r.met = met
+	r.agents = nil
 	r.mu.Unlock()
 	return r
 }
@@ -78,21 +94,51 @@ func (r *Recorder) Record(i Interaction) {
 		r.next = (r.next + 1) % maxRows
 		r.dropped++
 	}
-	met := r.met
+	var m *agentMetrics
+	if r.met != nil {
+		m = r.handles(i.Agent, i.Success)
+	}
 	r.mu.Unlock()
-	if met == nil {
+	if m == nil {
 		return
 	}
-	met.Counter("gridmind_agent_interactions_total", "Agent turns recorded.", "agent", i.Agent).Inc()
+	m.interactions.Inc()
 	if i.Success {
-		met.Counter("gridmind_agent_success_total", "Agent turns that succeeded.", "agent", i.Agent).Inc()
+		m.success.Inc()
 	}
-	met.Histogram("gridmind_agent_latency_seconds", "End-to-end agent turn latency.", nil, "agent", i.Agent).ObserveDuration(i.Latency)
-	met.Counter("gridmind_agent_tokens_total", "LLM tokens by direction.", "agent", i.Agent, "direction", "prompt").Add(int64(i.PromptTokens))
-	met.Counter("gridmind_agent_tokens_total", "", "agent", i.Agent, "direction", "completion").Add(int64(i.CompletionTokens))
-	met.Counter("gridmind_agent_validation_errors_total", "Tool-call validation failures.", "agent", i.Agent).Add(int64(i.ValidationErrors))
-	met.Counter("gridmind_agent_factual_slips_total", "Numeric claims contradicting tool output.", "agent", i.Agent).Add(int64(i.FactualSlips))
-	met.Counter("gridmind_agent_recoveries_total", "Solver fallback recoveries during turns.", "agent", i.Agent).Add(int64(i.Recoveries))
+	m.latency.ObserveDuration(i.Latency)
+	m.tokensPrompt.Add(int64(i.PromptTokens))
+	m.tokensCompletion.Add(int64(i.CompletionTokens))
+	m.validationErrors.Add(int64(i.ValidationErrors))
+	m.factualSlips.Add(int64(i.FactualSlips))
+	m.recoveries.Add(int64(i.Recoveries))
+}
+
+// handles returns agent's instrument handles, registering them on its
+// first turn and the success counter on its first successful one. The
+// caller holds r.mu and has bound a registry.
+func (r *Recorder) handles(agent string, success bool) *agentMetrics {
+	m := r.agents[agent]
+	if m == nil {
+		met := r.met
+		m = &agentMetrics{
+			interactions:     met.Counter("gridmind_agent_interactions_total", "Agent turns recorded.", "agent", agent),
+			latency:          met.Histogram("gridmind_agent_latency_seconds", "End-to-end agent turn latency.", nil, "agent", agent),
+			tokensPrompt:     met.Counter("gridmind_agent_tokens_total", "LLM tokens by direction.", "agent", agent, "direction", "prompt"),
+			tokensCompletion: met.Counter("gridmind_agent_tokens_total", "", "agent", agent, "direction", "completion"),
+			validationErrors: met.Counter("gridmind_agent_validation_errors_total", "Tool-call validation failures.", "agent", agent),
+			factualSlips:     met.Counter("gridmind_agent_factual_slips_total", "Numeric claims contradicting tool output.", "agent", agent),
+			recoveries:       met.Counter("gridmind_agent_recoveries_total", "Solver fallback recoveries during turns.", "agent", agent),
+		}
+		if r.agents == nil {
+			r.agents = map[string]*agentMetrics{}
+		}
+		r.agents[agent] = m
+	}
+	if success && m.success == nil {
+		m.success = r.met.Counter("gridmind_agent_success_total", "Agent turns that succeeded.", "agent", agent)
+	}
+	return m
 }
 
 // Rows returns a snapshot copy of the kept interactions, oldest first.

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gridmind/internal/obs"
 )
 
 func row(model string, lat time.Duration, ok bool) Interaction {
@@ -141,5 +143,51 @@ func TestRecorderBounded(t *testing.T) {
 	r.Reset()
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("reset left rows or a dropped count")
+	}
+}
+
+// TestRecorderHandles: a bound Recorder registers an agent's series on its
+// first turn, the success counter on its first success and not before,
+// counts every turn on the kept handles, and allocates nothing per Record
+// once the ring is full.
+func TestRecorderHandles(t *testing.T) {
+	met := obs.NewRegistry()
+	r := NewRecorder().Observe(met)
+	r.Record(Interaction{Agent: "ca", Latency: time.Second, PromptTokens: 7, FactualSlips: 1})
+	if _, ok := met.Value("gridmind_agent_success_total", "agent", "ca"); ok {
+		t.Fatal("success series registered before any success")
+	}
+	for _, name := range []string{"gridmind_agent_interactions_total", "gridmind_agent_validation_errors_total", "gridmind_agent_factual_slips_total", "gridmind_agent_recoveries_total"} {
+		if _, ok := met.Value(name, "agent", "ca"); !ok {
+			t.Fatalf("%s not registered on the first turn", name)
+		}
+	}
+	if _, ok := met.Value("gridmind_agent_tokens_total", "agent", "ca", "direction", "completion"); !ok {
+		t.Fatal("completion token series not registered on the first turn")
+	}
+	r.Record(Interaction{Agent: "ca", Latency: time.Second, PromptTokens: 3, Success: true})
+	r.Record(Interaction{Agent: "acopf", Success: true})
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   float64
+	}{
+		{"gridmind_agent_interactions_total", []string{"agent", "ca"}, 2},
+		{"gridmind_agent_success_total", []string{"agent", "ca"}, 1},
+		{"gridmind_agent_success_total", []string{"agent", "acopf"}, 1},
+		{"gridmind_agent_tokens_total", []string{"agent", "ca", "direction", "prompt"}, 10},
+		{"gridmind_agent_factual_slips_total", []string{"agent", "ca"}, 1},
+	} {
+		if v, ok := met.Value(c.name, c.labels...); !ok || v != c.want {
+			t.Errorf("%s%v = %v (registered %v), want %v", c.name, c.labels, v, ok, c.want)
+		}
+	}
+
+	for r.Len() < maxRows {
+		r.Record(Interaction{Agent: "ca", Success: true})
+	}
+	turn := Interaction{Agent: "ca", Latency: time.Millisecond, PromptTokens: 1, Success: true}
+	if a := testing.AllocsPerRun(200, func() { r.Record(turn) }); a != 0 {
+		t.Fatalf("Record allocates %v per turn on kept handles", a)
 	}
 }

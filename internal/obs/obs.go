@@ -166,40 +166,6 @@ func (h *Histogram) snapshot() (cum []int64, total int64, sum float64) {
 	return cum, run, math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// within the owning bucket, the same estimate Prometheus' histogram_quantile
-// produces. Samples in the +Inf bucket clamp to the highest finite bound.
-// Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	cum, total, _ := h.snapshot()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	idx := sort.Search(len(cum), func(i int) bool { return float64(cum[i]) >= rank })
-	if idx >= len(h.bounds) {
-		return h.bounds[len(h.bounds)-1]
-	}
-	lower := 0.0
-	var below int64
-	if idx > 0 {
-		lower = h.bounds[idx-1]
-		below = cum[idx-1]
-	}
-	width := h.bounds[idx] - lower
-	inBucket := cum[idx] - below
-	if inBucket == 0 {
-		return h.bounds[idx]
-	}
-	return lower + width*(rank-float64(below))/float64(inBucket)
-}
-
 // DefLatencyBuckets spans 100µs to ~100s in roughly-logarithmic steps —
 // wide enough for both sub-millisecond tool calls and multi-second
 // LLM/ACOPF round trips.
@@ -255,7 +221,8 @@ var (
 )
 
 // labelKey canonicalises alternating name/value pairs: sorted by name,
-// encoded unambiguously. Returns the sorted copy too.
+// encoded unambiguously. Returns the sorted copy too. Label names are
+// checked by ensureSeries when a series is first registered, not here.
 func labelKey(labels []string) (string, []string) {
 	if len(labels)%2 != 0 {
 		panic("obs: odd label list; want name, value pairs")
@@ -272,9 +239,6 @@ func labelKey(labels []string) (string, []string) {
 	}
 	var b strings.Builder
 	for i := 0; i < n; i++ {
-		if !labelRe.MatchString(sorted[2*i]) {
-			panic(fmt.Sprintf("obs: invalid label name %q", sorted[2*i]))
-		}
 		b.WriteString(sorted[2*i])
 		b.WriteByte(1)
 		b.WriteString(sorted[2*i+1])
@@ -285,13 +249,15 @@ func labelKey(labels []string) (string, []string) {
 
 // ensure returns the family for name, creating it with the given kind and
 // help, and panics on a name/kind conflict (registration is static code;
-// a conflict is a programming error, not a runtime condition).
+// a conflict is a programming error, not a runtime condition). The name is
+// checked when the family is created: an invalid one never is, so every
+// call with it panics.
 func (r *Registry) ensure(name, help string, k kind) *family {
-	if !nameRe.MatchString(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
 	f, ok := r.fams[name]
 	if !ok {
+		if !nameRe.MatchString(name) {
+			panic(fmt.Sprintf("obs: invalid metric name %q", name))
+		}
 		f = &family{name: name, help: help, kind: k, byKey: make(map[string]*series)}
 		r.fams[name] = f
 		return f
@@ -305,10 +271,17 @@ func (r *Registry) ensure(name, help string, k kind) *family {
 	return f
 }
 
+// ensureSeries returns the series for labels, creating it on first use.
+// Label names are checked when the series is created.
 func (f *family) ensureSeries(labels []string) *series {
 	key, sorted := labelKey(labels)
 	s, ok := f.byKey[key]
 	if !ok {
+		for i := 0; i < len(sorted); i += 2 {
+			if !labelRe.MatchString(sorted[i]) {
+				panic(fmt.Sprintf("obs: invalid label name %q", sorted[i]))
+			}
+		}
 		s = &series{labels: sorted, key: key}
 		f.byKey[key] = s
 		f.series = append(f.series, s)

@@ -140,25 +140,6 @@ func truncate(s string, n int) string {
 	return s[:n-3] + "..."
 }
 
-// Comparison renders the economic vs security-constrained study as a
-// two-column table.
-func Comparison(w io.Writer, econCost, secCost float64, rounds int, secure bool, violBefore, violAfter int) {
-	fmt.Fprintln(w, "operation strategy comparison")
-	fmt.Fprintf(w, "  %-28s %12.2f $/h\n", "economic (unconstrained):", econCost)
-	fmt.Fprintf(w, "  %-28s %12.2f $/h\n", "security-constrained:", secCost)
-	fmt.Fprintf(w, "  %-28s %12.2f $/h (%.2f%%)\n", "security premium:", secCost-econCost,
-		100*(secCost-econCost)/maxf(econCost, 1))
-	fmt.Fprintf(w, "  %-28s %d -> %d over %d round(s), fully secure: %t\n",
-		"post-contingency violations:", violBefore, violAfter, rounds, secure)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Banner writes the REPL help block listing report commands.
 func Banner(w io.Writer) {
 	fmt.Fprintln(w, strings.TrimSpace(`

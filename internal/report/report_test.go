@@ -89,18 +89,6 @@ func TestSessionReport(t *testing.T) {
 	}
 }
 
-func TestComparisonReport(t *testing.T) {
-	var buf bytes.Buffer
-	Comparison(&buf, 1000, 1012.5, 3, false, 12, 4)
-	out := buf.String()
-	if !strings.Contains(out, "12.50 $/h (1.25%)") {
-		t.Fatalf("premium rendering: %s", out)
-	}
-	if !strings.Contains(out, "12 -> 4") {
-		t.Fatalf("violations rendering: %s", out)
-	}
-}
-
 func TestBanner(t *testing.T) {
 	var buf bytes.Buffer
 	Banner(&buf)

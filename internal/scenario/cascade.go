@@ -218,7 +218,7 @@ func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *
 		// The contingency scorer's thermal/voltage rules over the
 		// surviving branches: flows on tripped branches are meaningless.
 		sg.MinVoltagePU = res.MinVm
-		sg.MaxLoadingPct, sg.Overloads, sg.VoltViols = contingency.Violations(res, n, mask, opts.OverloadPct, opts.VoltLow, opts.VoltHigh)
+		sg.MaxLoadingPct, sg.Overloads, sg.VoltViols = contingency.Violations(res, n, mask, overloadPct, voltLow, voltHigh)
 
 		sg.NextTrips = selectTrips(res, mask, opts)
 		if len(sg.NextTrips) == 0 {
@@ -248,7 +248,7 @@ func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *
 		mask[k] = false
 	}
 	r.Depth = len(r.Stages) - 1
-	r.computeSeverity(opts)
+	r.computeSeverity()
 	return r
 }
 
@@ -292,10 +292,10 @@ func selectTrips(res *powerflow.Result, mask []bool, opts Options) []int {
 // — the contingency severity rule summed along the cascade (overload
 // excess capped per branch, voltage deviations, shed and deficit MW, and
 // the collapse penalty).
-func (r *CascadeResult) computeSeverity(opts Options) {
+func (r *CascadeResult) computeSeverity() {
 	s := 0.0
 	for i := range r.Stages {
-		s = contingency.AddViolationScore(s, r.Stages[i].Overloads, r.Stages[i].VoltViols, opts.OverloadPct)
+		s = contingency.AddViolationScore(s, r.Stages[i].Overloads, r.Stages[i].VoltViols, overloadPct)
 	}
 	s += r.LoadShedMW + r.GenDeficitMW
 	if r.Outcome == OutcomeCollapse {
@@ -379,7 +379,7 @@ const (
 )
 
 // screenSeed DC-certifies seed outage k as non-cascading: every
-// surviving rated branch must sit below the absolute ScreenThreshold
+// surviving rated branch must sit below the absolute screenThreshold
 // bar, or be essentially unchanged from its base loading while clearing
 // the trip threshold with margin. preMW holds base's branch flows (MW);
 // base supplies the loadings. Returns the predicted worst loading
@@ -401,7 +401,7 @@ func screenSeed(n *model.Network, base *powerflow.Result, preMW []float64, k int
 		if pct > worst {
 			worst = pct
 		}
-		if pct < opts.ScreenThreshold {
+		if pct < screenThreshold {
 			continue
 		}
 		if pct < unchangedBar && pct <= base.Flows[b].LoadingPct+screenRisePct {

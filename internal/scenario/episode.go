@@ -111,7 +111,7 @@ func runEpisode(w *contingency.Worker, st cascadeState, n *model.Network, base *
 		for _, k := range step.BranchesOut {
 			mask[k] = true
 		}
-		maxPct, overloads, viols := contingency.Violations(res, n, mask, opts.OverloadPct, opts.VoltLow, opts.VoltHigh)
+		maxPct, overloads, viols := contingency.Violations(res, n, mask, overloadPct, voltLow, voltHigh)
 		for _, k := range step.BranchesOut {
 			mask[k] = false
 		}

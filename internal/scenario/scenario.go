@@ -44,10 +44,20 @@ func recordScenario(met *obs.Registry, kind string, units, screened int) {
 // network without the slack bus any converged base of it would have.
 var ErrNoBase = errors.New("scenario: a converged base power flow is required")
 
+// Stages count violations with the N-1 sweep's fixed thresholds: a branch
+// loaded above overloadPct percent, or a bus voltage outside [voltLow,
+// voltHigh] p.u. The cascade seed screen certifies below the N-1
+// screener's predicted-loading bar, screenThreshold percent.
+const (
+	voltLow         = 0.94
+	voltHigh        = 1.06
+	overloadPct     = 100.0
+	screenThreshold = 85.0
+)
+
 // Options configures cascade studies, sweeps and episodes. The zero value
 // cascades to depth 3 with a 115% protection trip threshold, two trips
-// per stage, no redispatch, and the contingency thresholds (100%
-// overload, 0.94/1.06 p.u. voltage).
+// per stage and no redispatch.
 type Options struct {
 	// MaxDepth bounds cascade propagation: stages tripped BEYOND the
 	// initiating event (stage 0 is the seed outage itself). Zero selects 3.
@@ -60,30 +70,22 @@ type Options struct {
 	// MaxTripsPerStage bounds how many ranked candidates trip per stage.
 	// Zero selects 2.
 	MaxTripsPerStage int
-	// OverloadPct is the loading threshold counted as an overload; zero
-	// selects 100.
-	OverloadPct float64
-	// VoltLow/VoltHigh are violation thresholds; zero selects 0.94/1.06.
-	VoltLow, VoltHigh float64
 	// Redispatch applies a governor-style rebalance between stages: the
 	// slack machines' solved pickup is moved onto the surviving non-slack
 	// fleet's headroom before the next stage solves.
 	Redispatch bool
 	// Workers bounds sweep/Monte-Carlo parallelism; 0 selects GOMAXPROCS.
 	Workers int
-	// DCScreen enables the lazy-LODF pre-screen in cascade sweeps: seed
-	// outages whose DC-predicted worst loading stays below ScreenThreshold
-	// are certified non-cascading without any AC work.
+	// DCScreen enables the lazy-LODF pre-screen in cascade sweeps. A seed
+	// outage is certified non-cascading without any AC work when every
+	// surviving rated branch's DC-predicted loading is either below
+	// screenThreshold, or essentially unchanged from its base loading
+	// while clearing the trip threshold with margin (see
+	// screenRisePct/screenTripMarginPct) — the cascade analogue of the
+	// screener's basePct+allowance rule, needed because the DC prediction
+	// is MW-only and absolute bars can't certify anything on a base that
+	// already runs branches in the 90s.
 	DCScreen bool
-	// ScreenThreshold is the absolute predicted-loading bar of the screen;
-	// zero selects 85 (the N-1 screener's). A seed is certified when every
-	// surviving rated branch is either below this bar, or essentially
-	// unchanged from its base loading while clearing the trip threshold
-	// with margin (see screenRisePct/screenTripMarginPct) — the cascade
-	// analogue of the screener's basePct+allowance rule, needed because
-	// the DC prediction is MW-only and absolute bars can't certify
-	// anything on a base that already runs branches in the 90s.
-	ScreenThreshold float64
 
 	// BaseYbus/Topology/PTDF/Reorder are the engine's shared structural
 	// artifacts (see contingency.Options for the matching contracts). Nil
@@ -112,20 +114,8 @@ func (o *Options) fill() {
 	if o.MaxTripsPerStage <= 0 {
 		o.MaxTripsPerStage = 2
 	}
-	if o.OverloadPct == 0 {
-		o.OverloadPct = 100
-	}
-	if o.VoltLow == 0 {
-		o.VoltLow = 0.94
-	}
-	if o.VoltHigh == 0 {
-		o.VoltHigh = 1.06
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ScreenThreshold == 0 {
-		o.ScreenThreshold = 85
 	}
 	if o.Reorder == nil {
 		o.Reorder = powerflow.NewOrderingCache()

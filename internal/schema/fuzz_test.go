@@ -108,11 +108,11 @@ func TestValidateNormalizeStabilityProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSchema(rng, 3)
 		v := randomJSON(rng, 3)
-		stored, err := s.ValidateValue(v)
+		stored, _, err := s.ValidateValue(v)
 		if err != nil {
 			return true // vacuous: only accepted payloads must be stable
 		}
-		reloaded, err := Normalize(stored)
+		reloaded, _, err := Normalize(stored)
 		if err != nil {
 			return false
 		}
@@ -129,10 +129,10 @@ func TestValidateNormalizeStabilityProperty(t *testing.T) {
 func TestNilSliceEdgeCase(t *testing.T) {
 	s := Arr("", Int(""))
 	var nilSlice []any
-	if _, err := s.ValidateValue(nilSlice); err == nil {
+	if _, _, err := s.ValidateValue(nilSlice); err == nil {
 		t.Fatal("nil slice should be rejected by the pipeline (normalizes to null)")
 	}
-	if _, err := s.ValidateValue([]any{}); err != nil {
+	if _, _, err := s.ValidateValue([]any{}); err != nil {
 		t.Fatalf("empty (non-nil) array must pass: %v", err)
 	}
 }

@@ -195,28 +195,31 @@ func asFloat(v any) (float64, bool) {
 }
 
 // Normalize round-trips an arbitrary Go value through JSON so it can be
-// validated and stored as generic structured data.
-func Normalize(v any) (any, error) {
+// validated and stored as generic structured data. It also returns the
+// JSON encoding the value was decoded from, so a caller that needs the
+// value as JSON text does not encode it a second time.
+func Normalize(v any) (any, []byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("schema: normalize: %w", err)
+		return nil, nil, fmt.Errorf("schema: normalize: %w", err)
 	}
 	var out any
 	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("schema: normalize: %w", err)
+		return nil, nil, fmt.Errorf("schema: normalize: %w", err)
 	}
-	return out, nil
+	return out, raw, nil
 }
 
 // ValidateValue normalizes a Go value and validates it in one step; it
-// returns the normalized form for storage.
-func (s *Schema) ValidateValue(v any) (any, error) {
-	n, err := Normalize(v)
+// returns the normalized form for storage and the JSON encoding that form
+// was decoded from.
+func (s *Schema) ValidateValue(v any) (any, []byte, error) {
+	n, raw, err := Normalize(v)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.Validate(n); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return n, nil
+	return n, raw, nil
 }

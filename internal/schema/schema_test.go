@@ -105,7 +105,7 @@ func TestNormalizeAndValidateValue(t *testing.T) {
 		"name":  Str(""),
 		"score": Num(""),
 	}, "name")
-	norm, err := s.ValidateValue(payload{Name: "a", Score: 0.5})
+	norm, _, err := s.ValidateValue(payload{Name: "a", Score: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestNormalizeAndValidateValue(t *testing.T) {
 }
 
 func TestNormalizeRejectsUnmarshalable(t *testing.T) {
-	if _, err := Normalize(make(chan int)); err == nil {
+	if _, _, err := Normalize(make(chan int)); err == nil {
 		t.Fatal("channel should not normalize")
 	}
 }

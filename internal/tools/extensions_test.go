@@ -44,7 +44,7 @@ func TestRunN2Tool(t *testing.T) {
 	if _, err := sess.LoadCase("case57"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Invoke(ToolRunN2, map[string]any{"top_k": 3.0, "seed_k": 6.0})
+	out, _, err := r.Invoke(ToolRunN2, map[string]any{"top_k": 3.0, "seed_k": 6.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestRunN2Tool(t *testing.T) {
 
 func TestLoadSensitivityTool(t *testing.T) {
 	r, _ := extendedRegistry(t)
-	if _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"}); err != nil {
+	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Invoke(ToolLoadSensitivity, map[string]any{
+	out, _, err := r.Invoke(ToolLoadSensitivity, map[string]any{
 		"buses": []any{9, 14}, "delta_mw": 2.0,
 	})
 	if err != nil {
@@ -103,10 +103,10 @@ func TestLoadSensitivityTool(t *testing.T) {
 
 func TestLoadSensitivityDefaultBuses(t *testing.T) {
 	r, _ := extendedRegistry(t)
-	if _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"}); err != nil {
+	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Invoke(ToolLoadSensitivity, nil)
+	out, _, err := r.Invoke(ToolLoadSensitivity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestLoadSensitivitySolvesWhenStale(t *testing.T) {
 	if _, err := sess.LoadCase("case14"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Invoke(ToolLoadSensitivity, map[string]any{"buses": []any{9}}); err != nil {
+	if _, _, err := r.Invoke(ToolLoadSensitivity, map[string]any{"buses": []any{9}}); err != nil {
 		t.Fatal(err)
 	}
 	if sol, fresh := sess.ACOPF(); sol == nil || !fresh {
@@ -132,10 +132,10 @@ func TestLoadSensitivitySolvesWhenStale(t *testing.T) {
 
 func TestCompareStrategyTool(t *testing.T) {
 	r, _ := extendedRegistry(t)
-	if _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case57"}); err != nil {
+	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case57"}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Invoke(ToolCompareStrategy, map[string]any{"max_rounds": 2.0})
+	out, _, err := r.Invoke(ToolCompareStrategy, map[string]any{"max_rounds": 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCascadeToolEvent(t *testing.T) {
 	if _, err := sess.LoadCase("case30"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Invoke(ToolCascade, map[string]any{
+	out, _, err := r.Invoke(ToolCascade, map[string]any{
 		"branches": []any{1.0}, "trip_pct": 105.0, "load_scale": 1.1,
 	})
 	if err != nil {
@@ -184,7 +184,7 @@ func TestCascadeToolRejectsInvalidSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seed := range []any{[]any{9999.0}, []any{-3.0}, []any{0.0, 9999.0}} {
-		out, err := r.Invoke(ToolCascade, map[string]any{"branches": seed})
+		out, _, err := r.Invoke(ToolCascade, map[string]any{"branches": seed})
 		if !errors.Is(err, contingency.ErrInvalidOutage) {
 			t.Fatalf("branches %v: got %v, %v; want ErrInvalidOutage", seed, out, err)
 		}
@@ -196,7 +196,7 @@ func TestCascadeToolSweep(t *testing.T) {
 	if _, err := sess.LoadCase("case57"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Invoke(ToolCascade, map[string]any{})
+	out, _, err := r.Invoke(ToolCascade, map[string]any{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestReliabilityMCTool(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := map[string]any{"samples": 30.0, "seed": 5.0, "branch_outage_prob": 0.02}
-	out, err := r.Invoke(ToolRunMC, args)
+	out, _, err := r.Invoke(ToolRunMC, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestReliabilityMCTool(t *testing.T) {
 		t.Fatalf("malformed interval %v", lol)
 	}
 	// Fixed seed: a second invocation reports identical indices.
-	again, err := r.Invoke(ToolRunMC, args)
+	again, _, err := r.Invoke(ToolRunMC, args)
 	if err != nil {
 		t.Fatal(err)
 	}

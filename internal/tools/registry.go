@@ -119,14 +119,16 @@ func (r *Registry) Get(name string) (*Tool, bool) {
 
 // Invoke validates args, executes the tool, and validates + normalizes
 // the result. The returned value is generic JSON data (map/slice/scalar)
-// ready for storage in structured context.
-func (r *Registry) Invoke(name string, args map[string]any) (any, error) {
+// ready for storage in structured context; raw is the JSON encoding that
+// value was decoded from, the tool message an agent hands back to its
+// model.
+func (r *Registry) Invoke(name string, args map[string]any) (any, []byte, error) {
 	r.mu.Lock()
 	t, ok := r.tools[name]
 	tm := r.tm[name]
 	r.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTool, name)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownTool, name)
 	}
 	if tm != nil {
 		start := time.Now()
@@ -136,13 +138,13 @@ func (r *Registry) Invoke(name string, args map[string]any) (any, error) {
 	if args == nil {
 		args = map[string]any{}
 	}
-	fail := func(err error) (any, error) {
+	fail := func(err error) (any, []byte, error) {
 		if tm != nil {
 			tm.errors.Inc()
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	norm, err := schema.Normalize(args)
+	norm, _, err := schema.Normalize(args)
 	if err != nil {
 		return fail(fmt.Errorf("%w: %s: %v", ErrInputSchema, name, err))
 	}
@@ -154,9 +156,9 @@ func (r *Registry) Invoke(name string, args map[string]any) (any, error) {
 	if err != nil {
 		return fail(fmt.Errorf("tools: %s: %w", name, err))
 	}
-	validated, err := t.Output.ValidateValue(out)
+	validated, raw, err := t.Output.ValidateValue(out)
 	if err != nil {
 		return fail(fmt.Errorf("%w: %s: %v", ErrOutputSchema, name, err))
 	}
-	return validated, nil
+	return validated, raw, nil
 }

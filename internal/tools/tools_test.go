@@ -62,7 +62,7 @@ func TestInvokeValidatesInput(t *testing.T) {
 			return map[string]any{"sum": args["a"].(float64) + args["b"].(float64)}, nil
 		},
 	})
-	out, err := r.Invoke("add", map[string]any{"a": 1.5, "b": 2.0})
+	out, _, err := r.Invoke("add", map[string]any{"a": 1.5, "b": 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +70,17 @@ func TestInvokeValidatesInput(t *testing.T) {
 		t.Fatalf("out = %v", out)
 	}
 	// Missing required arg → input schema error.
-	_, err = r.Invoke("add", map[string]any{"a": 1.0})
+	_, _, err = r.Invoke("add", map[string]any{"a": 1.0})
 	if !errors.Is(err, ErrInputSchema) {
 		t.Fatalf("err = %v, want ErrInputSchema", err)
 	}
 	// Unknown arg → input schema error (strict).
-	_, err = r.Invoke("add", map[string]any{"a": 1.0, "b": 2.0, "c": 3.0})
+	_, _, err = r.Invoke("add", map[string]any{"a": 1.0, "b": 2.0, "c": 3.0})
 	if !errors.Is(err, ErrInputSchema) {
 		t.Fatalf("err = %v", err)
 	}
 	// Unknown tool.
-	if _, err := r.Invoke("nope", nil); !errors.Is(err, ErrUnknownTool) {
+	if _, _, err := r.Invoke("nope", nil); !errors.Is(err, ErrUnknownTool) {
 		t.Fatalf("err = %v", err)
 	}
 	// add's Fn never fails, so every counted error is a validation error;
@@ -103,7 +103,7 @@ func TestInvokeValidatesOutput(t *testing.T) {
 			return map[string]any{"wrong_key": 1}, nil // violates output schema
 		},
 	})
-	_, err := r.Invoke("bad", nil)
+	_, _, err := r.Invoke("bad", nil)
 	if !errors.Is(err, ErrOutputSchema) {
 		t.Fatalf("err = %v, want ErrOutputSchema", err)
 	}
@@ -125,7 +125,7 @@ func TestGridMindRegistryComplete(t *testing.T) {
 func TestSolveACOPFTool(t *testing.T) {
 	sess := newSession(t)
 	r := NewGridMind(sess, engine.New())
-	out, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "IEEE 14"})
+	out, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "IEEE 14"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSolveACOPFTool(t *testing.T) {
 		t.Fatal("solution not stored in session")
 	}
 	// Unknown case.
-	if _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case9999"}); err == nil {
+	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case9999"}); err == nil {
 		t.Fatal("unknown case accepted")
 	}
 }
@@ -153,10 +153,10 @@ func TestSolveACOPFTool(t *testing.T) {
 func TestModifyBusLoadTool(t *testing.T) {
 	sess := newSession(t)
 	r := NewGridMind(sess, engine.New())
-	if _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"}); err != nil {
+	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 9, "p_mw": 50.0})
+	out, _, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 9, "p_mw": 50.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestModifyBusLoadTool(t *testing.T) {
 		t.Fatalf("q %v, want ~28.1 (preserved power factor)", q)
 	}
 	// Unknown bus rejected.
-	if _, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 999, "p_mw": 10.0}); err == nil {
+	if _, _, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 999, "p_mw": 10.0}); err == nil {
 		t.Fatal("unknown bus accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestModifyBusLoadTool(t *testing.T) {
 func TestModifyBusLoadRecovery(t *testing.T) {
 	sess := newSession(t)
 	r := NewGridMind(sess, engine.New())
-	if _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case118"}); err != nil {
+	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case118"}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := sess.Network()
@@ -198,7 +198,7 @@ func TestModifyBusLoadRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := n.BusLoad(n.BusByID(64))
-	out, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 64, "p_mw": p + 8})
+	out, _, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 64, "p_mw": p + 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +210,15 @@ func TestModifyBusLoadRecovery(t *testing.T) {
 func TestNetworkStatusTool(t *testing.T) {
 	sess := newSession(t)
 	r := NewGridMind(sess, engine.New())
-	out, err := r.Invoke(ToolNetworkStatus, nil)
+	out, _, err := r.Invoke(ToolNetworkStatus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.(map[string]any)["case_loaded"] != false {
 		t.Fatal("empty session should report case_loaded=false")
 	}
-	_, _ = r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"})
-	out, err = r.Invoke(ToolNetworkStatus, map[string]any{"bus": 9})
+	_, _, _ = r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"})
+	out, _, err = r.Invoke(ToolNetworkStatus, map[string]any{"bus": 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +234,14 @@ func TestNetworkStatusTool(t *testing.T) {
 func TestContingencyToolsFlow(t *testing.T) {
 	sess := newSession(t)
 	r := NewGridMind(sess, engine.New())
-	out, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case30"})
+	out, _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case30"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.(map[string]any)["converged"] != true {
 		t.Fatal("base case did not converge")
 	}
-	out, err = r.Invoke(ToolRunN1, map[string]any{"top_k": 3})
+	out, _, err = r.Invoke(ToolRunN1, map[string]any{"top_k": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestContingencyToolsFlow(t *testing.T) {
 		t.Fatalf("critical list %d, want 3", len(crit))
 	}
 	// Specific contingency by bus pair.
-	out, err = r.Invoke(ToolAnalyzeOutage, map[string]any{"from_bus": 1, "to_bus": 2})
+	out, _, err = r.Invoke(ToolAnalyzeOutage, map[string]any{"from_bus": 1, "to_bus": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestContingencyToolsFlow(t *testing.T) {
 		t.Fatal("bus pair 1-2 should resolve to branch 0")
 	}
 	// Status reports the sweep and cache.
-	out, err = r.Invoke(ToolContStatus, nil)
+	out, _, err = r.Invoke(ToolContStatus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,15 +278,15 @@ func TestContingencyToolsFlow(t *testing.T) {
 func TestRunN1StrategyChangesRanking(t *testing.T) {
 	sess := newSession(t)
 	r := NewGridMind(sess, engine.New())
-	if _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case118"}); err != nil {
+	if _, _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case118"}); err != nil {
 		t.Fatal(err)
 	}
-	a, err := r.Invoke(ToolRunN1, map[string]any{"top_k": 5, "strategy": "composite"})
+	a, _, err := r.Invoke(ToolRunN1, map[string]any{"top_k": 5, "strategy": "composite"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, missesAfterFirst := sess.ContCache().Stats()
-	b, err := r.Invoke(ToolRunN1, map[string]any{"top_k": 5, "strategy": "thermal-first"})
+	b, _, err := r.Invoke(ToolRunN1, map[string]any{"top_k": 5, "strategy": "thermal-first"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,21 +320,21 @@ func TestRunN1StrategyChangesRanking(t *testing.T) {
 
 func TestAnalyzeOutageErrors(t *testing.T) {
 	r := NewGridMind(newSession(t), engine.New())
-	if _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case14"}); err != nil {
+	if _, _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case14"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Invoke(ToolAnalyzeOutage, map[string]any{"branch": 9999}); err == nil {
+	if _, _, err := r.Invoke(ToolAnalyzeOutage, map[string]any{"branch": 9999}); err == nil {
 		t.Fatal("out-of-range branch accepted")
 	}
-	if _, err := r.Invoke(ToolAnalyzeOutage, map[string]any{"from_bus": 1, "to_bus": 14}); err == nil {
+	if _, _, err := r.Invoke(ToolAnalyzeOutage, map[string]any{"from_bus": 1, "to_bus": 14}); err == nil {
 		t.Fatal("nonexistent branch accepted")
 	}
-	if _, err := r.Invoke(ToolAnalyzeOutage, map[string]any{}); err == nil {
+	if _, _, err := r.Invoke(ToolAnalyzeOutage, map[string]any{}); err == nil {
 		t.Fatal("missing identifiers accepted")
 	}
 	if !strings.Contains(
 		func() string {
-			_, err := r.Invoke(ToolAnalyzeOutage, map[string]any{"from_bus": 1})
+			_, _, err := r.Invoke(ToolAnalyzeOutage, map[string]any{"from_bus": 1})
 			return err.Error()
 		}(), "to_bus") {
 		t.Fatal("error should mention the missing to_bus")
@@ -344,8 +344,8 @@ func TestAnalyzeOutageErrors(t *testing.T) {
 func TestToolCallStats(t *testing.T) {
 	met := obs.NewRegistry()
 	r := NewGridMind(newSession(t), engine.New()).Observe(met)
-	_, _ = r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"})
-	_, _ = r.Invoke(ToolNetworkStatus, nil)
+	_, _, _ = r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"})
+	_, _, _ = r.Invoke(ToolNetworkStatus, nil)
 	for _, name := range []string{ToolSolveACOPF, ToolNetworkStatus} {
 		calls := count(t, met, "gridmind_tool_invocations_total", "tool", name)
 		errs := count(t, met, "gridmind_tool_errors_total", "tool", name)

@@ -686,6 +686,89 @@ func TestSessionSpillRestore(t *testing.T) {
 	}
 }
 
+// TestSpillWithSolvedAtRestores: a spill file written before solutions
+// lost their wall-clock stamp carries "solved_at" inside the stored ACOPF
+// solution and no session-clock "at" beside it. It must still restore,
+// with the solution intact and fresh; the status simply has no
+// last_solve_at to report for it.
+func TestSpillWithSolvedAtRestores(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServerFull(t, 8, 8, dir, nil)
+	resp, out := postJSON(t, ts.URL+"/sessions", map[string]any{})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	id := out["session_id"].(string)
+	if resp, aout := postJSON(t, ts.URL+"/ask", map[string]any{"query": "Solve IEEE 14", "session_id": id}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve status %d: %v", resp.StatusCode, aout)
+	}
+	live, err := s.mgr.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := live.gm.Session().ACOPF()
+
+	s.mgr.mu.Lock()
+	s.mgr.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
+	s.mgr.mu.Unlock()
+	if n := s.mgr.expireIdle(); n != 1 {
+		t.Fatalf("expired %d sessions, want 1", n)
+	}
+
+	// Rewrite the spill file into the older form.
+	path := filepath.Join(dir, id+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	var sess, acopf map[string]json.RawMessage
+	if err := json.Unmarshal(env["session"], &sess); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(sess["acopf"], &acopf); err != nil || acopf["at"] == nil {
+		t.Fatalf("spilled session has no stamped ACOPF artifact (%v): %s", err, env["session"])
+	}
+	delete(acopf, "at")
+	var value map[string]json.RawMessage
+	if err := json.Unmarshal(acopf["value"], &value); err != nil {
+		t.Fatal(err)
+	}
+	value["solved_at"] = json.RawMessage(`"2026-10-18T04:48:29.123456Z"`)
+	mustRaw := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	acopf["value"] = mustRaw(value)
+	sess["acopf"] = mustRaw(acopf)
+	env["session"] = mustRaw(sess)
+	if err := os.WriteFile(path, mustRaw(env), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	aresp, aout := postJSON(t, ts.URL+"/ask", map[string]any{"query": "What is the current network status?", "session_id": id})
+	if aresp.StatusCode != http.StatusOK {
+		t.Fatalf("post-restore ask status %d: %v", aresp.StatusCode, aout)
+	}
+	restored, err := s.mgr.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, fresh := restored.gm.Session().ACOPF()
+	if sol == nil || !fresh || sol.ObjectiveCost != want.ObjectiveCost {
+		t.Fatalf("restored solution %v (fresh %v), want cost %v", sol, fresh, want.ObjectiveCost)
+	}
+	if at := restored.gm.Session().ACOPFSolvedAt(); !at.IsZero() {
+		t.Fatalf("restored solve time %v from an envelope without one", at)
+	}
+}
+
 // TestSessionTouchRestores: POST /sessions/{id} is the explicit restore
 // surface — it revives a spilled session without routing a query through
 // it, and 404s on ids that exist nowhere.

@@ -102,3 +102,52 @@ func TestToolMessageIsMarshalOfResult(t *testing.T) {
 		}
 	}
 }
+
+// TestScriptedSessionsSendIdenticalToolMessages: two sessions on simulated
+// clocks that start at the same instant, given the same script, send the
+// model byte-identical tool messages, with no field masked. The solvers
+// read no clock; get_network_status stamps last_solve_at from the session
+// clock, so it reads the simulated instant, never the wall clock.
+func TestScriptedSessionsSendIdenticalToolMessages(t *testing.T) {
+	start := time.Date(2025, 9, 2, 0, 0, 0, 0, time.UTC)
+	script := []llm.ToolCall{
+		{ID: "c1", Name: tools.ToolSolveACOPF, Args: map[string]any{"case_name": "case14"}},
+		{ID: "c2", Name: tools.ToolNetworkStatus, Args: map[string]any{}},
+		{ID: "c3", Name: tools.ToolModifyBusLoad, Args: map[string]any{"bus": 9, "p_mw": 31.5}},
+		{ID: "c4", Name: tools.ToolNetworkStatus, Args: map[string]any{"bus": 9}},
+	}
+	run := func() []string {
+		client := &scriptedClient{calls: script}
+		c := NewCoordinator(Config{Client: client, Clock: simclock.NewSim(start)})
+		if _, err := c.ACOPF.Run(context.Background(), "run the script"); err != nil {
+			t.Fatal(err)
+		}
+		var msgs []string
+		for _, m := range client.last.Messages {
+			if m.Role == llm.RoleTool {
+				msgs = append(msgs, m.Content)
+			}
+		}
+		return msgs
+	}
+	first, second := run(), run()
+	if len(first) != len(script) || len(second) != len(script) {
+		t.Fatalf("%d and %d tool messages for %d scripted calls", len(first), len(second), len(script))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("%s: tool messages differ:\n%s\n%s", script[i].Name, first[i], second[i])
+		}
+	}
+	for _, i := range []int{1, 3} {
+		var status map[string]any
+		if err := json.Unmarshal([]byte(first[i]), &status); err != nil {
+			t.Fatal(err)
+		}
+		// Tool time advances the simulated clock by milliseconds, so the
+		// stamp stays in the session's first simulated second.
+		if got := status["last_solve_at"]; got != "2025-09-02T00:00:00Z" {
+			t.Errorf("call %d: last_solve_at %v, want the session clock's 2025-09-02T00:00:00Z", i+1, got)
+		}
+	}
+}

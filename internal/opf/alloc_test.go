@@ -8,10 +8,12 @@ import (
 
 // TestIPMSteadyStateZeroAllocs pins the interior-point steady state at
 // exactly zero allocations: after the first iteration has compiled the
-// KKT pattern and the evalScratch row layout, one full iteration's linear
-// algebra — eval refill, KKT slot-map refill, the numeric LDLᵀ factor on
-// the retained symbolic analysis, SolveInto and the refinement step —
-// must not touch the heap.
+// KKT pattern and the evalScratch row layout, one full iteration's work —
+// eval refill, the predictor (right-hand side, KKT slot-map refill, the
+// numeric LDLᵀ factor on the retained symbolic analysis and SolveInto,
+// the slack and multiplier directions) and the corrector (right-hand
+// side, resolve on the held factor with its refinement step, the
+// directions again) — must not touch the heap.
 // This is the contract the evalScratch/kktSystem pair exists to provide;
 // any append or fresh slice creeping back into the hot path fails here
 // before it shows up as a benchmark regression.
@@ -37,6 +39,10 @@ func TestIPMSteadyStateZeroAllocs(t *testing.T) {
 			// LDLᵀ symbolic analysis is warm.
 			x, lam, mu, z := res.X, res.Lam, res.Mu, res.Z
 			rhs := make([]float64, p.nx+p.ng)
+			lx := make([]float64, p.nx)
+			dz := make([]float64, p.nh)
+			dmu := make([]float64, p.nh)
+			gam := make([]float64, p.nh)
 			var failed error
 			allocs := testing.AllocsPerRun(10, func() {
 				ev := p.eval(x)
@@ -44,9 +50,23 @@ func TestIPMSteadyStateZeroAllocs(t *testing.T) {
 					failed = err
 					return
 				}
-				if _, err := kkt.factorAndSolve(rhs); err != nil {
+				clear(gam)
+				ipmRHS(rhs, lx, ev, mu, z, gam)
+				sol, err := kkt.factorAndSolve(rhs)
+				if err != nil {
 					failed = err
+					return
 				}
+				ipmSlackDirections(dz, dmu, sol[:p.nx], ev, mu, z, gam)
+				for r := range gam {
+					gam[r] = 1e-9 - dz[r]*dmu[r]
+				}
+				ipmRHS(rhs, lx, ev, mu, z, gam)
+				if sol, err = kkt.resolve(rhs); err != nil {
+					failed = err
+					return
+				}
+				ipmSlackDirections(dz, dmu, sol[:p.nx], ev, mu, z, gam)
 			})
 			if failed != nil {
 				t.Fatal(failed)

@@ -3,7 +3,6 @@ package opf
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
@@ -186,7 +185,6 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 		GenP:               make([]float64, len(n.Gens)),
 		GenQ:               make([]float64, len(n.Gens)),
 		LMP:                make([]float64, nb),
-		SolvedAt:           time.Now().UTC(),
 	}
 	if res.X != nil {
 		vm := make([]float64, nb)

@@ -3,7 +3,6 @@ package opf
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
@@ -72,7 +71,6 @@ func SolveDispatch(n *model.Network, pfOpts powerflow.Options) (*Solution, error
 		MaxVoltagePU: res.MaxVm,
 		ConvergenceMessage: fmt.Sprintf("economic dispatch + %v power flow in %d iterations",
 			res.Algorithm, res.Iterations),
-		SolvedAt: time.Now().UTC(),
 	}
 	sol.foldFlowStats()
 	for g, gi := range work.Gens {

@@ -48,12 +48,16 @@ type nlp struct {
 	order func(m *sparse.CSC) []int
 }
 
-// kktSolver computes the IPM's Newton direction: it solves the reduced KKT
-// system assembled (assembleKKT) at iterate (x, λ, μ, z) against rhs. The
+// kktSolver computes the IPM's Newton directions: solve assembles the
+// reduced KKT system (assembleKKT) at iterate (x, λ, μ, z), factors it and
+// solves against rhs; resolve solves on that factor again. The
 // error text is the IPM's failure message. *kktSystem is the solver; the
 // tests substitute a from-scratch reference.
 type kktSolver interface {
 	solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error)
+	// resolve solves against another right-hand side on the factor the
+	// last solve left, without refilling or refactoring.
+	resolve(rhs []float64) ([]float64, error)
 }
 
 // ipmOptions tunes the primal-dual interior-point solver. Zero values
@@ -127,29 +131,57 @@ func costProgress(f, fOld float64) float64 {
 // public field stays in $/h and $/MWh.
 const costScale = 1e-4
 
-// solveIPM runs the MIPS-style primal-dual interior-point method
-// (Wang, Murillo-Sánchez, Zimmerman & Thomas): slack variables z>0 turn
-// h(x)≤0 into h(x)+z=0, a log barrier with parameter γ enforces z>0, and
-// each step solves the reduced KKT system
+// Mehrotra predictor–corrector constants. floorFactor scales the
+// complementarity floor 0.1·CompTol·(1+‖x‖∞)/nh under which no row's
+// centring target falls: at the floor the measured complementarity
+// zᵀμ/(1+‖x‖∞) sits a decade under CompTol, so convergence is never held
+// up by it, while a target that follows σμ down unbounded (σ collapses
+// near the optimum) drives μ to about 1e-22 and the KKT factor to a
+// singular pivot at tolerances of 1e-10 and tighter. stallIterates is how
+// many iterates in a row the target may sit on that floor while the point
+// is still infeasible before the solve is declared stalled: an infeasible
+// problem otherwise grinds on at the floor to MaxIter.
+const (
+	floorFactor   = 0.1
+	stallIterates = 3
+)
+
+// solveIPM runs a primal-dual interior-point method in the form of MIPS
+// (Wang, Murillo-Sánchez, Zimmerman & Thomas) with Mehrotra's
+// predictor–corrector step: slack variables z>0 turn h(x)≤0 into
+// h(x)+z=0, a per-row centring target γ enforces z∘μ = γ, and each step
+// solves the reduced KKT system
 //
 //	[ M  dgᵀ ] [Δx  ]   [ −N ]
 //	[ dg  0  ] [Δλ  ] = [ −g ]
 //
-// with M = ∇²L + dhᵀ·diag(μ/z)·dh and N = ∇L + dhᵀ·(γ + μ∘h)/z.
+// with M = ∇²L + dhᵀ·diag(μ/z)·dh and N = ∇L + dhᵀ·((γ + μ∘h)/z).
+//
+// M does not depend on γ, so every iterate factors once and solves
+// twice. The predictor (kktSolver.solve: refill, factor, solve with no
+// refinement) takes γ = 0, the affine-scaling direction. Full steps to
+// the boundary along it give the complementarity μ_aff it would reach,
+// and the centring parameter σ = min(1, (μ_aff/μ)³) with μ = zᵀμ/nh. The
+// corrector (kktSolver.resolve: solve on the held factor, then the
+// refinement step) takes the per-row target
+// γᵣ = max(σμ, floor) − Δz_aff,r·Δμ_aff,r, which adds the second-order
+// term the affine step leaves in z∘μ, and the fraction-to-boundary step
+// (ξ = 0.99995) follows its direction. The floor and the stall exit are
+// described at floorFactor.
 //
 // The KKT sparsity pattern is fixed by the problem structure, so it is
 // compiled once (or inherited pre-compiled from a reusable Context) and
-// after iteration 0 each step performs only a slot-map value refill, a
-// numeric LDLᵀ factorization on the retained symbolic analysis, and an
-// allocation-free solve with one refinement step — no COO construction,
-// no CSC compression, no symbolic factorization.
+// after iteration 0 each step performs only a slot-map value refill, one
+// numeric LDLᵀ factorization on the retained symbolic analysis, and
+// three allocation-free triangular solves (the predictor's, the
+// corrector's and its refinement step's) — no COO construction, no CSC
+// compression, no symbolic factorization.
 func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 	opts.fill()
 	const (
-		sigma = 0.1     // centering parameter
-		xi    = 0.99995 // fraction-to-boundary
-		z0    = 1.0
-		gam0  = 1.0
+		xi   = 0.99995 // fraction-to-boundary
+		z0   = 1.0
+		gam0 = 1.0
 	)
 	nx, ng, nh := p.nx, p.ng, p.nh
 	dim := nx + ng
@@ -170,10 +202,6 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 			mu[r] = gam0 / z[r]
 		}
 	}
-	gamma := gam0
-	if nh > 0 {
-		gamma = sigma * dotVec(z, mu) / float64(nh)
-	}
 
 	kkt := opts.kkt
 	if kkt == nil {
@@ -185,9 +213,11 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 	rhs := make([]float64, dim)
 	dz := make([]float64, nh)
 	dmu := make([]float64, nh)
+	gam := make([]float64, nh)
 
 	res := &ipmResult{}
 	fOld := math.Inf(1)
+	onFloor := 0
 	for iter := 0; iter <= opts.MaxIter; iter++ {
 		// Lagrangian gradient Lx = ∇f + dgᵀλ + dhᵀμ.
 		copy(lx, ev.Grad)
@@ -204,12 +234,11 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 				maxH = h
 			}
 		}
-		feas := math.Max(normInf(ev.G), maxH) / (1 + math.Max(normInf(x), normInf(z)))
+		xInf := normInf(x)
+		feas := math.Max(normInf(ev.G), maxH) / (1 + math.Max(xInf, normInf(z)))
 		grad := normInf(lx) / (1 + math.Max(normInf(lam), normInf(mu)))
-		comp := 0.0
-		if nh > 0 {
-			comp = dotVec(z, mu) / (1 + normInf(x))
-		}
+		zmu := dotVec(z, mu)
+		comp := zmu / (1 + xInf)
 		cost := costProgress(ev.F, fOld)
 		res.Iterations = iter
 		res.FeasCond, res.GradCond, res.CompCond = feas, grad, comp
@@ -225,57 +254,60 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 		}
 		fOld = ev.F
 
-		// Reduced KKT right-hand side: [−N ; −g].
-		for i := 0; i < nx; i++ {
-			rhs[i] = -lx[i]
-		}
-		for r := 0; r < nh; r++ {
-			coef := (gamma + mu[r]*ev.H[r]) / z[r]
-			for _, a := range ev.DH[r] {
-				rhs[a.col] -= coef * a.val
-			}
-		}
-		for i, g := range ev.G {
-			rhs[nx+i] = -g
+		// Predictor: the affine-scaling direction, γ = 0.
+		clear(gam)
+		ipmRHS(rhs, lx, ev, mu, z, gam)
+		sol, err := checkedDirection(kkt.solve(p, ev, x, lam, mu, z, rhs))
+		if err != nil {
+			res.Message = err.Error()
+			return res, fmt.Errorf("%w: %s", errNumerical, res.Message)
 		}
 
-		// Newton direction.
-		sol, err := kkt.solve(p, ev, x, lam, mu, z, rhs)
+		if nh > 0 {
+			// Centring from the affine step: full steps to the boundary,
+			// the complementarity they would reach, σ = (μ_aff/μ)³.
+			ipmSlackDirections(dz, dmu, sol[:nx], ev, mu, z, gam)
+			alphaP, alphaD := stepToBoundary(z, dz, 1), stepToBoundary(mu, dmu, 1)
+			var gapAff float64
+			for r := 0; r < nh; r++ {
+				gapAff += (z[r] + alphaP*dz[r]) * (mu[r] + alphaD*dmu[r])
+			}
+			gap := zmu / float64(nh)
+			ratio := gapAff / float64(nh) / gap
+			target := math.Min(1, ratio*ratio*ratio) * gap
+			floor := floorFactor * opts.CompTol * (1 + xInf) / float64(nh)
+			if target < floor && feas >= opts.FeasTol {
+				onFloor++
+			} else {
+				onFloor = 0
+			}
+			target = math.Max(target, floor)
+			if onFloor > stallIterates {
+				res.Message = fmt.Sprintf("stalled at the complementarity floor (feas %.2e grad %.2e comp %.2e)",
+					feas, grad, comp)
+				break
+			}
+
+			// The corrector's centred, second-order target.
+			for r := 0; r < nh; r++ {
+				gam[r] = target - dz[r]*dmu[r]
+			}
+			ipmRHS(rhs, lx, ev, mu, z, gam)
+		}
+
+		// Corrector: the refined direction on the held factor. Without
+		// inequalities it is the predictor's own right-hand side.
+		sol, err = checkedDirection(kkt.resolve(rhs))
 		if err != nil {
 			res.Message = err.Error()
 			return res, fmt.Errorf("%w: %s", errNumerical, res.Message)
 		}
 		dx := sol[:nx]
 		dlam := sol[nx:]
-		if hasNaN(dx) || hasNaN(dlam) {
-			res.Message = "NaN in Newton direction"
-			return res, fmt.Errorf("%w: %s", errNumerical, res.Message)
-		}
-
-		// Slack and multiplier directions.
-		for r := 0; r < nh; r++ {
-			d := -ev.H[r] - z[r]
-			for _, a := range ev.DH[r] {
-				d -= a.val * dx[a.col]
-			}
-			dz[r] = d
-			dmu[r] = -mu[r] + (gamma-mu[r]*d)/z[r]
-		}
+		ipmSlackDirections(dz, dmu, dx, ev, mu, z, gam)
 
 		// Fraction-to-boundary step lengths.
-		alphaP, alphaD := 1.0, 1.0
-		for r := 0; r < nh; r++ {
-			if dz[r] < 0 {
-				if a := -xi * z[r] / dz[r]; a < alphaP {
-					alphaP = a
-				}
-			}
-			if dmu[r] < 0 {
-				if a := -xi * mu[r] / dmu[r]; a < alphaD {
-					alphaD = a
-				}
-			}
-		}
+		alphaP, alphaD := stepToBoundary(z, dz, xi), stepToBoundary(mu, dmu, xi)
 		for i := range x {
 			x[i] += alphaP * dx[i]
 		}
@@ -287,9 +319,6 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 		}
 		for r := 0; r < nh; r++ {
 			mu[r] += alphaD * dmu[r]
-		}
-		if nh > 0 {
-			gamma = sigma * dotVec(z, mu) / float64(nh)
 		}
 		ev = p.eval(x)
 		if math.IsNaN(ev.F) {
@@ -304,6 +333,61 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 		return res, fmt.Errorf("opf: interior point did not converge: %s", res.Message)
 	}
 	return res, nil
+}
+
+// ipmRHS builds the reduced KKT right-hand side [−N ; −g] with
+// N = Lx + dhᵀ·((γ + μ∘h)/z) for the per-row centring target gam.
+func ipmRHS(rhs, lx []float64, ev *nlpEval, mu, z, gam []float64) {
+	nx := len(lx)
+	for i := 0; i < nx; i++ {
+		rhs[i] = -lx[i]
+	}
+	for r := range z {
+		coef := (gam[r] + mu[r]*ev.H[r]) / z[r]
+		for _, a := range ev.DH[r] {
+			rhs[a.col] -= coef * a.val
+		}
+	}
+	for i, g := range ev.G {
+		rhs[nx+i] = -g
+	}
+}
+
+// ipmSlackDirections recovers the slack and multiplier directions from
+// the primal direction dx: Δz = −h − z − dh·Δx and
+// Δμ = −μ + (γ − μ∘Δz)/z for the per-row centring target gam.
+func ipmSlackDirections(dz, dmu, dx []float64, ev *nlpEval, mu, z, gam []float64) {
+	for r := range z {
+		d := -ev.H[r] - z[r]
+		for _, a := range ev.DH[r] {
+			d -= a.val * dx[a.col]
+		}
+		dz[r] = d
+		dmu[r] = -mu[r] + (gam[r]-mu[r]*d)/z[r]
+	}
+}
+
+// stepToBoundary is the largest α ≤ 1 with v + α·dv ≥ (1−xi)·v: xi = 1 is
+// the full step to the boundary, xi < 1 the fraction-to-boundary rule.
+func stepToBoundary(v, dv []float64, xi float64) float64 {
+	alpha := 1.0
+	for r, d := range dv {
+		if d < 0 {
+			if a := -xi * v[r] / d; a < alpha {
+				alpha = a
+			}
+		}
+	}
+	return alpha
+}
+
+// checkedDirection passes a kktSolver result through, failing a direction
+// with a NaN or infinite entry.
+func checkedDirection(sol []float64, err error) ([]float64, error) {
+	if err == nil && hasNaN(sol) {
+		err = errors.New("NaN in Newton direction")
+	}
+	return sol, err
 }
 
 func dotVec(a, b []float64) float64 {

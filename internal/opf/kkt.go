@@ -30,7 +30,8 @@ import (
 // kktShift is δ, the static regularisation of the KKT factor, added at
 // the pivot only (the matrix keeps its values): +δ on the primal columns,
 // −δ on the equality rows. kktRefineSteps is the number of iterative
-// refinement steps against the unshifted matrix after each solve. Under
+// refinement steps against the unshifted matrix after the corrector's
+// solve (resolve), the direction the IPM steps along. Under
 // costScale the shift alone no longer moves an IPM iteration count: AC and
 // DC OPF on case14–300 take the same iterates with no refinement as with
 // one. The step stays because without it the direction carries the shift,
@@ -228,13 +229,13 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error 
 	return nil
 }
 
-// solve is the fixed-pattern Newton-direction step: compile the pattern on
-// first use, refill the values in place on every later iteration, then
-// factor and solve. Drift against a pattern cached from an EARLIER solve
-// means a structural change slipped past the signature, so the pattern is
-// recompiled for this problem; drift against a pattern compiled in THIS
-// solve is a value-dependent emitter, a contract violation that fails
-// loudly (reported distinctly from singularity).
+// solve is the predictor's step: compile the pattern on first use, refill
+// the values in place on every later iteration, then factorAndSolve.
+// Drift against a pattern cached from an EARLIER solve means a structural
+// change slipped past the signature, so the pattern is recompiled for
+// this problem; drift against a pattern compiled in THIS solve is a
+// value-dependent emitter, a contract violation that fails loudly
+// (reported distinctly from singularity).
 func (k *kktSystem) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
 	if k.compiled() {
 		if err := k.sink.refill(p, ev, x, lam, mu, z); err != nil {
@@ -258,18 +259,32 @@ func (k *kktSystem) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]
 	return sol, nil
 }
 
-// factorAndSolve solves the current matrix against rhs into k.sol: one
-// numeric LDLᵀ factorization of the shifted matrix, a solve, then
-// kktRefineSteps steps of iterative refinement against the unshifted
-// matrix. It allocates nothing.
+// factorAndSolve runs one numeric LDLᵀ factorization of the shifted
+// current matrix and solves rhs on it into k.sol, unrefined: the
+// predictor's direction only sets the centring and the second-order term,
+// which the shift's O(kktShift) error does not move (the refinement step
+// there changes no iteration count on case14–300, AC or DC), so the
+// refinement is left to the corrector's resolve. It allocates nothing.
 func (k *kktSystem) factorAndSolve(rhs []float64) ([]float64, error) {
 	if err := k.ldl.Factor(k.mat); err != nil {
 		return nil, err
 	}
 	k.factors++
+	if err := k.ldl.SolveInto(k.sol, rhs, k.work); err != nil {
+		return nil, err
+	}
+	return k.sol, nil
+}
+
+// resolve solves against rhs on the factor the last solve left — the
+// IPM's corrector — with no refill and no factorization, then runs
+// kktRefineSteps steps of iterative refinement against the unshifted
+// matrix, which take the shift back out of the direction. It allocates
+// nothing, and overwrites the direction the last solve returned.
+func (k *kktSystem) resolve(rhs []float64) ([]float64, error) {
 	sol, res := k.sol, k.res
 	if err := k.ldl.SolveInto(sol, rhs, k.work); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("singular KKT system: %w", err)
 	}
 	for range kktRefineSteps {
 		k.mat.MulVecInto(res, sol)
@@ -277,7 +292,7 @@ func (k *kktSystem) factorAndSolve(rhs []float64) ([]float64, error) {
 			res[i] = b - res[i]
 		}
 		if err := k.ldl.SolveInto(res, res, k.work); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("singular KKT system: %w", err)
 		}
 		for i, d := range res {
 			sol[i] += d

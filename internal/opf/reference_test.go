@@ -20,6 +20,8 @@ import (
 // the refinement and the order together.
 type referenceKKT struct {
 	colPerm []int
+	// lu is the last solve's factorization, which resolve solves on.
+	lu *sparse.LU
 }
 
 func (rk *referenceKKT) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
@@ -34,7 +36,12 @@ func (rk *referenceKKT) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64)
 	if err != nil {
 		return nil, fmt.Errorf("singular KKT system: %w", err)
 	}
-	sol, err := lu.Solve(rhs)
+	rk.lu = lu
+	return rk.resolve(rhs)
+}
+
+func (rk *referenceKKT) resolve(rhs []float64) ([]float64, error) {
+	sol, err := rk.lu.Solve(rhs)
 	if err != nil {
 		return nil, fmt.Errorf("singular KKT system: %w", err)
 	}

@@ -3,7 +3,6 @@ package opf
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
@@ -65,9 +64,8 @@ type Solution struct {
 	// the paper's 1e-4 validation threshold applies to this field.
 	MaxMismatchPU float64 `json:"max_mismatch_pu"`
 	// BindingFlowLimits counts branch-end MVA constraints at their limit.
-	BindingFlowLimits  int       `json:"binding_flow_limits"`
-	ConvergenceMessage string    `json:"convergence_message"`
-	SolvedAt           time.Time `json:"solved_at"`
+	BindingFlowLimits  int    `json:"binding_flow_limits"`
+	ConvergenceMessage string `json:"convergence_message"`
 }
 
 // TotalGenMW sums the active dispatch.
@@ -144,7 +142,6 @@ func extractSolution(a *acopf, res *ipmResult) *Solution {
 		GenP:               make([]float64, len(n.Gens)),
 		GenQ:               make([]float64, len(n.Gens)),
 		LMP:                make([]float64, nb),
-		SolvedAt:           time.Now().UTC(),
 	}
 	if res.X == nil {
 		return sol

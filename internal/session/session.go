@@ -66,11 +66,13 @@ type Provenance struct {
 }
 
 // Artifact wraps a stored result with the diff version it was computed
-// at, so consumers can check freshness.
+// at, so consumers can check freshness, and the time the session stored
+// it, read from the session's clock (the solvers never read one).
 type Artifact[T any] struct {
-	Value    T      `json:"value"`
-	DiffHash string `json:"diff_hash"`
-	Version  int    `json:"version"`
+	Value    T         `json:"value"`
+	DiffHash string    `json:"diff_hash"`
+	Version  int       `json:"version"`
+	At       time.Time `json:"at,omitzero"`
 }
 
 // Context is the shared, versioned session state (the paper's
@@ -338,11 +340,11 @@ func (c *Context) Version() int {
 }
 
 // SetACOPF stores the latest ACOPF solution stamped with the current
-// state hash.
+// state hash and the session clock's time.
 func (c *Context) SetACOPF(sol *opf.Solution) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.acopf = &Artifact[*opf.Solution]{Value: sol, DiffHash: c.diffHashLocked(), Version: len(c.diffs)}
+	c.acopf = &Artifact[*opf.Solution]{Value: sol, DiffHash: c.diffHashLocked(), Version: len(c.diffs), At: c.now()}
 	c.addProvenanceLocked("store_acopf", fmt.Sprintf("cost=%.2f solved=%t", sol.ObjectiveCost, sol.Solved))
 }
 
@@ -357,11 +359,23 @@ func (c *Context) ACOPF() (sol *opf.Solution, fresh bool) {
 	return c.acopf.Value, c.acopf.DiffHash == c.diffHashLocked()
 }
 
+// ACOPFSolvedAt returns the session-clock time SetACOPF stored the
+// current solution at: zero when there is none, or when it was restored
+// from an envelope that predates the stamp.
+func (c *Context) ACOPFSolvedAt() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.acopf == nil {
+		return time.Time{}
+	}
+	return c.acopf.At
+}
+
 // SetBasePF stores the contingency base-case power flow.
 func (c *Context) SetBasePF(res *powerflow.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.basePF = &Artifact[*powerflow.Result]{Value: res, DiffHash: c.diffHashLocked(), Version: len(c.diffs)}
+	c.basePF = &Artifact[*powerflow.Result]{Value: res, DiffHash: c.diffHashLocked(), Version: len(c.diffs), At: c.now()}
 	c.addProvenanceLocked("store_base_pf", fmt.Sprintf("converged=%t", res.Converged))
 }
 
@@ -379,7 +393,7 @@ func (c *Context) BasePF() (*powerflow.Result, bool) {
 func (c *Context) SetCASweep(rs *contingency.ResultSet) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.caSweep = &Artifact[*contingency.ResultSet]{Value: rs, DiffHash: c.diffHashLocked(), Version: len(c.diffs)}
+	c.caSweep = &Artifact[*contingency.ResultSet]{Value: rs, DiffHash: c.diffHashLocked(), Version: len(c.diffs), At: c.now()}
 	c.addProvenanceLocked("store_ca_sweep", fmt.Sprintf("outages=%d", len(rs.Outages)))
 }
 

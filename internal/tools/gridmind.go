@@ -281,7 +281,9 @@ func networkStatusTool(ctx *session.Context) *Tool {
 			if sol, fresh := ctx.ACOPF(); sol != nil {
 				out["last_objective_cost"] = round2(sol.ObjectiveCost)
 				out["solution_fresh"] = fresh
-				out["last_solve_at"] = sol.SolvedAt.Format("2006-01-02T15:04:05Z")
+				if at := ctx.ACOPFSolvedAt(); !at.IsZero() {
+					out["last_solve_at"] = at.UTC().Format("2006-01-02T15:04:05Z")
+				}
 			}
 			if v, ok := args["bus"].(float64); ok {
 				bi := n.BusByID(int(v))

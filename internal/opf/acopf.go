@@ -269,9 +269,19 @@ func flowRowInto(row []jentry, tp, tq *pairTerm, yii, yik complex128, vi, vk, c,
 	return tp.Val*tp.Val + tq.Val*tq.Val - r2
 }
 
-// hessian emits the Lagrangian Hessian ∇²f + Σλ∇²g + Σμ∇²h into sink,
-// reading cos/sin from the scratch's trig cache (refreshed here only when
-// eval has not already computed it at x's angles).
+// hessian emits the primal block of the reduced KKT matrix,
+// M = ∇²f + Σλ∇²g + Σμ∇²h + dhᵀ·diag(μ/z)·dh, into sink, reading cos/sin
+// from the scratch's trig cache (refreshed here only when eval has not
+// already computed it at x's angles).
+//
+// Every nonlinear term of M lives on the 4×4 block of one Ybus neighbour
+// pair i < k over (Va_i, Va_k, Vm_i, Vm_k): the λ-weighted P and Q
+// balance Hessians of both end buses, and for each rated branch on the
+// pair the μ-weighted limit Hessians and the Gauss terms (μ/z)·∇h∇hᵀ of
+// both ends. The walk sums them into one local block and emits it once,
+// 16 entries per pair. Around it go the Pg objective diagonal, each bus's
+// self-admittance term on (Vm_i, Vm_i) and the Gauss terms of the linear
+// bound rows.
 //
 // The emission is STRUCTURAL: every block is emitted on every call, in the
 // same order, with zero multipliers included — the historical
@@ -282,7 +292,7 @@ func flowRowInto(row []jentry, tp, tq *pairTerm, yii, yik complex128, vi, vk, c,
 // artificially-sparse iteration-0 system (where λ is all zero, so the
 // entire equality-Hessian block was absent). See nlp.hess and kkt.go for
 // the contract.
-func (a *acopf) hessian(x, lam, mu []float64, sink *kktSink) {
+func (a *acopf) hessian(x, lam, mu, z []float64, sink *kktSink) {
 	nb, base := a.nb, a.base
 	va := x[:nb]
 	vm := x[nb : 2*nb]
@@ -294,42 +304,75 @@ func (a *acopf) hessian(x, lam, mu []float64, sink *kktSink) {
 		c2 := a.net.Gens[gi].Cost.C2
 		sink.emit(a.ixPg(p), a.ixPg(p), 2*c2*base*base*costScale)
 	}
-
-	// Equality part: weighted second derivatives of nodal injections.
-	var tp, tq pairTerm
-	e := 0 // flattened neighbour entry
+	// The self-admittance part of each bus's balance rows.
 	for i := 0; i < nb; i++ {
-		lp, lq := lam[i], lam[nb+i]
 		yii := a.y.Diag(i)
-		sink.emit(a.ixVm(i), a.ixVm(i), lp*2*real(yii)+lq*(-2*imag(yii)))
-		for t, k := range a.nbrs[i] {
-			yik := a.nbrv[i][t]
-			gik, bik := real(yik), imag(yik)
-			pairHess(&tp, gik, bik, vm[i], vm[k], cos[e], sin[e])
-			pairHess(&tq, -bik, gik, vm[i], vm[k], cos[e], sin[e])
-			e++
-			cols := [4]int{a.ixVa(i), a.ixVa(k), a.ixVm(i), a.ixVm(k)}
-			sink.addBlock(cols, &tp.Hess, lp)
-			sink.addBlock(cols, &tq.Hess, lq)
+		sink.emit(a.ixVm(i), a.ixVm(i), lam[i]*2*real(yii)+lam[nb+i]*(-2*imag(yii)))
+	}
+
+	// One block per neighbour pair. The mu layout matches eval: two rows
+	// per rated branch, then bounds.
+	var tp, tq pairTerm
+	var blk [4][4]float64
+	for pi := range es.pairs {
+		bp := &es.pairs[pi]
+		i, k := bp.i, bp.k
+		blk = [4][4]float64{}
+		addBalanceHess(&blk, &tp, &tq, &blockIx[0], a.nbrv[i][bp.ti], vm[i], vm[k], cos[bp.ik], sin[bp.ik], lam[i], lam[nb+i])
+		addBalanceHess(&blk, &tp, &tq, &blockIx[1], a.nbrv[k][bp.tk], vm[k], vm[i], cos[bp.ki], sin[bp.ki], lam[k], lam[nb+k])
+		for _, ri := range es.pairRated[bp.r0:bp.r1] {
+			kb := a.rated[ri]
+			br := a.net.Branches[kb]
+			from := 0 // the from end's position in blockIx
+			if br.From != i {
+				from = 1
+			}
+			ef, et := es.ratedNbr[ri][0], es.ratedNbr[ri][1]
+			rf, rt := 2*ri, 2*ri+1
+			addFlowHess(&blk, &tp, &tq, &blockIx[from], a.y.Yff[kb], a.y.Yft[kb], vm[br.From], vm[br.To], cos[ef], sin[ef], mu[rf], mu[rf]/z[rf])
+			addFlowHess(&blk, &tp, &tq, &blockIx[1-from], a.y.Ytt[kb], a.y.Ytf[kb], vm[br.To], vm[br.From], cos[et], sin[et], mu[rt], mu[rt]/z[rt])
+		}
+		cols := [4]int{a.ixVa(i), a.ixVa(k), a.ixVm(i), a.ixVm(k)}
+		for r := 0; r < 4; r++ {
+			for c := 0; c < 4; c++ {
+				sink.emit(cols[r], cols[c], blk[r][c])
+			}
 		}
 	}
 
-	// Inequality part: flow constraints only (bounds are linear). The mu
-	// layout matches eval: two rows per rated branch, then bounds.
-	for ri, k := range a.rated {
-		br := a.net.Branches[k]
-		ef, et := es.ratedNbr[ri][0], es.ratedNbr[ri][1]
-		a.addFlowHessian(sink, &tp, &tq, br.From, br.To, a.y.Yff[k], a.y.Yft[k], mu[2*ri], vm, cos[ef], sin[ef])
-		a.addFlowHessian(sink, &tp, &tq, br.To, br.From, a.y.Ytt[k], a.y.Ytf[k], mu[2*ri+1], vm, cos[et], sin[et])
+	// The variable bounds are linear: their Gauss terms only.
+	off := 2 * len(a.rated)
+	sink.gauss(es.ev.DH[off:], mu[off:], z[off:])
+}
+
+// blockIx maps a term's (θi, θk, Vi, Vk) order onto its pair block's
+// (Va_i, Va_k, Vm_i, Vm_k): as is when the term's bus i is the pair's
+// first bus, swapped when it is the second.
+var blockIx = [2][4]int{{0, 1, 2, 3}, {1, 0, 3, 2}}
+
+// addBalanceHess accumulates lp·∇²P_ik + lq·∇²Q_ik, one bus's balance
+// terms on the transfer admittance yik, into blk through ix. tp and tq
+// are scratch terms; (c, s) is the cos/sin of θi − θk.
+func addBalanceHess(blk *[4][4]float64, tp, tq *pairTerm, ix *[4]int, yik complex128, vi, vk, c, s, lp, lq float64) {
+	gik, bik := real(yik), imag(yik)
+	pairHess(tp, gik, bik, vi, vk, c, s)
+	pairHess(tq, -bik, gik, vi, vk, c, s)
+	hp, hq := &tp.Hess, &tq.Hess
+	for r := 0; r < 4; r++ {
+		br := &blk[ix[r]]
+		for c := 0; c < 4; c++ {
+			br[ix[c]] += lp*hp[r][c] + lq*hq[r][c]
+		}
 	}
 }
 
-// addFlowHessian accumulates w·∇²(P²+Q²) for one branch end:
-// ∇²h = 2(∇P∇Pᵀ + P∇²P + ∇Q∇Qᵀ + Q∇²Q). All 16 block entries are emitted
-// unconditionally (structural emission contract). tp and tq are scratch
-// terms; (c, s) is the cos/sin of θ_bi − θ_bk.
-func (a *acopf) addFlowHessian(sink *kktSink, tp, tq *pairTerm, bi, bk int, yii, yik complex128, w float64, vm []float64, c, s float64) {
-	vi, vk := vm[bi], vm[bk]
+// addFlowHess accumulates, into blk through ix, one branch end's limit
+// row h = P² + Q² − rate² weighted twice: mu·∇²h with
+// ∇²h = 2(∇P∇Pᵀ + P∇²P + ∇Q∇Qᵀ + Q∇²Q), and its Gauss term w·∇h∇hᵀ
+// with ∇h = 2P∇P + 2Q∇Q (w = μ/z). yii is the self admittance at the
+// metered end, yik the transfer admittance, and (c, s) the cos/sin of
+// θi − θk; tp and tq are scratch terms.
+func addFlowHess(blk *[4][4]float64, tp, tq *pairTerm, ix *[4]int, yii, yik complex128, vi, vk, c, s, mu, w float64) {
 	flowEnd(tp, tq, yii, yik, vi, vk, c, s)
 	gik, bik := real(yik), imag(yik)
 	pairHess(tp, gik, bik, vi, vk, c, s)
@@ -341,11 +384,15 @@ func (a *acopf) addFlowHessian(sink *kktSink, tp, tq *pairTerm, bi, bk int, yii,
 	p, q := tp.Val, tq.Val
 	gp, gq := &tp.Grad, &tq.Grad
 	hp, hq := &tp.Hess, &tq.Hess
-	cols := [4]int{a.ixVa(bi), a.ixVa(bk), a.ixVm(bi), a.ixVm(bk)}
+	var dh [4]float64
+	for j := 0; j < 4; j++ {
+		dh[j] = 2*p*gp[j] + 2*q*gq[j]
+	}
 	for r := 0; r < 4; r++ {
+		br := &blk[ix[r]]
 		for c := 0; c < 4; c++ {
 			v := 2 * (gp[r]*gp[c] + p*hp[r][c] + gq[r]*gq[c] + q*hq[r][c])
-			sink.emit(cols[r], cols[c], w*v)
+			br[ix[c]] += mu*v + w*dh[r]*dh[c]
 		}
 	}
 }

@@ -183,8 +183,14 @@ func TestACOPFHessianFD(t *testing.T) {
 		addJTVec(lx, ev.DH, mu)
 		return lx
 	}
+	// hessian emits ∇²L plus the Gauss terms (μ/z)·∇h∇hᵀ; slacks at +∞
+	// weigh the Gauss terms at exactly zero, leaving ∇²L alone.
+	z := make([]float64, a.nIneq())
+	for i := range z {
+		z[i] = math.Inf(1)
+	}
 	hcoo := sparse.NewCOO(a.nx(), a.nx())
-	a.hessian(x, lam, mu, &kktSink{fn: hcoo.Add})
+	a.hessian(x, lam, mu, z, &kktSink{fn: hcoo.Add})
 	hess := hcoo.ToCSC()
 
 	const h = 1e-6
@@ -209,9 +215,9 @@ func TestACOPFHessianFD(t *testing.T) {
 
 // hessianBits records one hessian call's emissions as coordinates and
 // value bits.
-func hessianBits(a *acopf, x, lam, mu []float64) [][3]uint64 {
+func hessianBits(a *acopf, x, lam, mu, z []float64) [][3]uint64 {
 	var out [][3]uint64
-	a.hessian(x, lam, mu, &kktSink{fn: func(i, j int, v float64) {
+	a.hessian(x, lam, mu, z, &kktSink{fn: func(i, j int, v float64) {
 		out = append(out, [3]uint64{uint64(i), uint64(j), math.Float64bits(v)})
 	}})
 	return out
@@ -238,15 +244,17 @@ func TestHessianTrigCacheKeyedOnAngles(t *testing.T) {
 			x2 := randomizedState(warm, rng)
 			lam := make([]float64, warm.ngEq())
 			mu := make([]float64, warm.nIneq())
+			z := make([]float64, warm.nIneq())
 			for i := range lam {
 				lam[i] = rng.NormFloat64()
 			}
 			for i := range mu {
 				mu[i] = math.Abs(rng.NormFloat64())
+				z[i] = 0.1 + rng.Float64()
 			}
 			warm.eval(x1)
-			got := hessianBits(warm, x2, lam, mu)
-			want := hessianBits(fresh, x2, lam, mu)
+			got := hessianBits(warm, x2, lam, mu, z)
+			want := hessianBits(fresh, x2, lam, mu, z)
 			if len(got) != len(want) {
 				t.Fatalf("%d emissions after eval(x1), fresh problem emits %d", len(got), len(want))
 			}
@@ -437,9 +445,10 @@ func TestIPMOnQP(t *testing.T) {
 				DH:   [][]jentry{{{0, -1}}},
 			}
 		},
-		hess: func(x, lam, mu []float64, sink *kktSink) {
+		hess: func(x, lam, mu, z []float64, sink *kktSink) {
 			sink.emit(0, 0, 2)
 			sink.emit(1, 1, 2)
+			sink.emit(0, 0, mu[0]/z[0]) // the Gauss term of h = 0.8 − x0
 		},
 	}
 	res, err := solveIPM(p, ipmOptions{})
@@ -502,7 +511,7 @@ func TestIPMEqualityOnly(t *testing.T) {
 				DH:   [][]jentry{},
 			}
 		},
-		hess: func(x, lam, mu []float64, sink *kktSink) {
+		hess: func(x, lam, mu, z []float64, sink *kktSink) {
 			sink.emit(0, 0, 2)
 			sink.emit(1, 1, 2)
 		},

@@ -143,7 +143,7 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 		}
 		return ev
 	}
-	hess := func(x, lam, mu []float64, sink *kktSink) {
+	hess := func(x, lam, mu, z []float64, sink *kktSink) {
 		for p, gi := range gens {
 			sink.emit(ixPg(p), ixPg(p), 2*n.Gens[gi].Cost.C2*base*base*costScale)
 		}
@@ -152,6 +152,8 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 		for i := 0; i < nb; i++ {
 			sink.emit(ixTh(i), ixTh(i), 0)
 		}
+		// Every inequality row is linear: M gets its Gauss term only.
+		sink.gauss(scratch.DH, mu, z)
 	}
 
 	// The DC analogue of acopf.kktOrder: each bus's θ unknown pairs with

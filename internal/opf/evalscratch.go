@@ -49,6 +49,23 @@ type evalScratch struct {
 	// ratedNbr holds, per rated branch, the neighbour-entry positions of
 	// its from end (From→To) and its to end (To→From).
 	ratedNbr [][2]int
+	// pairs lists the Ybus neighbour pairs i < k in the order hessian
+	// emits their blocks; pairRated holds the rated branches of each pair,
+	// pair by pair (see busPair).
+	pairs     []busPair
+	pairRated []int
+}
+
+// busPair is one Ybus neighbour pair i < k: the unit of the Hessian
+// emission, one 4×4 block over (Va_i, Va_k, Vm_i, Vm_k).
+type busPair struct {
+	i, k int
+	// ti and tk are the positions of k in nbrs[i] and of i in nbrs[k];
+	// ik and ki are the flattened neighbour entries of i→k and k→i.
+	ti, tk, ik, ki int
+	// pairRated[r0:r1] are the rated branches (indices into rated)
+	// joining i and k, parallel ones included.
+	r0, r1 int
 }
 
 // newEvalScratch lays out the row patterns of one acopf problem. The
@@ -83,6 +100,34 @@ func newEvalScratch(a *acopf) *evalScratch {
 	for ri, k := range a.rated {
 		br := a.net.Branches[k]
 		es.ratedNbr[ri] = [2]int{entry(br.From, br.To), entry(br.To, br.From)}
+	}
+	// The neighbour pairs, and their rated branches bucketed by pair.
+	pairOf := make([]int, nbrOff[nb]) // pair index of either directed entry
+	es.pairs = make([]busPair, 0, nbrOff[nb]/2)
+	for i, nbrs := range a.nbrs {
+		for t, k := range nbrs {
+			if k > i {
+				ki := entry(k, i)
+				pairOf[nbrOff[i]+t], pairOf[ki] = len(es.pairs), len(es.pairs)
+				es.pairs = append(es.pairs, busPair{i: i, k: k, ti: t, tk: ki - nbrOff[k], ik: nbrOff[i] + t, ki: ki})
+			}
+		}
+	}
+	// Count each pair's rated branches into r1, turn the counts into
+	// starts (r1 becomes the fill cursor), and place them.
+	for _, e := range es.ratedNbr {
+		es.pairs[pairOf[e[0]]].r1++
+	}
+	end := 0
+	for p := range es.pairs {
+		bp := &es.pairs[p]
+		bp.r0, bp.r1, end = end, end, end+bp.r1
+	}
+	es.pairRated = make([]int, len(a.rated))
+	for ri, e := range es.ratedNbr {
+		bp := &es.pairs[pairOf[e[0]]]
+		es.pairRated[bp.r1] = ri
+		bp.r1++
 	}
 	ev := &es.ev
 	ev.Grad = make([]float64, a.nx())

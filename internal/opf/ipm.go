@@ -34,14 +34,16 @@ type nlp struct {
 	nx, ng, nh int
 	x0         []float64
 	eval       func(x []float64) *nlpEval
-	// hess emits the Hessian of the Lagrangian ∇²f + Σλᵢ∇²gᵢ + Σμᵢ∇²hᵢ as
+	// hess emits the primal block of the reduced KKT matrix,
+	// M = ∇²f + Σλᵢ∇²gᵢ + Σμᵢ∇²hᵢ + dhᵀ·diag(μ/z)·dh — the Lagrangian
+	// Hessian together with the Gauss term of every inequality row — as
 	// (row, col, value) triplets; duplicate coordinates accumulate. The
 	// emission must be STRUCTURAL: every entry on every call, in the same
 	// order, regardless of multiplier values (zeros included) — a
 	// value-dependent skip would change the pattern between iterations and
 	// corrupt the compiled slot mapping (kktSink checks the count and
 	// every coordinate).
-	hess func(x, lam, mu []float64, sink *kktSink)
+	hess func(x, lam, mu, z []float64, sink *kktSink)
 	// order, when non-nil, supplies the fill-reducing column pre-order for
 	// the compiled KKT pattern (e.g. acopf's constraint-aware supernode
 	// ordering). Nil falls back to plain minimum degree.

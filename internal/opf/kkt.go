@@ -44,25 +44,16 @@ const (
 )
 
 // assembleKKT emits every entry of the reduced KKT matrix into sink in a
-// fixed, value-independent order: the Lagrangian Hessian (via p.hess,
-// whose emission contract is structural — every block on every call,
-// zeros included), the Gauss terms dhᵀ·diag(μ/z)·dh of every inequality
-// row, and the equality Jacobian border with a structurally-present
-// diagonal. Duplicate coordinates accumulate. Pattern capture at compile
-// time and per-iteration numeric refill both walk through this single
-// function, so the slot mapping cannot drift between the two.
+// fixed, value-independent order: the primal block M through p.hess
+// (whose emission contract is structural — every entry on every call,
+// zeros included), then the equality Jacobian border with a
+// structurally-present diagonal. Duplicate coordinates accumulate.
+// Pattern capture at compile time and per-iteration numeric refill both
+// walk through this single function, so the slot mapping cannot drift
+// between the two.
 func assembleKKT(p *nlp, ev *nlpEval, x, lam, mu, z []float64, sink *kktSink) {
 	nx := p.nx
-	p.hess(x, lam, mu, sink)
-	for r := 0; r < p.nh; r++ {
-		w := mu[r] / z[r]
-		row := ev.DH[r]
-		for _, a := range row {
-			for _, b := range row {
-				sink.emit(a.col, b.col, w*a.val*b.val)
-			}
-		}
-	}
+	p.hess(x, lam, mu, z, sink)
 	for i, row := range ev.DG {
 		for _, a := range row {
 			sink.emit(nx+i, a.col, a.val)
@@ -78,8 +69,8 @@ func assembleKKT(p *nlp, ev *nlpEval, x, lam, mu, z []float64, sink *kktSink) {
 // assemblies of the reference paths. With fn nil it is the compiled
 // refill: the n-th emission must land on the coordinate the compile
 // recorded for it and is accumulated into that coordinate's value slot.
-// It is a concrete type, not a func value, so the tens of thousands of
-// refill emissions per iteration are direct calls.
+// It is a concrete type, not a func value, so the refill emissions (7,975
+// per iteration on case118) are direct calls.
 type kktSink struct {
 	fn func(i, j int, v float64)
 	// emits records, per emission in assembly order, its compiled
@@ -114,12 +105,16 @@ func (s *kktSink) emit(i, j int, v float64) {
 	}
 }
 
-// addBlock accumulates w·H over a 4-variable block, emitting every entry
-// unconditionally (structural emission contract).
-func (s *kktSink) addBlock(cols [4]int, h *[4][4]float64, w float64) {
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			s.emit(cols[r], cols[c], w*h[r][c])
+// gauss emits the Gauss term (μ_r/z_r)·∇h_r∇h_rᵀ of every row r of
+// rows, entry by entry: the whole contribution of a linear inequality
+// row to the primal block. rows, mu and z are aligned.
+func (s *kktSink) gauss(rows [][]jentry, mu, z []float64) {
+	for r, row := range rows {
+		w := mu[r] / z[r]
+		for _, a := range row {
+			for _, b := range row {
+				s.emit(a.col, b.col, w*a.val*b.val)
+			}
 		}
 	}
 }
@@ -173,24 +168,47 @@ func (k *kktSystem) compiled() bool { return k.mat != nil }
 // emission→slot map, orders it and runs the LDLᵀ symbolic analysis. The
 // values captured along the way are accumulated into the matrix, so the
 // compile iteration needs no separate refill pass.
+//
+// The deduplication buckets the captured emissions by column, as
+// sparse.CompilePattern lays out its columns, and numbers each column's
+// distinct rows with a per-row stamp: linear in the emissions, with no
+// hash map.
 func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error {
 	dim := p.nx + p.ng
-	var ri, ci []int
-	seen := make(map[int64]int)
-	var uniq []int32 // per emission, the index of its coordinate in ri/ci
+	var emits []kktEmit
 	var vals []float64
 	assembleKKT(p, ev, x, lam, mu, z, &kktSink{fn: func(i, j int, v float64) {
-		key := int64(i)*int64(dim) + int64(j)
-		u, ok := seen[key]
-		if !ok {
-			u = len(ri)
-			seen[key] = u
-			ri = append(ri, i)
-			ci = append(ci, j)
-		}
-		uniq = append(uniq, int32(u))
+		emits = append(emits, kktEmit{i: int32(i), j: int32(j)})
 		vals = append(vals, v)
 	}})
+	start := make([]int, dim+1)
+	for _, e := range emits {
+		start[e.j+1]++
+	}
+	for j := 0; j < dim; j++ {
+		start[j+1] += start[j]
+	}
+	byCol := make([]int32, len(emits)) // emission numbers, column by column
+	next := append([]int(nil), start[:dim]...)
+	for n, e := range emits {
+		byCol[next[e.j]] = int32(n)
+		next[e.j]++
+	}
+	ri, ci := make([]int, 0, len(emits)), make([]int, 0, len(emits))
+	uniq := make([]int32, len(emits)) // per emission, the index of its coordinate in ri/ci
+	stamp := make([]int, dim)         // per row, 1 + the last column it was numbered in
+	coord := make([]int32, dim)       // per row, its coordinate index in that column
+	for j := 0; j < dim; j++ {
+		for _, n := range byCol[start[j]:start[j+1]] {
+			i := emits[n].i
+			if stamp[i] != j+1 {
+				stamp[i], coord[i] = j+1, int32(len(ri))
+				ri = append(ri, int(i))
+				ci = append(ci, j)
+			}
+			uniq[n] = coord[i]
+		}
+	}
 	mat, slot := sparse.CompilePattern(dim, dim, ri, ci)
 	var colPerm []int
 	if p.order != nil {
@@ -212,10 +230,9 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error 
 	k.dim = dim
 	k.mat = mat
 	val := mat.Values() // zeroed by CompilePattern
-	emits := make([]kktEmit, len(uniq))
 	for e, u := range uniq {
 		s := slot[u]
-		emits[e] = kktEmit{i: int32(ri[u]), j: int32(ci[u]), slot: int32(s)}
+		emits[e].slot = int32(s)
 		val[s] += vals[e]
 	}
 	k.sink = kktSink{emits: emits, vals: val}

@@ -196,7 +196,7 @@ func TestIPMNoConvergenceOnIterationZero(t *testing.T) {
 				DH:   [][]jentry{},
 			}
 		},
-		hess: func(x, lam, mu []float64, sink *kktSink) {
+		hess: func(x, lam, mu, z []float64, sink *kktSink) {
 			sink.emit(0, 0, 2)
 			sink.emit(1, 1, 2)
 		},
@@ -546,7 +546,7 @@ func driftingNLP(moveCoord bool) *nlp {
 				DH:   [][]jentry{},
 			}
 		},
-		hess: func(x, lam, mu []float64, sink *kktSink) {
+		hess: func(x, lam, mu, z []float64, sink *kktSink) {
 			calls++
 			sink.emit(0, 0, 2)
 			switch {
@@ -642,4 +642,163 @@ func TestContextAlternatingNetworksBitIdentical(t *testing.T) {
 	if got := ctx.Compiles(); got != 1 {
 		t.Fatalf("alternating same-structure networks compiled %d patterns, want 1", got)
 	}
+}
+
+// perBusCheck is a kktSolver that solves on its kktSystem and, at every
+// iterate, holds the refilled KKT matrix entry by entry against perBusKKT,
+// the bus-by-bus reference assembly, at the same point. Both sum the same
+// products into each slot, only in another order and grouping, so a slot
+// summed from n products may differ by at most 2·n·u·Σ|product| (u the
+// unit roundoff, 2⁻⁵³): the first-order bound on two summation orders of
+// the same n terms. A missing, extra or misplaced term breaks it.
+type perBusCheck struct {
+	kktSystem
+	t        *testing.T
+	name     string
+	prob     *acopf
+	iterates int
+	worst    float64 // largest |Δ| over its bound
+}
+
+func (c *perBusCheck) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
+	sol, err := c.kktSystem.solve(p, ev, x, lam, mu, z, rhs)
+	if err != nil {
+		return sol, err
+	}
+	dim := p.nx + p.ng
+	ref, abs, cnt := sparse.NewCOO(dim, dim), sparse.NewCOO(dim, dim), sparse.NewCOO(dim, dim)
+	perBusKKT(c.prob, ev, x, lam, mu, z, &kktSink{fn: func(i, j int, v float64) {
+		ref.Add(i, j, v)
+		abs.Add(i, j, math.Abs(v))
+		cnt.Add(i, j, 1)
+	}})
+	want, sum, terms := ref.ToCSC(), abs.ToCSC(), cnt.ToCSC()
+	if want.NNZ() != c.mat.NNZ() {
+		c.t.Fatalf("%s iterate %d: %d KKT slots, the per-bus reference has %d", c.name, c.iterates, c.mat.NNZ(), want.NNZ())
+	}
+	const u = 0x1p-53
+	for j := 0; j < dim; j++ {
+		want.ColView(j, func(i int, v float64) {
+			if !c.mat.Has(i, j) {
+				c.t.Fatalf("%s iterate %d: KKT[%d][%d] missing", c.name, c.iterates, i, j)
+			}
+			d := math.Abs(c.mat.At(i, j) - v)
+			bound := 2 * terms.At(i, j) * u * sum.At(i, j)
+			if d > bound {
+				c.t.Fatalf("%s iterate %d: KKT[%d][%d] = %v, per-bus reference %v: |Δ| %.3g over the bound %.3g",
+					c.name, c.iterates, i, j, c.mat.At(i, j), v, d, bound)
+			}
+			if d > 0 {
+				c.worst = math.Max(c.worst, d/bound)
+			}
+		})
+	}
+	c.iterates++
+	return sol, nil
+}
+
+// TestKKTMatchesPerBusReference is the differential test of the pair-walk
+// assembly: at every iterate of a cold AC solve of case14–300 the KKT
+// matrix the solver factors equals the bus-by-bus reference assembly
+// (perBusKKT, reference_test.go) slot for slot, within the summation-order
+// bound perBusCheck states. The solves keep their pinned iteration counts.
+func TestKKTMatchesPerBusReference(t *testing.T) {
+	iters := map[string]int{"case14": 8, "case30": 10, "case57": 10, "case118": 14, "case300": 12}
+	for _, name := range cases.Names() {
+		prob, err := newACOPF(cases.MustLoad(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &nlp{
+			nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
+			x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian, order: prob.kktOrder,
+		}
+		check := &perBusCheck{t: t, name: name, prob: prob}
+		res, err := solveIPM(p, ipmOptions{kkt: check})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Iterations != iters[name] || check.iterates != res.Iterations {
+			t.Errorf("%s: %d iterations with %d checked, want %d", name, res.Iterations, check.iterates, iters[name])
+		}
+		t.Logf("%s: %d iterates checked, worst |Δ| at %.3g of its bound", name, check.iterates, check.worst)
+	}
+}
+
+// TestKKTEmissionCounts pins how many entries one KKT assembly emits and
+// onto how many slots, on the AC OPF of case14–300: one 4×4 block per
+// Ybus neighbour pair, the Pg and Vm diagonals, one entry per bound row
+// and the equality border. The bus-by-bus emitter the pair walk replaced
+// wrote 1,830 / 6,351 / 12,327 / 28,807 / 63,699 entries onto the same
+// slots; an emitter that grows back toward it fails here.
+func TestKKTEmissionCounts(t *testing.T) {
+	want := map[string][2]int{
+		"case14": {870, 709}, "case30": {1759, 1443}, "case57": {3367, 2763},
+		"case118": {7975, 6443}, "case300": {17667, 14475},
+	}
+	for _, name := range cases.Names() {
+		p, x, lam, mu, z := initialKKTPoint(t, name)
+		kkt := &kktSystem{}
+		if err := kkt.compile(p, p.eval(x), x, lam, mu, z); err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]int{len(kkt.sink.emits), kkt.mat.NNZ()}; got != want[name] {
+			t.Errorf("%s: %d emissions onto %d slots, want %d onto %d", name, got[0], got[1], want[name][0], want[name][1])
+		}
+	}
+}
+
+// TestKKTCompileMatchesMapDedup pins the column-bucket deduplication of
+// kktSystem.compile to the hash-map numbering it replaced (compileByMap,
+// reference_test.go): every emission lands on the same coordinate and
+// slot, in the same order, and the compile pass accumulates the same
+// value bits into every slot.
+func TestKKTCompileMatchesMapDedup(t *testing.T) {
+	for _, name := range cases.Names() {
+		p, x, lam, mu, z := initialKKTPoint(t, name)
+		ev := p.eval(x)
+		kkt := &kktSystem{}
+		if err := kkt.compile(p, ev, x, lam, mu, z); err != nil {
+			t.Fatal(err)
+		}
+		emits, vals := compileByMap(p, ev, x, lam, mu, z)
+		if len(emits) != len(kkt.sink.emits) {
+			t.Fatalf("%s: %d emissions, map reference %d", name, len(kkt.sink.emits), len(emits))
+		}
+		for e, want := range emits {
+			if got := kkt.sink.emits[e]; got != want {
+				t.Fatalf("%s: emission %d compiled to %+v, map reference %+v", name, e, got, want)
+			}
+		}
+		got := kkt.mat.Values()
+		for s, v := range vals {
+			if math.Float64bits(got[s]) != math.Float64bits(v) {
+				t.Fatalf("%s: slot %d holds %v, map reference %v", name, s, got[s], v)
+			}
+		}
+	}
+}
+
+// initialKKTPoint returns a case's AC OPF problem at the interior point's
+// starting x, with multipliers and slacks away from round values: λ in
+// [−1, 1], μ and z in [0.5, 1.5].
+func initialKKTPoint(t *testing.T, name string) (*nlp, []float64, []float64, []float64, []float64) {
+	t.Helper()
+	prob, err := newACOPF(cases.MustLoad(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &nlp{
+		nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
+		x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian, order: prob.kktOrder,
+	}
+	lam, mu, z := make([]float64, p.ng), make([]float64, p.nh), make([]float64, p.nh)
+	for i := range lam {
+		lam[i] = math.Sin(float64(i) + 0.3)
+	}
+	for r := range mu {
+		mu[r] = 1 + 0.5*math.Sin(float64(r))
+		z[r] = 1 + 0.5*math.Cos(float64(3*r))
+	}
+	return p, p.x0, lam, mu, z
 }

@@ -45,10 +45,11 @@ func pairHess(t *pairTerm, a, b, vi, vk, c, s float64) {
 	// dd/dθi = −e; symmetry in θk with opposite signs.
 	h00, h01, h11 := -vv*e, vv*e, -vv*e
 	h02, h03, h12, h13 := vk*d, vi*d, -vk*d, -vi*d
-	t.Hess = [4][4]float64{
-		{h00, h01, h02, h03},
-		{h01, h11, h12, h13},
-		{h02, h12, 0, e},
-		{h03, h13, e, 0},
-	}
+	// Element by element: a composite literal is built on the stack and
+	// block-copied into t.
+	h := &t.Hess
+	h[0][0], h[0][1], h[0][2], h[0][3] = h00, h01, h02, h03
+	h[1][0], h[1][1], h[1][2], h[1][3] = h01, h11, h12, h13
+	h[2][0], h[2][1], h[2][2], h[2][3] = h02, h12, 0, e
+	h[3][0], h[3][1], h[3][2], h[3][3] = h03, h13, e, 0
 }

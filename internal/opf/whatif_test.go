@@ -55,3 +55,36 @@ func TestWhatIfGridCase57(t *testing.T) {
 		}
 	}
 }
+
+// TestWhatIfGridCase118 runs a slice of the case118 what-if grid the
+// acopf_whatif workload draws from, cold solves through one Context as the
+// engine runs them: 15 load buses, each at −6.5, +4.5, +6 and +10 MW.
+// Buses 60 and 64 at +6 and +10 MW are the known infeasible states and
+// must fail, each well before MaxIter; every other state converges within
+// exactly 12–18 iterates (bus 83 at +4.5 MW takes the 18).
+func TestWhatIfGridCase118(t *testing.T) {
+	base := cases.MustLoad("case118")
+	ctx := NewContext()
+	lo, hi := 150, 0
+	for _, bus := range []int{2, 11, 15, 20, 27, 34, 45, 54, 60, 64, 74, 76, 83, 90, 106} {
+		for _, d := range []float64{-6.5, 4.5, 6, 10} {
+			sol, err := SolveACOPF(withBusLoad(base, bus, d), Options{Context: ctx})
+			infeasible := (bus == 60 || bus == 64) && d >= 6
+			switch {
+			case !infeasible && err != nil:
+				t.Errorf("bus %d %+g MW: %v", bus, d, err)
+			case !infeasible && sol.MaxMismatchPU >= 1e-4:
+				t.Errorf("bus %d %+g MW: mismatch %g pu", bus, d, sol.MaxMismatchPU)
+			case !infeasible:
+				lo, hi = min(lo, sol.Iterations), max(hi, sol.Iterations)
+			case err == nil:
+				t.Errorf("bus %d %+g MW solved; want a failure", bus, d)
+			case sol.Iterations >= 50:
+				t.Errorf("bus %d %+g MW failed at iteration %d; want well before MaxIter", bus, d, sol.Iterations)
+			}
+		}
+	}
+	if lo != 12 || hi != 18 {
+		t.Errorf("converged solves took %d–%d iterates, want 12–18", lo, hi)
+	}
+}

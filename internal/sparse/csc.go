@@ -183,13 +183,15 @@ func (m *CSC) MulVecInto(dst, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVecInto dimension mismatch: %dx%d by %d into %d", m.rows, m.cols, len(x), len(dst)))
 	}
 	clear(dst)
-	for j := 0; j < m.cols; j++ {
-		xj := x[j]
+	for j, xj := range x {
 		if xj == 0 {
 			continue
 		}
-		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
-			dst[m.rowIdx[p]] += m.val[p] * xj
+		lo, hi := m.colPtr[j], m.colPtr[j+1]
+		rows, vals := m.rowIdx[lo:hi], m.val[lo:hi]
+		vals = vals[:len(rows)]
+		for p, i := range rows {
+			dst[i] += vals[p] * xj
 		}
 	}
 }

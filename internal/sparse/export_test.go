@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"testing"
 )
 
 // RandomSparse exposes randomSparse to the external tests.
@@ -125,4 +126,39 @@ func symmetricAdjacency(m *CSC) [][]int {
 		adj[v] = out
 	}
 	return adj
+}
+
+// CheckLDLKernelsMatchReference factors a (both triangles stored) under
+// perm and shift twice, with LDL.Factor and with the reference body
+// ldlFactorRef, and fails t unless L and D agree bit for bit. It then
+// requires LDL.SolveInto on b and CSC.MulVecInto on b to match their
+// reference bodies bit for bit as well.
+func CheckLDLKernelsMatchReference(t *testing.T, what string, a *CSC, perm []int, shift, b []float64) {
+	t.Helper()
+	got, err := NewLDL(a, perm, shift)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want, err := NewLDL(a, perm, shift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Factor(a); err != nil {
+		t.Fatalf("%s: Factor: %v", what, err)
+	}
+	if err := ldlFactorRef(want, a); err != nil {
+		t.Fatalf("%s: reference Factor: %v", what, err)
+	}
+	sameBits(t, what+" L", got.lx, want.lx)
+	sameBits(t, what+" D", got.d, want.d)
+	n := a.cols
+	x, xRef := make([]float64, n), make([]float64, n)
+	if err := got.SolveInto(x, b, make([]float64, n)); err != nil {
+		t.Fatal(err)
+	}
+	ldlSolveRef(want, xRef, b, make([]float64, n))
+	sameBits(t, what+" solve", x, xRef)
+	a.MulVecInto(x, b)
+	mulVecIntoRef(a, xRef, b)
+	sameBits(t, what+" MulVecInto", x, xRef)
 }

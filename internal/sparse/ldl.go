@@ -159,19 +159,26 @@ func (f *LDL) Factor(a *CSC) error {
 	up, ui, us := f.up, f.ui, f.us
 	lp, li, lx := f.lp, f.li, f.lx
 	rs, rc, rp := f.rs, f.rc, f.rp
+	// Every inner loop runs over index and value subslices of equal
+	// length, so the compiler drops the bounds check on the value side.
 	for k := 0; k < n; k++ {
-		for p := up[k]; p < up[k+1]; p++ {
-			y[ui[p]] += val[us[p]]
+		arows, aslots := ui[up[k]:up[k+1]], us[up[k]:up[k+1]]
+		aslots = aslots[:len(arows)]
+		for p, i := range arows {
+			y[i] += val[aslots[p]]
 		}
 		dk := y[k] + shift[k]
 		y[k] = 0
 		// Row k of L solves L(0:k,0:k)·D·l = A(0:k,k) over its pattern;
 		// the solve consumes y, so y is zero again afterwards.
-		for r := rs[k]; r < rs[k+1]; r++ {
-			i, pk := rc[r], rp[r]
+		cols, pos := rc[rs[k]:rs[k+1]], rp[rs[k]:rs[k+1]]
+		pos = pos[:len(cols)]
+		for r, i := range cols {
+			pk := pos[r]
 			yi := y[i]
 			y[i] = 0
 			rows, vals := li[lp[i]:pk], lx[lp[i]:pk]
+			vals = vals[:len(rows)]
 			for q, j := range rows {
 				y[j] -= vals[q] * yi
 			}
@@ -204,6 +211,7 @@ func (f *LDL) SolveInto(dst, b, work []float64) error {
 	for i := 0; i < n; i++ {
 		if yi := y[i]; yi != 0 {
 			rows, vals := li[lp[i]:lp[i+1]], lx[lp[i]:lp[i+1]]
+			vals = vals[:len(rows)]
 			for q, j := range rows {
 				y[j] -= vals[q] * yi
 			}
@@ -215,6 +223,7 @@ func (f *LDL) SolveInto(dst, b, work []float64) error {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		rows, vals := li[lp[i]:lp[i+1]], lx[lp[i]:lp[i+1]]
+		vals = vals[:len(rows)]
 		for q, j := range rows {
 			s -= vals[q] * y[j]
 		}

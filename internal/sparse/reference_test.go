@@ -161,6 +161,92 @@ func solveBlockRef(f *LU, dst, b, work []float64, nrhs int) error {
 	return nil
 }
 
+// The LDLᵀ and CSC kernels as they were written before their inner loops
+// moved to length-matched subslices. They are the bitwise references of
+// CheckLDLKernelsMatchReference: every operation and its order here is the
+// contract LDL.Factor, LDL.SolveInto and CSC.MulVecInto keep.
+
+// ldlFactorRef is the reference body of LDL.Factor.
+func ldlFactorRef(f *LDL, a *CSC) error {
+	n := f.n
+	if a.rows != n || a.cols != n {
+		return fmt.Errorf("sparse: LDL.Factor matrix is %dx%d, factorization is %dx%d", a.rows, a.cols, n, n)
+	}
+	y, d, val, shift := f.y, f.d, a.val, f.shift
+	up, ui, us := f.up, f.ui, f.us
+	lp, li, lx := f.lp, f.li, f.lx
+	rs, rc, rp := f.rs, f.rc, f.rp
+	for k := 0; k < n; k++ {
+		for p := up[k]; p < up[k+1]; p++ {
+			y[ui[p]] += val[us[p]]
+		}
+		dk := y[k] + shift[k]
+		y[k] = 0
+		for r := rs[k]; r < rs[k+1]; r++ {
+			i, pk := rc[r], rp[r]
+			yi := y[i]
+			y[i] = 0
+			rows, vals := li[lp[i]:pk], lx[lp[i]:pk]
+			for q, j := range rows {
+				y[j] -= vals[q] * yi
+			}
+			l := yi / d[i]
+			dk -= l * yi
+			lx[pk] = l
+		}
+		if dk == 0 || math.IsNaN(dk) || math.IsInf(dk, 0) {
+			return fmt.Errorf("%w: pivot %v at step %d (column %d)", ErrSingular, dk, k, f.perm[k])
+		}
+		d[k] = dk
+	}
+	return nil
+}
+
+// ldlSolveRef is the reference body of LDL.SolveInto.
+func ldlSolveRef(f *LDL, dst, b, work []float64) {
+	n := f.n
+	y, lp, li, lx := work, f.lp, f.li, f.lx
+	for k, j := range f.perm {
+		y[k] = b[j]
+	}
+	for i := 0; i < n; i++ {
+		if yi := y[i]; yi != 0 {
+			rows, vals := li[lp[i]:lp[i+1]], lx[lp[i]:lp[i+1]]
+			for q, j := range rows {
+				y[j] -= vals[q] * yi
+			}
+		}
+	}
+	for k, dk := range f.d {
+		y[k] /= dk
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		rows, vals := li[lp[i]:lp[i+1]], lx[lp[i]:lp[i+1]]
+		for q, j := range rows {
+			s -= vals[q] * y[j]
+		}
+		y[i] = s
+	}
+	for k, j := range f.perm {
+		dst[j] = y[k]
+	}
+}
+
+// mulVecIntoRef is the reference body of CSC.MulVecInto.
+func mulVecIntoRef(m *CSC, dst, x []float64) {
+	clear(dst)
+	for j := 0; j < m.cols; j++ {
+		xj := x[j]
+		if xj == 0 {
+			continue
+		}
+		for p := m.colPtr[j]; p < m.colPtr[j+1]; p++ {
+			dst[m.rowIdx[p]] += m.val[p] * xj
+		}
+	}
+}
+
 // sameBits fails unless got and want hold the same float64 bit patterns.
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()

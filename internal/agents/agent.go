@@ -4,6 +4,13 @@
 // results, and the planner/coordinator pair that routes multi-step
 // requests across the ACOPF and contingency-analysis agents over a shared
 // session context (§3.1–3.4).
+//
+// The planner routes by keyword regexes, and on ASCII text it runs a
+// regex only when the lower-cased text holds one of the regex's literal
+// anchors ("then", "case"/"ieee", the contingency vocabulary); a regex
+// without its anchor cannot match. Non-ASCII text runs every regex.
+// planRef in the tests is the unfiltered planner that FuzzPlan holds it
+// to.
 package agents
 
 import (
@@ -143,6 +150,7 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 			}
 			turn.ToolCalls++
 			var content string
+			var decoded map[string]any
 			if err != nil {
 				step.Err = err.Error()
 				if errors.Is(err, tools.ErrInputSchema) || errors.Is(err, tools.ErrOutputSchema) {
@@ -153,17 +161,19 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 			} else {
 				step.Result = result
 				if m, ok := result.(map[string]any); ok {
+					decoded = m
 					toolData = append(toolData, m)
 					if rec, _ := m["recovery_used"].(bool); rec {
 						turn.Recoveries++
 					}
 				}
 				// raw is the encoding Invoke decoded result from: the
-				// tool message without a second encode.
+				// tool message without a second encode, and the model
+				// reads result without a second decode.
 				content = string(raw)
 			}
 			msgs = append(msgs, llm.Message{
-				Role: llm.RoleTool, ToolCallID: tc.ID, Name: tc.Name, Content: content,
+				Role: llm.RoleTool, ToolCallID: tc.ID, Name: tc.Name, Content: content, Decoded: decoded,
 			})
 			turn.Steps = append(turn.Steps, step)
 		}

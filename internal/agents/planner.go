@@ -3,6 +3,7 @@ package agents
 import (
 	"regexp"
 	"strings"
+	"unicode/utf8"
 )
 
 // Agent names used in routing.
@@ -32,7 +33,7 @@ func Plan(query string) []Assignment {
 		// shared session would resolve it anyway, but explicit context
 		// mirrors the paper's "shift from ACOPF agent to CA agent with
 		// shared context".
-		if c := reCasePlanner.FindString(p); c != "" {
+		if c := findCase(p); c != "" {
 			lastCase = c
 		} else if lastCase != "" && agent == CAAgentName {
 			p = p + " (network: " + lastCase + ")"
@@ -42,16 +43,52 @@ func Plan(query string) []Assignment {
 	return out
 }
 
+// The planner's regexes, each with its anchors: lower-cased literals one
+// of which every match on ASCII text holds. On ASCII text a regex none of
+// whose anchors occurs in the lower-cased text cannot match, so it is
+// skipped. (?i) also folds ſ onto s and the Kelvin sign onto k, so
+// non-ASCII text runs every regex.
 var (
 	reSplit       = regexp.MustCompile(`(?i)\s*(?:[,;]\s*|\.\s+)?(?:and\s+)?then\s+`)
 	reCasePlanner = regexp.MustCompile(`(?i)(?:case|ieee)[\s-]*\d+`)
 	reCAWords     = regexp.MustCompile(`(?i)contingenc|critical|n-1|t-1|n-k|outage|reliab|vulnerab|reinforc|cascad|monte[\s-]carlo|loss[\s-]of[\s-]load|lolp`)
-	reACWords     = regexp.MustCompile(`(?i)solve|opf|optimal|dispatch|load|cost|status|voltage`)
+
+	splitAnchors = []string{"then"}
+	caseAnchors  = []string{"case", "ieee"}
+	caAnchors    = []string{"contingenc", "critical", "n-1", "t-1", "n-k", "outage", "reliab", "vulnerab", "reinforc", "cascad", "monte", "loss", "lolp"}
 )
+
+// mayMatch reports whether a regex with the given anchors can match s.
+func mayMatch(s string, anchors []string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return true
+		}
+	}
+	lower := strings.ToLower(s)
+	for _, a := range anchors {
+		if strings.Contains(lower, a) {
+			return true
+		}
+	}
+	return false
+}
+
+func isCAStep(s string) bool { return mayMatch(s, caAnchors) && reCAWords.MatchString(s) }
+
+func findCase(s string) string {
+	if !mayMatch(s, caseAnchors) {
+		return ""
+	}
+	return reCasePlanner.FindString(s)
+}
 
 // splitSteps breaks a compound request on sequential connectives.
 func splitSteps(query string) []string {
-	parts := reSplit.Split(query, -1)
+	parts := []string{query}
+	if mayMatch(query, splitAnchors) {
+		parts = reSplit.Split(query, -1)
+	}
 	var out []string
 	for _, p := range parts {
 		if s := strings.TrimSpace(p); s != "" {
@@ -63,7 +100,7 @@ func splitSteps(query string) []string {
 	}
 	// A single clause that spans both domains still becomes two steps:
 	// "solve IEEE 118 and identify critical contingencies".
-	if len(out) == 1 && reCAWords.MatchString(out[0]) && hasSolveIntent(out[0]) {
+	if len(out) == 1 && isCAStep(out[0]) && hasSolveIntent(out[0]) {
 		return splitMixed(out[0])
 	}
 	return out
@@ -72,7 +109,7 @@ func splitSteps(query string) []string {
 func hasSolveIntent(s string) bool {
 	lower := strings.ToLower(s)
 	return (strings.Contains(lower, "solve") || strings.Contains(lower, "opf")) &&
-		reCasePlanner.MatchString(s)
+		findCase(s) != ""
 }
 
 // splitMixed cuts a mixed-domain clause at the contingency keyword.
@@ -98,13 +135,11 @@ func splitMixed(s string) []string {
 }
 
 // classify routes one step to an agent by domain keywords; contingency
-// vocabulary wins because reliability work subsumes a base-case solve.
+// vocabulary wins because reliability work subsumes a base-case solve,
+// and every other step goes to the ACOPF agent.
 func classify(step string) string {
-	if reCAWords.MatchString(step) {
+	if isCAStep(step) {
 		return CAAgentName
-	}
-	if reACWords.MatchString(step) {
-		return ACOPFAgentName
 	}
 	return ACOPFAgentName
 }

@@ -325,14 +325,17 @@ func (s *SimClient) stream(req *Request) *stream {
 	if i := lastUserIndex(req.Messages); i >= 0 {
 		h.Write([]byte(req.Messages[i].Content))
 	}
-	return &stream{src: rand.NewSource(int64(h.Sum64()))}
+	st := &stream{}
+	st.src.Seed(int64(h.Sum64()))
+	return st
 }
 
 // stream is one seeded source whose draws every reader replays from the
 // start: the slip and latency draws of a completion each read the stream
-// as if it were freshly seeded, but the source is seeded once.
+// as if it were freshly seeded, but the source is seeded once, lazily
+// (the draws of rand.NewSource, see lazySource).
 type stream struct {
-	src   rand.Source
+	src   lazySource
 	drawn []int64
 }
 
@@ -369,6 +372,8 @@ func lastUserIndex(msgs []Message) int {
 	return -1
 }
 
+// decodeToolResults reads the turn's tool messages, decoding Content only
+// when the sender did not hand it over already decoded.
 func decodeToolResults(msgs []Message) []toolResult {
 	var out []toolResult
 	for _, m := range msgs {
@@ -376,15 +381,13 @@ func decodeToolResults(msgs []Message) []toolResult {
 			continue
 		}
 		tr := toolResult{name: m.Name}
-		var data map[string]any
-		if err := json.Unmarshal([]byte(m.Content), &data); err == nil {
-			if e, ok := data["error"].(string); ok {
-				tr.err = e
-			} else {
-				tr.data = data
-			}
-		} else {
+		data := m.Decoded
+		if data == nil && json.Unmarshal([]byte(m.Content), &data) != nil {
 			tr.err = "unparseable tool result"
+		} else if e, ok := data["error"].(string); ok {
+			tr.err = e
+		} else {
+			tr.data = data
 		}
 		out = append(out, tr)
 	}

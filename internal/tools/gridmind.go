@@ -426,7 +426,11 @@ func runN1Tool(ctx *session.Context, eng *engine.Engine) *Tool {
 			stats := rs.Summarize()
 			top := rs.Top(topK, strategy)
 			crit := make([]map[string]any, 0, len(top))
+			var maxOverload float64 // worst loading across the top-k
 			for rank, o := range top {
+				if o.MaxLoadingPct > maxOverload {
+					maxOverload = o.MaxLoadingPct
+				}
 				crit = append(crit, map[string]any{
 					"rank":            rank + 1,
 					"branch":          o.Branch,
@@ -463,7 +467,7 @@ func runN1Tool(ctx *session.Context, eng *engine.Engine) *Tool {
 				"islanding":        stats.Islanding,
 				"unsolved":         stats.Unsolved,
 				"screened":         rs.Screened,
-				"max_overload_pct": round2(rs.MaxOverloadPct(topK, strategy)),
+				"max_overload_pct": round2(maxOverload),
 				"critical":         crit,
 				"recommendations":  recRows,
 			}, nil

@@ -1,12 +1,16 @@
 package agents
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	"gridmind/internal/llm"
+	"gridmind/internal/opf"
+	"gridmind/internal/session"
 	"gridmind/internal/simclock"
 	"gridmind/internal/tools"
 )
@@ -150,4 +154,79 @@ func TestScriptedSessionsSendIdenticalToolMessages(t *testing.T) {
 			t.Errorf("call %d: last_solve_at %v, want the session clock's 2025-09-02T00:00:00Z", i+1, got)
 		}
 	}
+}
+
+// TestSpilledSessionSendsIdenticalWhatIf: a session spilled and restored
+// between "Solve IEEE 118" and a what-if sends the model the same
+// what-if tool messages, byte for byte, as one that never spilled. The
+// stored solution's multipliers survive the spill exactly, so the
+// restored session's re-solve is warm-started from the same point: it
+// converges in at most 10 iterates with no fallback (cold takes 12–18).
+func TestSpilledSessionSendsIdenticalWhatIf(t *testing.T) {
+	start := time.Date(2025, 9, 2, 0, 0, 0, 0, time.UTC)
+	solve := []llm.ToolCall{{ID: "c1", Name: tools.ToolSolveACOPF, Args: map[string]any{"case_name": "case118"}}}
+	whatIf := []llm.ToolCall{
+		{ID: "c2", Name: tools.ToolNetworkStatus, Args: map[string]any{"bus": 11}},
+		{ID: "c3", Name: tools.ToolModifyBusLoad, Args: map[string]any{"bus": 11, "p_mw": 74.5}},
+		{ID: "c4", Name: tools.ToolNetworkStatus, Args: map[string]any{}},
+	}
+	run := func(spill bool) []string {
+		clock := simclock.NewSim(start)
+		client := &scriptedClient{calls: solve}
+		sess := session.NewWithEngine(clock.Now, nil)
+		c := NewCoordinator(Config{Client: client, Clock: clock, Session: sess})
+		if _, err := c.ACOPF.Run(context.Background(), "solve"); err != nil {
+			t.Fatal(err)
+		}
+		if spill {
+			var buf bytes.Buffer
+			if err := sess.Persist(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := session.RestoreWithEngine(&buf, clock.Now, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = NewCoordinator(Config{Client: client, Clock: clock, Session: restored})
+		}
+		client.calls = whatIf
+		if _, err := c.ACOPF.Run(context.Background(), "what if"); err != nil {
+			t.Fatal(err)
+		}
+		msgs := client.last.Messages
+		var out []string
+		for _, m := range msgs[lastUser(msgs):] {
+			if m.Role == llm.RoleTool {
+				out = append(out, m.Content)
+			}
+		}
+		return out
+	}
+	kept, spilled := run(false), run(true)
+	if len(kept) != len(whatIf) || len(spilled) != len(whatIf) {
+		t.Fatalf("%d and %d tool messages for %d scripted calls", len(kept), len(spilled), len(whatIf))
+	}
+	for i := range kept {
+		if kept[i] != spilled[i] {
+			t.Errorf("%s: tool messages differ:\n%s\n%s", whatIf[i].Name, kept[i], spilled[i])
+		}
+	}
+	var reply map[string]any
+	if err := json.Unmarshal([]byte(spilled[1]), &reply); err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := reply["convergence_message"].(string)
+	if it, _ := reply["iterations"].(float64); reply["solved"] != true || it > 10 || strings.HasPrefix(msg, opf.WarmStartFallback) {
+		t.Errorf("the restored session's what-if was not warm-started: %v", reply)
+	}
+}
+
+// lastUser is the index of the last user message in msgs.
+func lastUser(msgs []llm.Message) int {
+	for i := len(msgs) - 1; i >= 0; i-- {
+		if msgs[i].Role == llm.RoleUser {
+			return i
+		}
+	}
+	return 0
 }

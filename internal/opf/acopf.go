@@ -103,8 +103,10 @@ func newACOPF(n *model.Network) (*acopf, error) {
 
 // initialPoint seeds the solver from the case's stored operating point —
 // or from a previous solution when warm-starting — nudged strictly inside
-// the bounds.
-func (a *acopf) initialPoint(start *Solution) []float64 {
+// the bounds. It also returns the start's multipliers when the start seeds
+// the primal point and they are sized for this problem, for solveIPM to
+// seed its dual point from; otherwise nil.
+func (a *acopf) initialPoint(start *Solution) ([]float64, *Multipliers) {
 	x := make([]float64, a.nx())
 	warm := start != nil &&
 		len(start.Voltages.Vm) == a.nb && len(start.GenP) == len(a.net.Gens)
@@ -125,7 +127,14 @@ func (a *acopf) initialPoint(start *Solution) []float64 {
 		x[a.ixPg(p)] = clampInterior(pg, g.PMin, g.PMax) / a.base
 		x[a.ixQg(p)] = clampInterior(qg, g.QMin, g.QMax) / a.base
 	}
-	return x
+	if !warm || start.Multipliers == nil {
+		return x, nil
+	}
+	d, nh := start.Multipliers, a.nIneq()
+	if len(d.Lam) != a.ngEq() || len(d.Mu) != nh || len(d.Z) != nh {
+		return x, nil
+	}
+	return x, d
 }
 
 func clampInterior(v, lo, hi float64) float64 {

@@ -88,7 +88,7 @@ func TestEvalPairHessianFD(t *testing.T) {
 
 // randomizedState returns a mildly perturbed interior state for FD checks.
 func randomizedState(a *acopf, rng *rand.Rand) []float64 {
-	x := a.initialPoint(nil)
+	x, _ := a.initialPoint(nil)
 	for i := 0; i < a.nb; i++ {
 		x[a.ixVa(i)] += 0.05 * rng.NormFloat64()
 		x[a.ixVm(i)] += 0.01 * rng.NormFloat64()
@@ -480,9 +480,8 @@ func TestWarmStartACOPF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm starts anchor the BASIN (the purpose of Options.Start), not
-	// the iteration count: interior-point methods are famously slow to
-	// restart from near-boundary points, so no speed claim is made.
+	// Warm starts anchor the BASIN (the purpose of Options.Start); the
+	// iterates they save are pinned by TestWhatIfGridWarm.
 	if math.Abs(warm.ObjectiveCost-coldAgain.ObjectiveCost) > 1e-3*coldAgain.ObjectiveCost {
 		t.Fatalf("warm %v vs cold %v landed in different optima", warm.ObjectiveCost, coldAgain.ObjectiveCost)
 	}

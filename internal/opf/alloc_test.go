@@ -25,9 +25,10 @@ func TestIPMSteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			x0, _ := prob.initialPoint(nil)
 			p := &nlp{
 				nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
-				x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian,
+				x0: x0, eval: prob.eval, hess: prob.hessian,
 			}
 			kkt := &kktSystem{}
 			res, err := solveIPM(p, ipmOptions{kkt: kkt})

@@ -48,6 +48,10 @@ type nlp struct {
 	// the compiled KKT pattern (e.g. acopf's constraint-aware supernode
 	// ordering). Nil falls back to plain minimum degree.
 	order func(m *sparse.CSC) []int
+	// duals, when non-nil, seeds the dual point from a previous solve's
+	// final multipliers (λ, μ and z sized ng, nh, nh) by the rule at
+	// dualFloor; nil seeds it cold.
+	duals *Multipliers
 }
 
 // kktSolver computes the IPM's Newton directions: solve assembles the
@@ -148,6 +152,27 @@ const (
 	stallIterates = 3
 )
 
+// dualFloor is δ of the warm dual seed. When nlp.duals carries a previous
+// solve's multipliers, λ is copied from them, each slack starts at
+// z = max(z_start, −h(x0), δ) and each inequality multiplier at
+// μ = max(μ_start, δ). At an optimum the slack of an active row and the
+// multiplier of an inactive one sit near zero, and a row whose activity
+// the changed problem flips must first climb off that boundary. Measured
+// on the case57 and case118 what-if grids (internal/opf/README.md,
+// "Warm-started re-solves"): δ = 1e-2 has the smallest worst case, 9 and
+// 10 iterates, and no fallback; at 3e-3 one case118 what-if (bus 83,
+// +1 MW) stalls, and at 1e-1 the case118 mean is nearly the cold one.
+const dualFloor = 1e-2
+
+// warmMaxIter caps the iterates of a solve seeded from a previous dual
+// point (nlp.duals) before SolveACOPF falls back to the primal-only start.
+// Every warm solve that converged on the what-if grids of case14–300, the
+// sensitivity rows and the SCOPF rounds of case30/57/118 took at most 11;
+// the ones that failed there ran 10–62 iterates, one 150, before the
+// fallback that fails too. About twice the largest converged count bounds
+// that waste.
+const warmMaxIter = 20
+
 // solveIPM runs a primal-dual interior-point method in the form of MIPS
 // (Wang, Murillo-Sánchez, Zimmerman & Thomas) with Mehrotra's
 // predictor–corrector step: slack variables z>0 turn h(x)≤0 into
@@ -194,14 +219,22 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 	mu := make([]float64, nh)
 
 	ev := p.eval(x)
-	for r := 0; r < nh; r++ {
-		z[r] = z0
-		if ev.H[r] < -z0 {
-			z[r] = -ev.H[r]
+	if d := p.duals; d != nil {
+		copy(lam, d.Lam)
+		for r := 0; r < nh; r++ {
+			z[r] = max(d.Z[r], -ev.H[r], dualFloor)
+			mu[r] = max(d.Mu[r], dualFloor)
 		}
-		mu[r] = z0
-		if gam0/z[r] > z0 {
-			mu[r] = gam0 / z[r]
+	} else {
+		for r := 0; r < nh; r++ {
+			z[r] = z0
+			if ev.H[r] < -z0 {
+				z[r] = -ev.H[r]
+			}
+			mu[r] = z0
+			if gam0/z[r] > z0 {
+				mu[r] = gam0 / z[r]
+			}
 		}
 	}
 

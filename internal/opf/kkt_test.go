@@ -80,9 +80,10 @@ func solveRaw(t *testing.T, name string) (*acopf, *nlp, *ipmResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	x0, _ := prob.initialPoint(nil)
 	p := &nlp{
 		nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
-		x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian,
+		x0: x0, eval: prob.eval, hess: prob.hessian,
 	}
 	res, err := solveIPM(p, ipmOptions{})
 	if err != nil {
@@ -709,9 +710,10 @@ func TestKKTMatchesPerBusReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		x0, _ := prob.initialPoint(nil)
 		p := &nlp{
 			nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
-			x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian, order: prob.kktOrder,
+			x0: x0, eval: prob.eval, hess: prob.hessian, order: prob.kktOrder,
 		}
 		check := &perBusCheck{t: t, name: name, prob: prob}
 		res, err := solveIPM(p, ipmOptions{kkt: check})
@@ -788,9 +790,10 @@ func initialKKTPoint(t *testing.T, name string) (*nlp, []float64, []float64, []f
 	if err != nil {
 		t.Fatal(err)
 	}
+	x0, _ := prob.initialPoint(nil)
 	p := &nlp{
 		nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
-		x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian, order: prob.kktOrder,
+		x0: x0, eval: prob.eval, hess: prob.hessian, order: prob.kktOrder,
 	}
 	lam, mu, z := make([]float64, p.ng), make([]float64, p.nh), make([]float64, p.nh)
 	for i := range lam {

@@ -55,9 +55,10 @@ func solveACOPFReference(n *model.Network) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	x0, _ := prob.initialPoint(nil)
 	p := &nlp{
 		nx: prob.nx(), ng: prob.ngEq(), nh: prob.nIneq(),
-		x0: prob.initialPoint(nil), eval: prob.eval, hess: prob.hessian,
+		x0: x0, eval: prob.eval, hess: prob.hessian,
 	}
 	res, err := solveIPM(p, ipmOptions{kkt: &referenceKKT{}})
 	return extractSolution(prob, res), err

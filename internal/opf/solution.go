@@ -25,6 +25,12 @@ type Options struct {
 	// Start, when non-nil, warm-starts the solver from a previous
 	// solution's operating point (voltages and dispatch). ACOPF is
 	// nonconvex; warm-starting anchors comparative studies in one basin.
+	// When Start also carries Multipliers sized for this network, the
+	// interior point seeds its dual point from them too; if that solve
+	// does not converge within 20 iterates (or MaxIter, if fewer), it is
+	// re-run from Start's operating point alone and the
+	// ConvergenceMessage opens with WarmStartFallback. Start is only
+	// read.
 	Start *Solution
 	// Context, when non-nil, caches the compiled KKT pattern and LDLᵀ
 	// symbolic analysis across solves of the same network topology (rating
@@ -66,7 +72,27 @@ type Solution struct {
 	// BindingFlowLimits counts branch-end MVA constraints at their limit.
 	BindingFlowLimits  int    `json:"binding_flow_limits"`
 	ConvergenceMessage string `json:"convergence_message"`
+	// Multipliers is the interior point's final dual point, set on a
+	// converged SolveACOPF only: what Options.Start needs to warm-start
+	// the dual point of the next solve, kept through a session spill.
+	Multipliers *Multipliers `json:"multipliers,omitempty"`
 }
+
+// Multipliers is one interior-point dual point, in the solver's scaled
+// units (λ and μ carry costScale): Lam holds the equality multipliers
+// (the 2·nb balance rows, then the slack-angle pin), Mu and Z the
+// multipliers and slacks of the inequality rows (two per rated branch,
+// then the variable bounds).
+type Multipliers struct {
+	Lam []float64 `json:"lam"`
+	Mu  []float64 `json:"mu"`
+	Z   []float64 `json:"z"`
+}
+
+// WarmStartFallback opens the ConvergenceMessage of a solve whose
+// warm-started dual point did not converge and that was re-run from
+// Options.Start's operating point alone.
+const WarmStartFallback = "warm start fell back"
 
 // TotalGenMW sums the active dispatch.
 func (s *Solution) TotalGenMW() float64 {
@@ -100,14 +126,16 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	x0, duals := prob.initialPoint(opts.Start)
 	p := &nlp{
 		nx:    prob.nx(),
 		ng:    prob.ngEq(),
 		nh:    prob.nIneq(),
-		x0:    prob.initialPoint(opts.Start),
+		x0:    x0,
 		eval:  prob.eval,
 		hess:  prob.hessian,
 		order: prob.kktOrder,
+		duals: duals,
 	}
 	iopts := ipmOptions{
 		FeasTol: opts.FeasTol, GradTol: opts.GradTol,
@@ -120,7 +148,24 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 		// lays out a private one lazily.
 		iopts.kkt = opts.Context.acquire(prob)
 	}
-	res, ipmErr := solveIPM(p, iopts)
+	first := iopts
+	if duals != nil {
+		// The warm solve gets warmMaxIter iterates, or MaxIter if fewer.
+		first.MaxIter = warmMaxIter
+		if opts.MaxIter > 0 {
+			first.MaxIter = min(opts.MaxIter, warmMaxIter)
+		}
+	}
+	res, ipmErr := solveIPM(p, first)
+	if ipmErr != nil && duals != nil {
+		// The warm dual seed did not converge: re-run from Start's
+		// operating point alone, as a Start without multipliers solves.
+		warm := res
+		p.duals = nil
+		res, ipmErr = solveIPM(p, iopts)
+		res.Message = fmt.Sprintf("%s after %d iterates (%s); %s",
+			WarmStartFallback, warm.Iterations, warm.Message, res.Message)
+	}
 	sol := extractSolution(prob, res)
 	if ipmErr != nil {
 		return sol, fmt.Errorf("opf: %s: %w", n.Name, ipmErr)
@@ -145,6 +190,9 @@ func extractSolution(a *acopf, res *ipmResult) *Solution {
 	}
 	if res.X == nil {
 		return sol
+	}
+	if res.Converged {
+		sol.Multipliers = &Multipliers{Lam: res.Lam, Mu: res.Mu, Z: res.Z}
 	}
 	vm := append([]float64(nil), res.X[nb:2*nb]...)
 	va := append([]float64(nil), res.X[:nb]...)

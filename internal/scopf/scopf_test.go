@@ -1,6 +1,8 @@
 package scopf
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"gridmind/internal/cases"
@@ -80,6 +82,45 @@ func TestCompareEconomicVsSecure(t *testing.T) {
 	wantPct := 100 * (c.Secure.Solution.ObjectiveCost - c.Economic.ObjectiveCost) / c.Economic.ObjectiveCost
 	if diff := c.PremiumPct - wantPct; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("premium pct %v want %v", c.PremiumPct, wantPct)
+	}
+}
+
+// TestCompareWarmStartPins: every tightening round re-solves warm from
+// the previous round's solution, multipliers included. The outcome is the
+// one the primal-only warm start reached, pinned here from it: the same
+// tightened branches, rounds and Secure flag on case30/57/118, and costs
+// within 1e-6 relative (measured: the economic costs bit-identical, the
+// secure ones within 1.1e-8).
+func TestCompareWarmStartPins(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		econ, secure float64
+		rounds       int
+		tightened    []int
+	}{
+		{"case30", 8915.034309551622, 9956.317893482714, 3,
+			[]int{0, 1, 2, 3, 4, 5, 6, 8, 9, 14, 20, 21, 24, 30, 32, 35, 40}},
+		{"case57", 27218.362154382332, 27249.84542605528, 2,
+			[]int{0, 24, 25, 27, 28, 31, 36, 38, 39, 40, 43, 46, 50, 51, 57, 61, 63, 65, 66, 68, 74, 77}},
+		{"case118", 92720.67956999525, 94284.33630883721, 3,
+			[]int{1, 5, 11, 15, 20, 22, 23, 30, 40, 41, 43, 45, 47, 54, 57, 63, 68, 69, 74, 77, 79, 80, 90, 92, 93, 95,
+				97, 98, 100, 109, 113, 119, 131, 142, 143, 149, 153, 154, 155, 160, 161, 162, 164, 168, 171, 176}},
+	} {
+		c, err := Compare(cases.MustLoad(tc.name), Options{Screen: true, MaxRounds: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := c.Secure
+		if sec.Rounds != tc.rounds || sec.Secure || !slices.Equal(sec.TightenedBranches, tc.tightened) {
+			t.Errorf("%s: rounds %d, secure %t, tightened %v; want %d, false, %v",
+				tc.name, sec.Rounds, sec.Secure, sec.TightenedBranches, tc.rounds, tc.tightened)
+		}
+		if d := math.Abs(c.Economic.ObjectiveCost-tc.econ) / tc.econ; d > 1e-6 {
+			t.Errorf("%s: economic cost %.6f, want %.6f", tc.name, c.Economic.ObjectiveCost, tc.econ)
+		}
+		if d := math.Abs(sec.Solution.ObjectiveCost-tc.secure) / tc.secure; d > 1e-6 {
+			t.Errorf("%s: secure cost %.6f, want %.6f", tc.name, sec.Solution.ObjectiveCost, tc.secure)
+		}
 	}
 }
 

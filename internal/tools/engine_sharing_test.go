@@ -18,7 +18,7 @@ func sessionWorkload(t *testing.T, eng *engine.Engine) {
 	if _, err := sess.LoadCase("case30"); err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := solveWithRecovery(sess, eng)
+	sol, _, err := solveWithRecovery(sess, eng, nil)
 	if err != nil || !sol.Solved {
 		t.Fatalf("acopf: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestSensitivitySweepReusesPooledKKT(t *testing.T) {
 	if _, err := sess.LoadCase("case30"); err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := solveWithRecovery(sess, eng)
+	sol, _, err := solveWithRecovery(sess, eng, nil)
 	if err != nil || !sol.Solved {
 		t.Fatalf("acopf: %v", err)
 	}

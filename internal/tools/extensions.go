@@ -490,7 +490,7 @@ func ensureSolved(ctx *session.Context, eng *engine.Engine) (*opf.Solution, erro
 	if sol, fresh := ctx.ACOPF(); fresh && sol.Solved {
 		return sol, nil
 	}
-	sol, _, err := solveWithRecovery(ctx, eng)
+	sol, _, err := solveWithRecovery(ctx, eng, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -128,8 +128,11 @@ var solutionOutputSchema = schema.Obj("ACOPF solution summary", map[string]*sche
 // then relaxed tolerances, then the dispatch fallback. The interior-point
 // solver context (compiled KKT pattern + LDLᵀ symbolic analysis) is checked
 // out of the structure's shared pool, so every session's solve after the
-// process's first skips pattern compilation.
-func solveWithRecovery(ctx *session.Context, eng *engine.Engine) (*opf.Solution, bool, error) {
+// process's first skips pattern compilation. start, when non-nil,
+// warm-starts the primary solve (opf.Options.Start); a warm start that
+// fell back is recorded in the session's provenance. The recovery solves
+// start cold.
+func solveWithRecovery(ctx *session.Context, eng *engine.Engine, start *opf.Solution) (*opf.Solution, bool, error) {
 	n, err := ctx.Network()
 	if err != nil {
 		return nil, false, err
@@ -137,7 +140,10 @@ func solveWithRecovery(ctx *session.Context, eng *engine.Engine) (*opf.Solution,
 	sig := eng.Artifacts(n).Sig
 	kkt := eng.AcquireOPF(sig)
 	defer eng.ReleaseOPF(sig, kkt)
-	sol, err := opf.SolveACOPF(n, opf.Options{Context: kkt})
+	sol, err := opf.SolveACOPF(n, opf.Options{Start: start, Context: kkt})
+	if sol != nil && strings.HasPrefix(sol.ConvergenceMessage, opf.WarmStartFallback) {
+		ctx.AddProvenance("warm_start", sol.ConvergenceMessage)
+	}
 	if err == nil && sol.MaxMismatchPU < 1e-4 {
 		return sol, false, nil
 	}
@@ -176,7 +182,7 @@ func solveACOPFTool(ctx *session.Context, eng *engine.Engine) *Tool {
 					return nil, err
 				}
 			}
-			sol, recovered, err := solveWithRecovery(ctx, eng)
+			sol, recovered, err := solveWithRecovery(ctx, eng, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -189,7 +195,8 @@ func solveACOPFTool(ctx *session.Context, eng *engine.Engine) *Tool {
 func modifyBusLoadTool(ctx *session.Context, eng *engine.Engine) *Tool {
 	return &Tool{
 		Name: ToolModifyBusLoad,
-		Description: "Set the load at a bus to the given MW (and optional MVAr) and re-solve the ACOPF. " +
+		Description: "Set the load at a bus to the given MW (and optional MVAr) and re-solve the ACOPF, " +
+			"warm-started from the session's current solution when it is fresh. " +
 			"Returns the new solution summary plus the cost delta against the previous solution.",
 		Input: schema.Obj("", map[string]*schema.Schema{
 			"bus":    schema.Int("external bus number"),
@@ -225,7 +232,13 @@ func modifyBusLoadTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			}); err != nil {
 				return nil, err
 			}
-			sol, recovered, err := solveWithRecovery(ctx, eng)
+			// A fresh interior-point solution of the pre-modification state
+			// carries the multipliers the what-if's solve seeds from.
+			var start *opf.Solution
+			if prevFresh && prev.Multipliers != nil {
+				start = prev
+			}
+			sol, recovered, err := solveWithRecovery(ctx, eng, start)
 			if err != nil {
 				return nil, err
 			}

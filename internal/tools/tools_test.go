@@ -2,11 +2,13 @@ package tools
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"gridmind/internal/engine"
 	"gridmind/internal/obs"
+	"gridmind/internal/opf"
 	"gridmind/internal/schema"
 	"gridmind/internal/session"
 )
@@ -204,6 +206,75 @@ func TestModifyBusLoadRecovery(t *testing.T) {
 	}
 	if m := out.(map[string]any); m["recovery_used"] != true {
 		t.Fatalf("bus 64 +8 MW answered without recovery: %v", m)
+	}
+}
+
+// TestModifyBusLoadWarmStart: solve_acopf_case solves cold, before and
+// after what-ifs, and modify_bus_load seeds its re-solve from the session's fresh solution,
+// multipliers included, converging in well under the cold iterates with
+// nothing in the provenance. When that warm start cannot converge (here a
+// NaN multiplier in the stored solution), the re-solve falls back to the
+// primal-only start: the reply's convergence_message says so, and so does
+// exactly one provenance entry.
+func TestModifyBusLoadWarmStart(t *testing.T) {
+	sess := newSession(t)
+	r := NewGridMind(sess, engine.New())
+	out, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case118"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := out.(map[string]any)["iterations"]; it != 14.0 {
+		t.Fatalf("solve_acopf_case took %v iterates, want the cold 14", it)
+	}
+	warmStarts := func() (n int, detail string) {
+		for _, p := range sess.Provenance() {
+			if p.Tool == "warm_start" {
+				n, detail = n+1, p.Detail
+			}
+		}
+		return n, detail
+	}
+	n, err := sess.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := n.BusLoad(n.BusByID(11))
+	out, _, err = r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 11, "p_mw": p + 4.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := out.(map[string]any)
+	if m["solved"] != true || m["iterations"].(float64) > 10 || m["recovery_used"] != false {
+		t.Fatalf("warm what-if: %v", m)
+	}
+	if n, _ := warmStarts(); n != 0 {
+		t.Fatalf("%d warm_start provenance entries after a warm start that converged", n)
+	}
+
+	prev, fresh := sess.ACOPF()
+	if !fresh || prev.Multipliers == nil {
+		t.Fatal("the what-if's solution carries no multipliers")
+	}
+	prev.Multipliers.Lam[0] = math.NaN()
+	out, _, err = r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 11, "p_mw": p + 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = out.(map[string]any)
+	msg, _ := m["convergence_message"].(string)
+	if m["solved"] != true || m["recovery_used"] != false || !strings.HasPrefix(msg, opf.WarmStartFallback) {
+		t.Fatalf("fallback what-if: %v", m)
+	}
+	if n, detail := warmStarts(); n != 1 || detail != msg {
+		t.Fatalf("%d warm_start provenance entries (last %q), want one saying %q", n, detail, msg)
+	}
+	// Reloading the case re-solves it cold, whatever the session held.
+	out, _, err = r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case118"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := out.(map[string]any)["iterations"]; it != 14.0 {
+		t.Fatalf("solve_acopf_case after what-ifs took %v iterates, want the cold 14", it)
 	}
 }
 

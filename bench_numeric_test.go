@@ -17,7 +17,6 @@ import (
 	"gridmind/internal/obs"
 	"gridmind/internal/opf"
 	"gridmind/internal/powerflow"
-	"gridmind/internal/ptdf"
 	"gridmind/internal/scenario"
 	"gridmind/internal/scopf"
 	"gridmind/internal/session"
@@ -257,29 +256,29 @@ func BenchmarkConcurrentAsk8(b *testing.B) {
 	}
 }
 
+// basePool builds one outage base of n with NewBase and a pool that runs
+// every study on it, so a benchmark builds the base outside its loop.
+func basePool(n *model.Network) (*contingency.SweepPool, contingency.Base) {
+	base := contingency.NewBase(n)
+	return contingency.NewSweepPool(func(*model.Network) contingency.Base { return base }), base
+}
+
 // BenchmarkCascadeCase57 measures the full N-k cascade sweep with the
 // lazy-LODF DC pre-screen: every in-service branch seeds a
 // trip-threshold propagation to depth 3 on pooled zero-clone contexts.
-// Workers pinned to 1 and artifacts (Ybus/topology/PTDF) built outside
-// the measured loop, matching the CI guard protocol.
+// Workers pinned to 1 and the outage base (Ybus/topology/PTDF) built
+// outside the measured loop, matching the CI guard protocol.
 func BenchmarkCascadeCase57(b *testing.B) {
 	n := cases.MustLoad("case57")
 	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ptdfM, err := ptdf.Build(n)
-	if err != nil {
+	pool, outageBase := basePool(n)
+	if _, err := outageBase.PTDF(); err != nil {
 		b.Fatal(err)
 	}
-	opts := scenario.Options{
-		BaseYbus: model.BuildYbus(n),
-		Topology: model.NewTopology(n),
-		Pool:     contingency.NewSweepPool(),
-		DCScreen: true,
-		PTDF:     ptdfM,
-		Workers:  1,
-	}
+	opts := scenario.Options{Pool: pool, DCScreen: true, Workers: 1}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -302,12 +301,8 @@ func BenchmarkMCReliability(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := scenario.Options{
-		BaseYbus: model.BuildYbus(n),
-		Topology: model.NewTopology(n),
-		Pool:     contingency.NewSweepPool(),
-		Workers:  1,
-	}
+	pool, _ := basePool(n)
+	opts := scenario.Options{Pool: pool, Workers: 1}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -163,7 +163,9 @@ func benchOutageStart(b *testing.B, warm bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range branches {
-			contingency.AnalyzeOne(n, base, k, opts)
+			if _, err := contingency.AnalyzeOne(n, base, k, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

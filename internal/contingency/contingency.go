@@ -76,39 +76,24 @@ func (o *OutageResult) Describe() string {
 	if o.IsXfmr {
 		kind = "transformer"
 	}
+	what := fmt.Sprintf("%s %d-%d outage", kind, o.FromBusID, o.ToBusID)
 	if o.IsPair {
 		second := fmt.Sprintf("line %d-%d", o.From2BusID, o.To2BusID)
 		if o.Branch2 < 0 {
 			second = fmt.Sprintf("unit at bus %d", o.Gen2BusID)
 		}
-		switch {
-		case o.Islanded:
-			return fmt.Sprintf("double outage %s %d-%d + %s islands the system, shedding %.1f MW",
-				kind, o.FromBusID, o.ToBusID, second, o.LoadShedMW)
-		case !o.Converged:
-			return fmt.Sprintf("double outage %s %d-%d + %s: power flow collapse, est. %.1f MW shed to restore solvability",
-				kind, o.FromBusID, o.ToBusID, second, o.LoadShedMW)
-		case len(o.Overloads) > 0:
-			return fmt.Sprintf("double outage %s %d-%d + %s causes %d overload(s), worst %.0f%%, min voltage %.3f p.u.",
-				kind, o.FromBusID, o.ToBusID, second, len(o.Overloads), o.MaxLoadingPct, o.MinVoltagePU)
-		default:
-			return fmt.Sprintf("double outage %s %d-%d + %s is secure (max loading %.0f%%, min voltage %.3f p.u.)",
-				kind, o.FromBusID, o.ToBusID, second, o.MaxLoadingPct, o.MinVoltagePU)
-		}
+		what = fmt.Sprintf("double outage %s %d-%d + %s", kind, o.FromBusID, o.ToBusID, second)
 	}
 	switch {
 	case o.Islanded:
-		return fmt.Sprintf("%s %d-%d outage islands the system, shedding %.1f MW",
-			kind, o.FromBusID, o.ToBusID, o.LoadShedMW)
+		return fmt.Sprintf("%s islands the system, shedding %.1f MW", what, o.LoadShedMW)
 	case !o.Converged:
-		return fmt.Sprintf("%s %d-%d outage: power flow collapse, est. %.1f MW shed to restore solvability",
-			kind, o.FromBusID, o.ToBusID, o.LoadShedMW)
+		return fmt.Sprintf("%s: power flow collapse, est. %.1f MW shed to restore solvability", what, o.LoadShedMW)
 	case len(o.Overloads) > 0:
-		return fmt.Sprintf("%s %d-%d outage causes %d overload(s), worst %.0f%%, min voltage %.3f p.u.",
-			kind, o.FromBusID, o.ToBusID, len(o.Overloads), o.MaxLoadingPct, o.MinVoltagePU)
+		return fmt.Sprintf("%s causes %d overload(s), worst %.0f%%, min voltage %.3f p.u.",
+			what, len(o.Overloads), o.MaxLoadingPct, o.MinVoltagePU)
 	default:
-		return fmt.Sprintf("%s %d-%d outage is secure (max loading %.0f%%, min voltage %.3f p.u.)",
-			kind, o.FromBusID, o.ToBusID, o.MaxLoadingPct, o.MinVoltagePU)
+		return fmt.Sprintf("%s is secure (max loading %.0f%%, min voltage %.3f p.u.)", what, o.MaxLoadingPct, o.MinVoltagePU)
 	}
 }
 
@@ -162,30 +147,18 @@ type Options struct {
 	// pass the session's case + diff hash (§3.4 composite key).
 	CacheKeyPrefix string
 
-	// BaseYbus, when non-nil, is the base admittance matrix of n, shared
-	// read-only (workers value-copy it before patching). It MUST match n's
-	// structure and branch parameters; the engine keys it by structural
-	// signature. Nil lets each newly built worker build its own.
+	// BaseYbus, Topology, PTDF and Reorder name the pool's outage base
+	// artifacts; a non-nil one that is not the base's own pointer fails the
+	// study with ErrArtifactMismatch. Each is a checked alias; delete with
+	// the probe's wiring.
 	BaseYbus *model.Ybus
-	// Topology, when non-nil, is the prebuilt adjacency of n for the
-	// allocation-free islanding checks. Same matching contract as BaseYbus;
-	// nil lets a worker build one on its first islanding check.
-	Topology *model.Topology
-	// PTDF, when non-nil, is the distribution-factor matrix of n used by
-	// DC screening, shared across calls (its LODF memo is concurrency-
-	// safe). Nil builds one per screened sweep, as before.
-	PTDF *ptdf.Matrix
-	// Pool, when non-nil, recycles Workers (compiled Newton pattern + LU
-	// symbolic analysis) across calls. Callers must key pools by network
-	// state (case + diff hash): a worker is reused only for the network it
-	// was built over. See SweepPool.
+	Topology *model.Topology          // checked alias; delete with the probe's wiring
+	PTDF     *ptdf.Matrix             // checked alias; delete with the probe's wiring
+	Reorder  *powerflow.OrderingCache // checked alias; delete with the probe's wiring
+	// Pool is n's state's outage base and worker pool (see SweepPool);
+	// callers key pools by state (case + diff hash). Nil runs the study on
+	// a throwaway pool over NewBase(n).
 	Pool *SweepPool
-	// Reorder shares the Jacobian fill-reducing ordering across the
-	// per-outage Newton solves: every outage network has the same bus set
-	// as the base, so the ordering is computed once per sweep (or once per
-	// structure, when the engine provides it) instead of once per outage.
-	// Nil makes Analyze create a sweep-local cache.
-	Reorder *powerflow.OrderingCache
 	// Metrics, when non-nil, receives sweep-level counters (sweeps run,
 	// outages analyzed, DC-screen certificates) — recorded in bulk after
 	// the worker pool drains, never on the per-outage hot path.
@@ -233,19 +206,19 @@ func recordSweep(met *obs.Registry, kind string, outages, screened, factorizatio
 	met.Counter("gridmind_contingency_base_factor_starts_total", "Newton solves of AC-solved outages that started on the base factor instead of a factorization, by kind.", "kind", kind).Add(int64(baseStarts))
 }
 
-// AnalyzeOne simulates the outage of branch k and scores it. Like Analyze,
-// it takes the prebuilt topology, base Ybus and a recyclable Worker from
-// Options when the engine provides them — a single-outage tool query then
-// pays for the solve only, not a topology + Ybus + pattern rebuild. Bare
-// calls (no shared artifacts) build what they need, as before. base must
-// be a converged power flow of n, so n has a slack bus; unlike the
-// sweeps, AnalyzeOne does not check this, and panics on a network
-// without one.
-func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
-	opts.fill()
-	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+// AnalyzeOne simulates the outage of branch k and scores it on a Worker
+// checked out of Options.Pool, so with the engine's pool a single-outage
+// tool query pays for the solve only, not a topology + Ybus + pattern
+// rebuild. base must be a converged power flow of n; a network without a
+// slack bus fails with ErrNoBase, and an alias that is not the pool's
+// artifact with ErrArtifactMismatch.
+func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) (*OutageResult, error) {
+	if _, err := opts.base(n); err != nil {
+		return nil, err
+	}
+	w := opts.Pool.Acquire(n)
 	defer opts.Pool.Release(w)
-	return w.analyze(base, branchOutage(k), opts)
+	return w.analyze(base, branchOutage(k), opts), nil
 }
 
 // scoreOutage fills out's post-solve fields — loading extrema, overload

@@ -19,6 +19,17 @@ func solveBase(t *testing.T, n *model.Network) *powerflow.Result {
 	return res
 }
 
+// analyzeOne is AnalyzeOne for tests that pass no aliases: any error fails
+// the test.
+func analyzeOne(t *testing.T, n *model.Network, base *powerflow.Result, k int, opts Options) *OutageResult {
+	t.Helper()
+	out, err := AnalyzeOne(n, base, k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestAnalyzeCase30FullSweep(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
@@ -63,7 +74,7 @@ func TestIslandingDetected(t *testing.T) {
 	base := solveBase(t, n)
 	// Make bus 8 (index 7) radial: its only connection is branch 7-8
 	// (index 13) in case14.
-	out := AnalyzeOne(n, base, 13, Options{})
+	out := analyzeOne(t, n, base, 13, Options{})
 	if !out.Islanded {
 		t.Fatal("expected islanding for the radial 7-8 transformer")
 	}
@@ -78,7 +89,7 @@ func TestIslandingShedsLoad(t *testing.T) {
 	// Attach load to bus 8 then island it.
 	n.Loads = append(n.Loads, model.Load{Bus: 7, P: 25, Q: 5, InService: true})
 	base := solveBase(t, n)
-	out := AnalyzeOne(n, base, 13, Options{})
+	out := analyzeOne(t, n, base, 13, Options{})
 	if !out.Islanded || math.Abs(out.LoadShedMW-25) > 1e-9 {
 		t.Fatalf("islanded=%v shed=%v, want 25 MW", out.Islanded, out.LoadShedMW)
 	}
@@ -191,8 +202,8 @@ func TestTopAndCriticalBranches(t *testing.T) {
 func TestWarmStartOptionMatchesCold(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
-	warm := AnalyzeOne(n, base, 0, Options{})
-	cold := AnalyzeOne(n, base, 0, Options{NoWarmStart: true})
+	warm := analyzeOne(t, n, base, 0, Options{})
+	cold := analyzeOne(t, n, base, 0, Options{NoWarmStart: true})
 	if warm.Converged != cold.Converged {
 		t.Fatal("warm/cold disagree on convergence")
 	}
@@ -326,7 +337,7 @@ func TestSweepNewtonTelemetry(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
 	met := obs.NewRegistry()
-	opts := Options{Workers: 2, Pool: NewSweepPool(), Metrics: met}
+	opts := Options{Workers: 2, Pool: NewSweepPool(NewBase), Metrics: met}
 	rs, err := Analyze(n, base, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +375,7 @@ func TestFallbackFactorizationsCounted(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
 
-	w := newWorker(n, nil, nil)
+	w := newWorker(n, NewBase(n))
 	w.view.OutBranch(0)
 	nr, err := w.Solve(powerflow.Options{EnforceQLimits: true, Warm: &base.Voltages})
 	if err == nil && nr.Converged {

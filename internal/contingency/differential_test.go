@@ -72,7 +72,7 @@ func TestDifferentialViewVsCloneReference(t *testing.T) {
 			opts := filledOptions()
 			for _, k := range n.InServiceBranches() {
 				ref := analyzeClone(n, base, branchOutage(k), opts)
-				got := AnalyzeOne(n, base, k, Options{})
+				got := analyzeOne(t, n, base, k, Options{})
 				if err := diffOutage(ref, got); err != nil {
 					t.Fatalf("%s branch %d: view path diverges from clone reference: %v", name, k, err)
 				}
@@ -88,7 +88,7 @@ func TestDifferentialViewVsCloneReference(t *testing.T) {
 func TestDifferentialSweepVsCloneReference(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
-	got, err := Analyze(n, base, Options{Workers: 4, Pool: NewSweepPool()})
+	got, err := Analyze(n, base, Options{Workers: 4, Pool: NewSweepPool(NewBase)})
 	if err != nil {
 		t.Fatal(err)
 	}

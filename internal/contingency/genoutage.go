@@ -150,15 +150,14 @@ func (w *Worker) analyzeGen(out *GenOutageResult, g int, opts Options) error {
 // AnalyzeGenOutage simulates the loss of generator g: its dispatch is
 // redistributed to the remaining units in proportion to spare capacity
 // (governor-style pickup), then the power flow is re-solved and screened.
-// One-shot calls check a Worker out of Options.Pool (or build a throwaway
-// one); sweeps amortize theirs via AnalyzeGenOutages. A network without a
-// slack bus fails with ErrNoBase.
+// One-shot calls check a Worker out of Options.Pool; sweeps amortize
+// theirs via AnalyzeGenOutages. A network without a slack bus fails with
+// ErrNoBase.
 func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, error) {
-	if n.SlackBus() < 0 {
-		return nil, ErrNoBase
+	if _, err := opts.base(n); err != nil {
+		return nil, err
 	}
-	opts.fill()
-	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	w := opts.Pool.Acquire(n)
 	defer opts.Pool.Release(w)
 	out := new(GenOutageResult)
 	if err := w.analyzeGen(out, g, opts); err != nil {
@@ -173,14 +172,13 @@ func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, 
 // is cloned or materialized. A network without a slack bus fails with
 // ErrNoBase.
 func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error) {
-	if n.SlackBus() < 0 {
-		return nil, ErrNoBase
+	if _, err := opts.base(n); err != nil {
+		return nil, err
 	}
-	opts.fill()
 	// analyzeGen rejects out-of-service units and the irreplaceable slack
 	// machine; their slots are marked Gen −1 and skipped, not fatal.
 	res := make([]GenOutageResult, len(n.Gens))
-	facts, baseStarts := opts.Pool.Run(n, opts.Topology, opts.BaseYbus, opts.Workers, len(n.Gens), nil,
+	facts, baseStarts := opts.Pool.Run(n, opts.Workers, len(n.Gens), nil,
 		func(w *Worker, g int) {
 			if w.analyzeGen(&res[g], g, opts) != nil {
 				res[g].Gen = -1

@@ -14,15 +14,15 @@ import (
 // here, cascades, episodes and Monte Carlo draws in package scenario. It
 // holds a reusable OutageView over the shared immutable base network, a
 // ViewSolver whose patched Ybus, compiled Jacobian and LU symbolic
-// analysis persist across outages, the base topology with the scratch of
-// the allocation-free islanding check, and one branch mask marking the
-// branches currently out. The warm-start base is passed per call, so a
-// worker is bound to its network alone. Whoever sets mask bits clears
-// them again, so a released worker's mask is all false. Not safe for
-// concurrent use.
+// analysis persist across outages, its outage base (topology, ordering),
+// the scratch of the allocation-free islanding check, and one branch mask
+// marking the branches currently out. The warm-start base is
+// passed per call, so a worker is bound to its network alone. Whoever
+// sets mask bits clears them again, so a released worker's mask is all
+// false. Not safe for concurrent use.
 type Worker struct {
 	n     *model.Network
-	topo  *model.Topology
+	base  Base
 	slack int
 
 	view   *model.OutageView
@@ -38,12 +38,10 @@ type Worker struct {
 	factorizations, baseStarts int
 }
 
-// newWorker prepares a worker over n, which must have a slack bus. topo
-// (optional) must be built from n; nil builds one on the first islanding
-// check, which a generator sweep never makes. baseY (optional) is the
-// shared base admittance matrix to value-copy.
-func newWorker(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Worker {
-	solver, err := powerflow.NewViewSolver(n, baseY)
+// newWorker prepares a worker over n, which must have a slack bus, from
+// n's outage base b: its solver value-copies b's Ybus.
+func newWorker(n *model.Network, b Base) *Worker {
+	solver, err := powerflow.NewViewSolver(n, b.Ybus())
 	if err != nil {
 		// Classification fails only without a slack bus, which every entry
 		// point rejects up front (AnalyzeOne's contract excludes it).
@@ -51,7 +49,7 @@ func newWorker(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Worke
 	}
 	return &Worker{
 		n:      n,
-		topo:   topo,
+		base:   b,
 		slack:  n.SlackBus(),
 		view:   model.NewOutageView(n),
 		solver: solver,
@@ -66,9 +64,11 @@ func newWorker(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Worke
 func (w *Worker) View() *model.OutageView { return w.view }
 
 // Solve runs the power flow of the view's current state on the worker's
-// persistent solver. Every solve's factorizations count toward the
-// worker's solve work, fallback and shed-trial solves included.
+// persistent solver, with the Jacobian ordering of the worker's base.
+// Every solve's factorizations count toward the worker's solve work,
+// fallback and shed-trial solves included.
 func (w *Worker) Solve(opts powerflow.Options) (*powerflow.Result, error) {
+	opts.Reorder = w.base.Ordering()
 	res, err := w.solver.Solve(w.view, opts)
 	if res != nil {
 		w.factorizations += res.Factorizations
@@ -145,10 +145,7 @@ func (w *Worker) Mask() []bool { return w.mask }
 // load scale ls. The traversal runs over the prebuilt topology into the
 // worker's buffers and allocates nothing.
 func (w *Worker) IslandedLoad(ls float64) (float64, bool) {
-	if w.topo == nil {
-		w.topo = model.NewTopology(w.n)
-	}
-	if w.topo.IslandsMasked(w.mask, w.comp, w.stack) == 1 {
+	if w.base.Topology().IslandsMasked(w.mask, w.comp, w.stack) == 1 {
 		return 0, false
 	}
 	return islandedLoad(w.n.Loads, w.comp, w.slack, ls), true
@@ -166,11 +163,12 @@ func islandedLoad(loads []model.Load, comp []int, slack int, ls float64) float64
 	return mw
 }
 
-// SweepPool recycles Workers across every outage study of one session
-// state, so a session that sweeps, screens pairs, studies generators and
-// runs cascades — or several sessions sharing one engine — reuses the
-// compiled Newton patterns and LU symbolic analyses instead of rebuilding
-// them per call.
+// SweepPool is the handle for one session state's outage base and its
+// Workers: every outage study of the state reads the base's artifacts from
+// it and checks its workers out of it, so a session that sweeps, screens
+// pairs, studies generators and runs cascades — or several sessions
+// sharing one engine — reuses the compiled Newton patterns and LU symbolic
+// analyses instead of rebuilding them per call.
 //
 // A worker is valid for exactly the network it was built over: its
 // solver's classification embeds the loads and dispatch, not just the
@@ -178,9 +176,13 @@ func islandedLoad(loads []model.Load, comp []int, slack int, ls float64) float64
 // pools by session state (case + diff hash), so every network a pool sees
 // is the SAME state replayed by a different session (zero-diff sessions
 // share the engine pristine); a free list per network lets each session
-// reuse its own workers without evicting the others'. A nil *SweepPool is
-// valid and builds a throwaway worker per Acquire.
+// reuse its own workers without evicting the others'. All of them share
+// one structure, so the pool resolves one outage base, on first use.
 type SweepPool struct {
+	resolve func(*model.Network) Base
+	once    sync.Once
+	base    Base
+
 	free *pool.Keyed[*model.Network, *Worker]
 }
 
@@ -189,9 +191,10 @@ type SweepPool struct {
 // sessions).
 const maxPoolKeys = 16
 
-// NewSweepPool returns an empty pool.
-func NewSweepPool() *SweepPool {
-	return &SweepPool{free: pool.NewKeyed[*model.Network, *Worker](maxPoolKeys)}
+// NewSweepPool returns an empty pool whose networks take their outage
+// base from resolve (engine.Artifacts, or NewBase).
+func NewSweepPool(resolve func(*model.Network) Base) *SweepPool {
+	return &SweepPool{resolve: resolve, free: pool.NewKeyed[*model.Network, *Worker](maxPoolKeys)}
 }
 
 // ContextReuses reports how many workers were served from the pool.
@@ -201,32 +204,30 @@ func (p *SweepPool) ContextReuses() int64 { return p.free.Reuses() }
 // build compiles a Jacobian pattern and an LU symbolic analysis).
 func (p *SweepPool) ContextBuilds() int64 { return p.free.Builds() }
 
-// Acquire checks out a worker for n, which must have a slack bus. topo and
-// baseY (both optional) are n's shared topology and base admittance
-// matrix, used when a worker has to be built. Return it with Release.
-func (p *SweepPool) Acquire(n *model.Network, topo *model.Topology, baseY *model.Ybus) *Worker {
-	if p == nil {
-		return newWorker(n, topo, baseY)
-	}
-	return p.free.Get(n, func() *Worker { return newWorker(n, topo, baseY) })
+// Base returns the pool's outage base, resolving it from n (any network
+// of the pool's state) on the first call.
+func (p *SweepPool) Base(n *model.Network) Base {
+	p.once.Do(func() { p.base = p.resolve(n) })
+	return p.base
 }
 
-// Release returns a worker to its network's free list (no-op for a nil
-// pool or worker).
-func (p *SweepPool) Release(w *Worker) {
-	if p != nil && w != nil {
-		p.free.Put(w.n, w)
-	}
+// Acquire checks out a worker for n, which must have a slack bus. Return
+// it with Release.
+func (p *SweepPool) Acquire(n *model.Network) *Worker {
+	return p.free.Get(n, func() *Worker { return newWorker(n, p.Base(n)) })
 }
+
+// Release returns a worker to its network's free list.
+func (p *SweepPool) Release(w *Worker) { p.free.Put(w.n, w) }
 
 // Run is the one study driver of the outage sweeps: it fans items
 // 0..count−1 over up to workers goroutines (workers ≥ 1). certify
 // (optional) settles item i with no worker and reports whether it did;
-// every other item runs solve on the goroutine's Worker, acquired with
-// topo and baseY on its first uncertified item and released when the
-// goroutine ends. Callbacks run concurrently, one item each. Run returns
-// the solves' LU factorizations and base-factor starts.
-func (p *SweepPool) Run(n *model.Network, topo *model.Topology, baseY *model.Ybus, workers, count int,
+// every other item runs solve on the goroutine's Worker, acquired on its
+// first uncertified item and released when the goroutine ends. Callbacks
+// run concurrently, one item each. Run returns the solves' LU
+// factorizations and base-factor starts.
+func (p *SweepPool) Run(n *model.Network, workers, count int,
 	certify func(i int) bool, solve func(w *Worker, i int)) (factorizations, baseStarts int) {
 	// One heap cell holds the shared cursor, the tally and the wait group.
 	var run struct {
@@ -243,7 +244,7 @@ func (p *SweepPool) Run(n *model.Network, topo *model.Topology, baseY *model.Ybu
 					continue
 				}
 				if w == nil {
-					w = p.Acquire(n, topo, baseY)
+					w = p.Acquire(n)
 					w.takeSolveWork() // drop what its earlier studies did
 				}
 				solve(w, i)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gridmind/internal/cases"
-	"gridmind/internal/model"
 )
 
 // The parallel sweep shares one immutable base network (and, with
@@ -110,7 +109,7 @@ func TestRaceN2SharedBaseAndLODFMemo(t *testing.T) {
 func TestRaceConcurrentOutageViewReaders(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
-	topo := model.NewTopology(n)
+	b := NewBase(n)
 	branches := n.InServiceBranches()
 	opts := Options{}
 	opts.fill()
@@ -120,8 +119,8 @@ func TestRaceConcurrentOutageViewReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			// Each goroutine owns its Worker; only the base network, base
-			// result and topology are shared, all read-only.
-			wk := newWorker(n, topo, nil)
+			// result and outage base are shared, all read-only.
+			wk := newWorker(n, b)
 			for off := 0; off < len(branches); off++ {
 				k := branches[(off+w)%len(branches)]
 				if r := wk.analyze(base, branchOutage(k), opts); r.Branch != k {

@@ -57,7 +57,7 @@ func TestRunDriver(t *testing.T) {
 		{"no certificate", 3, len(branches), nil, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			p := NewSweepPool()
+			p := NewSweepPool(NewBase)
 			settled := make([]int32, c.count)
 			var facts, starts atomic.Int64
 			certify := c.certify
@@ -70,7 +70,7 @@ func TestRunDriver(t *testing.T) {
 					return true
 				}
 			}
-			gotFacts, gotStarts := p.Run(n, nil, nil, c.workers, c.count, certify, func(w *Worker, i int) {
+			gotFacts, gotStarts := p.Run(n, c.workers, c.count, certify, func(w *Worker, i int) {
 				atomic.AddInt32(&settled[i], 1)
 				w.View().Reset()
 				w.View().OutBranch(branches[i])

@@ -92,15 +92,12 @@ const pairInteractionTrust = 0.25
 // two-stage screen rather than a full AC solve.
 const screenedAlgorithm = "lodf-1q-screened"
 
-func newScreener(n *model.Network, base *powerflow.Result, opts Options) (*screener, error) {
-	// The factor matrix is purely structural; the engine shares one across
-	// sessions via Options.PTDF (its LODF memo is concurrency-safe).
-	m := opts.PTDF
-	if m == nil {
-		var err error
-		if m, err = ptdf.Build(n); err != nil {
-			return nil, err
-		}
+// newScreener prepares the screen of n's outages around the AC base point
+// from the outage base b's PTDF and Ybus.
+func newScreener(n *model.Network, base *powerflow.Result, b Base) (*screener, error) {
+	m, err := b.PTDF()
+	if err != nil {
+		return nil, err
 	}
 	s := &screener{
 		factors: m,
@@ -126,12 +123,9 @@ func newScreener(n *model.Network, base *powerflow.Result, opts Options) (*scree
 
 	// Assemble and factorize the base B'' (−Im(Ybus) over PQ buses). The
 	// screener only reads the admittance matrix (its outage updates go
-	// through the Woodbury identity), so a shared engine-provided Ybus is
-	// used as-is.
-	s.y = opts.BaseYbus
-	if s.y == nil {
-		s.y = model.BuildYbus(n)
-	}
+	// through the Woodbury identity), so the base's shared Ybus is used
+	// as-is.
+	s.y = b.Ybus()
 	hasGen := make([]bool, len(n.Buses))
 	s.qGenBase = make([]float64, len(n.Buses))
 	s.qMinBus = make([]float64, len(n.Buses))

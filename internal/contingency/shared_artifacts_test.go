@@ -9,25 +9,19 @@ import (
 	"gridmind/internal/powerflow"
 )
 
-// TestAnalyzeOneSharedArtifactsMatch pins the engine-fed path (shared
-// Ybus, prebuilt topology, pooled worker context) to the bare path
-// result-for-result: supplying shared artifacts must change nothing but
-// the work done.
+// TestAnalyzeOneSharedArtifactsMatch pins the pooled path (one outage
+// base, pooled worker context) to the one-shot path result-for-result:
+// sharing the base must change nothing but the work done.
 func TestAnalyzeOneSharedArtifactsMatch(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
 	if err != nil || !base.Converged {
 		t.Fatalf("base power flow: %v", err)
 	}
-	shared := Options{
-		BaseYbus: model.BuildYbus(n),
-		Topology: model.NewTopology(n),
-		Pool:     NewSweepPool(),
-		Reorder:  powerflow.NewOrderingCache(),
-	}
+	shared := Options{Pool: NewSweepPool(NewBase)}
 	for _, k := range n.InServiceBranches() {
-		bare := AnalyzeOne(n, base, k, Options{})
-		pooled := AnalyzeOne(n, base, k, shared)
+		bare := analyzeOne(t, n, base, k, Options{})
+		pooled := analyzeOne(t, n, base, k, shared)
 		if !reflect.DeepEqual(bare, pooled) {
 			t.Fatalf("branch %d: shared-artifact result diverged\nbare:   %+v\npooled: %+v", k, bare, pooled)
 		}
@@ -40,8 +34,8 @@ func TestAnalyzeOneSharedArtifactsMatch(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOneSharedArtifactsZeroClones: with engine artifacts and a
-// pool, single-outage queries clone and materialize nothing, whether the
+// TestAnalyzeOneSharedArtifactsZeroClones: on a pool, single-outage
+// queries clone and materialize nothing, whether the
 // outage solves by Newton or escalates. Every case30 outage is queried,
 // and the test requires that one of them still escalates.
 func TestAnalyzeOneSharedArtifactsZeroClones(t *testing.T) {
@@ -50,15 +44,11 @@ func TestAnalyzeOneSharedArtifactsZeroClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := Options{
-		BaseYbus: model.BuildYbus(n),
-		Topology: model.NewTopology(n),
-		Pool:     NewSweepPool(),
-	}
+	shared := Options{Pool: NewSweepPool(NewBase)}
 	clones, mats := model.CloneCount(), model.MaterializeCount()
 	escalated := 0
 	for _, k := range n.InServiceBranches() {
-		if r := AnalyzeOne(n, base, k, shared); r.Algorithm == powerflow.FastDecoupled.String() || (!r.Islanded && !r.Converged) {
+		if r := analyzeOne(t, n, base, k, shared); r.Algorithm == powerflow.FastDecoupled.String() || (!r.Islanded && !r.Converged) {
 			escalated++
 		}
 	}
@@ -77,10 +67,7 @@ func TestAnalyzeOneSharedArtifactsZeroClones(t *testing.T) {
 // bare one.
 func TestGenOutagePoolMatch(t *testing.T) {
 	n := cases.MustLoad("case30")
-	shared := Options{
-		BaseYbus: model.BuildYbus(n),
-		Pool:     NewSweepPool(),
-	}
+	shared := Options{Pool: NewSweepPool(NewBase)}
 	for g, gen := range n.Gens {
 		if !gen.InService {
 			continue

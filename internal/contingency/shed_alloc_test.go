@@ -23,7 +23,7 @@ func stageUnsolvable(w *Worker) {
 
 func TestShedToSolveAllocationBound(t *testing.T) {
 	n := cases.MustLoad("case30")
-	w := newWorker(n, nil, nil)
+	w := newWorker(n, NewBase(n))
 	stageUnsolvable(w)
 	if res, err := w.SolveOrFallback(powerflow.Options{EnforceQLimits: true}); err == nil && res.Converged {
 		t.Fatal("case30 pair (0, 6) solves; pick an unsolvable outage")

@@ -77,7 +77,6 @@ func validateOutages(n *model.Network, outages []N2Pair, pairsOnly bool) error {
 // only. A network without a slack bus fails as ErrNoBase: no base of it
 // can have converged, and it cannot host a view solver.
 func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind string, dcScreen bool, opts Options) (*ResultSet, error) {
-	opts.fill()
 	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
@@ -94,20 +93,20 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 			rs.BaseMaxLoadingPct = f.LoadingPct
 		}
 	}
-	if opts.Reorder == nil {
-		opts.Reorder = powerflow.NewOrderingCache()
+	b, err := opts.base(n)
+	if err != nil {
+		return nil, err
 	}
 	// Screening is an optimization: when the screener cannot be built,
 	// every outage takes the AC path.
 	var screen *screener
 	if dcScreen {
-		screen, _ = newScreener(n, base, opts)
+		screen, _ = newScreener(n, base, b)
 	}
 
 	// A cache hit and a screener certificate settle an outage with no
 	// worker; the rest run on a Run goroutine's worker, checked out of
-	// the engine's SweepPool when one is wired, so the per-outage cost is
-	// the solve itself.
+	// the state's SweepPool, so the per-outage cost is the solve itself.
 	var keys []string
 	if opts.Cache != nil {
 		keys = make([]string, len(outages))
@@ -138,7 +137,7 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 		settle(i, r)
 		return true
 	}
-	facts, baseStarts := opts.Pool.Run(n, opts.Topology, opts.BaseYbus, opts.Workers, len(outages), certify,
+	facts, baseStarts := opts.Pool.Run(n, opts.Workers, len(outages), certify,
 		func(w *Worker, i int) { settle(i, w.analyze(base, outages[i], opts)) })
 	rs.Screened = int(screened.Load())
 	recordSweep(opts.Metrics, kind, len(outages), rs.Screened, facts, baseStarts)
@@ -205,7 +204,7 @@ func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *Outage
 		// validateOutages admits only units whose loss has a steady state.
 		_, deficit, _ = prepareGenOutage(w.n, w.view, p.Gen)
 	}
-	pfOpts := powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder}
+	pfOpts := powerflow.Options{EnforceQLimits: true}
 	if !opts.NoWarmStart {
 		pfOpts.Warm = &base.Voltages
 	}

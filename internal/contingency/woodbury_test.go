@@ -15,9 +15,8 @@ func TestWoodburyVoltageFloorConservative(t *testing.T) {
 	for _, name := range []string{"case30", "case57"} {
 		n := cases.MustLoad(name)
 		base := solveBase(t, n)
-		opts := Options{}
-		opts.fill()
-		s, err := newScreener(n, base, opts)
+		opts := Options{Pool: NewSweepPool(NewBase)}
+		s, err := newScreener(n, base, opts.Pool.Base(n))
 		if err != nil {
 			t.Fatalf("%s: newScreener: %v", name, err)
 		}
@@ -44,7 +43,7 @@ func TestWoodburyVoltageFloorConservative(t *testing.T) {
 			if !ok {
 				continue
 			}
-			ac := AnalyzeOne(n, base, k, opts)
+			ac := analyzeOne(t, n, base, k, opts)
 			if !ac.Converged || ac.Islanded {
 				continue // exact path has no comparable voltage floor
 			}

@@ -220,11 +220,12 @@ func StructSig(n *model.Network) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// Artifacts is the immutable artifact set of one network structure. All
-// getters are safe for concurrent use; each artifact is built at most once
-// per structure, on first demand, from the template network captured when
-// the structure was first seen (loads on the template are irrelevant — no
-// stored artifact reads them).
+// Artifacts is the immutable artifact set of one network structure, and
+// the contingency.Base every sweep pool of the engine resolves its
+// networks to. All getters are safe for concurrent use; each artifact is
+// built at most once per structure, on first demand, from the template
+// network captured when the structure was first seen (loads on the
+// template are irrelevant — no stored artifact reads them).
 type Artifacts struct {
 	// Sig is the structural signature the set is keyed by.
 	Sig string
@@ -379,18 +380,20 @@ func tally(ok bool, hit, miss *obs.Counter) {
 	}
 }
 
-// SweepPool returns the outage-worker pool for one session STATE (case +
-// diff hash — loads matter here, because a worker's compiled
-// classification embeds them). Every outage study of the state checks
-// its workers out of it: N-1, N-2 and generator sweeps, cascades,
-// episodes and Monte Carlo runs. Sessions at the same state share one
-// pool, so repeated or concurrent studies reuse compiled Newton patterns
-// and LU symbolic analyses instead of rebuilding per call. The state map
-// is bounded by a wholesale reset at the cap (see stateEntry).
+// SweepPool returns the outage base and worker pool for one session
+// STATE (case + diff hash — loads matter here, because a worker's
+// compiled classification embeds them). Every outage study of the state
+// runs on it, and it resolves its outage base to the Artifacts of the
+// state's structure. Sessions at the same state share one pool, so repeated or
+// concurrent studies reuse compiled Newton patterns and LU symbolic
+// analyses instead of rebuilding per call. The state map is bounded by a
+// wholesale reset at the cap (see stateEntry).
 func (e *Engine) SweepPool(stateKey string) *contingency.SweepPool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p, hit := stateEntry(e.sweeps, stateKey, e.maxSweepStates, contingency.NewSweepPool)
+	p, hit := stateEntry(e.sweeps, stateKey, e.maxSweepStates, func() *contingency.SweepPool {
+		return contingency.NewSweepPool(func(n *model.Network) contingency.Base { return e.Artifacts(n) })
+	})
 	tally(hit, e.stats.sweepPoolHits, e.stats.sweepPoolNew)
 	return p
 }

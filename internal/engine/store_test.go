@@ -12,8 +12,9 @@ import (
 )
 
 // warmSweep runs an engine-threaded N-1 sweep on the engine's pristine
-// case57, the exact shape a fleet worker runs per shard: shared Ybus,
-// topology, PTDF, ordering cache and sweep pool all drawn from the engine.
+// case57, the exact shape a fleet worker runs per shard: the state's sweep
+// pool, which draws the shared Ybus, topology, PTDF and ordering cache from
+// the engine.
 func warmSweep(t *testing.T, e *Engine) (*contingency.ResultSet, *powerflow.Result) {
 	t.Helper()
 	n, err := e.Pristine("case57")
@@ -24,19 +25,7 @@ func warmSweep(t *testing.T, e *Engine) (*contingency.ResultSet, *powerflow.Resu
 	if err != nil || !base.Converged {
 		t.Fatalf("base power flow: %v (converged=%v)", err, base != nil && base.Converged)
 	}
-	a := e.Artifacts(n)
-	opts := contingency.Options{
-		Workers:  1,
-		DCScreen: true,
-		BaseYbus: a.Ybus(),
-		Topology: a.Topology(),
-		Reorder:  a.Ordering(),
-		Pool:     e.SweepPool("case57"),
-	}
-	if m, err := a.PTDF(); err == nil {
-		opts.PTDF = m
-	}
-	rs, err := contingency.Analyze(n, base, opts)
+	rs, err := contingency.Analyze(n, base, contingency.Options{Workers: 1, DCScreen: true, Pool: e.SweepPool("case57")})
 	if err != nil {
 		t.Fatal(err)
 	}

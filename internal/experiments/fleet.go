@@ -180,17 +180,10 @@ func localReferenceSweep(caseName string) (*singleSweep, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	a := eng.Artifacts(n)
 	opts := contingency.Options{
 		DCScreen: true,
-		BaseYbus: a.Ybus(),
-		Topology: a.Topology(),
-		Reorder:  a.Ordering(),
 		Pool:     eng.SweepPool(caseName),
 		Metrics:  eng.Metrics(),
-	}
-	if m, err := a.PTDF(); err == nil {
-		opts.PTDF = m
 	}
 	start := time.Now()
 	rs, err := contingency.Analyze(n, base, opts)

@@ -42,16 +42,7 @@ func localSweep(t *testing.T, caseName string, opts SweepOptions) (*contingency.
 	if err != nil || !base.Converged {
 		t.Fatalf("base power flow: %v", err)
 	}
-	a := eng.Artifacts(n)
-	var copts contingency.Options
-	opts.apply(&copts)
-	copts.BaseYbus = a.Ybus()
-	copts.Topology = a.Topology()
-	copts.Reorder = a.Ordering()
-	copts.Pool = eng.SweepPool(caseName)
-	if m, err := a.PTDF(); err == nil {
-		copts.PTDF = m
-	}
+	copts := contingency.Options{DCScreen: opts.DCScreen, Pool: eng.SweepPool(caseName)}
 	rs, err := contingency.Analyze(n, base, copts)
 	if err != nil {
 		t.Fatal(err)
@@ -175,16 +166,7 @@ func TestFleetN2MatchesSingleProcess(t *testing.T) {
 	}
 
 	// Single-process reference over the same explicit pair set.
-	a := eng.Artifacts(n)
-	var copts contingency.Options
-	opts.apply(&copts)
-	copts.BaseYbus = a.Ybus()
-	copts.Topology = a.Topology()
-	copts.Reorder = a.Ordering()
-	copts.Pool = eng.SweepPool("case57")
-	if m, err := a.PTDF(); err == nil {
-		copts.PTDF = m
-	}
+	copts := contingency.Options{DCScreen: opts.DCScreen, Pool: eng.SweepPool("case57")}
 	want, err := contingency.AnalyzeN2(n, base, nil, contingency.N2Options{Options: copts, Pairs: pairs})
 	if err != nil {
 		t.Fatal(err)
@@ -462,16 +444,7 @@ func TestFleetStoreWarmedWorker(t *testing.T) {
 	if _, err := seeder.BasePF("case57", sn); err != nil {
 		t.Fatal(err)
 	}
-	a := seeder.Artifacts(sn)
-	var copts contingency.Options
-	opts.apply(&copts)
-	copts.BaseYbus = a.Ybus()
-	copts.Topology = a.Topology()
-	copts.Reorder = a.Ordering()
-	copts.Pool = seeder.SweepPool("case57")
-	if m, err := a.PTDF(); err == nil {
-		copts.PTDF = m
-	}
+	copts := contingency.Options{DCScreen: opts.DCScreen, Pool: seeder.SweepPool("case57")}
 	sb, err := seeder.BasePF("case57", sn)
 	if err != nil {
 		t.Fatal(err)

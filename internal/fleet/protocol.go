@@ -35,10 +35,10 @@ const (
 // SweepOptions is the wire subset of contingency.Options. One knob
 // travels: dc_screen, which turns on the linear pre-screen
 // (contingency.Options.DCScreen). The violation thresholds are the
-// paper's fixed ones on both sides. The artifact pointers (Ybus,
-// topology, PTDF, ordering cache, sweep pool) are process-local by
-// design — every worker supplies its own from its engine, warmed from the
-// shared artifact store when available.
+// paper's fixed ones on both sides. The sweep pool and its outage base
+// (Ybus, topology, PTDF, ordering cache) are process-local by design —
+// every worker runs on its own engine's pool, warmed from the shared
+// artifact store when available.
 //
 // Version 1 once also carried volt_low, volt_high, overload_pct,
 // screen_threshold and no_warm_start. No coordinator ever set them, and
@@ -46,11 +46,6 @@ const (
 // encodes byte-identically with or without them; ProtocolVersion stays 1.
 type SweepOptions struct {
 	DCScreen bool `json:"dc_screen,omitempty"`
-}
-
-// apply copies the wire knob onto a local Options value.
-func (o SweepOptions) apply(dst *contingency.Options) {
-	dst.DCScreen = o.DCScreen
 }
 
 // ShardRequest is one unit of sweep work, POSTed to a worker's /shard

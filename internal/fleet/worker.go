@@ -188,17 +188,7 @@ func (w *Worker) runShard(req *ShardRequest) (*ShardResponse, error) {
 		return nil, fmt.Errorf("fleet: base power flow for %s: %w", req.Case, err)
 	}
 
-	a := w.eng.Artifacts(n)
-	var opts contingency.Options
-	req.Opts.apply(&opts)
-	opts.BaseYbus = a.Ybus()
-	opts.Topology = a.Topology()
-	opts.Reorder = a.Ordering()
-	opts.Pool = w.eng.SweepPool(req.Case)
-	opts.Metrics = w.eng.Metrics()
-	if m, err := a.PTDF(); err == nil {
-		opts.PTDF = m
-	}
+	opts := contingency.Options{DCScreen: req.Opts.DCScreen, Pool: w.eng.SweepPool(req.Case), Metrics: w.eng.Metrics()}
 
 	var rs *contingency.ResultSet
 	switch req.Kind {

@@ -205,7 +205,7 @@ func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *
 
 		// The contingency sweeps' escalation: Newton, fast-decoupled, then
 		// the solvability bisection for genuine collapse.
-		res, err := st.solveOrFallback(powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm})
+		res, err := st.solveOrFallback(powerflow.Options{EnforceQLimits: true, Warm: warm})
 		if err != nil || !res.Converged {
 			sg.Converged = false
 			r.LoadShedMW += st.shed()
@@ -318,7 +318,7 @@ func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (
 		return nil, err
 	}
 	opts.fill()
-	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	w := opts.Pool.Acquire(n)
 	defer opts.Pool.Release(w)
 	r := runCascade(w, viewState{w}, n, base, ev, opts)
 	recordScenario(opts.Metrics, "cascade", 1, 0)
@@ -381,13 +381,13 @@ const (
 // screenSeed DC-certifies seed outage k as non-cascading: every
 // surviving rated branch must sit below the absolute screenThreshold
 // bar, or be essentially unchanged from its base loading while clearing
-// the trip threshold with margin. preMW holds base's branch flows (MW);
-// base supplies the loadings. Returns the predicted worst loading
-// for the screened record. Radial seeds (ErrIslanding) are never
-// certified — islanding sheds load, which is exactly what the screen
-// must not wave through.
-func screenSeed(n *model.Network, base *powerflow.Result, preMW []float64, k int, opts Options) (bool, float64) {
-	flows, err := opts.PTDF.PostOutageFlows(preMW, k)
+// the trip threshold with margin. m is the base's distribution factors;
+// preMW holds base's branch flows (MW); base supplies the loadings.
+// Returns the predicted worst loading for the screened record. Radial
+// seeds (ErrIslanding) are never certified — islanding sheds load, which
+// is exactly what the screen must not wave through.
+func screenSeed(n *model.Network, m *ptdf.Matrix, base *powerflow.Result, preMW []float64, k int, opts Options) (bool, float64) {
+	flows, err := m.PostOutageFlows(preMW, k)
 	if err != nil {
 		return false, 0
 	}
@@ -415,19 +415,14 @@ func screenSeed(n *model.Network, base *powerflow.Result, preMW []float64, k int
 // Sweep runs a cascade study seeded from every in-service branch outage.
 // With Options.DCScreen, seeds the DC re-screen (via the lazy LODF memo,
 // see screenSeed) certifies as non-cascading are recorded OutcomeScreened
-// with no AC work. The distribution factors are Options.PTDF, or built
-// here when the caller shares none, as the N-1 screener does; a network
-// they cannot be built for is swept unscreened.
+// with no AC work. The distribution factors are the pool's outage base's,
+// as for the N-1 screener; a network they cannot be built for is swept
+// unscreened.
 func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult, error) {
 	if base == nil || !base.Converged || n.SlackBus() < 0 {
 		return nil, ErrNoBase
 	}
 	opts.fill()
-	if opts.DCScreen && opts.PTDF == nil {
-		if m, err := ptdf.Build(n); err == nil {
-			opts.PTDF = m
-		}
-	}
 
 	sw := &SweepResult{Case: n.Name, WorstSeed: -1, Results: make([]*CascadeResult, len(n.Branches))}
 	seeds := n.InServiceBranches()
@@ -435,20 +430,24 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 	// every result's Event.Branches.
 	seedEvent := func(i int) Event { return Event{Branches: seeds[i : i+1 : i+1]} }
 	var certify func(i int) bool
-	if opts.DCScreen && opts.PTDF != nil {
+	var m *ptdf.Matrix
+	if opts.DCScreen {
+		m, _ = opts.Pool.Base(n).PTDF()
+	}
+	if m != nil {
 		preMW := make([]float64, len(n.Branches))
 		for k := range n.Branches {
 			preMW[k] = base.Flows[k].FromP
 		}
 		certify = func(i int) bool {
-			secure, worst := screenSeed(n, base, preMW, seeds[i], opts)
+			secure, worst := screenSeed(n, m, base, preMW, seeds[i], opts)
 			if secure {
 				sw.Results[seeds[i]] = &CascadeResult{Event: seedEvent(i), Outcome: OutcomeScreened, ScreenedPct: worst}
 			}
 			return secure
 		}
 	}
-	opts.Pool.Run(n, opts.Topology, opts.BaseYbus, opts.Workers, len(seeds), certify, func(w *contingency.Worker, i int) {
+	opts.Pool.Run(n, opts.Workers, len(seeds), certify, func(w *contingency.Worker, i int) {
 		sw.Results[seeds[i]] = runCascade(w, viewState{w}, n, base, seedEvent(i), opts)
 	})
 

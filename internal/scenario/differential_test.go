@@ -9,7 +9,6 @@ import (
 	"gridmind/internal/contingency"
 	"gridmind/internal/model"
 	"gridmind/internal/powerflow"
-	"gridmind/internal/ptdf"
 )
 
 // The cascade differential harness: for every in-service seed outage of
@@ -200,7 +199,7 @@ func TestCascadeDifferentialMixedEvents(t *testing.T) {
 func TestCascadeSweepDifferential(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
-	got, err := Sweep(n, base, Options{Workers: 4, Pool: contingency.NewSweepPool()})
+	got, err := Sweep(n, base, Options{Workers: 4, Pool: contingency.NewSweepPool(contingency.NewBase)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +259,7 @@ func TestCascadeScreenConservatism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			n := cases.MustLoad(name)
 			base := solveBase(t, n)
-			ptdfM, err := ptdf.Build(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			screened, err := Sweep(n, base, Options{DCScreen: true, PTDF: ptdfM})
+			screened, err := Sweep(n, base, Options{DCScreen: true})
 			if err != nil {
 				t.Fatal(err)
 			}

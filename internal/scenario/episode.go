@@ -66,7 +66,7 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 		}
 	}
 	opts.fill()
-	w := opts.Pool.Acquire(n, opts.Topology, opts.BaseYbus)
+	w := opts.Pool.Acquire(n)
 	defer opts.Pool.Release(w)
 	er := runEpisode(w, viewState{w}, n, base, steps, opts)
 	recordScenario(opts.Metrics, "episode", len(er.Steps), 0)
@@ -92,7 +92,7 @@ func runEpisode(w *contingency.Worker, st cascadeState, n *model.Network, base *
 		}
 		st.prepare(Event{LoadScale: step.LoadScale}, fp)
 		st.trip(step.BranchesOut)
-		res, err := st.solve(powerflow.Options{EnforceQLimits: true, Reorder: opts.Reorder, Warm: warm})
+		res, err := st.solve(powerflow.Options{EnforceQLimits: true, Warm: warm})
 
 		sr := StepResult{Step: si}
 		if err != nil || !res.Converged {

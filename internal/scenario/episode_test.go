@@ -44,7 +44,7 @@ func TestEpisodeDifferential(t *testing.T) {
 			base := solveBase(t, n)
 			steps := episodeSteps(n, 24)
 			ref := episodeReference(n, base, steps, Options{})
-			got, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
+			got, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,11 +83,11 @@ func TestEpisodeDeterminismAndWarmStart(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
 	steps := episodeSteps(n, 24)
-	a, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
+	a, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
+	b, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestEpisodeZeroClone(t *testing.T) {
 	base := solveBase(t, n)
 	steps := episodeSteps(n, 24)
 	c0, m0 := model.CloneCount(), model.MaterializeCount()
-	er, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool()})
+	er, err := Episode(n, base, steps, Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 		Outcomes: make([]SampleOutcome, mo.Samples),
 	}
 	c := &mo.Cascade
-	c.Pool.Run(n, c.Topology, c.BaseYbus, c.Workers, mo.Samples, nil, func(w *contingency.Worker, i int) {
+	c.Pool.Run(n, c.Workers, mo.Samples, nil, func(w *contingency.Worker, i int) {
 		ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
 		r := runCascade(w, viewState{w}, n, base, ev, *c)
 		so := SampleOutcome{

@@ -29,7 +29,7 @@ func TestMCDeterminism(t *testing.T) {
 		BranchOutageProb: 0.02,
 		GenOutageProb:    0.01,
 		LoadSigma:        0.05,
-		Cascade:          Options{Pool: contingency.NewSweepPool()},
+		Cascade:          Options{Pool: contingency.NewSweepPool(contingency.NewBase)},
 	}
 	first, err := RunMC(n, base, mo)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestMCDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		mo2 := mo
-		mo2.Cascade = Options{Pool: contingency.NewSweepPool(), Workers: workers}
+		mo2.Cascade = Options{Pool: contingency.NewSweepPool(contingency.NewBase), Workers: workers}
 		r, err := RunMC(n, base, mo2)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestMCDifferential(t *testing.T) {
 		Seed:             7,
 		BranchOutageProb: 0.03,
 		LoadSigma:        0.04,
-		Cascade:          Options{Workers: 4, Pool: contingency.NewSweepPool()},
+		Cascade:          Options{Workers: 4, Pool: contingency.NewSweepPool(contingency.NewBase)},
 	}
 	got, err := RunMC(n, base, mo)
 	if err != nil {
@@ -145,7 +145,7 @@ func TestMCWilsonSanity(t *testing.T) {
 		Samples:          1000,
 		Seed:             2026,
 		BranchOutageProb: 0.3,
-		Cascade:          Options{Pool: contingency.NewSweepPool()},
+		Cascade:          Options{Pool: contingency.NewSweepPool(contingency.NewBase)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -40,13 +40,13 @@ func TestNoSlackFailsLoudly(t *testing.T) {
 			return contingency.AnalyzeGenOutage(n, 1, contingency.Options{})
 		}, contingency.ErrNoBase},
 		{"contingency.AnalyzeGenOutages", func() (any, error) {
-			return contingency.AnalyzeGenOutages(n, contingency.Options{Pool: contingency.NewSweepPool()})
+			return contingency.AnalyzeGenOutages(n, contingency.Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
 		}, contingency.ErrNoBase},
 		{"scenario.Cascade", func() (any, error) {
 			return Cascade(n, base, Event{Branches: []int{0}}, Options{})
 		}, ErrNoBase},
 		{"scenario.Sweep", func() (any, error) {
-			return Sweep(n, base, Options{Pool: contingency.NewSweepPool()})
+			return Sweep(n, base, Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
 		}, ErrNoBase},
 		{"scenario.Episode", func() (any, error) {
 			return Episode(n, base, []EpisodeStep{{LoadScale: 1.05}}, Options{})

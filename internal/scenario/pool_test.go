@@ -17,7 +17,7 @@ import (
 func TestOneSweepPoolServesEveryStudy(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
-	pool := contingency.NewSweepPool()
+	pool := contingency.NewSweepPool(contingency.NewBase)
 	copts := contingency.Options{Workers: 1, Pool: pool}
 	sopts := Options{Workers: 1, Pool: pool}
 
@@ -27,7 +27,9 @@ func TestOneSweepPoolServesEveryStudy(t *testing.T) {
 	if _, err := contingency.AnalyzeGenOutages(n, copts); err != nil {
 		t.Fatal(err)
 	}
-	contingency.AnalyzeOne(n, base, n.InServiceBranches()[0], copts)
+	if _, err := contingency.AnalyzeOne(n, base, n.InServiceBranches()[0], copts); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Sweep(n, base, sopts); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestOneSweepPoolServesEveryStudy(t *testing.T) {
 	if r := pool.ContextReuses(); r != 5 {
 		t.Fatalf("worker reuses = %d, want 5", r)
 	}
-	w := pool.Acquire(n, nil, nil)
+	w := pool.Acquire(n)
 	defer pool.Release(w)
 	for k, out := range w.Mask() {
 		if out {

@@ -126,7 +126,7 @@ func TestCascadeZeroClone(t *testing.T) {
 	base := solveBase(t, n)
 
 	c0, m0 := model.CloneCount(), model.MaterializeCount()
-	sw, err := Sweep(n, base, Options{Pool: contingency.NewSweepPool()})
+	sw, err := Sweep(n, base, Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
 	if err != nil {
 		t.Fatal(err)
 	}

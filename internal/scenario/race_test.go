@@ -27,35 +27,17 @@ func TestScenarioSharedEngineRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := eng.Artifacts(n)
-	ptdfM, err := art.PTDF()
-	if err != nil {
-		t.Fatal(err)
-	}
 	base, err := eng.BasePF("race", n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := eng.SweepPool("race")
 	mkOpts := func() scenario.Options {
-		return scenario.Options{
-			BaseYbus: art.Ybus(),
-			Topology: art.Topology(),
-			PTDF:     ptdfM,
-			Reorder:  art.Ordering(),
-			Pool:     pool,
-			Workers:  2,
-		}
+		return scenario.Options{Pool: pool, Workers: 2}
 	}
 
 	contOpts := func() contingency.Options {
-		return contingency.Options{
-			BaseYbus: art.Ybus(),
-			Topology: art.Topology(),
-			Reorder:  art.Ordering(),
-			Pool:     pool,
-			Workers:  2,
-		}
+		return contingency.Options{Pool: pool, Workers: 2}
 	}
 
 	const goroutines = 10
@@ -157,7 +139,7 @@ func TestRaceBaseFactorHistory(t *testing.T) {
 	}
 	steps[3].BranchesOut = []int{1}
 	for _, workers := range []int{1, 2} {
-		pool := contingency.NewSweepPool()
+		pool := contingency.NewSweepPool(contingency.NewBase)
 		if _, err := scenario.Sweep(n, base, scenario.Options{Pool: pool, Workers: workers}); err != nil {
 			t.Fatal(err)
 		}

@@ -85,12 +85,12 @@ func (s *cloneState) effP(g int) float64       { return s.n.Gens[g].P }
 // backend, as Cascade does on the view backend.
 func cascadeReference(n *model.Network, base *powerflow.Result, ev Event, opts Options) *CascadeResult {
 	opts.fill()
-	return runCascade(contingency.NewSweepPool().Acquire(n, nil, nil), &cloneState{base: n}, n, base, ev, opts)
+	return runCascade(contingency.NewSweepPool(contingency.NewBase).Acquire(n), &cloneState{base: n}, n, base, ev, opts)
 }
 
 // episodeReference runs an episode through the shared driver on the clone
 // backend, as Episode does on the view backend.
 func episodeReference(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts Options) *EpisodeResult {
 	opts.fill()
-	return runEpisode(contingency.NewSweepPool().Acquire(n, nil, nil), &cloneState{base: n}, n, base, steps, opts)
+	return runEpisode(contingency.NewSweepPool(contingency.NewBase).Acquire(n), &cloneState{base: n}, n, base, steps, opts)
 }

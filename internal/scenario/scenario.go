@@ -22,7 +22,6 @@ import (
 	"gridmind/internal/model"
 	"gridmind/internal/obs"
 	"gridmind/internal/powerflow"
-	"gridmind/internal/ptdf"
 )
 
 // recordScenario publishes one run's bulk counters on met (no-op when
@@ -87,16 +86,9 @@ type Options struct {
 	// already runs branches in the 90s.
 	DCScreen bool
 
-	// BaseYbus/Topology/PTDF/Reorder are the engine's shared structural
-	// artifacts (see contingency.Options for the matching contracts). Nil
-	// builds what is needed per call.
-	BaseYbus *model.Ybus
-	Topology *model.Topology
-	PTDF     *ptdf.Matrix
-	Reorder  *powerflow.OrderingCache
-	// Pool recycles the outage Workers (compiled Newton pattern + LU
-	// symbolic analysis) across calls; it is the same per-state pool the
-	// contingency sweeps check theirs out of (see contingency.SweepPool).
+	// Pool is the state's outage base and worker pool, the one the
+	// contingency sweeps run on (see contingency.SweepPool). Nil runs the
+	// study on a throwaway pool over contingency.NewBase.
 	Pool *contingency.SweepPool
 	// Metrics, when non-nil, receives scenario-level counters (cascade
 	// sweeps, seeds, screen certificates, episode steps, MC samples) —
@@ -117,8 +109,8 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Reorder == nil {
-		o.Reorder = powerflow.NewOrderingCache()
+	if o.Pool == nil {
+		o.Pool = contingency.NewSweepPool(contingency.NewBase)
 	}
 }
 

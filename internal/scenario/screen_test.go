@@ -9,9 +9,9 @@ import (
 )
 
 // TestSweepBuildsMissingPTDF pins the cascade sweep's screen to the N-1
-// screener's contract: DCScreen alone screens, with distribution factors
-// the sweep builds itself, exactly the seeds a sweep handed the engine's
-// shared PTDF screens.
+// screener's contract: DCScreen alone screens, on a one-shot base whose
+// distribution factors the sweep builds itself, exactly the seeds a sweep
+// on the engine's pool, with the engine's shared PTDF, screens.
 func TestSweepBuildsMissingPTDF(t *testing.T) {
 	eng := engine.New()
 	n := cases.MustLoad("case57")
@@ -19,11 +19,7 @@ func TestSweepBuildsMissingPTDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.Artifacts(n).PTDF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := scenario.Sweep(n, base, scenario.Options{DCScreen: true, PTDF: m, Workers: 1})
+	shared, err := scenario.Sweep(n, base, scenario.Options{DCScreen: true, Pool: eng.SweepPool("screen"), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

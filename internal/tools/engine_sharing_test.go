@@ -11,7 +11,7 @@ import (
 
 // sessionWorkload drives one session through the serving hot paths the
 // tools use: ACOPF with recovery, base power flow, full N-1 sweep, a
-// single-outage query and an N-2-style shared-PTDF options build.
+// single-outage query and a DC-screened sweep on the shared PTDF.
 func sessionWorkload(t *testing.T, eng *engine.Engine) {
 	t.Helper()
 	sess := session.NewWithEngine(nil, eng)
@@ -34,12 +34,13 @@ func sessionWorkload(t *testing.T, eng *engine.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := sharedOpts(sess, eng, n, true) // true: force the PTDF build path
-	if opts.PTDF == nil {
-		t.Fatal("engine did not provide the PTDF factors")
+	opts := sharedOpts(sess, eng)
+	if _, err := contingency.AnalyzeOne(n, base, n.InServiceBranches()[0], opts); err != nil {
+		t.Fatal(err)
 	}
-	if r := contingency.AnalyzeOne(n, base, n.InServiceBranches()[0], opts); r == nil {
-		t.Fatal("AnalyzeOne returned nil")
+	opts.Cache, opts.DCScreen = nil, true // screen for real, not from the session's cache
+	if _, err := contingency.Analyze(n, base, opts); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"gridmind/internal/contingency"
 	"gridmind/internal/engine"
-	"gridmind/internal/model"
 	"gridmind/internal/opf"
 	"gridmind/internal/scenario"
 	"gridmind/internal/schema"
@@ -68,23 +67,6 @@ func RegisterExtensions(r *Registry, ctx *session.Context, eng *engine.Engine) e
 	return r.Register(assessQualityTool(ctx, eng))
 }
 
-// scenarioOpts assembles scenario Options from the engine's shared
-// structural artifacts and the state's worker pool, mirroring sharedOpts
-// for the contingency tools (both check workers out of the same pool).
-func scenarioOpts(ctx *session.Context, eng *engine.Engine, n *model.Network, withPTDF bool) scenario.Options {
-	a := eng.Artifacts(n)
-	opts := scenario.Options{
-		BaseYbus: a.Ybus(), Topology: a.Topology(), Reorder: a.Ordering(),
-		Pool: eng.SweepPool(ctx.DiffHash()), Metrics: eng.Metrics(),
-	}
-	if withPTDF {
-		if m, err := a.PTDF(); err == nil {
-			opts.PTDF = m
-		}
-	}
-	return opts
-}
-
 // cascadeStageRows condenses a cascade's stage records for tool output.
 func cascadeStageRows(stages []scenario.Stage) []map[string]any {
 	rows := make([]map[string]any, 0, len(stages))
@@ -138,7 +120,8 @@ func cascadeTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			if err != nil {
 				return nil, err
 			}
-			opts := scenarioOpts(ctx, eng, n, true)
+			// The state's sweep pool, the one the contingency tools run on.
+			opts := scenario.Options{Pool: eng.SweepPool(ctx.DiffHash()), Metrics: eng.Metrics()}
 			if v, ok := args["max_depth"].(float64); ok {
 				opts.MaxDepth = int(v)
 			}
@@ -271,7 +254,7 @@ func reliabilityMCTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			mo := scenario.MCOptions{
 				BranchOutageProb: 0.01,
 				LoadSigma:        0.03,
-				Cascade:          scenarioOpts(ctx, eng, n, false),
+				Cascade:          scenario.Options{Pool: eng.SweepPool(ctx.DiffHash()), Metrics: eng.Metrics()},
 			}
 			if v, ok := args["samples"].(float64); ok {
 				mo.Samples = int(v)
@@ -351,9 +334,9 @@ func runN2Tool(ctx *session.Context, eng *engine.Engine) *Tool {
 			if err != nil {
 				return nil, err
 			}
-			// The pair pre-screen rides the shared PTDF/LODF memo, so every
-			// session's N-2 screening reuses columns any session touched.
-			n2opts := contingency.N2Options{Options: sharedOpts(ctx, eng, n, true)}
+			// The pair pre-screen rides the pool's shared PTDF/LODF memo, so
+			// every session's N-2 screening reuses columns any session touched.
+			n2opts := contingency.N2Options{Options: sharedOpts(ctx, eng)}
 			if v, ok := args["seed_k"].(float64); ok {
 				n2opts.TopK = int(v)
 			}
@@ -463,7 +446,7 @@ func genOutageTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			if len(gens) == 0 {
 				return nil, fmt.Errorf("no in-service generator at bus %d", busID)
 			}
-			out, err := contingency.AnalyzeGenOutage(n, gens[0], sharedOpts(ctx, eng, n, false))
+			out, err := contingency.AnalyzeGenOutage(n, gens[0], sharedOpts(ctx, eng))
 			if err != nil {
 				return nil, err
 			}

@@ -191,6 +191,34 @@ func TestCascadeToolRejectsInvalidSeed(t *testing.T) {
 	}
 }
 
+// TestCascadeEventBuildsNoPTDF: an event cascade never screens, so on a
+// fresh engine it leaves the PTDF unbuilt; the screened sweep mode then
+// builds it exactly once.
+func TestCascadeEventBuildsNoPTDF(t *testing.T) {
+	eng := engine.New()
+	sess := session.NewWithEngine(nil, eng)
+	r := NewGridMind(sess, eng)
+	if err := RegisterExtensions(r, sess, eng); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.LoadCase("case30"); err != nil {
+		t.Fatal(err)
+	}
+	ptdfBuilds := func() int64 { return count(t, eng.Metrics(), "gridmind_engine_ptdf_builds_total") }
+	if _, _, err := r.Invoke(ToolCascade, map[string]any{"branches": []any{1.0}}); err != nil {
+		t.Fatal(err)
+	}
+	if b := ptdfBuilds(); b != 0 {
+		t.Fatalf("event cascade built the PTDF %d times, want 0", b)
+	}
+	if _, _, err := r.Invoke(ToolCascade, map[string]any{}); err != nil {
+		t.Fatal(err)
+	}
+	if b := ptdfBuilds(); b != 1 {
+		t.Fatalf("screened cascade sweep built the PTDF %d times, want 1", b)
+	}
+}
+
 func TestCascadeToolSweep(t *testing.T) {
 	r, sess := extendedRegistry(t)
 	if _, err := sess.LoadCase("case57"); err != nil {

@@ -8,7 +8,6 @@ import (
 	"gridmind/internal/cases"
 	"gridmind/internal/contingency"
 	"gridmind/internal/engine"
-	"gridmind/internal/model"
 	"gridmind/internal/opf"
 	"gridmind/internal/powerflow"
 	"gridmind/internal/schema"
@@ -55,23 +54,14 @@ func NewGridMind(ctx *session.Context, eng *engine.Engine) *Registry {
 	return r
 }
 
-// sharedOpts assembles contingency Options from the engine's shared
-// structural artifacts (base Ybus, topology, ordering cache, the
-// state-keyed worker-context pool, and — when the caller will DC-screen —
-// the PTDF factors).
-func sharedOpts(ctx *session.Context, eng *engine.Engine, n *model.Network, withPTDF bool) contingency.Options {
-	a := eng.Artifacts(n)
-	opts := contingency.Options{
+// sharedOpts assembles contingency Options for the session's state: its
+// outage cache and the engine's state-keyed sweep pool, which carries the
+// structure's shared artifacts.
+func sharedOpts(ctx *session.Context, eng *engine.Engine) contingency.Options {
+	return contingency.Options{
 		Cache: ctx.ContCache(), CacheKeyPrefix: ctx.DiffHash(),
-		BaseYbus: a.Ybus(), Topology: a.Topology(), Reorder: a.Ordering(),
 		Pool: eng.SweepPool(ctx.DiffHash()), Metrics: eng.Metrics(),
 	}
-	if withPTDF {
-		if m, err := a.PTDF(); err == nil {
-			opts.PTDF = m
-		}
-	}
-	return opts
 }
 
 // solutionSummary condenses an opf.Solution into the structured record
@@ -380,7 +370,7 @@ func ensureCASweep(ctx *session.Context, eng *engine.Engine) (*contingency.Resul
 	if err != nil {
 		return nil, nil, err
 	}
-	rs, err := contingency.Analyze(n, base, sharedOpts(ctx, eng, n, false))
+	rs, err := contingency.Analyze(n, base, sharedOpts(ctx, eng))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -542,12 +532,13 @@ func analyzeOutageTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			if !n.Branches[k].InService {
 				return nil, fmt.Errorf("branch %d is already out of service", k)
 			}
-			opts := sharedOpts(ctx, eng, n, false)
 			var o *contingency.OutageResult
 			if hit, ok := ctx.ContCache().Get(contingency.Key(ctx.DiffHash(), n.Name, k)); ok {
 				o = hit
 			} else {
-				o = contingency.AnalyzeOne(n, base, k, opts)
+				if o, err = contingency.AnalyzeOne(n, base, k, sharedOpts(ctx, eng)); err != nil {
+					return nil, err
+				}
 				ctx.ContCache().Put(contingency.Key(ctx.DiffHash(), n.Name, k), o)
 			}
 			return map[string]any{

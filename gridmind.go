@@ -144,7 +144,7 @@ func SolveACOPF(n *Network) (*ACOPFSolution, error) {
 
 // SolveDCOPF runs the linearized DC optimal power flow baseline.
 func SolveDCOPF(n *Network) (*ACOPFSolution, error) {
-	return opf.SolveDCOPF(n, opf.Options{})
+	return opf.SolveDCOPF(n)
 }
 
 // SolvePowerFlow runs a Newton-Raphson AC power flow with reactive-limit

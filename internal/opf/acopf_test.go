@@ -3,6 +3,7 @@ package opf
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gridmind/internal/cases"
@@ -386,7 +387,7 @@ func TestSolveACOPFInfeasibleReportsFailure(t *testing.T) {
 	for i := range n.Loads {
 		n.Loads[i].P *= 5
 	}
-	sol, err := SolveACOPF(n, Options{MaxIter: 60})
+	sol, err := solveACOPF(n, Options{}, ipmOptions{MaxIter: 60})
 	if err == nil && sol.Solved {
 		t.Fatal("expected infeasibility to be reported")
 	}
@@ -418,11 +419,12 @@ func TestAssessQuality(t *testing.T) {
 	if len(q.Recommendations) == 0 {
 		t.Fatal("no recommendations produced")
 	}
-	// Unsolved solutions score zero with a recovery recommendation.
+	// Unsolved solutions score zero and name the one recovery there is.
 	bad := &Solution{Solved: false}
 	qb := AssessQuality(n, bad)
-	if qb.OverallScore != 0 || len(qb.Recommendations) == 0 {
-		t.Fatal("unsolved quality should be zero with recommendations")
+	want := []string{"solution did not converge; use the economic-dispatch fallback"}
+	if qb.OverallScore != 0 || !slices.Equal(qb.Recommendations, want) {
+		t.Fatalf("unsolved quality: score %v, recommendations %q; want 0 and %q", qb.OverallScore, qb.Recommendations, want)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestIPMSteadyStateZeroAllocs(t *testing.T) {
 // different values — the per-iteration rebuild is gone.
 func TestDCOPFEvalScratchReused(t *testing.T) {
 	n := cases.MustLoad("case30")
-	sol, err := SolveDCOPF(n, Options{})
+	sol, err := SolveDCOPF(n)
 	if err != nil {
 		t.Fatal(err)
 	}

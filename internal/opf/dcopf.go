@@ -13,7 +13,12 @@ import (
 // interior-point core as the AC problem: variables [θ; Pg], nodal balance
 // B·θ = Pg − Pd, symmetric flow limits on rated branches and generator
 // limits. It is used as the screening baseline in comparative studies.
-func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
+func SolveDCOPF(n *model.Network) (*Solution, error) {
+	return solveDCOPF(n, ipmOptions{})
+}
+
+// solveDCOPF is SolveDCOPF under explicit interior-point options.
+func solveDCOPF(n *model.Network, iopts ipmOptions) (*Solution, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -171,11 +176,7 @@ func SolveDCOPF(n *model.Network, opts Options) (*Solution, error) {
 		return sparse.BlockMinDegree(m, super)
 	}
 
-	res, ipmErr := solveIPM(&nlp{nx: nx, ng: ng, nh: nh, x0: x0, eval: eval, hess: hess, order: order}, ipmOptions{
-		FeasTol: opts.FeasTol, GradTol: opts.GradTol,
-		CompTol: opts.CompTol, CostTol: opts.CostTol,
-		MaxIter: opts.MaxIter,
-	})
+	res, ipmErr := solveIPM(&nlp{nx: nx, ng: ng, nh: nh, x0: x0, eval: eval, hess: hess, order: order}, iopts)
 
 	sol := &Solution{
 		CaseName:           n.Name,

@@ -92,7 +92,7 @@ func TestSystemLambdaPositive(t *testing.T) {
 
 func TestSolveDCOPFCase30(t *testing.T) {
 	n := cases.MustLoad("case30")
-	sol, err := SolveDCOPF(n, Options{})
+	sol, err := SolveDCOPF(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSolveDCOPFCase30(t *testing.T) {
 
 func TestSolveDCOPFCase118(t *testing.T) {
 	n := cases.MustLoad("case118")
-	sol, err := SolveDCOPF(n, Options{})
+	sol, err := SolveDCOPF(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,22 +15,17 @@ const (
 	MethodDCOPF    = "dc-optimal-power-flow"
 )
 
-// Options configures SolveACOPF. The zero value selects the defaults.
+// Options configures SolveACOPF. The zero value solves cold, with the
+// interior point's fixed tolerances (1e-6) and iteration cap (150).
 type Options struct {
-	// FeasTol/GradTol/CompTol/CostTol are the interior-point convergence
-	// tolerances; zero selects 1e-6.
-	FeasTol, GradTol, CompTol, CostTol float64
-	// MaxIter bounds interior-point iterations (default 150).
-	MaxIter int
 	// Start, when non-nil, warm-starts the solver from a previous
 	// solution's operating point (voltages and dispatch). ACOPF is
 	// nonconvex; warm-starting anchors comparative studies in one basin.
 	// When Start also carries Multipliers sized for this network, the
 	// interior point seeds its dual point from them too; if that solve
-	// does not converge within 20 iterates (or MaxIter, if fewer), it is
-	// re-run from Start's operating point alone and the
-	// ConvergenceMessage opens with WarmStartFallback. Start is only
-	// read.
+	// does not converge within 20 iterates, it is re-run from Start's
+	// operating point alone and the ConvergenceMessage opens with
+	// WarmStartFallback. Start is only read.
 	Start *Solution
 	// Context, when non-nil, caches the compiled KKT pattern and LDLᵀ
 	// symbolic analysis across solves of the same network topology (rating
@@ -122,6 +117,12 @@ func (s *Solution) foldFlowStats() {
 // interior-point method. On non-convergence it returns the best iterate's
 // diagnostics in a Solution with Solved=false together with the error.
 func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
+	return solveACOPF(n, opts, ipmOptions{})
+}
+
+// solveACOPF is SolveACOPF under explicit interior-point options; the
+// exported entry point passes the zero value, the defaults.
+func solveACOPF(n *model.Network, opts Options, iopts ipmOptions) (*Solution, error) {
 	prob, err := newACOPF(n)
 	if err != nil {
 		return nil, err
@@ -137,11 +138,6 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 		order: prob.kktOrder,
 		duals: duals,
 	}
-	iopts := ipmOptions{
-		FeasTol: opts.FeasTol, GradTol: opts.GradTol,
-		CompTol: opts.CompTol, CostTol: opts.CostTol,
-		MaxIter: opts.MaxIter,
-	}
 	if opts.Context != nil {
 		// acquire also installs the Context's cached evalScratch (same
 		// structural signature governs both); without a Context, eval
@@ -150,11 +146,7 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 	}
 	first := iopts
 	if duals != nil {
-		// The warm solve gets warmMaxIter iterates, or MaxIter if fewer.
 		first.MaxIter = warmMaxIter
-		if opts.MaxIter > 0 {
-			first.MaxIter = min(opts.MaxIter, warmMaxIter)
-		}
 	}
 	res, ipmErr := solveIPM(p, first)
 	if ipmErr != nil && duals != nil {
@@ -262,7 +254,7 @@ func AssessQuality(n *model.Network, sol *Solution) Quality {
 	q := Quality{DetailedMetrics: map[string]float64{}}
 	if !sol.Solved {
 		q.Recommendations = append(q.Recommendations,
-			"solution did not converge; retry with relaxed tolerances or the dispatch fallback")
+			"solution did not converge; use the economic-dispatch fallback")
 		return q
 	}
 	// Convergence: scaled by how far the residual sits under the 1e-4

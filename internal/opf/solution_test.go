@@ -10,11 +10,15 @@ import (
 	"gridmind/internal/powerflow"
 )
 
-// solvers are the two formulations that run on solveIPM with costScale.
+// solvers are the two formulations that run on solveIPM with costScale,
+// each solved cold under the given interior-point options.
 var solvers = []struct {
 	name  string
-	solve func(*model.Network, Options) (*Solution, error)
-}{{"AC", SolveACOPF}, {"DC", SolveDCOPF}}
+	solve func(*model.Network, ipmOptions) (*Solution, error)
+}{
+	{"AC", func(n *model.Network, o ipmOptions) (*Solution, error) { return solveACOPF(n, Options{}, o) }},
+	{"DC", solveDCOPF},
+}
 
 // TestIPMIterationCounts pins the exact IPM iteration count of every
 // standard case, cold, for both formulations. The counts follow from the
@@ -27,7 +31,7 @@ func TestIPMIterationCounts(t *testing.T) {
 	}
 	for _, s := range solvers {
 		for _, name := range []string{"case14", "case30", "case57", "case118", "case300"} {
-			sol, err := s.solve(cases.MustLoad(name), Options{})
+			sol, err := s.solve(cases.MustLoad(name), ipmOptions{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", s.name, name, err)
 			}
@@ -47,7 +51,7 @@ func TestIPMTightTolerances(t *testing.T) {
 	for _, tol := range []float64{1e-8, 1e-10, 1e-12} {
 		for _, s := range solvers {
 			for _, name := range []string{"case14", "case30", "case57", "case118", "case300"} {
-				sol, err := s.solve(cases.MustLoad(name), Options{FeasTol: tol, GradTol: tol, CompTol: tol, CostTol: tol})
+				sol, err := s.solve(cases.MustLoad(name), ipmOptions{FeasTol: tol, GradTol: tol, CompTol: tol, CostTol: tol})
 				if err != nil {
 					t.Errorf("%s %s at %g: %v", s.name, name, tol, err)
 					continue
@@ -69,7 +73,7 @@ func TestLMPEqualsMarginalCost(t *testing.T) {
 	for _, s := range solvers {
 		for _, name := range []string{"case14", "case30", "case57", "case118", "case300"} {
 			n := cases.MustLoad(name)
-			sol, err := s.solve(n, Options{})
+			sol, err := s.solve(n, ipmOptions{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", s.name, name, err)
 			}

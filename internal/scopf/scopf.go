@@ -41,12 +41,12 @@ const (
 type Options struct {
 	// MaxRounds bounds tighten-and-resolve iterations (default 6).
 	MaxRounds int
-	// OPF forwards solver tolerances. If OPF.Context is nil, Solve installs
-	// a fresh reusable solver context so every ACOPF after the first —
-	// tightening rounds, backoff retries, the basin re-anchor — reuses the
-	// compiled KKT pattern and LDLᵀ symbolic analysis (rating changes leave
-	// the problem structure untouched).
-	OPF opf.Options
+	// Context is the interior-point solver context every ACOPF of the
+	// study runs on. If nil, Solve installs a fresh one, so every ACOPF
+	// after the first — tightening rounds, backoff retries, the basin
+	// re-anchor — reuses the compiled KKT pattern and LDLᵀ symbolic
+	// analysis (rating changes leave the problem structure untouched).
+	Context *opf.Context
 	// Screen enables linear contingency screening inside each round.
 	Screen bool
 	// Workers bounds the contingency-sweep worker pool inside each round
@@ -95,20 +95,28 @@ var ErrBaseInsecure = errors.New("scopf: base case violates its own ratings")
 
 // Solve runs the preventive SCOPF loop.
 func Solve(n *model.Network, opts Options) (*Result, error) {
+	res, _, err := solve(n, opts)
+	return res, err
+}
+
+// solve is Solve that also hands back the economic ACOPF solution whose
+// cost it reports as EconomicCost: the cold solve, or its re-anchor from
+// the secure point when that found a cheaper basin.
+func solve(n *model.Network, opts Options) (*Result, *opf.Solution, error) {
 	opts.fill()
 	if err := n.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if opts.OPF.Context == nil {
+	if opts.Context == nil {
 		// One solver context for the whole loop: every round's re-solve has
 		// the same topology (only ratings/start change), so the compiled
 		// KKT pattern and symbolic analysis carry through all of them.
-		opts.OPF.Context = opf.NewContext()
+		opts.Context = opf.NewContext()
 	}
 
-	econ, err := opf.SolveACOPF(n, opts.OPF)
+	econ, err := opf.SolveACOPF(n, opf.Options{Context: opts.Context})
 	if err != nil {
-		return nil, fmt.Errorf("scopf: economic ACOPF: %w", err)
+		return nil, nil, fmt.Errorf("scopf: economic ACOPF: %w", err)
 	}
 	res := &Result{EconomicCost: econ.ObjectiveCost}
 
@@ -119,7 +127,7 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 		res.Rounds = round
 		worst, viols, err := postContingencyViolations(n, sol, opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if round == 1 {
 			res.WorstBeforePct = worst
@@ -171,7 +179,7 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 		// again; if even the previous rates fail, keep the last point.
 		var next *opf.Solution
 		for backoff := 0; backoff < 3; backoff++ {
-			next, err = opf.SolveACOPF(work, withStart(opts.OPF, sol))
+			next, err = opf.SolveACOPF(work, opf.Options{Start: sol, Context: opts.Context})
 			if err == nil {
 				break
 			}
@@ -209,12 +217,12 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 	// by re-solving warm-started from the secure point, so the reported
 	// premium is a true within-basin comparison.
 	if res.Solution.ObjectiveCost < res.EconomicCost {
-		if econ2, err := opf.SolveACOPF(n, withStart(opts.OPF, sol)); err == nil && econ2.ObjectiveCost < res.EconomicCost {
-			res.EconomicCost = econ2.ObjectiveCost
+		if econ2, err := opf.SolveACOPF(n, opf.Options{Start: sol, Context: opts.Context}); err == nil && econ2.ObjectiveCost < res.EconomicCost {
+			econ, res.EconomicCost = econ2, econ2.ObjectiveCost
 		}
 	}
 	res.SecurityPremium = res.Solution.ObjectiveCost - res.EconomicCost
-	return res, nil
+	return res, econ, nil
 }
 
 // violation is one post-contingency overload: tripping Outage loads
@@ -222,12 +230,6 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 type violation struct {
 	Outage, Branch int
 	LoadingPct     float64
-}
-
-// withStart forwards OPF options with a warm-start point.
-func withStart(o opf.Options, sol *opf.Solution) opf.Options {
-	o.Start = sol
-	return o
 }
 
 // postContingencyViolations applies the dispatch to the original network,
@@ -317,28 +319,13 @@ type Comparison struct {
 	PremiumPct float64 `json:"premium_pct"`
 }
 
-// Compare runs both operating strategies on the same case.
+// Compare runs both operating strategies on the same case. The economic
+// side is the solution Solve priced the premium against, basin re-anchor
+// included, so Compare runs no ACOPF of its own.
 func Compare(n *model.Network, opts Options) (*Comparison, error) {
-	opts.fill()
-	if opts.OPF.Context == nil {
-		// Shared across the secure loop AND the economic baseline solves:
-		// all of them run on the same topology.
-		opts.OPF.Context = opf.NewContext()
-	}
-	sec, err := Solve(n, opts)
+	sec, econ, err := solve(n, opts)
 	if err != nil {
 		return nil, err
-	}
-	econ, err := opf.SolveACOPF(n, opts.OPF)
-	if err != nil {
-		return nil, err
-	}
-	// Basin consistency (see Solve): if the secure dispatch is cheaper,
-	// re-anchor the economic solve from its operating point.
-	if econ.ObjectiveCost > sec.Solution.ObjectiveCost {
-		if econ2, err := opf.SolveACOPF(n, withStart(opts.OPF, sec.Solution)); err == nil && econ2.ObjectiveCost < econ.ObjectiveCost {
-			econ = econ2
-		}
 	}
 	c := &Comparison{Economic: econ, Secure: sec}
 	if econ.ObjectiveCost > 0 {

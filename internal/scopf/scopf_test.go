@@ -146,7 +146,7 @@ func TestSCOPFReusesKKTPattern(t *testing.T) {
 	// caller-supplied context records exactly one compilation.
 	n := cases.MustLoad("case57")
 	ctx := opf.NewContext()
-	res, err := Solve(n, Options{Screen: true, MaxRounds: 2, OPF: opf.Options{Context: ctx}})
+	res, err := Solve(n, Options{Screen: true, MaxRounds: 2, Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

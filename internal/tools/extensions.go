@@ -592,7 +592,7 @@ func compareStrategyTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			sig := eng.Artifacts(n).Sig
 			kkt := eng.AcquireOPF(sig)
 			defer eng.ReleaseOPF(sig, kkt)
-			cmp, err := scopf.Compare(n, scopf.Options{Screen: true, MaxRounds: rounds, OPF: opf.Options{Context: kkt}})
+			cmp, err := scopf.Compare(n, scopf.Options{Screen: true, MaxRounds: rounds, Context: kkt})
 			if err != nil {
 				return nil, err
 			}

@@ -11,8 +11,8 @@ import (
 
 func extendedRegistry(t *testing.T) (*Registry, *session.Context) {
 	t.Helper()
-	sess := session.NewWithEngine(nil, nil)
 	eng := engine.New()
+	sess := session.NewWithEngine(nil, eng)
 	r := NewGridMind(sess, eng)
 	if err := RegisterExtensions(r, sess, eng); err != nil {
 		t.Fatal(err)
@@ -195,12 +195,8 @@ func TestCascadeToolRejectsInvalidSeed(t *testing.T) {
 // fresh engine it leaves the PTDF unbuilt; the screened sweep mode then
 // builds it exactly once.
 func TestCascadeEventBuildsNoPTDF(t *testing.T) {
-	eng := engine.New()
-	sess := session.NewWithEngine(nil, eng)
-	r := NewGridMind(sess, eng)
-	if err := RegisterExtensions(r, sess, eng); err != nil {
-		t.Fatal(err)
-	}
+	r, sess := extendedRegistry(t)
+	eng := sess.Engine()
 	if _, err := sess.LoadCase("case30"); err != nil {
 		t.Fatal(err)
 	}

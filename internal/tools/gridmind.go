@@ -114,14 +114,15 @@ var solutionOutputSchema = schema.Obj("ACOPF solution summary", map[string]*sche
 	"convergence_message":     schema.Str("solver diagnostics"),
 }, "case_name", "solved", "objective_cost", "max_mismatch_pu").WithExtra()
 
-// solveWithRecovery is the §3.2.1 automatic recovery path: primary IPM,
-// then relaxed tolerances, then the dispatch fallback. The interior-point
-// solver context (compiled KKT pattern + LDLᵀ symbolic analysis) is checked
-// out of the structure's shared pool, so every session's solve after the
-// process's first skips pattern compilation. start, when non-nil,
-// warm-starts the primary solve (opf.Options.Start); a warm start that
-// fell back is recorded in the session's provenance. The recovery solves
-// start cold.
+// solveWithRecovery is the §3.2.1 automatic recovery path: one
+// interior-point solve, then the economic-dispatch + power-flow fallback.
+// The interior-point solver context (compiled KKT pattern + LDLᵀ symbolic
+// analysis) is checked out of the structure's shared pool, so every
+// session's solve after the process's first skips pattern compilation.
+// start, when non-nil, warm-starts the solve (opf.Options.Start); a warm
+// start that fell back to the primal-only start is recorded in the
+// session's provenance. internal/opf/README.md ("Recovery ladder") says
+// why no relaxed-tolerance re-solve sits between the two.
 func solveWithRecovery(ctx *session.Context, eng *engine.Engine, start *opf.Solution) (*opf.Solution, bool, error) {
 	n, err := ctx.Network()
 	if err != nil {
@@ -137,13 +138,6 @@ func solveWithRecovery(ctx *session.Context, eng *engine.Engine, start *opf.Solu
 	if err == nil && sol.MaxMismatchPU < 1e-4 {
 		return sol, false, nil
 	}
-	// Recovery 1: relaxed tolerances buy convergence on stiff cases.
-	sol, err = opf.SolveACOPF(n, opf.Options{FeasTol: 1e-5, GradTol: 1e-4, CompTol: 1e-5, CostTol: 1e-5, MaxIter: 300, Context: kkt})
-	if err == nil && sol.MaxMismatchPU < 1e-4 {
-		ctx.AddProvenance("recovery", "acopf solved with relaxed tolerances")
-		return sol, true, nil
-	}
-	// Recovery 2: alternative algorithm (economic dispatch + power flow).
 	sol, err = opf.SolveDispatch(n, powerflow.Options{EnforceQLimits: true})
 	if err != nil {
 		return nil, true, fmt.Errorf("all solvers failed: %w", err)

@@ -1,14 +1,18 @@
 package tools
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"gridmind/internal/engine"
 	"gridmind/internal/obs"
 	"gridmind/internal/opf"
+	"gridmind/internal/powerflow"
 	"gridmind/internal/schema"
 	"gridmind/internal/session"
 )
@@ -185,27 +189,70 @@ func TestModifyBusLoadTool(t *testing.T) {
 	}
 }
 
-// TestModifyBusLoadRecovery pins the recovery ladder on the what-if the
-// benchmark times as opf.recovery_ms: pristine case118 with bus 64 up
-// 8 MW. The primary interior-point solve fails there, so the answer must
-// come from a fallback solver and say so.
+// TestModifyBusLoadRecovery pins the recovery ladder on every what-if
+// whose interior-point solve is known to fail: the five infeasible states
+// of the opf what-if grids, plus pristine case118 with bus 64 up 8 MW, the
+// state the benchmark times as opf.recovery_ms. Asked after a cold solve,
+// each re-solve starts warm, falls back to the primal-only start, fails
+// again and ends in the economic-dispatch fallback. The reply is exactly
+// that fallback's summary, and the provenance holds one warm-start entry
+// and one recovery entry.
 func TestModifyBusLoadRecovery(t *testing.T) {
-	sess := newSession(t)
-	r := NewGridMind(sess, engine.New())
-	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case118"}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := sess.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := n.BusLoad(n.BusByID(64))
-	out, _, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 64, "p_mw": p + 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := out.(map[string]any); m["recovery_used"] != true {
-		t.Fatalf("bus 64 +8 MW answered without recovery: %v", m)
+	for _, tc := range []struct {
+		name string
+		bus  int
+		mw   float64
+	}{
+		{"case57", 54, 10},
+		{"case118", 60, 6}, {"case118", 60, 10},
+		{"case118", 64, 6}, {"case118", 64, 8}, {"case118", 64, 10},
+	} {
+		eng := engine.New()
+		sess := session.NewWithEngine(nil, eng)
+		r := NewGridMind(sess, eng)
+		if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": tc.name}); err != nil {
+			t.Fatal(err)
+		}
+		prev, _ := sess.ACOPF()
+		n, err := sess.Network()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := n.BusLoad(n.BusByID(tc.bus))
+		out, _, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": tc.bus, "p_mw": p + tc.mw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err = sess.Network(); err != nil {
+			t.Fatal(err)
+		}
+		fallback, err := opf.SolveDispatch(n, powerflow.Options{EnforceQLimits: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := solutionSummary(fallback, true)
+		want["previous_load_mw"] = round2(p)
+		want["new_load_mw"] = round2(p + tc.mw)
+		want["cost_delta"] = round2(fallback.ObjectiveCost - prev.ObjectiveCost)
+		got, _ := json.Marshal(out)
+		wantJSON, _ := json.Marshal(want)
+		if !bytes.Equal(got, wantJSON) {
+			t.Errorf("%s bus %d %+g MW: reply\n%s\nwant the dispatch fallback's\n%s", tc.name, tc.bus, tc.mw, got, wantJSON)
+		}
+		var warm, recovery []string
+		for _, e := range sess.Provenance() {
+			switch e.Tool {
+			case "warm_start":
+				warm = append(warm, e.Detail)
+			case "recovery":
+				recovery = append(recovery, e.Detail)
+			}
+		}
+		if len(warm) != 1 || !strings.HasPrefix(warm[0], opf.WarmStartFallback) ||
+			!slices.Equal(recovery, []string{"acopf fell back to " + opf.MethodDispatch}) {
+			t.Errorf("%s bus %d %+g MW: provenance warm_start %q, recovery %q; want one warm-start fallback and one dispatch recovery",
+				tc.name, tc.bus, tc.mw, warm, recovery)
+		}
 	}
 }
 

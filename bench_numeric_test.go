@@ -256,6 +256,33 @@ func BenchmarkConcurrentAsk8(b *testing.B) {
 	}
 }
 
+// benchWarmAsk times one ask of a warm case57 session in process. The
+// session has solved the case and run its N-1 sweep, so the ask runs no
+// solver: planner, simulated model, tool layer and schema checks are its
+// whole cost (bench/e2e's chat_light, without HTTP).
+func benchWarmAsk(b *testing.B, query string) {
+	gm := gridmind.New(gridmind.Options{Engine: gridmind.NewEngine()})
+	for _, q := range []string{"Solve IEEE 57", "Run N-1 contingency analysis on IEEE 57 and show the top 5", query} {
+		if ex, err := gm.Ask(context.Background(), q); err != nil || !ex.Success {
+			b.Fatalf("warm-up %q failed: %v", q, err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if ex, err := gm.Ask(context.Background(), query); err != nil || !ex.Success {
+			b.Fatalf("%q failed: %v", query, err)
+		}
+	}
+}
+
+// BenchmarkAskTopK: a cached top-k lookup, chat_light's slowest class.
+func BenchmarkAskTopK(b *testing.B) {
+	benchWarmAsk(b, "Show the top 7 most critical contingencies")
+}
+
+// BenchmarkAskStatus: the network status ask, chat_light's commonest class.
+func BenchmarkAskStatus(b *testing.B) { benchWarmAsk(b, "What is the current network status?") }
+
 // basePool builds one outage base of n with NewBase and a pool that runs
 // every study on it, so a benchmark builds the base outside its loop.
 func basePool(n *model.Network) (*contingency.SweepPool, contingency.Base) {

@@ -167,9 +167,9 @@ func (a *Agent) Run(ctx context.Context, query string) (*Turn, error) {
 						turn.Recoveries++
 					}
 				}
-				// raw is the encoding Invoke decoded result from: the
-				// tool message without a second encode, and the model
-				// reads result without a second decode.
+				// raw is the encoding of result Invoke made: the tool
+				// message without a second encode, and the model reads
+				// result without a decode.
 				content = string(raw)
 			}
 			msgs = append(msgs, llm.Message{

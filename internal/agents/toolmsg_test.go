@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -34,9 +35,9 @@ func (c *scriptedClient) Complete(_ context.Context, req *llm.Request) (*llm.Res
 }
 
 // TestToolMessageIsMarshalOfResult: the tool message Run hands back to the
-// model is the encoding Invoke decoded the validated result from, and it
-// is byte for byte json.Marshal of that result, for every registered tool
-// and for a failing call.
+// model is byte for byte json.Marshal of the validated result, for every
+// registered tool and for a failing call, and the decoded value it carries
+// is json.Unmarshal of those bytes (nil for the failing call).
 func TestToolMessageIsMarshalOfResult(t *testing.T) {
 	script := []struct {
 		tool string
@@ -95,6 +96,17 @@ func TestToolMessageIsMarshalOfResult(t *testing.T) {
 		}
 		if msgs[i].Content != string(want) {
 			t.Errorf("%s: tool message\n%s\nwant json.Marshal of the validated result\n%s", step.Tool, msgs[i].Content, want)
+		}
+		// A failed call's message carries no Decoded value (the model
+		// decodes its content), so its value is compared as nil.
+		var decoded map[string]any
+		if step.Err == "" {
+			if err := json.Unmarshal([]byte(msgs[i].Content), &decoded); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(msgs[i].Decoded, decoded) {
+			t.Errorf("%s: the message's Decoded value\n%#v\nis not json.Unmarshal of its content\n%#v", step.Tool, msgs[i].Decoded, decoded)
 		}
 	}
 	if steps[len(steps)-1].Err == "" {

@@ -107,6 +107,11 @@ type ResultSet struct {
 	// state for comparison.
 	BaseMaxLoadingPct float64 `json:"base_max_loading_pct"`
 	BaseMinVoltagePU  float64 `json:"base_min_voltage_pu"`
+
+	// memo holds the rankings and the scored recommendations, each
+	// computed on first use. A set does not change once its sweep has
+	// returned it, so they stay true for its lifetime.
+	memo rankMemo
 }
 
 // The paper's fixed violation thresholds (§3.2.3): a bus voltage outside

@@ -1,6 +1,9 @@
 package contingency
 
 import (
+	"encoding/json"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,6 +132,66 @@ func TestRaceConcurrentOutageViewReaders(t *testing.T) {
 				}
 			}
 		}(w)
+	}
+	wg.Wait()
+}
+
+// TestRankMemoSharedByReaders: a sweep's rankings and recommendations are
+// computed once and shared by concurrent readers. Every answer equals a
+// memo-free copy's (the set decoded from its own JSON), whichever
+// strategy was asked first, and Rank hands each caller a copy it may
+// modify.
+func TestRankMemoSharedByReaders(t *testing.T) {
+	n := cases.MustLoad("case57")
+	rs, err := Analyze(n, solveBase(t, n), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *ResultSet {
+		var c ResultSet
+		if err := json.Unmarshal(raw, &c); err != nil {
+			t.Fatal(err)
+		}
+		return &c
+	}
+	strategies := []Strategy{Composite, ThermalFirst}
+	var wantRank [2][]int
+	var wantTop [2][]OutageResult
+	for _, s := range strategies {
+		wantRank[s], wantTop[s] = fresh().Rank(s), fresh().Top(7, s)
+	}
+	wantRecs := fresh().Recommend(0)
+	if len(wantRecs) < 4 || slices.Equal(wantRank[0], wantRank[1]) {
+		t.Fatalf("case57 gives %d recommendations and equal rankings: the test needs more and different", len(wantRecs))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				s := strategies[(g+i)%2]
+				idx := rs.Rank(s)
+				if !slices.Equal(idx, wantRank[s]) {
+					t.Errorf("goroutine %d: %s ranking differs from a memo-free copy's", g, s)
+					return
+				}
+				idx[0], idx[1] = idx[1], idx[0] // a caller's copy, not the memo
+				if top := rs.Top(7, s); !reflect.DeepEqual(top, wantTop[s]) {
+					t.Errorf("goroutine %d: %s top 7 differs from a memo-free copy's", g, s)
+					return
+				}
+				k := 1 + (g+i)%len(wantRecs)
+				if recs := rs.Recommend(k); !reflect.DeepEqual(recs, wantRecs[:k]) {
+					t.Errorf("goroutine %d: Recommend(%d) differs from a memo-free copy's", g, k)
+					return
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
 }

@@ -1,6 +1,10 @@
 package contingency
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // Strategy selects how contingencies are ranked. The paper observes that
 // different LLMs arrive at slightly different critical sets (Table 1:
@@ -32,11 +36,36 @@ func (s Strategy) String() string {
 	}
 }
 
+// rankMemo is a ResultSet's memo: one order per ranking (every strategy
+// but ThermalFirst sorts as Composite) and Recommend's candidates, each
+// built once behind its sync.Once and read-only afterwards.
+type rankMemo struct {
+	orderOnce [2]sync.Once
+	order     [2][]int
+	candsOnce sync.Once
+	cands     []candidate
+}
+
 // Rank returns outage indices (positions in rs.Outages) from most to
 // least critical under the strategy. Ties break deterministically by
-// branch index so every model profile reports reproducible rankings.
+// branch index so every model profile reports reproducible rankings. The
+// order is sorted once per set and strategy; each call returns a copy.
 func (rs *ResultSet) Rank(strategy Strategy) []int {
-	idx := make([]int, len(rs.Outages))
+	return slices.Clone(rs.order(strategy))
+}
+
+// order is the memoized ranking; callers must not modify it.
+func (rs *ResultSet) order(strategy Strategy) []int {
+	if strategy != ThermalFirst {
+		strategy = Composite
+	}
+	m := &rs.memo
+	m.orderOnce[strategy].Do(func() { m.order[strategy] = rankOutages(rs.Outages, strategy) })
+	return m.order[strategy]
+}
+
+func rankOutages(outages []OutageResult, strategy Strategy) []int {
+	idx := make([]int, len(outages))
 	for i := range idx {
 		idx[i] = i
 	}
@@ -71,14 +100,14 @@ func (rs *ResultSet) Rank(strategy Strategy) []int {
 		return a.Gen2 < b.Gen2
 	}
 	sort.Slice(idx, func(i, j int) bool {
-		return less(&rs.Outages[idx[i]], &rs.Outages[idx[j]])
+		return less(&outages[idx[i]], &outages[idx[j]])
 	})
 	return idx
 }
 
 // Top returns the k most critical outages under the strategy.
 func (rs *ResultSet) Top(k int, strategy Strategy) []OutageResult {
-	idx := rs.Rank(strategy)
+	idx := rs.order(strategy)
 	if k > len(idx) {
 		k = len(idx)
 	}

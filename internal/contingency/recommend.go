@@ -40,7 +40,49 @@ type Recommendation struct {
 //     reactive support,
 //   - outages whose severity is dominated by a single downstream overload
 //     suggest remedial switching studies on that corridor.
+//
+// The candidates are scored and ranked once per set; each call keeps
+// limit rows of that ranking (all of them when limit ≤ 0) and writes the
+// rationales of those rows only.
 func (rs *ResultSet) Recommend(limit int) []Recommendation {
+	rs.memo.candsOnce.Do(func() { rs.memo.cands = rankCandidates(rs.Outages) })
+	cands := rs.memo.cands
+	if limit > 0 && len(cands) > limit {
+		cands = cands[:limit]
+	}
+	var out []Recommendation
+	for _, c := range cands {
+		r := c.Recommendation
+		switch r.Kind {
+		case ReinforceCapacity:
+			r.Rationale = fmt.Sprintf(
+				"branch %d (%d-%d) overloads under %d different outages (worst %.0f%%); add parallel capacity or uprate the corridor",
+				r.Branch, c.from, c.to, r.Evidence, c.worst)
+		case RemedialSwitching:
+			r.Rationale = fmt.Sprintf(
+				"branch %d (%d-%d) overloads only under %d specific outage(s) but severely (%.0f%%); evaluate post-contingency switching instead of reinforcement",
+				r.Branch, c.from, c.to, r.Evidence, c.worst)
+		case ReactiveSupport:
+			r.Rationale = fmt.Sprintf(
+				"bus %d drops below its voltage floor under %d outage(s) (deepest excursion %.3f p.u.); add shunt compensation or local reactive reserves",
+				r.BusID, r.Evidence, c.depth)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// candidate is a scored recommendation before its rationale is written.
+type candidate struct {
+	Recommendation
+	from, to int
+	worst    float64 // overload corridors: worst loading %
+	depth    float64 // reactive support: deepest excursion p.u.
+}
+
+// rankCandidates scores every recurring overload corridor and voltage
+// floor violation of the outages and sorts them by score.
+func rankCandidates(outages []OutageResult) []candidate {
 	type corridorStat struct {
 		count int
 		worst float64
@@ -52,8 +94,8 @@ func (rs *ResultSet) Recommend(limit int) []Recommendation {
 		count int
 		depth float64
 	}{}
-	for i := range rs.Outages {
-		o := &rs.Outages[i]
+	for i := range outages {
+		o := &outages[i]
 		for _, ov := range o.Overloads {
 			st := overloadHits[ov.Branch]
 			if st == nil {
@@ -78,14 +120,6 @@ func (rs *ResultSet) Recommend(limit int) []Recommendation {
 		}
 	}
 
-	// Rank on the numbers alone, keep limit rows, and only then write the
-	// rationales of the rows that are returned.
-	type candidate struct {
-		Recommendation
-		from, to int
-		worst    float64 // overload corridors: worst loading %
-		depth    float64 // reactive support: deepest excursion p.u.
-	}
 	var cands []candidate
 	for b, st := range overloadHits {
 		kind := ReinforceCapacity
@@ -109,27 +143,5 @@ func (rs *ResultSet) Recommend(limit int) []Recommendation {
 		}
 		return a.BusID < b.BusID
 	})
-	if limit > 0 && len(cands) > limit {
-		cands = cands[:limit]
-	}
-	var out []Recommendation
-	for _, c := range cands {
-		r := c.Recommendation
-		switch r.Kind {
-		case ReinforceCapacity:
-			r.Rationale = fmt.Sprintf(
-				"branch %d (%d-%d) overloads under %d different outages (worst %.0f%%); add parallel capacity or uprate the corridor",
-				r.Branch, c.from, c.to, r.Evidence, c.worst)
-		case RemedialSwitching:
-			r.Rationale = fmt.Sprintf(
-				"branch %d (%d-%d) overloads only under %d specific outage(s) but severely (%.0f%%); evaluate post-contingency switching instead of reinforcement",
-				r.Branch, c.from, c.to, r.Evidence, c.worst)
-		case ReactiveSupport:
-			r.Rationale = fmt.Sprintf(
-				"bus %d drops below its voltage floor under %d outage(s) (deepest excursion %.3f p.u.); add shunt compensation or local reactive reserves",
-				r.BusID, r.Evidence, c.depth)
-		}
-		out = append(out, r)
-	}
-	return out
+	return cands
 }

@@ -45,10 +45,10 @@ type Message struct {
 	ToolCalls  []ToolCall `json:"tool_calls,omitempty"`
 	ToolCallID string     `json:"tool_call_id,omitempty"`
 	Name       string     `json:"name,omitempty"`
-	// Decoded is a tool result's Content already decoded, set by the
-	// sender that decoded it from those very bytes; nil otherwise (and
-	// always after a trip over the wire). Readers share it and must not
-	// modify it.
+	// Decoded is a tool result's Content as decoded data, set by the
+	// sender that encoded Content from it (what json.Unmarshal would make
+	// of those very bytes); nil otherwise (and always after a trip over
+	// the wire). Readers share it and must not modify it.
 	Decoded map[string]any `json:"-"`
 }
 

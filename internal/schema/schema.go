@@ -8,9 +8,13 @@ package schema
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 )
 
 // Type enumerates the supported JSON types.
@@ -84,51 +88,88 @@ func (s *Schema) WithExtra() *Schema {
 }
 
 // Validate checks a decoded JSON value (map[string]any / []any / string /
-// float64 / bool / nil, plus native Go ints) against the schema.
+// float64 / bool / nil, plus native Go ints) against the schema. A valid
+// value costs one walk that sorts no keys and builds no path. An invalid
+// one is reported by its first error in sorted-key order: of an object's
+// failing fields, the one whose key sorts first (after any missing
+// required field, in Required order), and of an array's items the
+// lowest index, as "schema: <path>: <what>" with the path from "$".
 func (s *Schema) Validate(v any) error {
-	return s.validate(v, "$")
+	f := s.check(v)
+	if f == nil {
+		return nil
+	}
+	var b strings.Builder
+	b.WriteString("schema: $")
+	for i := len(f.segs) - 1; i >= 0; i-- {
+		b.WriteString(f.segs[i])
+	}
+	b.WriteString(": ")
+	b.WriteString(f.msg)
+	return errors.New(b.String())
 }
 
-func (s *Schema) validate(v any, path string) error {
+// fault is a validation failure. Its path is built only once the value
+// has failed: each enclosing object or array appends its segment (".key"
+// or "[i]") as the walk returns, so segs runs innermost first.
+type fault struct {
+	segs []string
+	msg  string
+}
+
+func faultf(format string, args ...any) *fault {
+	return &fault{msg: fmt.Sprintf(format, args...)}
+}
+
+func typeFault(want string, got any) *fault {
+	return faultf("expected %s, got %T", want, got)
+}
+
+func (s *Schema) check(v any) *fault {
 	switch s.Type {
 	case Object:
 		m, ok := v.(map[string]any)
 		if !ok {
-			return typeErr(path, "object", v)
+			return typeFault("object", v)
 		}
 		for _, req := range s.Required {
 			if _, present := m[req]; !present {
-				return fmt.Errorf("schema: %s: missing required field %q", path, req)
+				return faultf("missing required field %q", req)
 			}
 		}
-		// Deterministic error order helps tests and logs.
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			sub, known := s.Properties[k]
-			if !known {
-				if s.AllowExtra {
-					continue
+		// Walk in map order; once a field has failed, only a key that
+		// sorts before it can hold the first error. An unknown field is
+		// reported at the object's path, a field that fails its schema at
+		// its own.
+		var first *fault
+		var firstKey string
+		var inField bool
+		for k, e := range m {
+			if first != nil && k > firstKey {
+				continue
+			}
+			if sub, known := s.Properties[k]; known {
+				if f := sub.check(e); f != nil {
+					first, firstKey, inField = f, k, true
 				}
-				return fmt.Errorf("schema: %s: unknown field %q", path, k)
-			}
-			if err := sub.validate(m[k], path+"."+k); err != nil {
-				return err
+			} else if !s.AllowExtra {
+				first, firstKey, inField = faultf("unknown field %q", k), k, false
 			}
 		}
-		return nil
+		if inField {
+			first.segs = append(first.segs, "."+firstKey)
+		}
+		return first
 	case Array:
 		a, ok := v.([]any)
 		if !ok {
-			return typeErr(path, "array", v)
+			return typeFault("array", v)
 		}
 		if s.Items != nil {
 			for i, item := range a {
-				if err := s.Items.validate(item, fmt.Sprintf("%s[%d]", path, i)); err != nil {
-					return err
+				if f := s.Items.check(item); f != nil {
+					f.segs = append(f.segs, "["+strconv.Itoa(i)+"]")
+					return f
 				}
 			}
 		}
@@ -136,44 +177,35 @@ func (s *Schema) validate(v any, path string) error {
 	case String:
 		str, ok := v.(string)
 		if !ok {
-			return typeErr(path, "string", v)
+			return typeFault("string", v)
 		}
-		if len(s.Enum) > 0 {
-			for _, e := range s.Enum {
-				if str == e {
-					return nil
-				}
-			}
-			return fmt.Errorf("schema: %s: value %q not in enum %v", path, str, s.Enum)
+		if len(s.Enum) > 0 && !slices.Contains(s.Enum, str) {
+			return faultf("value %q not in enum %v", str, s.Enum)
 		}
 		return nil
 	case Number, Integer:
 		f, ok := asFloat(v)
 		if !ok {
-			return typeErr(path, string(s.Type), v)
+			return typeFault(string(s.Type), v)
 		}
 		if s.Type == Integer && f != math.Trunc(f) {
-			return fmt.Errorf("schema: %s: expected integer, got %v", path, f)
+			return faultf("expected integer, got %v", f)
 		}
 		if s.Minimum != nil && f < *s.Minimum {
-			return fmt.Errorf("schema: %s: value %v below minimum %v", path, f, *s.Minimum)
+			return faultf("value %v below minimum %v", f, *s.Minimum)
 		}
 		if s.Maximum != nil && f > *s.Maximum {
-			return fmt.Errorf("schema: %s: value %v above maximum %v", path, f, *s.Maximum)
+			return faultf("value %v above maximum %v", f, *s.Maximum)
 		}
 		return nil
 	case Boolean:
 		if _, ok := v.(bool); !ok {
-			return typeErr(path, "boolean", v)
+			return typeFault("boolean", v)
 		}
 		return nil
 	default:
-		return fmt.Errorf("schema: %s: unsupported schema type %q", path, s.Type)
+		return faultf("unsupported schema type %q", s.Type)
 	}
-}
-
-func typeErr(path, want string, got any) error {
-	return fmt.Errorf("schema: %s: expected %s, got %T", path, want, got)
 }
 
 func asFloat(v any) (float64, bool) {
@@ -194,25 +226,99 @@ func asFloat(v any) (float64, bool) {
 	}
 }
 
-// Normalize round-trips an arbitrary Go value through JSON so it can be
-// validated and stored as generic structured data. It also returns the
-// JSON encoding the value was decoded from, so a caller that needs the
-// value as JSON text does not encode it a second time.
+// Normalize turns an arbitrary Go value into generic structured data —
+// what json.Unmarshal into an any makes of its JSON encoding — so it can be
+// validated and stored. It also returns that encoding, json.Marshal of v,
+// so a caller that needs the value as JSON text does not encode it a
+// second time.
+//
+// The value is built by one walk over the shapes the tools build, with no
+// decode: map[string]any, []map[string]any, []any, []string, string,
+// float64, int, bool and nil. A float64 is kept as is (its shortest text
+// parses back exactly, −0 included), an int becomes the float64 nearest to
+// it (as parsing its decimal text rounds), and a nil map or slice becomes
+// nil. A string that is not valid UTF-8 (the encoder replaces its bad
+// bytes), a map with such a key, and a value of any other type are each
+// encoded and decoded on their own: json.Marshal, then json.Unmarshal, of
+// that subvalue only.
 func Normalize(v any) (any, []byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, nil, fmt.Errorf("schema: normalize: %w", err)
 	}
-	var out any
-	if err := json.Unmarshal(raw, &out); err != nil {
+	out, err := normalized(v)
+	if err != nil {
 		return nil, nil, fmt.Errorf("schema: normalize: %w", err)
 	}
 	return out, raw, nil
 }
 
+// normalized is Normalize's walk over a value that has already encoded.
+func normalized(v any) (any, error) {
+	switch x := v.(type) {
+	case nil, bool, float64:
+		return v, nil
+	case int:
+		return float64(x), nil
+	case string:
+		if utf8.ValidString(x) {
+			return v, nil
+		}
+	case map[string]any:
+		if x == nil {
+			return nil, nil
+		}
+		m := make(map[string]any, len(x))
+		for k, e := range x {
+			if !utf8.ValidString(k) {
+				// Two such keys can encode alike; the decode decides.
+				return roundTrip(v)
+			}
+			n, err := normalized(e)
+			if err != nil {
+				return nil, err
+			}
+			m[k] = n
+		}
+		return m, nil
+	case []any:
+		return normalizedSlice(x)
+	case []map[string]any:
+		return normalizedSlice(x)
+	case []string:
+		return normalizedSlice(x)
+	}
+	return roundTrip(v)
+}
+
+func normalizedSlice[E any](x []E) (any, error) {
+	if x == nil {
+		return nil, nil
+	}
+	a := make([]any, len(x))
+	for i, e := range x {
+		n, err := normalized(e)
+		if err != nil {
+			return nil, err
+		}
+		a[i] = n
+	}
+	return a, nil
+}
+
+// roundTrip decodes v's own JSON encoding.
+func roundTrip(v any) (any, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	var out any
+	err = json.Unmarshal(raw, &out)
+	return out, err
+}
+
 // ValidateValue normalizes a Go value and validates it in one step; it
-// returns the normalized form for storage and the JSON encoding that form
-// was decoded from.
+// returns the normalized form for storage and the value's JSON encoding.
 func (s *Schema) ValidateValue(v any) (any, []byte, error) {
 	n, raw, err := Normalize(v)
 	if err != nil {

@@ -5,16 +5,13 @@ import (
 	"testing"
 
 	"gridmind/internal/contingency"
-	"gridmind/internal/engine"
 	"gridmind/internal/session"
 )
 
 func extendedRegistry(t *testing.T) (*Registry, *session.Context) {
 	t.Helper()
-	eng := engine.New()
-	sess := session.NewWithEngine(nil, eng)
-	r := NewGridMind(sess, eng)
-	if err := RegisterExtensions(r, sess, eng); err != nil {
+	r, sess := newGridMind(t)
+	if err := RegisterExtensions(r, sess, sess.Engine()); err != nil {
 		t.Fatal(err)
 	}
 	return r, sess

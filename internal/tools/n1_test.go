@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gridmind/internal/contingency"
-	"gridmind/internal/engine"
 )
 
 // runN1Ref is run_n1_contingency_analysis's result as it was built
@@ -58,36 +57,66 @@ func runN1Ref(rs *contingency.ResultSet, topK int, strategy contingency.Strategy
 	}
 }
 
+// memoFree is a copy of rs with nothing ranked yet: the set decoded from
+// its own JSON, which carries the outages and none of the memo.
+func memoFree(t *testing.T, rs *contingency.ResultSet) *contingency.ResultSet {
+	t.Helper()
+	raw, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh contingency.ResultSet
+	if err := json.Unmarshal(raw, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	return &fresh
+}
+
 // TestRunN1MatchesReference: the N-1 tool's output is byte for byte the
 // reference's on case30/57/118 at top_k 1, 5, 10 and 100 under both
-// ranking strategies.
+// ranking strategies. The reference ranks a memo-free copy of the sweep,
+// and the tool answers each (top_k, strategy) twice with the other
+// strategy in between, so a ranking memo that went stale, or that served
+// one strategy's order for the other, fails here.
 func TestRunN1MatchesReference(t *testing.T) {
-	strategies := map[string]contingency.Strategy{
-		"composite":     contingency.Composite,
-		"thermal-first": contingency.ThermalFirst,
+	strategies := []struct {
+		name  string
+		other string
+		s     contingency.Strategy
+	}{
+		{"composite", "thermal-first", contingency.Composite},
+		{"thermal-first", "composite", contingency.ThermalFirst},
 	}
 	for _, c := range []string{"case30", "case57", "case118"} {
-		sess := newSession(t)
-		r := NewGridMind(sess, engine.New())
+		r, sess := newGridMind(t)
 		if _, _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": c}); err != nil {
 			t.Fatal(err)
 		}
-		for name, strategy := range strategies {
+		invoke := func(k int, strategy string) string {
+			t.Helper()
+			_, raw, err := r.Invoke(ToolRunN1, map[string]any{"top_k": k, "strategy": strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(raw)
+		}
+		for _, st := range strategies {
 			for _, k := range []int{1, 5, 10, 100} {
-				_, raw, err := r.Invoke(ToolRunN1, map[string]any{"top_k": k, "strategy": name})
-				if err != nil {
-					t.Fatal(err)
-				}
+				first := invoke(k, st.name)
+				invoke(k, st.other)
+				second := invoke(k, st.name)
 				rs, fresh := sess.CASweep()
 				if !fresh {
 					t.Fatalf("%s: no fresh sweep after the tool ran", c)
 				}
-				want, err := json.Marshal(runN1Ref(rs, k, strategy))
+				want, err := json.Marshal(runN1Ref(memoFree(t, rs), k, st.s))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if string(raw) != string(want) {
-					t.Errorf("%s %s top_k %d:\n%s\nreference\n%s", c, name, k, raw, want)
+				for call, got := range []string{first, second} {
+					if got != string(want) {
+						t.Errorf("%s %s top_k %d, call %d:\n%s\nreference\n%s", c, st.name, k, call+1, got, want)
+					}
 				}
 			}
 		}

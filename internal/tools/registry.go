@@ -119,8 +119,8 @@ func (r *Registry) Get(name string) (*Tool, bool) {
 
 // Invoke validates args, executes the tool, and validates + normalizes
 // the result. The returned value is generic JSON data (map/slice/scalar)
-// ready for storage in structured context; raw is the JSON encoding that
-// value was decoded from, the tool message an agent hands back to its
+// ready for storage in structured context, equal to decoding raw; raw is
+// the result's JSON encoding, the tool message an agent hands back to its
 // model.
 func (r *Registry) Invoke(name string, args map[string]any) (any, []byte, error) {
 	r.mu.Lock()

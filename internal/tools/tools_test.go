@@ -17,9 +17,14 @@ import (
 	"gridmind/internal/session"
 )
 
-func newSession(t *testing.T) *session.Context {
+// newGridMind returns the paper's seven tools over a fresh engine and a
+// session bound to that same engine, so the session's state and the
+// tools' artifacts, sweep pools and OPF contexts come from one place.
+func newGridMind(t *testing.T) (*Registry, *session.Context) {
 	t.Helper()
-	return session.NewWithEngine(nil, nil)
+	eng := engine.New()
+	sess := session.NewWithEngine(nil, eng)
+	return NewGridMind(sess, eng), sess
 }
 
 func TestRegistryRegisterRules(t *testing.T) {
@@ -116,7 +121,7 @@ func TestInvokeValidatesOutput(t *testing.T) {
 }
 
 func TestGridMindRegistryComplete(t *testing.T) {
-	r := NewGridMind(newSession(t), engine.New())
+	r, _ := newGridMind(t)
 	want := append(ACOPFToolNames(), CAToolNames()...)
 	for _, name := range want {
 		if _, ok := r.Get(name); !ok {
@@ -129,8 +134,7 @@ func TestGridMindRegistryComplete(t *testing.T) {
 }
 
 func TestSolveACOPFTool(t *testing.T) {
-	sess := newSession(t)
-	r := NewGridMind(sess, engine.New())
+	r, sess := newGridMind(t)
 	out, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "IEEE 14"})
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +161,7 @@ func TestSolveACOPFTool(t *testing.T) {
 }
 
 func TestModifyBusLoadTool(t *testing.T) {
-	sess := newSession(t)
-	r := NewGridMind(sess, engine.New())
+	r, sess := newGridMind(t)
 	if _, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"}); err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +267,7 @@ func TestModifyBusLoadRecovery(t *testing.T) {
 // primal-only start: the reply's convergence_message says so, and so does
 // exactly one provenance entry.
 func TestModifyBusLoadWarmStart(t *testing.T) {
-	sess := newSession(t)
-	r := NewGridMind(sess, engine.New())
+	r, sess := newGridMind(t)
 	out, _, err := r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case118"})
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +328,7 @@ func TestModifyBusLoadWarmStart(t *testing.T) {
 }
 
 func TestNetworkStatusTool(t *testing.T) {
-	sess := newSession(t)
-	r := NewGridMind(sess, engine.New())
+	r, _ := newGridMind(t)
 	out, _, err := r.Invoke(ToolNetworkStatus, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +351,7 @@ func TestNetworkStatusTool(t *testing.T) {
 }
 
 func TestContingencyToolsFlow(t *testing.T) {
-	sess := newSession(t)
-	r := NewGridMind(sess, engine.New())
+	r, _ := newGridMind(t)
 	out, _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case30"})
 	if err != nil {
 		t.Fatal(err)
@@ -394,8 +394,7 @@ func TestContingencyToolsFlow(t *testing.T) {
 }
 
 func TestRunN1StrategyChangesRanking(t *testing.T) {
-	sess := newSession(t)
-	r := NewGridMind(sess, engine.New())
+	r, sess := newGridMind(t)
 	if _, _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case118"}); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +436,7 @@ func TestRunN1StrategyChangesRanking(t *testing.T) {
 }
 
 func TestAnalyzeOutageErrors(t *testing.T) {
-	r := NewGridMind(newSession(t), engine.New())
+	r, _ := newGridMind(t)
 	if _, _, err := r.Invoke(ToolSolveBaseCase, map[string]any{"case_name": "case14"}); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +460,8 @@ func TestAnalyzeOutageErrors(t *testing.T) {
 
 func TestToolCallStats(t *testing.T) {
 	met := obs.NewRegistry()
-	r := NewGridMind(newSession(t), engine.New()).Observe(met)
+	r, _ := newGridMind(t)
+	r.Observe(met)
 	_, _, _ = r.Invoke(ToolSolveACOPF, map[string]any{"case_name": "case14"})
 	_, _, _ = r.Invoke(ToolNetworkStatus, nil)
 	for _, name := range []string{ToolSolveACOPF, ToolNetworkStatus} {

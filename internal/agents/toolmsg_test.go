@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"gridmind/internal/llm"
 	"gridmind/internal/opf"
@@ -34,10 +36,48 @@ func (c *scriptedClient) Complete(_ context.Context, req *llm.Request) (*llm.Res
 	return &llm.Response{Message: llm.Message{Role: llm.RoleAssistant, Content: "done"}}, nil
 }
 
+// nonNative appends to bad the paths of v's nodes that schema.Normalize
+// does not walk natively but hands to its Marshal+Unmarshal fallback:
+// anything but nil, bool, float64, int, a valid UTF-8 string, and
+// map[string]any, []any, []map[string]any or []string of such nodes.
+func nonNative(path string, v any, bad []string) []string {
+	switch x := v.(type) {
+	case nil, bool, float64, int:
+	case string:
+		if !utf8.ValidString(x) {
+			bad = append(bad, path+" (invalid UTF-8)")
+		}
+	case map[string]any:
+		for k, e := range x {
+			if !utf8.ValidString(k) {
+				bad = append(bad, path+" (invalid UTF-8 key)")
+			}
+			bad = nonNative(path+"."+k, e, bad)
+		}
+	case []any:
+		for i, e := range x {
+			bad = nonNative(fmt.Sprintf("%s[%d]", path, i), e, bad)
+		}
+	case []map[string]any:
+		for i, e := range x {
+			bad = nonNative(fmt.Sprintf("%s[%d]", path, i), e, bad)
+		}
+	case []string:
+		for i, e := range x {
+			bad = nonNative(fmt.Sprintf("%s[%d]", path, i), e, bad)
+		}
+	default:
+		bad = append(bad, fmt.Sprintf("%s (%T)", path, v))
+	}
+	return bad
+}
+
 // TestToolMessageIsMarshalOfResult: the tool message Run hands back to the
 // model is byte for byte json.Marshal of the validated result, for every
 // registered tool and for a failing call, and the decoded value it carries
-// is json.Unmarshal of those bytes (nil for the failing call).
+// is json.Unmarshal of those bytes (nil for the failing call). Every
+// tool's result is built only from values schema.Normalize walks natively,
+// so no reply takes its Marshal+Unmarshal fallback.
 func TestToolMessageIsMarshalOfResult(t *testing.T) {
 	script := []struct {
 		tool string
@@ -64,6 +104,21 @@ func TestToolMessageIsMarshalOfResult(t *testing.T) {
 		client.calls = append(client.calls, llm.ToolCall{ID: "call-" + s.tool, Name: s.tool, Args: s.args})
 	}
 	c := NewCoordinator(Config{Client: client, Clock: simclock.NewSim(time.Date(2025, 9, 2, 0, 0, 0, 0, time.UTC))})
+	var fallbacks []string
+	walked := map[string]bool{}
+	for _, s := range script {
+		tool, ok := c.ACOPF.Registry.Get(s.tool)
+		if !ok || walked[s.tool] {
+			continue
+		}
+		walked[s.tool] = true
+		fn := tool.Fn
+		tool.Fn = func(args map[string]any) (any, error) {
+			out, err := fn(args)
+			fallbacks = nonNative(s.tool, out, fallbacks)
+			return out, err
+		}
+	}
 	turn, err := c.ACOPF.Run(context.Background(), "run the script")
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +166,9 @@ func TestToolMessageIsMarshalOfResult(t *testing.T) {
 	}
 	if steps[len(steps)-1].Err == "" {
 		t.Error("the unknown case did not fail")
+	}
+	for _, path := range fallbacks {
+		t.Errorf("result node %s is outside schema.Normalize's native set", path)
 	}
 	for _, s := range script[:len(script)-1] {
 		if !seen[s.tool] {

@@ -21,13 +21,19 @@ import (
 //	J = J0 + E·D·Eᵀ,   E = the unit columns of S's unknowns,
 //	D = (J − J0) restricted to those rows and columns (m×m, m ≤ 2|S|).
 //
-// With J0 factorized once, Woodbury gives
+// With J0 factorized once as P·J0·Q = L·U, Woodbury gives the step along
+// the factor paths (sparse-vector compensation):
 //
-//	J⁻¹r = x0 − W·(I + D·G)⁻¹·D·(Eᵀx0),   x0 = J0⁻¹r, W = J0⁻¹E, G = EᵀW,
+//	J⁻¹r = Q·U⁻¹·(z − Σ_c u_c·Lw_c),   z = L⁻¹P·r,   Lw_c = L⁻¹P·e_{idx_c},
+//	u = (I + D·G)⁻¹·D·t,   t_r = Y_r·z,   G[e][c] = Y_e·Lw_c,
 //
-// so an outage's round starts with one multi-RHS solve for W and a dense
-// m×m factorization instead of refill + Refactorize, and each of its chord
-// steps costs one triangular solve plus an O(m·dim) correction.
+// where idx_c is E's c-th unknown and Y_r = U⁻ᵀ·e_{q⁻¹(idx_r)} is the row
+// of U⁻¹ that reads unknown idx_r from a forward solve. Lw_c and Y_r are
+// path solves: they touch only the reach of one unit vector in L's or U's
+// graph, a few dozen of the Jacobian's hundreds of positions. So an
+// outage's round starts with 2m path solves and a dense m×m factorization
+// instead of refill + Refactorize, and each of its chord steps costs one
+// forward and one back solve with the sparse t and z updates between them.
 
 // maxBaseBuses bounds the touched non-slack buses a base-factor start
 // corrects for: two branch outages touch at most four.
@@ -54,13 +60,15 @@ const capacitancePivotTol = 1e-10
 // state is one of the last few solves' start states (a sweep's shared
 // warm start), and into the working LU when it looks like a one-off
 // (a cascade stage, an episode step), so that a one-off never evicts the
-// shared state. Both LUs share one pivot order, so either way a solve does
-// the same arithmetic and its result does not depend on what the solver
-// solved before: a pooled worker and a fresh one agree bit for bit. A
-// solve with no branch patches uses the base factor only when it is built
-// at the solve's start state: it is then the very matrix the round would
-// factorize. The buffers are allocated when J0 is first factorized, never
-// per solve.
+// shared state. Both LUs share one pivot order (a solve that repivots
+// drops the working LU after it; see fixedState.dropRepivoted), so either
+// way a solve does the same arithmetic and its result does not depend on
+// what the solver solved before: a pooled worker and a fresh one agree bit
+// for bit. A solve with no branch patches uses the base factor only when
+// it is built at the solve's start state: it is then the very matrix the
+// round would factorize. The buffers are allocated when J0 is first
+// factorized, never per solve; the paths' storage grows only for a reach
+// longer than any before.
 type baseFactor struct {
 	lu  *sparse.LU
 	val []float64 // J0's values at the key, in the working Jacobian's storage order
@@ -85,12 +93,17 @@ type baseFactor struct {
 
 	// The current round's correction: the unknowns of the touched buses,
 	// D, the LU of the capacitance matrix I + D·G with its row pivots, and
-	// W's columns (dim each) with their solve workspace.
-	m        int
-	idx      [maxBaseRank]int
-	d, capLU [maxBaseRank * maxBaseRank]float64
-	piv      [maxBaseRank]int
-	w, wwork []float64
+	// the factor paths Lw_c and Y_r, each as its nonzero positions and
+	// values: Lw_c at [lwOff[c], lwOff[c+1]) of lwPat/lwVal, Y_r likewise.
+	// scratch is the path solves' dense buffer, zero between them.
+	m           int
+	idx         [maxBaseRank]int
+	d, capLU    [maxBaseRank * maxBaseRank]float64
+	piv         [maxBaseRank]int
+	lwOff, yOff [maxBaseRank + 1]int
+	lwPat, yPat []int
+	lwVal, yVal []float64
+	scratch     []float64
 }
 
 // matches reports whether the factor is built at (vm, va, c.pq).
@@ -151,11 +164,16 @@ func (st *fixedState) startOnBase(y *model.Ybus, c *classification, vm, va []flo
 		return false, facts
 	}
 	if b.val == nil {
-		nb, nnz, wlen := len(vm), len(st.jac.mat.Values()), maxBaseRank*st.dim
-		buf := make([]float64, 2*nb+2*nnz+2*wlen)
+		// The paths' storage starts at twice the dimension per set, which
+		// the few-dozen-entry paths of a sweep's outages never outgrow;
+		// append extends it for a larger reach.
+		nb, nnz, dim := len(vm), len(st.jac.mat.Values()), st.dim
+		buf := make([]float64, 2*nb+2*nnz+5*dim)
 		b.vm, b.va, buf = buf[:nb:nb], buf[nb:2*nb:2*nb], buf[2*nb:]
 		b.val, b.oneVal, buf = buf[:nnz:nnz], buf[nnz:2*nnz:2*nnz], buf[2*nnz:]
-		b.w, b.wwork = buf[:wlen:wlen], buf[wlen:]
+		b.lwVal, b.yVal, b.scratch = buf[:0:2*dim], buf[2*dim:2*dim:4*dim], buf[4*dim:]
+		pat := make([]int, 4*dim)
+		b.lwPat, b.yPat = pat[:0:2*dim], pat[2*dim:2*dim]
 		b.pq = make([]bool, nb)
 	}
 	if !shared {
@@ -258,17 +276,42 @@ func (b *baseFactor) correct(y *model.Ybus, st *fixedState, vm []float64) bool {
 			b.d[r*m+c] = d
 		}
 	}
-	// W = J0⁻¹·E in one multi-RHS pass.
-	dim := st.dim
-	w := b.w[:m*dim]
-	clear(w)
+	// The factor paths: every Lw_c first, then each Y_e against all of
+	// them for row e of G.
+	f, z := b.f, b.scratch
+	b.lwPat, b.lwVal = b.lwPat[:0], b.lwVal[:0]
 	for c := 0; c < m; c++ {
-		w[c*dim+b.idx[c]] = 1
+		b.lwOff[c] = len(b.lwPat)
+		pat, err := f.ForwardPathInto(z, b.idx[c], b.lwPat)
+		if err != nil {
+			return false
+		}
+		b.lwPat = pat
+		for _, i := range pat[b.lwOff[c]:] {
+			b.lwVal = append(b.lwVal, z[i])
+			z[i] = 0
+		}
 	}
-	if err := b.f.SolveBlockInto(w, w, b.wwork[:m*dim], m); err != nil {
-		return false
+	b.lwOff[m] = len(b.lwPat)
+	var g [maxBaseRank * maxBaseRank]float64
+	b.yPat, b.yVal = b.yPat[:0], b.yVal[:0]
+	for e := 0; e < m; e++ {
+		b.yOff[e] = len(b.yPat)
+		pat, err := f.BackRowInto(z, b.idx[e], b.yPat)
+		if err != nil {
+			return false
+		}
+		b.yPat = pat
+		for c := 0; c < m; c++ {
+			g[e*m+c] = dot(z, b.lwPat, b.lwVal, b.lwOff[c], b.lwOff[c+1])
+		}
+		for _, i := range pat[b.yOff[e]:] {
+			b.yVal = append(b.yVal, z[i])
+			z[i] = 0
+		}
 	}
-	// Capacitance I + D·G, G = Eᵀ·W, factorized with partial pivoting.
+	b.yOff[m] = len(b.yPat)
+	// Capacitance I + D·G, factorized with partial pivoting.
 	cf := b.capLU[:m*m]
 	var amax float64
 	for r := 0; r < m; r++ {
@@ -278,7 +321,7 @@ func (b *baseFactor) correct(y *model.Ybus, st *fixedState, vm []float64) bool {
 				s = 1
 			}
 			for e := 0; e < m; e++ {
-				s += b.d[r*m+e] * w[c*dim+b.idx[e]]
+				s += b.d[r*m+e] * g[e*m+c]
 			}
 			cf[r*m+c] = s
 			amax = math.Max(amax, math.Abs(s))
@@ -288,19 +331,17 @@ func (b *baseFactor) correct(y *model.Ybus, st *fixedState, vm []float64) bool {
 }
 
 // solve writes the Newton step for st.rhs into st.dx on the corrected base
-// factor: x0 = J0⁻¹·rhs, then dx = x0 − W·(I + D·G)⁻¹·D·(Eᵀx0).
+// factor: z = L⁻¹P·rhs, t_r = Y_r·z, u = (I + D·G)⁻¹·D·t, then
+// dx = Q·U⁻¹·(z − Σ_c u_c·Lw_c).
 func (b *baseFactor) solve(st *fixedState) error {
-	if err := b.f.SolveInto(st.dx, st.rhs, st.work); err != nil {
+	z := st.work
+	if err := b.f.ForwardInto(z, st.rhs); err != nil {
 		return err
 	}
-	m, dim := b.m, st.dim
-	if m == 0 {
-		return nil
-	}
-	dx := st.dx[:dim]
+	m := b.m
 	var t, u [maxBaseRank]float64
 	for r := 0; r < m; r++ {
-		t[r] = dx[b.idx[r]]
+		t[r] = dot(z, b.yPat, b.yVal, b.yOff[r], b.yOff[r+1])
 	}
 	for r := 0; r < m; r++ {
 		var s float64
@@ -314,12 +355,26 @@ func (b *baseFactor) solve(st *fixedState) error {
 		if u[c] == 0 {
 			continue
 		}
-		uc, col := u[c], b.w[c*dim:][:len(dx)]
-		for i, wi := range col {
-			dx[i] -= uc * wi
+		uc, lo, hi := u[c], b.lwOff[c], b.lwOff[c+1]
+		pat, val := b.lwPat[lo:hi], b.lwVal[lo:hi]
+		val = val[:len(pat)]
+		for k, i := range pat {
+			z[i] -= uc * val[k]
 		}
 	}
-	return nil
+	return b.f.BackInto(st.dx, z)
+}
+
+// dot returns Σ x[pat[k]]·val[k] over the stored sparse vector at
+// [lo, hi) of pat and val.
+func dot(x []float64, pat []int, val []float64, lo, hi int) float64 {
+	pat, val = pat[lo:hi], val[lo:hi]
+	val = val[:len(pat)]
+	var s float64
+	for k, i := range pat {
+		s += x[i] * val[k]
+	}
+	return s
 }
 
 // denseLU factorizes the row-major m×m matrix a in place with partial

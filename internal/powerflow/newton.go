@@ -191,6 +191,18 @@ func (st *fixedState) factorInto(lu **sparse.LU, y *model.Ybus, opts Options) (i
 	return 1, nil
 }
 
+// dropRepivoted drops the working LU when a Repivot has run since the
+// tally counted repivots. Row pivots chosen from one solve's values would
+// otherwise outlive it and make later solves' arithmetic depend on the
+// solver's history; dropped, the working LU is cloned from the base factor
+// at its next factorization (or factorized afresh without one), as on a
+// fresh solver.
+func (st *fixedState) dropRepivoted(repivots int) {
+	if st.tally.repivots != repivots {
+		st.lu = nil
+	}
+}
+
 // otherLU returns the state's LU that lu does not point at: the base
 // factor's for the working LU and the other way round.
 func (st *fixedState) otherLU(lu **sparse.LU) *sparse.LU {

@@ -168,6 +168,7 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	}
 
 	res := &Result{Algorithm: opts.Algorithm}
+	defer s.st.dropRepivoted(s.st.tally.repivots)
 	c, fromBase := s.start(view, opts, res)
 	defer s.restore()
 	vm, va := s.vm, s.va

@@ -177,6 +177,35 @@ func TestRaceBaseFactorHistory(t *testing.T) {
 	}
 }
 
+// TestCascadeSeedsMatchFreshSolvers: every seed of a case30 cascade sweep
+// on one pooled worker cascades bit for bit as it does alone on a fresh
+// solver. The sweep's load-shedding trials diverge and repivot the
+// worker's LU; pivots chosen from those values must not carry over into
+// the next seed's solves.
+func TestCascadeSeedsMatchFreshSolvers(t *testing.T) {
+	n := cases.MustLoad("case30")
+	base, err := powerflow.Solve(n, powerflow.Options{EnforceQLimits: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := scenario.Sweep(n, base, scenario.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range sw.Results {
+		if r == nil {
+			continue
+		}
+		alone, err := scenario.Cascade(n, base, scenario.Event{Branches: []int{k}}, scenario.Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("seed %d: %v", k, err)
+		}
+		if !reflect.DeepEqual(r.Stages, alone.Stages) {
+			t.Fatalf("seed %d: the swept cascade's stages differ from a fresh solver's\nswept: %+v\nalone: %+v", k, r.Stages, alone.Stages)
+		}
+	}
+}
+
 // overloaded lists the overloaded branches of an outage record.
 func overloaded(o contingency.OutageResult) []int {
 	var ks []int

@@ -27,13 +27,13 @@ func randomJSON(rng *rand.Rand, depth int) any {
 	switch rng.Intn(6) {
 	case 0:
 		m := map[string]any{}
-		for i := 0; i < rng.Intn(4); i++ {
+		for i, k := 0, rng.Intn(4); i < k; i++ {
 			m[string(rune('a'+i))] = randomJSON(rng, depth-1)
 		}
 		return m
 	case 1:
 		var a []any
-		for i := 0; i < rng.Intn(4); i++ {
+		for i, k := 0, rng.Intn(4); i < k; i++ {
 			a = append(a, randomJSON(rng, depth-1))
 		}
 		return a
@@ -60,7 +60,7 @@ func randomSchema(rng *rand.Rand, depth int) *Schema {
 	case 0:
 		props := map[string]*Schema{}
 		var req []string
-		for i := 0; i < rng.Intn(3); i++ {
+		for i, k := 0, rng.Intn(3); i < k; i++ {
 			name := string(rune('a' + i))
 			props[name] = randomSchema(rng, depth-1)
 			if rng.Intn(2) == 0 {

@@ -52,6 +52,9 @@ type LU struct {
 	// serve Repivot's reach.
 	rw                 []float64
 	xi, pstack, marked []int
+	// paths is the path solves' workspace and U's rows, empty until the
+	// first path solve (see pathState).
+	paths pathState
 }
 
 // Factorize computes the sparse LU decomposition of the square matrix a.
@@ -105,6 +108,7 @@ func (f *LU) Repivot(a *CSC) error {
 	}
 	clear(f.marked) // stamps left by an earlier run would read as visited
 	f.failed = true
+	f.paths.rows = false // BackRowInto copies the new U's rows
 	x, xi, pstack, marked := f.rw, f.xi, f.pstack, f.marked
 	for k := 0; k < n; k++ {
 		f.lp[k] = len(f.lx)

@@ -33,6 +33,7 @@ func (f *LU) Refactorize(a *CSC) error {
 	if f.failed {
 		return fmt.Errorf("%w: no factorization to refactorize after a failed Repivot", ErrSingular)
 	}
+	f.paths.rows = false // BackRowInto copies the new U's rows
 	x := f.rw
 	q, pinv := f.q, f.pinv
 	colPtr, rowIdx, aval := a.colPtr, a.rowIdx, a.val
@@ -102,15 +103,42 @@ func (f *LU) Refactorize(a *CSC) error {
 // SolveInto solves A·x = b into dst using the caller-owned workspace work
 // (length n); it performs no allocation. dst and b may alias; work must
 // not alias either. Concurrent SolveInto calls on the same factorization
-// are safe as long as each goroutine owns its dst/work buffers.
+// are safe as long as each goroutine owns its dst/work buffers. It is
+// ForwardInto into work followed by BackInto from it.
 func (f *LU) SolveInto(dst, b, work []float64) error {
 	n := f.n
 	if len(b) != n || len(dst) != n || len(work) != n {
 		return fmt.Errorf("sparse: SolveInto buffer lengths (%d,%d,%d), want %d", len(dst), len(b), len(work), n)
 	}
-	y := work
+	f.forward(work, b)
+	return f.back(dst, work)
+}
+
+// ForwardInto writes z = L⁻¹·P·b, the forward half of a solve, indexed by
+// pivot position. z must not alias b. Concurrent calls are safe as for
+// SolveInto.
+func (f *LU) ForwardInto(z, b []float64) error {
+	if len(b) != f.n || len(z) != f.n {
+		return fmt.Errorf("sparse: ForwardInto buffer lengths (%d,%d), want %d", len(z), len(b), f.n)
+	}
+	f.forward(z, b)
+	return nil
+}
+
+// BackInto writes dst = Q·U⁻¹·z, the back half of a solve, and leaves
+// U⁻¹·z in z. dst must not alias z. Concurrent calls are safe as for
+// SolveInto.
+func (f *LU) BackInto(dst, z []float64) error {
+	if len(z) != f.n || len(dst) != f.n {
+		return fmt.Errorf("sparse: BackInto buffer lengths (%d,%d), want %d", len(dst), len(z), f.n)
+	}
+	return f.back(dst, z)
+}
+
+// forward is ForwardInto without the length checks.
+func (f *LU) forward(y, b []float64) {
+	n := f.n
 	lp, li, lx := f.lp, f.li, f.lx
-	up, ui, ux := f.up, f.ui, f.ux
 	for i, pi := range f.pinv {
 		y[pi] = b[i]
 	}
@@ -126,8 +154,13 @@ func (f *LU) SolveInto(dst, b, work []float64) error {
 			y[i] -= vals[p] * yj
 		}
 	}
+}
+
+// back is BackInto without the length checks.
+func (f *LU) back(dst, y []float64) error {
+	up, ui, ux := f.up, f.ui, f.ux
 	// Back substitution U·w = z (diagonal of U stored last in each column).
-	for j := n - 1; j >= 0; j-- {
+	for j := f.n - 1; j >= 0; j-- {
 		diag := up[j+1] - 1
 		d := ux[diag]
 		if d == 0 {

@@ -67,20 +67,33 @@ func RegisterExtensions(r *Registry, ctx *session.Context, eng *engine.Engine) e
 	return r.Register(assessQualityTool(ctx, eng))
 }
 
+// floats returns xs as the []any of float64 its JSON decodes to, nil for
+// nil, so a tool result built from it normalizes without a JSON round trip.
+func floats(xs []int) []any {
+	if xs == nil {
+		return nil
+	}
+	out := make([]any, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
+}
+
 // cascadeStageRows condenses a cascade's stage records for tool output.
 func cascadeStageRows(stages []scenario.Stage) []map[string]any {
 	rows := make([]map[string]any, 0, len(stages))
 	for _, sg := range stages {
 		rows = append(rows, map[string]any{
 			"stage":           sg.Index,
-			"trips":           sg.Trips,
+			"trips":           floats(sg.Trips),
 			"islanded":        sg.Islanded,
 			"converged":       sg.Converged,
 			"max_loading_pct": round2(sg.MaxLoadingPct),
 			"min_voltage_pu":  round4(sg.MinVoltagePU),
 			"overloads":       len(sg.Overloads),
 			"volt_violations": len(sg.VoltViols),
-			"next_trips":      sg.NextTrips,
+			"next_trips":      floats(sg.NextTrips),
 			"redispatch_mw":   round2(sg.RedispatchMW),
 		})
 	}
@@ -185,8 +198,8 @@ func cascadeTool(ctx *session.Context, eng *engine.Engine) *Tool {
 					"max_shed_mw":    round2(sw.MaxShedMW),
 				}
 				if r := sw.Results[sw.WorstSeed]; r != nil {
-					out["worst_outcome"] = r.Outcome
-					out["worst_trip_sequence"] = r.TrippedBranches
+					out["worst_outcome"] = string(r.Outcome)
+					out["worst_trip_sequence"] = floats(r.TrippedBranches)
 					out["worst_load_shed_mw"] = round2(r.LoadShedMW)
 					out["worst_stages"] = cascadeStageRows(r.Stages)
 				}
@@ -206,10 +219,10 @@ func cascadeTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			return map[string]any{
 				"mode":           "event",
 				"case_name":      n.Name,
-				"outcome":        r.Outcome,
+				"outcome":        string(r.Outcome),
 				"depth":          r.Depth,
-				"trip_sequence":  r.TrippedBranches,
-				"gens_out":       r.GensOut,
+				"trip_sequence":  floats(r.TrippedBranches),
+				"gens_out":       floats(r.GensOut),
 				"load_shed_mw":   round2(r.LoadShedMW),
 				"lost_gen_mw":    round2(r.LostGenMW),
 				"gen_deficit_mw": round2(r.GenDeficitMW),
@@ -284,7 +297,7 @@ func reliabilityMCTool(ctx *session.Context, eng *engine.Engine) *Tool {
 			return map[string]any{
 				"case_name":          n.Name,
 				"samples":            res.Samples,
-				"seed":               res.Seed,
+				"seed":               float64(res.Seed),
 				"lolp":               round4(res.LossOfLoad.P),
 				"loss_of_load":       interval(res.LossOfLoad),
 				"overload":           interval(res.Overload),

@@ -366,6 +366,25 @@ func TestSweepNewtonTelemetry(t *testing.T) {
 	}
 }
 
+// TestRecordSweepRepivots pins how a sweep publishes its repivots: the
+// count lands on gridmind_contingency_repivots_total under the sweep's
+// kind, and a sweep without one registers no series.
+func TestRecordSweepRepivots(t *testing.T) {
+	met := obs.NewRegistry()
+	recordSweep(met, "n2", 4, 1, SolveWork{Factorizations: 7, Repivots: 2})
+	recordSweep(met, "n2", 4, 1, SolveWork{Factorizations: 3, Repivots: 1})
+	if got, _ := met.Value("gridmind_contingency_repivots_total", "kind", "n2"); got != 3 {
+		t.Fatalf("repivot counter at %v, want 3", got)
+	}
+	if got, _ := met.Value("gridmind_contingency_factorizations_total", "kind", "n2"); got != 10 {
+		t.Fatalf("factorization counter at %v, want 10", got)
+	}
+	recordSweep(met, "n1", 4, 1, SolveWork{Factorizations: 3})
+	if _, ok := met.Value("gridmind_contingency_repivots_total", "kind", "n1"); ok {
+		t.Fatal("a sweep without repivots registered the repivot series")
+	}
+}
+
 // TestFallbackFactorizationsCounted pins what the factorization counter
 // counts on a forced fallback: case30's branch 0 fails warm Newton and
 // solves fast-decoupled, and the sweep's counter must carry both solves'

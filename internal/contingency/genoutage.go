@@ -178,7 +178,7 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 	// analyzeGen rejects out-of-service units and the irreplaceable slack
 	// machine; their slots are marked Gen −1 and skipped, not fatal.
 	res := make([]GenOutageResult, len(n.Gens))
-	facts, baseStarts := opts.Pool.Run(n, opts.Workers, len(n.Gens), nil,
+	work := opts.Pool.Run(n, opts.Workers, len(n.Gens), nil,
 		func(w *Worker, g int) {
 			if w.analyzeGen(&res[g], g, opts) != nil {
 				res[g].Gen = -1
@@ -193,6 +193,6 @@ func AnalyzeGenOutages(n *model.Network, opts Options) ([]GenOutageResult, error
 	if len(out) == 0 {
 		return nil, fmt.Errorf("contingency: no analyzable generator outages in %s", n.Name)
 	}
-	recordSweep(opts.Metrics, "gen", len(out), 0, facts, baseStarts)
+	recordSweep(opts.Metrics, "gen", len(out), 0, work)
 	return out, nil
 }

@@ -33,9 +33,23 @@ type Worker struct {
 	// dispatch holds the view's dispatch while ShedToSolve scales it.
 	dispatch []float64
 
-	// factorizations and baseStarts sum the LU work of the worker's
-	// solves since the last takeSolveWork.
-	factorizations, baseStarts int
+	// work sums the LU work of the worker's solves since the last
+	// takeSolveWork.
+	work SolveWork
+}
+
+// SolveWork is the LU work of a study's AC solves: numeric
+// factorizations, Newton rounds started on the base factor instead of one,
+// and refactorizations whose frozen pivots went stale and re-pivoted.
+type SolveWork struct {
+	Factorizations, BaseStarts, Repivots int
+}
+
+// add sums o into w.
+func (w *SolveWork) add(o SolveWork) {
+	w.Factorizations += o.Factorizations
+	w.BaseStarts += o.BaseStarts
+	w.Repivots += o.Repivots
 }
 
 // newWorker prepares a worker over n, which must have a slack bus, from
@@ -71,8 +85,7 @@ func (w *Worker) Solve(opts powerflow.Options) (*powerflow.Result, error) {
 	opts.Reorder = w.base.Ordering()
 	res, err := w.solver.Solve(w.view, opts)
 	if res != nil {
-		w.factorizations += res.Factorizations
-		w.baseStarts += res.BaseFactorStarts
+		w.work.add(SolveWork{res.Factorizations, res.BaseFactorStarts, res.Repivots})
 	}
 	return res, err
 }
@@ -127,12 +140,12 @@ func (w *Worker) ShedToSolve() float64 {
 	return (1 - lo) * loadP
 }
 
-// takeSolveWork returns the LU factorizations and base-factor starts of
-// the worker's solves since the last call, and zeroes them.
-func (w *Worker) takeSolveWork() (factorizations, baseStarts int) {
-	factorizations, baseStarts = w.factorizations, w.baseStarts
-	w.factorizations, w.baseStarts = 0, 0
-	return factorizations, baseStarts
+// takeSolveWork returns the LU work of the worker's solves since the last
+// call, and zeroes it.
+func (w *Worker) takeSolveWork() SolveWork {
+	work := w.work
+	w.work = SolveWork{}
+	return work
 }
 
 // Mask returns the worker's branch mask: mask[k] marks branch k out for
@@ -225,14 +238,15 @@ func (p *SweepPool) Release(w *Worker) { p.free.Put(w.n, w) }
 // (optional) settles item i with no worker and reports whether it did;
 // every other item runs solve on the goroutine's Worker, acquired on its
 // first uncertified item and released when the goroutine ends. Callbacks
-// run concurrently, one item each. Run returns the solves' LU
-// factorizations and base-factor starts.
+// run concurrently, one item each. Run returns the solves' LU work.
 func (p *SweepPool) Run(n *model.Network, workers, count int,
-	certify func(i int) bool, solve func(w *Worker, i int)) (factorizations, baseStarts int) {
+	certify func(i int) bool, solve func(w *Worker, i int)) SolveWork {
 	// One heap cell holds the shared cursor, the tally and the wait group.
 	var run struct {
-		next, facts, starts atomic.Int64
-		wg                  sync.WaitGroup
+		next atomic.Int64
+		mu   sync.Mutex
+		work SolveWork
+		wg   sync.WaitGroup
 	}
 	for g := min(workers, count); g > 0; g-- {
 		run.wg.Add(1)
@@ -250,13 +264,13 @@ func (p *SweepPool) Run(n *model.Network, workers, count int,
 				solve(w, i)
 			}
 			if w != nil {
-				f, b := w.takeSolveWork()
-				run.facts.Add(int64(f))
-				run.starts.Add(int64(b))
+				run.mu.Lock()
+				run.work.add(w.takeSolveWork())
+				run.mu.Unlock()
 				p.Release(w)
 			}
 		}()
 	}
 	run.wg.Wait()
-	return int(run.facts.Load()), int(run.starts.Load())
+	return run.work
 }

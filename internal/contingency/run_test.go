@@ -59,7 +59,7 @@ func TestRunDriver(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := NewSweepPool(NewBase)
 			settled := make([]int32, c.count)
-			var facts, starts atomic.Int64
+			var facts, starts, repivots atomic.Int64
 			certify := c.certify
 			if certify != nil {
 				certify = func(i int) bool {
@@ -70,7 +70,7 @@ func TestRunDriver(t *testing.T) {
 					return true
 				}
 			}
-			gotFacts, gotStarts := p.Run(n, c.workers, c.count, certify, func(w *Worker, i int) {
+			got := p.Run(n, c.workers, c.count, certify, func(w *Worker, i int) {
 				atomic.AddInt32(&settled[i], 1)
 				w.View().Reset()
 				w.View().OutBranch(branches[i])
@@ -79,6 +79,7 @@ func TestRunDriver(t *testing.T) {
 				if res, _ := w.Solve(powerflow.Options{EnforceQLimits: true}); res != nil {
 					facts.Add(int64(res.Factorizations))
 					starts.Add(int64(res.BaseFactorStarts))
+					repivots.Add(int64(res.Repivots))
 				}
 			})
 			for i, s := range settled {
@@ -89,11 +90,11 @@ func TestRunDriver(t *testing.T) {
 			if builds := p.ContextBuilds(); (builds > 0) != c.wantBuilds || builds > int64(min(c.workers, c.count)) {
 				t.Fatalf("%d workers built for %d goroutines (want any: %v)", builds, min(c.workers, c.count), c.wantBuilds)
 			}
-			if gotFacts != int(facts.Load()) || gotStarts != int(starts.Load()) {
-				t.Fatalf("Run tallied %d factorizations / %d base starts, the solves %d / %d",
-					gotFacts, gotStarts, facts.Load(), starts.Load())
+			want := SolveWork{int(facts.Load()), int(starts.Load()), int(repivots.Load())}
+			if got != want {
+				t.Fatalf("Run tallied %+v, the solves %+v", got, want)
 			}
-			if c.wantBuilds && gotFacts == 0 {
+			if c.wantBuilds && got.Factorizations == 0 {
 				t.Fatal("solves ran but no factorization was tallied")
 			}
 		})

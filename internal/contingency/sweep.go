@@ -137,10 +137,10 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 		settle(i, r)
 		return true
 	}
-	facts, baseStarts := opts.Pool.Run(n, opts.Workers, len(outages), certify,
+	work := opts.Pool.Run(n, opts.Workers, len(outages), certify,
 		func(w *Worker, i int) { settle(i, w.analyze(base, outages[i], opts)) })
 	rs.Screened = int(screened.Load())
-	recordSweep(opts.Metrics, kind, len(outages), rs.Screened, facts, baseStarts)
+	recordSweep(opts.Metrics, kind, len(outages), rs.Screened, work)
 	return rs, nil
 }
 

@@ -175,6 +175,38 @@ func TestViewSolverSteadyStateAllocs(t *testing.T) {
 
 // baseFactorFixture loads the named case with its Q-limited base solve, a
 // ViewSolver and the topology for the islanding checks.
+// TestBaseFactorBusPairs pins the structure the LU's paired kernels rest
+// on: the bus-block ordering keeps each non-slack bus's angle and magnitude
+// columns side by side, and the base factor of case14–300 marks exactly
+// one column pair per non-slack bus, so every column of a sweep's solves
+// takes the paired path.
+func TestBaseFactorBusPairs(t *testing.T) {
+	for _, name := range []string{"case14", "case30", "case57", "case118", "case300"} {
+		n, base, solver, topo := baseFactorFixture(t, name)
+		mask := make([]bool, len(n.Branches))
+		comp, stack := make([]int, len(n.Buses)), make([]int, len(n.Buses))
+		view := model.NewOutageView(n)
+		solved := false
+		for k, br := range n.Branches {
+			if !br.InService || islandsWithout(topo, mask, k, comp, stack) > 1 {
+				continue
+			}
+			view.Reset()
+			view.OutBranch(k)
+			if _, err := solver.Solve(view, powerflow.Options{EnforceQLimits: true, Warm: &base.Voltages}); err == nil {
+				solved = true
+				break
+			}
+		}
+		if !solved {
+			t.Fatalf("%s: no N-1 outage solved", name)
+		}
+		if got, want := solver.BaseFactorPairs(), len(n.Buses)-1; got != want {
+			t.Fatalf("%s: base factor marks %d column pairs, want one per non-slack bus (%d)", name, got, want)
+		}
+	}
+}
+
 func baseFactorFixture(t *testing.T, name string) (*model.Network, *powerflow.Result, *powerflow.ViewSolver, *model.Topology) {
 	t.Helper()
 	n := cases.MustLoad(name)

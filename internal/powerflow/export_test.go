@@ -55,6 +55,15 @@ func (s *ViewSolver) Census() FactorCensus {
 	return FactorCensus{t.roundStarts, t.baseStarts, t.fallbacks, t.stalls, t.baseBuilds, t.oneOffs, t.repivots}
 }
 
+// BaseFactorPairs returns the column pairs marked in the solver's base
+// factor, or -1 before the base factor is built.
+func (s *ViewSolver) BaseFactorPairs() int {
+	if s.bf.lu == nil {
+		return -1
+	}
+	return s.bf.lu.Pairs()
+}
+
 // InjectionsInto exposes injectionsInto to the external tests.
 var InjectionsInto = injectionsInto
 

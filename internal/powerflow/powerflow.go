@@ -140,6 +140,10 @@ type Result struct {
 	// for Newton-Raphson one per fresh Jacobian plus one per Repivot
 	// fallback, for the fast-decoupled method B' and B'' once per round.
 	Factorizations int
+	// Repivots counts the Newton Refactorize calls whose frozen pivots
+	// went stale, each followed by a Repivot that Factorizations counts
+	// too.
+	Repivots int
 	// BaseFactorStarts counts the Newton rounds whose first step ran on a
 	// ViewSolver's kept base factor with a Woodbury correction for the
 	// outaged branches, in place of a factorization.

@@ -168,7 +168,8 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	}
 
 	res := &Result{Algorithm: opts.Algorithm}
-	defer s.st.dropRepivoted(s.st.tally.repivots)
+	repivots := s.st.tally.repivots
+	defer s.st.dropRepivoted(repivots)
 	c, fromBase := s.start(view, opts, res)
 	defer s.restore()
 	vm, va := s.vm, s.va
@@ -180,6 +181,7 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 		res.BaseFactorStarts += s.st.tally.baseStarts - baseStarts
 		res.Iterations += iter
 		res.Factorizations += facts
+		res.Repivots = s.st.tally.repivots - repivots
 		res.MaxMismatch = mis
 		res.Converged = conv
 		if err != nil {

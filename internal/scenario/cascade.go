@@ -321,7 +321,7 @@ func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (
 	w := opts.Pool.Acquire(n)
 	defer opts.Pool.Release(w)
 	r := runCascade(w, viewState{w}, n, base, ev, opts)
-	recordScenario(opts.Metrics, "cascade", 1, 0)
+	recordScenario(opts.Metrics, "cascade", 1, 0, 0)
 	return r, nil
 }
 
@@ -447,7 +447,7 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 			return secure
 		}
 	}
-	opts.Pool.Run(n, opts.Workers, len(seeds), certify, func(w *contingency.Worker, i int) {
+	work := opts.Pool.Run(n, opts.Workers, len(seeds), certify, func(w *contingency.Worker, i int) {
 		sw.Results[seeds[i]] = runCascade(w, viewState{w}, n, base, seedEvent(i), opts)
 	})
 
@@ -479,6 +479,6 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 			sw.WorstSeed = k
 		}
 	}
-	recordScenario(opts.Metrics, "cascade_sweep", sw.Seeds, sw.Screened)
+	recordScenario(opts.Metrics, "cascade_sweep", sw.Seeds, sw.Screened, work.Repivots)
 	return sw, nil
 }

@@ -93,7 +93,7 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 		Outcomes: make([]SampleOutcome, mo.Samples),
 	}
 	c := &mo.Cascade
-	c.Pool.Run(n, c.Workers, mo.Samples, nil, func(w *contingency.Worker, i int) {
+	work := c.Pool.Run(n, c.Workers, mo.Samples, nil, func(w *contingency.Worker, i int) {
 		ev := sampleEvent(n, rand.New(rand.NewSource(sampleSeed(mo.Seed, i))), mo)
 		r := runCascade(w, viewState{w}, n, base, ev, *c)
 		so := SampleOutcome{
@@ -132,7 +132,7 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 	out.LossOfLoad = wilson(lol, mo.Samples)
 	out.Overload = wilson(ovl, mo.Samples)
 	out.CascadeProb = wilson(casc, mo.Samples)
-	recordScenario(mo.Cascade.Metrics, "mc", mo.Samples, 0)
+	recordScenario(mo.Cascade.Metrics, "mc", mo.Samples, 0, work.Repivots)
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"gridmind/internal/cases"
 	"gridmind/internal/contingency"
 	"gridmind/internal/model"
+	"gridmind/internal/obs"
 )
 
 // TestOneSweepPoolServesEveryStudy runs every outage study — N-1, the
@@ -52,6 +53,31 @@ func TestOneSweepPoolServesEveryStudy(t *testing.T) {
 		if out {
 			t.Fatalf("released worker still marks branch %d out", k)
 		}
+	}
+}
+
+// TestSweepRepivotsCounted pins the repivot counter where repivots
+// happen: a case30 cascade sweep reaches stage states whose frozen pivots
+// go stale, and gridmind_scenario_repivots_total counts each Repivot. A
+// second sweep on the same pool repeats the count exactly, since a solve
+// that repivots drops its pivots after it.
+func TestSweepRepivotsCounted(t *testing.T) {
+	n := cases.MustLoad("case30")
+	base := solveBase(t, n)
+	met := obs.NewRegistry()
+	opts := Options{Workers: 1, Pool: contingency.NewSweepPool(contingency.NewBase), Metrics: met}
+	if _, err := Sweep(n, base, opts); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := met.Value("gridmind_scenario_repivots_total", "kind", "cascade_sweep")
+	if !ok || first < 1 {
+		t.Fatalf("case30 cascade sweep: repivot counter %v (published %v), want at least 1", first, ok)
+	}
+	if _, err := Sweep(n, base, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := met.Value("gridmind_scenario_repivots_total", "kind", "cascade_sweep"); got != 2*first {
+		t.Fatalf("second sweep: counter at %v, want %v", got, 2*first)
 	}
 }
 

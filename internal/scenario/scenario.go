@@ -26,9 +26,11 @@ import (
 
 // recordScenario publishes one run's bulk counters on met (no-op when
 // nil). kind labels the run family (cascade, cascade_sweep, episode, mc);
-// units is what the run evaluated (seeds, steps, samples) and screened
-// how many seeds the DC pre-screen certified without AC work.
-func recordScenario(met *obs.Registry, kind string, units, screened int) {
+// units is what the run evaluated (seeds, steps, samples), screened how
+// many seeds the DC pre-screen certified without AC work, and repivots how
+// many of a sweep's or Monte Carlo run's LU refactorizations went stale
+// and re-pivoted (contingency.SolveWork).
+func recordScenario(met *obs.Registry, kind string, units, screened, repivots int) {
 	if met == nil {
 		return
 	}
@@ -36,6 +38,9 @@ func recordScenario(met *obs.Registry, kind string, units, screened int) {
 	met.Counter("gridmind_scenario_units_total", "Work units evaluated (cascade seeds, episode steps, MC samples), by kind.", "kind", kind).Add(int64(units))
 	if screened > 0 {
 		met.Counter("gridmind_scenario_screened_total", "Cascade seeds certified non-cascading by the DC pre-screen.", "kind", kind).Add(int64(screened))
+	}
+	if repivots > 0 {
+		met.Counter("gridmind_scenario_repivots_total", "LU refactorizations of cascade-sweep and Monte Carlo solves whose frozen pivots went stale and were re-pivoted, by kind.", "kind", kind).Add(int64(repivots))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // ErrSingular reports a numerically singular matrix during factorization.
@@ -43,6 +45,10 @@ type LU struct {
 	pinv []int   // original row -> pivot position
 	q    []int   // column pre-order: column q[k] eliminated at step k
 	tol  float64 // threshold-pivoting parameter Repivot applies
+	// pairs marks the paired columns, one bit per column: bit k set means
+	// columns k and k+1 form a pair (see markPairs), which the
+	// triangular solves and Refactorize apply in one pass.
+	pairs []int
 	// failed marks a Repivot that returned an error part-way: the factors
 	// are incomplete, so Refactorize refuses them until a Repivot succeeds.
 	failed bool
@@ -107,6 +113,7 @@ func (f *LU) Repivot(a *CSC) error {
 		f.pinv[i] = -1
 	}
 	clear(f.marked) // stamps left by an earlier run would read as visited
+	clear(f.pairs)
 	f.failed = true
 	f.paths.rows = false // BackRowInto copies the new U's rows
 	x, xi, pstack, marked := f.rw, f.xi, f.pstack, f.marked
@@ -192,8 +199,72 @@ func (f *LU) Repivot(a *CSC) error {
 	for p := range f.li {
 		f.li[p] = f.pinv[f.li[p]]
 	}
+	f.markPairs()
 	f.failed = false
 	return nil
+}
+
+// markPairs marks column k paired with k+1 when
+//
+//	L(:,k) = [k+1] ++ L(:,k+1) and U(:,k+1) = U(:,k) ++ [k]
+//
+// over the off-diagonal rows: the two columns share every row below and
+// above their 2×2 diagonal block, as a bus's angle and magnitude columns
+// do in a power-flow Jacobian ordered bus by bus. U's rows must match as
+// stored; L(:,k)'s, which Repivot leaves in no particular order, are
+// reordered to L(k+1,k) followed by L(:,k+1)'s order, which changes no
+// arithmetic (each entry updates its own row once per column). Pairs do
+// not overlap; they are marked from the left. The DFS stack xi maps rows
+// to positions and the zeroed workspace rw holds reordered values.
+func (f *LU) markPairs() {
+	lp, li, lx, up, ui := f.lp, f.li, f.lx, f.up, f.ui
+	pos, tmp := f.xi, f.rw
+	for k := 0; k+1 < f.n; k++ {
+		l0, l1 := li[lp[k]+1:lp[k+1]], li[lp[k+1]+1:lp[k+2]]
+		u0, u1 := ui[up[k]:up[k+1]-1], ui[up[k+1]:up[k+2]-1]
+		if len(l0) != len(l1)+1 || len(u1) != len(u0)+1 || u1[len(u0)] != k || !slices.Equal(u1[:len(u0)], u0) {
+			continue
+		}
+		for t, r := range l1 {
+			pos[r] = t + 1
+		}
+		// Each row of L(:,k) but k+1 must have a distinct slot in
+		// L(:,k+1); then k+1 is L(:,k)'s one remaining row.
+		v0 := lx[lp[k]+1 : lp[k+1]]
+		same := true
+		for t, r := range l0 {
+			d := 0
+			if r != k+1 {
+				if d = pos[r]; d < 1 || d > len(l1) || l1[d-1] != r {
+					same = false
+					break
+				}
+			}
+			tmp[d] = v0[t]
+		}
+		if same {
+			copy(v0, tmp[:len(l0)])
+			l0[0] = k + 1
+			copy(l0[1:], l1)
+			f.pairs[uint(k)/bits.UintSize] |= 1 << (uint(k) % bits.UintSize)
+			k++
+		}
+		clear(tmp[:len(l0)])
+	}
+}
+
+// Pairs returns the number of column pairs marked in f.
+func (f *LU) Pairs() int {
+	var c int
+	for _, w := range f.pairs {
+		c += bits.OnesCount(uint(w))
+	}
+	return c
+}
+
+// paired reports whether columns k and k+1 form a pair.
+func (f *LU) paired(k int) bool {
+	return f.pairs[uint(k)/bits.UintSize]>>(uint(k)%bits.UintSize)&1 != 0
 }
 
 // Clone returns an independent copy of f: the same factors, row pivots
@@ -211,16 +282,18 @@ func (f *LU) Clone() *LU {
 	copy(c.ui, f.ui)
 	copy(c.ux, f.ux)
 	copy(c.pinv, f.pinv)
+	copy(c.pairs, f.pairs)
 	return c
 }
 
 // newLU allocates an empty factorization of dimension n with room for lnz
 // entries of L and unz of U, in three allocations whatever n: the
-// struct, one block of ints and one of floats. Each slice is capped at its
-// share, so a factorization with more fill than planned grows by append
-// without overrunning its neighbour.
+// struct, one block of ints (the pair marks among them) and one of
+// floats. Each slice is capped at its share, so a factorization with more
+// fill than planned grows by append without overrunning its neighbour.
 func newLU(n int, q []int, tol float64, lnz, unz int) *LU {
-	ints := arena[int](make([]int, 2*(n+1)+5*n+lnz+unz))
+	pairWords := (n + bits.UintSize - 1) / bits.UintSize
+	ints := arena[int](make([]int, 2*(n+1)+5*n+lnz+unz+pairWords))
 	floats := arena[float64](make([]float64, lnz+unz+n))
 	return &LU{
 		n:      n,
@@ -231,6 +304,7 @@ func newLU(n int, q []int, tol float64, lnz, unz int) *LU {
 		ui:     ints.take(unz)[:0],
 		ux:     floats.take(unz)[:0],
 		pinv:   ints.take(n),
+		pairs:  ints.take(pairWords),
 		q:      q,
 		tol:    tol,
 		rw:     floats.take(n),

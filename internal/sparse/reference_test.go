@@ -105,6 +105,23 @@ func solveRef(f *LU, dst, b, work []float64) error {
 	return nil
 }
 
+// forwardRef is the reference body of LU.ForwardInto: the forward half of
+// solveRef.
+func forwardRef(f *LU, y, b []float64) {
+	for i := 0; i < f.n; i++ {
+		y[f.pinv[i]] = b[i]
+	}
+	for j := 0; j < f.n; j++ {
+		yj := y[j]
+		if yj == 0 {
+			continue
+		}
+		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
+			y[f.li[p]] -= f.lx[p] * yj
+		}
+	}
+}
+
 // solveBlockRef is the reference body of LU.SolveBlockInto.
 func solveBlockRef(f *LU, dst, b, work []float64, nrhs int) error {
 	n := f.n
@@ -303,8 +320,10 @@ func sparseRHS(rng *rand.Rand, n int) []float64 {
 // SolveBlockInto bit for bit to the reference bodies above: on random
 // unsymmetric patterns with structural zeros and sparse right-hand sides,
 // through a frozen-pivot ErrSingular bail-out (after which the workspace
-// must be zero again, so the next Refactorize still matches), and for
-// block solves of 1–8 right-hand sides against per-column solves.
+// must be zero again, so the next Refactorize still matches), for block
+// solves of 1–8 right-hand sides against per-column solves, and on
+// bus-blocked patterns whose factors pair their columns (see
+// checkPairedKernels).
 func TestLUKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, n := range []int{1, 5, 30, 120} {
@@ -384,6 +403,10 @@ func TestLUKernelsMatchReference(t *testing.T) {
 		sameFactorBits(t, what+" after bail-out", got, want)
 	}
 
+	for _, nb := range []int{1, 4, 25, 90, 200} {
+		checkPairedKernels(t, rng, nb)
+	}
+
 	// SolveBlockInto at 1–8 right-hand sides must equal per-column
 	// SolveInto (and the block reference) bit for bit, including columns
 	// that are entirely zero.
@@ -418,5 +441,290 @@ func TestLUKernelsMatchReference(t *testing.T) {
 			}
 			sameBits(t, fmt.Sprintf("%s column %d", what, r), x[r*n:(r+1)*n], col)
 		}
+	}
+}
+
+// busBlocked returns a power-flow-like Jacobian over a random connected
+// graph of nb buses, laid out as the augmented Newton state lays out its
+// unknowns: bus b's angle is column b and its magnitude column nb+b, with
+// a 2×2 block for each bus and each branch and a few lone couplings, and a
+// column pre-order that keeps each bus's two columns adjacent. About a
+// third of the buses are pinned as a PV bus is: an identity magnitude row
+// and exact zeros in every other entry of that row and column. Other
+// couplings are exactly zero at random, +0 or −0 (signedZero). fixed marks
+// the pinned entries, which a refill keeps.
+func busBlocked(rng *rand.Rand, nb int) (a *CSC, perm []int, fixed []bool) {
+	adj := make([][]int, nb)
+	link := func(i, j int) {
+		if i != j && !slices.Contains(adj[i], j) {
+			adj[i] = append(adj[i], j)
+			adj[j] = append(adj[j], i)
+		}
+	}
+	for b := 1; b < nb; b++ {
+		link(b, rng.Intn(b))
+	}
+	for e := 0; e < nb/3; e++ {
+		link(rng.Intn(nb), rng.Intn(nb))
+	}
+	pinned := make([]bool, nb)
+	for b := range pinned {
+		pinned[b] = rng.Float64() < 0.35
+	}
+	c := NewCOO(2*nb, 2*nb)
+	g := NewCOO(nb, nb)
+	var pin []bool // per entry in COO order
+	add := func(r, col int, v float64, keep bool) {
+		c.Add(r, col, v)
+		pin = append(pin, keep)
+	}
+	for i := 0; i < nb; i++ {
+		g.Add(i, i, 1)
+		for _, j := range append([]int{i}, adj[i]...) {
+			if j != i {
+				g.Add(i, j, 1)
+			}
+			for _, blk := range [4][2]int{{i, j}, {i, nb + j}, {nb + i, j}, {nb + i, nb + j}} {
+				r, col := blk[0], blk[1]
+				v := rng.NormFloat64()
+				if r == col {
+					v = float64(4*len(adj[i])+4) + rng.Float64()
+				} else if rng.Float64() < 0.15 {
+					v = signedZero(rng)
+				}
+				rowPinned := r >= nb && pinned[r-nb]
+				colPinned := col >= nb && pinned[col-nb]
+				switch {
+				case rowPinned && r == col:
+					add(r, col, 1, true)
+				case rowPinned || colPinned:
+					add(r, col, 0, true)
+				default:
+					add(r, col, v, false)
+				}
+			}
+		}
+	}
+	// A few lone couplings outside the 2×2 blocks unpair some columns and
+	// put other sources between a pair's two columns in some of U's.
+	for e := 0; e <= nb/4; e++ {
+		r, col := rng.Intn(2*nb), rng.Intn(2*nb)
+		if (r < nb || !pinned[r-nb]) && (col < nb || !pinned[col-nb]) {
+			add(r, col, 0.1*rng.NormFloat64(), false)
+		}
+	}
+	a = c.ToCSC()
+	// ToCSC sorts each column; map the COO entries onto value positions.
+	fixed = make([]bool, a.NNZ())
+	for k := range pin {
+		col := c.j[k]
+		for p := a.colPtr[col]; p < a.colPtr[col+1]; p++ {
+			if a.rowIdx[p] == c.i[k] {
+				fixed[p] = pin[k]
+			}
+		}
+	}
+	for _, b := range MinDegree(g.ToCSC()) {
+		perm = append(perm, b, nb+b)
+	}
+	return a, perm, fixed
+}
+
+// signedZero returns +0 or −0 at random.
+func signedZero(rng *rand.Rand) float64 {
+	return math.Copysign(0, float64(rng.Intn(2))-0.5)
+}
+
+// colOf returns the column of a's value position p.
+func colOf(a *CSC, p int) int {
+	col := 0
+	for a.colPtr[col+1] <= p {
+		col++
+	}
+	return col
+}
+
+// busRHS returns a right-hand side for busBlocked's layout in which each
+// bus's angle and magnitude entries are both nonzero, one of them zero, or
+// both zero, each zero +0 or −0, so the paired solves meet every case of
+// their zero tests.
+func busRHS(rng *rand.Rand, nb int) []float64 {
+	b := make([]float64, 2*nb)
+	for i := 0; i < nb; i++ {
+		b[i], b[nb+i] = signedZero(rng), signedZero(rng)
+		switch rng.Intn(4) {
+		case 0:
+			b[i], b[nb+i] = rng.NormFloat64(), rng.NormFloat64()
+		case 1:
+			b[i] = rng.NormFloat64()
+		case 2:
+			b[nb+i] = rng.NormFloat64()
+		}
+	}
+	return b
+}
+
+// checkPairedKernels runs the LU kernels on busBlocked patterns of nb
+// buses, whose factors pair each bus's columns, against the reference
+// bodies bit for bit: Refactorize over refilled values with random exact
+// zeros, SolveInto, ForwardInto followed by BackInto, and ForwardPathInto
+// for every unit right-hand side. It drives a frozen-pivot bail-out
+// (the workspace must be zero after it) and a Repivot onto row-permuted
+// values, which must mark the pairs a fresh Factorize of them marks.
+func checkPairedKernels(t *testing.T, rng *rand.Rand, nb int) {
+	t.Helper()
+	what := fmt.Sprintf("bus-blocked nb=%d", nb)
+	a, perm, fixed := busBlocked(rng, nb)
+	n := 2 * nb
+	got, err := Factorize(a, Options{ColPerm: perm})
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if nb > 1 && got.Pairs() < nb/2 {
+		t.Fatalf("%s: %d column pairs marked, want at least %d", what, got.Pairs(), nb/2)
+	}
+	want := got.Clone()
+	if got.Pairs() != want.Pairs() {
+		t.Fatalf("%s: Clone marks %d pairs, the original %d", what, want.Pairs(), got.Pairs())
+	}
+	solves := func(what string) {
+		t.Helper()
+		for round := 0; round < 4; round++ {
+			b := busRHS(rng, nb)
+			if round == 0 {
+				// Signed zeros alone: every column is skipped, and the
+				// signs must come through as the reference leaves them.
+				for i := range b {
+					b[i] = signedZero(rng)
+				}
+			}
+			x, xRef := make([]float64, n), make([]float64, n)
+			if err := got.SolveInto(x, b, make([]float64, n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := solveRef(want, xRef, b, make([]float64, n)); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, what+" solve", x, xRef)
+			z, zRef := make([]float64, n), make([]float64, n)
+			if err := got.ForwardInto(z, b); err != nil {
+				t.Fatal(err)
+			}
+			forwardRef(want, zRef, b)
+			sameBits(t, what+" ForwardInto", z, zRef)
+			if err := got.BackInto(x, z); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, what+" BackInto", x, xRef)
+		}
+		e, z, zRef := make([]float64, n), make([]float64, n), make([]float64, n)
+		for r := 0; r < n; r++ {
+			e[r] = 1
+			forwardRef(want, zRef, e)
+			e[r] = 0
+			pat, err := got.ForwardPathInto(z, r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, what+" ForwardPathInto", z, zRef)
+			for _, i := range pat {
+				z[i] = 0
+			}
+		}
+	}
+	refill := func() {
+		for p := range a.val {
+			if !fixed[p] {
+				a.val[p] *= 1 + 0.3*rng.NormFloat64()
+				if a.rowIdx[p] != colOf(a, p) && rng.Float64() < 0.1 {
+					a.val[p] = signedZero(rng)
+				}
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		refill()
+		if err := got.Refactorize(a); err != nil {
+			t.Fatalf("%s round %d: Refactorize: %v", what, round, err)
+		}
+		if err := refactorizeRef(want, a); err != nil {
+			t.Fatal(err)
+		}
+		sameFactorBits(t, what, got, want)
+		solves(fmt.Sprintf("%s round %d", what, round))
+	}
+
+	// Frozen pivots in the second half of the elimination shrunk by 1e-9
+	// bail out of both at the same column and leave the workspace zero.
+	good := slices.Clone(a.val)
+	late := make([]bool, n)
+	for _, col := range perm[n/2:] {
+		late[col] = true
+	}
+	for p := range a.val {
+		if col := colOf(a, p); a.rowIdx[p] == col && !fixed[p] && late[col] {
+			a.val[p] *= 1e-9
+		}
+	}
+	errGot, errWant := got.Refactorize(a), refactorizeRef(want, a)
+	if (errGot == nil) != (errWant == nil) || (errGot != nil && errGot.Error() != errWant.Error()) || (errGot == nil && nb >= 25) {
+		t.Fatalf("%s bail-out: Refactorize %v, reference %v; want the same ErrSingular", what, errGot, errWant)
+	}
+	sameFactorBits(t, what+" bail-out", got, want)
+	copy(a.val, good)
+	if err := got.Refactorize(a); err != nil {
+		t.Fatalf("%s: Refactorize after bail-out: %v", what, err)
+	}
+	if err := refactorizeRef(want, a); err != nil {
+		t.Fatal(err)
+	}
+	sameFactorBits(t, what+" after bail-out", got, want)
+	solves(what + " after bail-out")
+
+	// Swap the angle row of every even bus b with the magnitude row of bus
+	// b+1: Repivot chooses new row pivots and marks the pairs of the new
+	// factors, fewer than before.
+	swapped := &CSC{rows: n, cols: n, colPtr: a.colPtr, rowIdx: slices.Clone(a.rowIdx), val: slices.Clone(a.val)}
+	for p, r := range swapped.rowIdx {
+		if r < nb && r%2 == 0 {
+			swapped.rowIdx[p] = nb + (r+1)%nb
+		} else if b := (r - nb + nb - 1) % nb; r >= nb && b%2 == 0 {
+			swapped.rowIdx[p] = b
+		}
+	}
+	swapped.sortColumns()
+	fresh, err := Factorize(swapped, Options{ColPerm: perm})
+	if err != nil {
+		t.Fatalf("%s: Factorize of swapped rows: %v", what, err)
+	}
+	before := got.Pairs()
+	if err := got.Repivot(swapped); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Repivot(swapped); err != nil {
+		t.Fatal(err)
+	}
+	if got.Pairs() != fresh.Pairs() {
+		t.Fatalf("%s: Repivot marks %d pairs, a fresh Factorize %d", what, got.Pairs(), fresh.Pairs())
+	}
+	t.Logf("%s: %d pairs, %d after the row swap", what, before, got.Pairs())
+	for round := 0; round < 2; round++ {
+		for p := range swapped.val {
+			swapped.val[p] *= 1 + 0.01*rng.NormFloat64()
+		}
+		errGot, errWant := got.Refactorize(swapped), refactorizeRef(want, swapped)
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("%s swapped round %d: Refactorize %v, reference %v", what, round, errGot, errWant)
+		}
+		sameFactorBits(t, what+" swapped", got, want)
+		if errGot != nil {
+			if err := got.Repivot(swapped); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Repivot(swapped); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solves(fmt.Sprintf("%s swapped round %d", what, round))
 	}
 }

@@ -805,3 +805,131 @@ func initialKKTPoint(t *testing.T, name string) (*nlp, []float64, []float64, []f
 	}
 	return p, p.x0, lam, mu, z
 }
+
+// scalarLDLCheck is a kktSolver that solves on its kktSystem and, at every
+// iterate, holds the factor's solves of the predictor's and the
+// corrector's right-hand sides bit for bit against spreadLDL: the same
+// LDLᵀ kernels on the same matrix, taken one column at a time.
+type scalarLDLCheck struct {
+	kktSystem
+	t        *testing.T
+	name     string
+	oracle   *sparse.LDL
+	iterates int
+}
+
+// spreadLDL factors the KKT matrix mat (order perm, the IPM's shift on its
+// first nx columns and equality rows) with every column followed in the
+// order by an uncoupled unit column. Nothing else changes in the
+// elimination, but no column is its elimination-tree parent's neighbour in
+// the order any more, so no quad forms and Factor and SolveInto take every
+// column alone: the order of arithmetic of the scalar reference. A
+// right-hand side padded with zeros solves to the same bits on its first
+// dim entries.
+func spreadLDL(t *testing.T, mat *sparse.CSC, perm []int, nx int) *sparse.LDL {
+	t.Helper()
+	dim := len(perm)
+	var ri, ci []int
+	for j := 0; j < dim; j++ {
+		mat.ColView(j, func(i int, _ float64) {
+			ri, ci = append(ri, i), append(ci, j)
+		})
+		ri, ci = append(ri, dim+j), append(ci, dim+j)
+	}
+	spread, _ := sparse.CompilePattern(2*dim, 2*dim, ri, ci)
+	val := spread.Values()
+	for j := 0; j < dim; j++ {
+		mat.ColView(j, func(i int, v float64) { val[spread.Pos(i, j)] = v })
+		val[spread.Pos(dim+j, dim+j)] = 1
+	}
+	order := make([]int, 0, 2*dim)
+	for _, j := range perm {
+		order = append(order, j, dim+j)
+	}
+	shift := make([]float64, 2*dim)
+	for j := 0; j < dim; j++ {
+		shift[j] = kktShift
+		if j >= nx {
+			shift[j] = -kktShift
+		}
+	}
+	f, err := sparse.NewLDL(spread, order, shift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Factor(spread); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// same fails c.t unless the current factor and the oracle solve rhs to the
+// same bits.
+func (c *scalarLDLCheck) same(what string, rhs []float64) {
+	dim := c.dim
+	got, work := make([]float64, dim), make([]float64, dim)
+	if err := c.ldl.SolveInto(got, rhs, work); err != nil {
+		c.t.Fatal(err)
+	}
+	b := make([]float64, 2*dim)
+	copy(b, rhs)
+	want := make([]float64, 2*dim)
+	if err := c.oracle.SolveInto(want, b, make([]float64, 2*dim)); err != nil {
+		c.t.Fatal(err)
+	}
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			c.t.Fatalf("%s iterate %d %s: x[%d] = %v, one column at a time %v", c.name, c.iterates, what, i, v, want[i])
+		}
+	}
+}
+
+func (c *scalarLDLCheck) solve(p *nlp, ev *nlpEval, x, lam, mu, z, rhs []float64) ([]float64, error) {
+	sol, err := c.kktSystem.solve(p, ev, x, lam, mu, z, rhs)
+	if err != nil {
+		return sol, err
+	}
+	c.iterates++
+	c.oracle = spreadLDL(c.t, c.mat, c.colPerm, p.nx)
+	c.same("predictor", rhs)
+	return sol, nil
+}
+
+func (c *scalarLDLCheck) resolve(rhs []float64) ([]float64, error) {
+	c.same("corrector", rhs)
+	return c.kktSystem.resolve(rhs)
+}
+
+// TestLDLQuadsMatchScalarOnIPMIterates runs the LDLᵀ quad kernels on the
+// real interior-point KKT matrices: at every iterate of a cold and a
+// warm-started case57 and case118 solve, the factor solves the
+// predictor's and the corrector's right-hand sides to the same bits as
+// the same matrix factored one column at a time (spreadLDL). The solves
+// keep their pinned iteration counts.
+func TestLDLQuadsMatchScalarOnIPMIterates(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		bus        int
+		deltaMW    float64
+		cold, warm int
+	}{
+		{"case57", 8, 4.5, 10, 4},
+		{"case118", 60, 4.5, 14, 6},
+	} {
+		n := cases.MustLoad(tc.name)
+		check := &scalarLDLCheck{t: t, name: tc.name + " cold"}
+		base, err := solveACOPF(n, Options{}, ipmOptions{kkt: check})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		warm := &scalarLDLCheck{t: t, name: tc.name + " warm"}
+		sol, err := solveACOPF(withBusLoad(n, tc.bus, tc.deltaMW), Options{Start: base}, ipmOptions{kkt: warm})
+		if err != nil {
+			t.Fatalf("%s warm: %v", tc.name, err)
+		}
+		if check.iterates != tc.cold || warm.iterates != tc.warm || base.Iterations != tc.cold || sol.Iterations != tc.warm {
+			t.Errorf("%s: %d cold and %d warm iterates checked (solves took %d and %d), want %d and %d",
+				tc.name, check.iterates, warm.iterates, base.Iterations, sol.Iterations, tc.cold, tc.warm)
+		}
+	}
+}

@@ -17,7 +17,9 @@ import (
 // it with. The values are synthetic: a diagonally dominant primal block
 // and a unit-scale border with a zero diagonal, so the shifted matrix is
 // quasi-definite. The stored entry counts equal the KKT slot counts
-// internal/opf pins in TestKKTEmissionCounts.
+// internal/opf pins in TestKKTEmissionCounts. CheckLDLQuadEdges then
+// drives the quad paths through exact zeros, stored zeros and singular
+// pivots on the same matrices.
 func TestLDLKernelsBitIdenticalOnACKKT(t *testing.T) {
 	slots := map[string]int{"case14": 709, "case30": 1443, "case57": 2763, "case118": 6443, "case300": 14475}
 	rng := rand.New(rand.NewSource(37))
@@ -33,7 +35,32 @@ func TestLDLKernelsBitIdenticalOnACKKT(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 		}
-		sparse.CheckLDLKernelsMatchReference(t, name, a, perm, shift, b)
+		if err := sparse.CheckLDLKernelsMatchReference(t, name, a, perm, shift, b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sparse.CheckLDLQuadEdges(t, name, a, perm, shift)
+	}
+}
+
+// TestACKKTQuads pins the structure the LDLᵀ kernels' speed rests on: the
+// bus-supernode order makes each bus's four KKT columns (Va, Vm and its P
+// and Q balance rows) one quad, on every standard case, and ends in a
+// dense trailing supernode of the widths pinned here. An ordering change
+// that quietly sends the interior point back to one column at a time
+// fails here.
+func TestACKKTQuads(t *testing.T) {
+	tails := map[string]int{"case14": 12, "case30": 16, "case57": 36, "case118": 60, "case300": 120}
+	for _, name := range cases.Names() {
+		n := cases.MustLoad(name)
+		a, perm, shift := acKKT(n)
+		f, err := sparse.NewLDL(a, perm, shift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if quads, tail := f.QuadStats(); quads != len(n.Buses) || tail != tails[name] {
+			t.Errorf("%s: %d quads and a %d-column trailing supernode, want %d (one per bus) and %d",
+				name, quads, tail, len(n.Buses), tails[name])
+		}
 	}
 }
 
@@ -128,4 +155,52 @@ func acKKT(n *model.Network) (*sparse.CSC, []int, []float64) {
 		}
 	}
 	return a, sparse.BlockMinDegree(a, super), shift
+}
+
+// BenchmarkLDLFactorACKKT times one LDL.Factor of the reduced AC KKT
+// pattern (acKKT) of case118 and case300 under its bus-supernode order.
+func BenchmarkLDLFactorACKKT(b *testing.B) {
+	for _, name := range []string{"case118", "case300"} {
+		b.Run(name, func(b *testing.B) {
+			a, perm, shift := acKKT(cases.MustLoad(name))
+			f, err := sparse.NewLDL(a, perm, shift)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := f.Factor(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLDLSolveACKKT times one LDL.SolveInto on the factor of
+// BenchmarkLDLFactorACKKT, with a dense right-hand side.
+func BenchmarkLDLSolveACKKT(b *testing.B) {
+	for _, name := range []string{"case118", "case300"} {
+		b.Run(name, func(b *testing.B) {
+			a, perm, shift := acKKT(cases.MustLoad(name))
+			f, err := sparse.NewLDL(a, perm, shift)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Factor(a); err != nil {
+				b.Fatal(err)
+			}
+			_, n := a.Dims()
+			rhs, x, work := make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range rhs {
+				rhs[i] = math.Sin(float64(i) + 1)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := f.SolveInto(x, rhs, work); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

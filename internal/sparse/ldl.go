@@ -16,6 +16,18 @@ import (
 // fallback, so Factor allocates nothing and costs the same multiply-adds
 // on every call.
 //
+// Columns nest in chains: when L(:,t) = [t+1] ++ L(:,t+1), column t is a
+// child of t+1 in the elimination tree with the same rows below. The
+// bus-supernode order of the OPF KKT makes such chains of a bus's four
+// columns (Va, Vm and the P and Q balance rows) and a dense trailing one.
+// NewLDL marks every run of four nested columns as a quad, and Factor and
+// the forward half of SolveInto apply a quad's four columns to the rows
+// they share in one pass (Ng and Peyton's supernodal update), with each
+// entry seeing the one-column arithmetic in its order, so the factor and
+// the solution are the same bits as column by column. The diagonal and
+// back halves of SolveInto stay per column: the back half's dot products
+// would reassociate if fused.
+//
 // Static pivoting is stable for symmetric quasi-definite matrices, which a
 // saddle-point system [H Bᵀ; B 0] becomes under a shift of +δ on H's
 // columns and −δ on the zero block. S is added at the pivot only; the
@@ -34,7 +46,10 @@ type LDL struct {
 	// The row patterns of L: row k holds L(k, rc[r]), stored at lx[rp[r]],
 	// for r in rs[k]..rs[k+1], columns ascending.
 	rs, rc, rp []int
-	y          []float64 // numeric workspace, zero between calls
+	// quads marks the quads, one bit per column: bit i set means columns
+	// i..i+3 nest (see markQuads).
+	quads []int
+	y     []float64 // numeric workspace, zero between calls
 }
 
 // NewLDL runs the symbolic analysis of a symmetric matrix with a's
@@ -99,10 +114,14 @@ func NewLDL(a *CSC, perm []int, shift []float64) (*LDL, error) {
 			}
 		}
 	}
-	f.lp = make([]int, n+1)
+	// lp and the quad marks share one allocation.
+	words := markWords(n)
+	ints := arena[int](make([]int, n+1+words))
+	f.lp, f.quads = ints.take(n+1), ints.take(words)
 	for k := 0; k < n; k++ {
 		f.lp[k+1] = f.lp[k] + cnt[k]
 	}
+	f.markQuads(parent)
 	nnz := f.lp[n]
 	f.li = make([]int, nnz)
 	f.lx = make([]float64, nnz)
@@ -146,6 +165,23 @@ func NewLDL(a *CSC, perm []int, shift []float64) (*LDL, error) {
 	return f, nil
 }
 
+// markQuads marks column i as the start of a quad when columns i..i+3
+// nest: L(:,t) = [t+1] ++ L(:,t+1) for t = i, i+1, i+2. Column t nests in
+// t+1 exactly when t+1 is its elimination-tree parent and holds one row
+// fewer, since a column's rows below its parent are rows of the parent.
+// Quads do not overlap; they are marked from the left, so a chain of
+// nested columns is cut into quads from its first column.
+func (f *LDL) markQuads(parent []int) {
+	lp := f.lp
+	nests := func(t int) bool { return parent[t] == t+1 && lp[t+1]-lp[t] == lp[t+2]-lp[t+1]+1 }
+	for i := 0; i+3 < f.n; i++ {
+		if nests(i) && nests(i+1) && nests(i+2) {
+			setMark(f.quads, i)
+			i += 3
+		}
+	}
+}
+
 // Factor computes the numeric factorization of a, which must have the
 // pattern NewLDL analysed. A pivot that is zero or not finite after the
 // shift returns ErrSingular; the workspace is left zeroed either way, so
@@ -158,7 +194,7 @@ func (f *LDL) Factor(a *CSC) error {
 	y, d, val, shift := f.y, f.d, a.val, f.shift
 	up, ui, us := f.up, f.ui, f.us
 	lp, li, lx := f.lp, f.li, f.lx
-	rs, rc, rp := f.rs, f.rc, f.rp
+	rs, rc, rp, quads := f.rs, f.rc, f.rp, f.quads
 	// Every inner loop runs over index and value subslices of equal
 	// length, so the compiler drops the bounds check on the value side.
 	for k := 0; k < n; k++ {
@@ -173,8 +209,42 @@ func (f *LDL) Factor(a *CSC) error {
 		// the solve consumes y, so y is zero again afterwards.
 		cols, pos := rc[rs[k]:rs[k+1]], rp[rs[k]:rs[k+1]]
 		pos = pos[:len(cols)]
-		for r, i := range cols {
-			pk := pos[r]
+		for r := 0; r < len(cols); r++ {
+			i, pk := cols[r], pos[r]
+			if k > i+3 && hasMark(quads, i) {
+				// Row k lies below the whole quad, so its pattern holds
+				// i..i+3 in a row and their positions in row k follow.
+				// The quad's 3×3 inner triangle goes first, in the
+				// column-by-column order; then one pass applies all four
+				// columns to each shared row j < k, subtracting in column
+				// order; then the four multipliers, in column order.
+				p1, p2, p3 := pos[r+1], pos[r+2], pos[r+3]
+				c0, c1, c2, c3 := lx[lp[i]:pk], lx[lp[i+1]:p1], lx[lp[i+2]:p2], lx[lp[i+3]:p3]
+				y0 := y[i]
+				y1 := y[i+1] - c0[0]*y0
+				y2 := y[i+2] - c0[1]*y0 - c1[0]*y1
+				y3 := y[i+3] - c0[2]*y0 - c1[1]*y1 - c2[0]*y2
+				y[i], y[i+1], y[i+2], y[i+3] = 0, 0, 0, 0
+				rows := li[lp[i+3]:p3]
+				c0, c1, c2, c3 = c0[3:3+len(rows)], c1[2:2+len(rows)], c2[1:1+len(rows)], c3[:len(rows)]
+				for q, j := range rows {
+					y[j] = y[j] - c0[q]*y0 - c1[q]*y1 - c2[q]*y2 - c3[q]*y3
+				}
+				l := y0 / d[i]
+				dk -= l * y0
+				lx[pk] = l
+				l = y1 / d[i+1]
+				dk -= l * y1
+				lx[p1] = l
+				l = y2 / d[i+2]
+				dk -= l * y2
+				lx[p2] = l
+				l = y3 / d[i+3]
+				dk -= l * y3
+				lx[p3] = l
+				r += 3
+				continue
+			}
 			yi := y[i]
 			y[i] = 0
 			rows, vals := li[lp[i]:pk], lx[lp[i]:pk]
@@ -204,11 +274,53 @@ func (f *LDL) SolveInto(dst, b, work []float64) error {
 	if len(b) != n || len(dst) != n || len(work) != n {
 		return fmt.Errorf("sparse: SolveInto buffer lengths (%d,%d,%d), want %d", len(dst), len(b), len(work), n)
 	}
-	y, lp, li, lx := work, f.lp, f.li, f.lx
+	y, lp, li, lx, quads := work, f.lp, f.li, f.lx, f.quads
 	for k, j := range f.perm {
 		y[k] = b[j]
 	}
 	for i := 0; i < n; i++ {
+		if hasMark(quads, i) {
+			// A quad in the column-by-column order, a zero y_c skipping
+			// its column: the inner triangle, then one pass over the
+			// shared rows when all four y_c are nonzero, else a pass per
+			// nonzero column.
+			c0, c1, c2, c3 := lx[lp[i]:lp[i+1]], lx[lp[i+1]:lp[i+2]], lx[lp[i+2]:lp[i+3]], lx[lp[i+3]:lp[i+4]]
+			y0 := y[i]
+			if y0 != 0 {
+				y[i+1] -= c0[0] * y0
+				y[i+2] -= c0[1] * y0
+				y[i+3] -= c0[2] * y0
+			}
+			y1 := y[i+1]
+			if y1 != 0 {
+				y[i+2] -= c1[0] * y1
+				y[i+3] -= c1[1] * y1
+			}
+			y2 := y[i+2]
+			if y2 != 0 {
+				y[i+3] -= c2[0] * y2
+			}
+			y3 := y[i+3]
+			rows := li[lp[i+3]:lp[i+4]]
+			c0, c1, c2 = c0[3:], c1[2:], c2[1:]
+			if y0 != 0 && y1 != 0 && y2 != 0 && y3 != 0 {
+				c0, c1, c2, c3 = c0[:len(rows)], c1[:len(rows)], c2[:len(rows)], c3[:len(rows)]
+				for q, j := range rows {
+					y[j] = y[j] - c0[q]*y0 - c1[q]*y1 - c2[q]*y2 - c3[q]*y3
+				}
+			} else {
+				for c, yc := range [4]float64{y0, y1, y2, y3} {
+					if yc != 0 {
+						vals := [4][]float64{c0, c1, c2, c3}[c][:len(rows)]
+						for q, j := range rows {
+							y[j] -= vals[q] * yc
+						}
+					}
+				}
+			}
+			i += 3
+			continue
+		}
 		if yi := y[i]; yi != 0 {
 			rows, vals := li[lp[i]:lp[i+1]], lx[lp[i]:lp[i+1]]
 			vals = vals[:len(rows)]

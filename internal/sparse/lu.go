@@ -246,7 +246,7 @@ func (f *LU) markPairs() {
 			copy(v0, tmp[:len(l0)])
 			l0[0] = k + 1
 			copy(l0[1:], l1)
-			f.pairs[uint(k)/bits.UintSize] |= 1 << (uint(k) % bits.UintSize)
+			setMark(f.pairs, k)
 			k++
 		}
 		clear(tmp[:len(l0)])
@@ -263,9 +263,7 @@ func (f *LU) Pairs() int {
 }
 
 // paired reports whether columns k and k+1 form a pair.
-func (f *LU) paired(k int) bool {
-	return f.pairs[uint(k)/bits.UintSize]>>(uint(k)%bits.UintSize)&1 != 0
-}
+func (f *LU) paired(k int) bool { return hasMark(f.pairs, k) }
 
 // Clone returns an independent copy of f: the same factors, row pivots
 // and column pre-order, with storage of its own sized to f's factors, so
@@ -292,7 +290,7 @@ func (f *LU) Clone() *LU {
 // floats. Each slice is capped at its share, so a factorization with more
 // fill than planned grows by append without overrunning its neighbour.
 func newLU(n int, q []int, tol float64, lnz, unz int) *LU {
-	pairWords := (n + bits.UintSize - 1) / bits.UintSize
+	pairWords := markWords(n)
 	ints := arena[int](make([]int, 2*(n+1)+5*n+lnz+unz+pairWords))
 	floats := arena[float64](make([]float64, lnz+unz+n))
 	return &LU{
@@ -312,6 +310,16 @@ func newLU(n int, q []int, tol float64, lnz, unz int) *LU {
 		pstack: ints.take(n),
 		marked: ints.take(n),
 	}
+}
+
+// Column marks are one bit per column, packed into markWords(n) ints of an
+// allocation the factorization makes anyway: LU's pairs, LDL's quads.
+func markWords(n int) int { return (n + bits.UintSize - 1) / bits.UintSize }
+
+func setMark(marks []int, i int) { marks[uint(i)/bits.UintSize] |= 1 << (uint(i) % bits.UintSize) }
+
+func hasMark(marks []int, i int) bool {
+	return marks[uint(i)/bits.UintSize]>>(uint(i)%bits.UintSize)&1 != 0
 }
 
 // arena hands out consecutive, capacity-capped slices of one allocation.

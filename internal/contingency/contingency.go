@@ -68,6 +68,10 @@ type OutageResult struct {
 	Severity float64 `json:"severity"`
 	// Algorithm records which solver produced the post-outage point.
 	Algorithm string `json:"algorithm"`
+	// QLimitsRelaxed marks a post-outage point found only with the
+	// generators' reactive limits relaxed (Worker.SolveOrFallback's second
+	// solve): some units may exceed them.
+	QLimitsRelaxed bool `json:"q_limits_relaxed,omitempty"`
 }
 
 // Describe renders the one-line audit narrative for the outage.
@@ -199,9 +203,9 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 // recordSweep publishes one sweep's bulk counters on met (no-op when nil).
 // kind labels the sweep family: n1, n2, gen. work is the LU work of the
 // outages the sweep solved on the AC path, failure escalations and
-// load-shed trials included. The repivot series appears with the first
-// repivot, as registering a series costs an allocation per sweep and
-// sweeps seldom repivot.
+// load-shed trials included. The repivot and Q-relaxed series appear with
+// their first count, as registering a series costs an allocation per
+// sweep and sweeps seldom repivot or relax.
 func recordSweep(met *obs.Registry, kind string, outages, screened int, work SolveWork) {
 	if met == nil {
 		return
@@ -209,10 +213,13 @@ func recordSweep(met *obs.Registry, kind string, outages, screened int, work Sol
 	met.Counter("gridmind_contingency_sweeps_total", "Contingency sweeps completed, by kind.", "kind", kind).Inc()
 	met.Counter("gridmind_contingency_outages_total", "Outages evaluated across sweeps, by kind.", "kind", kind).Add(int64(outages))
 	met.Counter("gridmind_contingency_screened_total", "Outages certified secure by the DC screen (no AC solve), by kind.", "kind", kind).Add(int64(screened))
-	met.Counter("gridmind_contingency_factorizations_total", "LU factorizations of AC-solved outages, by kind: Newton, the fast-decoupled fallback (B′ and B″) and the load-shed trials.", "kind", kind).Add(int64(work.Factorizations))
+	met.Counter("gridmind_contingency_factorizations_total", "LU factorizations of AC-solved outages, by kind: the Q-limited Newton solve, its Q-relaxed retry and the load-shed trials.", "kind", kind).Add(int64(work.Factorizations))
 	met.Counter("gridmind_contingency_base_factor_starts_total", "Newton solves of AC-solved outages that started on the base factor instead of a factorization, by kind.", "kind", kind).Add(int64(work.BaseStarts))
 	if work.Repivots > 0 {
 		met.Counter("gridmind_contingency_repivots_total", "LU refactorizations of AC-solved outages whose frozen pivots went stale and were re-pivoted, by kind; each is also a factorization.", "kind", kind).Add(int64(work.Repivots))
+	}
+	if work.QRelaxed > 0 {
+		met.Counter("gridmind_contingency_q_relaxed_total", "Outages whose Q-limited solve failed and that solved with the Q limits relaxed (records labelled q_limits_relaxed), by kind.", "kind", kind).Add(int64(work.QRelaxed))
 	}
 }
 

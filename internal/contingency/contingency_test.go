@@ -1,6 +1,8 @@
 package contingency
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -368,7 +370,8 @@ func TestSweepNewtonTelemetry(t *testing.T) {
 
 // TestRecordSweepRepivots pins how a sweep publishes its repivots: the
 // count lands on gridmind_contingency_repivots_total under the sweep's
-// kind, and a sweep without one registers no series.
+// kind, and a sweep without one registers no series (nor, without a
+// Q-relaxed outage, the Q-relaxed series).
 func TestRecordSweepRepivots(t *testing.T) {
 	met := obs.NewRegistry()
 	recordSweep(met, "n2", 4, 1, SolveWork{Factorizations: 7, Repivots: 2})
@@ -383,38 +386,81 @@ func TestRecordSweepRepivots(t *testing.T) {
 	if _, ok := met.Value("gridmind_contingency_repivots_total", "kind", "n1"); ok {
 		t.Fatal("a sweep without repivots registered the repivot series")
 	}
+	if _, ok := met.Value("gridmind_contingency_q_relaxed_total", "kind", "n1"); ok {
+		t.Fatal("a sweep without Q-relaxed outages registered the Q-relaxed series")
+	}
 }
 
 // TestFallbackFactorizationsCounted pins what the factorization counter
-// counts on a forced fallback: case30's branch 0 fails warm Newton and
-// solves fast-decoupled, and the sweep's counter must carry both solves'
-// factorizations (B′ and B″ for the fallback). A fresh worker replays the
-// two solves, so the expected count is exact.
+// counts on a forced fallback: branch 0 of case14 and of case30 fails warm
+// Q-limited Newton and solves by the Q-relaxed Newton from the case start
+// profile, and the sweep's counter must carry both solves'
+// factorizations. A fresh worker replays the two solves, so the expected
+// count is exact. case14's are pinned: its failing solve runs its step
+// budget (33 factorizations), the rescue takes 2.
 func TestFallbackFactorizationsCounted(t *testing.T) {
-	n := cases.MustLoad("case30")
-	base := solveBase(t, n)
+	for _, tc := range []struct {
+		name            string
+		failing, rescue int // 0: not pinned
+	}{{"case14", 33, 2}, {"case30", 0, 0}} {
+		n := cases.MustLoad(tc.name)
+		base := solveBase(t, n)
 
-	w := newWorker(n, NewBase(n))
-	w.view.OutBranch(0)
-	nr, err := w.Solve(powerflow.Options{EnforceQLimits: true, Warm: &base.Voltages})
-	if err == nil && nr.Converged {
-		t.Fatal("case30 branch 0 solves by Newton; pick an outage that forces the fallback")
-	}
-	fd, err := w.Solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	if err != nil || !fd.Converged || fd.Factorizations == 0 {
-		t.Fatalf("fast-decoupled fallback: err %v, converged %v, %d factorizations", err, fd.Converged, fd.Factorizations)
-	}
+		w := newWorker(n, NewBase(n))
+		w.view.OutBranch(0)
+		nr, err := w.Solve(powerflow.Options{EnforceQLimits: true, Warm: &base.Voltages})
+		if err == nil && nr.Converged {
+			t.Fatalf("%s branch 0 solves by Newton; pick an outage that forces the fallback", tc.name)
+		}
+		relaxed, err := w.Solve(powerflow.Options{})
+		if err != nil || !relaxed.Converged {
+			t.Fatalf("%s Q-relaxed fallback: err %v, converged %v", tc.name, err, relaxed.Converged)
+		}
+		if tc.failing != 0 && (nr.Factorizations != tc.failing || relaxed.Factorizations != tc.rescue) {
+			t.Fatalf("%s branch 0: %d + %d factorizations, want %d + %d", tc.name, nr.Factorizations, relaxed.Factorizations, tc.failing, tc.rescue)
+		}
 
+		met := obs.NewRegistry()
+		rs, err := Analyze(n, base, Options{Workers: 1, Branches: []int{0}, Metrics: met})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := rs.Outages[0]; !o.QLimitsRelaxed || o.Algorithm != powerflow.NewtonRaphson.String() {
+			t.Fatalf("%s branch 0 solved by %s, relaxed %v; want the Q-relaxed Newton fallback", tc.name, o.Algorithm, o.QLimitsRelaxed)
+		}
+		got, _ := met.Value("gridmind_contingency_factorizations_total", "kind", "n1")
+		if want := float64(nr.Factorizations + relaxed.Factorizations); got != want {
+			t.Fatalf("%s: counter at %v factorizations, want %v (Newton %d + Q-relaxed %d)", tc.name, got, want, nr.Factorizations, relaxed.Factorizations)
+		}
+	}
+}
+
+// TestQRelaxedRecordLabelled: in the case14 N-1 sweep, the one outage whose
+// Q-limited solve fails (branch 0) comes back converged with
+// "q_limits_relaxed": true in its JSON and moves
+// gridmind_contingency_q_relaxed_total by one; every other record's JSON
+// has no such key, so records the Q-limited solve answers keep their shape.
+func TestQRelaxedRecordLabelled(t *testing.T) {
+	n := cases.MustLoad("case14")
 	met := obs.NewRegistry()
-	rs, err := Analyze(n, base, Options{Workers: 1, Branches: []int{0}, Metrics: met})
+	rs, err := Analyze(n, solveBase(t, n), Options{Workers: 1, Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alg := rs.Outages[0].Algorithm; alg != powerflow.FastDecoupled.String() {
-		t.Fatalf("branch 0 solved by %s, want the fast-decoupled fallback", alg)
+	for _, o := range rs.Outages {
+		body, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := bytes.Contains(body, []byte(`"q_limits_relaxed"`))
+		switch {
+		case o.Branch == 0 && !(o.Converged && bytes.Contains(body, []byte(`"q_limits_relaxed":true`))):
+			t.Fatalf("branch 0 is not labelled as a converged Q-relaxed record: %s", body)
+		case o.Branch != 0 && key:
+			t.Fatalf("branch %d carries the Q-relaxed key: %s", o.Branch, body)
+		}
 	}
-	got := met.Counter("gridmind_contingency_factorizations_total", "", "kind", "n1").Value()
-	if want := int64(nr.Factorizations + fd.Factorizations); got != want {
-		t.Fatalf("counter at %d factorizations, want %d (Newton %d + fast-decoupled %d)", got, want, nr.Factorizations, fd.Factorizations)
+	if got, _ := met.Value("gridmind_contingency_q_relaxed_total", "kind", "n1"); got != 1 {
+		t.Fatalf("Q-relaxed counter at %v, want 1", got)
 	}
 }

@@ -24,6 +24,9 @@ type GenOutageResult struct {
 	MinVoltagePU     float64            `json:"min_voltage_pu"`
 	VoltViols        []VoltageViolation `json:"voltage_violations,omitempty"`
 	Severity         float64            `json:"severity"`
+	// QLimitsRelaxed marks a solution found only with the generators'
+	// reactive limits relaxed (Worker.SolveOrFallback's second solve).
+	QLimitsRelaxed bool `json:"q_limits_relaxed,omitempty"`
 }
 
 // Describe renders the one-line audit narrative.
@@ -122,9 +125,9 @@ func scoreGenOutage(out *GenOutageResult, res *powerflow.Result, n *model.Networ
 // result-for-result (the differential harness enforces this to 1e-9).
 // Since the solver re-derives
 // the PV/PQ classification from the view in place, and a failed Newton
-// solve falls back to fast-decoupled on the same view, a generator sweep
-// materializes nothing. It has no load-shed estimate: a unit that fails
-// both solves is recorded as a collapse.
+// solve is retried with the Q limits relaxed on the same view (labelled
+// so), a generator sweep materializes nothing. It has no load-shed
+// estimate: a unit that fails both solves is recorded as a collapse.
 func (w *Worker) analyzeGen(out *GenOutageResult, g int, opts Options) error {
 	w.view.Reset()
 	lost, deficit, err := prepareGenOutage(w.n, w.view, g)
@@ -137,13 +140,14 @@ func (w *Worker) analyzeGen(out *GenOutageResult, g int, opts Options) error {
 		LostMW:           lost,
 		ReserveDeficitMW: deficit,
 	}
-	res, err := w.SolveOrFallback(powerflow.Options{EnforceQLimits: true})
+	res, relaxed, err := w.SolveOrFallback(powerflow.Options{EnforceQLimits: true})
 	if err != nil || !res.Converged {
 		out.Converged = false
 		out.Severity = out.LostMW + out.ReserveDeficitMW + 50
 		return nil
 	}
 	scoreGenOutage(out, res, w.n, opts)
+	out.QLimitsRelaxed = relaxed
 	return nil
 }
 

@@ -52,7 +52,7 @@ func diffGenOutage(ref, got *GenOutageResult) error {
 
 // genCorpus is the generator-outage corpus: three shipped cases and
 // case57 at 1.8× demand ("case57x1.8"), whose outages escalate past
-// Newton — fast-decoupled rescues and one collapse.
+// Newton — a Q-relaxed rescue and a collapse.
 func genCorpus() []struct {
 	name string
 	n    *model.Network
@@ -106,8 +106,8 @@ func TestDifferentialGenOutageViewVsMaterializeReference(t *testing.T) {
 // TestGenSweepNoMaterializeOnHotPath pins the generation sweep's
 // zero-clone contract: it re-derives the classification in place and
 // never materializes (or clones) a network, on the failure escalation
-// (fast-decoupled on the view) too. The stressed corpus entry must still
-// escalate, so that path is exercised.
+// (the Q-relaxed Newton on the view) too. The stressed corpus entry must
+// still escalate, so that path is exercised.
 func TestGenSweepNoMaterializeOnHotPath(t *testing.T) {
 	failed := 0
 	for _, c := range genCorpus() {
@@ -126,6 +126,6 @@ func TestGenSweepNoMaterializeOnHotPath(t *testing.T) {
 		}
 	}
 	if failed == 0 {
-		t.Fatal("no generator outage failed both Newton and fast-decoupled; the corpus must exercise the failure path")
+		t.Fatal("no generator outage failed both the Q-limited and the Q-relaxed solve; the corpus must exercise the failure path")
 	}
 }

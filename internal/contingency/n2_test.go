@@ -5,7 +5,6 @@ import (
 
 	"gridmind/internal/cases"
 	"gridmind/internal/model"
-	"gridmind/internal/powerflow"
 )
 
 // n1Sweep runs the branch sweep the N-2 pipeline seeds from.
@@ -195,7 +194,7 @@ func TestN2DifferentialVsCloneReference(t *testing.T) {
 
 // TestN2ZeroClone: the production pipeline copies no network at all —
 // no deep clone and no materialized view, on the failure escalation
-// (fast-decoupled, then the load-shed estimate) too. case30's seeded
+// (Newton with the Q limits relaxed, then the load-shed estimate) too. case30's seeded
 // pairs escalate often, and the test requires that they still do.
 func TestN2ZeroClone(t *testing.T) {
 	n := cases.MustLoad("case30")
@@ -215,7 +214,7 @@ func TestN2ZeroClone(t *testing.T) {
 	}
 	var escalated int
 	for i := range rs.Outages {
-		if o := &rs.Outages[i]; o.Algorithm == powerflow.FastDecoupled.String() || (!o.Islanded && !o.Converged) {
+		if o := &rs.Outages[i]; o.QLimitsRelaxed || (!o.Islanded && !o.Converged) {
 			escalated++
 		}
 	}

@@ -40,9 +40,11 @@ type Worker struct {
 
 // SolveWork is the LU work of a study's AC solves: numeric
 // factorizations, Newton rounds started on the base factor instead of one,
-// and refactorizations whose frozen pivots went stale and re-pivoted.
+// and refactorizations whose frozen pivots went stale and re-pivoted. It
+// also counts QRelaxed, the states SolveOrFallback solved only with the Q
+// limits relaxed.
 type SolveWork struct {
-	Factorizations, BaseStarts, Repivots int
+	Factorizations, BaseStarts, Repivots, QRelaxed int
 }
 
 // add sums o into w.
@@ -50,6 +52,7 @@ func (w *SolveWork) add(o SolveWork) {
 	w.Factorizations += o.Factorizations
 	w.BaseStarts += o.BaseStarts
 	w.Repivots += o.Repivots
+	w.QRelaxed += o.QRelaxed
 }
 
 // newWorker prepares a worker over n, which must have a slack bus, from
@@ -85,28 +88,37 @@ func (w *Worker) Solve(opts powerflow.Options) (*powerflow.Result, error) {
 	opts.Reorder = w.base.Ordering()
 	res, err := w.solver.Solve(w.view, opts)
 	if res != nil {
-		w.work.add(SolveWork{res.Factorizations, res.BaseFactorStarts, res.Repivots})
+		w.work.add(SolveWork{Factorizations: res.Factorizations, BaseStarts: res.BaseFactorStarts, Repivots: res.Repivots})
 	}
 	return res, err
 }
 
 // SolveOrFallback is the recovery rung of the outage studies: Newton at
-// opts and, if that fails, fast-decoupled from the case start profile on
-// the same view, which is more tolerant of a poor start. An error or an
-// unconverged result means both failed.
-func (w *Worker) SolveOrFallback(opts powerflow.Options) (*powerflow.Result, error) {
-	res, err := w.Solve(opts)
+// opts and, if that fails, the same Newton on the same view from the case
+// start profile with the Q limits relaxed. relaxed reports that the
+// returned solution came from that second solve, so the record can say
+// its generators may exceed their reactive limits; the worker counts it
+// in SolveWork.QRelaxed. An error or an unconverged result means both
+// failed.
+func (w *Worker) SolveOrFallback(opts powerflow.Options) (res *powerflow.Result, relaxed bool, err error) {
+	res, err = w.Solve(opts)
 	if err == nil && res.Converged {
-		return res, nil
+		return res, false, nil
 	}
-	return w.Solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
+	res, err = w.Solve(powerflow.Options{})
+	if err == nil && res.Converged {
+		w.work.QRelaxed++
+		return res, true, nil
+	}
+	return res, false, err
 }
 
 // ShedToSolve estimates the demand (MW) that must be shed before the
-// view's current state solves: five bisection steps on a uniform scaling
-// of its demand and dispatch, each a flat-start Newton solve on the
-// worker. This approximates the "involuntary load shedding" the paper's
-// CA evaluates. The view's demand and dispatch are restored on return.
+// view's current state solves with its Q limits relaxed: five bisection
+// steps on a uniform scaling of its demand and dispatch, each a
+// flat-start Newton solve on the worker with Q limits off. This
+// approximates the "involuntary load shedding" the paper's CA evaluates.
+// The view's demand and dispatch are restored on return.
 func (w *Worker) ShedToSolve() float64 {
 	v := w.view
 	ls := v.LoadScale()

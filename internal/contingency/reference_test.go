@@ -14,7 +14,7 @@ import (
 
 // analyzeClone is the deep-clone reference for Worker.analyze —
 // clone, mark the elements out (with governor redispatch for a generator),
-// islanding check, warm Newton with a fast-decoupled fallback.
+// islanding check, warm Newton with a Q-relaxed Newton fallback.
 func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
 	out := newOutageResult(n, p)
 	post := n.Clone()
@@ -48,10 +48,7 @@ func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Optio
 	if !opts.NoWarmStart {
 		pfOpts.Warm = base.Voltages.Clone()
 	}
-	res, err := powerflow.Solve(post, pfOpts)
-	if err != nil || !res.Converged {
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
+	res, relaxed, err := solveOrRelax(post, pfOpts)
 	if err != nil || !res.Converged {
 		out.LoadShedMW = estimateLoadShed(post)
 		out.Severity = severity(out) + deficit
@@ -63,6 +60,7 @@ func analyzeClone(n *model.Network, base *powerflow.Result, p N2Pair, opts Optio
 		mask[p.BranchB] = true
 	}
 	scoreOutage(out, res, post, mask)
+	out.QLimitsRelaxed = relaxed
 	out.Severity += deficit
 	return out
 }
@@ -87,17 +85,27 @@ func analyzeGenOutageMaterialize(n *model.Network, g int, opts Options) (*GenOut
 	// generator slice and shares everything else with the base.
 	post := view.Materialize()
 
-	res, err := powerflow.Solve(post, powerflow.Options{EnforceQLimits: true})
-	if err != nil || !res.Converged {
-		res, err = powerflow.Solve(post, powerflow.Options{Algorithm: powerflow.FastDecoupled})
-	}
+	res, relaxed, err := solveOrRelax(post, powerflow.Options{EnforceQLimits: true})
 	if err != nil || !res.Converged {
 		out.Converged = false
 		out.Severity = out.LostMW + out.ReserveDeficitMW + 50
 		return out, nil
 	}
 	scoreGenOutage(out, res, post, opts)
+	out.QLimitsRelaxed = relaxed
 	return out, nil
+}
+
+// solveOrRelax is the network reference for Worker.SolveOrFallback:
+// Newton at opts, then Newton from post's stored profile with the Q
+// limits relaxed, which relaxed reports.
+func solveOrRelax(post *model.Network, opts powerflow.Options) (res *powerflow.Result, relaxed bool, err error) {
+	res, err = powerflow.Solve(post, opts)
+	if err == nil && res.Converged {
+		return res, false, nil
+	}
+	res, err = powerflow.Solve(post, powerflow.Options{})
+	return res, err == nil && res.Converged, err
 }
 
 // estimateLoadShed is the network reference for Worker.ShedToSolve: the

@@ -90,7 +90,7 @@ func TestRunDriver(t *testing.T) {
 			if builds := p.ContextBuilds(); (builds > 0) != c.wantBuilds || builds > int64(min(c.workers, c.count)) {
 				t.Fatalf("%d workers built for %d goroutines (want any: %v)", builds, min(c.workers, c.count), c.wantBuilds)
 			}
-			want := SolveWork{int(facts.Load()), int(starts.Load()), int(repivots.Load())}
+			want := SolveWork{Factorizations: int(facts.Load()), BaseStarts: int(starts.Load()), Repivots: int(repivots.Load())}
 			if got != want {
 				t.Fatalf("Run tallied %+v, the solves %+v", got, want)
 			}

@@ -48,7 +48,7 @@ func TestAnalyzeOneSharedArtifactsZeroClones(t *testing.T) {
 	clones, mats := model.CloneCount(), model.MaterializeCount()
 	escalated := 0
 	for _, k := range n.InServiceBranches() {
-		if r := analyzeOne(t, n, base, k, shared); r.Algorithm == powerflow.FastDecoupled.String() || (!r.Islanded && !r.Converged) {
+		if r := analyzeOne(t, n, base, k, shared); r.QLimitsRelaxed || (!r.Islanded && !r.Converged) {
 			escalated++
 		}
 	}

@@ -13,8 +13,9 @@ import (
 // The clone-per-trial bisection it replaced added a network copy to every
 // trial and trips the bound below.
 
-// stageUnsolvable stages the case30 pair (0, 6) on w: both Newton and
-// fast-decoupled fail on it, so its record carries a shed estimate.
+// stageUnsolvable stages the case30 pair (0, 6) on w: Newton fails on it
+// with the Q limits enforced and relaxed, so its record carries a shed
+// estimate.
 func stageUnsolvable(w *Worker) {
 	w.view.Reset()
 	w.view.OutBranch(0)
@@ -25,7 +26,7 @@ func TestShedToSolveAllocationBound(t *testing.T) {
 	n := cases.MustLoad("case30")
 	w := newWorker(n, NewBase(n))
 	stageUnsolvable(w)
-	if res, err := w.SolveOrFallback(powerflow.Options{EnforceQLimits: true}); err == nil && res.Converged {
+	if res, _, err := w.SolveOrFallback(powerflow.Options{EnforceQLimits: true}); err == nil && res.Converged {
 		t.Fatal("case30 pair (0, 6) solves; pick an unsolvable outage")
 	}
 

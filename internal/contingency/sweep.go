@@ -177,8 +177,8 @@ func newOutageResult(n *model.Network, p N2Pair) *OutageResult {
 // and the scoring, and cleared on return; the view stacks the outages,
 // whose rank-1 Ybus patches stack the same way inside ViewSolver.Solve;
 // and a generator loss rides the solver's in-place classification. A
-// failed solve escalates on the same view: fast-decoupled, then the
-// load-shed estimate.
+// failed solve escalates on the same view: Newton with the Q limits
+// relaxed, labelled so, then the load-shed estimate.
 func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *OutageResult {
 	out := newOutageResult(w.n, p)
 	w.markOut(p, true)
@@ -208,13 +208,14 @@ func (w *Worker) analyze(base *powerflow.Result, p N2Pair, opts Options) *Outage
 	if !opts.NoWarmStart {
 		pfOpts.Warm = &base.Voltages
 	}
-	res, err := w.SolveOrFallback(pfOpts)
+	res, relaxed, err := w.SolveOrFallback(pfOpts)
 	if err != nil || !res.Converged {
 		out.LoadShedMW = w.ShedToSolve()
 		out.Severity = severity(out) + deficit
 		return out
 	}
 	scoreOutage(out, res, w.n, w.mask)
+	out.QLimitsRelaxed = relaxed
 	out.Severity += deficit
 	return out
 }

@@ -97,16 +97,6 @@ func (v *OutageView) HasSpecChanges() bool {
 	return v.HasGenChanges() || v.LoadScale() != 1
 }
 
-// BranchInService reports the effective status of branch k under the view.
-func (v *OutageView) BranchInService(k int) bool {
-	for _, b := range v.branchOut {
-		if b == k {
-			return false
-		}
-	}
-	return v.Base.Branches[k].InService
-}
-
 // Gen returns generator g's effective record under the view: the base
 // generator with any dispatch override applied. Status is NOT applied here
 // — callers combine it with GenInService, mirroring how solvers read a

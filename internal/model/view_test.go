@@ -58,7 +58,7 @@ func TestOutageViewMaterializeSharesUntouchedSlices(t *testing.T) {
 	}
 
 	v.Reset()
-	if !v.BranchInService(2) || v.HasGenChanges() {
+	if len(v.BranchesOut()) != 0 || v.HasGenChanges() {
 		t.Fatal("Reset did not clear the view")
 	}
 	v.OutGen(1)

@@ -1,7 +1,6 @@
 // Package powerflow implements steady-state AC and DC power flow solvers:
-// full Newton-Raphson in polar coordinates (the default), a fast-decoupled
-// (XB) variant used as the automatic recovery fallback, and a linear DC
-// power flow used for screening.
+// one AC algorithm, full Newton-Raphson in polar coordinates (the
+// default), and a linear DC power flow used for screening.
 //
 // This package is the Go counterpart of pandapower's runpp, which the paper
 // registers as the deterministic power-flow tool behind the contingency
@@ -24,9 +23,6 @@ type Algorithm int
 const (
 	// NewtonRaphson is the full AC Newton-Raphson solver (default).
 	NewtonRaphson Algorithm = iota
-	// FastDecoupled is the XB fast-decoupled AC solver, used by the agents
-	// as the automatic fallback when Newton fails from a poor start.
-	FastDecoupled
 	// DC is the linearized active-power-only solver.
 	DC
 )
@@ -36,8 +32,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case NewtonRaphson:
 		return "newton-raphson"
-	case FastDecoupled:
-		return "fast-decoupled-xb"
 	case DC:
 		return "dc"
 	default:
@@ -52,11 +46,9 @@ type Options struct {
 	// Tol is the convergence tolerance on the maximum nodal power
 	// mismatch in p.u. Zero selects 1e-8.
 	Tol float64
-	// MaxIter bounds the work of each Q-limit round. For Newton-Raphson it
-	// bounds the Jacobian factorizations; the chord steps between them,
-	// which reuse a factor while the mismatch keeps falling fast, do not
-	// count. For the fast-decoupled method it bounds iterations. Zero
-	// selects 30 for NR and 60 for the fast-decoupled method.
+	// MaxIter bounds the work of each Q-limit round: the Jacobian
+	// factorizations; the chord steps between them, which reuse a factor
+	// while the mismatch keeps falling fast, do not count. Zero selects 30.
 	MaxIter int
 	// FlatStart forces Vm=1 (or setpoints), Va=0 instead of the case's
 	// stored voltage profile.
@@ -133,12 +125,11 @@ func FillBranchFlows(n *model.Network, flows []BranchFlow, sf, st []complex128) 
 // Result is a solved power flow.
 type Result struct {
 	Converged bool
-	// Iterations counts the solver steps over all Q-limit rounds: for
-	// Newton-Raphson the full Newton and the chord steps alike.
+	// Iterations counts the Newton steps over all Q-limit rounds, full
+	// Newton and chord steps alike.
 	Iterations int
 	// Factorizations counts the LU numeric factorizations over all rounds:
-	// for Newton-Raphson one per fresh Jacobian plus one per Repivot
-	// fallback, for the fast-decoupled method B' and B'' once per round.
+	// one per fresh Jacobian plus one per Repivot fallback.
 	Factorizations int
 	// Repivots counts the Newton Refactorize calls whose frozen pivots
 	// went stale, each followed by a Repivot that Factorizations counts
@@ -221,14 +212,14 @@ func classify(n *model.Network) (*classification, error) {
 	return c, nil
 }
 
-// Solve runs the configured power flow on the network. Newton-Raphson and
-// the fast-decoupled method run on a throwaway ViewSolver over an empty
-// view, so one-shot and sweep solves share one solve loop and one index
-// map. The result owns all its slices: the solver, and with it the flow
-// buffer Result.Flows points at, is discarded on return.
+// Solve runs the configured power flow on the network. Newton-Raphson runs
+// on a throwaway ViewSolver over an empty view, so one-shot and sweep
+// solves share one solve loop and one index map. The result owns all its
+// slices: the solver, and with it the flow buffer Result.Flows points at,
+// is discarded on return.
 func Solve(n *model.Network, opts Options) (*Result, error) {
 	switch opts.Algorithm {
-	case NewtonRaphson, FastDecoupled:
+	case NewtonRaphson:
 		s, err := NewViewSolver(n, nil)
 		if err != nil {
 			return nil, err
@@ -238,22 +229,6 @@ func Solve(n *model.Network, opts Options) (*Result, error) {
 		return solveDC(n)
 	default:
 		return nil, fmt.Errorf("powerflow: unknown algorithm %v", opts.Algorithm)
-	}
-}
-
-// qSwitchScratch holds the injection-evaluation buffers of the Q-limit
-// check after a fast-decoupled round, so repeated Q-limit rounds (and
-// view-solver sweeps) allocate nothing.
-type qSwitchScratch struct {
-	p, q, cs, sn []float64
-}
-
-func newQSwitchScratch(nb int) *qSwitchScratch {
-	return &qSwitchScratch{
-		p:  make([]float64, nb),
-		q:  make([]float64, nb),
-		cs: make([]float64, nb),
-		sn: make([]float64, nb),
 	}
 }
 

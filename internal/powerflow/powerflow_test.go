@@ -160,26 +160,6 @@ func TestWarmStartFewerIterations(t *testing.T) {
 	}
 }
 
-func TestFastDecoupledMatchesNewton(t *testing.T) {
-	n := threeBus()
-	nr, err := Solve(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd, err := Solve(n, Options{Algorithm: FastDecoupled, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range nr.Voltages.Vm {
-		if math.Abs(nr.Voltages.Vm[i]-fd.Voltages.Vm[i]) > 1e-6 {
-			t.Fatalf("Vm[%d]: NR %v vs FDPF %v", i, nr.Voltages.Vm[i], fd.Voltages.Vm[i])
-		}
-		if math.Abs(nr.Voltages.Va[i]-fd.Voltages.Va[i]) > 1e-6 {
-			t.Fatalf("Va[%d]: NR %v vs FDPF %v", i, nr.Voltages.Va[i], fd.Voltages.Va[i])
-		}
-	}
-}
-
 func TestQLimitSwitchesPVToPQ(t *testing.T) {
 	n := threeBus()
 	// Strangle the PV unit's reactive range so it cannot hold 1.02 p.u.

@@ -13,11 +13,9 @@ import (
 
 // TestSolveResidualIndependentEvaluation checks what Solve returns against
 // powerflow.Mismatch — complex-arithmetic S = V·conj(Y·V), sharing nothing
-// with the Newton kernel's polar injections, mismatch or Jacobian, nor with
-// the fast-decoupled iteration — under the options serving call sites use:
-// Q-limit enforcement, from a flat start and from the case's stored
-// profile, for Newton-Raphson and the fast-decoupled method. Every
-// non-slack bus must balance P; a PQ bus must balance Q; a PV bus must
+// with the Newton kernel's polar injections, mismatch or Jacobian — under
+// the options serving call sites use: Q-limit enforcement, from a flat
+// start and from the case's stored profile. Every non-slack bus must balance P; a PQ bus must balance Q; a PV bus must
 // either hold its setpoint with reactive output inside its aggregate
 // capability, or sit exactly on the limit it was switched at. The nominal
 // cases hold every PV bus; at 1.2x demand Q-limits bind, so the switched
@@ -26,16 +24,14 @@ func TestSolveResidualIndependentEvaluation(t *testing.T) {
 	const tol = 1e-7 // p.u.; Solve's own tolerance is 1e-8
 	for _, name := range []string{"case14", "case30", "case57", "case118", "case300"} {
 		for _, scale := range []float64{1, 1.2} {
-			for _, alg := range []powerflow.Algorithm{powerflow.NewtonRaphson, powerflow.FastDecoupled} {
-				for _, flat := range []bool{true, false} {
-					checkResidual(t, name, scale, alg, flat, tol)
-				}
+			for _, flat := range []bool{true, false} {
+				checkResidual(t, name, scale, flat, tol)
 			}
 		}
 	}
 }
 
-func checkResidual(t *testing.T, name string, scale float64, alg powerflow.Algorithm, flat bool, tol float64) {
+func checkResidual(t *testing.T, name string, scale float64, flat bool, tol float64) {
 	t.Helper()
 	n := cases.MustLoad(name).Clone()
 	for i := range n.Loads {
@@ -46,8 +42,8 @@ func checkResidual(t *testing.T, name string, scale float64, alg powerflow.Algor
 	if flat {
 		start = "flat start"
 	}
-	name = fmt.Sprintf("%s x%.1f %v %s", name, scale, alg, start)
-	res, err := powerflow.Solve(n, powerflow.Options{Algorithm: alg, FlatStart: flat, EnforceQLimits: true})
+	name = fmt.Sprintf("%s x%.1f %s", name, scale, start)
+	res, err := powerflow.Solve(n, powerflow.Options{FlatStart: flat, EnforceQLimits: true})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -115,33 +111,31 @@ func checkResidual(t *testing.T, name string, scale float64, alg powerflow.Algor
 // TestSolveResultOwnership pins the one-shot ownership contract: Solve
 // discards the solver it ran on, so a result's Flows, Voltages, GenP and
 // GenQ are its own and a later Solve — here on the same network at a
-// different demand, Newton and fast-decoupled alike — leaves them
-// untouched. opf.SolveDispatch keeps res.Flows without copying it.
+// different demand — leaves them untouched. opf.SolveDispatch keeps
+// res.Flows without copying it.
 func TestSolveResultOwnership(t *testing.T) {
-	for _, alg := range []powerflow.Algorithm{powerflow.NewtonRaphson, powerflow.FastDecoupled} {
-		n := cases.MustLoad("case57").Clone()
-		first, err := powerflow.Solve(n, powerflow.Options{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		flows := slices.Clone(first.Flows)
-		vm, va := slices.Clone(first.Voltages.Vm), slices.Clone(first.Voltages.Va)
-		genP, genQ := slices.Clone(first.GenP), slices.Clone(first.GenQ)
+	n := cases.MustLoad("case57").Clone()
+	first, err := powerflow.Solve(n, powerflow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := slices.Clone(first.Flows)
+	vm, va := slices.Clone(first.Voltages.Vm), slices.Clone(first.Voltages.Va)
+	genP, genQ := slices.Clone(first.GenP), slices.Clone(first.GenQ)
 
-		for i := range n.Loads {
-			n.Loads[i].P *= 1.1
-			n.Loads[i].Q *= 1.1
-		}
-		second, err := powerflow.Solve(n, powerflow.Options{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%v at 1.1x: %v", alg, err)
-		}
-		if slices.Equal(second.Voltages.Vm, vm) {
-			t.Fatalf("%v: the 1.1x solve returned the nominal voltages; the check has no teeth", alg)
-		}
-		if !slices.Equal(first.Flows, flows) || !slices.Equal(first.Voltages.Vm, vm) || !slices.Equal(first.Voltages.Va, va) ||
-			!slices.Equal(first.GenP, genP) || !slices.Equal(first.GenQ, genQ) {
-			t.Fatalf("%v: a second Solve changed the first result", alg)
-		}
+	for i := range n.Loads {
+		n.Loads[i].P *= 1.1
+		n.Loads[i].Q *= 1.1
+	}
+	second, err := powerflow.Solve(n, powerflow.Options{})
+	if err != nil {
+		t.Fatalf("at 1.1x: %v", err)
+	}
+	if slices.Equal(second.Voltages.Vm, vm) {
+		t.Fatal("the 1.1x solve returned the nominal voltages; the check has no teeth")
+	}
+	if !slices.Equal(first.Flows, flows) || !slices.Equal(first.Voltages.Vm, vm) || !slices.Equal(first.Voltages.Va, va) ||
+		!slices.Equal(first.GenP, genP) || !slices.Equal(first.GenQ, genQ) {
+		t.Fatal("a second Solve changed the first result")
 	}
 }

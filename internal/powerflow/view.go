@@ -60,7 +60,6 @@ type ViewSolver struct {
 	pvBuf  []int
 	pqBuf  []int
 	vm, va []float64
-	qsc    *qSwitchScratch
 	rsc    *resultScratch
 
 	// Generation-view working buffers: generation-touching views re-derive
@@ -107,7 +106,6 @@ func NewViewSolver(n *model.Network, baseY *model.Ybus) (*ViewSolver, error) {
 		pqBuf:     make([]int, 0, nb),
 		vm:        make([]float64, nb),
 		va:        make([]float64, nb),
-		qsc:       newQSwitchScratch(nb),
 		rsc:       newResultScratch(n),
 		pSpecBuf:  make([]float64, nb),
 		qMinBuf:   make([]float64, nb),
@@ -141,20 +139,18 @@ func augmentedState(y *model.Ybus, nb, slack int) *fixedState {
 // Base returns the shared base network the solver was built over.
 func (s *ViewSolver) Base() *model.Network { return s.base }
 
-// Solve runs the power flow for the view, Newton-Raphson or fast-decoupled,
-// with no copy of the network. Branch outages are rank-1 patches on the
-// solver's Ybus. Generation-touching views (outages, redispatch) and load
-// scaling re-derive the classification from the view's effective fleet
-// and demand — they move pSpec and the reactive aggregates, never
-// topology — so the same patched Ybus, compiled Jacobian and LU symbolic
-// analysis serve them too. The fast-decoupled method builds B′ from the
-// view's branch statuses and B″ from the patched Ybus; it never starts on
-// the base factor. The DC method is not offered on views.
+// Solve runs the Newton power flow for the view with no copy of the
+// network. Branch outages are rank-1 patches on the solver's Ybus.
+// Generation-touching views (outages, redispatch) and load scaling
+// re-derive the classification from the view's effective fleet and demand
+// — they move pSpec and the reactive aggregates, never topology — so the
+// same patched Ybus, compiled Jacobian and LU symbolic analysis serve them
+// too. The DC method is not offered on views.
 func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error) {
 	if view.Base != s.base {
 		return nil, fmt.Errorf("powerflow: view is over a different base network")
 	}
-	if opts.Algorithm != NewtonRaphson && opts.Algorithm != FastDecoupled {
+	if opts.Algorithm != NewtonRaphson {
 		return nil, fmt.Errorf("powerflow: %v is not available on an outage view", opts.Algorithm)
 	}
 	if opts.Tol == 0 {
@@ -162,9 +158,6 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	}
 	if opts.MaxIter == 0 {
 		opts.MaxIter = 30
-		if opts.Algorithm == FastDecoupled {
-			opts.MaxIter = 60
-		}
 	}
 
 	res := &Result{Algorithm: opts.Algorithm}
@@ -177,7 +170,7 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	const maxQRounds = 6
 	for round := 0; ; round++ {
 		baseStarts := s.st.tally.baseStarts
-		iter, facts, mis, conv, err := s.round(view, &c, opts, fromBase && round == 0)
+		iter, facts, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts, s.rho, fromBase && round == 0)
 		res.BaseFactorStarts += s.st.tally.baseStarts - baseStarts
 		res.Iterations += iter
 		res.Factorizations += facts
@@ -195,15 +188,10 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 		if !opts.EnforceQLimits || round >= maxQRounds {
 			break
 		}
-		// A converged Newton round evaluated the injections at this very
-		// state last, into s.st.q; the fast-decoupled round keeps its
-		// own, so its check evaluates them again.
-		q := s.st.q
-		if opts.Algorithm == FastDecoupled || s.st.dim == 0 {
-			injectionsInto(s.y, vm, va, s.qsc.cs, s.qsc.sn, s.qsc.p, s.qsc.q)
-			q = s.qsc.q
-		}
-		if !switchPVtoPQ(&c, q) {
+		// A converged round evaluated the injections at this very state
+		// last, into s.st.q (nil only for a lone slack bus, which has no
+		// PV bus to check).
+		if !switchPVtoPQ(&c, s.st.q) {
 			break
 		}
 	}
@@ -211,18 +199,9 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	return res, nil
 }
 
-// round runs one Q-limit round of opts.Algorithm from s.vm/s.va, on J0
-// for its first step when onBase is set (Newton only).
-func (s *ViewSolver) round(view *model.OutageView, c *classification, opts Options, onBase bool) (int, int, float64, bool, error) {
-	if opts.Algorithm == FastDecoupled {
-		return fdpfInner(s.base, view, s.y, c, s.vm, s.va, opts)
-	}
-	return s.st.newtonRound(s.y, c, s.vm, s.va, opts, s.rho, onBase)
-}
-
 // start prepares a solve of the view: the working classification, the
-// start voltages in s.vm/s.va, for Newton J0 at the start state (counting
-// its factorization, if any, in res), and the branch patches on s.y, which
+// start voltages in s.vm/s.va, J0 at the start state (counting its
+// factorization, if any, in res), and the branch patches on s.y, which
 // restore takes back off. It reports whether the first round may start
 // on J0.
 func (s *ViewSolver) start(view *model.OutageView, opts Options, res *Result) (c classification, fromBase bool) {
@@ -254,10 +233,10 @@ func (s *ViewSolver) start(view *model.OutageView, opts Options, res *Result) (c
 	}
 	startVoltagesViewInto(s.base, view, opts, vm, va)
 
-	// A Newton solve whose branch patches touch few enough buses for the
+	// A solve whose branch patches touch few enough buses for the
 	// Woodbury correction starts on J0, which is over the unpatched Ybus,
 	// so this precedes the patches.
-	fromBase = opts.Algorithm == NewtonRaphson && s.st.base.touch(s.base, view.BranchesOut(), c.slack)
+	fromBase = s.st.base.touch(s.base, view.BranchesOut(), c.slack)
 	if fromBase {
 		var facts int
 		fromBase, facts = s.st.startOnBase(s.y, &c, vm, va, opts)

@@ -23,8 +23,9 @@ const (
 	// OutcomeIslanded: the cumulative trip set split the grid; load outside
 	// the slack island is shed and propagation stops.
 	OutcomeIslanded Outcome = "islanded"
-	// OutcomeCollapse: a stage failed to solve even fast-decoupled — voltage
-	// collapse; the shed estimate comes from the solvability bisection.
+	// OutcomeCollapse: a stage failed to solve even with its Q limits
+	// relaxed — voltage collapse; the shed estimate comes from the
+	// solvability bisection.
 	OutcomeCollapse Outcome = "collapse"
 	// OutcomeDepthLimit: trip candidates remained when MaxDepth was reached.
 	OutcomeDepthLimit Outcome = "depth_limit"
@@ -45,6 +46,10 @@ type Stage struct {
 	Islanded  bool   `json:"islanded,omitempty"`
 	Converged bool   `json:"converged"`
 	Algorithm string `json:"algorithm,omitempty"`
+	// QLimitsRelaxed marks a stage solved only with the generators'
+	// reactive limits relaxed (contingency.Worker.SolveOrFallback's second
+	// solve); later stages start from its point.
+	QLimitsRelaxed bool `json:"q_limits_relaxed,omitempty"`
 	// MaxLoadingPct / overload and voltage records mirror the contingency
 	// scorer's, restricted to surviving branches.
 	MaxLoadingPct float64                        `json:"max_loading_pct"`
@@ -100,9 +105,10 @@ type cascadeState interface {
 	trip(branches []int)
 	// solve runs the Newton power flow at the current cumulative state.
 	solve(opts powerflow.Options) (*powerflow.Result, error)
-	// solveOrFallback is solve, escalated on failure to fast-decoupled
-	// from the case start profile: contingency.Worker.SolveOrFallback.
-	solveOrFallback(opts powerflow.Options) (*powerflow.Result, error)
+	// solveOrFallback is solve, escalated on failure to Newton from the
+	// case start profile with the Q limits relaxed, which relaxed reports:
+	// contingency.Worker.SolveOrFallback.
+	solveOrFallback(opts powerflow.Options) (res *powerflow.Result, relaxed bool, err error)
 	// shed is the collapse estimate: the demand (MW) to shed before the
 	// current state solves.
 	shed() float64
@@ -118,7 +124,7 @@ type cascadeState interface {
 // ViewSolver (patched Ybus, compiled Jacobian pattern, reused LU symbolic
 // analysis). Stacking a cascade's cumulative trip set is exactly the
 // rank-1 patch stack ViewSolver already applies per solve, and the
-// fast-decoupled fallback and the shed estimate run on the same view.
+// Q-relaxed retry and the shed estimate run on the same view.
 type viewState struct{ w *contingency.Worker }
 
 func (s viewState) prepare(ev Event, fp fleetPlan) {
@@ -145,7 +151,7 @@ func (s viewState) solve(opts powerflow.Options) (*powerflow.Result, error) {
 	return s.w.Solve(opts)
 }
 
-func (s viewState) solveOrFallback(opts powerflow.Options) (*powerflow.Result, error) {
+func (s viewState) solveOrFallback(opts powerflow.Options) (*powerflow.Result, bool, error) {
 	return s.w.SolveOrFallback(opts)
 }
 
@@ -203,9 +209,10 @@ func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *
 			break
 		}
 
-		// The contingency sweeps' escalation: Newton, fast-decoupled, then
-		// the solvability bisection for genuine collapse.
-		res, err := st.solveOrFallback(powerflow.Options{EnforceQLimits: true, Warm: warm})
+		// The contingency sweeps' escalation: Newton, Newton with the Q
+		// limits relaxed, then the solvability bisection for genuine
+		// collapse.
+		res, relaxed, err := st.solveOrFallback(powerflow.Options{EnforceQLimits: true, Warm: warm})
 		if err != nil || !res.Converged {
 			sg.Converged = false
 			r.LoadShedMW += st.shed()
@@ -215,6 +222,7 @@ func runCascade(w *contingency.Worker, st cascadeState, n *model.Network, base *
 		}
 		sg.Converged = true
 		sg.Algorithm = res.Algorithm.String()
+		sg.QLimitsRelaxed = relaxed
 		// The contingency scorer's thermal/voltage rules over the
 		// surviving branches: flows on tripped branches are meaningless.
 		sg.MinVoltagePU = res.MinVm
@@ -321,7 +329,7 @@ func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (
 	w := opts.Pool.Acquire(n)
 	defer opts.Pool.Release(w)
 	r := runCascade(w, viewState{w}, n, base, ev, opts)
-	recordScenario(opts.Metrics, "cascade", 1, 0, 0)
+	recordScenario(opts.Metrics, "cascade", 1, 0, contingency.SolveWork{})
 	return r, nil
 }
 
@@ -479,6 +487,6 @@ func Sweep(n *model.Network, base *powerflow.Result, opts Options) (*SweepResult
 			sw.WorstSeed = k
 		}
 	}
-	recordScenario(opts.Metrics, "cascade_sweep", sw.Seeds, sw.Screened, work.Repivots)
+	recordScenario(opts.Metrics, "cascade_sweep", sw.Seeds, sw.Screened, work)
 	return sw, nil
 }

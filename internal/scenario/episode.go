@@ -69,7 +69,7 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 	w := opts.Pool.Acquire(n)
 	defer opts.Pool.Release(w)
 	er := runEpisode(w, viewState{w}, n, base, steps, opts)
-	recordScenario(opts.Metrics, "episode", len(er.Steps), 0, 0)
+	recordScenario(opts.Metrics, "episode", len(er.Steps), 0, contingency.SolveWork{})
 	return er, nil
 }
 

@@ -132,7 +132,7 @@ func RunMC(n *model.Network, base *powerflow.Result, mo MCOptions) (*MCResult, e
 	out.LossOfLoad = wilson(lol, mo.Samples)
 	out.Overload = wilson(ovl, mo.Samples)
 	out.CascadeProb = wilson(casc, mo.Samples)
-	recordScenario(mo.Cascade.Metrics, "mc", mo.Samples, 0, work.Repivots)
+	recordScenario(mo.Cascade.Metrics, "mc", mo.Samples, 0, work)
 	return out, nil
 }
 

@@ -8,7 +8,7 @@ import (
 	"gridmind/internal/cases"
 	"gridmind/internal/contingency"
 	"gridmind/internal/model"
-	"gridmind/internal/powerflow"
+	"gridmind/internal/obs"
 )
 
 // Property/fuzz coverage for the invariants the cascade engine leans on:
@@ -67,7 +67,7 @@ func TestYbusPatchRestoreProperty(t *testing.T) {
 // in random interleavings with Reset reuse — and asserts Materialize
 // equals a from-scratch clone with the identical mutations applied,
 // deeply and exactly. This is the contract that lets the cascade
-// fallback paths (fast-decoupled retry, collapse shed estimate) operate
+// fallback paths (Q-relaxed retry, collapse shed estimate) operate
 // on materialized views interchangeably with clones.
 func TestMaterializeEqualsCloneProperty(t *testing.T) {
 	for _, name := range []string{"case30", "case57"} {
@@ -118,15 +118,17 @@ func TestMaterializeEqualsCloneProperty(t *testing.T) {
 // TestCascadeZeroClone pins the fast path's allocation discipline with
 // the process-wide counters: a full cascade sweep clones and materializes
 // no network, its failure escalation included. case30's sweep escalates
-// often (fast-decoupled rescues and collapses with their shed estimates),
-// and the test requires that it still does, so the failure path is
-// exercised, not skipped.
+// often (Q-relaxed rescues and collapses with their shed estimates), and
+// the test requires that it still does, so the failure path is exercised,
+// not skipped. Every rescued stage is labelled and counted on
+// gridmind_scenario_q_relaxed_total.
 func TestCascadeZeroClone(t *testing.T) {
 	n := cases.MustLoad("case30")
 	base := solveBase(t, n)
 
+	met := obs.NewRegistry()
 	c0, m0 := model.CloneCount(), model.MaterializeCount()
-	sw, err := Sweep(n, base, Options{Pool: contingency.NewSweepPool(contingency.NewBase)})
+	sw, err := Sweep(n, base, Options{Pool: contingency.NewSweepPool(contingency.NewBase), Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestCascadeZeroClone(t *testing.T) {
 			continue
 		}
 		for _, sg := range r.Stages {
-			if sg.Algorithm == powerflow.FastDecoupled.String() {
+			if sg.QLimitsRelaxed {
 				rescued++
 			}
 		}
@@ -148,7 +150,10 @@ func TestCascadeZeroClone(t *testing.T) {
 		}
 	}
 	if rescued == 0 || collapsed == 0 {
-		t.Fatalf("sweep escalated to %d fast-decoupled stages and %d collapses; the corpus must exercise both", rescued, collapsed)
+		t.Fatalf("sweep escalated to %d Q-relaxed stages and %d collapses; the corpus must exercise both", rescued, collapsed)
 	}
-	t.Logf("sweep: 0 clones, 0 materializations over %d seeds, %d fast-decoupled stages, %d collapses", sw.Seeds, rescued, collapsed)
+	if got, _ := met.Value("gridmind_scenario_q_relaxed_total", "kind", "cascade_sweep"); got != float64(rescued) {
+		t.Fatalf("Q-relaxed counter at %v, %d stages labelled", got, rescued)
+	}
+	t.Logf("sweep: 0 clones, 0 materializations over %d seeds, %d Q-relaxed stages, %d collapses", sw.Seeds, rescued, collapsed)
 }

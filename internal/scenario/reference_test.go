@@ -43,13 +43,15 @@ func (s *cloneState) solve(opts powerflow.Options) (*powerflow.Result, error) {
 }
 
 // solveOrFallback is the clone backend's copy of the worker's escalation:
-// Newton at opts, then fast-decoupled from the case start profile.
-func (s *cloneState) solveOrFallback(opts powerflow.Options) (*powerflow.Result, error) {
+// Newton at opts, then Newton from the case start profile with the Q
+// limits relaxed.
+func (s *cloneState) solveOrFallback(opts powerflow.Options) (*powerflow.Result, bool, error) {
 	res, err := s.solve(opts)
 	if err == nil && res.Converged {
-		return res, nil
+		return res, false, nil
 	}
-	return s.solve(powerflow.Options{Algorithm: powerflow.FastDecoupled})
+	res, err = s.solve(powerflow.Options{})
+	return res, err == nil && res.Converged, err
 }
 
 // shed is the clone backend's solvability bisection: each of the five

@@ -47,16 +47,17 @@ type fixedState struct {
 func newFixedState(y *model.Ybus, aPos, mPos []int, dim int) *fixedState {
 	nb := len(aPos)
 	st := &fixedState{aPos: aPos, mPos: mPos, isPQ: make([]bool, nb), dim: dim}
+	// The result tail reads the evaluation, a lone slack bus's included.
+	st.p = make([]float64, nb)
+	st.q = make([]float64, nb)
+	st.cs = make([]float64, nb)
+	st.sn = make([]float64, nb)
 	if dim == 0 {
 		return st
 	}
 	st.rhs = make([]float64, dim)
 	st.dx = make([]float64, dim)
 	st.work = make([]float64, dim)
-	st.p = make([]float64, nb)
-	st.q = make([]float64, nb)
-	st.cs = make([]float64, nb)
-	st.sn = make([]float64, nb)
 	st.jac = newJacobian(y, st)
 	return st
 }
@@ -77,13 +78,13 @@ func newFixedState(y *model.Ybus, aPos, mPos []int, dim int) *fixedState {
 // full Newton throughout. opts.MaxIter bounds the exact-Jacobian steps (a
 // base-factor start is one), so chord steps never spend budget a Newton
 // step needs; each chord step cuts the mismatch at least 1/rho-fold, so
-// their number stays bounded too. It returns the steps taken, the LU
+// their number stays bounded too. evaluated says st.p, st.q, st.cs and
+// st.sn hold the evaluation at (vm, va) already, as a converged round
+// leaves them for the next Q-limit round; every return but an error leaves
+// them so for the result tail. It returns the steps taken, the LU
 // factorizations (a Repivot fallback counts as one more), the final max
 // mismatch and whether it is below opts.Tol.
-func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []float64, opts Options, rho float64, fromBase bool) (steps, facts int, maxMis float64, converged bool, err error) {
-	if st.dim == 0 {
-		return 0, 0, 0, true, nil
-	}
+func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []float64, opts Options, rho float64, fromBase, evaluated bool) (steps, facts int, maxMis float64, converged bool, err error) {
 	st.setPQ(c)
 	// prevMis starts at 0, so the round's first step always takes a fresh
 	// Jacobian.
@@ -91,7 +92,9 @@ func (st *fixedState) newtonRound(y *model.Ybus, c *classification, vm, va []flo
 	var prevMis float64
 	onBase := false // steps solve on J0 with the Woodbury correction
 	for step := 1; ; step++ {
-		injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
+		if step > 1 || !evaluated {
+			injectionsInto(y, vm, va, st.cs, st.sn, st.p, st.q)
+		}
 		maxMis = st.mismatch(c)
 		if maxMis < opts.Tol {
 			return step - 1, facts, maxMis, true, nil

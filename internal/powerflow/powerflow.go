@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"gridmind/internal/model"
 )
@@ -93,10 +94,33 @@ type BranchFlow struct {
 }
 
 // MVAFrom returns the apparent power at the from end in MVA.
-func (f BranchFlow) MVAFrom() float64 { return math.Hypot(f.FromP, f.FromQ) }
+func (f BranchFlow) MVAFrom() float64 { return hypot(f.FromP, f.FromQ) }
 
 // MVATo returns the apparent power at the to end in MVA.
-func (f BranchFlow) MVATo() float64 { return math.Hypot(f.ToP, f.ToQ) }
+func (f BranchFlow) MVATo() float64 { return hypot(f.ToP, f.ToQ) }
+
+// hypot is math.Hypot's portable body, which does the IEEE operations of
+// the amd64 assembly in its order and so returns its bits on every input,
+// with the special cases tested more cheaply so that it inlines (verbatim,
+// it costs about twice the inlining budget). After the swap, which also
+// moves a NaN p into q, an infinity is in p and a NaN in q. The conversion
+// keeps 1 + q·q from fusing into an FMA.
+func hypot(p, q float64) float64 {
+	p, q = max(p, -p), max(q, -q)
+	if p < q || p != p {
+		p, q = q, p
+	}
+	switch {
+	case p > math.MaxFloat64:
+		return p
+	case q != q:
+		return math.NaN()
+	case p == 0:
+		return 0
+	}
+	q = q / p
+	return p * math.Sqrt(1+float64(q*q))
+}
 
 // FillBranchFlows converts the batched per-end complex flows of
 // Ybus.BranchFlowsInto (MVA, out-of-service branches zero) into BranchFlow
@@ -114,7 +138,8 @@ func FillBranchFlows(n *model.Network, flows []BranchFlow, sf, st []complex128) 
 			f.ToP, f.ToQ = real(st[k]), imag(st[k])
 			lossP += f.FromP + f.ToP
 			if br.RateMVA > 0 {
-				f.LoadingPct = 100 * math.Max(f.MVAFrom(), f.MVATo()) / br.RateMVA
+				// hypot, not the inlined MVAFrom/MVATo: a case300 sweep ran 4.5 % slower through them.
+				f.LoadingPct = 100 * math.Max(hypot(f.FromP, f.FromQ), hypot(f.ToP, f.ToQ)) / br.RateMVA
 			}
 		}
 		flows[k] = f
@@ -267,7 +292,7 @@ func switchPVtoPQ(c *classification, q []float64) bool {
 // an OutageView's effective fleet, which is how the gen-outage fast path
 // assembles results without materializing a network.
 type resultScratch struct {
-	v, s         []complex128
+	v            []complex128
 	gensAt       [][]int
 	loadP, loadQ []float64
 	// sf/st are the batched branch-flow kernel's per-end scratch and flows
@@ -295,7 +320,6 @@ func newResultScratch(n *model.Network) *resultScratch {
 	nbr := len(n.Branches)
 	sc := &resultScratch{
 		v:      make([]complex128, nb),
-		s:      make([]complex128, nb),
 		gensAt: make([][]int, nb),
 		loadP:  make([]float64, nb),
 		loadQ:  make([]float64, nb),
@@ -371,13 +395,18 @@ func (sc *resultScratch) applyLoadScale(n *model.Network, ls float64) {
 }
 
 // finishResultScratch computes flows, losses, generator allocations and
-// extrema against the solver's reused scratch.
-func finishResultScratch(n *model.Network, y *model.Ybus, c *classification, vm, va []float64, res *Result, sc *resultScratch) {
+// extrema against the solver's reused scratch. cs and sn are cos(va) and
+// sin(va) from the Newton kernel's last evaluation, which ran at (vm, va),
+// so V = vm·(cs + j·sn) has cmplx.Rect's bits with no trig call. The
+// injections S = V∘conj(Y·V) are summed only at generator buses, the
+// only rows the allocation reads.
+func finishResultScratch(n *model.Network, y *model.Ybus, c *classification, vm, va, cs, sn []float64, res *Result, sc *resultScratch) {
 	nb := len(n.Buses)
 	res.Voltages = VoltageProfile{Vm: append([]float64(nil), vm...), Va: append([]float64(nil), va...)}
-	v, s := sc.v, sc.s
-	model.VoltageVectorInto(v, vm, va)
-	y.InjectionsInto(s, v)
+	v := sc.v
+	for i := range v {
+		v[i] = complex(vm[i]*cs[i], vm[i]*sn[i])
+	}
 
 	// Batched flow tail: one kernel pass over all branches into the
 	// scratch's buffers. The result borrows the scratch's flows slice —
@@ -397,9 +426,14 @@ func finishResultScratch(n *model.Network, y *model.Ybus, c *classification, vm,
 		if len(gens) == 0 {
 			continue
 		}
+		var acc complex128
+		for p := y.RowPtr[i]; p < y.RowPtr[i+1]; p++ {
+			acc += y.NZv[p] * v[y.NZ[p][1]]
+		}
+		s := v[i] * cmplx.Conj(acc)
 		loadP, loadQ := sc.loadP[i], sc.loadQ[i]
-		busGenP := real(s[i])*n.BaseMVA + loadP
-		busGenQ := imag(s[i])*n.BaseMVA + loadQ
+		busGenP := real(s)*n.BaseMVA + loadP
+		busGenQ := imag(s)*n.BaseMVA + loadQ
 		if i != c.slack {
 			// Keep dispatched P; numerical residue goes nowhere.
 			busGenP = 0

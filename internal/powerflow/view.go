@@ -170,7 +170,7 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 	const maxQRounds = 6
 	for round := 0; ; round++ {
 		baseStarts := s.st.tally.baseStarts
-		iter, facts, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts, s.rho, fromBase && round == 0)
+		iter, facts, mis, conv, err := s.st.newtonRound(s.y, &c, vm, va, opts, s.rho, fromBase && round == 0, round > 0)
 		res.BaseFactorStarts += s.st.tally.baseStarts - baseStarts
 		res.Iterations += iter
 		res.Factorizations += facts
@@ -181,7 +181,7 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 			return res, err
 		}
 		if !conv {
-			finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
+			finishResultScratch(s.base, s.y, &c, vm, va, s.st.cs, s.st.sn, res, s.rsc)
 			return res, fmt.Errorf("%w after %d iterations (max mismatch %.3e p.u., %v)",
 				ErrNotConverged, res.Iterations, mis, opts.Algorithm)
 		}
@@ -189,13 +189,12 @@ func (s *ViewSolver) Solve(view *model.OutageView, opts Options) (*Result, error
 			break
 		}
 		// A converged round evaluated the injections at this very state
-		// last, into s.st.q (nil only for a lone slack bus, which has no
-		// PV bus to check).
+		// last, into s.st.q.
 		if !switchPVtoPQ(&c, s.st.q) {
 			break
 		}
 	}
-	finishResultScratch(s.base, s.y, &c, vm, va, res, s.rsc)
+	finishResultScratch(s.base, s.y, &c, vm, va, s.st.cs, s.st.sn, res, s.rsc)
 	return res, nil
 }
 

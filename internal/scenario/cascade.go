@@ -326,10 +326,11 @@ func Cascade(n *model.Network, base *powerflow.Result, ev Event, opts Options) (
 		return nil, err
 	}
 	opts.fill()
-	w := opts.Pool.Acquire(n)
-	defer opts.Pool.Release(w)
-	r := runCascade(w, viewState{w}, n, base, ev, opts)
-	recordScenario(opts.Metrics, "cascade", 1, 0, contingency.SolveWork{})
+	var r *CascadeResult
+	work := opts.Pool.Run(n, 1, 1, nil, func(w *contingency.Worker, _ int) {
+		r = runCascade(w, viewState{w}, n, base, ev, opts)
+	})
+	recordScenario(opts.Metrics, "cascade", 1, 0, work)
 	return r, nil
 }
 

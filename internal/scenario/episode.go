@@ -66,10 +66,11 @@ func Episode(n *model.Network, base *powerflow.Result, steps []EpisodeStep, opts
 		}
 	}
 	opts.fill()
-	w := opts.Pool.Acquire(n)
-	defer opts.Pool.Release(w)
-	er := runEpisode(w, viewState{w}, n, base, steps, opts)
-	recordScenario(opts.Metrics, "episode", len(er.Steps), 0, contingency.SolveWork{})
+	var er *EpisodeResult
+	work := opts.Pool.Run(n, 1, 1, nil, func(w *contingency.Worker, _ int) {
+		er = runEpisode(w, viewState{w}, n, base, steps, opts)
+	})
+	recordScenario(opts.Metrics, "episode", len(er.Steps), 0, work)
 	return er, nil
 }
 

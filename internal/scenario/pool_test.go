@@ -81,6 +81,27 @@ func TestSweepRepivotsCounted(t *testing.T) {
 	}
 }
 
+// TestCascadeCountsSolveWork: a single-seed cascade publishes its solve
+// work like a sweep does. case30 branch 0 fails Q-limited Newton and its
+// stage solves with the Q limits relaxed, so the cascade's counter reads
+// one such stage.
+func TestCascadeCountsSolveWork(t *testing.T) {
+	n := cases.MustLoad("case30")
+	base := solveBase(t, n)
+	met := obs.NewRegistry()
+	opts := Options{Pool: contingency.NewSweepPool(contingency.NewBase), Metrics: met}
+	r, err := Cascade(n, base, Event{Branches: []int{0}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Stages[0].QLimitsRelaxed {
+		t.Fatal("case30 branch 0: first stage not labelled q_limits_relaxed")
+	}
+	if got, ok := met.Value("gridmind_scenario_q_relaxed_total", "kind", "cascade"); got != 1 {
+		t.Fatalf("cascade Q-relaxed counter %v (published %v), want 1", got, ok)
+	}
+}
+
 // TestCascadeRejectsInvalidSeed: a seed branch that is out of range or
 // out of service, or a generator index out of range, has no cascade to
 // study, so Cascade fails with contingency.ErrInvalidOutage instead of

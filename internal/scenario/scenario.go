@@ -28,9 +28,9 @@ import (
 // nil). kind labels the run family (cascade, cascade_sweep, episode, mc);
 // units is what the run evaluated (seeds, steps, samples), screened how
 // many seeds the DC pre-screen certified without AC work, and work the
-// solve work of a sweep or Monte Carlo run: how many LU refactorizations
-// went stale and re-pivoted, and how many stages solved only with their Q
-// limits relaxed.
+// run's solve work, as SweepPool.Run returns it: how many LU
+// refactorizations went stale and re-pivoted, and how many stages solved
+// only with their Q limits relaxed.
 func recordScenario(met *obs.Registry, kind string, units, screened int, work contingency.SolveWork) {
 	if met == nil {
 		return
@@ -41,10 +41,10 @@ func recordScenario(met *obs.Registry, kind string, units, screened int, work co
 		met.Counter("gridmind_scenario_screened_total", "Cascade seeds certified non-cascading by the DC pre-screen.", "kind", kind).Add(int64(screened))
 	}
 	if work.Repivots > 0 {
-		met.Counter("gridmind_scenario_repivots_total", "LU refactorizations of cascade-sweep and Monte Carlo solves whose frozen pivots went stale and were re-pivoted, by kind.", "kind", kind).Add(int64(work.Repivots))
+		met.Counter("gridmind_scenario_repivots_total", "LU refactorizations of scenario solves whose frozen pivots went stale and were re-pivoted, by kind.", "kind", kind).Add(int64(work.Repivots))
 	}
 	if work.QRelaxed > 0 {
-		met.Counter("gridmind_scenario_q_relaxed_total", "Cascade-sweep and Monte Carlo stages whose Q-limited solve failed and that solved with the Q limits relaxed (stages labelled q_limits_relaxed), by kind.", "kind", kind).Add(int64(work.QRelaxed))
+		met.Counter("gridmind_scenario_q_relaxed_total", "Scenario stages whose Q-limited solve failed and that solved with the Q limits relaxed (stages labelled q_limits_relaxed), by kind.", "kind", kind).Add(int64(work.QRelaxed))
 	}
 }
 

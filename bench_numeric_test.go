@@ -161,6 +161,33 @@ func BenchmarkACOPFCase57(b *testing.B)  { benchACOPF(b, "case57") }
 func BenchmarkACOPFCase118(b *testing.B) { benchACOPF(b, "case118") }
 func BenchmarkACOPFCase300(b *testing.B) { benchACOPF(b, "case300") }
 
+// BenchmarkACOPFPooledCase118 is the serving path's warm what-if: a
+// +2 MW change at bus 60 re-solved through one Context that holds the
+// case's compiled problem, warm-started from the base solution. Unlike
+// BenchmarkACOPFCase118, which compiles its problem on every op, each op
+// here compiles nothing: no Ybus, no layout, no KKT pattern.
+func BenchmarkACOPFPooledCase118(b *testing.B) {
+	n := cases.MustLoad("case118")
+	ctx := opf.NewContext()
+	cold, err := opf.SolveACOPF(n, opf.Options{Context: ctx})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := n.Clone()
+	m.Loads = append(m.Loads, model.Load{Bus: m.BusByID(60), P: 2, InService: true})
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sol, err := opf.SolveACOPF(m, opf.Options{Context: ctx, Start: cold})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !sol.Solved {
+			b.Fatal("not solved")
+		}
+	}
+}
+
 // benchSession builds a case57 session carrying a typical what-if diff
 // log (the serving-path state reconstruction workload).
 func benchSession(b *testing.B) *session.Context {

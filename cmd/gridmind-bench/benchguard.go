@@ -24,6 +24,7 @@ var guarded = []string{
 	"BenchmarkACOPFCase57",
 	"BenchmarkACOPFCase118",
 	"BenchmarkACOPFCase300",
+	"BenchmarkACOPFPooledCase118",
 	"BenchmarkSessionNetworkSnapshot",
 	"BenchmarkConcurrentAsk8",
 	"BenchmarkCascadeCase57",

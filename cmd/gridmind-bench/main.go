@@ -12,7 +12,7 @@
 //
 //	gridmind-bench -benchguard BENCH_numeric.json
 //
-// runs the 14 guarded benchmarks of bench_numeric_test.go (listed in
+// runs the 15 guarded benchmarks of bench_numeric_test.go (listed in
 // benchguard.go) with `go test -cpu 1 -count 3` beside the baseline file
 // and exits nonzero when the best run's ns/op or allocs/op (a
 // machine-independent signal) regresses more than 30% against the

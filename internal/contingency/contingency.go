@@ -203,9 +203,7 @@ func Analyze(n *model.Network, base *powerflow.Result, opts Options) (*ResultSet
 // recordSweep publishes one sweep's bulk counters on met (no-op when nil).
 // kind labels the sweep family: n1, n2, gen. work is the LU work of the
 // outages the sweep solved on the AC path, failure escalations and
-// load-shed trials included. The repivot and Q-relaxed series appear with
-// their first count, as registering a series costs an allocation per
-// sweep and sweeps seldom repivot or relax.
+// load-shed trials included, published by recordWork.
 func recordSweep(met *obs.Registry, kind string, outages, screened int, work SolveWork) {
 	if met == nil {
 		return
@@ -213,6 +211,19 @@ func recordSweep(met *obs.Registry, kind string, outages, screened int, work Sol
 	met.Counter("gridmind_contingency_sweeps_total", "Contingency sweeps completed, by kind.", "kind", kind).Inc()
 	met.Counter("gridmind_contingency_outages_total", "Outages evaluated across sweeps, by kind.", "kind", kind).Add(int64(outages))
 	met.Counter("gridmind_contingency_screened_total", "Outages certified secure by the DC screen (no AC solve), by kind.", "kind", kind).Add(int64(screened))
+	recordWork(met, kind, work)
+}
+
+// recordWork publishes the LU work of AC-solved outages on met (no-op when
+// nil) under kind: a sweep's (n1, n2, gen), or one outage's (n1_one,
+// gen_one: AnalyzeOne and AnalyzeGenOutage, which count no sweep). The
+// repivot and Q-relaxed series appear with their first count, as
+// registering a series costs an allocation per sweep and sweeps seldom
+// repivot or relax.
+func recordWork(met *obs.Registry, kind string, work SolveWork) {
+	if met == nil {
+		return
+	}
 	met.Counter("gridmind_contingency_factorizations_total", "LU factorizations of AC-solved outages, by kind: the Q-limited Newton solve, its Q-relaxed retry and the load-shed trials.", "kind", kind).Add(int64(work.Factorizations))
 	met.Counter("gridmind_contingency_base_factor_starts_total", "Newton solves of AC-solved outages that started on the base factor instead of a factorization, by kind.", "kind", kind).Add(int64(work.BaseStarts))
 	if work.Repivots > 0 {
@@ -224,18 +235,22 @@ func recordSweep(met *obs.Registry, kind string, outages, screened int, work Sol
 }
 
 // AnalyzeOne simulates the outage of branch k and scores it on a Worker
-// checked out of Options.Pool, so with the engine's pool a single-outage
-// tool query pays for the solve only, not a topology + Ybus + pattern
-// rebuild. base must be a converged power flow of n; a network without a
+// of Options.Pool, through SweepPool.Run as one item, so with the engine's
+// pool a single-outage tool query pays for the solve only, not a topology
+// + Ybus + pattern rebuild, and its solve work is published under kind
+// n1_one. base must be a converged power flow of n; a network without a
 // slack bus fails with ErrNoBase, and an alias that is not the pool's
 // artifact with ErrArtifactMismatch.
 func AnalyzeOne(n *model.Network, base *powerflow.Result, k int, opts Options) (*OutageResult, error) {
 	if _, err := opts.base(n); err != nil {
 		return nil, err
 	}
-	w := opts.Pool.Acquire(n)
-	defer opts.Pool.Release(w)
-	return w.analyze(base, branchOutage(k), opts), nil
+	var out *OutageResult
+	work := opts.Pool.Run(n, 1, 1, nil, func(w *Worker, _ int) {
+		out = w.analyze(base, branchOutage(k), opts)
+	})
+	recordWork(opts.Metrics, "n1_one", work)
+	return out, nil
 }
 
 // scoreOutage fills out's post-solve fields — loading extrema, overload

@@ -435,6 +435,50 @@ func TestFallbackFactorizationsCounted(t *testing.T) {
 	}
 }
 
+// TestAnalyzeOneCountsSolveWork: a single-outage analysis publishes its
+// solve work under its own kind and counts no sweep. case14 branch 0 fails
+// Q-limited Newton within its 33-factorization step budget and solves by
+// the Q-relaxed retry in 2 more (TestFallbackFactorizationsCounted), so
+// the n1_one series read one Q-relaxed outage and 33 + 2 factorizations.
+// The generator one-shot publishes under gen_one.
+func TestAnalyzeOneCountsSolveWork(t *testing.T) {
+	n := cases.MustLoad("case14")
+	met := obs.NewRegistry()
+	o, err := AnalyzeOne(n, solveBase(t, n), 0, Options{Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.Converged || !o.QLimitsRelaxed {
+		t.Fatalf("case14 branch 0: converged %v, q_limits_relaxed %v; want a Q-relaxed record", o.Converged, o.QLimitsRelaxed)
+	}
+	if got, ok := met.Value("gridmind_contingency_q_relaxed_total", "kind", "n1_one"); got != 1 {
+		t.Fatalf("n1_one Q-relaxed counter %v (published %v), want 1", got, ok)
+	}
+	if got, _ := met.Value("gridmind_contingency_factorizations_total", "kind", "n1_one"); got != 33+2 {
+		t.Fatalf("n1_one factorizations counter %v, want 33 + 2", got)
+	}
+	if _, ok := met.Value("gridmind_contingency_sweeps_total", "kind", "n1_one"); ok {
+		t.Fatal("a single-outage analysis counted a sweep")
+	}
+
+	g := -1
+	for i, gen := range n.Gens {
+		if gen.InService && gen.Bus != n.SlackBus() {
+			g = i
+			break
+		}
+	}
+	if _, err := AnalyzeGenOutage(n, g, Options{Metrics: met}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := met.Value("gridmind_contingency_factorizations_total", "kind", "gen_one"); !ok || got == 0 {
+		t.Fatalf("gen_one factorizations counter %v (published %v), want the unit's solve", got, ok)
+	}
+	if _, ok := met.Value("gridmind_contingency_sweeps_total", "kind", "gen_one"); ok {
+		t.Fatal("a single generator outage counted a sweep")
+	}
+}
+
 // TestQRelaxedRecordLabelled: in the case14 N-1 sweep, the one outage whose
 // Q-limited solve fails (branch 0) comes back converged with
 // "q_limits_relaxed": true in its JSON and moves

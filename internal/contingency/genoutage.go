@@ -154,19 +154,23 @@ func (w *Worker) analyzeGen(out *GenOutageResult, g int, opts Options) error {
 // AnalyzeGenOutage simulates the loss of generator g: its dispatch is
 // redistributed to the remaining units in proportion to spare capacity
 // (governor-style pickup), then the power flow is re-solved and screened.
-// One-shot calls check a Worker out of Options.Pool; sweeps amortize
-// theirs via AnalyzeGenOutages. A network without a slack bus fails with
-// ErrNoBase.
+// One-shot calls run on a Worker of Options.Pool through SweepPool.Run as
+// one item and publish their solve work under kind gen_one; sweeps
+// amortize theirs via AnalyzeGenOutages. A network without a slack bus
+// fails with ErrNoBase.
 func AnalyzeGenOutage(n *model.Network, g int, opts Options) (*GenOutageResult, error) {
 	if _, err := opts.base(n); err != nil {
 		return nil, err
 	}
-	w := opts.Pool.Acquire(n)
-	defer opts.Pool.Release(w)
 	out := new(GenOutageResult)
-	if err := w.analyzeGen(out, g, opts); err != nil {
+	var err error
+	work := opts.Pool.Run(n, 1, 1, nil, func(w *Worker, _ int) {
+		err = w.analyzeGen(out, g, opts)
+	})
+	if err != nil {
 		return nil, err
 	}
+	recordWork(opts.Metrics, "gen_one", work)
 	return out, nil
 }
 

@@ -173,8 +173,20 @@ func (n *Network) IsConnected() bool {
 }
 
 // Validate checks structural and numerical consistency of the case. It is
-// the data-integrity gate the paper's agents run before any solve.
+// the data-integrity gate the paper's agents run before any solve: the
+// structural half (validateStructure), then ValidateValues.
 func (n *Network) Validate() error {
+	if err := n.validateStructure(); err != nil {
+		return err
+	}
+	return n.ValidateValues()
+}
+
+// validateStructure checks what a compiled solver problem is built from:
+// the base, bus IDs and the one slack bus, generator placements, branch
+// endpoints and impedances, and that the in-service branches join one
+// island.
+func (n *Network) validateStructure() error {
 	if n.BaseMVA <= 0 {
 		return fmt.Errorf("model: %s: BaseMVA must be positive, got %v", n.Name, n.BaseMVA)
 	}
@@ -183,7 +195,7 @@ func (n *Network) Validate() error {
 	}
 	slack := 0
 	seen := make(map[int]bool, len(n.Buses))
-	for i, b := range n.Buses {
+	for _, b := range n.Buses {
 		if seen[b.ID] {
 			return fmt.Errorf("model: %s: duplicate bus ID %d", n.Name, b.ID)
 		}
@@ -191,31 +203,13 @@ func (n *Network) Validate() error {
 		if b.Type == Slack {
 			slack++
 		}
-		if b.VMin <= 0 || b.VMax < b.VMin {
-			return fmt.Errorf("model: %s: bus %d has invalid voltage band [%v, %v]", n.Name, b.ID, b.VMin, b.VMax)
-		}
-		if b.Vm <= 0 {
-			return fmt.Errorf("model: %s: bus %d has non-positive initial Vm %v", n.Name, b.ID, b.Vm)
-		}
-		_ = i
 	}
 	if slack != 1 {
 		return fmt.Errorf("model: %s: need exactly one slack bus, got %d", n.Name, slack)
 	}
-	for i, l := range n.Loads {
-		if l.Bus < 0 || l.Bus >= len(n.Buses) {
-			return fmt.Errorf("model: %s: load %d references bus index %d out of range", n.Name, i, l.Bus)
-		}
-	}
 	for i, g := range n.Gens {
 		if g.Bus < 0 || g.Bus >= len(n.Buses) {
 			return fmt.Errorf("model: %s: generator %d references bus index %d out of range", n.Name, i, g.Bus)
-		}
-		if g.PMax < g.PMin {
-			return fmt.Errorf("model: %s: generator %d has PMax %v < PMin %v", n.Name, i, g.PMax, g.PMin)
-		}
-		if g.QMax < g.QMin {
-			return fmt.Errorf("model: %s: generator %d has QMax %v < QMin %v", n.Name, i, g.QMax, g.QMin)
 		}
 	}
 	for i, b := range n.Branches {
@@ -234,6 +228,35 @@ func (n *Network) Validate() error {
 	}
 	if !n.IsConnected() {
 		return fmt.Errorf("model: %s: network is not a single connected island", n.Name)
+	}
+	return nil
+}
+
+// ValidateValues is Validate's value half: bus voltage bands and initial
+// magnitudes, load placements and generator limits. A solver that reuses
+// a problem compiled from a structure Validate passed re-checks only
+// these. It allocates nothing.
+func (n *Network) ValidateValues() error {
+	for _, b := range n.Buses {
+		if b.VMin <= 0 || b.VMax < b.VMin {
+			return fmt.Errorf("model: %s: bus %d has invalid voltage band [%v, %v]", n.Name, b.ID, b.VMin, b.VMax)
+		}
+		if b.Vm <= 0 {
+			return fmt.Errorf("model: %s: bus %d has non-positive initial Vm %v", n.Name, b.ID, b.Vm)
+		}
+	}
+	for i, l := range n.Loads {
+		if l.Bus < 0 || l.Bus >= len(n.Buses) {
+			return fmt.Errorf("model: %s: load %d references bus index %d out of range", n.Name, i, l.Bus)
+		}
+	}
+	for i, g := range n.Gens {
+		if g.PMax < g.PMin {
+			return fmt.Errorf("model: %s: generator %d has PMax %v < PMin %v", n.Name, i, g.PMax, g.PMin)
+		}
+		if g.QMax < g.QMin {
+			return fmt.Errorf("model: %s: generator %d has QMax %v < QMin %v", n.Name, i, g.QMax, g.QMin)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package opf
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"gridmind/internal/model"
 )
@@ -84,21 +86,118 @@ func newACOPF(n *model.Network) (*acopf, error) {
 			a.rated = append(a.rated, k)
 		}
 	}
-	// Bounds: Vm for every bus, Pg and Qg for every in-service generator.
-	for i, b := range n.Buses {
+	a.fillBounds()
+	return a, nil
+}
+
+// fillBounds lays out the bound rows from a.net, reusing their storage:
+// Vm for every bus, Pg and Qg for every in-service generator. A cached
+// problem re-solved on a new network rewrites them in place.
+func (a *acopf) fillBounds() {
+	a.bounds = a.bounds[:0]
+	for i, b := range a.net.Buses {
 		a.bounds = append(a.bounds,
 			boundRow{v: a.ixVm(i), val: b.VMin, isLow: true},
 			boundRow{v: a.ixVm(i), val: b.VMax})
 	}
 	for p, gi := range a.gens {
-		g := n.Gens[gi]
+		g := a.net.Gens[gi]
 		a.bounds = append(a.bounds,
 			boundRow{v: a.ixPg(p), val: g.PMin / a.base, isLow: true},
 			boundRow{v: a.ixPg(p), val: g.PMax / a.base},
 			boundRow{v: a.ixQg(p), val: g.QMin / a.base, isLow: true},
 			boundRow{v: a.ixQg(p), val: g.QMax / a.base})
 	}
-	return a, nil
+}
+
+// compileKey records, by value, exactly the network fields newACOPF
+// compiles from or checks as structure (Validate's structural half): the
+// base, per bus its ID, type and shunt, per branch its endpoints,
+// impedance, charging, tap, shift, status and whether it is rated, and per
+// unit its bus and status. Everything else newACOPF lays out — Ybus,
+// neighbour lists, units and rated branches, slack, the bound rows'
+// variables — is a function of these, and the rest of the network (loads,
+// costs, limits, voltage bands, ratings' values, the operating point) is
+// read per solve. Floats are kept as their bits, so equal keys build
+// bit-identical problems.
+type compileKey struct {
+	base     uint64
+	buses    []busKey
+	branches []branchKey
+	gens     []genKey
+}
+
+type busKey struct {
+	id     int
+	typ    model.BusType
+	gs, bs uint64
+}
+
+type branchKey struct {
+	from, to            int
+	r, x, b, tap, shift uint64
+	inService, rated    bool
+}
+
+type genKey struct {
+	bus       int
+	inService bool
+}
+
+func busKeyOf(b *model.Bus) busKey {
+	return busKey{id: b.ID, typ: b.Type, gs: math.Float64bits(b.GS), bs: math.Float64bits(b.BS)}
+}
+
+func branchKeyOf(br *model.Branch) branchKey {
+	return branchKey{
+		from: br.From, to: br.To,
+		r: math.Float64bits(br.R), x: math.Float64bits(br.X), b: math.Float64bits(br.B),
+		tap: math.Float64bits(br.Tap), shift: math.Float64bits(br.Shift),
+		inService: br.InService, rated: br.RateMVA > 0,
+	}
+}
+
+func genKeyOf(g *model.Generator) genKey { return genKey{bus: g.Bus, inService: g.InService} }
+
+// capture overwrites k with n's key, reusing k's storage.
+func (k *compileKey) capture(n *model.Network) {
+	k.base = math.Float64bits(n.BaseMVA)
+	k.buses = slices.Grow(k.buses[:0], len(n.Buses))
+	for i := range n.Buses {
+		k.buses = append(k.buses, busKeyOf(&n.Buses[i]))
+	}
+	k.branches = slices.Grow(k.branches[:0], len(n.Branches))
+	for i := range n.Branches {
+		k.branches = append(k.branches, branchKeyOf(&n.Branches[i]))
+	}
+	k.gens = slices.Grow(k.gens[:0], len(n.Gens))
+	for i := range n.Gens {
+		k.gens = append(k.gens, genKeyOf(&n.Gens[i]))
+	}
+}
+
+// matches reports whether n's key equals k, field by field.
+func (k *compileKey) matches(n *model.Network) bool {
+	if k.base != math.Float64bits(n.BaseMVA) || len(k.buses) != len(n.Buses) ||
+		len(k.branches) != len(n.Branches) || len(k.gens) != len(n.Gens) {
+		return false
+	}
+	for i := range n.Buses {
+		if k.buses[i] != busKeyOf(&n.Buses[i]) {
+			return false
+		}
+	}
+	for i := range n.Branches {
+		if k.branches[i] != branchKeyOf(&n.Branches[i]) {
+			return false
+		}
+	}
+	for i := range n.Gens {
+		if k.gens[i] != genKeyOf(&n.Gens[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // initialPoint seeds the solver from the case's stored operating point —

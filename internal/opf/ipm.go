@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"gridmind/internal/sparse"
 )
@@ -279,7 +280,9 @@ func solveIPM(p *nlp, opts ipmOptions) (*ipmResult, error) {
 		res.FeasCond, res.GradCond, res.CompCond = feas, grad, comp
 		if feas < opts.FeasTol && grad < opts.GradTol && comp < opts.CompTol && cost < opts.CostTol {
 			res.Converged = true
-			res.Message = fmt.Sprintf("converged in %d iterations", iter)
+			// Not fmt: its printer pool makes a converged solve's
+			// allocation count vary under the race detector.
+			res.Message = "converged in " + strconv.Itoa(iter) + " iterations"
 			break
 		}
 		if iter == opts.MaxIter {

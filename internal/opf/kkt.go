@@ -3,6 +3,7 @@ package opf
 import (
 	"fmt"
 
+	"gridmind/internal/model"
 	"gridmind/internal/sparse"
 )
 
@@ -427,17 +428,31 @@ func sigMatch(s, t *kktSig) bool {
 	return true
 }
 
-// Context carries the compiled KKT pattern, fill-reducing ordering and
-// LDLᵀ symbolic analysis of an ACOPF problem across solves. Pass it via
-// Options.Context when re-solving the SAME network topology with different
-// ratings, loads or start points — SCOPF tightening/backoff rounds,
-// sensitivity impact re-solves, warm-started comparative studies — and the
-// re-solves skip pattern compilation entirely, going straight to slot-map
-// refill + numeric factorization. A topology or generator-status change is
-// detected by structural signature and recompiles transparently.
+// Context carries a compiled ACOPF problem across solves: the problem
+// itself (Ybus, neighbour lists, units, rated branches, slack, bound rows)
+// with a by-value record of the network fields it was compiled from
+// (compileKey), and its KKT pattern, fill-reducing ordering, LDLᵀ
+// symbolic analysis and evaluation scratch. Pass it via Options.Context
+// when re-solving the SAME network structure with different loads, costs,
+// unit limits, voltage bands, rating values or start points — what-ifs,
+// SCOPF tightening/backoff rounds, sensitivity impact re-solves — and a
+// re-solve compiles nothing: it points the problem at the new network,
+// rewrites the bound values, re-checks Validate's value half and goes
+// straight to slot-map refill + numeric factorization.
+//
+// Any change to a recorded field — base, a bus's ID, type or shunt, a
+// branch's endpoints, R, X, B, tap, shift, status or whether it is rated,
+// a unit's bus or status — rebuilds the problem. The KKT pattern survives
+// a rebuild whose structural signature (kktSig) is unchanged, as after an
+// R or X change; a topology, unit-status, unit-placement or slack change
+// recompiles it.
 //
 // A Context is NOT safe for concurrent use; give each goroutine its own.
 type Context struct {
+	// prob is the compiled problem of the last network whose compile
+	// succeeded, key the record of the fields it was compiled from.
+	prob  *acopf
+	key   compileKey
 	sig   *kktSig
 	kkt   *kktSystem
 	es    *evalScratch
@@ -470,6 +485,31 @@ func (c *Context) TakeFactorizations() int {
 	n := c.kkt.factors - c.readFactors
 	c.readFactors = c.kkt.factors
 	return n
+}
+
+// problem returns n's compiled ACOPF problem and the KKT system to solve
+// it on. When n's compile key matches the cached problem's, the problem is
+// reused: pointed at n, its bound values rewritten and n's values
+// validated, with no Ybus build, no layout and no signature. Otherwise n
+// is compiled afresh and acquires its KKT system.
+func (c *Context) problem(n *model.Network) (*acopf, *kktSystem, error) {
+	if c.prob != nil && c.key.matches(n) {
+		if err := n.ValidateValues(); err != nil {
+			return nil, nil, err
+		}
+		c.prob.net = n
+		c.prob.fillBounds()
+		c.kkt.compiledThisSolve = false
+		return c.prob, c.kkt, nil
+	}
+	prob, err := newACOPF(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	kkt := c.acquire(prob)
+	c.prob = prob
+	c.key.capture(n)
+	return prob, kkt, nil
 }
 
 // acquire returns the cached KKT system when prob structurally matches the

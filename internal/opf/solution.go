@@ -27,12 +27,12 @@ type Options struct {
 	// operating point alone and the ConvergenceMessage opens with
 	// WarmStartFallback. Start is only read.
 	Start *Solution
-	// Context, when non-nil, caches the compiled KKT pattern and LDLᵀ
-	// symbolic analysis across solves of the same network topology (rating
-	// or load changes, warm starts): SCOPF tightening rounds and
+	// Context, when non-nil, caches the compiled problem (Ybus, layout,
+	// bound rows), its KKT pattern and LDLᵀ symbolic analysis across
+	// solves of the same network structure (load, cost, limit or rating
+	// value changes, warm starts): what-ifs, SCOPF tightening rounds and
 	// sensitivity re-solves reuse one Context so every solve after the
-	// first skips pattern compilation entirely. Not safe for concurrent
-	// use. See NewContext.
+	// first compiles nothing. Not safe for concurrent use. See Context.
 	Context *Context
 }
 
@@ -123,9 +123,18 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 // solveACOPF is SolveACOPF under explicit interior-point options; the
 // exported entry point passes the zero value, the defaults.
 func solveACOPF(n *model.Network, opts Options, iopts ipmOptions) (*Solution, error) {
-	prob, err := newACOPF(n)
+	// Every problem is compiled through a Context: a throwaway one when
+	// the caller keeps none.
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = new(Context)
+	}
+	prob, kkt, err := ctx.problem(n)
 	if err != nil {
 		return nil, err
+	}
+	if iopts.kkt == nil { // an instrumented solver set by a test wins
+		iopts.kkt = kkt
 	}
 	x0, duals := prob.initialPoint(opts.Start)
 	p := &nlp{
@@ -137,12 +146,6 @@ func solveACOPF(n *model.Network, opts Options, iopts ipmOptions) (*Solution, er
 		hess:  prob.hessian,
 		order: prob.kktOrder,
 		duals: duals,
-	}
-	if opts.Context != nil {
-		// acquire also installs the Context's cached evalScratch (same
-		// structural signature governs both); without a Context, eval
-		// lays out a private one lazily.
-		iopts.kkt = opts.Context.acquire(prob)
 	}
 	first := iopts
 	if duals != nil {

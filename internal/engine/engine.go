@@ -169,8 +169,11 @@ func (e *Engine) Pristine(name string) (*model.Network, error) {
 // and generator dispatch are deliberately excluded — they do not change any
 // artifact the engine stores — so a load or dispatch modification maps to
 // the SAME signature (artifacts survive), while a branch outage/restore or
-// a generator status change maps to a new one (artifacts recompile). This
-// mirrors opf.Context's own signature rules.
+// a generator status change maps to a new one (artifacts recompile). It
+// covers every field of opf.Context's compile key except bus IDs and
+// whether a branch is rated (a rating set to or from 0), so a pooled
+// Context is nearly always checked out to the structure it holds; on
+// those edits the Context's own key check rebuilds its problem.
 func StructSig(n *model.Network) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -299,11 +302,11 @@ func (a *Artifacts) Ordering() *powerflow.OrderingCache { return a.reorder }
 // AcquireOPF checks a reusable interior-point solver context out of the
 // structure's pool, creating one when the pool is empty. opf.Context is
 // not safe for concurrent use, hence checkout/checkin; a context carries
-// the compiled KKT pattern + LDLᵀ symbolic analysis, so a checked-out reuse
-// skips pattern compilation entirely. Return it with ReleaseOPF. Contexts
-// self-verify their structural signature, so a stale checkin (topology
-// changed between checkout and checkin) degrades to a recompile, never to
-// a wrong result.
+// the compiled problem (Ybus, layout, bound rows), its KKT pattern and
+// LDLᵀ symbolic analysis, so a checked-out reuse compiles nothing. Return
+// it with ReleaseOPF. Contexts check each network against the compile key
+// of the problem they hold, so a stale checkin (structure changed between
+// checkout and checkin) degrades to a recompile, never to a wrong result.
 func (e *Engine) AcquireOPF(sig string) *opf.Context {
 	created := false
 	c := e.opfFree.Get(sig, func() *opf.Context { created = true; return opf.NewContext() })

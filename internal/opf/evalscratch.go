@@ -14,10 +14,10 @@ import (
 // jentry slab and Grad/G/H are preallocated, so a steady-state IPM
 // iteration allocates nothing (pinned by TestIPMSteadyStateZeroAllocs).
 //
-// The scratch is carried by opf.Context next to the compiled KKT pattern
-// and governed by the same structural signature: rating, load, cost and
-// start-point changes keep it valid; topology, generator-status, bus-count
-// or slack changes miss the signature and rebuild it. Like the Context it
+// The scratch belongs to the compiled problem an opf.Context keeps, next
+// to its KKT pattern, and lives as long as the problem's compile key
+// matches: rating-value, load, cost and start-point changes keep it;
+// any key change rebuilds it with the problem. Like the Context it
 // rides in, it is NOT safe for concurrent use — the returned *nlpEval is
 // reused by every eval call on the same problem.
 //

@@ -154,7 +154,7 @@ type kktSystem struct {
 	// refinement residual and the factor's workspace.
 	sol, res, work []float64
 	// compiledThisSolve tells a pattern compiled in the current solve from
-	// one a Context carried over from an earlier solve (Context.acquire
+	// one a Context carried over from an earlier solve (Context.problem
 	// clears it); solve treats emission drift against the two differently.
 	compiledThisSolve bool
 	// counters for tests and telemetry: pattern compilations and numeric
@@ -250,7 +250,7 @@ func (k *kktSystem) compile(p *nlp, ev *nlpEval, x, lam, mu, z []float64) error 
 // solve is the predictor's step: compile the pattern on first use, refill
 // the values in place on every later iteration, then factorAndSolve.
 // Drift against a pattern cached from an EARLIER solve means a structural
-// change slipped past the signature, so the pattern is recompiled for
+// change slipped past the compile key, so the pattern is recompiled for
 // this problem; drift against a pattern compiled in THIS solve is a
 // value-dependent emitter, a contract violation that fails loudly
 // (reported distinctly from singularity).
@@ -359,75 +359,6 @@ func (a *acopf) kktOrder(m *sparse.CSC) []int {
 	return sparse.BlockMinDegree(m, super)
 }
 
-// kktSig captures the structural identity of an acopf problem: everything
-// the KKT pattern depends on and nothing it does not. Two problems with
-// equal signatures share the exact same pattern, so rating tightenings,
-// load changes and warm starts all hit the cache; a branch/generator
-// status or topology change misses it.
-type kktSig struct {
-	nb, slack, nx, ng, nh int
-	gens                  []int
-	// genBus is the bus of each entry of gens: moving a generator changes
-	// which equality rows carry its Pg/Qg border entries without changing
-	// any count, so it must be part of the structural identity. Captured
-	// by value — the network can mutate between solves.
-	genBus []int
-	rated  []int
-	// ratedBus is the (From, To) pair of each rated branch: re-homing a
-	// parallel branch between already-connected bus pairs changes which
-	// variables its flow-constraint rows touch without changing the Ybus
-	// NZ set or any count, so the endpoints are structural too. Captured
-	// by value — the network can mutate between solves.
-	ratedBus [][2]int
-	nz       [][2]int
-}
-
-func (a *acopf) signature() *kktSig {
-	genBus := make([]int, len(a.gens))
-	for p, gi := range a.gens {
-		genBus[p] = a.net.Gens[gi].Bus
-	}
-	ratedBus := make([][2]int, len(a.rated))
-	for p, k := range a.rated {
-		br := a.net.Branches[k]
-		ratedBus[p] = [2]int{br.From, br.To}
-	}
-	return &kktSig{
-		nb: a.nb, slack: a.slack,
-		nx: a.nx(), ng: a.ngEq(), nh: a.nIneq(),
-		gens: a.gens, genBus: genBus,
-		rated: a.rated, ratedBus: ratedBus, nz: a.y.NZ,
-	}
-}
-
-func sigMatch(s, t *kktSig) bool {
-	if s == nil || t == nil {
-		return false
-	}
-	if s.nb != t.nb || s.slack != t.slack || s.nx != t.nx || s.ng != t.ng || s.nh != t.nh {
-		return false
-	}
-	if len(s.gens) != len(t.gens) || len(s.rated) != len(t.rated) || len(s.nz) != len(t.nz) {
-		return false
-	}
-	for i := range s.gens {
-		if s.gens[i] != t.gens[i] || s.genBus[i] != t.genBus[i] {
-			return false
-		}
-	}
-	for i := range s.rated {
-		if s.rated[i] != t.rated[i] || s.ratedBus[i] != t.ratedBus[i] {
-			return false
-		}
-	}
-	for i := range s.nz {
-		if s.nz[i] != t.nz[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Context carries a compiled ACOPF problem across solves: the problem
 // itself (Ybus, neighbour lists, units, rated branches, slack, bound rows)
 // with a by-value record of the network fields it was compiled from
@@ -440,12 +371,10 @@ func sigMatch(s, t *kktSig) bool {
 // rewrites the bound values, re-checks Validate's value half and goes
 // straight to slot-map refill + numeric factorization.
 //
-// Any change to a recorded field — base, a bus's ID, type or shunt, a
-// branch's endpoints, R, X, B, tap, shift, status or whether it is rated,
-// a unit's bus or status — rebuilds the problem. The KKT pattern survives
-// a rebuild whose structural signature (kktSig) is unchanged, as after an
-// R or X change; a topology, unit-status, unit-placement or slack change
-// recompiles it.
+// The compile key is the one validity check: any change to a recorded
+// field — base, a bus's ID, type or shunt, a branch's endpoints, R, X, B,
+// tap, shift, status or whether it is rated, a unit's bus or status —
+// rebuilds the problem and gives it a fresh KKT system and scratch.
 //
 // A Context is NOT safe for concurrent use; give each goroutine its own.
 type Context struct {
@@ -453,9 +382,7 @@ type Context struct {
 	// succeeded, key the record of the fields it was compiled from.
 	prob  *acopf
 	key   compileKey
-	sig   *kktSig
 	kkt   *kktSystem
-	es    *evalScratch
 	prior int // compile count of replaced systems
 	// readFactors is the current system's factorization count at the last
 	// TakeFactorizations. A replacement system starts it at minus the
@@ -490,9 +417,10 @@ func (c *Context) TakeFactorizations() int {
 // problem returns n's compiled ACOPF problem and the KKT system to solve
 // it on. When n's compile key matches the cached problem's, the problem is
 // reused: pointed at n, its bound values rewritten and n's values
-// validated, with no Ybus build, no layout and no signature. Otherwise n
-// is compiled afresh and acquires its KKT system.
-func (c *Context) problem(n *model.Network) (*acopf, *kktSystem, error) {
+// validated, with no Ybus build and no layout. Otherwise n is compiled
+// afresh onto a fresh KKT system and evaluation scratch; keep records its
+// key for the next solve, which a throwaway Context skips.
+func (c *Context) problem(n *model.Network, keep bool) (*acopf, *kktSystem, error) {
 	if c.prob != nil && c.key.matches(n) {
 		if err := n.ValidateValues(); err != nil {
 			return nil, nil, err
@@ -506,35 +434,15 @@ func (c *Context) problem(n *model.Network) (*acopf, *kktSystem, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	kkt := c.acquire(prob)
-	c.prob = prob
-	c.key.capture(n)
-	return prob, kkt, nil
-}
-
-// acquire returns the cached KKT system when prob structurally matches the
-// context's previous problem, or installs a fresh empty one for it. The
-// cached evalScratch rides the same signature: a structural match hands
-// prob the previous problem's row layout (values are recomputed on every
-// eval), a miss lays out a fresh one.
-func (c *Context) acquire(prob *acopf) *kktSystem {
-	sig := prob.signature()
-	if c.kkt != nil && sigMatch(c.sig, sig) {
-		c.kkt.compiledThisSolve = false
-		c.sig = sig
-		if c.es == nil {
-			c.es = newEvalScratch(prob)
-		}
-		prob.es = c.es
-		return c.kkt
-	}
 	if c.kkt != nil {
 		c.prior += c.kkt.compiles
 		c.readFactors -= c.kkt.factors
 	}
-	c.sig = sig
 	c.kkt = &kktSystem{}
-	c.es = newEvalScratch(prob)
-	prob.es = c.es
-	return c.kkt
+	prob.es = newEvalScratch(prob)
+	if keep {
+		c.prob = prob
+		c.key.capture(n)
+	}
+	return prob, c.kkt, nil
 }

@@ -287,7 +287,7 @@ func TestWarmStartReusesCompiledKKT(t *testing.T) {
 // mode: moving a generator to a different bus relocates its Pg/Qg border
 // entries between equality rows WITHOUT changing any dimension, count or
 // Ybus coordinate — the one structural change a count-only check cannot
-// see. The signature must catch it and recompile, and the context-reuse
+// see. The compile key must catch it and recompile, and the context-reuse
 // solve must agree with a context-free one.
 func TestGeneratorMoveInvalidatesCachedKKT(t *testing.T) {
 	n := cases.MustLoad("case30")
@@ -326,7 +326,7 @@ func TestGeneratorMoveInvalidatesCachedKKT(t *testing.T) {
 // structural change: a PARALLEL rated branch re-homed between bus pairs
 // that stay connected through other branches. The Ybus NZ set, the rated
 // index list and every dimension are unchanged — only the flow-constraint
-// rows' variables move — so the signature must compare rated-branch
+// rows' variables move — so the compile key must compare branch
 // endpoints to catch it and recompile.
 func TestBranchRehomeInvalidatesCachedKKT(t *testing.T) {
 	n := cases.MustLoad("case30")

@@ -123,13 +123,13 @@ func SolveACOPF(n *model.Network, opts Options) (*Solution, error) {
 // solveACOPF is SolveACOPF under explicit interior-point options; the
 // exported entry point passes the zero value, the defaults.
 func solveACOPF(n *model.Network, opts Options, iopts ipmOptions) (*Solution, error) {
-	// Every problem is compiled through a Context: a throwaway one when
-	// the caller keeps none.
+	// Every problem is compiled through a Context: a throwaway one, which
+	// records no compile key, when the caller keeps none.
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = new(Context)
 	}
-	prob, kkt, err := ctx.problem(n)
+	prob, kkt, err := ctx.problem(n, opts.Context != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -162,6 +162,7 @@ func solveACOPF(n *model.Network, opts Options, iopts ipmOptions) (*Solution, er
 			WarmStartFallback, warm.Iterations, warm.Message, res.Message)
 	}
 	sol := extractSolution(prob, res)
+	prob.net = nil // a kept problem holds no caller network between solves
 	if ipmErr != nil {
 		return sol, fmt.Errorf("opf: %s: %w", n.Name, ipmErr)
 	}

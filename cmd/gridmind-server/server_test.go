@@ -328,7 +328,8 @@ func TestIdleExpirySkipsBusySessions(t *testing.T) {
 // TestConcurrentSessionsOneCase is the multi-tenant acceptance hammer:
 // K distinct sessions ask about the same case concurrently through one
 // engine. Run under -race in CI, it pins the engine + session-manager
-// concurrency contract; the engine counters prove the case compiled once.
+// concurrency contract; the engine counters prove the case compiled and
+// solved once.
 func TestConcurrentSessionsOneCase(t *testing.T) {
 	s, ts := newTestServer(t, 16)
 	const K = 8
@@ -370,10 +371,17 @@ func TestConcurrentSessionsOneCase(t *testing.T) {
 	if ybus > 1 || topo > 1 {
 		t.Fatalf("structural artifacts rebuilt: ybus=%d topo=%d", ybus, topo)
 	}
+	// One state, one cold ACOPF: the first session's solve serves the
+	// other K−1 from the engine's memo, through one KKT checkout.
+	solves := engineCount(t, s.eng, "gridmind_engine_acopf_total", "result", "solve")
+	hits := engineCount(t, s.eng, "gridmind_engine_acopf_total", "result", "hit")
+	if solves != 1 || hits != K-1 {
+		t.Fatalf("cold ACOPF solves/hits = %d/%d across %d sessions, want 1/%d", solves, hits, K, K-1)
+	}
 	creates := engineCount(t, s.eng, "gridmind_engine_opf_context_checkouts_total", "result", "create")
 	reuses := engineCount(t, s.eng, "gridmind_engine_opf_context_checkouts_total", "result", "reuse")
-	if creates+reuses < K {
-		t.Fatalf("KKT pool under-used: creates=%d reuses=%d across %d asks", creates, reuses, K)
+	if creates != 1 || reuses != 0 {
+		t.Fatalf("KKT checkouts create/reuse = %d/%d across %d asks, want 1/0", creates, reuses, K)
 	}
 }
 

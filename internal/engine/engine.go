@@ -40,12 +40,13 @@ type Engine struct {
 	structs  map[string]*Artifacts
 	opfFree  *pool.Keyed[string, *opf.Context]
 	sweeps   map[string]*contingency.SweepPool
-	basePF   map[string]*basePFEntry
+	basePF   map[string]*stateMemo[*powerflow.Result]
+	coldOPF  map[string]*stateMemo[coldACOPF]
 
-	// maxSweepStates bounds the sweep-pool map: pools are keyed by full
-	// session state (case + diff hash), which is unbounded under what-if
-	// traffic; structural artifacts are bounded by topology count and are
-	// never evicted.
+	// maxSweepStates bounds the per-state maps and the OPF context pool's
+	// keys: pools and memos are keyed by full session state (case + diff
+	// hash), and OPF contexts by structure, both unbounded under what-if
+	// traffic; the other structural artifacts are never evicted.
 	maxSweepStates int
 
 	met   *obs.Registry
@@ -64,6 +65,7 @@ type engineStats struct {
 	kktFactors                   *obs.Counter
 	sweepPoolHits, sweepPoolNew  *obs.Counter
 	basePFHits, basePFSolves     *obs.Counter
+	acopfHits, acopfSolves       *obs.Counter
 
 	storeHits, storeMisses *obs.Counter
 	storeErrors            *obs.Counter
@@ -89,6 +91,8 @@ func newEngineStats(met *obs.Registry) engineStats {
 		sweepPoolNew:   lookup("gridmind_engine_sweep_pool_lookups_total", "", "new"),
 		basePFHits:     lookup("gridmind_engine_base_pf_total", "Base power-flow requests by result (hit = memoized, solve = computed).", "hit"),
 		basePFSolves:   lookup("gridmind_engine_base_pf_total", "", "solve"),
+		acopfHits:      lookup("gridmind_engine_acopf_total", "Cold ACOPF requests by result (hit = memoized, solve = computed).", "hit"),
+		acopfSolves:    lookup("gridmind_engine_acopf_total", "", "solve"),
 		storeHits:      lookup("gridmind_engine_artifact_store_loads_total", "Persistent artifact-store loads by result (hit = warmed from disk, miss = no entry, error = corrupt/version-skewed entry).", "hit"),
 		storeMisses:    lookup("gridmind_engine_artifact_store_loads_total", "", "miss"),
 		storeErrors:    lookup("gridmind_engine_artifact_store_loads_total", "", "error"),
@@ -107,13 +111,15 @@ func NewWithMetrics(met *obs.Registry) *Engine {
 	if met == nil {
 		met = obs.NewRegistry()
 	}
+	const maxStates = 64
 	return &Engine{
 		pristine:       make(map[string]*model.Network),
 		structs:        make(map[string]*Artifacts),
-		opfFree:        pool.NewKeyed[string, *opf.Context](0),
+		opfFree:        pool.NewKeyed[string, *opf.Context](maxStates),
 		sweeps:         make(map[string]*contingency.SweepPool),
-		basePF:         make(map[string]*basePFEntry),
-		maxSweepStates: 64,
+		basePF:         make(map[string]*stateMemo[*powerflow.Result]),
+		coldOPF:        make(map[string]*stateMemo[coldACOPF]),
+		maxSweepStates: maxStates,
 		met:            met,
 		stats:          newEngineStats(met),
 	}
@@ -323,12 +329,24 @@ func (e *Engine) ReleaseOPF(sig string, c *opf.Context) {
 	}
 }
 
-// basePFEntry memoizes one state's base power flow; the Once collapses
-// concurrent first solves of the same state into one.
-type basePFEntry struct {
+// stateMemo holds one state's deterministic solve and its error; the Once
+// collapses concurrent first solves of the state into one.
+type stateMemo[T any] struct {
 	once sync.Once
-	res  *powerflow.Result
+	val  T
 	err  error
+}
+
+// memoize returns stateKey's solve from m (bounded like the sweep-pool
+// map), running solve once per key across all sessions; it counts each call.
+func memoize[T any](e *Engine, m map[string]*stateMemo[T], stateKey string, hit, miss *obs.Counter, solve func() (T, error)) (T, error) {
+	e.mu.Lock()
+	ent, _ := stateEntry(m, stateKey, e.maxSweepStates, func() *stateMemo[T] { return &stateMemo[T]{} })
+	e.mu.Unlock()
+	ran := false
+	ent.once.Do(func() { ran = true; ent.val, ent.err = solve() })
+	tally(!ran, hit, miss)
+	return ent.val, ent.err
 }
 
 // BasePF returns the converged pre-contingency power flow for a session
@@ -336,24 +354,31 @@ type basePFEntry struct {
 // solve is deterministic, so any session's network at that state yields
 // the same result). The result is shared read-only. stateKey must be the
 // session's composite case+diff hash; n must be the network at exactly
-// that state. The memo is bounded like the sweep-pool map.
+// that state.
 func (e *Engine) BasePF(stateKey string, n *model.Network) (*powerflow.Result, error) {
-	e.mu.Lock()
-	ent, _ := stateEntry(e.basePF, stateKey, e.maxSweepStates, func() *basePFEntry { return &basePFEntry{} })
-	e.mu.Unlock()
-	hit := true
-	ent.once.Do(func() {
-		hit = false
-		e.stats.basePFSolves.Add(1)
-		ent.res, ent.err = powerflow.Solve(n, powerflow.Options{
+	return memoize(e, e.basePF, stateKey, e.stats.basePFHits, e.stats.basePFSolves, func() (*powerflow.Result, error) {
+		return powerflow.Solve(n, powerflow.Options{
 			EnforceQLimits: true,
 			Reorder:        e.Artifacts(n).Ordering(),
 		})
 	})
-	if hit {
-		e.stats.basePFHits.Add(1)
-	}
-	return ent.res, ent.err
+}
+
+// coldACOPF is a memoized cold ACOPF and whether a recovery rung made it.
+type coldACOPF struct {
+	sol       *opf.Solution
+	recovered bool
+}
+
+// ColdACOPF is BasePF for the cold (not warm-started) ACOPF: solve(n) runs
+// once per state key, and its recovery flag and error are memoized with the
+// shared, read-only solution. Warm solves depend on their start: not here.
+func (e *Engine) ColdACOPF(stateKey string, n *model.Network, solve func(*model.Network) (*opf.Solution, bool, error)) (*opf.Solution, bool, error) {
+	c, err := memoize(e, e.coldOPF, stateKey, e.stats.acopfHits, e.stats.acopfSolves, func() (c coldACOPF, err error) {
+		c.sol, c.recovered, err = solve(n)
+		return c, err
+	})
+	return c.sol, c.recovered, err
 }
 
 // stateEntry returns m[key], installing build() on first sight. State keys

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridmind/internal/cases"
+	"gridmind/internal/model"
 	"gridmind/internal/opf"
 )
 
@@ -17,6 +18,7 @@ const (
 	ptdfBuilds      = "gridmind_engine_ptdf_builds_total"
 	opfCheckouts    = "gridmind_engine_opf_context_checkouts_total"
 	basePF          = "gridmind_engine_base_pf_total"
+	coldACOPFs      = "gridmind_engine_acopf_total"
 	storeLoads      = "gridmind_engine_artifact_store_loads_total"
 	storeSaves      = "gridmind_engine_artifact_store_saves_total"
 )
@@ -178,6 +180,62 @@ func TestBasePFMemoizedPerState(t *testing.T) {
 	solves, hits := count(t, e, basePF, "result", "solve"), count(t, e, basePF, "result", "hit")
 	if solves != 1 || hits != 1 {
 		t.Fatalf("base pf solves/hits = %d/%d, want 1/1", solves, hits)
+	}
+}
+
+// TestColdACOPFMemoizedPerState: a state's cold solve runs once, its
+// solution, recovery flag and error are served to every later request of
+// the state, and another state solves on its own.
+func TestColdACOPFMemoizedPerState(t *testing.T) {
+	e := New()
+	n, _ := e.Pristine("case30")
+	solves := 0
+	solve := func(n *model.Network) (*opf.Solution, bool, error) {
+		solves++
+		sol, err := opf.SolveACOPF(n, opf.Options{})
+		return sol, true, err
+	}
+	s1, rec1, err := e.ColdACOPF("state-a", n, solve)
+	if err != nil || !s1.Solved || !rec1 {
+		t.Fatalf("cold acopf: solved=%v recovered=%v err=%v", s1 != nil && s1.Solved, rec1, err)
+	}
+	s2, rec2, err := e.ColdACOPF("state-a", n, solve)
+	if err != nil || s2 != s1 || !rec2 {
+		t.Fatalf("same state must share one cold solution (shared=%v recovered=%v err=%v)", s2 == s1, rec2, err)
+	}
+	errSolve := errors.New("no solver converged")
+	for i := 0; i < 2; i++ {
+		if _, _, err := e.ColdACOPF("state-b", n, func(*model.Network) (*opf.Solution, bool, error) {
+			solves++
+			return nil, true, errSolve
+		}); err != errSolve {
+			t.Fatalf("request %d of a failing state: err %v, want the memoized %v", i, err, errSolve)
+		}
+	}
+	if hits, misses := count(t, e, coldACOPFs, "result", "hit"), count(t, e, coldACOPFs, "result", "solve"); solves != 2 || misses != 2 || hits != 2 {
+		t.Fatalf("cold acopf ran %d solves, counted %d solves / %d hits, want 2/2/2", solves, misses, hits)
+	}
+}
+
+// TestOPFPoolKeysBounded: every branch outage is a new structure, and the
+// OPF context pool keeps contexts of at most maxSweepStates of them.
+func TestOPFPoolKeysBounded(t *testing.T) {
+	e := New()
+	pristine, _ := e.Pristine("case118")
+	const structures = 80
+	sigs := make([]string, structures)
+	for i := range sigs {
+		n := pristine.Clone()
+		n.Branches[i].InService = false
+		sigs[i] = StructSig(n)
+		e.ReleaseOPF(sigs[i], e.AcquireOPF(sigs[i]))
+	}
+	before := count(t, e, opfCheckouts, "result", "reuse")
+	for _, sig := range sigs {
+		e.ReleaseOPF(sig, e.AcquireOPF(sig))
+	}
+	if held := count(t, e, opfCheckouts, "result", "reuse") - before; held > int64(e.maxSweepStates) {
+		t.Fatalf("OPF pool held contexts of %d structures, cap %d", held, e.maxSweepStates)
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -324,10 +326,19 @@ func (c *Context) DiffHash() string {
 func (c *Context) diffHashLocked() string {
 	h := sha256.New()
 	h.Write([]byte(c.caseName))
+	var b []byte
 	for _, m := range c.diffs {
 		// Timestamps are excluded: the hash captures state, not history.
-		fmt.Fprintf(h, "|%s:%d:%d:%d:%.6f:%.6f:%.6f",
-			m.Kind, m.BusID, m.Branch, m.Gen, m.PMW, m.QMVAr, m.Factor)
+		// A value that its %.6f text does not round-trip adds its bits.
+		b = fmt.Appendf(b[:0], "|%s:%d:%d:%d", m.Kind, m.BusID, m.Branch, m.Gen)
+		for _, v := range [...]float64{m.PMW, m.QMVAr, m.Factor} {
+			i := len(b) + 1
+			b = strconv.AppendFloat(append(b, ':'), v, 'f', 6, 64)
+			if p, _ := strconv.ParseFloat(string(b[i:]), 64); p != v {
+				b = strconv.AppendUint(append(b, '~'), math.Float64bits(v), 16)
+			}
+		}
+		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -225,3 +225,36 @@ func TestVersionCounts(t *testing.T) {
 		t.Fatalf("version %d, want 2", c.Version())
 	}
 }
+
+// TestDiffHashExact: the state key keeps its %.6f text for every value
+// that text round-trips, so existing keys are unchanged, and adds a value's
+// exact bits otherwise, so loads that differ below 1e-6 MW never share a
+// key (and with it a memoized engine solve).
+func TestDiffHashExact(t *testing.T) {
+	c := loaded(t)
+	for _, m := range []Modification{
+		{Kind: ModSetLoad, BusID: 9, PMW: 40.25, QMVAr: -10},
+		{Kind: ModScaleLoad, Factor: 1.05},
+		{Kind: ModOutageBranch, Branch: 3},
+	} {
+		if err := c.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := c.DiffHash(), "ac6256aa18ae5765"; got != want {
+		t.Fatalf("state key %s, want %s (the key of this state before exact keys)", got, want)
+	}
+	key := func(pmw float64) string {
+		c := loaded(t)
+		if err := c.Apply(Modification{Kind: ModSetLoad, BusID: 9, PMW: pmw, QMVAr: 10}); err != nil {
+			t.Fatal(err)
+		}
+		return c.DiffHash()
+	}
+	if a, b := key(10.0000001), key(10.0000002); a == b {
+		t.Fatalf("10.0000001 and 10.0000002 MW share state key %s", a)
+	}
+	if key(10.0000001) != key(10.0000001) {
+		t.Fatal("exact state key not reproducible")
+	}
+}

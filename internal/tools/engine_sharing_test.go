@@ -10,15 +10,16 @@ import (
 )
 
 // sessionWorkload drives one session through the serving hot paths the
-// tools use: ACOPF with recovery, base power flow, full N-1 sweep, a
-// single-outage query and a DC-screened sweep on the shared PTDF.
-func sessionWorkload(t *testing.T, eng *engine.Engine) {
+// tools use: the cold ACOPF with recovery, base power flow, full N-1
+// sweep, a single-outage query and a DC-screened sweep on the shared
+// PTDF. It returns the session.
+func sessionWorkload(t *testing.T, eng *engine.Engine) *session.Context {
 	t.Helper()
 	sess := session.NewWithEngine(nil, eng)
 	if _, err := sess.LoadCase("case30"); err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := solveWithRecovery(sess, eng, nil)
+	sol, _, err := solveCold(sess, eng)
 	if err != nil || !sol.Solved {
 		t.Fatalf("acopf: %v", err)
 	}
@@ -42,6 +43,7 @@ func sessionWorkload(t *testing.T, eng *engine.Engine) {
 	if _, err := contingency.Analyze(n, base, opts); err != nil {
 		t.Fatal(err)
 	}
+	return sess
 }
 
 // opfCheckouts reads the engine's KKT-context checkouts for one result
@@ -54,8 +56,9 @@ func opfCheckouts(t *testing.T, eng *engine.Engine, result string) int64 {
 // TestSecondSessionSharesCompiledArtifacts is the acceptance check for the
 // multi-session engine: after a first session compiles everything for a
 // case, an identical second session performs ZERO ptdf.Build, zero KKT
-// pattern compilations, zero Ybus/topology builds and zero base-PF solves
-// — proven by the engine's exact counters, not timings.
+// pattern compilations, zero Ybus/topology builds, zero base-PF solves
+// and zero cold ACOPF solves — proven by the engine's exact counters, not
+// timings. Its what-if re-solve still runs in the pooled KKT context.
 func TestSecondSessionSharesCompiledArtifacts(t *testing.T) {
 	eng := engine.New()
 	met := eng.Metrics()
@@ -65,6 +68,7 @@ func TestSecondSessionSharesCompiledArtifacts(t *testing.T) {
 			count(t, met, "gridmind_engine_topology_builds_total")
 	}
 	basePFSolves := func() int64 { return count(t, met, "gridmind_engine_base_pf_total", "result", "solve") }
+	acopf := func(result string) int64 { return count(t, met, "gridmind_engine_acopf_total", "result", result) }
 
 	sessionWorkload(t, eng)
 	ptdf1, ybus1, topo1 := builds()
@@ -81,7 +85,7 @@ func TestSecondSessionSharesCompiledArtifacts(t *testing.T) {
 	}
 
 	cloneBase := model.CloneCount()
-	sessionWorkload(t, eng)
+	sess2 := sessionWorkload(t, eng)
 	ptdf2, ybus2, topo2 := builds()
 
 	if ptdf2 != ptdf1 {
@@ -90,14 +94,26 @@ func TestSecondSessionSharesCompiledArtifacts(t *testing.T) {
 	if ybus2 != ybus1 || topo2 != topo1 {
 		t.Fatalf("second session rebuilt Ybus/topology: ybus %d -> %d, topo %d -> %d", ybus1, ybus2, topo1, topo2)
 	}
+	if solves2 := basePFSolves(); solves2 != solves1 {
+		t.Fatalf("second session re-solved the base power flow: %d -> %d", solves1, solves2)
+	}
+	if s, h := acopf("solve"), acopf("hit"); s != 1 || h != 1 {
+		t.Fatalf("cold ACOPF solves/hits over two sessions = %d/%d, want 1/1", s, h)
+	}
+	// LoadCase returns an API-compat clone; beyond that, the second
+	// session's state access is clone-free (the per-call Network() zero-
+	// clone contract is pinned exactly in the session tests).
+	if d := model.CloneCount() - cloneBase; d > 8 {
+		t.Fatalf("second session cloned %d networks; the serving path should stay near zero", d)
+	}
+	if _, err := modifyBusLoadTool(sess2, eng).Fn(map[string]any{"bus": 7.0, "p_mw": 25.0}); err != nil {
+		t.Fatal(err)
+	}
 	if creates2 := opfCheckouts(t, eng, "create"); creates2 != creates1 {
 		t.Fatalf("second session compiled a fresh KKT context: creates %d -> %d", creates1, creates2)
 	}
 	if opfCheckouts(t, eng, "reuse") == reuses1 {
-		t.Fatal("second session never checked the pooled KKT context out")
-	}
-	if solves2 := basePFSolves(); solves2 != solves1 {
-		t.Fatalf("second session re-solved the base power flow: %d -> %d", solves1, solves2)
+		t.Fatal("second session's what-if never checked the pooled KKT context out")
 	}
 	// The pooled KKT context compiled exactly once across both sessions —
 	// the "zero symbolic/pattern work in session two" guarantee.
@@ -105,12 +121,6 @@ func TestSecondSessionSharesCompiledArtifacts(t *testing.T) {
 	kkt := eng.AcquireOPF(eng.Artifacts(n).Sig)
 	if kkt.Compiles() != 1 {
 		t.Fatalf("shared KKT context compiled %d times across two sessions, want 1", kkt.Compiles())
-	}
-	// LoadCase returns an API-compat clone; beyond that, the second
-	// session's state access is clone-free (the per-call Network() zero-
-	// clone contract is pinned exactly in the session tests).
-	if d := model.CloneCount() - cloneBase; d > 8 {
-		t.Fatalf("second session cloned %d networks; the serving path should stay near zero", d)
 	}
 }
 

@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"gridmind/internal/contingency"
+	"gridmind/internal/engine"
 	"gridmind/internal/session"
 )
 
+// extendedRegistry returns the paper's tools plus the extensions on a new
+// session bound to a fresh engine.
 func extendedRegistry(t *testing.T) (*Registry, *session.Context) {
 	t.Helper()
-	r, sess := newGridMind(t)
-	if err := RegisterExtensions(r, sess, sess.Engine()); err != nil {
-		t.Fatal(err)
-	}
-	return r, sess
+	return coldRegistry(t, engine.New())
 }
 
 func TestExtensionsRegistered(t *testing.T) {

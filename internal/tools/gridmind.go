@@ -8,6 +8,7 @@ import (
 	"gridmind/internal/cases"
 	"gridmind/internal/contingency"
 	"gridmind/internal/engine"
+	"gridmind/internal/model"
 	"gridmind/internal/opf"
 	"gridmind/internal/powerflow"
 	"gridmind/internal/schema"
@@ -128,6 +129,29 @@ func solveWithRecovery(ctx *session.Context, eng *engine.Engine, start *opf.Solu
 	if err != nil {
 		return nil, false, err
 	}
+	return recoveryLadder(ctx, eng, n, start)
+}
+
+// solveCold is solveWithRecovery without a start, memoized per state across
+// sessions by engine.ColdACOPF; a hit notes the recovery a miss notes.
+func solveCold(ctx *session.Context, eng *engine.Engine) (*opf.Solution, bool, error) {
+	n, err := ctx.Network()
+	if err != nil {
+		return nil, false, err
+	}
+	hit := true
+	sol, recovered, err := eng.ColdACOPF(ctx.DiffHash(), n, func(n *model.Network) (*opf.Solution, bool, error) {
+		hit = false
+		return recoveryLadder(ctx, eng, n, nil)
+	})
+	if hit && recovered && err == nil {
+		ctx.AddProvenance("recovery", "acopf fell back to "+sol.Method)
+	}
+	return sol, recovered, err
+}
+
+// recoveryLadder is solveWithRecovery's solve on the network n.
+func recoveryLadder(ctx *session.Context, eng *engine.Engine, n *model.Network, start *opf.Solution) (*opf.Solution, bool, error) {
 	sig := eng.Artifacts(n).Sig
 	kkt := eng.AcquireOPF(sig)
 	defer eng.ReleaseOPF(sig, kkt)
@@ -166,7 +190,7 @@ func solveACOPFTool(ctx *session.Context, eng *engine.Engine) *Tool {
 					return nil, err
 				}
 			}
-			sol, recovered, err := solveWithRecovery(ctx, eng, nil)
+			sol, recovered, err := solveCold(ctx, eng)
 			if err != nil {
 				return nil, err
 			}

@@ -94,7 +94,7 @@ func TestColdACOPFSharedSolutionImmutable(t *testing.T) {
 	if _, err := s1.LoadCase("case118"); err != nil {
 		t.Fatal(err)
 	}
-	memo, _, err := solveCold(s1, eng)
+	memo, _, err := solveWithRecovery(s1, eng, nil)
 	if err != nil || !memo.Solved {
 		t.Fatalf("cold solve: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestColdACOPFRecoveryNotedOnHit(t *testing.T) {
 		if k := provenanceCount(sess, "recovery"); k != 1 {
 			t.Fatalf("session %d: %d recovery provenance entries, want 1", i+1, k)
 		}
-		sol, recovered, err := solveCold(sess, eng)
+		sol, recovered, err := solveWithRecovery(sess, eng, nil)
 		if err != nil || !recovered || sol.Method == opf.MethodIPM {
 			t.Fatalf("session %d: recovered=%v method=%q err=%v, want a dispatch fallback", i+1, recovered, sol.Method, err)
 		}
@@ -211,5 +211,62 @@ func TestRaceColdACOPFOneSolve(t *testing.T) {
 	met := eng.Metrics()
 	if s, h := count(t, met, "gridmind_engine_acopf_total", "result", "solve"), count(t, met, "gridmind_engine_acopf_total", "result", "hit"); s != 1 || h != K-1 {
 		t.Fatalf("cold ACOPF solves/hits = %d/%d across %d sessions, want 1/%d", s, h, K, K-1)
+	}
+}
+
+// TestColdWhatIfMemoized: a what-if with no fresh solution to start from
+// (here, none at all) solves its new state cold, so a second session making
+// the same what-if is served from the memo with a byte-identical reply.
+func TestColdWhatIfMemoized(t *testing.T) {
+	eng := engine.New()
+	met := eng.Metrics()
+	var replies [2][]byte
+	for i := range replies {
+		r, sess := coldRegistry(t, eng)
+		if _, err := sess.LoadCase("case118"); err != nil {
+			t.Fatal(err)
+		}
+		factors := count(t, met, "gridmind_opf_kkt_factorizations_total")
+		_, raw, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 10.0, "p_mw": 35.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies[i] = raw
+		if d := count(t, met, "gridmind_opf_kkt_factorizations_total") - factors; i == 1 && d != 0 {
+			t.Fatalf("second session's cold what-if ran %d KKT factorizations, want 0", d)
+		}
+	}
+	if !bytes.Equal(replies[0], replies[1]) {
+		t.Fatalf("cold what-if replies differ:\n%s\n%s", replies[0], replies[1])
+	}
+	if s, h := count(t, met, "gridmind_engine_acopf_total", "result", "solve"), count(t, met, "gridmind_engine_acopf_total", "result", "hit"); s != 1 || h != 1 {
+		t.Fatalf("cold ACOPF solves/hits = %d/%d, want 1/1", s, h)
+	}
+}
+
+// TestWarmSolveNotMemoized: a warm what-if's solution depends on its start,
+// so it never enters the memo. A second session that reaches the same state
+// cold gets the reply a separate engine gives, not the warm one.
+func TestWarmSolveNotMemoized(t *testing.T) {
+	whatIf := func(eng *engine.Engine, solveFirst bool) []byte {
+		t.Helper()
+		r, sess := coldRegistry(t, eng)
+		if _, err := sess.LoadCase("case118"); err != nil {
+			t.Fatal(err)
+		}
+		if solveFirst {
+			solveTool(t, r, "case118")
+		}
+		_, raw, err := r.Invoke(ToolModifyBusLoad, map[string]any{"bus": 10.0, "p_mw": 35.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	eng := engine.New()
+	warm := whatIf(eng, true)
+	cold := whatIf(eng, false)
+	if want := whatIf(engine.New(), false); !bytes.Equal(cold, want) || bytes.Equal(cold, warm) {
+		t.Fatalf("cold what-if after a warm one on its state:\n%s\nwant\n%s\n(warm reply %s)", cold, want, warm)
 	}
 }

@@ -19,7 +19,7 @@ func sessionWorkload(t *testing.T, eng *engine.Engine) *session.Context {
 	if _, err := sess.LoadCase("case30"); err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := solveCold(sess, eng)
+	sol, _, err := solveWithRecovery(sess, eng, nil)
 	if err != nil || !sol.Solved {
 		t.Fatalf("acopf: %v", err)
 	}

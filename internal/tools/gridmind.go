@@ -122,52 +122,46 @@ var solutionOutputSchema = schema.Obj("ACOPF solution summary", map[string]*sche
 // session's solve after the process's first skips pattern compilation.
 // start, when non-nil, warm-starts the solve (opf.Options.Start); a warm
 // start that fell back to the primal-only start is recorded in the
-// session's provenance. internal/opf/README.md ("Recovery ladder") says
-// why no relaxed-tolerance re-solve sits between the two.
+// session's provenance. A cold solve (start nil) depends on the state
+// alone, so it runs once per state across sessions in engine.ColdACOPF;
+// a hit notes the recovery a miss notes. internal/opf/README.md
+// ("Recovery ladder") says why no relaxed-tolerance re-solve sits between
+// the two.
 func solveWithRecovery(ctx *session.Context, eng *engine.Engine, start *opf.Solution) (*opf.Solution, bool, error) {
 	n, err := ctx.Network()
 	if err != nil {
 		return nil, false, err
 	}
-	return recoveryLadder(ctx, eng, n, start)
-}
-
-// solveCold is solveWithRecovery without a start, memoized per state across
-// sessions by engine.ColdACOPF; a hit notes the recovery a miss notes.
-func solveCold(ctx *session.Context, eng *engine.Engine) (*opf.Solution, bool, error) {
-	n, err := ctx.Network()
-	if err != nil {
-		return nil, false, err
+	ladder := func(n *model.Network) (*opf.Solution, bool, error) {
+		sig := eng.Artifacts(n).Sig
+		kkt := eng.AcquireOPF(sig)
+		defer eng.ReleaseOPF(sig, kkt)
+		sol, err := opf.SolveACOPF(n, opf.Options{Start: start, Context: kkt})
+		if sol != nil && strings.HasPrefix(sol.ConvergenceMessage, opf.WarmStartFallback) {
+			ctx.AddProvenance("warm_start", sol.ConvergenceMessage)
+		}
+		if err == nil && sol.MaxMismatchPU < 1e-4 {
+			return sol, false, nil
+		}
+		sol, err = opf.SolveDispatch(n, powerflow.Options{EnforceQLimits: true})
+		if err != nil {
+			return nil, true, fmt.Errorf("all solvers failed: %w", err)
+		}
+		ctx.AddProvenance("recovery", "acopf fell back to "+sol.Method)
+		return sol, true, nil
+	}
+	if start != nil {
+		return ladder(n)
 	}
 	hit := true
 	sol, recovered, err := eng.ColdACOPF(ctx.DiffHash(), n, func(n *model.Network) (*opf.Solution, bool, error) {
 		hit = false
-		return recoveryLadder(ctx, eng, n, nil)
+		return ladder(n)
 	})
 	if hit && recovered && err == nil {
 		ctx.AddProvenance("recovery", "acopf fell back to "+sol.Method)
 	}
 	return sol, recovered, err
-}
-
-// recoveryLadder is solveWithRecovery's solve on the network n.
-func recoveryLadder(ctx *session.Context, eng *engine.Engine, n *model.Network, start *opf.Solution) (*opf.Solution, bool, error) {
-	sig := eng.Artifacts(n).Sig
-	kkt := eng.AcquireOPF(sig)
-	defer eng.ReleaseOPF(sig, kkt)
-	sol, err := opf.SolveACOPF(n, opf.Options{Start: start, Context: kkt})
-	if sol != nil && strings.HasPrefix(sol.ConvergenceMessage, opf.WarmStartFallback) {
-		ctx.AddProvenance("warm_start", sol.ConvergenceMessage)
-	}
-	if err == nil && sol.MaxMismatchPU < 1e-4 {
-		return sol, false, nil
-	}
-	sol, err = opf.SolveDispatch(n, powerflow.Options{EnforceQLimits: true})
-	if err != nil {
-		return nil, true, fmt.Errorf("all solvers failed: %w", err)
-	}
-	ctx.AddProvenance("recovery", "acopf fell back to "+sol.Method)
-	return sol, true, nil
 }
 
 func solveACOPFTool(ctx *session.Context, eng *engine.Engine) *Tool {
@@ -190,7 +184,7 @@ func solveACOPFTool(ctx *session.Context, eng *engine.Engine) *Tool {
 					return nil, err
 				}
 			}
-			sol, recovered, err := solveCold(ctx, eng)
+			sol, recovered, err := solveWithRecovery(ctx, eng, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -110,8 +110,8 @@ func BenchmarkGenSweepCase57(b *testing.B) {
 }
 
 // BenchmarkN2ScreenCase57 measures the N-2 screening pipeline on the
-// seeded critical candidate set: pair seeding, LODF-composition DC
-// pre-screen and zero-clone AC verification. Workers pinned to 1 and the
+// seeded critical candidate set: pair seeding and zero-clone AC
+// verification of every pair. Workers pinned to 1 and the
 // candidate set capped so allocs/op are machine-independent (the CI guard
 // protocol); the N-1 seeding sweep runs outside the measured loop.
 func BenchmarkN2ScreenCase57(b *testing.B) {

@@ -2,7 +2,7 @@
 // the public solver API (no agent in the loop) — the paper's T-1
 // enumeration, criticality ranking, and reinforcement recommendations.
 // With -n2, the N-1 critical list additionally seeds an N-2 double-outage
-// screening pass (DC pre-screen + zero-clone AC verification).
+// screening pass (zero-clone AC verification of every seeded pair).
 package main
 
 import (
@@ -72,16 +72,15 @@ func main() {
 	if !*n2 {
 		return
 	}
-	// N-2 screening: pairs seeded from the critical list, ranked by a
-	// linear LODF pre-screen, survivors AC-verified on the zero-clone
-	// view path.
+	// N-2 screening: pairs seeded from the critical list, each
+	// AC-verified on the zero-clone view path.
 	n2rs, err := contingency.AnalyzeN2(net, base, rs, contingency.N2Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	n2stats := n2rs.Summarize()
-	fmt.Printf("\nN-2 screening: %d candidate pairs — %d certified secure by the DC pre-screen, %d islanding, %d with overloads, %d unsolved\n\n",
-		n2stats.Total, n2rs.Screened, n2stats.Islanding, n2stats.WithOverload, n2stats.Unsolved)
+	fmt.Printf("\nN-2 screening: %d candidate pairs — %d islanding, %d with overloads, %d unsolved\n\n",
+		n2stats.Total, n2stats.Islanding, n2stats.WithOverload, n2stats.Unsolved)
 	fmt.Println("top-5 critical double outages:")
 	for rank, o := range n2rs.Top(5, contingency.Composite) {
 		fmt.Printf("  %d. %s\n", rank+1, o.Describe())

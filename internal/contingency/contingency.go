@@ -147,7 +147,8 @@ type Options struct {
 	// DCScreen enables linear (LODF) pre-screening: outages whose
 	// predicted worst loading stays below screenThreshold (85 %) are
 	// classified secure without a full AC solve — the classic two-stage
-	// contingency screening of production tools.
+	// contingency screening of production tools. N-1 only: AnalyzeN2
+	// ignores it.
 	DCScreen bool
 	// Cache, when non-nil, is consulted with Key before any solve and
 	// populated afterwards.

@@ -9,9 +9,9 @@ import (
 )
 
 // N-2 contingency screening: the connection-impact-assessment workflow of
-// seeding candidate double outages from the N-1 critical list, ranking
-// them with a linear (LODF-composition) pre-screen, and AC-verifying the
-// survivors on the zero-clone view path. See README.md for the pipeline.
+// seeding candidate double outages from the N-1 critical list and
+// AC-verifying every one on the zero-clone view path. See README.md for
+// the pipeline.
 
 // N2Pair identifies one candidate double outage: two branches, or a
 // branch plus a generator (a mixed pair). Internally the sweep pipeline
@@ -26,8 +26,8 @@ type N2Pair struct {
 }
 
 // N2Options configures AnalyzeN2. The embedded Options fields keep their
-// N-1 meanings (workers, thresholds, cache, shared artifacts); DCScreen is
-// implied — use NoPreScreen to disable it.
+// N-1 meanings (workers, cache, shared artifacts), except DCScreen: the
+// N-2 sweep never screens, so it is ignored.
 type N2Options struct {
 	Options
 
@@ -46,10 +46,6 @@ type N2Options struct {
 	// Pairs supplies an explicit candidate set, bypassing the seeding
 	// stage (the N-2 analogue of Options.Branches).
 	Pairs []N2Pair
-	// NoPreScreen sends every candidate straight to AC verification —
-	// the brute-force mode the differential and conservatism tests
-	// compare against.
-	NoPreScreen bool
 }
 
 func (o *N2Options) fill() {
@@ -175,13 +171,12 @@ func SeedN2Pairs(n *model.Network, n1 *ResultSet, opts N2Options) []N2Pair {
 }
 
 // AnalyzeN2 runs the N-2 screening pipeline: pair seeding from the N-1
-// sweep n1 (unless opts.Pairs is given), the LODF-composition DC
-// pre-screen that certifies comfortably secure pairs without an AC solve,
-// and zero-clone AC verification of every surviving pair — the N-1
-// sweep's own pipeline, run over pairs. The returned ResultSet contains
-// one pair record per candidate (IsPair set) and feeds the same ranking,
-// summary and recommendation layers as the N-1 sweep. A malformed pair,
-// including a one-element entry, fails the sweep with ErrInvalidOutage.
+// sweep n1 (unless opts.Pairs is given), then zero-clone AC verification
+// of every pair — the N-1 sweep's own pipeline, run over pairs, with no
+// DC screen. The returned ResultSet contains one pair record per
+// candidate (IsPair set) and feeds the same ranking, summary and
+// recommendation layers as the N-1 sweep. A malformed pair, including a
+// one-element entry, fails the sweep with ErrInvalidOutage.
 func AnalyzeN2(n *model.Network, base *powerflow.Result, n1 *ResultSet, opts N2Options) (*ResultSet, error) {
 	opts.fill()
 	pairs := opts.Pairs
@@ -191,5 +186,5 @@ func AnalyzeN2(n *model.Network, base *powerflow.Result, n1 *ResultSet, opts N2O
 		}
 		pairs = SeedN2Pairs(n, n1, opts)
 	}
-	return sweep(n, base, pairs, "n2", !opts.NoPreScreen, opts.Options)
+	return sweep(n, base, pairs, "n2", false, opts.Options)
 }

@@ -161,7 +161,7 @@ func TestN2DifferentialVsCloneReference(t *testing.T) {
 	}
 
 	got, err := AnalyzeN2(n, base, n1, N2Options{
-		Options: Options{Workers: 4, Pool: NewSweepPool(NewBase)}, Pairs: pairs, NoPreScreen: true,
+		Options: Options{Workers: 4, Pool: NewSweepPool(NewBase)}, Pairs: pairs,
 	})
 	if err != nil {
 		t.Fatal(err)

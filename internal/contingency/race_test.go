@@ -56,13 +56,13 @@ func TestRaceParallelSweepSharedBase(t *testing.T) {
 	}
 }
 
-// TestRaceN2SharedBaseAndLODFMemo exercises the N-2 pipeline's sharing
-// contract: pair workers hit the lazy-LODF memo far harder than the N-1
-// sweep (two columns plus the interaction entries per candidate), while
-// sharing one immutable base network, one topology and one pair screener.
-// Two concurrent AnalyzeN2 calls — one pre-screened, one brute-force —
-// must agree and leave the base untouched; CI runs this under -race.
-func TestRaceN2SharedBaseAndLODFMemo(t *testing.T) {
+// TestRaceN2SharedPoolIgnoresDCScreen exercises the N-2 pipeline's sharing
+// contract: two concurrent AnalyzeN2 calls on one SweepPool share its
+// immutable base network, outage base and workers. One sets
+// Options.DCScreen, as a fleet shard body may; the N-2 sweep never
+// screens, so neither certifies a pair and the two agree record for
+// record. The base must come through untouched; CI runs this under -race.
+func TestRaceN2SharedPoolIgnoresDCScreen(t *testing.T) {
 	n := cases.MustLoad("case57")
 	base := solveBase(t, n)
 	n1, err := Analyze(n, base, Options{})
@@ -70,16 +70,17 @@ func TestRaceN2SharedBaseAndLODFMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := SeedN2Pairs(n, n1, N2Options{TopK: 10})
+	pool := NewSweepPool(NewBase)
 	var wg sync.WaitGroup
 	results := make([]*ResultSet, 2)
-	for i, opts := range []N2Options{
-		{Options: Options{Workers: 4}, Pairs: pairs},
-		{Options: Options{Workers: 4}, Pairs: pairs, NoPreScreen: true},
+	for i, opts := range []Options{
+		{Workers: 4, Pool: pool},
+		{Workers: 4, Pool: pool, DCScreen: true},
 	} {
 		wg.Add(1)
-		go func(i int, opts N2Options) {
+		go func(i int, opts Options) {
 			defer wg.Done()
-			rs, err := AnalyzeN2(n, base, n1, opts)
+			rs, err := AnalyzeN2(n, base, n1, N2Options{Options: opts, Pairs: pairs})
 			if err != nil {
 				t.Errorf("n2 sweep %d: %v", i, err)
 				return
@@ -91,10 +92,14 @@ func TestRaceN2SharedBaseAndLODFMemo(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	for i := range results[0].Outages {
-		a, b := results[0].Outages[i], results[1].Outages[i]
-		if a.Branch != b.Branch || a.Branch2 != b.Branch2 || a.Islanded != b.Islanded {
-			t.Fatalf("pair %d: concurrent sweeps disagree on identity", i)
+	for i, rs := range results {
+		if rs.Screened != 0 {
+			t.Fatalf("n2 sweep %d screened %d pairs; the N-2 sweep must not screen", i, rs.Screened)
+		}
+	}
+	for i := range pairs {
+		if err := diffOutage(&results[0].Outages[i], &results[1].Outages[i]); err != nil {
+			t.Fatalf("pair %d (%+v): concurrent sweeps disagree: %v", i, pairs[i], err)
 		}
 	}
 	for k, br := range n.Branches {

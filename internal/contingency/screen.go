@@ -81,13 +81,6 @@ const qReserveMarginMVA = 2.0
 // nonlinear, which the linear floor estimate cannot track.
 const weakFeedShare = 0.5
 
-// pairInteractionTrust is the minimum |det(I − L_MM)| for the linear pair
-// screen to trust itself: a small determinant means the two branches
-// back each other up so strongly that the post-pair flow redistribution is
-// a large multiple of either single-outage picture, where the reactive
-// side of the linearization degrades. Such pairs go to the AC path.
-const pairInteractionTrust = 0.25
-
 // screenedAlgorithm labels outage results certified by the linear
 // two-stage screen rather than a full AC solve.
 const screenedAlgorithm = "lodf-1q-screened"
@@ -173,37 +166,19 @@ func newScreener(n *model.Network, base *powerflow.Result, b Base) (*screener, e
 }
 
 // trySecure returns a screened-secure record when both linear stages say
-// the outage cannot approach any limit; nil sends it to the full AC path.
-// A single outage takes its active flows from the LODFs; a branch pair
-// from the pair LODF composition (ptdf.Matrix.PairOutageFlows: the rank-2
-// Woodbury identity over memoized columns), behind the pair-interaction
-// gate. Both then run the same 1Q, thermal and voltage stages. Mixed
-// branch+generator pairs change injections, which the LODF picture does
-// not model, so they always go to the AC path.
-func (s *screener) trySecure(n *model.Network, p N2Pair) *OutageResult {
-	if !s.baseSecure || p.Gen >= 0 {
+// the outage of branch k cannot approach any limit; nil sends it to the
+// full AC path. The active flows come from the LODFs.
+func (s *screener) trySecure(n *model.Network, k int) *OutageResult {
+	if !s.baseSecure {
 		return nil
 	}
-	a, b := p.BranchA, p.BranchB
-	ks, m := [2]int{a, b}, 1
-	var flows []float64
-	var err error
-	if b < 0 {
-		flows, err = s.factors.PostOutageFlows(s.preP, a)
-	} else {
-		det, derr := s.factors.PairInteraction(a, b)
-		if derr != nil || math.Abs(det) < pairInteractionTrust {
-			return nil // joint cutset or strongly coupled pair
-		}
-		flows, err = s.factors.PairOutageFlows(s.preP, a, b)
-		m = 2
-	}
+	flows, err := s.factors.PostOutageFlows(s.preP, k)
 	if err != nil {
 		return nil // islanding or numerical trouble: full analysis
 	}
 	// 1Q stage first: the linearized voltage solution also prices the
 	// reactive redistribution the thermal stage needs.
-	dv, ok := s.qvSolveMulti(n, ks[:m], flows)
+	dv, ok := s.qvSolve(n, k, flows)
 	if !ok {
 		return nil
 	}
@@ -214,7 +189,7 @@ func (s *screener) trySecure(n *model.Network, p N2Pair) *OutageResult {
 	// used per branch, with the unaffected allowance.
 	var worst float64
 	for bk, br := range n.Branches {
-		if !br.InService || br.RateMVA <= 0 || bk == a || bk == b {
+		if !br.InService || br.RateMVA <= 0 || bk == k {
 			continue
 		}
 		var dvf, dvt float64
@@ -242,7 +217,7 @@ func (s *screener) trySecure(n *model.Network, p N2Pair) *OutageResult {
 		return nil
 	}
 
-	out := newOutageResult(n, p)
+	out := newOutageResult(n, branchOutage(k))
 	out.Converged = true
 	out.MaxLoadingPct = worst
 	out.MinVoltagePU = estMin
@@ -251,60 +226,31 @@ func (s *screener) trySecure(n *model.Network, p N2Pair) *OutageResult {
 	return out
 }
 
-// qvSolveMulti solves the fast-decoupled Q-V equation with the branches in
-// ks removed via a Woodbury update of the factorized base B”, computing
-// the linearized post-outage voltage change of every PQ bus (the 1Q
-// stage). One branch is the N-1 screen; two branches is the N-2
-// pre-screen, whose update couples up to four PQ endpoint columns — all
-// batched through ONE SolveBlockInto multi-RHS triangular pass. flows are
-// the LODF-predicted post-outage MW flows; they feed the reactive-loss
-// term of the forcing. It returns ok=false
-// when the estimate cannot be trusted — a weakly-fed endpoint, numerical
-// trouble, or a regulated bus whose generators would be pushed near a
-// reactive limit — which routes the outage to the full AC path.
-func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]float64, bool) {
-	if s.luBpp == nil || len(s.pqBus) == 0 || len(ks) == 0 || len(ks) > 2 {
+// qvSolve solves the fast-decoupled Q-V equation with branch k removed via
+// a rank-≤2 Woodbury update of the factorized base B”, computing the
+// linearized post-outage voltage change of every PQ bus (the 1Q stage).
+// The update's PQ endpoint columns are batched through ONE SolveBlockInto
+// multi-RHS triangular pass. flows are the LODF-predicted post-outage MW
+// flows; they feed the reactive-loss term of the forcing. It returns
+// ok=false when the estimate cannot be trusted — a weakly-fed endpoint,
+// numerical trouble, or a regulated bus whose generators would be pushed
+// near a reactive limit — which routes the outage to the full AC path.
+func (s *screener) qvSolve(n *model.Network, k int, flows []float64) ([]float64, bool) {
+	if s.luBpp == nil || len(s.pqBus) == 0 {
 		return nil, false
 	}
-	outaged := func(b int) bool {
-		for _, k := range ks {
-			if b == k {
-				return true
-			}
-		}
-		return false
-	}
+	br := n.Branches[k]
+	// PQ positions of the branch's endpoints, −1 for regulated buses.
+	// model.Validate rejects self loops, so two PQ endpoints differ.
+	f, t := s.pqPos[br.From], s.pqPos[br.To]
 
 	// Weak-feed distrust: a PQ endpoint that loses most of its susceptance
-	// with the removed branches turns sharply nonlinear. The lost share
-	// accumulates over ks before the comparison, so a pair that jointly
-	// strips one bus (say two 45% feeds) is gated even when each branch
-	// alone would pass.
-	var wfBus [4]int
-	var wfLost [4]float64
-	nwf := 0
-	wfAdd := func(bus int, lost float64) {
-		if s.pqPos[bus] < 0 {
-			return
-		}
-		for i := 0; i < nwf; i++ {
-			if wfBus[i] == bus {
-				wfLost[i] += lost
-				return
-			}
-		}
-		wfBus[nwf], wfLost[nwf] = bus, lost
-		nwf++
+	// with the removed branch turns sharply nonlinear.
+	if f >= 0 && -imag(s.y.Yff[k]) > weakFeedShare*(-imag(s.y.Diag(br.From))) {
+		return nil, false
 	}
-	for _, k := range ks {
-		br := n.Branches[k]
-		wfAdd(br.From, -imag(s.y.Yff[k]))
-		wfAdd(br.To, -imag(s.y.Ytt[k]))
-	}
-	for i := 0; i < nwf; i++ {
-		if wfLost[i] > weakFeedShare*(-imag(s.y.Diag(wfBus[i]))) {
-			return nil, false
-		}
+	if t >= 0 && -imag(s.y.Ytt[k]) > weakFeedShare*(-imag(s.y.Diag(br.To))) {
+		return nil, false
 	}
 
 	// ΔQ: removing a branch frees the reactive power it absorbed at each
@@ -317,16 +263,12 @@ func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]
 	// Sign: preQ is the MVAr a bus sends INTO the branch; with the branch
 	// gone that power is surplus at the bus, so the mismatch driving the
 	// Q-V equation is +preQ (a bus that was fed through the branch has
-	// preQ < 0 and correctly sags). A shared endpoint accumulates both
-	// branches' terms.
-	for _, k := range ks {
-		br := n.Branches[k]
-		if f := s.pqPos[br.From]; f >= 0 {
-			dq[f] += s.preQ[k] / n.BaseMVA / math.Max(s.baseVm[br.From], 0.5)
-		}
-		if t := s.pqPos[br.To]; t >= 0 {
-			dq[t] += s.preQTo[k] / n.BaseMVA / math.Max(s.baseVm[br.To], 0.5)
-		}
+	// preQ < 0 and correctly sags).
+	if f >= 0 {
+		dq[f] += s.preQ[k] / n.BaseMVA / math.Max(s.baseVm[br.From], 0.5)
+	}
+	if t >= 0 {
+		dq[t] += s.preQTo[k] / n.BaseMVA / math.Max(s.baseVm[br.To], 0.5)
 	}
 
 	// Rerouted active power raises series reactive losses (ΔQ ≈ X·ΔI²)
@@ -336,7 +278,7 @@ func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]
 	// regulated terminals burden their generators (checked below).
 	lossReg := map[int]float64(nil)
 	for b, bb := range n.Branches {
-		if !bb.InService || bb.X == 0 || outaged(b) {
+		if !bb.InService || bb.X == 0 || b == k {
 			continue
 		}
 		dql := bb.X * (flows[b]*flows[b] - s.preP[b]*s.preP[b]) / (n.BaseMVA * n.BaseMVA)
@@ -362,65 +304,48 @@ func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]
 	}
 
 	// Woodbury correction for B''_post = B'' − U·S·Uᵀ where S holds the
-	// removed branches' contributions at the (deduplicated) PQ endpoint
-	// columns — rank ≤ 2 per branch, rank ≤ 4 for a pair.
-	cols := make([]int, 0, 4)
-	addCol := func(p int) {
-		if p < 0 {
-			return
+	// removed branch's contribution at its PQ endpoint columns (rank ≤ 2).
+	var cols [2]int
+	m := 0
+	for _, p := range [2]int{f, t} {
+		if p >= 0 {
+			cols[m] = p
+			m++
 		}
-		for _, c := range cols {
-			if c == p {
-				return
-			}
-		}
-		cols = append(cols, p)
-	}
-	for _, k := range ks {
-		br := n.Branches[k]
-		addCol(s.pqPos[br.From])
-		addCol(s.pqPos[br.To])
 	}
 	dv := x0
-	if len(cols) > 0 {
-		// S entries: ΔB''[a][b] = −Im(removed Y blocks), accumulated over
-		// the removed branches (a pair sharing an endpoint stacks its
-		// contributions there).
+	if m > 0 {
+		// S entries: ΔB''[a][b] = −Im(removed Y blocks).
 		entry := func(a, b int) float64 {
 			var v float64
-			for _, k := range ks {
-				br := n.Branches[k]
-				f, t := s.pqPos[br.From], s.pqPos[br.To]
-				switch {
-				case a == f && b == f:
-					v += -imag(s.y.Yff[k])
-				case a == f && b == t:
-					v += -imag(s.y.Yft[k])
-				case a == t && b == f:
-					v += -imag(s.y.Ytf[k])
-				case a == t && b == t:
-					v += -imag(s.y.Ytt[k])
-				}
+			switch {
+			case a == f && b == f:
+				v += -imag(s.y.Yff[k])
+			case a == f && b == t:
+				v += -imag(s.y.Yft[k])
+			case a == t && b == f:
+				v += -imag(s.y.Ytf[k])
+			case a == t && b == t:
+				v += -imag(s.y.Ytt[k])
 			}
 			return v
 		}
-		m := len(cols)
 		// Solve B''·u_j = e_cols[j], all columns batched through one
 		// multi-RHS triangular pass.
 		ub := make([]float64, npq*m)
 		bwork := make([]float64, npq*m)
-		for j, c := range cols {
+		for j, c := range cols[:m] {
 			ub[j*npq+c] = 1
 		}
 		if err := s.luBpp.SolveBlockInto(ub, ub, bwork, m); err != nil {
 			return nil, false
 		}
-		us := make([][]float64, m)
-		for j := range us {
+		var us [2][]float64
+		for j := 0; j < m; j++ {
 			us[j] = ub[j*npq : (j+1)*npq]
 		}
-		// Capacitance C = S⁻¹ − Uᵀ B''⁻¹ U (m×m, m ≤ 4).
-		var sMat [4][4]float64
+		// Capacitance C = S⁻¹ − Uᵀ B''⁻¹ U (m×m, m ≤ 2).
+		var sMat [2][2]float64
 		for a := 0; a < m; a++ {
 			for b := 0; b < m; b++ {
 				sMat[a][b] = entry(cols[a], cols[b])
@@ -430,7 +355,7 @@ func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]
 		if !ok {
 			return nil, false
 		}
-		var c [4][4]float64
+		var c [2][2]float64
 		for a := 0; a < m; a++ {
 			for b := 0; b < m; b++ {
 				c[a][b] = sInv[a][b] - us[b][cols[a]]
@@ -441,7 +366,7 @@ func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]
 			return nil, false // singular: outage is radial in the Q network
 		}
 		// dv = x0 + U_sol · C⁻¹ · (Uᵀ x0) with U_sol[j] = B''⁻¹ e_j.
-		var w [4]float64
+		var w [2]float64
 		for a := 0; a < m; a++ {
 			w[a] = x0[cols[a]]
 		}
@@ -468,13 +393,10 @@ func (s *screener) qvSolveMulti(n *model.Network, ks []int, flows []float64) ([]
 		// already; the B''-coupled response is ΔQ/V and needs the V_g
 		// scale back, matching the ΔQ/V convention of the PQ forcing.
 		dq := lossReg[g]
-		for _, k := range ks {
-			br := n.Branches[k]
-			if br.From == g {
-				dq -= s.preQ[k] / n.BaseMVA
-			} else if br.To == g {
-				dq -= s.preQTo[k] / n.BaseMVA
-			}
+		if br.From == g {
+			dq -= s.preQ[k] / n.BaseMVA
+		} else if br.To == g {
+			dq -= s.preQTo[k] / n.BaseMVA
 		}
 		var react float64
 		for p := s.y.RowPtr[g]; p < s.y.RowPtr[g+1]; p++ {
@@ -529,12 +451,10 @@ func (s *screener) boundsFromDV(n *model.Network, dv []float64) (lo, hi float64,
 	return lo, hi, true
 }
 
-// invSmall inverts an m×m (m ≤ 4) matrix stored in a fixed array. The
-// m ≤ 2 cases use the closed forms (preserving the exact arithmetic of the
-// N-1 screen); m = 3, 4 — the pair screen's shared-endpoint systems — run
-// Gauss-Jordan with partial pivoting.
-func invSmall(a [4][4]float64, m int) ([4][4]float64, bool) {
-	var out [4][4]float64
+// invSmall inverts an m×m (m ≤ 2) matrix stored in a fixed array, by
+// the closed forms.
+func invSmall(a [2][2]float64, m int) ([2][2]float64, bool) {
+	var out [2][2]float64
 	switch m {
 	case 1:
 		if math.Abs(a[0][0]) < 1e-12 {
@@ -551,46 +471,6 @@ func invSmall(a [4][4]float64, m int) ([4][4]float64, bool) {
 		out[1][1] = a[0][0] / det
 		out[0][1] = -a[0][1] / det
 		out[1][0] = -a[1][0] / det
-		return out, true
-	case 3, 4:
-		// Gauss-Jordan on [A | I] with partial pivoting.
-		var aug [4][8]float64
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				aug[i][j] = a[i][j]
-			}
-			aug[i][m+i] = 1
-		}
-		for col := 0; col < m; col++ {
-			piv := col
-			for r := col + 1; r < m; r++ {
-				if math.Abs(aug[r][col]) > math.Abs(aug[piv][col]) {
-					piv = r
-				}
-			}
-			if math.Abs(aug[piv][col]) < 1e-12 {
-				return out, false
-			}
-			aug[col], aug[piv] = aug[piv], aug[col]
-			d := aug[col][col]
-			for j := 0; j < 2*m; j++ {
-				aug[col][j] /= d
-			}
-			for r := 0; r < m; r++ {
-				if r == col || aug[r][col] == 0 {
-					continue
-				}
-				f := aug[r][col]
-				for j := 0; j < 2*m; j++ {
-					aug[r][j] -= f * aug[col][j]
-				}
-			}
-		}
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				out[i][j] = aug[i][m+j]
-			}
-		}
 		return out, true
 	default:
 		return out, false

@@ -11,9 +11,9 @@ import (
 
 // One outage pipeline serves the N-1 sweep (Analyze) and the N-2 sweep
 // (AnalyzeN2). An outage is an N2Pair; a single branch outage is its
-// one-element case, BranchB = Gen = −1. The driver, the DC screen and the
-// zero-clone analyzer each exist once and branch on the outage's shape
-// only where the physics differs.
+// one-element case, BranchB = Gen = −1. The driver and the zero-clone
+// analyzer each exist once and branch on the outage's shape only where
+// the physics differs; the DC screen sees single outages only.
 
 // branchOutage is the single-outage case of N2Pair.
 func branchOutage(k int) N2Pair { return N2Pair{BranchA: k, BranchB: -1, Gen: -1} }
@@ -71,7 +71,8 @@ func validateOutages(n *model.Network, outages []N2Pair, pairsOnly bool) error {
 }
 
 // sweep runs the outage list through the pipeline — cache, then the DC
-// screen when dcScreen is set, then zero-clone AC analysis — and returns
+// screen when dcScreen is set (single outages only: the N-2 sweep never
+// screens), then zero-clone AC analysis — and returns
 // one record per outage in list order, whatever the worker count. kind
 // labels the sweep metrics ("n1" or "n2"); an "n2" list must hold pairs
 // only. A network without a slack bus fails as ErrNoBase: no base of it
@@ -129,7 +130,7 @@ func sweep(n *model.Network, base *powerflow.Result, outages []N2Pair, kind stri
 		if screen == nil {
 			return false
 		}
-		r := screen.trySecure(n, outages[i])
+		r := screen.trySecure(n, outages[i].BranchA)
 		if r == nil {
 			return false
 		}

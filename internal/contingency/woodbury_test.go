@@ -35,7 +35,7 @@ func TestWoodburyVoltageFloorConservative(t *testing.T) {
 			if err != nil {
 				continue // islanding: no linear estimate exists
 			}
-			dv, ok := s.qvSolveMulti(n, []int{k}, flows)
+			dv, ok := s.qvSolve(n, k, flows)
 			if !ok {
 				continue // estimator flags itself untrustworthy: fine
 			}

@@ -33,12 +33,12 @@ const (
 )
 
 // SweepOptions is the wire subset of contingency.Options. One knob
-// travels: dc_screen, which turns on the linear pre-screen
-// (contingency.Options.DCScreen). The violation thresholds are the
-// paper's fixed ones on both sides. The sweep pool and its outage base
-// (Ybus, topology, PTDF, ordering cache) are process-local by design —
-// every worker runs on its own engine's pool, warmed from the shared
-// artifact store when available.
+// travels: dc_screen, which turns on the linear pre-screen of an N-1
+// shard (contingency.Options.DCScreen); an N-2 shard never screens. The
+// violation thresholds are the paper's fixed ones on both sides. The
+// sweep pool and its outage base (Ybus, topology, PTDF, ordering cache)
+// are process-local by design — every worker runs on its own engine's
+// pool, warmed from the shared artifact store when available.
 //
 // Version 1 once also carried volt_low, volt_high, overload_pct,
 // screen_threshold and no_warm_start. No coordinator ever set them, and

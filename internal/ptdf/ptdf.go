@@ -307,88 +307,3 @@ func (m *Matrix) PostOutageFlows(preMW []float64, mm int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// pairDetFloor is the |det(I − L_MM)| below which a double outage is
-// declared degenerate: the 2×2 interaction system of the pair is singular
-// exactly when removing both branches disconnects the network (a joint
-// cutset — e.g. both circuits of a double line), so the sentinel mirrors
-// the single-branch radial case.
-const pairDetFloor = 1e-8
-
-// PairInteraction returns det(I − L_MM) for the simultaneous outage of
-// branches m1 and m2 — the determinant of the 2×2 LODF interaction system
-// the N-2 composition inverts. A magnitude near zero means the pair
-// jointly islands the network (ErrIslanding is returned, as it is when
-// either branch is individually radial); small magnitudes mean strongly
-// coupled branches for which callers may distrust linearized estimates.
-func (m *Matrix) PairInteraction(m1, m2 int) (float64, error) {
-	if m1 == m2 {
-		return 0, fmt.Errorf("ptdf: pair outage needs two distinct branches, got %d twice", m1)
-	}
-	c1, err := m.LODFCol(m1)
-	if err != nil {
-		return 0, err
-	}
-	c2, err := m.LODFCol(m2)
-	if err != nil {
-		return 0, err
-	}
-	// c2[m1] is the fraction of m2's flow shifted onto m1 (and vice versa).
-	det := 1 - c2[m1]*c1[m2]
-	if math.Abs(det) < pairDetFloor {
-		return det, ErrIslanding
-	}
-	return det, nil
-}
-
-// PairOutageFlowsInto predicts DC branch flows after the SIMULTANEOUS
-// outage of branches m1 and m2, writing into dst (length nbr): the N-2
-// generalization of PostOutageFlows. It composes the two memoized LODF
-// columns through the 2×2 interaction system
-//
-//	f̃ = (I − L_MM)⁻¹ · [f_m1, f_m2]ᵀ,   f'_k = f_k + L_{k,m1}·f̃_1 + L_{k,m2}·f̃_2,
-//
-// which is algebraically the rank-2 Woodbury update of the susceptance
-// matrix, evaluated from cached factors instead of fresh solves. Columns
-// come from LODFCol, so a pair sweep reuses every column the N-1 screen
-// already touched and memoizes the rest. ErrIslanding is returned when
-// either branch is individually radial (the column sentinel) or the pair
-// is a joint cutset (singular interaction).
-func (m *Matrix) PairOutageFlowsInto(dst, preMW []float64, m1, m2 int) error {
-	if m1 == m2 {
-		return fmt.Errorf("ptdf: pair outage needs two distinct branches, got %d twice", m1)
-	}
-	c1, err := m.LODFCol(m1)
-	if err != nil {
-		return err
-	}
-	c2, err := m.LODFCol(m2)
-	if err != nil {
-		return err
-	}
-	l12, l21 := c2[m1], c1[m2]
-	det := 1 - l12*l21
-	if math.Abs(det) < pairDetFloor {
-		return ErrIslanding
-	}
-	f1 := (preMW[m1] + l12*preMW[m2]) / det
-	f2 := (preMW[m2] + l21*preMW[m1]) / det
-	for k := 0; k < m.nbr; k++ {
-		if k == m1 || k == m2 {
-			dst[k] = 0
-			continue
-		}
-		dst[k] = preMW[k] + c1[k]*f1 + c2[k]*f2
-	}
-	return nil
-}
-
-// PairOutageFlows is the allocating convenience form of
-// PairOutageFlowsInto.
-func (m *Matrix) PairOutageFlows(preMW []float64, m1, m2 int) ([]float64, error) {
-	out := make([]float64, m.nbr)
-	if err := m.PairOutageFlowsInto(out, preMW, m1, m2); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

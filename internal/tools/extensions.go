@@ -313,14 +313,12 @@ func reliabilityMCTool(ctx *session.Context, eng *engine.Engine) *Tool {
 
 // runN2Tool exposes the N-2 screening pipeline to the reliability (CA)
 // agent: candidate double outages are seeded from the session's N-1 sweep
-// (run on demand), DC pre-screened via the LODF pair composition, and the
-// survivors AC-verified on the zero-clone view path.
+// (run on demand) and each is AC-verified on the zero-clone view path.
 func runN2Tool(ctx *session.Context, eng *engine.Engine) *Tool {
 	return &Tool{
 		Name: ToolRunN2,
 		Description: "Run N-2 (double outage) contingency screening: seed candidate branch pairs from the " +
-			"N-1 critical list, rank them with a fast linear (LODF) pre-screen, AC-verify the survivors, " +
-			"and return the top-k critical pairs with their violations.",
+			"N-1 critical list, AC-verify each pair, and return the top-k critical pairs with their violations.",
 		Input: schema.Obj("", map[string]*schema.Schema{
 			"top_k":     schema.Int("how many critical pairs to report (default 5)").WithRange(1, 100),
 			"seed_k":    schema.Int("how many N-1 critical outages to seed pairs from (default 10)").WithRange(2, 50),
@@ -328,7 +326,6 @@ func runN2Tool(ctx *session.Context, eng *engine.Engine) *Tool {
 		}),
 		Output: schema.Obj("N-2 screening", map[string]*schema.Schema{
 			"total_pairs": schema.Int("candidate pairs analyzed"),
-			"screened":    schema.Int("pairs certified secure by the DC pre-screen"),
 			"critical": schema.Arr("ranked critical pairs", schema.Obj("", map[string]*schema.Schema{
 				"branch_a": schema.Int("first branch index"),
 				"branch_b": schema.Int("second branch index"),
@@ -347,8 +344,6 @@ func runN2Tool(ctx *session.Context, eng *engine.Engine) *Tool {
 			if err != nil {
 				return nil, err
 			}
-			// The pair pre-screen rides the pool's shared PTDF/LODF memo, so
-			// every session's N-2 screening reuses columns any session touched.
 			n2opts := contingency.N2Options{Options: sharedOpts(ctx, eng)}
 			if v, ok := args["seed_k"].(float64); ok {
 				n2opts.TopK = int(v)
@@ -382,12 +377,11 @@ func runN2Tool(ctx *session.Context, eng *engine.Engine) *Tool {
 				})
 			}
 			ctx.AddProvenance(ToolRunN2, fmt.Sprintf(
-				"N-2 screening: %d pairs, %d screened secure, %d islanding, %d with overloads",
-				stats.Total, rs.Screened, stats.Islanding, stats.WithOverload))
+				"N-2 screening: %d pairs, %d islanding, %d with overloads",
+				stats.Total, stats.Islanding, stats.WithOverload))
 			return map[string]any{
 				"case_name":      rs.CaseName,
 				"total_pairs":    stats.Total,
-				"screened":       rs.Screened,
 				"secure":         stats.Secure,
 				"with_overload":  stats.WithOverload,
 				"with_volt_viol": stats.WithVoltViol,
